@@ -1,8 +1,10 @@
 #ifndef GRIMP_COMMON_BINARY_IO_H_
 #define GRIMP_COMMON_BINARY_IO_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,6 +12,32 @@
 #include "common/status.h"
 
 namespace grimp {
+
+// Streaming 64-bit checksum behind every file footer (model and shard
+// formats). Four independent 64-bit lanes consume 32-byte stripes with
+// xxh64-style rounds, acc = rotl(acc + word * P2, 31) * P1, so the
+// multiplies of one stripe do not wait on each other. The total length and
+// the tail bytes are mixed in at finalisation, followed by an avalanche
+// step. Feeding the same bytes in pieces of any size gives the same
+// Digest() as one Update over all of them.
+class Checksum64 {
+ public:
+  Checksum64();
+
+  void Update(const void* data, size_t bytes);
+  // Digest of everything fed so far; does not disturb the running state.
+  uint64_t Digest() const;
+
+  // One-shot digest of `bytes` bytes at `data`.
+  static uint64_t Of(const void* data, size_t bytes);
+
+ private:
+  static constexpr size_t kStripe = 32;
+  uint64_t lanes_[4];
+  unsigned char pending_[kStripe];  // a partial stripe awaiting more bytes
+  size_t pending_bytes_ = 0;
+  uint64_t total_bytes_ = 0;
+};
 
 // Little binary serialization layer for model persistence. Fixed-width
 // little-endian primitives (this library targets x86-64/AArch64 Linux),
@@ -36,30 +64,45 @@ class BinaryWriter {
   void WriteI32Vector(const std::vector<int32_t>& v);
   void WriteI64Vector(const std::vector<int64_t>& v);
   void WriteStringVector(const std::vector<std::string>& v);
+  // Raw bytes, no length prefix.
+  void WriteBytes(const void* data, size_t bytes);
 
   // Flushes and reports the final status.
   Status Close();
 
-  // FNV-1a hash of every byte written so far. Writing the hash itself as
-  // the file's final u64 (WriteU64(hash())) produces the trailing-checksum
+  // Checksum64 digest of every byte written so far. Writing it as the
+  // file's final u64 (WriteU64(hash())) produces the trailing-checksum
   // footer that VerifyTrailingChecksum() validates.
-  uint64_t hash() const { return hash_; }
+  uint64_t hash() const { return checksum_.Digest(); }
 
  private:
-  void WriteRaw(const void* data, size_t bytes);
   std::ofstream out_;
-  uint64_t hash_ = kFnvOffsetBasis;
-
- public:
-  static constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
-  static constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+  Checksum64 checksum_;
 };
 
-// Validates a file whose last 8 bytes are the little-endian FNV-1a hash of
-// everything before them (the footer written via BinaryWriter::hash()).
-// Returns IoError when the file cannot be read or is shorter than the
-// footer, and InvalidArgument naming `path` on checksum mismatch —
-// catching truncation and bit corruption anywhere in the payload.
+// A whole file in memory, read with one open and one read. The storage is
+// allocated as (uninitialised) 32-bit words, so arrays of 32-bit values at
+// 4-byte-aligned file offsets can be used in place.
+struct FileImage {
+  std::unique_ptr<int32_t[]> words;
+  size_t size = 0;  // in bytes
+
+  const unsigned char* bytes() const {
+    return reinterpret_cast<const unsigned char*>(words.get());
+  }
+};
+
+// IoError naming `path` when it cannot be opened or read in full.
+Result<FileImage> ReadFileImage(const std::string& path);
+
+// Validates an image whose last 8 bytes are the little-endian Checksum64
+// of everything before them (the footer written via BinaryWriter::hash()).
+// Returns IoError when the image is shorter than the footer, and
+// InvalidArgument naming `path` on checksum mismatch, catching truncation
+// and bit corruption anywhere in the payload.
+Status VerifyChecksumFooter(const FileImage& file, const std::string& path);
+
+// ReadFileImage + VerifyChecksumFooter.
 Status VerifyTrailingChecksum(const std::string& path);
 
 class BinaryReader {

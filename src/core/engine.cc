@@ -358,8 +358,8 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
 
 namespace {
 constexpr uint64_t kModelMagic = 0x4752494d504d444cULL;  // "GRIMPMDL"
-// v2: trailing FNV-1a checksum footer over the whole payload.
-constexpr uint32_t kModelVersion = 2;
+// v3: trailing Checksum64 footer over the whole payload (v2 used FNV-1a).
+constexpr uint32_t kModelVersion = 3;
 }  // namespace
 
 
@@ -467,7 +467,7 @@ Status GrimpEngine::Save(const std::string& path) {
                             p->value.data() + p->value.size());
     writer.WriteF32Vector(data);
   }
-  // Footer: FNV-1a over every payload byte above, so Load can reject
+  // Footer: Checksum64 over every payload byte above, so Load can reject
   // truncated or bit-flipped artifacts before deserializing them.
   const uint64_t checksum = writer.hash();
   writer.WriteU64(checksum);

@@ -1,12 +1,26 @@
 #include "graph/shard.h"
 
+#include <cstring>
+
 #include "common/binary_io.h"
 
 namespace grimp {
 
 namespace {
 constexpr uint64_t kShardMagic = 0x4752494d50534844ULL;  // "GRIMPSHD"
-constexpr uint32_t kShardVersion = 1;
+// v2: Checksum64 footer (v1 used byte-serial FNV-1a).
+constexpr uint32_t kShardVersion = 2;
+// Magic, version, begin, end, type count.
+constexpr size_t kShardHeaderBytes = 8 + 4 + 8 + 8 + 4;
+
+// Little-endian scalar at byte offset `pos` of `file`; the caller has
+// bounds-checked the read.
+template <typename T>
+T LoadAt(const FileImage& file, size_t pos) {
+  T v;
+  std::memcpy(&v, file.bytes() + pos, sizeof(v));
+  return v;
+}
 }  // namespace
 
 GraphShard GraphShard::View(const HeteroGraph& graph) {
@@ -156,58 +170,81 @@ Status GraphShard::WriteTo(const std::string& path) const {
   writer.WriteI64(begin_);
   writer.WriteI64(end_);
   writer.WriteU32(static_cast<uint32_t>(slices_.size()));
+  // Same layout as BinaryWriter::WriteI32Vector, straight from the slices.
+  auto write_array = [&writer](const int32_t* data, int64_t length) {
+    writer.WriteU64(static_cast<uint64_t>(length));
+    writer.WriteBytes(data, static_cast<size_t>(length) * sizeof(int32_t));
+  };
   const int64_t n = end_ - begin_;
-  std::vector<int32_t> scratch;
   for (const TypeSlice& s : slices_) {
-    scratch.assign(s.offsets, s.offsets + n + 1);
-    writer.WriteI32Vector(scratch);
-    const int32_t num_edges = s.offsets[static_cast<size_t>(n)] -
-                              s.edge_base;
-    scratch.assign(s.indices, s.indices + num_edges);
-    writer.WriteI32Vector(scratch);
+    write_array(s.offsets, n + 1);
+    write_array(s.indices, s.offsets[static_cast<size_t>(n)] - s.edge_base);
   }
   writer.WriteU64(writer.hash());
   return writer.Close();
 }
 
 Result<GraphShard> GraphShard::ReadFrom(const std::string& path) {
-  GRIMP_RETURN_IF_ERROR(VerifyTrailingChecksum(path));
-  BinaryReader reader(path);
-  GRIMP_RETURN_IF_ERROR(reader.status());
-  GRIMP_ASSIGN_OR_RETURN(uint64_t magic, reader.ReadU64());
-  if (magic != kShardMagic) {
+  GRIMP_ASSIGN_OR_RETURN(FileImage file, ReadFileImage(path));
+  if (file.size < kShardHeaderBytes + sizeof(uint64_t)) {
+    return Status::IoError("truncated shard file: " + path);
+  }
+  if (LoadAt<uint64_t>(file, 0) != kShardMagic) {
     return Status::InvalidArgument("not a GRIMP shard file: " + path);
   }
-  GRIMP_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
+  const uint32_t version = LoadAt<uint32_t>(file, 8);
   if (version != kShardVersion) {
-    return Status::InvalidArgument("unsupported shard version in " + path);
+    return Status::InvalidArgument(
+        "unsupported shard version in " + path + ": expected " +
+        std::to_string(kShardVersion) + ", found " + std::to_string(version));
   }
+  GRIMP_RETURN_IF_ERROR(VerifyChecksumFooter(file, path));
+
   GraphShard shard;
-  GRIMP_ASSIGN_OR_RETURN(shard.begin_, reader.ReadI64());
-  GRIMP_ASSIGN_OR_RETURN(shard.end_, reader.ReadI64());
+  shard.begin_ = LoadAt<int64_t>(file, 12);
+  shard.end_ = LoadAt<int64_t>(file, 20);
   if (shard.begin_ < 0 || shard.end_ < shard.begin_) {
     return Status::InvalidArgument("corrupt shard range in " + path);
   }
-  GRIMP_ASSIGN_OR_RETURN(uint32_t num_types, reader.ReadU32());
+  const uint32_t num_types = LoadAt<uint32_t>(file, 28);
   if (num_types > 65536) {
     return Status::InvalidArgument("corrupt shard type count in " + path);
   }
-  shard.owned_.reserve(static_cast<size_t>(num_types) * 2);
+  // Every array is a u64 length then that many int32s. The header is 32
+  // bytes and each array 8 + 4n, so every array starts 4-byte aligned in
+  // the image and can be used in place.
+  const size_t payload_end = file.size - sizeof(uint64_t);
+  size_t pos = kShardHeaderBytes;
+  auto next_array = [&](uint64_t* length) -> const int32_t* {
+    if (payload_end - pos < sizeof(uint64_t)) return nullptr;
+    *length = LoadAt<uint64_t>(file, pos);
+    pos += sizeof(uint64_t);
+    if (*length > (payload_end - pos) / sizeof(int32_t)) return nullptr;
+    const int32_t* data = file.words.get() + pos / sizeof(int32_t);
+    pos += static_cast<size_t>(*length) * sizeof(int32_t);
+    return data;
+  };
+  shard.slices_.reserve(num_types);
   for (uint32_t t = 0; t < num_types; ++t) {
-    GRIMP_ASSIGN_OR_RETURN(auto offsets, reader.ReadI32Vector());
-    if (static_cast<int64_t>(offsets.size()) !=
-        shard.end_ - shard.begin_ + 1) {
+    uint64_t num_offsets = 0;
+    const int32_t* offsets = next_array(&num_offsets);
+    if (offsets == nullptr || num_offsets == 0 ||
+        num_offsets - 1 != static_cast<uint64_t>(shard.end_ - shard.begin_)) {
       return Status::InvalidArgument("corrupt shard offsets in " + path);
     }
-    GRIMP_ASSIGN_OR_RETURN(auto indices, reader.ReadI32Vector());
-    if (static_cast<int64_t>(indices.size()) !=
-        static_cast<int64_t>(offsets.back()) - offsets.front()) {
+    uint64_t num_indices = 0;
+    const int32_t* indices = next_array(&num_indices);
+    if (indices == nullptr ||
+        static_cast<int64_t>(num_indices) !=
+            static_cast<int64_t>(offsets[num_offsets - 1]) - offsets[0]) {
       return Status::InvalidArgument("corrupt shard indices in " + path);
     }
-    shard.owned_.push_back(std::move(offsets));
-    shard.owned_.push_back(std::move(indices));
+    shard.slices_.push_back(TypeSlice{offsets, indices, offsets[0]});
   }
-  shard.RebindOwned();
+  if (pos != payload_end) {
+    return Status::InvalidArgument("trailing bytes in shard file " + path);
+  }
+  shard.file_ = std::move(file.words);
   return shard;
 }
 

@@ -2,6 +2,7 @@
 #define GRIMP_GRAPH_SHARD_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,9 +88,12 @@ class GraphShard {
   // the bytes belong to the source graph.
   int64_t SizeBytes() const;
 
-  // Compact on-disk format: magic/version header, range, per-type CSR
-  // arrays, trailing FNV-1a checksum (BinaryWriter v2 footer). ReadFrom
-  // verifies the checksum before adopting anything.
+  // Compact on-disk format, shard format v2: magic/version header, range,
+  // per-type CSR arrays, trailing Checksum64 footer (common/binary_io).
+  // ReadFrom reads the file with one open and one read, rejects a wrong
+  // magic or version (the error names the expected and found versions)
+  // before hashing, verifies the footer over the in-memory image, then
+  // bounds-checks the arrays and serves them in place from that image.
   Status WriteTo(const std::string& path) const;
   static Result<GraphShard> ReadFrom(const std::string& path);
 
@@ -107,8 +111,11 @@ class GraphShard {
   int64_t end_ = 0;
   std::vector<TypeSlice> slices_;
   // Backing storage for owned shards: owned_[2 * t] holds type t's offsets,
-  // owned_[2 * t + 1] its indices. Empty for views.
+  // owned_[2 * t + 1] its indices. Empty for views and loaded shards.
   std::vector<std::vector<int32_t>> owned_;
+  // Backing storage for ReadFrom shards: the whole file image, which the
+  // slices point into. Null otherwise.
+  std::unique_ptr<int32_t[]> file_;
 
   void RebindOwned();
 };

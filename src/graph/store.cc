@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -279,27 +280,39 @@ ShardScope ShardedGraphStore::Acquire(int s) const {
     FetchCounter().Increment();
     PublishGauges();
     lock.unlock();
-    Result<GraphShard> loaded = GraphShard::ReadFrom(state.path);
-    GRIMP_CHECK(loaded.ok()) << "shard load failed: "
-                             << loaded.status().ToString();
-    GraphShard shard = std::move(loaded).ValueOrDie();
-    // Appended edges live in the patch until the file is rewritten; merge
-    // them on every load. (Reading state.patch unlocked is safe: Append is
-    // serialized against loads by the streaming engine, and refuses to run
-    // while any shard is kLoading.)
-    if (!state.patch.empty()) {
-      shard = GraphShard::Patched(shard, state.patch);
-    }
-    lock.lock();
-    state.shard = std::move(shard);
-    state.state = State::kResident;
-    ++state.pins;
-    state.lru_tick = ++lru_clock_;
-    PublishGauges();
-    lock.unlock();
-    load_cv_.notify_all();
+    LoadShard(state, /*pin=*/true);
     return ShardScope(this, s, &state.shard);
   }
+}
+
+void ShardedGraphStore::LoadShard(ShardState& state, bool pin) const {
+  const auto start = std::chrono::steady_clock::now();
+  Result<GraphShard> loaded = GraphShard::ReadFrom(state.path);
+  GRIMP_CHECK(loaded.ok()) << "shard load failed: "
+                           << loaded.status().ToString();
+  GraphShard shard = std::move(loaded).ValueOrDie();
+  // Appended edges live in the patch until the file is rewritten; merge
+  // them on every load. (Reading state.patch unlocked is safe: Append is
+  // serialized against loads by the streaming engine, and refuses to run
+  // while any shard is kLoading.)
+  if (!state.patch.empty()) {
+    shard = GraphShard::Patched(shard, state.patch);
+  }
+  static Histogram& load_micros =
+      MetricsRegistry::Global().GetHistogram("graph.shard.load_micros");
+  load_micros.Record(
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    state.shard = std::move(shard);
+    state.state = State::kResident;
+    if (pin) ++state.pins;
+    state.lru_tick = ++lru_clock_;
+    PublishGauges();
+  }
+  load_cv_.notify_all();
 }
 
 void ShardedGraphStore::Prefetch(const std::vector<int>& shards) const {
@@ -349,22 +362,7 @@ void ShardedGraphStore::Prefetch(const std::vector<int>& shards) const {
       [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
           const int s = to_load[static_cast<size_t>(i)];
-          ShardState& state = states_[static_cast<size_t>(s)];
-          Result<GraphShard> loaded = GraphShard::ReadFrom(state.path);
-          GRIMP_CHECK(loaded.ok()) << "shard load failed: "
-                                   << loaded.status().ToString();
-          GraphShard shard = std::move(loaded).ValueOrDie();
-          if (!state.patch.empty()) {
-            shard = GraphShard::Patched(shard, state.patch);
-          }
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            state.shard = std::move(shard);
-            state.state = State::kResident;
-            state.lru_tick = ++lru_clock_;
-            PublishGauges();
-          }
-          load_cv_.notify_all();
+          LoadShard(states_[static_cast<size_t>(s)], /*pin=*/false);
         }
       });
 }

@@ -186,7 +186,8 @@ class InMemoryGraphStore final : public GraphStore {
 //
 // Metrics (registry): counters graph.shard.fetches / evictions / hits,
 // gauges graph.shard.count / resident_shards / resident_bytes /
-// resident_high_water_bytes / total_bytes.
+// resident_high_water_bytes / total_bytes, and the histogram
+// graph.shard.load_micros (one sample per load: read, verify, parse, patch).
 class ShardedGraphStore final : public GraphStore {
  public:
   struct Options {
@@ -246,6 +247,9 @@ class ShardedGraphStore final : public GraphStore {
   // the budget or nothing evictable remains. Caller holds mu_.
   void EvictForLocked(int64_t need, int except) const;
   void PublishGauges() const;  // caller holds mu_
+  // Loads a kLoading shard (file + patch, outside mu_), then publishes it
+  // resident, pinned once if `pin`. Aborts if the file cannot be loaded.
+  void LoadShard(ShardState& state, bool pin) const;
 
   int64_t num_nodes_ = 0;
   int num_edge_types_ = 0;

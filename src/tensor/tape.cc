@@ -333,16 +333,20 @@ Tape::VarId Tape::ConcatCols(const std::vector<VarId>& xs) {
   VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, xs]() {
     const Tensor& g = nodes_[id].grad;
+    // Materialize every input grad before fanning out: GradRef allocates
+    // on first touch, and chunks calling it concurrently would race.
+    std::vector<Tensor*> grads;
+    grads.reserve(xs.size());
+    for (VarId x : xs) grads.push_back(&GradRef(x));
     ParallelRows(g.rows(), g.cols(), [&](int64_t r0, int64_t r1) {
       int64_t off = 0;
-      for (VarId x : xs) {
-        Tensor& xg = GradRef(x);
+      for (Tensor* xg : grads) {
         for (int64_t r = r0; r < r1; ++r) {
-          for (int64_t c = 0; c < xg.cols(); ++c) {
-            xg.at(r, c) += g.at(r, off + c);
+          for (int64_t c = 0; c < xg->cols(); ++c) {
+            xg->at(r, c) += g.at(r, off + c);
           }
         }
-        off += xg.cols();
+        off += xg->cols();
       }
     });
   };

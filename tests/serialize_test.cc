@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 
@@ -89,6 +90,135 @@ TEST(BinaryIoTest, CorruptLengthRejected) {
   }
   BinaryReader reader(path);
   EXPECT_FALSE(reader.ReadF32Vector().ok());
+}
+
+// --- Checksum64 and the trailing-checksum footer --------------------------------
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(file),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteAll(const std::string& path, const std::string& bytes) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Payload bytes with no repeating structure, so every stripe and tail word
+// differs.
+std::string PayloadBytes(size_t n) {
+  std::string bytes(n, '\0');
+  uint64_t x = 0x243f6a8885a308d3ULL;
+  for (char& c : bytes) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    c = static_cast<char>(x >> 56);
+  }
+  return bytes;
+}
+
+// Writes `payload` through BinaryWriter in `piece`-byte writes and returns
+// the writer's final hash().
+uint64_t HashInPieces(const std::string& path, const std::string& payload,
+                      size_t piece) {
+  BinaryWriter writer(path);
+  for (size_t at = 0; at < payload.size(); at += piece) {
+    writer.WriteBytes(payload.data() + at,
+                      std::min(piece, payload.size() - at));
+  }
+  const uint64_t hash = writer.hash();
+  EXPECT_TRUE(writer.Close().ok());
+  return hash;
+}
+
+// A file holding `payload` plus its trailing-checksum footer.
+void WriteChecksummed(const std::string& path, const std::string& payload) {
+  BinaryWriter writer(path);
+  writer.WriteBytes(payload.data(), payload.size());
+  writer.WriteU64(writer.hash());
+  ASSERT_TRUE(writer.Close().ok());
+}
+
+TEST(Checksum64Test, MatchesReferenceVectors) {
+  // The footer is exactly XXH64 with seed 0; pinning public reference
+  // values keeps the on-disk format from drifting silently.
+  EXPECT_EQ(Checksum64::Of("", 0), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(Checksum64::Of("a", 1), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(Checksum64::Of("abc", 3), 0x44bc2cf5ad770999ULL);
+  const std::string sentence = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(Checksum64::Of(sentence.data(), sentence.size()),
+            0xfbcea83c8a378bf1ULL);
+}
+
+TEST(Checksum64Test, PieceSizeDoesNotChangeTheHash) {
+  const std::string path = TempPath("grimp_pieces.bin");
+  const std::string payload = PayloadBytes(10007);
+  const uint64_t whole = HashInPieces(path, payload, payload.size());
+  EXPECT_EQ(whole, Checksum64::Of(payload.data(), payload.size()));
+  for (size_t piece : {1, 3, 7, 31, 32, 33, 4096}) {
+    EXPECT_EQ(HashInPieces(path, payload, piece), whole) << "piece " << piece;
+    EXPECT_EQ(ReadAll(path), payload) << "piece " << piece;
+  }
+  // hash() is a mid-stream digest: reading it must not disturb the stream.
+  BinaryWriter writer(path);
+  writer.WriteBytes(payload.data(), 100);
+  (void)writer.hash();
+  writer.WriteBytes(nullptr, 0);  // an empty vector's data() may be null
+  writer.WriteBytes(payload.data() + 100, payload.size() - 100);
+  EXPECT_EQ(writer.hash(), whole);
+  EXPECT_TRUE(writer.Close().ok());
+}
+
+TEST(Checksum64Test, EveryPayloadBitFlipIsRejected) {
+  // 257 bytes: eight full 32-byte stripes plus a 1-byte tail, so flips hit
+  // every lane of every stripe and the tail path.
+  const std::string path = TempPath("grimp_bitflip.bin");
+  const std::string payload = PayloadBytes(257);
+  WriteChecksummed(path, payload);
+  const std::string good = ReadAll(path);
+  ASSERT_TRUE(VerifyTrailingChecksum(path).ok());
+  for (size_t at = 0; at < payload.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = good;
+      bad[at] = static_cast<char>(bad[at] ^ (1 << bit));
+      WriteAll(path, bad);
+      const Status status = VerifyTrailingChecksum(path);
+      ASSERT_TRUE(status.IsInvalidArgument())
+          << "byte " << at << " bit " << bit << ": " << status.ToString();
+    }
+  }
+}
+
+TEST(Checksum64Test, FooterByteFlipIsRejected) {
+  const std::string path = TempPath("grimp_footer_flip.bin");
+  WriteChecksummed(path, PayloadBytes(100));
+  const std::string good = ReadAll(path);
+  for (size_t at = good.size() - sizeof(uint64_t); at < good.size(); ++at) {
+    std::string bad = good;
+    bad[at] = static_cast<char>(bad[at] ^ 0x01);
+    WriteAll(path, bad);
+    EXPECT_TRUE(VerifyTrailingChecksum(path).IsInvalidArgument())
+        << "footer byte " << at;
+  }
+}
+
+TEST(Checksum64Test, EveryTruncationFailsTyped) {
+  const std::string path = TempPath("grimp_truncations.bin");
+  WriteChecksummed(path, PayloadBytes(77));
+  const std::string good = ReadAll(path);
+  for (size_t len = 0; len < good.size(); ++len) {
+    WriteAll(path, good.substr(0, len));
+    const Status status = VerifyTrailingChecksum(path);
+    // Shorter than the footer: IoError; otherwise the footer is read from
+    // payload bytes and cannot match.
+    if (len < sizeof(uint64_t)) {
+      EXPECT_TRUE(status.IsIoError()) << len << ": " << status.ToString();
+    } else {
+      EXPECT_TRUE(status.IsInvalidArgument()) << len << ": "
+                                              << status.ToString();
+    }
+  }
+  EXPECT_TRUE(VerifyTrailingChecksum("/nonexistent/grimp.bin").IsIoError());
 }
 
 // --- Model persistence ---------------------------------------------------------
@@ -227,8 +357,27 @@ TEST(ModelPersistenceTest, WrongVersionNamesExpectedAndFound) {
   const Status status = loaded.status();  // status() returns by value
   const std::string& message = status.message();
   EXPECT_NE(message.find(path), std::string::npos) << message;
-  EXPECT_NE(message.find("expected 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("expected 3"), std::string::npos) << message;
   EXPECT_NE(message.find("found 99"), std::string::npos) << message;
+}
+
+// A model file from before the Checksum64 footer (format v2) fails on its
+// version, never as a checksum mismatch.
+TEST(ModelPersistenceTest, PreviousFormatVersionFailsOnVersion) {
+  const std::string path = SaveTinyModel("grimp_v2_model.bin");
+  std::string bytes = ReadAll(path);
+  const uint32_t v2 = 2;
+  bytes.replace(sizeof(uint64_t), sizeof(v2),
+                reinterpret_cast<const char*>(&v2), sizeof(v2));
+  WriteAll(path, bytes);
+  auto loaded = GrimpEngine::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument());
+  const Status status = loaded.status();
+  EXPECT_NE(status.message().find("expected 3, found 2"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(status.message().find("checksum mismatch"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(ModelPersistenceTest, LoadedModelTransformsUnseenTable) {

@@ -100,6 +100,10 @@ struct ParamCountCase {
   int64_t attention;
 };
 
+// Without this, gtest prints the case as raw bytes, which include the address
+// of `dataset`; discovered ctest names would then change from run to run.
+void PrintTo(const ParamCountCase& c, std::ostream* os) { *os << c.dataset; }
+
 class ParameterCountTest : public ::testing::TestWithParam<ParamCountCase> {};
 
 TEST_P(ParameterCountTest, MatchesPaperTable1) {

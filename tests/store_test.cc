@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -137,6 +138,57 @@ TEST(GraphShardTest, CorruptedFileIsRejected) {
   }
   EXPECT_FALSE(GraphShard::ReadFrom(path).ok());
   std::remove(path.c_str());
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A shard file from the FNV-1a era (format v1) must fail on its version,
+// before any hashing, and say which version it expected.
+TEST(GraphShardTest, PreviousFormatVersionFailsOnVersion) {
+  const HeteroGraph g = RingGraph(24, 2);
+  const std::string path = testing::TempDir() + "grimp_shard_v1.bin";
+  ASSERT_TRUE(GraphShard::Slice(g, 0, 24).WriteTo(path).ok());
+  std::string bytes = ReadFileBytes(path);
+  const uint32_t v1 = 1;
+  bytes.replace(sizeof(uint64_t), sizeof(v1),
+                reinterpret_cast<const char*>(&v1), sizeof(v1));
+  WriteFileBytes(path, bytes);
+
+  const auto loaded = GraphShard::ReadFrom(path);
+  ASSERT_FALSE(loaded.ok());
+  const Status status = loaded.status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("expected 2, found 1"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(status.message().find("checksum mismatch"), std::string::npos)
+      << status.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(GraphShardTest, EveryTruncationFailsTyped) {
+  const HeteroGraph g = RingGraph(12, 2);
+  const std::string path = testing::TempDir() + "grimp_shard_trunc.bin";
+  ASSERT_TRUE(GraphShard::Slice(g, 2, 9).WriteTo(path).ok());
+  const std::string good = ReadFileBytes(path);
+  for (size_t len = 0; len < good.size(); ++len) {
+    WriteFileBytes(path, good.substr(0, len));
+    const auto loaded = GraphShard::ReadFrom(path);
+    ASSERT_FALSE(loaded.ok()) << "length " << len;
+    EXPECT_TRUE(loaded.status().IsIoError() ||
+                loaded.status().IsInvalidArgument())
+        << "length " << len << ": " << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+  EXPECT_TRUE(GraphShard::ReadFrom(path).status().IsIoError());
 }
 
 // --- InMemoryGraphStore ----------------------------------------------------
@@ -270,6 +322,11 @@ TEST(ShardedGraphStoreTest, PrefetchIsBestEffortAndKeepsParity) {
 
   auto store = ShardedGraphStore::Create(g, StoreOptions(6, budget));
   ASSERT_TRUE(store.ok());
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const int64_t fetches_before =
+      registry.GetCounter("graph.shard.fetches").value();
+  const int64_t loads_before =
+      registry.GetHistogram("graph.shard.load_micros").count();
   (*store)->Prefetch({0, 1, 2, 3, 4, 5});
   EXPECT_LE((*store)->resident_bytes(), budget);
   for (int s = 0; s < 6; ++s) {
@@ -278,6 +335,13 @@ TEST(ShardedGraphStoreTest, PrefetchIsBestEffortAndKeepsParity) {
       EXPECT_EQ(ShardNeighbors(*scope, 0, node), GraphNeighbors(g, 0, node));
     }
   }
+  // Prefetched and demand loads alike record one load_micros sample each.
+  const int64_t fetches =
+      registry.GetCounter("graph.shard.fetches").value() - fetches_before;
+  EXPECT_GE(fetches, 6);
+  EXPECT_EQ(registry.GetHistogram("graph.shard.load_micros").count() -
+                loads_before,
+            fetches);
 }
 
 // When pins hold the whole budget, Prefetch must decline (counted as

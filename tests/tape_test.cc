@@ -174,6 +174,25 @@ TEST(TapeGradTest, ConcatColsAndReshape) {
   EXPECT_LT(MaxGradError(&p, loss), kTol);
 }
 
+// Large enough that the backward pass splits rows across pool chunks; the
+// input grads start unmaterialized, so chunks must not allocate them
+// concurrently (a data race under TSan, a double free otherwise).
+TEST(TapeGradTest, ConcatColsBackwardAcrossChunks) {
+  const int64_t rows = 512;
+  const int64_t cols = 32;
+  Tape tape;
+  const auto a = tape.Constant(Tensor::Zeros(rows, cols));
+  const auto b = tape.Constant(Tensor::Zeros(rows, cols));
+  const auto cat = tape.ConcatCols({a, b, a});
+  tape.Backward(tape.SumAll(cat));
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) {
+      ASSERT_EQ(tape.grad(a).at(r, c), 2.0f) << r << "," << c;
+      ASSERT_EQ(tape.grad(b).at(r, c), 1.0f) << r << "," << c;
+    }
+  }
+}
+
 TEST(TapeGradTest, GatherRowsScatterAddsGradient) {
   Parameter p = MakeParam(4, 2, 13);
   auto loss = [&](bool) {
