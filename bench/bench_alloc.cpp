@@ -7,7 +7,7 @@
 // per-epoch losses and imputed tables; any divergence fails the run.
 //
 // A third workload covers serving: a GrimpEngine is fitted once, then the
-// same single-row requests run through TransformBatchInPlace — the exact
+// same single-row requests run through TransformMany — the exact
 // call the request scheduler makes per batch — arena-off and arena-on,
 // measuring per-request wall time and allocations. Request copies and
 // result collection happen outside the timed window, so the measurement is
@@ -156,7 +156,7 @@ RunStats RunOnce(const CorruptedTable& corrupted, GrimpOptions options,
   return stats;
 }
 
-// Serving workload: per-request TransformBatchInPlace over a fitted
+// Serving workload: per-request TransformMany over a fitted
 // engine — the call the request scheduler makes, on the table parsed from
 // the wire, with no result copy. One warmup pass grows the arena pool, the
 // engine's caches, and the per-thread transform scratch; the measured pass
@@ -174,7 +174,8 @@ RunStats RunServe(GrimpEngine* engine, const std::vector<Table>& requests,
   stats.imputed = Table(requests.front().schema());
   for (const Table& request : requests) {  // warmup
     Table work = request;
-    if (Status s = engine->TransformBatchInPlace({&work}); !s.ok()) {
+    Table* one[] = {&work};
+    if (Status s = engine->TransformMany(one); !s.ok()) {
       std::fprintf(stderr, "bench_alloc: serve warmup failed: %s\n",
                    s.ToString().c_str());
       std::exit(1);
@@ -184,7 +185,8 @@ RunStats RunServe(GrimpEngine* engine, const std::vector<Table>& requests,
   const long long allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
   for (Table& request : work) {
-    if (Status s = engine->TransformBatchInPlace({&request}); !s.ok()) {
+    Table* one[] = {&request};
+    if (Status s = engine->TransformMany(one); !s.ok()) {
       std::fprintf(stderr, "bench_alloc: serve request failed: %s\n",
                    s.ToString().c_str());
       std::exit(1);

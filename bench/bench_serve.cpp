@@ -9,7 +9,7 @@
 // bounded (no queue collapse).
 //
 // Gates (non-zero exit on violation):
-//   - one served response per config is bit-identical to offline Transform
+//   - one served response per config is bit-identical to offline TransformMany
 //   - cache hit rate >= 70% at theta 0.99 for every client count
 //   - overload run sheds with typed errors, completes the rest, and the
 //     completed-request p99 stays under a fixed multiple of the deadline
@@ -264,7 +264,7 @@ int main() {
       server.scheduler().Shutdown();
 
       // Bit-identity spot check: any successful response must match the
-      // offline Transform of the same key. Responses name the key via the
+      // offline TransformMany of the same key. Responses name the key via the
       // price cell.
       for (const std::string& response : first_responses) {
         if (response.empty() || response.find("\"ok\":true") ==
@@ -274,14 +274,16 @@ int main() {
         const size_t price_pos = response.find("\"price\":\"");
         if (price_pos == std::string::npos) continue;
         const int64_t k = std::atoll(response.c_str() + price_pos + 9);
-        auto direct = engine_ref.Transform(RequestTable(schema, k));
+        grimp::Table direct = RequestTable(schema, k);
+        grimp::Table* one[] = {&direct};
+        const grimp::Status direct_status = engine_ref.TransformMany(one);
         const std::string want =
             std::string("{\"ok\":true,\"model\":\"laptops@1\",\"row\":") +
-            grimp::RowToJson(*direct, 0) + "}";
-        if (!direct.ok() || response != want) {
+            grimp::RowToJson(direct, 0) + "}";
+        if (!direct_status.ok() || response != want) {
           std::fprintf(stderr,
                        "FAIL: served response differs from offline "
-                       "Transform for key %lld\n  got:  %s\n  want: %s\n",
+                       "TransformMany for key %lld\n  got:  %s\n  want: %s\n",
                        static_cast<long long>(k), response.c_str(),
                        want.c_str());
           failed = true;

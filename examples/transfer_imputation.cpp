@@ -15,6 +15,18 @@
 #include "eval/report.h"
 #include "eval/runner.h"
 
+namespace {
+
+// Imputes a copy of `table` with the engine's inference call.
+grimp::Result<grimp::Table> ImputeCopy(const grimp::GrimpEngine& engine,
+                                       grimp::Table table) {
+  grimp::Table* one[] = {&table};
+  GRIMP_RETURN_IF_ERROR(engine.TransformMany(one));
+  return table;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace grimp;
   const int64_t source_rows = argc > 1 ? std::atoll(argv[1]) : 400;
@@ -65,7 +77,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "model saved to and reloaded from " << model_path << "\n";
-  auto transferred = (*loaded)->Transform(corrupted.dirty);
+  auto transferred = ImputeCopy(**loaded, corrupted.dirty);
   if (!transferred.ok()) {
     std::cerr << transferred.status().ToString() << "\n";
     return 1;
@@ -79,7 +91,7 @@ int main(int argc, char** argv) {
     std::cerr << st.ToString() << "\n";
     return 1;
   }
-  auto direct = direct_engine.Transform(corrupted.dirty);
+  auto direct = ImputeCopy(direct_engine, corrupted.dirty);
   const ImputationScore direct_score =
       direct.ok() ? ScoreImputation(*direct, corrupted, target_clean)
                   : ImputationScore{};

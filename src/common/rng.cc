@@ -7,20 +7,28 @@
 namespace grimp {
 
 namespace {
-// splitmix64, used to expand the seed into the xoshiro state.
-uint64_t SplitMix64(uint64_t* x) {
-  uint64_t z = (*x += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+constexpr uint64_t kSplitMixIncrement = 0x9e3779b97f4a7c15ULL;
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
+uint64_t SplitMix64(uint64_t x) {
+  x += kSplitMixIncrement;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+uint64_t MixSeed(uint64_t a, uint64_t b, uint64_t c) {
+  return SplitMix64(SplitMix64(SplitMix64(a) ^ b) ^ c);
+}
+
 Rng::Rng(uint64_t seed) {
-  uint64_t s = seed;
-  for (auto& w : s_) w = SplitMix64(&s);
+  // The xoshiro state is four consecutive splitmix64 outputs from `seed`.
+  for (auto& w : s_) {
+    w = SplitMix64(seed);
+    seed += kSplitMixIncrement;
+  }
 }
 
 uint64_t Rng::Next() {

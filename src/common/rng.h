@@ -8,6 +8,16 @@
 
 namespace grimp {
 
+// One step of the splitmix64 generator from state `x`: advances it by the
+// golden-ratio increment and mixes. SplitMix64(0) == 0xe220a8397b1dcdaf.
+uint64_t SplitMix64(uint64_t x);
+
+// Seed of a keyed random stream: a pure function of (a, b, c) — never of
+// call order, scheduling or thread count — so a stream keyed on, say,
+// (seed, epoch, batch) draws the same values however the work is split.
+// Equals SplitMix64(SplitMix64(SplitMix64(a) ^ b) ^ c).
+uint64_t MixSeed(uint64_t a, uint64_t b, uint64_t c);
+
 // Deterministic, fast PRNG (xoshiro256**). Every stochastic component in
 // the library takes an explicit Rng (or a seed) so that experiments are
 // reproducible bit-for-bit.

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/binary_io.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "tensor/arena.h"
 #include "tensor/simd.h"
@@ -40,18 +41,6 @@ void AppendRowIndices(const Table& table, const TableGraph& tg, int64_t row,
 }
 
 
-// Sampling-stream seed for one streaming-inference task: a pure function
-// of (engine seed, task, caller nonce) — never of graph state or thread
-// count — so incremental and rebuilt live graphs impute identically.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-uint64_t StreamMixSeed(uint64_t seed, uint64_t task, uint64_t nonce) {
-  return SplitMix64(SplitMix64(SplitMix64(seed) ^ task) ^ nonce);
-}
 // Salt separating streaming-inference sampling streams from training's.
 constexpr uint64_t kStreamSalt = 0x73747265616dULL;  // "stream"
 // Salt for Resume's sample selection / fine-tune streams.
@@ -81,6 +70,24 @@ std::vector<float> LogPriorBias(const Dictionary& dict) {
     bias[static_cast<size_t>(code)] = static_cast<float>(std::log(p));
   }
   return bias;
+}
+
+// The one test of whether options allow inductive use (Fit, TransformMany,
+// Save, ...): only deterministic string-hash features align across
+// tables, and only per-column heads decode a foreign table's cells.
+Status CheckInductive(const GrimpOptions& options) {
+  if (options.features != FeatureInitKind::kNgram) {
+    return Status::FailedPrecondition(
+        "inductive GrimpEngine use requires kNgram features: only "
+        "deterministic string-hash features align across tables (see "
+        "engine.h; FitImpute accepts every feature kind)");
+  }
+  if (!options.multi_task) {
+    return Status::FailedPrecondition(
+        "inductive GrimpEngine use supports multi-task mode only "
+        "(FitImpute also runs multi_task=false)");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -113,10 +120,91 @@ Status GrimpEngine::CheckSchema(const Table& table) const {
   return Status::OK();
 }
 
+Status GrimpEngine::CheckStreamContext(const StreamContext& ctx) const {
+  if (ctx.table == nullptr || ctx.tg == nullptr || ctx.store == nullptr ||
+      ctx.node_features == nullptr) {
+    return Status::InvalidArgument(
+        "StreamContext.table/tg/store/node_features must all be set");
+  }
+  if (!options_.use_gnn) {
+    return Status::FailedPrecondition(
+        "streaming inference and Resume run sampled blocks and require "
+        "use_gnn");
+  }
+  GRIMP_RETURN_IF_ERROR(CheckSchema(*ctx.table));
+  if (ctx.node_features->rows() != ctx.tg->graph.num_nodes() ||
+      ctx.node_features->cols() != options_.dim) {
+    return Status::InvalidArgument(
+        "StreamContext.node_features shape does not match the live graph");
+  }
+  return Status::OK();
+}
 
-void GrimpEngine::ConstructModel(const Tensor& column_features,
-                                 Rng* model_rng) {
+Status GrimpEngine::CheckServable() const {
+  if (!fitted_) return Status::FailedPrecondition("Fit() has not been run");
+  return CheckInductive(options_);
+}
+
+bool GrimpEngine::Decode(const TaskState& task, const Tensor& scores,
+                         int64_t i, CellWrite* cell) const {
+  const Dictionary& dict = source_dicts_[static_cast<size_t>(cell->col)];
+  if (!task.categorical) {
+    cell->value = normalizer_.Denormalize(cell->col, scores.at(i, 0));
+    return true;
+  }
+  // Argmax over the column's live source domain (paper: candidates come
+  // from Dom(A_i) only), read from the column's slice of the shared head
+  // when multi_task=false.
+  const int32_t lo = class_offsets_.empty()
+                         ? 0
+                         : class_offsets_[static_cast<size_t>(cell->col)];
+  int32_t best = -1;
+  float best_score = 0.0f;
+  for (int32_t code = 0; code < dict.size(); ++code) {
+    if (dict.CountOf(code) <= 0) continue;
+    const float sc = scores.at(i, lo + code);
+    if (best < 0 || sc > best_score) {
+      best = code;
+      best_score = sc;
+    }
+  }
+  if (best < 0) return false;
+  if (schema_.field(cell->col).type == AttrType::kCategorical) {
+    cell->code = best;
+  } else {
+    // multi_task=false classified a numerical cell over its distinct
+    // values; those strings are canonical numbers.
+    GRIMP_CHECK(ParseDouble(dict.ValueOf(best), &cell->value));
+  }
+  return true;
+}
+
+void GrimpEngine::Apply(const CellWrite& cell, Table* table) const {
+  Column& dst = table->mutable_column(cell.col);
+  if (cell.code >= 0) {
+    dst.SetCategorical(
+        cell.row,
+        source_dicts_[static_cast<size_t>(cell.col)].ValueOf(cell.code));
+  } else {
+    dst.SetNumerical(cell.row, cell.value);
+  }
+}
+
+
+Status GrimpEngine::ConstructModel(const Tensor& column_features,
+                                   Rng* model_rng) {
   const int num_cols = schema_.num_fields();
+  for (const FunctionalDependency& fd : options_.fds) {
+    std::vector<int> cols = fd.lhs;
+    cols.push_back(fd.rhs);
+    for (int col : cols) {
+      if (col < 0 || col >= num_cols) {
+        return Status::InvalidArgument(
+            "GrimpOptions.fds names column " + std::to_string(col) +
+            " outside [0, " + std::to_string(num_cols) + ")");
+      }
+    }
+  }
   const int dim = options_.dim;
   if (options_.use_gnn) {
     gnn_ = HeteroGnn(num_cols, dim, dim, dim, options_.gnn_layers,
@@ -124,6 +212,24 @@ void GrimpEngine::ConstructModel(const Tensor& column_features,
   }
   shared_ = Mlp("shared", {dim, options_.shared_hidden, dim}, model_rng);
   tasks_.clear();
+  class_offsets_.clear();
+  if (!options_.multi_task) {
+    // Ablation: one multiclass head over the union of all domains
+    // (GNN-MC / EmbDI-MC in Fig. 10). Numerical attributes are classified
+    // over their distinct (rounded) values.
+    class_offsets_.assign(static_cast<size_t>(num_cols) + 1, 0);
+    for (int c = 0; c < num_cols; ++c) {
+      class_offsets_[static_cast<size_t>(c) + 1] =
+          class_offsets_[static_cast<size_t>(c)] +
+          source_dicts_[static_cast<size_t>(c)].size();
+    }
+    TaskState task;
+    task.head = std::make_unique<LinearTaskHead>(
+        "task.mc", num_cols, dim, options_.task_hidden,
+        std::max(1, class_offsets_.back()), model_rng);
+    tasks_.push_back(std::move(task));
+    return Status::OK();
+  }
   for (int c = 0; c < num_cols; ++c) {
     const Dictionary& dict = source_dicts_[static_cast<size_t>(c)];
     TaskState task;
@@ -146,6 +252,7 @@ void GrimpEngine::ConstructModel(const Tensor& column_features,
     }
     tasks_.push_back(std::move(task));
   }
+  return Status::OK();
 }
 
 void GrimpEngine::CollectParams(std::vector<Parameter*>* out) {
@@ -154,34 +261,43 @@ void GrimpEngine::CollectParams(std::vector<Parameter*>* out) {
   for (TaskState& task : tasks_) task.head->CollectParameters(out);
 }
 
-Status GrimpEngine::Fit(const Table& source) {
-  GRIMP_RETURN_IF_ERROR(options_.Validate());
-  if (source.num_rows() == 0 || source.num_cols() == 0) {
-    return Status::InvalidArgument("empty table");
+std::vector<TrainTask> GrimpEngine::MakeTrainTasks() const {
+  std::vector<TrainTask> train_tasks(tasks_.size());
+  for (size_t t = 0; t < tasks_.size(); ++t) {
+    train_tasks[t].categorical = tasks_[t].categorical;
+    train_tasks[t].head = tasks_[t].head.get();
   }
-  if (options_.features != FeatureInitKind::kNgram) {
-    return Status::FailedPrecondition(
-        "GrimpEngine requires kNgram features: only deterministic "
-        "string-hash features align across tables (see engine.h)");
+  return train_tasks;
+}
+
+void GrimpEngine::AddSample(const Table& table, const TableGraph& tg,
+                            int64_t row, int col, bool is_val,
+                            std::vector<TrainTask>* tasks) const {
+  TrainTask& task = (*tasks)[TaskOf(col)];
+  AppendRowIndices(table, tg, row, col, /*node_offset=*/0,
+                   is_val ? &task.val_idx : &task.train_idx);
+  const Column& column = table.column(col);
+  if (task.categorical) {
+    int32_t label = column.CodeAt(row);
+    if (!class_offsets_.empty()) {
+      label += class_offsets_[static_cast<size_t>(col)];
+    }
+    (is_val ? task.val_labels : task.train_labels).push_back(label);
+  } else {
+    (is_val ? task.val_targets : task.train_targets)
+        .push_back(static_cast<float>(
+            normalizer_.Normalize(col, column.NumAt(row))));
   }
-  if (!options_.multi_task) {
-    return Status::FailedPrecondition(
-        "GrimpEngine supports multi-task mode only");
-  }
-  if (options_.graph.shard_mode == ShardMode::kSharded &&
-      options_.train.mode != TrainMode::kSampled) {
-    return Status::InvalidArgument(
-        "GraphConfig.shard_mode=sharded requires TrainConfig.mode=sampled: "
-        "full-graph epochs would page the whole graph back in, defeating "
-        "the resident-memory bound");
-  }
-  RecordThreadPoolMetrics();
-  GRIMP_TRACE_SPAN("grimp.fit");
+}
+
+Status GrimpEngine::Train(const Table& source, TableGraph* tg,
+                          PretrainedFeatures* features) {
   const int num_cols = source.num_cols();
-  const int dim = options_.dim;
   Rng rng(options_.seed);
   summary_ = TrainSummary{};
 
+  // 1. Preprocessing: normalization, corpus, graph (validation target
+  //    edges removed), pre-trained features (paper Alg. 1 first phase).
   schema_ = source.schema();
   source_dicts_.clear();
   for (int c = 0; c < num_cols; ++c) {
@@ -204,50 +320,48 @@ Status GrimpEngine::Fit(const Table& source) {
   graph_options.max_neighbors_per_node = options_.graph.neighbor_cap;
   graph_options.seed = options_.seed;
   GRIMP_ASSIGN_OR_RETURN(
-      TableGraph tg,
+      *tg,
       GraphBuilder(graph_options).Build(source, corpus.ValidationCells()));
   auto initializer = MakeFeatureInitializer(options_.features);
-  GRIMP_ASSIGN_OR_RETURN(PretrainedFeatures features,
-                         initializer->Init(source, tg, dim, rng.Next()));
+  GRIMP_ASSIGN_OR_RETURN(
+      *features, initializer->Init(source, *tg, options_.dim, rng.Next()));
 
   // The store is the trainer's only view of the topology. In-memory mode
-  // borrows tg.graph (the degenerate single-shard case); sharded mode
+  // borrows tg->graph (the degenerate single-shard case); sharded mode
   // spills the CSRs to disk at Create, after which the in-core copy is
   // dropped — from here on the full adjacency never lives in memory again.
   GRIMP_ASSIGN_OR_RETURN(std::unique_ptr<GraphStore> store,
-                         MakeGraphStore(tg.graph, options_.graph));
-  if (sharded) tg.graph.SetAdjacency({});
+                         MakeGraphStore(tg->graph, options_.graph));
+  if (sharded) tg->graph.SetAdjacency({});
 
+  // 2. Model construction.
   Rng model_rng = rng.Fork();
-  ConstructModel(features.column_features, &model_rng);
+  GRIMP_RETURN_IF_ERROR(
+      ConstructModel(features->column_features, &model_rng));
 
-  std::vector<TrainTask> train_tasks(static_cast<size_t>(num_cols));
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    train_tasks[t].categorical = tasks_[t].categorical;
-    train_tasks[t].head = tasks_[t].head.get();
+  // 3. Gather indices / labels / targets per task.
+  std::vector<TrainTask> train_tasks = MakeTrainTasks();
+  {
+    GRIMP_TRACE_SPAN("grimp.task_build");
+    for (const TrainingSample& s : corpus.train) {
+      // Training-data reduction (§7): corpus order is random, so the cap
+      // keeps a uniform subsample per task.
+      if (options_.max_samples_per_task > 0 &&
+          train_tasks[TaskOf(s.target_col)].NumTrain() >=
+              options_.max_samples_per_task) {
+        continue;
+      }
+      AddSample(source, *tg, s.row, s.target_col, /*is_val=*/false,
+                &train_tasks);
+    }
+    for (const TrainingSample& s : corpus.validation) {
+      AddSample(source, *tg, s.row, s.target_col, /*is_val=*/true,
+                &train_tasks);
+    }
   }
 
-  auto add_sample = [&](const TrainingSample& s, bool is_val) {
-    TrainTask& task = train_tasks[static_cast<size_t>(s.target_col)];
-    if (!is_val && options_.max_samples_per_task > 0) {
-      if (task.NumTrain() >= options_.max_samples_per_task) return;
-    }
-    AppendRowIndices(source, tg, s.row, s.target_col, /*node_offset=*/0,
-                     is_val ? &task.val_idx : &task.train_idx);
-    const Column& col = source.column(s.target_col);
-    if (col.is_categorical()) {
-      (is_val ? task.val_labels : task.train_labels)
-          .push_back(col.CodeAt(s.row));
-    } else {
-      (is_val ? task.val_targets : task.train_targets)
-          .push_back(static_cast<float>(
-              normalizer_.Normalize(s.target_col, col.NumAt(s.row))));
-    }
-  };
-  for (const TrainingSample& s : corpus.train) add_sample(s, false);
-  for (const TrainingSample& s : corpus.validation) add_sample(s, true);
-
-  Trainer trainer(options_, store.get(), &features.node_features,
+  // 4. Training (paper Alg. 1) via the shared Trainer (see trainer.h).
+  Trainer trainer(options_, store.get(), &features->node_features,
                   options_.use_gnn ? &gnn_ : nullptr, &shared_,
                   std::move(train_tasks), num_cols);
   GRIMP_ASSIGN_OR_RETURN(summary_, trainer.Run(options_.callbacks));
@@ -256,25 +370,77 @@ Status GrimpEngine::Fit(const Table& source) {
   return Status::OK();
 }
 
+Status GrimpEngine::Fit(const Table& source) {
+  GRIMP_RETURN_IF_ERROR(options_.Validate());
+  if (source.num_rows() == 0 || source.num_cols() == 0) {
+    return Status::InvalidArgument("empty table");
+  }
+  GRIMP_RETURN_IF_ERROR(CheckInductive(options_));
+  RecordThreadPoolMetrics();
+  GRIMP_TRACE_SPAN("grimp.fit");
+  TableGraph tg;
+  PretrainedFeatures features;
+  return Train(source, &tg, &features);
+}
+
+Result<Table> GrimpEngine::FitImpute(const Table& dirty) {
+  GRIMP_RETURN_IF_ERROR(options_.Validate());
+  if (dirty.num_rows() == 0 || dirty.num_cols() == 0) {
+    return Status::InvalidArgument("empty table");
+  }
+  if (options_.graph.shard_mode == ShardMode::kSharded) {
+    return Status::FailedPrecondition(
+        "FitImpute does not support sharded graph storage: its decode "
+        "step runs one whole-graph forward (use Fit for out-of-core "
+        "training)");
+  }
+  RecordThreadPoolMetrics();
+  GRIMP_TRACE_SPAN("grimp.impute");
+  TableGraph tg;
+  PretrainedFeatures features;
+  GRIMP_RETURN_IF_ERROR(Train(dirty, &tg, &features));
+
+  // Imputation (paper §3.7): forward once with the best weights over the
+  // fit-time graph, then fill every missing cell from its task's
+  // prediction.
+  GRIMP_TRACE_SPAN("grimp.decode");
+  const int num_cols = dirty.num_cols();
+  std::vector<std::vector<int32_t>> idx(tasks_.size());
+  std::vector<std::vector<CellWrite>> cells(tasks_.size());
+  for (int64_t r = 0; r < dirty.num_rows(); ++r) {
+    for (int c = 0; c < num_cols; ++c) {
+      if (!dirty.IsMissing(r, c)) continue;
+      AppendRowIndices(dirty, tg, r, c, /*node_offset=*/0, &idx[TaskOf(c)]);
+      cells[TaskOf(c)].push_back(CellWrite{0, r, c});
+    }
+  }
+  Tape tape;
+  Tape::VarId feats = tape.Constant(features.node_features);
+  Tape::VarId h =
+      options_.use_gnn ? gnn_.Forward(&tape, feats, tg.graph) : feats;
+  Tape::VarId h_shared = shared_.Forward(&tape, h);
+  Table imputed = dirty;
+  for (size_t t = 0; t < tasks_.size(); ++t) {
+    if (cells[t].empty()) continue;
+    const int64_t n = static_cast<int64_t>(cells[t].size());
+    Tape::VarId flat = tape.GatherRows(h_shared, idx[t]);
+    Tape::VarId out = tasks_[t].head->Forward(
+        &tape,
+        tape.Reshape(flat, n, static_cast<int64_t>(num_cols) * options_.dim));
+    const Tensor& scores = tape.value(out);
+    for (int64_t i = 0; i < n; ++i) {
+      CellWrite& cell = cells[t][static_cast<size_t>(i)];
+      if (Decode(tasks_[t], scores, i, &cell)) Apply(cell, &imputed);
+    }
+  }
+  return imputed;
+}
+
 Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
                                          const ResumeOptions& resume) {
-  if (!fitted_) return Status::FailedPrecondition("Fit() has not been run");
-  if (ctx.table == nullptr || ctx.tg == nullptr || ctx.store == nullptr ||
-      ctx.node_features == nullptr) {
-    return Status::InvalidArgument(
-        "StreamContext.table/tg/store/node_features must all be set");
-  }
-  if (!options_.use_gnn) {
-    return Status::FailedPrecondition(
-        "Resume fine-tunes with sampled minibatches and requires use_gnn");
-  }
-  GRIMP_RETURN_IF_ERROR(CheckSchema(*ctx.table));
+  GRIMP_RETURN_IF_ERROR(CheckServable());
+  GRIMP_RETURN_IF_ERROR(CheckStreamContext(ctx));
   const Table& live = *ctx.table;
-  if (ctx.node_features->rows() != ctx.tg->graph.num_nodes() ||
-      ctx.node_features->cols() != options_.dim) {
-    return Status::InvalidArgument(
-        "StreamContext.node_features shape does not match the live graph");
-  }
 
   GrimpOptions local = options_;
   local.train.mode = TrainMode::kSampled;
@@ -297,7 +463,7 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
   // Cells outside the fitted source domain are skipped: the task heads
   // were sized to the source dictionaries, so an unseen value has no
   // class to train toward (its edges still inform its neighbors).
-  Rng rng(StreamMixSeed(options_.seed ^ kResumeSalt, 0, resume.nonce));
+  Rng rng(MixSeed(options_.seed ^ kResumeSalt, 0, resume.nonce));
   std::vector<TrainingSample> selected;
   for (int64_t r = row_begin; r < n; ++r) {
     double keep = 1.0;
@@ -327,26 +493,10 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
       static_cast<double>(selected.size()) *
       (1.0 - local.validation_fraction));
 
-  std::vector<TrainTask> train_tasks(static_cast<size_t>(num_cols));
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    train_tasks[t].categorical = tasks_[t].categorical;
-    train_tasks[t].head = tasks_[t].head.get();
-  }
+  std::vector<TrainTask> train_tasks = MakeTrainTasks();
   for (size_t i = 0; i < selected.size(); ++i) {
-    const TrainingSample& s = selected[i];
-    const bool is_val = i >= split;
-    TrainTask& task = train_tasks[static_cast<size_t>(s.target_col)];
-    AppendRowIndices(live, *ctx.tg, s.row, s.target_col, /*node_offset=*/0,
-                     is_val ? &task.val_idx : &task.train_idx);
-    const Column& col = live.column(s.target_col);
-    if (col.is_categorical()) {
-      (is_val ? task.val_labels : task.train_labels)
-          .push_back(col.CodeAt(s.row));
-    } else {
-      (is_val ? task.val_targets : task.train_targets)
-          .push_back(static_cast<float>(
-              normalizer_.Normalize(s.target_col, col.NumAt(s.row))));
-    }
+    AddSample(live, *ctx.tg, selected[i].row, selected[i].target_col,
+              /*is_val=*/i >= split, &train_tasks);
   }
 
   Trainer trainer(local, ctx.store, ctx.node_features, &gnn_, &shared_,
@@ -364,7 +514,7 @@ constexpr uint32_t kModelVersion = 3;
 
 
 Result<Tensor> GrimpEngine::AttentionSummary(const Table& table) const {
-  if (!fitted_) return Status::FailedPrecondition("Fit() has not been run");
+  GRIMP_RETURN_IF_ERROR(CheckServable());
   if (options_.task_kind != TaskKind::kAttention) {
     return Status::FailedPrecondition("attention tasks required");
   }
@@ -418,7 +568,7 @@ Result<Tensor> GrimpEngine::AttentionSummary(const Table& table) const {
 }
 
 Status GrimpEngine::Save(const std::string& path) {
-  if (!fitted_) return Status::FailedPrecondition("Fit() has not been run");
+  GRIMP_RETURN_IF_ERROR(CheckServable());
   BinaryWriter writer(path);
   if (!writer.ok()) return Status::IoError("cannot open " + path);
   writer.WriteU64(kModelMagic);
@@ -523,6 +673,8 @@ Result<std::unique_ptr<GrimpEngine>> GrimpEngine::Load(
     GRIMP_ASSIGN_OR_RETURN(fd.rhs, reader.ReadI32());
     options.fds.push_back(std::move(fd));
   }
+  GRIMP_RETURN_IF_ERROR(options.Validate());
+  GRIMP_RETURN_IF_ERROR(CheckInductive(options));
 
   auto engine = std::make_unique<GrimpEngine>(options);
   GRIMP_ASSIGN_OR_RETURN(uint64_t num_fields, reader.ReadU64());
@@ -561,9 +713,9 @@ Result<std::unique_ptr<GrimpEngine>> GrimpEngine::Load(
 
   // Rebuild the architecture, then overwrite every weight.
   Rng model_rng(options.seed);
-  engine->ConstructModel(
+  GRIMP_RETURN_IF_ERROR(engine->ConstructModel(
       Tensor::Zeros(static_cast<int64_t>(num_fields), options.dim),
-      &model_rng);
+      &model_rng));
   std::vector<Parameter*> params;
   engine->CollectParams(&params);
   GRIMP_ASSIGN_OR_RETURN(uint64_t num_params, reader.ReadU64());
@@ -590,45 +742,17 @@ Result<std::unique_ptr<GrimpEngine>> GrimpEngine::Load(
 }
 
 Status GrimpEngine::CheckCompatible(const Table& table) const {
-  if (!fitted_) return Status::FailedPrecondition("Fit() has not been run");
+  GRIMP_RETURN_IF_ERROR(CheckServable());
   return CheckSchema(table);
 }
 
-Result<Table> GrimpEngine::Transform(const Table& table) const {
-  GRIMP_TRACE_SPAN("grimp.transform");
-  GRIMP_ASSIGN_OR_RETURN(std::vector<Table> out, TransformBatch({&table}));
-  return std::move(out[0]);
-}
-
-Result<std::vector<Table>> GrimpEngine::TransformBatch(
-    const std::vector<const Table*>& tables) const {
-  if (!fitted_) return Status::FailedPrecondition("Fit() has not been run");
-  if (tables.empty()) return std::vector<Table>{};
-  for (const Table* t : tables) {
-    if (t == nullptr) return Status::InvalidArgument("null table in batch");
-    GRIMP_RETURN_IF_ERROR(CheckSchema(*t));
-  }
-  std::vector<Table> imputed;
-  imputed.reserve(tables.size());
-  for (const Table* t : tables) imputed.push_back(*t);
-  std::vector<Table*> ptrs;
-  ptrs.reserve(imputed.size());
-  for (Table& t : imputed) ptrs.push_back(&t);
-  GRIMP_RETURN_IF_ERROR(
-      TransformMany(std::span<Table* const>(ptrs.data(), ptrs.size())));
-  return imputed;
-}
-
-namespace {
-
-// Per-thread reusable state for TransformBatchInPlace. Every container
+// Per-thread reusable state for TransformMany's batch mode. Every container
 // here is cleared — never shrunk — between requests, so once a serving
 // thread has seen its largest batch the whole inference pass stops
 // touching the allocator (the tensors themselves recycle through the
 // TensorArena). Only used when the arena is enabled; with it disabled the
-// scratch is a stack local so behavior matches the historical
-// allocate-per-call path.
-struct TransformScratch {
+// scratch is a stack local, allocated per call.
+struct GrimpEngine::TransformScratch {
   struct Request {
     TableGraph tg;
     PretrainedFeatures features;
@@ -648,25 +772,14 @@ struct TransformScratch {
   std::vector<std::pair<size_t, int64_t>> rows;  // (request, row)
 
   // Deferred cell writes: every model read (CodeAt/IsMissing during index
-  // building) happens before any table is mutated, which keeps the
-  // in-place pass bit-identical to the copy path and leaves the inputs
-  // untouched if anything fails first.
-  struct Decision {
-    size_t request;
-    int64_t row;
-    int col;
-    bool categorical;
-    int32_t code;  // categorical: source-dictionary code to decode
-    double value;  // numerical: denormalized prediction
-  };
-  std::vector<Decision> decisions;
+  // building) happens before any table is mutated, which leaves the
+  // inputs untouched if anything fails first.
+  std::vector<CellWrite> decisions;
 };
-
-}  // namespace
 
 Status GrimpEngine::TransformMany(std::span<Table* const> tables,
                                   const TransformOptions& options) const {
-  if (!fitted_) return Status::FailedPrecondition("Fit() has not been run");
+  GRIMP_RETURN_IF_ERROR(CheckServable());
   if (options.stream != nullptr) {
     if (tables.size() != 1) {
       return Status::InvalidArgument(
@@ -704,12 +817,12 @@ Status GrimpEngine::TransformMany(std::span<Table* const> tables,
   s.tape.Reset();
 
   // Each request gets the graph and deterministic n-gram features a solo
-  // Transform() would build — same options, same seed derivation (the
-  // n-gram seed must match Fit's: second draw of Rng(options.seed) after
-  // the corpus fork). Batching then stitches the per-request graphs into a
+  // call would build — same options, same seed derivation (the n-gram
+  // seed must match Fit's: second draw of Rng(options.seed) after the
+  // corpus fork). Batching then stitches the per-request graphs into a
   // block-diagonal disjoint union: message passing cannot cross request
   // boundaries, and every kernel downstream is row-independent, so each
-  // result is bit-identical to its solo Transform().
+  // result is bit-identical to a solo call on that table.
   GraphBuildOptions graph_options;
   graph_options.max_neighbors_per_node = options_.graph.neighbor_cap;
   graph_options.seed = options_.seed;
@@ -797,66 +910,24 @@ Status GrimpEngine::TransformMany(std::span<Table* const> tables,
         &tape, tape.Reshape(flat, static_cast<int64_t>(rows.size()),
                             static_cast<int64_t>(num_cols) * dim));
     const Tensor& scores = tape.value(out);
-    const Dictionary& dict = source_dicts_[static_cast<size_t>(task.col)];
     for (size_t i = 0; i < rows.size(); ++i) {
-      const size_t req = rows[i].first;
-      const int64_t row = rows[i].second;
-      if (task.categorical) {
-        // Argmax over the *source* domain; decode to the value string.
-        int32_t best = -1;
-        float best_score = 0.0f;
-        for (int32_t code = 0; code < dict.size(); ++code) {
-          if (dict.CountOf(code) <= 0) continue;
-          const float sc = scores.at(static_cast<int64_t>(i), code);
-          if (best < 0 || sc > best_score) {
-            best = code;
-            best_score = sc;
-          }
-        }
-        if (best >= 0) {
-          s.decisions.push_back({req, row, task.col, true, best, 0.0});
-        }
-      } else {
-        s.decisions.push_back(
-            {req, row, task.col, false, -1,
-             normalizer_.Denormalize(task.col,
-                                     scores.at(static_cast<int64_t>(i), 0))});
+      CellWrite cell{rows[i].first, rows[i].second, task.col};
+      if (Decode(task, scores, static_cast<int64_t>(i), &cell)) {
+        s.decisions.push_back(cell);
       }
     }
   }
 
   // All reads are done; apply the writes.
-  for (const TransformScratch::Decision& d : s.decisions) {
-    Column& dst = tables[d.request]->mutable_column(d.col);
-    if (d.categorical) {
-      const Dictionary& dict = source_dicts_[static_cast<size_t>(d.col)];
-      dst.SetCategorical(d.row, dict.ValueOf(d.code));
-    } else {
-      dst.SetNumerical(d.row, d.value);
-    }
-  }
+  for (const CellWrite& cell : s.decisions) Apply(cell, tables[cell.table]);
   TensorArena::Global().PublishMetrics();
   return Status::OK();
 }
 
-Status GrimpEngine::TransformBatchInPlace(
-    const std::vector<Table*>& tables) const {
-  return TransformMany(std::span<Table* const>(tables.data(), tables.size()));
-}
-
 Status GrimpEngine::TransformStream(Table* window,
                                     const StreamContext& ctx) const {
-  if (ctx.table == nullptr || ctx.tg == nullptr || ctx.store == nullptr ||
-      ctx.node_features == nullptr) {
-    return Status::InvalidArgument(
-        "StreamContext.table/tg/store/node_features must all be set");
-  }
-  if (!options_.use_gnn) {
-    return Status::FailedPrecondition(
-        "streaming inference runs sampled blocks and requires use_gnn");
-  }
+  GRIMP_RETURN_IF_ERROR(CheckStreamContext(ctx));
   GRIMP_RETURN_IF_ERROR(CheckSchema(*window));
-  GRIMP_RETURN_IF_ERROR(CheckSchema(*ctx.table));
   const Table& live = *ctx.table;
   const int64_t w = window->num_rows();
   if (ctx.row_begin < 0 || ctx.row_begin + w > live.num_rows()) {
@@ -864,11 +935,6 @@ Status GrimpEngine::TransformStream(Table* window,
         "stream window rows [" + std::to_string(ctx.row_begin) + ", " +
         std::to_string(ctx.row_begin + w) + ") outside the live table (" +
         std::to_string(live.num_rows()) + " rows)");
-  }
-  if (ctx.node_features->rows() != ctx.tg->graph.num_nodes() ||
-      ctx.node_features->cols() != options_.dim) {
-    return Status::InvalidArgument(
-        "StreamContext.node_features shape does not match the live graph");
   }
   GRIMP_TRACE_SPAN("grimp.transform_stream");
   const int num_cols = schema_.num_fields();
@@ -885,9 +951,8 @@ Status GrimpEngine::TransformStream(Table* window,
   // prefetches/pins shards — and feature gather) up to `depth` tasks ahead
   // of the forward the consumer is running. Batch ids are task positions,
   // and each task's sampling stream is keyed on (seed, task, nonce), so
-  // imputations are bit-identical at every depth — and identical to the
-  // pre-pipeline serial loop. A window with nothing to impute for a task
-  // still occupies its pipeline position with bn == 0.
+  // imputations are bit-identical at every depth. A window with nothing to
+  // impute for a task still occupies its pipeline position with bn == 0.
   BatchPipeline pipeline(
       BatchPipeline::ResolveDepth(options_.train.pipeline_depth), ctx.store,
       std::move(fanouts));
@@ -895,8 +960,8 @@ Status GrimpEngine::TransformStream(Table* window,
                            const PipelineScratch& scratch) {
     const TaskState& task = tasks_[static_cast<size_t>(b)];
     out->bn = 0;
-    // local_idx first holds the *global* gather node ids (the serial
-    // loop's `idx`), remapped to block-local ids in place after sampling.
+    // local_idx first holds the *global* gather node ids, remapped to
+    // block-local ids in place after sampling.
     out->local_idx.clear();
     out->rows.clear();
     for (int64_t r = 0; r < w; ++r) {
@@ -921,8 +986,8 @@ Status GrimpEngine::TransformStream(Table* window,
       }
     }
     if (out->seeds.empty()) out->seeds.push_back(0);  // fully-masked rows
-    Rng rng(StreamMixSeed(options_.seed ^ kStreamSalt,
-                          static_cast<uint64_t>(b), ctx.nonce));
+    Rng rng(MixSeed(options_.seed ^ kStreamSalt, static_cast<uint64_t>(b),
+                    ctx.nonce));
     scratch.sampler->Sample(out->seeds, &rng, &out->sub);
 
     out->feats = GatherFeatureRows(*ctx.node_features, out->sub.input_nodes);
@@ -940,14 +1005,7 @@ Status GrimpEngine::TransformStream(Table* window,
   // Deferred writes, exactly like batch mode: every live-table read happens
   // before the window is mutated (preparation reads the live table too, so
   // the pipeline must fully drain before the writes below).
-  struct Decision {
-    int64_t row;  // window-local
-    int col;
-    bool categorical;
-    int32_t code;
-    double value;
-  };
-  std::vector<Decision> decisions;
+  std::vector<CellWrite> decisions;
 
   pipeline.Begin(static_cast<int64_t>(tasks_.size()), prepare);
   for (const TaskState& task : tasks_) {
@@ -966,41 +1024,16 @@ Status GrimpEngine::TransformStream(Table* window,
         &tape, tape.Reshape(flat, batch.bn,
                             static_cast<int64_t>(num_cols) * dim));
     const Tensor& scores = tape.value(out);
-    const Dictionary& dict = source_dicts_[static_cast<size_t>(task.col)];
     for (size_t i = 0; i < batch.rows.size(); ++i) {
-      if (task.categorical) {
-        int32_t best = -1;
-        float best_score = 0.0f;
-        for (int32_t code = 0; code < dict.size(); ++code) {
-          if (dict.CountOf(code) <= 0) continue;
-          const float sc = scores.at(static_cast<int64_t>(i), code);
-          if (best < 0 || sc > best_score) {
-            best = code;
-            best_score = sc;
-          }
-        }
-        if (best >= 0) {
-          decisions.push_back({batch.rows[i], task.col, true, best, 0.0});
-        }
-      } else {
-        decisions.push_back(
-            {batch.rows[i], task.col, false, -1,
-             normalizer_.Denormalize(task.col,
-                                     scores.at(static_cast<int64_t>(i), 0))});
+      CellWrite cell{0, batch.rows[i], task.col};
+      if (Decode(task, scores, static_cast<int64_t>(i), &cell)) {
+        decisions.push_back(cell);
       }
     }
   }
   pipeline.End();
 
-  for (const Decision& d : decisions) {
-    Column& dst = window->mutable_column(d.col);
-    if (d.categorical) {
-      const Dictionary& dict = source_dicts_[static_cast<size_t>(d.col)];
-      dst.SetCategorical(d.row, dict.ValueOf(d.code));
-    } else {
-      dst.SetNumerical(d.row, d.value);
-    }
-  }
+  for (const CellWrite& cell : decisions) Apply(cell, window);
   TensorArena::Global().PublishMetrics();
   return Status::OK();
 }

@@ -5,9 +5,10 @@
 #include <span>
 #include <vector>
 
-#include "core/grimp.h"
+#include "core/options.h"
 #include "core/tasks.h"
 #include "core/trainer.h"
+#include "embedding/feature_init.h"
 #include "gnn/hetero_sage.h"
 #include "graph/builder.h"
 #include "graph/store.h"
@@ -66,24 +67,25 @@ struct ResumeOptions {
   uint64_t nonce = 0;
 };
 
-// Inductive GRIMP (paper §3.4 "GNN based representations are inductive...
-// which allows them to be used for imputing tuples that were unseen during
-// training", and §7 future work: "once it is trained on one dataset, it
-// can be reused on other datasets").
+// The one GRIMP model path; Fit and FitImpute share one fit body.
 //
-// GrimpEngine separates training from application: Fit() trains the GNN,
-// shared layer and task heads on a source table; Transform() rebuilds the
-// graph and node features for *any* schema-compatible table (same column
-// names and types) and imputes it with the trained weights. Because the
-// GraphSAGE submodules are keyed by attribute and the node features come
-// from deterministic hashed n-grams (value string -> same vector on every
-// table), the learned message passing carries over to unseen tuples and
-// tables.
+// Inductive (paper §3.4 "GNN based representations are inductive... which
+// allows them to be used for imputing tuples that were unseen during
+// training", and §7 future work): Fit() trains on a source table, and
+// TransformMany() rebuilds the graph and node features for *any*
+// schema-compatible table (same column names and types) and imputes it
+// with the trained weights. The GraphSAGE submodules are keyed by
+// attribute and the hashed n-gram features give a value string the same
+// vector on every table, so the learned message passing carries over.
+// Fit, TransformMany, Save, Resume, AttentionSummary and CheckCompatible
+// therefore require FeatureInitKind::kNgram (EmbDI/random features live
+// in per-run bases) and multi_task, and answer a model outside those
+// bounds with FailedPrecondition. Categorical predictions decode through
+// the source table's domain.
 //
-// Restrictions: features must be FeatureInitKind::kNgram (EmbDI/random
-// features live in per-run bases that do not align across tables) and
-// multi_task must stay enabled. Categorical predictions decode through the
-// source table's domain.
+// Transductive (paper §3.7, what GrimpImputer runs): FitImpute() trains
+// on a dirty table and imputes that same table, so every feature kind and
+// the multi_task=false ablation are valid. Sharded storage is not.
 class GrimpEngine {
  public:
   explicit GrimpEngine(GrimpOptions options);
@@ -94,6 +96,12 @@ class GrimpEngine {
   // Self-supervised training on `source` (which may itself contain
   // missing values).
   Status Fit(const Table& source);
+
+  // Trains on `dirty` exactly like Fit, then imputes a copy of it from
+  // one whole-graph forward over the fit-time graph (validation edges
+  // still removed) and features. Sharded graph storage is rejected with
+  // FailedPrecondition.
+  Result<Table> FitImpute(const Table& dirty);
 
   // Online fine-tuning (streaming ingestion): resumes training from the
   // current weights over a recency-weighted window of the live table,
@@ -107,13 +115,12 @@ class GrimpEngine {
   // defeat streaming), so the validation loss is comparative, not a clean
   // holdout. Returns the fine-tune run's summary (also stored in
   // summary()); a window with nothing to train on returns epochs_run == 0.
-  // Not thread-safe against Transform*/Save (like Fit).
+  // Not thread-safe against TransformMany/Save (like Fit).
   Result<TrainSummary> Resume(const StreamContext& ctx,
                               const ResumeOptions& resume);
 
-  // The one inference entry point: imputes every missing cell of every
-  // table in place. All other Transform* methods are thin wrappers over
-  // this.
+  // The one inductive inference entry point: imputes every missing cell
+  // of every table in place.
   //
   // Batch mode (options.stream == nullptr): each table gets the graph and
   // deterministic n-gram features a solo run would build, the per-table
@@ -144,24 +151,15 @@ class GrimpEngine {
   Status TransformMany(std::span<Table* const> tables,
                        const TransformOptions& options = {}) const;
 
-  // Copying wrapper over TransformMany: imputes a copy of `table`.
-  Result<Table> Transform(const Table& table) const;
-
-  // Copying wrapper over TransformMany: imputes a copy of every table.
-  Result<std::vector<Table>> TransformBatch(
-      const std::vector<const Table*>& tables) const;
-
-  // Compatibility alias for TransformMany(tables, {}); prefer the spanned
-  // form in new code.
-  Status TransformBatchInPlace(const std::vector<Table*>& tables) const;
-
   // Admission check for serving: OK iff the engine is fitted and `table`
   // matches the fitted schema. Never touches mutable state.
   Status CheckCompatible(const Table& table) const;
 
   // Model persistence: writes the fitted model (configuration, source
   // schema/domains/normalizer, and every trained weight) to a binary
-  // file; Load restores an engine ready for Transform without retraining.
+  // file; Load restores an engine ready for TransformMany without
+  // retraining. Load validates the decoded options (FD columns included)
+  // and rejects invalid ones with InvalidArgument.
   Status Save(const std::string& path);
   static Result<std::unique_ptr<GrimpEngine>> Load(const std::string& path);
 
@@ -184,19 +182,56 @@ class GrimpEngine {
 
  private:
   struct TaskState {
-    int col = -1;
+    int col = -1;  // -1: the multi_task=false head over every column
     bool categorical = true;
     std::unique_ptr<TaskHead> head;
   };
+  // One decoded imputation, applied only after every model read is done:
+  // code >= 0 is a categorical code of the fitted source domain, otherwise
+  // `value` is the numerical prediction.
+  struct CellWrite {
+    size_t table = 0;  // position in the TransformMany batch
+    int64_t row = 0;
+    int col = 0;
+    int32_t code = -1;
+    double value = 0.0;
+  };
+  struct TransformScratch;  // per-thread batch inference buffers
 
+  // The fit body shared by Fit and FitImpute. Leaves the fit-time graph
+  // and features in the caller's locals.
+  Status Train(const Table& source, TableGraph* tg,
+               PretrainedFeatures* features);
+  // FailedPrecondition unless the engine is fitted and its options allow
+  // inductive use.
+  Status CheckServable() const;
   Status CheckSchema(const Table& table) const;
+  // Shared validation of the live state Resume and TransformStream read.
+  Status CheckStreamContext(const StreamContext& ctx) const;
   // Streaming-mode body of TransformMany.
   Status TransformStream(Table* window, const StreamContext& ctx) const;
-  // Builds gnn_/shared_/tasks_ from schema_, source_dicts_ and options_.
+  // Builds gnn_/shared_/tasks_ from schema_, source_dicts_ and options_;
+  // InvalidArgument when an FD names a column outside the schema.
   // `column_features` seeds the attention Q matrices (zeros when loading:
   // the stored weights overwrite them).
-  void ConstructModel(const Tensor& column_features, Rng* model_rng);
+  Status ConstructModel(const Tensor& column_features, Rng* model_rng);
   void CollectParams(std::vector<Parameter*>* out);
+  // Empty per-task training inputs bound to tasks_' heads.
+  std::vector<TrainTask> MakeTrainTasks() const;
+  // Index of the task that predicts column `col`.
+  size_t TaskOf(int col) const {
+    return options_.multi_task ? static_cast<size_t>(col) : 0;
+  }
+  // Appends the training (or validation) sample for cell (row, col) of
+  // `table` to its task in `tasks`.
+  void AddSample(const Table& table, const TableGraph& tg, int64_t row,
+                 int col, bool is_val, std::vector<TrainTask>* tasks) const;
+  // Decodes row `i` of `task`'s scores into `cell` (whose col is set):
+  // the argmax over the column's live source codes, or the denormalized
+  // regression output. False when the domain has no live code.
+  bool Decode(const TaskState& task, const Tensor& scores, int64_t i,
+              CellWrite* cell) const;
+  void Apply(const CellWrite& cell, Table* table) const;
 
   GrimpOptions options_;
   TrainSummary summary_;
@@ -206,6 +241,9 @@ class GrimpEngine {
   Schema schema_;
   std::vector<Dictionary> source_dicts_;
   Normalizer normalizer_;
+  // multi_task=false: column c's classes in the shared head are
+  // [class_offsets_[c], class_offsets_[c + 1]). Empty in multi-task mode.
+  std::vector<int32_t> class_offsets_;
 
   // Trained components.
   HeteroGnn gnn_;

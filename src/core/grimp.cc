@@ -1,84 +1,8 @@
 #include "core/grimp.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <memory>
-#include <vector>
-
-#include "common/thread_pool.h"
-#include "common/trace.h"
-#include "tensor/simd.h"
-#include "core/corpus.h"
-#include "core/tasks.h"
-#include "core/trainer.h"
-#include "gnn/hetero_sage.h"
-#include "graph/builder.h"
-#include "table/normalizer.h"
+#include "core/engine.h"
 
 namespace grimp {
-
-namespace {
-
-// Everything one imputation task needs besides its training samples (which
-// live in the task's TrainTask): the head and the indices of the cells to
-// impute at the end.
-struct TaskData {
-  int col = -1;
-  bool categorical = true;
-  int out_dim = 0;
-
-  std::vector<int32_t> impute_idx;
-  std::vector<CellRef> impute_cells;
-
-  std::unique_ptr<TaskHead> head;
-};
-
-// Gather indices of one training vector: the tuple's cell nodes with the
-// target column (and originally-missing cells) masked to -1.
-void AppendSampleIndices(const Table& table, const TableGraph& tg,
-                         int64_t row, int masked_col,
-                         std::vector<int32_t>* idx) {
-  for (int c = 0; c < table.num_cols(); ++c) {
-    if (c == masked_col) {
-      idx->push_back(-1);
-      continue;
-    }
-    const int32_t code = table.column(c).CodeAt(row);
-    const int64_t node = code < 0 ? -1 : tg.CellNode(c, code);
-    idx->push_back(node < 0 ? -1 : static_cast<int32_t>(node));
-  }
-}
-
-
-// Log class priors for a categorical column's classifier head: rare values
-// start correctly downweighted, which matters most when noise fragments
-// the domain into many singletons (§4.2 noise experiment).
-std::vector<float> LogPriorBias(const Dictionary& dict) {
-  std::vector<float> bias(static_cast<size_t>(std::max(1, dict.size())),
-                          0.0f);
-  double total = 0.0;
-  for (int32_t code = 0; code < dict.size(); ++code) {
-    total += static_cast<double>(dict.CountOf(code));
-  }
-  if (total <= 0.0) return bias;
-  for (int32_t code = 0; code < dict.size(); ++code) {
-    const double p =
-        (static_cast<double>(dict.CountOf(code)) + 0.5) / (total + 0.5);
-    bias[static_cast<size_t>(code)] = static_cast<float>(std::log(p));
-  }
-  return bias;
-}
-
-}  // namespace
-
-GrimpImputer::GrimpImputer(GrimpOptions options)
-    : options_(std::move(options)) {
-  if (options_.num_threads > 0) {
-    ThreadPool::SetGlobalThreads(options_.num_threads);
-  }
-  ApplySimdChoice(options_.simd);
-}
 
 std::string GrimpImputer::name() const {
   std::string n = "GRIMP";
@@ -102,207 +26,10 @@ std::string GrimpImputer::name() const {
 }
 
 Result<Table> GrimpImputer::Impute(const Table& dirty) {
-  GRIMP_RETURN_IF_ERROR(options_.Validate());
-  if (dirty.num_rows() == 0 || dirty.num_cols() == 0) {
-    return Status::InvalidArgument("empty table");
-  }
-  if (options_.graph.shard_mode == ShardMode::kSharded) {
-    return Status::FailedPrecondition(
-        "GrimpImputer does not support sharded graph storage: its decode "
-        "step runs one whole-graph forward (use GrimpEngine for "
-        "out-of-core training)");
-  }
-  RecordThreadPoolMetrics();
-  TraceSpan impute_span("grimp.impute");
-  const int num_cols = dirty.num_cols();
-  const int dim = options_.dim;
-  Rng rng(options_.seed);
   summary_ = TrainSummary{};
-
-  // 1. Preprocessing: normalization, corpus, graph (validation target
-  //    edges removed), pre-trained features (paper Alg. 1 first phase).
-  const Normalizer normalizer = Normalizer::Fit(dirty);
-  Rng corpus_rng = rng.Fork();
-  const TrainingCorpus corpus =
-      BuildTrainingCorpus(dirty, options_.validation_fraction, &corpus_rng);
-  GraphBuildOptions graph_options;
-  graph_options.max_neighbors_per_node = options_.graph.neighbor_cap;
-  graph_options.seed = options_.seed;
-  GRIMP_ASSIGN_OR_RETURN(
-      const TableGraph tg,
-      GraphBuilder(graph_options).Build(dirty, corpus.ValidationCells()));
-  auto initializer = MakeFeatureInitializer(options_.features);
-  GRIMP_ASSIGN_OR_RETURN(PretrainedFeatures features,
-                         initializer->Init(dirty, tg, dim, rng.Next()));
-
-  // 2. Model construction.
-  Rng model_rng = rng.Fork();
-  HeteroGnn gnn;
-  if (options_.use_gnn) {
-    gnn = HeteroGnn(num_cols, dim, dim, dim, options_.gnn_layers,
-                    &model_rng);
-  }
-  Mlp shared("shared", {dim, options_.shared_hidden, dim}, &model_rng);
-
-  // Per-column class offsets for the single-classifier ablation.
-  std::vector<int32_t> mc_offsets(static_cast<size_t>(num_cols) + 1, 0);
-  for (int c = 0; c < num_cols; ++c) {
-    mc_offsets[static_cast<size_t>(c) + 1] =
-        mc_offsets[static_cast<size_t>(c)] + dirty.column(c).dict().size();
-  }
-  const int32_t mc_total_classes = mc_offsets[static_cast<size_t>(num_cols)];
-
-  std::vector<TaskData> tasks;
-  if (options_.multi_task) {
-    for (int c = 0; c < num_cols; ++c) {
-      TaskData task;
-      task.col = c;
-      task.categorical = dirty.column(c).is_categorical();
-      task.out_dim =
-          task.categorical ? std::max(1, dirty.column(c).dict().size()) : 1;
-      const std::string task_name = "task." + dirty.column(c).name();
-      if (options_.task_kind == TaskKind::kAttention) {
-        task.head = std::make_unique<AttentionTaskHead>(
-            task_name, features.column_features,
-            BuildKDiagonal(options_.k_strategy, c, num_cols, options_.fds),
-            dim, task.out_dim, &model_rng, options_.task_hidden);
-      } else {
-        task.head = std::make_unique<LinearTaskHead>(
-            task_name, num_cols, dim, options_.task_hidden, task.out_dim,
-            &model_rng);
-      }
-      if (task.categorical && dirty.column(c).is_categorical()) {
-        task.head->SetOutputBias(LogPriorBias(dirty.column(c).dict()));
-      }
-      tasks.push_back(std::move(task));
-    }
-  } else {
-    // Ablation: one multiclass head over the union of all domains
-    // (GNN-MC / EmbDI-MC in Fig. 10). Numerical attributes are classified
-    // over their distinct (rounded) values.
-    TaskData task;
-    task.col = -1;
-    task.categorical = true;
-    task.out_dim = std::max(1, mc_total_classes);
-    task.head = std::make_unique<LinearTaskHead>(
-        "task.mc", num_cols, dim, options_.task_hidden, task.out_dim,
-        &model_rng);
-    tasks.push_back(std::move(task));
-  }
-
-  // 3. Precompute gather indices / labels / targets per task.
-  TraceSpan task_build_span("grimp.task_build");
-  std::vector<TrainTask> train_tasks(tasks.size());
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    train_tasks[t].categorical = tasks[t].categorical;
-    train_tasks[t].head = tasks[t].head.get();
-  }
-  auto add_sample = [&](const TrainingSample& s, bool is_val) {
-    const size_t t =
-        options_.multi_task ? static_cast<size_t>(s.target_col) : 0;
-    TrainTask& task = train_tasks[t];
-    if (!is_val && options_.max_samples_per_task > 0) {
-      // Training-data reduction (§7): corpus order is random, so the cap
-      // keeps a uniform subsample per task.
-      if (task.NumTrain() >= options_.max_samples_per_task) return;
-    }
-    auto& idx = is_val ? task.val_idx : task.train_idx;
-    AppendSampleIndices(dirty, tg, s.row, s.target_col, &idx);
-    const Column& col = dirty.column(s.target_col);
-    const int32_t code = col.CodeAt(s.row);
-    GRIMP_CHECK_GE(code, 0);
-    if (task.categorical) {
-      int32_t label = code;
-      if (!options_.multi_task) {
-        label += mc_offsets[static_cast<size_t>(s.target_col)];
-      }
-      auto& labels = is_val ? task.val_labels : task.train_labels;
-      labels.push_back(label);
-    } else {
-      auto& targets = is_val ? task.val_targets : task.train_targets;
-      targets.push_back(static_cast<float>(
-          normalizer.Normalize(s.target_col, col.NumAt(s.row))));
-    }
-  };
-  // In multi-task mode a numerical column's task is a regressor, so the
-  // `categorical` flag must be set before adding samples.
-  for (const TrainingSample& s : corpus.train) add_sample(s, false);
-  for (const TrainingSample& s : corpus.validation) add_sample(s, true);
-
-  // Cells to impute: every truly-missing cell of the dirty table.
-  for (int64_t r = 0; r < dirty.num_rows(); ++r) {
-    for (int c = 0; c < num_cols; ++c) {
-      if (!dirty.IsMissing(r, c)) continue;
-      TaskData& task =
-          options_.multi_task ? tasks[static_cast<size_t>(c)] : tasks[0];
-      AppendSampleIndices(dirty, tg, r, c, &task.impute_idx);
-      task.impute_cells.push_back(CellRef{r, c});
-    }
-  }
-  task_build_span.Stop();
-
-  // 4. Training (paper Alg. 1) via the shared Trainer: full-graph epochs
-  //    by default, neighbor-sampled minibatches when options_.train.mode
-  //    is TrainMode::kSampled (see trainer.h).
-  const InMemoryGraphStore store(&tg.graph);
-  Trainer trainer(options_, &store, &features.node_features,
-                  options_.use_gnn ? &gnn : nullptr, &shared,
-                  std::move(train_tasks), num_cols);
-  GRIMP_ASSIGN_OR_RETURN(summary_, trainer.Run(options_.callbacks));
-  const int num_blocks_gathered = num_cols;
-
-  // 5. Imputation (paper §3.7): forward once with the best weights, then
-  //    fill every missing cell from its task's prediction.
-  Table imputed = dirty;
-  {
-    GRIMP_TRACE_SPAN("grimp.decode");
-    Tape tape;
-    Tape::VarId feats = tape.Constant(features.node_features);
-    Tape::VarId h =
-        options_.use_gnn ? gnn.Forward(&tape, feats, tg.graph) : feats;
-    Tape::VarId h_shared = shared.Forward(&tape, h);
-    for (TaskData& task : tasks) {
-      if (task.impute_idx.empty()) continue;
-      const int64_t n = static_cast<int64_t>(task.impute_cells.size());
-      Tape::VarId flat = tape.GatherRows(h_shared, task.impute_idx);
-      Tape::VarId vecs = tape.Reshape(
-          flat, n, static_cast<int64_t>(num_blocks_gathered) * dim);
-      Tape::VarId out = task.head->Forward(&tape, vecs);
-      const Tensor& scores = tape.value(out);
-      for (int64_t i = 0; i < n; ++i) {
-        const CellRef cell = task.impute_cells[static_cast<size_t>(i)];
-        Column& col = imputed.mutable_column(cell.col);
-        if (task.categorical && (options_.multi_task
-                                     ? col.is_categorical()
-                                     : true)) {
-          // Argmax over the column's live domain (paper: candidates come
-          // from Dom(A_i) only).
-          const int32_t lo = options_.multi_task
-                                 ? 0
-                                 : mc_offsets[static_cast<size_t>(cell.col)];
-          const int32_t hi =
-              options_.multi_task
-                  ? col.dict().size()
-                  : mc_offsets[static_cast<size_t>(cell.col) + 1];
-          int32_t best_code = -1;
-          float best_score = -std::numeric_limits<float>::infinity();
-          for (int32_t k = lo; k < hi; ++k) {
-            const int32_t code = k - lo;
-            if (col.dict().CountOf(code) <= 0) continue;
-            if (scores.at(i, k) > best_score) {
-              best_score = scores.at(i, k);
-              best_code = code;
-            }
-          }
-          if (best_code >= 0) col.SetFromCode(cell.row, best_code);
-        } else {
-          const double value =
-              normalizer.Denormalize(cell.col, scores.at(i, 0));
-          col.SetNumerical(cell.row, value);
-        }
-      }
-    }
-  }
+  GrimpEngine engine(options_);
+  GRIMP_ASSIGN_OR_RETURN(Table imputed, engine.FitImpute(dirty));
+  summary_ = engine.summary();
   return imputed;
 }
 

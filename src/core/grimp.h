@@ -2,6 +2,7 @@
 #define GRIMP_CORE_GRIMP_H_
 
 #include <string>
+#include <utility>
 
 #include "core/options.h"
 #include "core/trainer.h"
@@ -9,10 +10,10 @@
 
 namespace grimp {
 
-// The GRIMP imputation system (paper §3): heterogeneous table graph +
-// GraphSAGE-based heterogeneous GNN + self-supervised multi-task heads.
-// Configure via GrimpOptions; see options.h for the paper defaults and the
-// ablation switches.
+// The GRIMP imputation system (paper §3) as an ImputationAlgorithm: a thin
+// adapter over GrimpEngine::FitImpute (engine.h), which trains on the
+// dirty table and imputes that same table. See options.h for the paper
+// defaults and the ablation switches.
 //
 // Usage:
 //   GrimpOptions opts;
@@ -21,7 +22,9 @@ namespace grimp {
 //   GRIMP_ASSIGN_OR_RETURN(Table imputed, grimp.Impute(dirty));
 class GrimpImputer : public ImputationAlgorithm {
  public:
-  explicit GrimpImputer(GrimpOptions options);
+  // Thread-count and SIMD choices take effect when Impute runs.
+  explicit GrimpImputer(GrimpOptions options)
+      : options_(std::move(options)) {}
 
   std::string name() const override;
   Result<Table> Impute(const Table& dirty) override;

@@ -129,8 +129,8 @@ struct GrimpOptions {
   // Graph storage & pruning (see graph/store.h GraphConfig): shard mode
   // (in-memory vs out-of-core sharded), the sharded resident budget, and
   // neighbor_cap static pruning. Sharded mode requires train.mode=sampled
-  // and the GrimpEngine Fit/Transform API (decode-side imputation needs a
-  // full-graph forward).
+  // and GrimpEngine::Fit (FitImpute's decode needs a full-graph
+  // forward).
   GraphConfig graph;
 
   // Minibatch neighbor-sampled training (see TrainMode above).
@@ -159,9 +159,10 @@ struct GrimpOptions {
 
   // Checks every field for internal consistency (positive dimensions,
   // validation_fraction in [0, 1) where 0 disables validation, fds present
-  // when k_strategy needs them, ...). Called by GrimpImputer::Impute and
-  // GrimpEngine::Fit before any work happens; returns InvalidArgument with
-  // the offending field named.
+  // when k_strategy needs them, ...). Called by GrimpEngine::Fit,
+  // FitImpute and Load before any work happens; returns InvalidArgument
+  // with the offending field named. FD column ranges need the schema and
+  // are checked when the model is built.
   Status Validate() const;
 };
 

@@ -73,7 +73,7 @@ class AttentionTaskHead : public TaskHead {
   // *attention_out (used by GrimpEngine::AttentionSummary and tests).
   // Plain Forward records nothing: a head holds no per-call state, so
   // concurrent Forward calls on one fitted model are race-free — the
-  // invariant the serving layer's batched Transform relies on.
+  // invariant the serving layer's batched TransformMany relies on.
   Tape::VarId ForwardWithAttention(Tape* tape, Tape::VarId v,
                                    Tensor* attention_out) const;
   void CollectParameters(std::vector<Parameter*>* out) override;

@@ -18,21 +18,6 @@ namespace {
 
 constexpr int kDefaultFanout = 10;
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-// Seed for one minibatch's sampling stream. A pure function of (run seed,
-// epoch, stable batch id) — never of thread count or scheduling — so the
-// sampled blocks, and therefore the losses, are identical at every
-// GRIMP_NUM_THREADS.
-uint64_t MixSeed(uint64_t seed, uint64_t epoch, uint64_t batch) {
-  return SplitMix64(SplitMix64(SplitMix64(seed) ^ epoch) ^ batch);
-}
-
 std::chrono::steady_clock::time_point Now() {
   return std::chrono::steady_clock::now();
 }
@@ -214,6 +199,8 @@ Trainer::EpochResult Trainer::RunSampledEpoch(int epoch, Adam* opt) {
       plan.task = static_cast<int>(t);
       plan.start = start;
       plan.bn = std::min(batch_size, n - start);
+      // Keyed on (run seed, epoch, stable batch id): the sampled blocks,
+      // and therefore the losses, are identical at every thread count.
       plan.seed = MixSeed(options_.seed, static_cast<uint64_t>(epoch),
                           batch_id++);
       plans_.push_back(plan);

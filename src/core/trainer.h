@@ -58,8 +58,8 @@ struct TrainSummary {
   int64_t num_val_samples = 0;
 };
 
-// The epoch machinery shared by GrimpImputer::Impute and GrimpEngine::Fit
-// (paper Alg. 1): Adam over the GNN + shared MLP + task heads, summed task
+// The epoch machinery behind GrimpEngine's fit body (Fit and FitImpute)
+// and Resume (paper Alg. 1): Adam over the GNN + shared MLP + task heads, summed task
 // losses, early stopping on the summed validation loss, best-weights
 // restore, per-epoch metrics series and callbacks.
 //

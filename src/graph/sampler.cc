@@ -10,24 +10,6 @@ namespace grimp {
 
 namespace {
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-// Seed of one destination node's draw stream for one layer and edge type.
-// A pure function of the per-Sample nonce and the (layer, type, node)
-// coordinates — never of the order nodes are visited in — so regrouping
-// the frontier by shard cannot change what gets drawn.
-uint64_t DrawSeed(uint64_t nonce, int layer, int type, int32_t node) {
-  return SplitMix64(
-      SplitMix64(SplitMix64(nonce ^ static_cast<uint64_t>(layer)) ^
-                 static_cast<uint64_t>(type)) ^
-      static_cast<uint64_t>(node));
-}
-
 std::unique_ptr<GraphStore> MakeDefaultStore(const HeteroGraph* graph) {
   const int shards = EnvOverrides::PositiveInt(kEnvShards, 0);
   if (shards <= 0) return std::make_unique<InMemoryGraphStore>(graph);
@@ -104,7 +86,12 @@ void NeighborSampler::SampleNode(const GraphShard& shard, int layer,
       // Partial Fisher-Yates: the first `fanout` entries of a uniformly
       // shuffled copy, i.e. a uniform sample without replacement in
       // O(degree + fanout), drawn from this node's own stream.
-      Rng stream(DrawSeed(nonce, layer, t, node));
+      // The stream is keyed on the per-Sample nonce and the (layer, type,
+      // node) coordinates — never on the order nodes are visited in — so
+      // regrouping the frontier by shard cannot change what gets drawn.
+      Rng stream(MixSeed(nonce ^ static_cast<uint64_t>(layer),
+                         static_cast<uint64_t>(t),
+                         static_cast<uint64_t>(node)));
       shuffle_scratch_.assign(begin, end);
       for (int k = 0; k < fanout; ++k) {
         const size_t j = static_cast<size_t>(k) +

@@ -18,7 +18,7 @@ class ModelRegistry;
 
 // One loaded model artifact. Owned by the registry, pinned by ModelHandle;
 // the engine is immutable after loading (only the thread-safe const
-// Transform surface is exposed), so any number of handles may serve from
+// TransformMany surface is exposed), so any number of handles may serve from
 // it concurrently.
 struct LoadedModel {
   std::string name;

@@ -281,10 +281,13 @@ void RequestScheduler::ExecuteBatch(
   // impossible, but if one occurs, retry solo so a single bad request
   // cannot take down its batch-mates.
   registry.GetCounter("serve.batch_fallbacks").Increment();
+  // A failed TransformMany leaves every table untouched, so each retry
+  // starts from the original request.
   for (std::unique_ptr<Pending>& pending : live) {
-    Complete(pending.get(),
-             pending->request.model.engine().Transform(
-                 pending->request.table));
+    Table* table = &pending->request.table;
+    Status solo = pending->request.model.engine().TransformMany({&table, 1});
+    Complete(pending.get(), solo.ok() ? Result<Table>(std::move(*table))
+                                      : Result<Table>(std::move(solo)));
   }
 }
 

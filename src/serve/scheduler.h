@@ -22,7 +22,7 @@ struct SchedulerOptions {
   // Admission bound: Submit rejects with kUnavailable once this many
   // requests are queued (the caller should shed load or retry later).
   int max_queue = 256;
-  // Most requests fused into one GrimpEngine::TransformBatch call. 1
+  // Most requests fused into one GrimpEngine::TransformMany call. 1
   // disables micro-batching (each request runs its own forward pass).
   int max_batch = 8;
   // After popping a request, a worker lingers up to this long for more
@@ -30,7 +30,7 @@ struct SchedulerOptions {
   // only what is already queued rides along (requests pile up naturally
   // while a batch executes, so 0 is usually right).
   double batch_linger_seconds = 0.0;
-  // Batch-executing worker threads. The heavy math inside TransformBatch
+  // Batch-executing worker threads. The heavy math inside TransformMany
   // fans out onto the global compute ThreadPool regardless, so more
   // workers mainly help when graph building dominates.
   int num_workers = 1;
@@ -60,8 +60,8 @@ struct ImputeRequest {
 // control at Submit (bounded two-lane queue, schema check, deadline
 // shedding, typed Status rejections), then worker threads that pop
 // compatible requests — same pinned model version, high lane first — and
-// fuse them into one TransformBatch call. Batching never changes results:
-// TransformBatch is bit-identical per request to a solo Transform (see
+// fuse them into one TransformMany call. Batching never changes results:
+// TransformMany is bit-identical per request to a solo call (see
 // core/engine.h).
 //
 // Emitted metrics: span "serve.enqueue", histogram "serve.batch_size",

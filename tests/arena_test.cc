@@ -10,6 +10,7 @@
 #include "core/grimp.h"
 #include "table/corruption.h"
 #include "tensor/tensor.h"
+#include "transform_copy.h"
 
 namespace grimp {
 namespace {
@@ -265,13 +266,13 @@ TEST(ArenaTest, ArenaOnOffBitIdenticalTransform) {
   Table off(clean.schema());
   {
     ArenaEnabledGuard guard(true);
-    auto result = engine.Transform(request);
+    auto result = TransformCopy(engine, request);
     ASSERT_TRUE(result.ok());
     on = *result;
   }
   {
     ArenaEnabledGuard guard(false);
-    auto result = engine.Transform(request);
+    auto result = TransformCopy(engine, request);
     ASSERT_TRUE(result.ok());
     off = *result;
   }

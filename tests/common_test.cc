@@ -128,6 +128,18 @@ TEST(RngTest, DeterministicForSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
 }
 
+TEST(RngTest, SeedMixerIsSplitMix64) {
+  // Reference splitmix64 outputs; every keyed stream and Rng's seeding
+  // build on this one function.
+  EXPECT_EQ(SplitMix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(SplitMix64(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(MixSeed(3, 5, 7),
+            SplitMix64(SplitMix64(SplitMix64(3) ^ 5) ^ 7));
+  // Seeding through the shared function left every stream unchanged.
+  EXPECT_EQ(Rng(0).Next(), 0x99ec5f36cb75f2b4ULL);
+  EXPECT_EQ(Rng(42).Next(), 0x15780b2e0c2ec716ULL);
+}
+
 TEST(RngTest, DifferentSeedsDiffer) {
   Rng a(1), b(2);
   int same = 0;

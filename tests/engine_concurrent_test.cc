@@ -1,5 +1,5 @@
-// Concurrency contract of GrimpEngine: after Fit, Transform and
-// TransformBatch are const and touch no shared mutable state, so any number
+// Concurrency contract of GrimpEngine: after Fit, TransformMany is const
+// and touches no shared mutable state, so any number
 // of threads may impute on one engine simultaneously and every result must
 // be bit-identical to a serial call. Run under GRIMP_SANITIZE=thread to
 // catch violations the assertions can't see.
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "transform_copy.h"
 
 namespace grimp {
 namespace {
@@ -74,7 +75,7 @@ TEST(EngineConcurrentTest, ParallelTransformsAreBitIdenticalToSerial) {
   // Serial baselines for each of the three request shapes.
   std::vector<std::vector<std::string>> baseline;
   for (int which = 0; which < 3; ++which) {
-    auto result = engine->Transform(DirtyRow(which));
+    auto result = TransformCopy(*engine, DirtyRow(which));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     baseline.push_back(RowCells(*result));
   }
@@ -87,7 +88,7 @@ TEST(EngineConcurrentTest, ParallelTransformsAreBitIdenticalToSerial) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kCallsPerThread; ++i) {
         const int which = (t + i) % 3;
-        auto result = engine->Transform(DirtyRow(which));
+        auto result = TransformCopy(*engine, DirtyRow(which));
         if (!result.ok() ||
             RowCells(*result) != baseline[static_cast<size_t>(which)]) {
           mismatches[t]++;
@@ -109,11 +110,11 @@ TEST(EngineConcurrentTest, TransformBatchMatchesIndividualTransforms) {
   std::vector<const Table*> pointers;
   for (const Table& t : requests) pointers.push_back(&t);
 
-  auto batched = engine->TransformBatch(pointers);
+  auto batched = TransformCopies(*engine, pointers);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   ASSERT_EQ(batched->size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    auto solo = engine->Transform(requests[i]);
+    auto solo = TransformCopy(*engine, requests[i]);
     ASSERT_TRUE(solo.ok()) << solo.status().ToString();
     EXPECT_EQ(RowCells((*batched)[i]), RowCells(*solo)) << "request " << i;
   }
@@ -122,8 +123,8 @@ TEST(EngineConcurrentTest, TransformBatchMatchesIndividualTransforms) {
 TEST(EngineConcurrentTest, SingleRequestBatchEqualsTransform) {
   auto engine = FitEngine();
   const Table dirty = DirtyRow(0);
-  auto solo = engine->Transform(dirty);
-  auto batched = engine->TransformBatch({&dirty});
+  auto solo = TransformCopy(*engine, dirty);
+  auto batched = TransformCopies(*engine, {&dirty});
   ASSERT_TRUE(solo.ok() && batched.ok());
   ASSERT_EQ(batched->size(), 1u);
   EXPECT_EQ(RowCells((*batched)[0]), RowCells(*solo));
@@ -136,7 +137,7 @@ TEST(EngineConcurrentTest, ConcurrentBatchesAreBitIdentical) {
   for (int which = 0; which < 3; ++which) requests.push_back(DirtyRow(which));
   std::vector<const Table*> pointers;
   for (const Table& t : requests) pointers.push_back(&t);
-  auto baseline = engine->TransformBatch(pointers);
+  auto baseline = TransformCopies(*engine, pointers);
   ASSERT_TRUE(baseline.ok());
   std::vector<std::vector<std::string>> expected;
   for (const Table& t : *baseline) expected.push_back(RowCells(t));
@@ -146,7 +147,7 @@ TEST(EngineConcurrentTest, ConcurrentBatchesAreBitIdentical) {
   std::vector<int> mismatches(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto result = engine->TransformBatch(pointers);
+      auto result = TransformCopies(*engine, pointers);
       if (!result.ok() || result->size() != expected.size()) {
         mismatches[t] = 1;
         return;

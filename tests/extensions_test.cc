@@ -17,6 +17,7 @@
 #include "eval/runner.h"
 #include "graph/builder.h"
 #include "common/string_util.h"
+#include "transform_copy.h"
 
 namespace grimp {
 namespace {
@@ -231,7 +232,7 @@ TEST(EfficiencyTest, PrunedAndCappedGrimpStillAccurate) {
   EXPECT_GT(rr.score.Accuracy(), 0.7);
 }
 
-// --- Inductive engine (Fit / Transform) -------------------------------------
+// --- Inductive engine (Fit / TransformMany) ---------------------------------
 
 TEST(EngineTest, TransformMatchesSchemaChecks) {
   Table source = StructuredTable(100);
@@ -239,14 +240,14 @@ TEST(EngineTest, TransformMatchesSchemaChecks) {
   options.dim = 16;
   options.max_epochs = 20;
   GrimpEngine engine(options);
-  EXPECT_FALSE(engine.Transform(source).ok());  // not fitted yet
+  EXPECT_FALSE(TransformCopy(engine, source).ok());  // not fitted yet
   ASSERT_TRUE(engine.Fit(source).ok());
   EXPECT_TRUE(engine.fitted());
 
   Schema other({{"x", AttrType::kCategorical}});
   Table wrong(other);
   ASSERT_TRUE(wrong.AppendRow({"v"}).ok());
-  EXPECT_FALSE(engine.Transform(wrong).ok());
+  EXPECT_FALSE(TransformCopy(engine, wrong).ok());
 }
 
 TEST(EngineTest, RejectsNonNgramFeatures) {
@@ -276,7 +277,7 @@ TEST(EngineTest, ImputesUnseenTableWithSharedSchema) {
   options.max_epochs = 60;
   GrimpEngine engine(options);
   ASSERT_TRUE(engine.Fit(source).ok());
-  auto imputed = engine.Transform(corrupted.dirty);
+  auto imputed = TransformCopy(engine, corrupted.dirty);
   ASSERT_TRUE(imputed.ok());
   const ImputationScore score =
       ScoreImputation(*imputed, corrupted, target_clean);
@@ -298,10 +299,70 @@ TEST(EngineTest, TransformOnTrainingTableWorks) {
   options.max_epochs = 40;
   GrimpEngine engine(options);
   ASSERT_TRUE(engine.Fit(corrupted.dirty).ok());
-  auto imputed = engine.Transform(corrupted.dirty);
+  auto imputed = TransformCopy(engine, corrupted.dirty);
   ASSERT_TRUE(imputed.ok());
   const ImputationScore score = ScoreImputation(*imputed, corrupted, source);
   EXPECT_GT(score.Accuracy(), 0.75);
+}
+
+// --- Transductive FitImpute -------------------------------------------------
+
+// FitImpute accepts what inductive use cannot (EmbDI/random features, the
+// multi_task=false head), and the resulting model refuses inductive calls.
+TEST(EngineTest, FitImputeModelRefusesInductiveCalls) {
+  Table source = StructuredTable(60);
+  const CorruptedTable corrupted = InjectMcar(source, 0.2, 29);
+  for (int config = 0; config < 2; ++config) {
+    GrimpOptions options;
+    options.dim = 16;
+    options.max_epochs = 5;
+    if (config == 0) {
+      options.features = FeatureInitKind::kEmbdi;
+    } else {
+      options.multi_task = false;
+    }
+    GrimpEngine engine(options);
+    auto imputed = engine.FitImpute(corrupted.dirty);
+    ASSERT_TRUE(imputed.ok()) << imputed.status().ToString();
+    EXPECT_DOUBLE_EQ(imputed->MissingFraction(), 0.0);
+    EXPECT_TRUE(engine.fitted());
+
+    Table request = corrupted.dirty;
+    Table* one[] = {&request};
+    EXPECT_EQ(engine.TransformMany(one).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(engine.Save(::testing::TempDir() + "/grimp_transductive.bin")
+                  .code(),
+              StatusCode::kFailedPrecondition);
+  }
+}
+
+TEST(EngineTest, FitImputeRejectsShardedStorage) {
+  GrimpOptions options;
+  options.dim = 16;
+  options.train.mode = TrainMode::kSampled;
+  options.graph.shard_mode = ShardMode::kSharded;
+  GrimpEngine engine(options);
+  auto imputed = engine.FitImpute(StructuredTable(40));
+  ASSERT_FALSE(imputed.ok());
+  EXPECT_EQ(imputed.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// FD columns outside the schema would index past the attention head's
+// K diagonal; Fit rejects them before building any head.
+TEST(EngineTest, FitRejectsOutOfRangeFdColumns) {
+  for (const FunctionalDependency& fd :
+       {FunctionalDependency{{0}, 3}, FunctionalDependency{{-1}, 1}}) {
+    GrimpOptions options;
+    options.dim = 16;
+    options.max_epochs = 5;
+    options.k_strategy = KStrategy::kWeakDiagonalFd;
+    options.fds = {fd};
+    GrimpEngine engine(options);
+    const Status status = engine.Fit(StructuredTable(40));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
 }
 
 // --- Out-of-core sharded training -----------------------------------------
@@ -334,8 +395,8 @@ TEST(EngineTest, ShardedFitMatchesInMemoryAccuracy) {
   // The sharded fit really went through the out-of-core path.
   EXPECT_GT(fetches.value(), fetches_before);
 
-  auto imputed_memory = in_memory.Transform(corrupted.dirty);
-  auto imputed_sharded = sharded.Transform(corrupted.dirty);
+  auto imputed_memory = TransformCopy(in_memory, corrupted.dirty);
+  auto imputed_sharded = TransformCopy(sharded, corrupted.dirty);
   ASSERT_TRUE(imputed_memory.ok());
   ASSERT_TRUE(imputed_sharded.ok());
   const double acc_memory =

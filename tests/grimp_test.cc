@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/mean_mode.h"
+#include "common/binary_io.h"
 #include "core/grimp.h"
 #include "core/names.h"
 #include "data/datasets.h"
@@ -274,13 +277,28 @@ TEST(GrimpTest, CallbacksDoNotPerturbResults) {
   }
 }
 
+// Checksum64 of every cell string in row-major order, each cell followed
+// by a unit separator: equal digests mean equal imputed tables.
+uint64_t CellDigest(const Table& table) {
+  std::string cells;
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    for (int c = 0; c < table.num_cols(); ++c) {
+      cells += table.column(c).StringAt(r);
+      cells += '\x1f';
+    }
+  }
+  return Checksum64::Of(cells.data(), cells.size());
+}
+
 class GrimpConfigTest : public ::testing::TestWithParam<int> {};
 
-// Every ablation / head / feature configuration must run end-to-end and
-// fill all cells.
+// Every ablation / head / feature configuration must run end-to-end, fill
+// all cells and impute exactly the pinned table. The scalar SIMD tier keeps
+// the digests independent of the host CPU; they hold at any thread count.
 TEST_P(GrimpConfigTest, RunsEndToEnd) {
   GrimpOptions options = FastOptions();
   options.max_epochs = 10;
+  options.simd = "scalar";
   switch (GetParam()) {
     case 0:
       options.task_kind = TaskKind::kLinear;
@@ -310,7 +328,11 @@ TEST_P(GrimpConfigTest, RunsEndToEnd) {
     case 8:
       options.focal_gamma = 2.0f;
       break;
-    default:
+    case 10:
+      options.k_strategy = KStrategy::kWeakDiagonalFd;
+      options.fds = {{{0}, 1}};
+      break;
+    default:  // 9: the defaults
       break;
   }
   Table clean = StructuredTable(50);
@@ -319,9 +341,17 @@ TEST_P(GrimpConfigTest, RunsEndToEnd) {
   auto imputed = grimp.Impute(corrupted.dirty);
   ASSERT_TRUE(imputed.ok());
   EXPECT_DOUBLE_EQ(imputed->MissingFraction(), 0.0);
+  constexpr uint64_t kDigests[] = {
+      0x26c9d5fddf39d29cULL, 0x3091334d9198d6e4ULL, 0x1d5fed0539809fb9ULL,
+      0xe41453ba1edf2863ULL, 0xcb0c44aba746f2cbULL, 0xa13a9ce9ecb19338ULL,
+      0x10653c1752fdc9eeULL, 0x64114e1fe3678f9dULL, 0x4a8caf02e1eceeabULL,
+      0x15277a21b0e02ec5ULL, 0xbeae608015df4701ULL};
+  EXPECT_EQ(CellDigest(*imputed), kDigests[GetParam()])
+      << "config " << GetParam() << " digest 0x" << std::hex
+      << CellDigest(*imputed);
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, GrimpConfigTest, ::testing::Range(0, 9));
+INSTANTIATE_TEST_SUITE_P(Configs, GrimpConfigTest, ::testing::Range(0, 11));
 
 TEST(GrimpTest, FdStrategyConsumesFds) {
   Table clean = StructuredTable(100);
@@ -334,6 +364,17 @@ TEST(GrimpTest, FdStrategyConsumesFds) {
   const RunResult rr = RunAlgorithm(clean, corrupted, &grimp);
   ASSERT_TRUE(rr.status.ok());
   EXPECT_GT(rr.score.Accuracy(), 0.7);
+}
+
+TEST(GrimpTest, RejectsOutOfRangeFdColumns) {
+  const CorruptedTable corrupted = InjectMcar(StructuredTable(40), 0.25, 6);
+  GrimpOptions options = FastOptions();
+  options.k_strategy = KStrategy::kWeakDiagonalFd;
+  options.fds = {{{0}, 7}};
+  GrimpImputer grimp(options);
+  auto imputed = grimp.Impute(corrupted.dirty);
+  ASSERT_FALSE(imputed.ok());
+  EXPECT_EQ(imputed.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(GrimpTest, HighMissingnessStillFillsEverything) {

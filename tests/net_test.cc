@@ -20,6 +20,7 @@
 #include "serve/model_registry.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "transform_copy.h"
 
 namespace grimp {
 namespace {
@@ -86,7 +87,7 @@ struct NetFixture {
 
 std::string WantResponse(const GrimpEngine& engine, const std::string& color,
                          const std::string& price) {
-  auto direct = engine.Transform(DirtyRow(color, price));
+  auto direct = TransformCopy(engine, DirtyRow(color, price));
   EXPECT_TRUE(direct.ok());
   return std::string(R"({"ok":true,"model":"demo@1","row":)") +
          RowToJson(*direct, 0) + "}";

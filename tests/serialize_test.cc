@@ -8,6 +8,7 @@
 #include "core/engine.h"
 #include "data/datasets.h"
 #include "eval/metrics.h"
+#include "transform_copy.h"
 
 namespace grimp {
 namespace {
@@ -233,7 +234,7 @@ TEST(ModelPersistenceTest, SaveLoadTransformIsIdentical) {
   options.max_epochs = 30;
   GrimpEngine engine(options);
   ASSERT_TRUE(engine.Fit(corrupted.dirty).ok());
-  auto direct = engine.Transform(corrupted.dirty);
+  auto direct = TransformCopy(engine, corrupted.dirty);
   ASSERT_TRUE(direct.ok());
 
   const std::string path = TempPath("grimp_model.bin");
@@ -245,7 +246,7 @@ TEST(ModelPersistenceTest, SaveLoadTransformIsIdentical) {
   EXPECT_TRUE(loaded.fitted());
   EXPECT_EQ(loaded.options().dim, 16);
 
-  auto from_disk = loaded.Transform(corrupted.dirty);
+  auto from_disk = TransformCopy(loaded, corrupted.dirty);
   ASSERT_TRUE(from_disk.ok()) << from_disk.status().ToString();
   for (int c = 0; c < direct->num_cols(); ++c) {
     for (int64_t r = 0; r < direct->num_rows(); ++r) {
@@ -380,6 +381,72 @@ TEST(ModelPersistenceTest, PreviousFormatVersionFailsOnVersion) {
       << status.ToString();
 }
 
+// Writes `bytes` to `path` with its last 8 bytes replaced by a freshly
+// computed Checksum64 footer, so Load sees an intact file.
+void WriteWithFooter(const std::string& path, std::string bytes) {
+  const uint64_t footer =
+      Checksum64::Of(bytes.data(), bytes.size() - sizeof(uint64_t));
+  bytes.replace(bytes.size() - sizeof(footer), sizeof(footer),
+                reinterpret_cast<const char*>(&footer), sizeof(footer));
+  WriteAll(path, bytes);
+}
+
+// Options decoded from an intact file are validated like Fit's.
+TEST(ModelPersistenceTest, InvalidDecodedOptionsFailLoad) {
+  const std::string path = SaveTinyModel("grimp_bad_dim_model.bin");
+  std::string bytes = ReadAll(path);
+  // dim follows magic (u64), version (u32), features, task_kind and
+  // k_strategy (i32 each).
+  const int32_t dim = 0;
+  bytes.replace(24, sizeof(dim), reinterpret_cast<const char*>(&dim),
+                sizeof(dim));
+  WriteWithFooter(path, bytes);
+  auto loaded = GrimpEngine::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument());
+  EXPECT_NE(loaded.status().message().find("GrimpOptions.dim"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+// A well-formed file (valid footer) whose options name an FD column
+// outside the schema fails Load's validation instead of indexing past the
+// attention head's K diagonal.
+TEST(ModelPersistenceTest, OutOfRangeFdColumnFailsLoad) {
+  auto clean = GenerateDatasetByName("mammogram", 5, 60);
+  ASSERT_TRUE(clean.ok());
+  GrimpOptions options;
+  options.dim = 8;
+  options.max_epochs = 4;
+  options.k_strategy = KStrategy::kWeakDiagonalFd;
+  options.fds = {{{0}, 1}};
+  GrimpEngine engine(options);
+  ASSERT_TRUE(engine.Fit(*clean).ok());
+  const std::string path = TempPath("grimp_bad_fd_model.bin");
+  ASSERT_TRUE(engine.Save(path).ok());
+  ASSERT_TRUE(GrimpEngine::Load(path).ok());
+
+  // The FD block: one FD, one lhs column (0), rhs 1. Point rhs past the
+  // schema and recompute the footer.
+  std::string bytes = ReadAll(path);
+  const std::string fd_block("\1\0\0\0\0\0\0\0\1\0\0\0\0\0\0\0"
+                             "\0\0\0\0\1\0\0\0",
+                             24);
+  const size_t at = bytes.find(fd_block);
+  ASSERT_NE(at, std::string::npos);
+  const int32_t rhs = static_cast<int32_t>(clean->num_cols()) + 5;
+  bytes.replace(at + 20, sizeof(rhs), reinterpret_cast<const char*>(&rhs),
+                sizeof(rhs));
+  WriteWithFooter(path, bytes);
+
+  auto loaded = GrimpEngine::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument())
+      << loaded.status().ToString();
+  EXPECT_EQ(loaded.status().message().find("checksum"), std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST(ModelPersistenceTest, LoadedModelTransformsUnseenTable) {
   // Fit + save on one slice; load and impute a disjoint slice.
   auto all = GenerateDatasetByName("contraceptive", 9, 240);
@@ -403,7 +470,7 @@ TEST(ModelPersistenceTest, LoadedModelTransformsUnseenTable) {
   const CorruptedTable corrupted = InjectMcar(target, 0.25, 7);
   auto loaded = GrimpEngine::Load(path);
   ASSERT_TRUE(loaded.ok());
-  auto imputed = (*loaded)->Transform(corrupted.dirty);
+  auto imputed = TransformCopy(**loaded, corrupted.dirty);
   ASSERT_TRUE(imputed.ok());
   const ImputationScore score = ScoreImputation(*imputed, corrupted, target);
   // Better than uniform guessing over 2-4-value domains.

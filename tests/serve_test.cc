@@ -14,6 +14,7 @@
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "transform_copy.h"
 
 namespace grimp {
 namespace {
@@ -290,8 +291,8 @@ TEST(SchedulerTest, SchemaMismatchRejectedWithoutPoisoningBatch) {
   auto r2 = f2.get();
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  auto direct1 = engine.Transform(DirtyRow("red", "1"));
-  auto direct2 = engine.Transform(DirtyRow("blue", "9"));
+  auto direct1 = TransformCopy(engine, DirtyRow("red", "1"));
+  auto direct2 = TransformCopy(engine, DirtyRow("blue", "9"));
   ASSERT_TRUE(direct1.ok() && direct2.ok());
   ExpectSameRow(*r1, 0, *direct1, 0);
   ExpectSameRow(*r2, 0, *direct2, 0);
@@ -352,7 +353,7 @@ TEST(SchedulerTest, MicroBatchedResultsMatchSoloTransforms) {
   for (size_t i = 0; i < futures.size(); ++i) {
     Result<Table> served = futures[i].get();
     ASSERT_TRUE(served.ok()) << served.status().ToString();
-    auto direct = engine.Transform(inputs[i]);
+    auto direct = TransformCopy(engine, inputs[i]);
     ASSERT_TRUE(direct.ok());
     ExpectSameRow(*served, 0, *direct, 0);
   }
@@ -381,7 +382,7 @@ TEST(ServerTest, LoopbackServedRowIsBitIdenticalToOfflineTransform) {
   LoopbackClient client(&server);
 
   const Table dirty = DirtyRow("red", "1");
-  auto direct = engine.Transform(dirty);
+  auto direct = TransformCopy(engine, dirty);
   ASSERT_TRUE(direct.ok());
 
   const std::string response =
@@ -402,8 +403,8 @@ TEST(ServerTest, ConcurrentLoopbackClientsAllGetCorrectAnswers) {
   options.scheduler.max_batch = 8;
   ImputationServer server(&registry, options);
 
-  auto direct_red = engine.Transform(DirtyRow("red", "1"));
-  auto direct_blue = engine.Transform(DirtyRow("blue", "9"));
+  auto direct_red = TransformCopy(engine, DirtyRow("red", "1"));
+  auto direct_blue = TransformCopy(engine, DirtyRow("blue", "9"));
   ASSERT_TRUE(direct_red.ok() && direct_blue.ok());
   const std::string want_red =
       std::string(R"({"ok":true,"model":"demo@1","row":)") +

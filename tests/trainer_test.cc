@@ -11,6 +11,7 @@
 #include "eval/metrics.h"
 #include "eval/runner.h"
 #include "table/corruption.h"
+#include "transform_copy.h"
 
 namespace grimp {
 namespace {
@@ -274,8 +275,8 @@ TEST(TrainerTest, EngineFitsSampledAndServesIdenticalTransforms) {
   // across calls regardless of how the model was trained.
   Table request(clean.schema());
   ASSERT_TRUE(request.AppendRow({"a2", "", ""}).ok());
-  auto first = engine.Transform(request);
-  auto second = engine.Transform(request);
+  auto first = TransformCopy(engine, request);
+  auto second = TransformCopy(engine, request);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_DOUBLE_EQ(first->MissingFraction(), 0.0);
