@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -18,10 +19,12 @@
 namespace grimp {
 namespace bench {
 
+int HardwareConcurrency() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
 int ResolveMaxThreads() {
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return EnvOverrides::PositiveInt(kEnvNumThreads, static_cast<int>(hw));
+  return EnvOverrides::PositiveInt(kEnvNumThreads, HardwareConcurrency());
 }
 
 BenchConfig ParseBenchArgs(int argc, char** argv,

@@ -36,6 +36,10 @@ BenchConfig ParseBenchArgs(int argc, char** argv,
                            std::vector<std::string> default_datasets,
                            int64_t default_rows = 300);
 
+// std::thread::hardware_concurrency(), at least 1. Benchmarks record it as
+// "hardware_concurrency" next to their results.
+int HardwareConcurrency();
+
 // Thread budget for this run: hardware concurrency, capped by
 // GRIMP_NUM_THREADS when set (the same knob the runtime pool honors).
 // Benchmarks record this next to their results so numbers from capped

@@ -17,16 +17,8 @@
 // model into a ModelRegistry (v0 -> v1 hot swap) and the window accuracy
 // before/after is reported.
 //
-// After the measured loop, the same window imputation is re-run through
-// the async batch-prep pipeline (GRIMP_PIPELINE=4) against the serial path
-// (=0) with identical nonces: the windows must stay bit-identical (part of
-// the exit gate) and the serial/piped seconds are recorded. On a single
-// hardware thread overlap cannot pay, so the speedup is reported, not
-// gated.
-//
 // Writes BENCH_stream.json (cwd). Exits 1 if the mean freshness speedup
-// falls below --min-speedup (default 5), any window pair differs, or the
-// pipelined windows diverge from the serial ones.
+// falls below --min-speedup (default 5) or any window pair differs.
 //
 //   bench_stream [--rows=N] [--batch=N] [--window=N] [--epochs=N]
 //                [--seed=N] [--min-speedup=X]
@@ -369,79 +361,6 @@ int main(int argc, char** argv) {
   const double rebuild_acc =
       rebuild_acc_sum / static_cast<double>(num_batches);
 
-  // Pipelined window inference: the same sampled-block imputation the loop
-  // just measured, against the baseline's final state, serial (depth 0) vs
-  // pipelined (depth 4) with identical nonces — so the pair must match bit
-  // for bit at every rep.
-  const char* saved_pipeline = std::getenv("GRIMP_PIPELINE");
-  const std::string saved_pipeline_value =
-      saved_pipeline != nullptr ? saved_pipeline : "";
-  const int64_t live_n = baseline.table.num_rows();
-  const int64_t pipe_row_begin = live_n - std::min<int64_t>(window, live_n);
-  auto impute_once = [&](uint64_t nonce, Table* out) {
-    Table w(baseline.table.schema());
-    for (int64_t r = pipe_row_begin; r < live_n; ++r) {
-      if (!w.AppendRow(grimp::RowStrings(baseline.table, r)).ok()) {
-        return false;
-      }
-    }
-    StreamContext ctx;
-    ctx.table = &baseline.table;
-    ctx.tg = &baseline.tg;
-    ctx.store = baseline.store.get();
-    ctx.node_features = &baseline.features;
-    ctx.row_begin = pipe_row_begin;
-    ctx.fanouts = {4, 4};
-    ctx.nonce = nonce;
-    TransformOptions transform;
-    transform.stream = &ctx;
-    Table* ptr = &w;
-    if (!engine_view->TransformMany(std::span<Table* const>(&ptr, 1),
-                                    transform)
-             .ok()) {
-      return false;
-    }
-    *out = std::move(w);
-    return true;
-  };
-  constexpr int kPipelineReps = 4;
-  double serial_window_seconds = 0.0;
-  double piped_window_seconds = 0.0;
-  bool pipeline_identical = true;
-  for (int rep = 0; rep < kPipelineReps; ++rep) {
-    // Nonces past the streamed batches, so these draws are fresh but
-    // shared by the serial/pipelined pair.
-    const uint64_t nonce = static_cast<uint64_t>(num_batches + 1 + rep);
-    Table serial_window;
-    Table piped_window;
-    setenv("GRIMP_PIPELINE", "0", 1);
-    double t0 = Now();
-    bool ok = impute_once(nonce, &serial_window);
-    serial_window_seconds += Now() - t0;
-    setenv("GRIMP_PIPELINE", "4", 1);
-    t0 = Now();
-    ok = ok && impute_once(nonce, &piped_window);
-    piped_window_seconds += Now() - t0;
-    if (!ok) {
-      std::fprintf(stderr, "bench_stream: pipelined impute failed\n");
-      return 1;
-    }
-    if (!TablesEqual(serial_window, piped_window)) {
-      pipeline_identical = false;
-    }
-  }
-  if (saved_pipeline != nullptr) {
-    setenv("GRIMP_PIPELINE", saved_pipeline_value.c_str(), 1);
-  } else {
-    unsetenv("GRIMP_PIPELINE");
-  }
-  serial_window_seconds /= kPipelineReps;
-  piped_window_seconds /= kPipelineReps;
-  const double pipeline_speedup = piped_window_seconds > 0.0
-                                      ? serial_window_seconds /
-                                            piped_window_seconds
-                                      : 0.0;
-
   // Online fine-tuning: adapt to the drifted tail and hot-swap the
   // serving model (v0 -> v1). The imputed window before/after shows what
   // the refresh buys on drifted data.
@@ -471,10 +390,6 @@ int main(int argc, char** argv) {
               speedup, end_to_end_speedup);
   std::printf("%-22s %12s\n", "windows identical",
               identical ? "yes" : "NO");
-  std::printf("pipelined window: serial %.6fs, depth-4 %.6fs "
-              "(%.2fx, identical %s)\n",
-              serial_window_seconds, piped_window_seconds, pipeline_speedup,
-              pipeline_identical ? "yes" : "NO");
   std::printf("fine-tune: accuracy %.4f -> %.4f, serving version %s "
               "(val loss %.4f, %d epochs)\n",
               acc_before, acc_after, serving.c_str(),
@@ -490,6 +405,7 @@ int main(int argc, char** argv) {
       "  \"window_rows\": %lld,\n"
       "  \"batches\": %lld,\n"
       "  \"max_threads\": %d,\n"
+      "  \"hardware_concurrency\": %d,\n"
       "  \"fit_seconds\": %.4f,\n"
       "  \"stream\": {\"mean_freshness_seconds\": %.6f, "
       "\"mean_query_seconds\": %.6f, \"accuracy\": %.4f},\n"
@@ -499,20 +415,16 @@ int main(int argc, char** argv) {
       "  \"end_to_end_speedup\": %.2f,\n"
       "  \"min_speedup_gate\": %.2f,\n"
       "  \"windows_identical\": %s,\n"
-      "  \"pipeline\": {\"serial_window_seconds\": %.6f, "
-      "\"piped_window_seconds\": %.6f, \"speedup\": %.4f, "
-      "\"identical\": %s},\n"
       "  \"fine_tune\": {\"accuracy_before\": %.4f, "
       "\"accuracy_after\": %.4f, \"serving_version\": \"%s\"}\n"
       "}\n",
       static_cast<long long>(rows), static_cast<long long>(prefix),
       static_cast<long long>(batch), static_cast<long long>(window),
-      static_cast<long long>(num_batches), max_threads, fit_seconds,
+      static_cast<long long>(num_batches), max_threads,
+      grimp::bench::HardwareConcurrency(), fit_seconds,
       stream_mean, stream_query_mean, stream_acc, rebuild_mean,
       rebuild_query_mean, rebuild_acc, speedup, end_to_end_speedup,
-      min_speedup, identical ? "true" : "false", serial_window_seconds,
-      piped_window_seconds, pipeline_speedup,
-      pipeline_identical ? "true" : "false", acc_before, acc_after,
+      min_speedup, identical ? "true" : "false", acc_before, acc_after,
       serving.c_str());
   if (FILE* out = std::fopen("BENCH_stream.json", "w")) {
     std::fputs(json, out);
@@ -526,12 +438,6 @@ int main(int argc, char** argv) {
   if (!identical) {
     std::fprintf(stderr,
                  "FAIL: incremental and rebuilt imputations diverged\n");
-    return 1;
-  }
-  if (!pipeline_identical) {
-    std::fprintf(stderr,
-                 "FAIL: pipelined window imputation diverged from the "
-                 "serial path\n");
     return 1;
   }
   if (speedup < min_speedup) {

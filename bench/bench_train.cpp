@@ -6,11 +6,12 @@
 //  2. pipeline depth sweep: sampled training re-runs at each depth in
 //     --depths (default 0,2,4). Depth 0 is the serial baseline; deeper
 //     configs overlap sampling, shard I/O and feature gather with the
-//     forward/backward via the async batch-prep pipeline (GRIMP_PIPELINE,
-//     set per config). Batch contents are a pure function of
-//     (seed, epoch, batch), so every depth must train bit-identically —
-//     the bench checks exact per-epoch loss equality (and, in-memory,
-//     cell-identical imputations) and reports it as "bit_identical".
+//     forward/backward via the async batch-prep pipeline
+//     (TrainConfig::pipeline_depth, set per config). Batch contents are a
+//     pure function of (seed, epoch, batch), so every depth must train
+//     bit-identically — the bench checks exact per-epoch loss equality
+//     (and, in-memory, cell-identical imputations) and reports it as
+//     "bit_identical".
 //
 // Two dataset modes:
 //   --shards=0 (default): in-memory "adult" replica. Runs one full-graph
@@ -117,10 +118,8 @@ ConfigResult RunInMemory(const Table& clean, const CorruptedTable& corrupted,
     options.train.mode = TrainMode::kSampled;
     options.train.batch_size = batch;
     options.train.fanouts = {fanout, fanout};
+    options.train.pipeline_depth = depth;
   }
-  // Per config, so the depth sweep is immune to the caller's environment
-  // and exercises the same override path operators use.
-  setenv("GRIMP_PIPELINE", std::to_string(depth < 0 ? 0 : depth).c_str(), 1);
 
   ConfigResult result;
   result.name =
@@ -171,7 +170,7 @@ ConfigResult RunSharded(const Table& table, const GrimpOptions& base,
   options.graph.shard_mode = ShardMode::kSharded;
   options.graph.num_shards = shards;
   options.graph.max_resident_bytes = budget_bytes;
-  setenv("GRIMP_PIPELINE", std::to_string(depth).c_str(), 1);
+  options.train.pipeline_depth = depth;
 
   ConfigResult result;
   result.name = "sharded_d" + std::to_string(depth);
@@ -398,18 +397,19 @@ int main(int argc, char** argv) {
   std::printf("bit-identical across depths: %s\n",
               bit_identical ? "yes" : "NO");
 
-  char head[448];
+  char head[512];
   std::snprintf(head, sizeof(head),
                 "{\n  \"dataset\": \"%s\",\n  \"rows\": %lld,\n"
                 "  \"epochs\": %d,\n  \"max_samples_per_task\": %lld,\n"
                 "  \"batch_size\": %d,\n  \"fanout\": %d,\n"
                 "  \"sharded\": %s,\n  \"shards\": %d,\n"
                 "  \"budget_mb\": %lld,\n  \"max_threads\": %d,\n"
-                "  \"configs\": [\n",
+                "  \"hardware_concurrency\": %d,\n  \"configs\": [\n",
                 dataset, static_cast<long long>(clean.num_rows()), epochs,
                 static_cast<long long>(samples), batch, fanout,
                 sharded ? "true" : "false", shards,
-                static_cast<long long>(sharded ? budget_mb : 0), max_threads);
+                static_cast<long long>(sharded ? budget_mb : 0), max_threads,
+                grimp::bench::HardwareConcurrency());
   char tail[224];
   std::snprintf(tail, sizeof(tail),
                 "\n  ],\n  \"epoch_speedup\": %.4f,\n"

@@ -1,32 +1,25 @@
 #include "common/env.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace grimp {
 
 const char* EnvOverrides::Raw(const char* name) { return std::getenv(name); }
 
 int EnvOverrides::PositiveInt(const char* name, int fallback) {
-  const int64_t v = PositiveInt64(name, static_cast<int64_t>(fallback));
-  return static_cast<int>(v);
-}
-
-int64_t EnvOverrides::PositiveInt64(const char* name, int64_t fallback) {
   const char* raw = Raw(name);
   if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || v <= 0) return fallback;
-  return static_cast<int64_t>(v);
-}
-
-int EnvOverrides::NonNegativeInt(const char* name, int fallback) {
-  const char* raw = Raw(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || v < 0) return fallback;
+  for (const char* p = raw; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return fallback;  // signs, spaces, garbage
+  }
+  errno = 0;
+  const long long v = std::strtoll(raw, nullptr, 10);
+  if (errno == ERANGE || v <= 0 || v > std::numeric_limits<int>::max()) {
+    return fallback;
+  }
   return static_cast<int>(v);
 }
 

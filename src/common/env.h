@@ -13,32 +13,24 @@ namespace grimp {
 inline constexpr char kEnvNumThreads[] = "GRIMP_NUM_THREADS";
 inline constexpr char kEnvSimd[] = "GRIMP_SIMD";
 inline constexpr char kEnvArena[] = "GRIMP_ARENA";
-inline constexpr char kEnvShards[] = "GRIMP_SHARDS";
-inline constexpr char kEnvShardBudgetMb[] = "GRIMP_SHARD_BUDGET_MB";
-inline constexpr char kEnvPipeline[] = "GRIMP_PIPELINE";
 inline constexpr char kEnvMetricsJson[] = "GRIMP_METRICS_JSON";
 inline constexpr char kEnvLogLevel[] = "GRIMP_LOG_LEVEL";
 
 // Central parser for the GRIMP_* overrides. All accessors are tolerant:
 // an unset, empty or malformed variable falls back to the caller's
 // default instead of failing, because env overrides are operator
-// conveniences, not configuration of record.
+// conveniences, not configuration of record. Knobs that are configuration
+// of record (pipeline depth, shard count, shard budget) live only in
+// GrimpOptions.
 class EnvOverrides {
  public:
   // Raw value, or nullptr when unset.
   static const char* Raw(const char* name);
 
-  // Parsed integer when the variable is set to a value > 0; `fallback`
-  // otherwise (unset, empty, non-numeric, zero or negative).
+  // Parsed integer when the variable is all decimal digits with a value in
+  // [1, INT_MAX]; `fallback` otherwise (unset, empty, a sign, space or
+  // trailing garbage such as "4abc", zero, or out of range for int).
   static int PositiveInt(const char* name, int fallback);
-  static int64_t PositiveInt64(const char* name, int64_t fallback);
-
-  // Parsed integer when the variable is set to a value >= 0; `fallback`
-  // otherwise (unset, empty, non-numeric or negative). For knobs where an
-  // explicit "0" is meaningful and must not collapse into the fallback
-  // (GRIMP_PIPELINE=0 forces the serial training path regardless of
-  // TrainConfig::pipeline_depth).
-  static int NonNegativeInt(const char* name, int fallback);
 
   // Non-empty string value, else `fallback`.
   static std::string String(const char* name, const std::string& fallback);

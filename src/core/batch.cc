@@ -1,0 +1,101 @@
+#include "core/batch.h"
+
+#include <algorithm>
+#include <utility>
+
+#include "common/rng.h"
+#include "common/thread_pool.h"
+#include "common/trace.h"
+
+namespace grimp {
+
+namespace {
+
+constexpr int kDefaultFanout = 10;
+
+}  // namespace
+
+std::vector<int> FanoutsOrDefault(std::vector<int> fanouts, int num_layers) {
+  if (fanouts.empty()) {
+    fanouts.assign(static_cast<size_t>(num_layers), kDefaultFanout);
+  }
+  return fanouts;
+}
+
+BatchScratch::BatchScratch(const GraphStore* store, std::vector<int> fanouts)
+    : sampler(store, std::move(fanouts)) {}
+
+void PrepareSampledBatch(std::span<const int32_t> idx, uint64_t rng_seed,
+                         const Tensor& node_features, BatchScratch* scratch,
+                         PreparedBatch* out) {
+  std::vector<int32_t>& seed_local = scratch->seed_local;
+  const int64_t num_nodes = scratch->sampler.store().num_nodes();
+  if (static_cast<int64_t>(seed_local.size()) < num_nodes) {
+    seed_local.assign(static_cast<size_t>(num_nodes), -1);
+  }
+
+  TraceSpan sample_span("batch.sample");
+  out->seeds.clear();
+  for (const int32_t node : idx) {
+    if (node < 0) continue;
+    int32_t& slot = seed_local[static_cast<size_t>(node)];
+    if (slot < 0) {
+      slot = static_cast<int32_t>(out->seeds.size());
+      out->seeds.push_back(node);
+    }
+  }
+  if (out->seeds.empty()) out->seeds.push_back(0);
+  Rng rng(rng_seed);
+  scratch->sampler.Sample(out->seeds, &rng, &out->sub);
+  sample_span.Stop();
+
+  TraceSpan gather_span("batch.gather");
+  out->feats = GatherFeatureRows(node_features, out->sub.input_nodes);
+  out->local_idx.resize(idx.size());
+  for (size_t i = 0; i < idx.size(); ++i) {
+    out->local_idx[i] =
+        idx[i] < 0 ? -1 : seed_local[static_cast<size_t>(idx[i])];
+  }
+  // Restore the all -1 remap for the scratch's next batch. (The dummy-seed
+  // case clears node 0's slot, which was already -1: harmless.)
+  for (const int32_t node : out->seeds) {
+    seed_local[static_cast<size_t>(node)] = -1;
+  }
+}
+
+Tape::VarId TaskHeadForward(Tape* tape, const TaskHead& head, Tape::VarId h,
+                            const std::vector<int32_t>* idx, int num_cols,
+                            int dim) {
+  const int64_t n = static_cast<int64_t>(idx->size()) / num_cols;
+  Tape::VarId flat = tape->GatherRows(h, idx);
+  return head.Forward(
+      tape, tape->Reshape(flat, n, static_cast<int64_t>(num_cols) * dim));
+}
+
+Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
+                         const TaskHead& head, PreparedBatch* batch,
+                         int num_cols, int dim) {
+  Tape::VarId feats = tape->Constant(std::move(batch->feats));
+  Tape::VarId h = gnn.ForwardBlocks(tape, feats, batch->sub);
+  return TaskHeadForward(tape, head, shared.Forward(tape, h),
+                         &batch->local_idx, num_cols, dim);
+}
+
+Tensor GatherFeatureRows(const Tensor& features,
+                         const std::vector<int32_t>& nodes) {
+  const int64_t dim = features.cols();
+  Tensor out = Tensor::Uninit(static_cast<int64_t>(nodes.size()), dim);
+  ParallelFor(0, static_cast<int64_t>(nodes.size()), 512,
+              [&](int64_t lo, int64_t hi) {
+                for (int64_t i = lo; i < hi; ++i) {
+                  const float* src =
+                      features.data() +
+                      static_cast<int64_t>(nodes[static_cast<size_t>(i)]) *
+                          dim;
+                  std::copy(src, src + dim, out.data() + i * dim);
+                }
+              });
+  return out;
+}
+
+}  // namespace grimp

@@ -13,7 +13,7 @@
 #include "tensor/simd.h"
 #include "common/trace.h"
 #include "core/corpus.h"
-#include "core/pipeline.h"
+#include "core/batch.h"
 #include "graph/builder.h"
 #include "graph/sampler.h"
 #include "graph/store.h"
@@ -45,7 +45,6 @@ void AppendRowIndices(const Table& table, const TableGraph& tg, int64_t row,
 constexpr uint64_t kStreamSalt = 0x73747265616dULL;  // "stream"
 // Salt for Resume's sample selection / fine-tune streams.
 constexpr uint64_t kResumeSalt = 0x726573756d65ULL;  // "resume"
-constexpr int kStreamDefaultFanout = 10;  // trainer's kDefaultFanout
 
 // Sharded training must not enumerate every present cell up front (the
 // corpus alone would rival the graph in size), so when the caller has not
@@ -423,11 +422,8 @@ Result<Table> GrimpEngine::FitImpute(const Table& dirty) {
   for (size_t t = 0; t < tasks_.size(); ++t) {
     if (cells[t].empty()) continue;
     const int64_t n = static_cast<int64_t>(cells[t].size());
-    Tape::VarId flat = tape.GatherRows(h_shared, idx[t]);
-    Tape::VarId out = tasks_[t].head->Forward(
-        &tape,
-        tape.Reshape(flat, n, static_cast<int64_t>(num_cols) * options_.dim));
-    const Tensor& scores = tape.value(out);
+    const Tensor& scores = tape.value(TaskHeadForward(
+        &tape, *tasks_[t].head, h_shared, &idx[t], num_cols, options_.dim));
     for (int64_t i = 0; i < n; ++i) {
       CellWrite& cell = cells[t][static_cast<size_t>(i)];
       if (Decode(tasks_[t], scores, i, &cell)) Apply(cell, &imputed);
@@ -905,11 +901,8 @@ Status GrimpEngine::TransformMany(std::span<Table* const> tables,
       }
     }
     if (rows.empty()) continue;
-    Tape::VarId flat = tape.GatherRows(h_shared, &idx);
-    Tape::VarId out = task.head->Forward(
-        &tape, tape.Reshape(flat, static_cast<int64_t>(rows.size()),
-                            static_cast<int64_t>(num_cols) * dim));
-    const Tensor& scores = tape.value(out);
+    const Tensor& scores = tape.value(
+        TaskHeadForward(&tape, *task.head, h_shared, &idx, num_cols, dim));
     for (size_t i = 0; i < rows.size(); ++i) {
       CellWrite cell{rows[i].first, rows[i].second, task.col};
       if (Decode(task, scores, static_cast<int64_t>(i), &cell)) {
@@ -940,98 +933,49 @@ Status GrimpEngine::TransformStream(Table* window,
   const int num_cols = schema_.num_fields();
   const int dim = options_.dim;
 
-  std::vector<int> fanouts =
-      ctx.fanouts.empty() ? options_.train.fanouts : ctx.fanouts;
-  if (fanouts.empty()) {
-    fanouts.assign(static_cast<size_t>(gnn_.num_layers()),
-                   kStreamDefaultFanout);
-  }
-
-  // One pipeline batch per task, prepared (window scan, sampling — which
-  // prefetches/pins shards — and feature gather) up to `depth` tasks ahead
-  // of the forward the consumer is running. Batch ids are task positions,
-  // and each task's sampling stream is keyed on (seed, task, nonce), so
-  // imputations are bit-identical at every depth. A window with nothing to
-  // impute for a task still occupies its pipeline position with bn == 0.
-  BatchPipeline pipeline(
-      BatchPipeline::ResolveDepth(options_.train.pipeline_depth), ctx.store,
-      std::move(fanouts));
-  const auto prepare = [&](int64_t b, PreparedBatch* out,
-                           const PipelineScratch& scratch) {
-    const TaskState& task = tasks_[static_cast<size_t>(b)];
-    out->bn = 0;
-    // local_idx first holds the *global* gather node ids, remapped to
-    // block-local ids in place after sampling.
-    out->local_idx.clear();
-    out->rows.clear();
+  // One sampled batch per task, prepared inline. Each task's sampling
+  // stream is keyed on (seed, task, nonce), so imputations are a pure
+  // function of the graph, the window and the nonce.
+  BatchScratch scratch(
+      ctx.store,
+      FanoutsOrDefault(ctx.fanouts.empty() ? options_.train.fanouts
+                                           : ctx.fanouts,
+                       gnn_.num_layers()));
+  PreparedBatch batch;
+  std::vector<int32_t> idx;
+  std::vector<int64_t> rows;
+  Tape tape;
+  // Deferred writes, exactly like batch mode: every live-table read happens
+  // before the window is mutated.
+  std::vector<CellWrite> decisions;
+  for (size_t t = 0; t < tasks_.size(); ++t) {
+    const TaskState& task = tasks_[t];
+    idx.clear();
+    rows.clear();
     for (int64_t r = 0; r < w; ++r) {
       const int64_t live_row = ctx.row_begin + r;
       if (!live.IsMissing(live_row, task.col)) continue;
       AppendRowIndices(live, *ctx.tg, live_row, task.col, /*node_offset=*/0,
-                       &out->local_idx);
-      out->rows.push_back(r);
+                       &idx);
+      rows.push_back(r);
     }
-    if (out->rows.empty()) return;
+    if (rows.empty()) continue;
 
-    // Seeds: the distinct gathered cell nodes, in first-seen order (fixes
-    // the block's local ids, like the trainer's sampled path).
-    std::vector<int32_t>& seed_local = *scratch.seed_local;
-    out->seeds.clear();
-    for (const int32_t node : out->local_idx) {
-      if (node < 0) continue;
-      int32_t& slot = seed_local[static_cast<size_t>(node)];
-      if (slot < 0) {
-        slot = static_cast<int32_t>(out->seeds.size());
-        out->seeds.push_back(node);
-      }
-    }
-    if (out->seeds.empty()) out->seeds.push_back(0);  // fully-masked rows
-    Rng rng(MixSeed(options_.seed ^ kStreamSalt, static_cast<uint64_t>(b),
-                    ctx.nonce));
-    scratch.sampler->Sample(out->seeds, &rng, &out->sub);
-
-    out->feats = GatherFeatureRows(*ctx.node_features, out->sub.input_nodes);
-    for (int32_t& node : out->local_idx) {
-      node = node < 0 ? -1 : seed_local[static_cast<size_t>(node)];
-    }
-    for (const int32_t node : out->seeds) {
-      seed_local[static_cast<size_t>(node)] = -1;
-    }
-    out->bn = static_cast<int64_t>(out->rows.size());
-  };
-
-  Tape tape;
-
-  // Deferred writes, exactly like batch mode: every live-table read happens
-  // before the window is mutated (preparation reads the live table too, so
-  // the pipeline must fully drain before the writes below).
-  std::vector<CellWrite> decisions;
-
-  pipeline.Begin(static_cast<int64_t>(tasks_.size()), prepare);
-  for (const TaskState& task : tasks_) {
-    // Reset first: the previous task's tape closures borrow the pipeline
-    // slot's adjacency and gather-index storage, and Next() releases that
-    // slot for recycling.
     tape.Reset();
-    PreparedBatch& batch = pipeline.Next();
-    if (batch.bn == 0) continue;
-
-    Tape::VarId feats = tape.Constant(std::move(batch.feats));
-    Tape::VarId h = gnn_.ForwardBlocks(&tape, feats, batch.sub);
-    Tape::VarId h_shared = shared_.Forward(&tape, h);
-    Tape::VarId flat = tape.GatherRows(h_shared, &batch.local_idx);
-    Tape::VarId out = task.head->Forward(
-        &tape, tape.Reshape(flat, batch.bn,
-                            static_cast<int64_t>(num_cols) * dim));
+    PrepareSampledBatch(idx,
+                        MixSeed(options_.seed ^ kStreamSalt,
+                                static_cast<uint64_t>(t), ctx.nonce),
+                        *ctx.node_features, &scratch, &batch);
+    Tape::VarId out = ForwardBatch(&tape, gnn_, shared_, *task.head, &batch,
+                                   num_cols, dim);
     const Tensor& scores = tape.value(out);
-    for (size_t i = 0; i < batch.rows.size(); ++i) {
-      CellWrite cell{0, batch.rows[i], task.col};
+    for (size_t i = 0; i < rows.size(); ++i) {
+      CellWrite cell{0, rows[i], task.col};
       if (Decode(task, scores, static_cast<int64_t>(i), &cell)) {
         decisions.push_back(cell);
       }
     }
   }
-  pipeline.End();
 
   for (const CellWrite& cell : decisions) Apply(cell, window);
   TensorArena::Global().PublishMetrics();

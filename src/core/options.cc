@@ -86,9 +86,11 @@ Status GrimpOptions::Validate() const {
         "GrimpOptions.train.batch_size must be >= 0, got " +
         std::to_string(train.batch_size));
   }
-  if (train.pipeline_depth < 0) {
+  if (train.pipeline_depth < 0 ||
+      train.pipeline_depth > TrainConfig::kMaxPipelineDepth) {
     return Status::InvalidArgument(
-        "GrimpOptions.train.pipeline_depth must be >= 0, got " +
+        "GrimpOptions.train.pipeline_depth must be in [0, " +
+        std::to_string(TrainConfig::kMaxPipelineDepth) + "], got " +
         std::to_string(train.pipeline_depth));
   }
   if (!train.fanouts.empty() &&

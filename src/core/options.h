@@ -49,15 +49,19 @@ struct TrainConfig {
   // with weights worse (by validation loss) than the ones it started from
   // — if no epoch improves, the restore hands the originals back.
   bool warm_start = false;
-  // Async batch-preparation lookahead for sampled mode (and streaming
-  // window inference): producer threads sample / prefetch shards / gather
-  // features for up to this many future batches while the consumer runs
-  // forward/backward on the current one. 0 (the default) is the serial
-  // path; any depth produces bit-identical losses and imputations because
-  // per-batch RNG streams are keyed on (seed, epoch, batch), not on who
-  // prepares the batch. Overridable at runtime via GRIMP_PIPELINE
-  // (GRIMP_PIPELINE=0 forces serial even when this is > 0).
+  // Async batch-preparation lookahead for sampled training only: producer
+  // threads sample / prefetch shards / gather features for up to this many
+  // future batches while the consumer runs forward/backward on the current
+  // one. 0 (the default) is the serial path; any depth produces
+  // bit-identical losses and imputations because per-batch RNG streams are
+  // keyed on (seed, epoch, batch), not on who prepares the batch. Must lie
+  // in [0, kMaxPipelineDepth]. The default stays 0 because the extra slots
+  // cost peak memory (~12% more peak RSS at depth 4 on the sharded
+  // benchmark, grimpbench train_sharded).
   int pipeline_depth = 0;
+  // Lookahead ceiling; deeper pipelines only add slot memory without
+  // hiding more latency than the slowest stage allows.
+  static constexpr int kMaxPipelineDepth = 16;
 };
 
 // (All name/parse helpers for the enums above live in core/names.h.)

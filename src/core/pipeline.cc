@@ -4,11 +4,11 @@
 #include <chrono>
 #include <utility>
 
-#include "common/env.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "core/options.h"
 
 namespace grimp {
 
@@ -39,10 +39,10 @@ PipelineMetrics& Metrics() {
 
 BatchPipeline::BatchPipeline(int depth, const GraphStore* store,
                              std::vector<int> fanouts)
-    : depth_(std::clamp(depth, 0, kMaxDepth)),
-      store_(store),
-      fanouts_(std::move(fanouts)) {
+    : depth_(depth), store_(store), fanouts_(std::move(fanouts)) {
   GRIMP_CHECK(store_ != nullptr);
+  GRIMP_CHECK(depth_ >= 0 && depth_ <= TrainConfig::kMaxPipelineDepth)
+      << "pipeline depth " << depth_;
   slots_.resize(static_cast<size_t>(depth_) + 1);
   // More producers than the lookahead can never claim work; beyond a few,
   // extra threads only add O(num_nodes) dense-remap scratch per sampler.
@@ -64,26 +64,11 @@ BatchPipeline::~BatchPipeline() {
   }
 }
 
-int BatchPipeline::ResolveDepth(int config_depth) {
-  const int depth = EnvOverrides::NonNegativeInt(kEnvPipeline, config_depth);
-  return std::clamp(depth, 0, kMaxDepth);
-}
-
-void BatchPipeline::EnsureScratch(NeighborSampler** sampler,
-                                  std::vector<int32_t>** seed_local,
-                                  Producer* self) {
-  std::unique_ptr<NeighborSampler>& slot =
-      self != nullptr ? self->sampler : inline_sampler_;
-  std::vector<int32_t>& remap =
-      self != nullptr ? self->seed_local : inline_seed_local_;
-  if (slot == nullptr) {
-    slot = std::make_unique<NeighborSampler>(store_, fanouts_);
+BatchScratch* BatchPipeline::Scratch(std::unique_ptr<BatchScratch>* scratch) {
+  if (*scratch == nullptr) {
+    *scratch = std::make_unique<BatchScratch>(store_, fanouts_);
   }
-  if (static_cast<int64_t>(remap.size()) < store_->num_nodes()) {
-    remap.assign(static_cast<size_t>(store_->num_nodes()), -1);
-  }
-  *sampler = slot.get();
-  *seed_local = &remap;
+  return scratch->get();
 }
 
 void BatchPipeline::Begin(int64_t total_batches, PrepareFn prepare) {
@@ -122,9 +107,7 @@ void BatchPipeline::ProducerMain(Producer* self) {
         b % static_cast<int64_t>(slots_.size()))];
     {
       TraceSpan prepare_span("train.pipeline.prepare");
-      PipelineScratch scratch;
-      EnsureScratch(&scratch.sampler, &scratch.seed_local, self);
-      prepare_(b, &slot.batch, scratch);
+      prepare_(b, &slot.batch, Scratch(&self->scratch));
     }
 
     lock.lock();
@@ -146,9 +129,7 @@ PreparedBatch& BatchPipeline::Next() {
     const int64_t k = consume_next_++;
     Slot& slot = slots_[static_cast<size_t>(
         k % static_cast<int64_t>(slots_.size()))];
-    PipelineScratch scratch;
-    EnsureScratch(&scratch.sampler, &scratch.seed_local, nullptr);
-    prepare_(k, &slot.batch, scratch);
+    prepare_(k, &slot.batch, Scratch(&inline_scratch_));
     metrics.produced.Increment();
     metrics.consumed.Increment();
     return slot.batch;
@@ -197,23 +178,6 @@ void BatchPipeline::End() {
   running_ = false;
   prepare_ = nullptr;
   for (Slot& slot : slots_) slot.ready_batch = -1;
-}
-
-Tensor GatherFeatureRows(const Tensor& features,
-                         const std::vector<int32_t>& nodes) {
-  const int64_t dim = features.cols();
-  Tensor out = Tensor::Uninit(static_cast<int64_t>(nodes.size()), dim);
-  ParallelFor(0, static_cast<int64_t>(nodes.size()), 512,
-              [&](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i) {
-                  const float* src =
-                      features.data() +
-                      static_cast<int64_t>(nodes[static_cast<size_t>(i)]) *
-                          dim;
-                  std::copy(src, src + dim, out.data() + i * dim);
-                }
-              });
-  return out;
 }
 
 }  // namespace grimp

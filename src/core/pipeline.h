@@ -9,56 +9,17 @@
 #include <thread>
 #include <vector>
 
-#include "graph/sampler.h"
+#include "core/batch.h"
 #include "graph/store.h"
-#include "tensor/tensor.h"
 
 namespace grimp {
 
-// One fully prepared minibatch: everything a training or inference step
-// needs short of running the tape. All members are recycled slot storage —
-// the vectors keep their capacity and the subgraph is refilled through
-// NeighborSampler's scavenging overload, so steady-state preparation
-// performs no heap allocations once capacities have grown to the largest
-// batch seen (feats comes from the pooled tensor arena).
-struct PreparedBatch {
-  // The batch's distinct seed nodes in first-seen order (block local ids).
-  std::vector<int32_t> seeds;
-  // Sampled receptive field over the seeds.
-  SampledSubgraph sub;
-  // Input features gathered for sub.input_nodes (|input_nodes| x dim).
-  Tensor feats;
-  // Per-sample-cell local gather index into the block output (-1 == masked
-  // cell), |batch| * num_cols entries.
-  std::vector<int32_t> local_idx;
-  // Task labels / regression targets for the batch's samples (one of the
-  // two is filled, matching the task's kind).
-  std::vector<int32_t> labels;
-  std::vector<float> targets;
-  // Streaming inference only: window-local row id per batch sample.
-  std::vector<int64_t> rows;
-  // Samples in this batch. 0 marks a batch the consumer should skip
-  // (streaming windows with nothing to impute still occupy a pipeline
-  // position so batch ids stay aligned with task order).
-  int64_t bn = 0;
-};
-
-// Per-producer scratch handed to every PrepareFn invocation. One instance
-// per pipeline thread (and one for the consumer at depth 0), because a
-// NeighborSampler must not run concurrent Sample calls — its dense remap
-// and vector pool are per-instance state. Sampler scratch never influences
-// sampled content (draws are keyed per (nonce, layer, type, node)), so
-// every producer yields bit-identical batches.
-struct PipelineScratch {
-  // Sampler over the pipeline's store, with the pipeline's fanouts.
-  NeighborSampler* sampler = nullptr;
-  // Dense node -> batch-local slot remap, sized >= store->num_nodes() and
-  // all -1 on entry; the PrepareFn must restore the -1s before returning.
-  std::vector<int32_t>* seed_local = nullptr;
-};
-
-// Bounded-depth asynchronous batch-preparation pipeline (the DGL-style
-// prefetching dataloader, specialized to GRIMP's deterministic batches).
+// Bounded-depth asynchronous batch-preparation pipeline for sampled
+// training (the DGL-style prefetching dataloader, specialized to GRIMP's
+// deterministic batches). Only the Trainer uses it: with spare hardware
+// threads it pays on sharded epochs, whose batch prep includes shard loads
+// (DESIGN.md §14). Streaming window inference — one batch per task — never
+// profited and prepares its batches inline.
 //
 // `depth` is the lookahead: producer threads run the caller's PrepareFn —
 // sampling (which prefetches and pins shards), feature gathering, label
@@ -70,9 +31,8 @@ struct PipelineScratch {
 //
 // Determinism: a batch's content is a pure function of (batch id, the
 // caller's per-batch seed derivation, the graph) — never of which producer
-// prepared it or when — so losses and imputations are bit-identical to the
-// serial path at any depth and thread count. See DESIGN.md §14 for the
-// full argument.
+// prepared it or when — so losses are bit-identical to the serial path at
+// any depth and thread count. See DESIGN.md §14 for the full argument.
 //
 // Slot-recycling contract: the consumer may borrow freely from the
 // PreparedBatch returned by Next() (tape closures borrow its adjacency and
@@ -98,13 +58,14 @@ class BatchPipeline {
   // randomness from `batch` (and state fixed before Begin), never from
   // shared mutable state — the function runs concurrently on multiple
   // producer threads for different batch ids.
-  using PrepareFn =
-      std::function<void(int64_t batch, PreparedBatch* out,
-                         const PipelineScratch& scratch)>;
+  using PrepareFn = std::function<void(int64_t batch, PreparedBatch* out,
+                                       BatchScratch* scratch)>;
 
-  // `store` must outlive the pipeline; `fanouts` are the per-layer sampler
-  // fanouts (already defaulted by the caller). Producer threads (min(depth,
-  // 4)) start here and live until destruction, parked between runs.
+  // `depth` must lie in [0, TrainConfig::kMaxPipelineDepth] (validated by
+  // GrimpOptions::Validate). `store` must outlive the pipeline; `fanouts`
+  // are the per-layer sampler fanouts (already defaulted by the caller).
+  // Producer threads (min(depth, 4)) start here and live until
+  // destruction, parked between runs.
   BatchPipeline(int depth, const GraphStore* store, std::vector<int> fanouts);
   ~BatchPipeline();
 
@@ -127,29 +88,19 @@ class BatchPipeline {
   // Begin starts clean. Prepared-but-unconsumed batches are discarded.
   void End();
 
-  // Effective depth for a run: GRIMP_PIPELINE when set (0 forces serial),
-  // else `config_depth` (TrainConfig::pipeline_depth), clamped to
-  // [0, kMaxDepth].
-  static int ResolveDepth(int config_depth);
-
-  // Lookahead ceiling; deeper pipelines only add slot memory without
-  // hiding more latency than the slowest stage allows.
-  static constexpr int kMaxDepth = 16;
-
  private:
   struct Slot {
     PreparedBatch batch;
     int64_t ready_batch = -1;  // batch id published in this slot
   };
   struct Producer {
-    std::unique_ptr<NeighborSampler> sampler;
-    std::vector<int32_t> seed_local;
+    std::unique_ptr<BatchScratch> scratch;
     std::thread thread;
   };
 
   void ProducerMain(Producer* self);
-  void EnsureScratch(NeighborSampler** sampler,
-                     std::vector<int32_t>** seed_local, Producer* self);
+  // *scratch, created on first use.
+  BatchScratch* Scratch(std::unique_ptr<BatchScratch>* scratch);
 
   const int depth_;
   const GraphStore* store_;
@@ -157,8 +108,7 @@ class BatchPipeline {
   std::vector<Slot> slots_;         // depth + 1 recycled slots
   std::vector<Producer> producers_;
   // Depth-0 (inline) scratch, created lazily on first Next().
-  std::unique_ptr<NeighborSampler> inline_sampler_;
-  std::vector<int32_t> inline_seed_local_;
+  std::unique_ptr<BatchScratch> inline_scratch_;
 
   std::mutex mu_;
   std::condition_variable producer_cv_;  // producers wait for claimable work
@@ -174,13 +124,6 @@ class BatchPipeline {
   bool running_ = false;
   bool stop_ = false;
 };
-
-// Gathers rows `nodes` of `features` into a fresh arena-backed
-// |nodes| x features.cols() matrix, chunked on the global pool (grain 512;
-// rows are disjoint, so results are bit-identical at every thread count —
-// and on pipeline producer threads the chunks run inline).
-Tensor GatherFeatureRows(const Tensor& features,
-                         const std::vector<int32_t>& nodes);
 
 }  // namespace grimp
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
@@ -16,7 +17,8 @@ namespace grimp {
 
 namespace {
 
-constexpr int kDefaultFanout = 10;
+// Salt separating validation streams from training streams.
+constexpr uint64_t kValSalt = 0x76616c6964ULL;  // "valid"
 
 std::chrono::steady_clock::time_point Now() {
   return std::chrono::steady_clock::now();
@@ -24,6 +26,18 @@ std::chrono::steady_clock::time_point Now() {
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(Now() - t0).count();
+}
+
+// The task's loss on head output `out`: focal or cross-entropy for
+// categorical tasks, MSE for numerical ones. Borrows labels/targets.
+Tape::VarId TaskLoss(Tape* tape, const TrainTask& task, float focal_gamma,
+                     Tape::VarId out, const std::vector<int32_t>& labels,
+                     const std::vector<float>& targets) {
+  if (task.categorical) {
+    return focal_gamma > 0.0f ? tape->FocalLoss(out, &labels, focal_gamma)
+                              : tape->SoftmaxCrossEntropy(out, &labels);
+  }
+  return tape->MseLoss(out, &targets);
 }
 
 }  // namespace
@@ -49,54 +63,49 @@ Trainer::Trainer(const GrimpOptions& options, const GraphStore* store,
               store_->full_graph() != nullptr);
 }
 
+Tape::VarId Trainer::FullForward() {
+  tape_.Reset();  // reuse node slots from the previous pass
+  Tape::VarId feats = tape_.Constant(*node_features_);
+  Tape::VarId h = options_.use_gnn
+                      ? gnn_->Forward(&tape_, feats, *store_->full_graph())
+                      : feats;
+  return shared_->Forward(&tape_, h);
+}
+
+Tape::VarId Trainer::FullTaskLoss(const TrainTask& task, Tape::VarId h_shared,
+                                  bool validation) {
+  // Borrowing overloads throughout: the task's index/label/target vectors
+  // are Trainer members, alive well past the tape's backward pass.
+  Tape::VarId out =
+      TaskHeadForward(&tape_, *task.head, h_shared,
+                      validation ? &task.val_idx : &task.train_idx, num_cols_,
+                      options_.dim);
+  return validation ? TaskLoss(&tape_, task, options_.focal_gamma, out,
+                               task.val_labels, task.val_targets)
+                    : TaskLoss(&tape_, task, options_.focal_gamma, out,
+                               task.train_labels, task.train_targets);
+}
+
 Trainer::EpochResult Trainer::RunFullEpoch(Adam* opt, double* val_loss_sum,
                                            bool* has_val) {
-  const int dim = options_.dim;
   EpochResult result;
-  tape_.Reset();  // reuse node slots from the previous epoch
-  Tape& tape = tape_;
-  Tape::VarId feats = tape.Constant(*node_features_);
-  Tape::VarId h = options_.use_gnn
-                      ? gnn_->Forward(&tape, feats, *store_->full_graph())
-                      : feats;
-  Tape::VarId h_shared = shared_->Forward(&tape, h);
-
+  Tape::VarId h_shared = FullForward();
   Tape::VarId total_loss = -1;
-  for (TrainTask& task : tasks_) {
-    // Borrowing overloads throughout: the task's index/label/target vectors
-    // are Trainer members, alive well past the tape's backward pass.
-    auto task_forward = [&](const std::vector<int32_t>& idx) {
-      const int64_t n = static_cast<int64_t>(idx.size()) / num_cols_;
-      Tape::VarId flat = tape.GatherRows(h_shared, &idx);
-      Tape::VarId vecs =
-          tape.Reshape(flat, n, static_cast<int64_t>(num_cols_) * dim);
-      return task.head->Forward(&tape, vecs);
-    };
-    auto task_loss = [&](Tape::VarId out, const std::vector<int32_t>& labels,
-                         const std::vector<float>& targets) {
-      if (task.categorical) {
-        return options_.focal_gamma > 0.0f
-                   ? tape.FocalLoss(out, &labels, options_.focal_gamma)
-                   : tape.SoftmaxCrossEntropy(out, &labels);
-      }
-      return tape.MseLoss(out, &targets);
-    };
+  for (const TrainTask& task : tasks_) {
     if (!task.train_idx.empty()) {
-      Tape::VarId out = task_forward(task.train_idx);
-      Tape::VarId loss =
-          task_loss(out, task.train_labels, task.train_targets);
-      total_loss = total_loss < 0 ? loss : tape.Add(total_loss, loss);
+      Tape::VarId loss = FullTaskLoss(task, h_shared, /*validation=*/false);
+      total_loss = total_loss < 0 ? loss : tape_.Add(total_loss, loss);
     }
     if (!task.val_idx.empty()) {
-      Tape::VarId out = task_forward(task.val_idx);
-      Tape::VarId loss = task_loss(out, task.val_labels, task.val_targets);
-      *val_loss_sum += tape.value(loss).scalar();
+      *val_loss_sum +=
+          tape_.value(FullTaskLoss(task, h_shared, /*validation=*/true))
+              .scalar();
       *has_val = true;
     }
   }
   if (total_loss < 0) return result;  // nothing to train on
-  result.train_loss = tape.value(total_loss).scalar();
-  tape.Backward(total_loss);
+  result.train_loss = tape_.value(total_loss).scalar();
+  tape_.Backward(total_loss);
   opt->ClipGradNorm(options_.grad_clip);
   opt->Step();
   opt->ZeroGrad();
@@ -105,65 +114,30 @@ Trainer::EpochResult Trainer::RunFullEpoch(Adam* opt, double* val_loss_sum,
   return result;
 }
 
-void Trainer::EnsurePipeline() {
-  if (pipeline_ != nullptr) return;
-  std::vector<int> fanouts = options_.train.fanouts;
-  if (fanouts.empty()) {
-    fanouts.assign(static_cast<size_t>(gnn_->num_layers()), kDefaultFanout);
+double Trainer::ValidationLoss(bool* has_val) {
+  if (store_->full_graph() == nullptr) {
+    return RunSampledPass(/*epoch=*/0, /*opt=*/nullptr, has_val);
   }
-  pipeline_ = std::make_unique<BatchPipeline>(
-      BatchPipeline::ResolveDepth(options_.train.pipeline_depth), store_,
-      std::move(fanouts));
+  Tape::VarId h_shared = FullForward();
+  double val_loss_sum = 0.0;
+  for (const TrainTask& task : tasks_) {
+    if (task.val_idx.empty()) continue;
+    val_loss_sum +=
+        tape_.value(FullTaskLoss(task, h_shared, /*validation=*/true))
+            .scalar();
+    *has_val = true;
+  }
+  return val_loss_sum;
 }
 
 void Trainer::PrepareBatch(const BatchPlan& plan, bool validation,
-                           PreparedBatch* out,
-                           const PipelineScratch& scratch) const {
+                           PreparedBatch* out, BatchScratch* scratch) const {
   const TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
-  const std::vector<int32_t>& task_idx =
-      validation ? task.val_idx : task.train_idx;
-  const int32_t* idx =
-      task_idx.data() + plan.start * static_cast<int64_t>(num_cols_);
-  const int64_t idx_len = plan.bn * static_cast<int64_t>(num_cols_);
-  Rng rng(plan.seed);
-  std::vector<int32_t>& seed_local = *scratch.seed_local;
-
-  // Seeds: the distinct non-masked cell nodes this batch gathers, in
-  // first-seen order (the sampler requires distinct seeds; the order
-  // fixes the block's local ids).
-  TraceSpan sample_span("train.sample");
-  out->seeds.clear();
-  for (int64_t i = 0; i < idx_len; ++i) {
-    const int32_t node = idx[i];
-    if (node < 0) continue;
-    int32_t& slot = seed_local[static_cast<size_t>(node)];
-    if (slot < 0) {
-      slot = static_cast<int32_t>(out->seeds.size());
-      out->seeds.push_back(node);
-    }
-  }
-  // A batch of fully-masked vectors still trains its head (on zero
-  // vectors); feed the sampler a dummy seed so the forward type-checks.
-  if (out->seeds.empty()) out->seeds.push_back(0);
-  scratch.sampler->Sample(out->seeds, &rng, &out->sub);
-  sample_span.Stop();
-
-  // Gather the receptive field's input features into a compact matrix.
-  TraceSpan gather_span("train.gather");
-  out->feats = GatherFeatureRows(*node_features_, out->sub.input_nodes);
-  out->local_idx.resize(static_cast<size_t>(idx_len));
-  for (int64_t i = 0; i < idx_len; ++i) {
-    out->local_idx[static_cast<size_t>(i)] =
-        idx[i] < 0 ? -1 : seed_local[static_cast<size_t>(idx[i])];
-  }
-  // Restore the dense seed remap for this scratch's next batch. (The
-  // dummy-seed case clears node 0's slot, which was already -1: harmless.)
-  for (const int32_t node : out->seeds) {
-    seed_local[static_cast<size_t>(node)] = -1;
-  }
-  gather_span.Stop();
-
-  out->bn = plan.bn;
+  const std::span<const int32_t> idx(validation ? task.val_idx
+                                                : task.train_idx);
+  PrepareSampledBatch(idx.subspan(static_cast<size_t>(plan.start * num_cols_),
+                                  static_cast<size_t>(plan.bn * num_cols_)),
+                      plan.seed, *node_features_, scratch, out);
   if (task.categorical) {
     const std::vector<int32_t>& labels =
         validation ? task.val_labels : task.train_labels;
@@ -177,53 +151,63 @@ void Trainer::PrepareBatch(const BatchPlan& plan, bool validation,
   }
 }
 
-Trainer::EpochResult Trainer::RunSampledEpoch(int epoch, Adam* opt) {
-  const int dim = options_.dim;
+double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
+  const bool training = opt != nullptr;
   const int64_t batch_size = options_.train.batch_size;
-  EnsurePipeline();
-  Series& batch_loss_series =
-      MetricsRegistry::Global().GetSeries("grimp.batch.train_loss");
+  if (pipeline_ == nullptr) {
+    pipeline_ = std::make_unique<BatchPipeline>(
+        options_.train.pipeline_depth, store_,
+        FanoutsOrDefault(options_.train.fanouts, gnn_->num_layers()));
+  }
+  const auto num_samples = [training](const TrainTask& task) {
+    return training ? task.NumTrain() : task.NumVal();
+  };
 
-  EpochResult result;
   // Batch ids are assigned in (task, offset) order — a pure function of
-  // the training data, so each batch's sampling stream is stable across
-  // runs, thread counts and pipeline depths. The plans are fixed before
-  // the pipeline starts; producers only ever read them.
+  // the data, so each batch's sampling stream is stable across runs,
+  // thread counts and pipeline depths. The plans are fixed before the
+  // pipeline starts; producers only ever read them.
   plans_.clear();
   uint64_t batch_id = 0;
   for (size_t t = 0; t < tasks_.size(); ++t) {
-    const int64_t n = tasks_[t].NumTrain();
-    if (n == 0) continue;
+    const int64_t n = num_samples(tasks_[t]);
     for (int64_t start = 0; start < n; start += batch_size) {
       BatchPlan plan;
       plan.task = static_cast<int>(t);
       plan.start = start;
       plan.bn = std::min(batch_size, n - start);
-      // Keyed on (run seed, epoch, stable batch id): the sampled blocks,
-      // and therefore the losses, are identical at every thread count.
-      plan.seed = MixSeed(options_.seed, static_cast<uint64_t>(epoch),
-                          batch_id++);
+      // Training: keyed on (run seed, epoch, stable batch id). Validation:
+      // on (seed, task, batch) — deliberately NOT the epoch.
+      plan.seed =
+          training
+              ? MixSeed(options_.seed, static_cast<uint64_t>(epoch),
+                        batch_id++)
+              : MixSeed(options_.seed ^ kValSalt, static_cast<uint64_t>(t),
+                        static_cast<uint64_t>(start / batch_size));
       plans_.push_back(plan);
     }
   }
-  if (plans_.empty()) return result;
+  if (plans_.empty()) return 0.0;
+  *ran = true;
 
+  Series* batch_loss_series =
+      training ? &MetricsRegistry::Global().GetSeries("grimp.batch.train_loss")
+               : nullptr;
   pipeline_->Begin(
       static_cast<int64_t>(plans_.size()),
-      [this](int64_t b, PreparedBatch* out, const PipelineScratch& scratch) {
-        PrepareBatch(plans_[static_cast<size_t>(b)], /*validation=*/false,
-                     out, scratch);
+      [this, training](int64_t b, PreparedBatch* out, BatchScratch* scratch) {
+        PrepareBatch(plans_[static_cast<size_t>(b)], !training, out, scratch);
       });
+  double loss_sum = 0.0;
   int current_task = plans_.front().task;
   double task_loss_sum = 0.0;
   // Task-boundary flush: the sample-weighted mean over a task's batches ==
-  // the task's mean loss, the same quantity full mode reports per task,
-  // accumulated in task order exactly like the serial loop.
+  // the task's mean loss, the same quantity the full-graph passes report
+  // per task, accumulated in task order.
   const auto flush_task = [&]() {
-    result.train_loss +=
-        task_loss_sum /
-        static_cast<double>(tasks_[static_cast<size_t>(current_task)]
-                                .NumTrain());
+    loss_sum += task_loss_sum /
+                static_cast<double>(
+                    num_samples(tasks_[static_cast<size_t>(current_task)]));
   };
   for (const BatchPlan& plan : plans_) {
     if (plan.task != current_task) {
@@ -236,149 +220,25 @@ Trainer::EpochResult Trainer::RunSampledEpoch(int epoch, Adam* opt) {
     // Next() is what releases that slot for recycling.
     tape_.Reset();
     PreparedBatch& batch = pipeline_->Next();
-    TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
-
-    Tape& tape = tape_;
-    Tape::VarId feats = tape.Constant(std::move(batch.feats));
-    Tape::VarId h = gnn_->ForwardBlocks(&tape, feats, batch.sub);
-    Tape::VarId h_shared = shared_->Forward(&tape, h);
-    // Borrowing overloads: the index/label/target buffers live in the
-    // pipeline slot, alive until the next batch's Reset + Next() — no
-    // per-step copies.
-    Tape::VarId flat = tape.GatherRows(h_shared, &batch.local_idx);
-    Tape::VarId vecs =
-        tape.Reshape(flat, plan.bn, static_cast<int64_t>(num_cols_) * dim);
-    Tape::VarId out = task.head->Forward(&tape, vecs);
-    Tape::VarId loss;
-    if (task.categorical) {
-      loss = options_.focal_gamma > 0.0f
-                 ? tape.FocalLoss(out, &batch.labels, options_.focal_gamma)
-                 : tape.SoftmaxCrossEntropy(out, &batch.labels);
-    } else {
-      loss = tape.MseLoss(out, &batch.targets);
+    const TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
+    Tape::VarId out = ForwardBatch(&tape_, *gnn_, *shared_, *task.head,
+                                   &batch, num_cols_, options_.dim);
+    Tape::VarId loss = TaskLoss(&tape_, task, options_.focal_gamma, out,
+                                batch.labels, batch.targets);
+    const double loss_value = tape_.value(loss).scalar();
+    if (training) {
+      tape_.Backward(loss);
+      opt->ClipGradNorm(options_.grad_clip);
+      opt->Step();
+      opt->ZeroGrad();
+      ++summary_.steps_run;
+      batch_loss_series->Append(loss_value);
     }
-    const double loss_value = tape.value(loss).scalar();
-    tape.Backward(loss);
-    opt->ClipGradNorm(options_.grad_clip);
-    opt->Step();
-    opt->ZeroGrad();
-    ++summary_.steps_run;
-    result.trained = true;
-    batch_loss_series.Append(loss_value);
     task_loss_sum += loss_value * static_cast<double>(plan.bn);
   }
   flush_task();
   pipeline_->End();
-  return result;
-}
-
-double Trainer::ValidationLoss(bool* has_val) {
-  const int dim = options_.dim;
-  tape_.Reset();
-  Tape& tape = tape_;
-  Tape::VarId feats = tape.Constant(*node_features_);
-  Tape::VarId h = options_.use_gnn
-                      ? gnn_->Forward(&tape, feats, *store_->full_graph())
-                      : feats;
-  Tape::VarId h_shared = shared_->Forward(&tape, h);
-  double val_loss_sum = 0.0;
-  for (const TrainTask& task : tasks_) {
-    if (task.val_idx.empty()) continue;
-    const int64_t n =
-        static_cast<int64_t>(task.val_idx.size()) / num_cols_;
-    Tape::VarId flat = tape.GatherRows(h_shared, &task.val_idx);
-    Tape::VarId vecs =
-        tape.Reshape(flat, n, static_cast<int64_t>(num_cols_) * dim);
-    Tape::VarId out = task.head->Forward(&tape, vecs);
-    Tape::VarId loss;
-    if (task.categorical) {
-      loss = options_.focal_gamma > 0.0f
-                 ? tape.FocalLoss(out, &task.val_labels,
-                                  options_.focal_gamma)
-                 : tape.SoftmaxCrossEntropy(out, &task.val_labels);
-    } else {
-      loss = tape.MseLoss(out, &task.val_targets);
-    }
-    val_loss_sum += tape.value(loss).scalar();
-    *has_val = true;
-  }
-  return val_loss_sum;
-}
-
-double Trainer::SampledValidationLoss(bool* has_val) {
-  const int dim = options_.dim;
-  const int64_t batch_size = options_.train.batch_size;
-  EnsurePipeline();
-  // Salt separating validation streams from training streams.
-  constexpr uint64_t kValSalt = 0x76616c6964ULL;  // "valid"
-  plans_.clear();
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    const int64_t n = tasks_[t].NumVal();
-    if (n == 0) continue;
-    for (int64_t start = 0; start < n; start += batch_size) {
-      BatchPlan plan;
-      plan.task = static_cast<int>(t);
-      plan.start = start;
-      plan.bn = std::min(batch_size, n - start);
-      // Streams are a pure function of (seed, task, batch) — deliberately
-      // NOT of the epoch — so every epoch scores the same sampled
-      // receptive fields and the early-stopping comparison is stable.
-      plan.seed = MixSeed(options_.seed ^ kValSalt, static_cast<uint64_t>(t),
-                          static_cast<uint64_t>(start / batch_size));
-      plans_.push_back(plan);
-    }
-  }
-  if (plans_.empty()) return 0.0;
-
-  pipeline_->Begin(
-      static_cast<int64_t>(plans_.size()),
-      [this](int64_t b, PreparedBatch* out, const PipelineScratch& scratch) {
-        PrepareBatch(plans_[static_cast<size_t>(b)], /*validation=*/true,
-                     out, scratch);
-      });
-  double val_loss_sum = 0.0;
-  int current_task = plans_.front().task;
-  double task_loss_sum = 0.0;
-  // Sample-weighted mean over each task's batches == the task's mean
-  // loss, the same quantity full-graph validation reports per task.
-  const auto flush_task = [&]() {
-    val_loss_sum +=
-        task_loss_sum /
-        static_cast<double>(
-            tasks_[static_cast<size_t>(current_task)].NumVal());
-  };
-  for (const BatchPlan& plan : plans_) {
-    if (plan.task != current_task) {
-      flush_task();
-      task_loss_sum = 0.0;
-      current_task = plan.task;
-    }
-    tape_.Reset();
-    PreparedBatch& batch = pipeline_->Next();
-    const TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
-
-    Tape& tape = tape_;
-    Tape::VarId feats = tape.Constant(std::move(batch.feats));
-    Tape::VarId h = gnn_->ForwardBlocks(&tape, feats, batch.sub);
-    Tape::VarId h_shared = shared_->Forward(&tape, h);
-    Tape::VarId flat = tape.GatherRows(h_shared, &batch.local_idx);
-    Tape::VarId vecs =
-        tape.Reshape(flat, plan.bn, static_cast<int64_t>(num_cols_) * dim);
-    Tape::VarId out = task.head->Forward(&tape, vecs);
-    Tape::VarId loss;
-    if (task.categorical) {
-      loss = options_.focal_gamma > 0.0f
-                 ? tape.FocalLoss(out, &batch.labels, options_.focal_gamma)
-                 : tape.SoftmaxCrossEntropy(out, &batch.labels);
-    } else {
-      loss = tape.MseLoss(out, &batch.targets);
-    }
-    task_loss_sum += tape.value(loss).scalar() * static_cast<double>(plan.bn);
-  }
-  flush_task();
-  pipeline_->End();
-  *has_val = true;
-  return val_loss_sum;
+  return loss_sum;
 }
 
 Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks) {
@@ -409,9 +269,7 @@ Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks) {
   // published model (by validation loss), never regress it.
   if (options_.train.warm_start && summary_.num_val_samples > 0) {
     bool has_val = false;
-    const double initial = store_->full_graph() != nullptr
-                               ? ValidationLoss(&has_val)
-                               : SampledValidationLoss(&has_val);
+    const double initial = ValidationLoss(&has_val);
     if (has_val) {
       best_val = initial;
       best_params.reserve(params_.size());
@@ -433,15 +291,13 @@ Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks) {
     bool has_val = false;
     EpochResult er;
     if (sampled) {
-      er = RunSampledEpoch(epoch, &opt);
+      er.train_loss = RunSampledPass(epoch, &opt, &er.trained);
       if (er.trained && summary_.num_val_samples > 0) {
         // Whole-graph validation when the store can serve it (matches full
         // mode exactly); minibatched sampled validation otherwise (sharded
         // stores have no full graph by design). Skipped outright with no
         // validation samples — the whole-graph forward is not free.
-        val_loss_sum = store_->full_graph() != nullptr
-                           ? ValidationLoss(&has_val)
-                           : SampledValidationLoss(&has_val);
+        val_loss_sum = ValidationLoss(&has_val);
       }
     } else {
       er = RunFullEpoch(&opt, &val_loss_sum, &has_val);

@@ -75,11 +75,13 @@ struct TrainSummary {
 //    the two modes stay comparable; over a sharded store (no full graph)
 //    validation is itself minibatched through the sampler on fixed,
 //    epoch-independent streams, keeping per-step memory bounded by the
-//    shard budget. Sampling Rng streams derive from (seed, epoch, batch
+//    shard budget. Training and sampled validation are one pass over
+//    per-task batch plans that runs backward and the optimizer step only
+//    when training. Sampling Rng streams derive from (seed, epoch, batch
 //    id) — never from thread count or scheduling — so losses are identical
 //    at every GRIMP_NUM_THREADS and every pipeline depth. Batch
-//    preparation (sampling, shard prefetch, feature gather) runs through a
-//    BatchPipeline (TrainConfig::pipeline_depth / GRIMP_PIPELINE):
+//    preparation (PrepareSampledBatch: sampling, shard prefetch, feature
+//    gather) runs through a BatchPipeline at TrainConfig::pipeline_depth:
 //    depth 0 prepares inline, depth N overlaps up to N future batches
 //    with the current step's forward/backward.
 //
@@ -118,17 +120,23 @@ class Trainer {
   // computes the validation loss on the same tape, matching the original
   // loops op-for-op.
   EpochResult RunFullEpoch(Adam* opt, double* val_loss_sum, bool* has_val);
-  // One sampled epoch: per-task minibatches, one optimizer step each.
-  EpochResult RunSampledEpoch(int epoch, Adam* opt);
-  // Full-graph validation forward (no backward); used by sampled mode over
-  // stores that expose a full graph. Non-const: records onto the
-  // persistent tape_.
+  // Summed validation loss without backward (sampled epochs, warm start):
+  // one full-graph forward when the store exposes a full graph, else a
+  // sampled validation pass. Non-const: records onto the persistent tape_.
   double ValidationLoss(bool* has_val);
-  // Minibatched validation through the sampler (no full graph needed; used
-  // over sharded stores). Streams are fixed per (task, batch) — never per
-  // epoch — so successive epochs score the same sampled receptive fields
-  // and early stopping compares like with like.
-  double SampledValidationLoss(bool* has_val);
+  // Resets tape_ and runs the whole-graph GNN + shared MLP forward.
+  Tape::VarId FullForward();
+  // One task's head forward plus loss over the full-graph representation
+  // `h_shared`, on its training or validation samples.
+  Tape::VarId FullTaskLoss(const TrainTask& task, Tape::VarId h_shared,
+                           bool validation);
+  // One sampled pass over per-task minibatches, returning the summed
+  // per-task mean loss; *ran is set when at least one batch ran. With `opt`
+  // it trains — one optimizer step per batch, streams keyed on (seed,
+  // epoch, batch id). Without, it validates: streams are fixed per (task,
+  // batch) — never per epoch — so successive epochs score the same sampled
+  // receptive fields and early stopping compares like with like.
+  double RunSampledPass(int epoch, Adam* opt, bool* ran);
 
   // One sampled batch's fixed recipe, laid out before the pipeline run
   // starts so preparation is a pure function of the batch id on any
@@ -141,17 +149,11 @@ class Trainer {
     uint64_t seed = 0;
   };
 
-  // Lazily builds the batch-preparation pipeline at
-  // BatchPipeline::ResolveDepth(options_.train.pipeline_depth) with the
-  // run's fanouts (depth 0 == the serial path, inline in Next()).
-  void EnsurePipeline();
-  // Prepares one batch per its plan: seed dedup in first-seen order,
-  // neighbor sampling (which prefetches/pins the touched shards), feature
-  // gather into arena scratch, gather-index remap, and label/target
-  // slicing. Runs on pipeline producer threads — must touch no Trainer
-  // state that mutates during an epoch.
+  // Prepares one batch per its plan: PrepareSampledBatch over the plan's
+  // sample range, then label/target slicing. Runs on pipeline producer
+  // threads — must touch no Trainer state that mutates during an epoch.
   void PrepareBatch(const BatchPlan& plan, bool validation,
-                    PreparedBatch* out, const PipelineScratch& scratch) const;
+                    PreparedBatch* out, BatchScratch* scratch) const;
 
   const GrimpOptions& options_;
   const GraphStore* store_;
@@ -165,13 +167,13 @@ class Trainer {
   // Reused across every epoch / batch / validation pass (Tape::Reset keeps
   // the node slots), so steady-state steps run without tape allocations.
   Tape tape_;
-  // Sampled-mode batch preparation (core/pipeline.h): the pipeline owns
-  // per-producer samplers and depth+1 recycled batch slots, so steady-state
-  // steps still perform no heap allocations; plans_ is rebuilt per epoch /
-  // validation pass and read-only while a run is active. The tape's
-  // borrowing overloads point into the pipeline's slot storage, released
-  // batch-by-batch via Tape::Reset before each Next() (the pipeline's
-  // slot-recycling contract).
+  // Sampled-mode batch preparation (core/pipeline.h), built on the first
+  // sampled pass: the pipeline owns per-producer scratch and depth+1
+  // recycled batch slots, so steady-state steps still perform no heap
+  // allocations; plans_ is rebuilt per pass and read-only while a run is
+  // active. The tape's borrowing overloads point into the pipeline's slot
+  // storage, released batch-by-batch via Tape::Reset before each Next()
+  // (the pipeline's slot-recycling contract).
   std::unique_ptr<BatchPipeline> pipeline_;
   std::vector<BatchPlan> plans_;
 };

@@ -1,34 +1,10 @@
 #include "graph/sampler.h"
 
-#include <cstdlib>
 #include <utility>
 
-#include "common/env.h"
 #include "common/logging.h"
 
 namespace grimp {
-
-namespace {
-
-std::unique_ptr<GraphStore> MakeDefaultStore(const HeteroGraph* graph) {
-  const int shards = EnvOverrides::PositiveInt(kEnvShards, 0);
-  if (shards <= 0) return std::make_unique<InMemoryGraphStore>(graph);
-  ShardedGraphStore::Options options;
-  options.num_shards = shards;
-  // Effectively unbounded unless the test caps it: the env hook proves
-  // shard-count invariance; eviction behavior has its own direct tests.
-  options.max_resident_bytes = 1ll << 40;
-  if (const int64_t mb = EnvOverrides::PositiveInt64(kEnvShardBudgetMb, 0);
-      mb > 0) {
-    options.max_resident_bytes = mb << 20;
-  }
-  auto store = ShardedGraphStore::Create(*graph, options);
-  GRIMP_CHECK(store.ok()) << "GRIMP_SHARDS store creation failed: "
-                          << store.status().ToString();
-  return std::move(store).ValueOrDie();
-}
-
-}  // namespace
 
 NeighborSampler::NeighborSampler(const GraphStore* store,
                                  std::vector<int> fanouts)
@@ -36,16 +12,6 @@ NeighborSampler::NeighborSampler(const GraphStore* store,
   GRIMP_CHECK(store_ != nullptr);
   GRIMP_CHECK(!fanouts_.empty());
   for (int fanout : fanouts_) GRIMP_CHECK_GT(fanout, 0);
-}
-
-NeighborSampler::NeighborSampler(const HeteroGraph* graph,
-                                 std::vector<int> fanouts)
-    : store_(nullptr), fanouts_(std::move(fanouts)) {
-  GRIMP_CHECK(graph != nullptr);
-  GRIMP_CHECK(!fanouts_.empty());
-  for (int fanout : fanouts_) GRIMP_CHECK_GT(fanout, 0);
-  owned_store_ = MakeDefaultStore(graph);
-  store_ = owned_store_.get();
 }
 
 std::vector<int32_t> NeighborSampler::TakeVec() const {

@@ -2,7 +2,6 @@
 #define GRIMP_GRAPH_SAMPLER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -69,15 +68,6 @@ class NeighborSampler {
   // l; fanouts.size() is the number of blocks Sample produces.
   NeighborSampler(const GraphStore* store, std::vector<int> fanouts);
 
-  // Convenience: samples `graph` through an internally owned store.
-  // Normally the in-memory single-shard store; when the GRIMP_SHARDS
-  // environment variable is a positive integer, the graph is instead
-  // spilled into that many shards and read back through a
-  // ShardedGraphStore — the test suites use this to prove shard-count
-  // invariance without touching call sites. `graph` must outlive the
-  // sampler.
-  NeighborSampler(const HeteroGraph* graph, std::vector<int> fanouts);
-
   // Seeds must be distinct, valid node ids (callers dedup while building
   // the batch). Each call advances *rng deterministically.
   SampledSubgraph Sample(const std::vector<int32_t>& seeds, Rng* rng) const;
@@ -102,7 +92,6 @@ class NeighborSampler {
                   int64_t dst_index, int32_t node, uint64_t nonce) const;
 
   const GraphStore* store_;
-  std::unique_ptr<GraphStore> owned_store_;
   std::vector<int> fanouts_;
   // Sample scratch (see class comment). local_id_[g] is g's local row id in
   // the layer currently being built, -1 outside Sample and between layers.

@@ -47,15 +47,8 @@ string(JSON batches GET "${bench_report}" batches)
 if(batches LESS 2)
   message(FATAL_ERROR "smoke run streamed only ${batches} batches")
 endif()
-# The post-loop pipelined window pass (GRIMP_PIPELINE=4 vs serial, same
-# nonces) must also be bit-identical, and the bench records its thread
-# budget so capped runs are never mistaken for full-machine numbers.
-string(JSON pipe_identical GET "${bench_report}" pipeline identical)
-if(NOT pipe_identical STREQUAL "ON")
-  message(FATAL_ERROR
-          "pipelined windows diverged from the serial path "
-          "(pipeline.identical=${pipe_identical}):\n${bench_output}")
-endif()
+# The bench records its thread budget so capped runs are never mistaken for
+# full-machine numbers.
 string(JSON bench_threads GET "${bench_report}" max_threads)
 if(bench_threads LESS 1)
   message(FATAL_ERROR "max_threads is ${bench_threads}")
@@ -109,25 +102,6 @@ endif()
 # v0 at engine creation plus v1 after the fine-tune.
 if(NOT publishes EQUAL 2)
   message(FATAL_ERROR "stream.publishes is ${publishes}, expected 2")
-endif()
-
-# Window inference runs through the batch-prep pipeline (inline at depth 0,
-# async producer slots in the depth-4 pass above), so its counters and the
-# slot-preparation span must be in the dump.
-string(JSON pipe_produced GET "${metrics_json}" counters
-       train.pipeline.produced)
-string(JSON pipe_consumed GET "${metrics_json}" counters
-       train.pipeline.consumed)
-if(pipe_produced LESS 1 OR pipe_consumed LESS 1)
-  message(FATAL_ERROR
-          "train.pipeline produced=${pipe_produced} "
-          "consumed=${pipe_consumed}")
-endif()
-string(JSON pipe_prepare GET "${metrics_json}" spans train.pipeline.prepare
-       count)
-if(pipe_prepare LESS 1)
-  message(FATAL_ERROR
-          "span train.pipeline.prepare has count ${pipe_prepare}")
 endif()
 
 string(JSON ingest_hist GET "${metrics_json}" histograms stream.ingest.micros

@@ -36,10 +36,10 @@ endif()
 file(READ "${metrics}" metrics_json)
 
 # The sampled epochs must have traced per-batch sampling, feature gathering
-# and pipeline slot preparation, and every config traces the umbrella
-# training span plus the GNN forward (full-graph in full mode, per-block in
-# sampled mode).
-foreach(span train.sample train.gather train.pipeline.prepare gnn.forward
+# (the batch.* spans of the shared sampled-batch path) and pipeline slot
+# preparation, and every config traces the umbrella training span plus the
+# GNN forward (full-graph in full mode, per-block in sampled mode).
+foreach(span batch.sample batch.gather train.pipeline.prepare gnn.forward
         grimp.train)
   string(JSON span_count GET "${metrics_json}" spans "${span}" count)
   if(span_count LESS 1)

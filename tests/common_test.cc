@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 
 #include "common/csv.h"
+#include "common/env.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -272,6 +274,51 @@ TEST(CsvTest, MissingFileIsIoError) {
   auto r = ReadCsvFile("/nonexistent/definitely_missing.csv");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsIoError());
+}
+
+// --- Environment overrides -------------------------------------------------
+
+// EnvOverrides::PositiveInt of `value` (nullptr == unset) with fallback 7.
+int ParsePositiveInt(const char* value) {
+  constexpr char kName[] = "GRIMP_TEST_POSITIVE_INT";
+  if (value == nullptr) {
+    unsetenv(kName);
+  } else {
+    setenv(kName, value, 1);
+  }
+  const int parsed = EnvOverrides::PositiveInt(kName, 7);
+  unsetenv(kName);
+  return parsed;
+}
+
+TEST(EnvOverridesTest, PositiveIntParsesPlainDecimals) {
+  EXPECT_EQ(ParsePositiveInt("4"), 4);
+  EXPECT_EQ(ParsePositiveInt("1"), 1);
+  EXPECT_EQ(ParsePositiveInt("2147483647"), 2147483647);
+}
+
+TEST(EnvOverridesTest, PositiveIntFallsBackWhenUnsetOrNotPositive) {
+  EXPECT_EQ(ParsePositiveInt(nullptr), 7);
+  EXPECT_EQ(ParsePositiveInt(""), 7);
+  EXPECT_EQ(ParsePositiveInt("0"), 7);
+  EXPECT_EQ(ParsePositiveInt("-3"), 7);
+}
+
+TEST(EnvOverridesTest, PositiveIntFallsBackOutOfIntRange) {
+  // An unchecked int64 -> int cast would wrap these to -1294967296 and 4.
+  EXPECT_EQ(ParsePositiveInt("3000000000"), 7);
+  EXPECT_EQ(ParsePositiveInt("4294967300"), 7);
+  EXPECT_EQ(ParsePositiveInt("2147483648"), 7);
+  EXPECT_EQ(ParsePositiveInt("99999999999999999999"), 7);  // > int64
+}
+
+TEST(EnvOverridesTest, PositiveIntFallsBackOnNonNumericText) {
+  EXPECT_EQ(ParsePositiveInt("4abc"), 7);  // not a numeric prefix parse
+  EXPECT_EQ(ParsePositiveInt("abc"), 7);
+  EXPECT_EQ(ParsePositiveInt("4 "), 7);
+  EXPECT_EQ(ParsePositiveInt(" 4"), 7);
+  EXPECT_EQ(ParsePositiveInt("+4"), 7);
+  EXPECT_EQ(ParsePositiveInt("4.5"), 7);
 }
 
 }  // namespace

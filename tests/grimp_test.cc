@@ -168,11 +168,21 @@ TEST(GrimpOptionsTest, ValidateRejectsEachBadField) {
   EXPECT_TRUE(rejects([](GrimpOptions* o) {
     o->train.fanouts = {8};  // size must match gnn_layers (2)
   }));
+  EXPECT_TRUE(rejects([](GrimpOptions* o) { o->train.pipeline_depth = -1; }));
+  EXPECT_TRUE(rejects([](GrimpOptions* o) {
+    o->train.pipeline_depth = TrainConfig::kMaxPipelineDepth + 1;
+  }));
+  GrimpOptions too_deep;
+  too_deep.train.pipeline_depth = TrainConfig::kMaxPipelineDepth + 1;
+  EXPECT_NE(too_deep.Validate().message().find("train.pipeline_depth"),
+            std::string::npos);
   // Fanouts are legal in full mode (ignored) as long as they are shaped
-  // correctly, and legal in sampled mode when positive.
+  // correctly, and legal in sampled mode when positive; the deepest
+  // pipeline is legal too.
   GrimpOptions sampled;
   sampled.train.mode = TrainMode::kSampled;
   sampled.train.fanouts = {8, 8};
+  sampled.train.pipeline_depth = TrainConfig::kMaxPipelineDepth;
   EXPECT_TRUE(sampled.Validate().ok());
 }
 

@@ -226,7 +226,8 @@ class StreamingEngineTest : public ::testing::Test {
   static constexpr int64_t kRows = 256;
   static constexpr int64_t kPrefix = 128;
 
-  std::unique_ptr<GrimpEngine> FitEngine(const Table& seed_table) {
+  std::unique_ptr<GrimpEngine> FitEngine(const Table& seed_table,
+                                         int pipeline_depth) {
     GrimpOptions options;
     options.dim = 8;
     options.shared_hidden = 16;
@@ -236,6 +237,7 @@ class StreamingEngineTest : public ::testing::Test {
     options.train.mode = TrainMode::kSampled;
     options.train.batch_size = 64;
     options.train.fanouts = {3, 3};
+    options.train.pipeline_depth = pipeline_depth;
     auto engine = std::make_unique<GrimpEngine>(options);
     const Status fit = engine->Fit(seed_table);
     EXPECT_TRUE(fit.ok()) << fit.ToString();
@@ -243,9 +245,11 @@ class StreamingEngineTest : public ::testing::Test {
   }
 
   std::unique_ptr<StreamingEngine> MakeEngine(
-      const StreamingOptions& options, ModelRegistry* registry = nullptr) {
+      const StreamingOptions& options, ModelRegistry* registry = nullptr,
+      int pipeline_depth = 0) {
     Table seed_table = Prefix(data_.dirty, kPrefix);
-    std::unique_ptr<GrimpEngine> fitted = FitEngine(seed_table);
+    std::unique_ptr<GrimpEngine> fitted =
+        FitEngine(seed_table, pipeline_depth);
     auto engine_or = StreamingEngine::Create(
         std::move(fitted), std::move(seed_table), options, registry);
     EXPECT_TRUE(engine_or.ok()) << engine_or.status().ToString();
@@ -409,6 +413,42 @@ TEST_F(StreamingEngineTest, FineTunePublishesAndHotSwaps) {
   EXPECT_EQ(handle_or->version(), "v1");
   EXPECT_TRUE(handle_or->engine().summary().epochs_run >= 0);
   EXPECT_FALSE(registry.Acquire("stream@v0").ok());
+}
+
+// Fine-tuning trains through the sampled trainer's batch pipeline: at
+// depth 4 it must reproduce the serial run bit for bit — the fit, the
+// fine-tune summary and the windows imputed with the published weights.
+TEST_F(StreamingEngineTest, FineTuneIdenticalAcrossPipelineDepths) {
+  StreamingOptions options;
+  options.window_rows = 64;
+  options.fanouts = {3, 3};
+  struct RunOutput {
+    TrainSummary summary;
+    Table window;
+  };
+  auto run = [&](int depth) {
+    ModelRegistry registry;
+    RunOutput out;
+    auto stream = MakeEngine(options, &registry, depth);
+    EXPECT_NE(stream, nullptr);
+    if (stream == nullptr) return out;
+    EXPECT_TRUE(stream->IngestBatch(RowBatch(kPrefix, kPrefix + 64)).ok());
+    auto summary_or = stream->FineTune();
+    EXPECT_TRUE(summary_or.ok()) << summary_or.status().ToString();
+    if (summary_or.ok()) out.summary = *summary_or;
+    auto window_or = stream->ImputeWindow();
+    EXPECT_TRUE(window_or.ok()) << window_or.status().ToString();
+    if (window_or.ok()) out.window = std::move(*window_or);
+    return out;
+  };
+  const RunOutput serial = run(0);
+  const RunOutput piped = run(4);
+  EXPECT_GT(serial.summary.steps_run, 0);
+  EXPECT_EQ(serial.summary.epochs_run, piped.summary.epochs_run);
+  EXPECT_EQ(serial.summary.steps_run, piped.summary.steps_run);
+  EXPECT_EQ(serial.summary.final_train_loss, piped.summary.final_train_loss);
+  EXPECT_EQ(serial.summary.best_val_loss, piped.summary.best_val_loss);
+  ExpectTablesEqual(serial.window, piped.window);
 }
 
 TEST_F(StreamingEngineTest, ConcurrentIngestImputeAndServe) {

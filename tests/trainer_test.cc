@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,7 +32,7 @@ Table StructuredTable(int64_t rows) {
   return t;
 }
 
-GrimpOptions SampledOptions() {
+GrimpOptions SampledOptions(int pipeline_depth = 0) {
   GrimpOptions options;
   options.dim = 16;
   options.shared_hidden = 32;
@@ -42,26 +41,35 @@ GrimpOptions SampledOptions() {
   options.train.mode = TrainMode::kSampled;
   options.train.batch_size = 32;
   options.train.fanouts = {4, 4};
+  options.train.pipeline_depth = pipeline_depth;
   return options;
 }
+
+// The serial path and a pipeline deep enough that slot recycling and
+// producer parking both get exercised.
+constexpr int kPipelineDepths[] = {0, 4};
 
 TEST(TrainerTest, SampledModeFillsEveryCellAndReportsSummary) {
   Table clean = StructuredTable(100);
   const CorruptedTable corrupted = InjectMcar(clean, 0.3, 1);
-  GrimpImputer grimp(SampledOptions());
-  auto imputed = grimp.Impute(corrupted.dirty);
-  ASSERT_TRUE(imputed.ok());
-  EXPECT_DOUBLE_EQ(imputed->MissingFraction(), 0.0);
-  const TrainSummary& summary = grimp.summary();
-  EXPECT_EQ(summary.mode, TrainMode::kSampled);
-  EXPECT_GT(summary.epochs_run, 0);
-  // ~70 train samples per task at batch 32 means several steps per epoch.
-  EXPECT_GT(summary.steps_run, summary.epochs_run);
-  EXPECT_GT(summary.num_parameters, 0);
-  EXPECT_GT(summary.num_train_samples, 0);
-  // Sampled training publishes a per-step loss series.
-  EXPECT_GE(MetricsRegistry::Global().GetSeries("grimp.batch.train_loss").size(),
-            static_cast<size_t>(summary.epochs_run));
+  for (const int depth : kPipelineDepths) {
+    SCOPED_TRACE("pipeline depth " + std::to_string(depth));
+    GrimpImputer grimp(SampledOptions(depth));
+    auto imputed = grimp.Impute(corrupted.dirty);
+    ASSERT_TRUE(imputed.ok());
+    EXPECT_DOUBLE_EQ(imputed->MissingFraction(), 0.0);
+    const TrainSummary& summary = grimp.summary();
+    EXPECT_EQ(summary.mode, TrainMode::kSampled);
+    EXPECT_GT(summary.epochs_run, 0);
+    // ~70 train samples per task at batch 32 means several steps per epoch.
+    EXPECT_GT(summary.steps_run, summary.epochs_run);
+    EXPECT_GT(summary.num_parameters, 0);
+    EXPECT_GT(summary.num_train_samples, 0);
+    // Sampled training publishes a per-step loss series.
+    EXPECT_GE(
+        MetricsRegistry::Global().GetSeries("grimp.batch.train_loss").size(),
+        static_cast<size_t>(summary.epochs_run));
+  }
 }
 
 TEST(TrainerTest, SampledMatchesFullGraphAccuracy) {
@@ -86,16 +94,19 @@ TEST(TrainerTest, SampledMatchesFullGraphAccuracy) {
 TEST(TrainerTest, SampledDeterministicForSeed) {
   Table clean = StructuredTable(60);
   const CorruptedTable corrupted = InjectMcar(clean, 0.25, 4);
-  GrimpOptions options = SampledOptions();
-  options.max_epochs = 15;
-  GrimpImputer a(options), b(options);
-  auto ia = a.Impute(corrupted.dirty);
-  auto ib = b.Impute(corrupted.dirty);
-  ASSERT_TRUE(ia.ok());
-  ASSERT_TRUE(ib.ok());
-  for (const CellRef& cell : corrupted.missing_cells) {
-    EXPECT_EQ(ia->column(cell.col).StringAt(cell.row),
-              ib->column(cell.col).StringAt(cell.row));
+  for (const int depth : kPipelineDepths) {
+    SCOPED_TRACE("pipeline depth " + std::to_string(depth));
+    GrimpOptions options = SampledOptions(depth);
+    options.max_epochs = 15;
+    GrimpImputer a(options), b(options);
+    auto ia = a.Impute(corrupted.dirty);
+    auto ib = b.Impute(corrupted.dirty);
+    ASSERT_TRUE(ia.ok());
+    ASSERT_TRUE(ib.ok());
+    for (const CellRef& cell : corrupted.missing_cells) {
+      EXPECT_EQ(ia->column(cell.col).StringAt(cell.row),
+                ib->column(cell.col).StringAt(cell.row));
+    }
   }
 }
 
@@ -128,37 +139,6 @@ TEST(TrainerTest, SampledLossesIndependentOfThreadCount) {
   }
 }
 
-// Pins GRIMP_PIPELINE for one scope (and restores the suite variant's
-// value after), so these tests control the pipeline depth explicitly even
-// inside the GRIMP_PIPELINE=0/4 ctest variants.
-class ScopedPipelineEnv {
- public:
-  // Pins GRIMP_PIPELINE=depth.
-  explicit ScopedPipelineEnv(int depth) : ScopedPipelineEnv() {
-    setenv("GRIMP_PIPELINE", std::to_string(depth).c_str(), 1);
-  }
-  // Unsets GRIMP_PIPELINE, letting TrainConfig::pipeline_depth decide.
-  ScopedPipelineEnv() {
-    const char* old = std::getenv("GRIMP_PIPELINE");
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    unsetenv("GRIMP_PIPELINE");
-  }
-  ~ScopedPipelineEnv() {
-    if (had_old_) {
-      setenv("GRIMP_PIPELINE", old_.c_str(), 1);
-    } else {
-      unsetenv("GRIMP_PIPELINE");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
 // The tentpole determinism contract: batch contents are a pure function of
 // (seed, epoch, batch id), never of who prepared them, so the async
 // batch-prep pipeline must reproduce the serial path bit for bit — the
@@ -171,8 +151,7 @@ TEST(TrainerTest, SampledBitIdenticalAcrossPipelineDepths) {
     std::vector<std::string> cells;
   };
   auto run = [&](int depth) {
-    ScopedPipelineEnv env(depth);
-    GrimpOptions options = SampledOptions();
+    GrimpOptions options = SampledOptions(depth);
     options.max_epochs = 8;
     RunOutput out;
     options.callbacks.on_epoch_end = [&out](const EpochStats& stats) {
@@ -213,9 +192,8 @@ TEST(TrainerTest, SampledBitIdenticalAcrossPipelineDepths) {
 TEST(TrainerTest, PipelinedLossesIndependentOfThreadCount) {
   Table clean = StructuredTable(80);
   const CorruptedTable corrupted = InjectMcar(clean, 0.25, 9);
-  ScopedPipelineEnv env(4);
   auto run = [&](int num_threads) {
-    GrimpOptions options = SampledOptions();
+    GrimpOptions options = SampledOptions(/*pipeline_depth=*/4);
     options.max_epochs = 8;
     options.num_threads = num_threads;
     std::vector<double> losses;
@@ -237,27 +215,70 @@ TEST(TrainerTest, PipelinedLossesIndependentOfThreadCount) {
   }
 }
 
-// TrainConfig::pipeline_depth is the config-of-record path (the env var
-// only overrides it); a config-selected depth must train identically too.
+// An odd depth (3 producers over 4 slots) on a different table must train
+// identically too.
 TEST(TrainerTest, PipelineDepthFromConfigMatchesSerial) {
   Table clean = StructuredTable(60);
   const CorruptedTable corrupted = InjectMcar(clean, 0.25, 4);
   auto run = [&](int depth) {
-    GrimpOptions options = SampledOptions();
+    GrimpOptions options = SampledOptions(depth);
     options.max_epochs = 10;
-    options.train.pipeline_depth = depth;
     GrimpImputer grimp(options);
     auto imputed = grimp.Impute(corrupted.dirty);
     EXPECT_TRUE(imputed.ok());
     return std::move(*imputed);
   };
-  // Unset the env so the suite variants don't mask the config knob.
-  ScopedPipelineEnv env;
   const Table serial = run(0);
   const Table piped = run(3);
   for (const CellRef& cell : corrupted.missing_cells) {
     EXPECT_EQ(serial.column(cell.col).StringAt(cell.row),
               piped.column(cell.col).StringAt(cell.row));
+  }
+}
+
+// Over a sharded store there is no full graph, so validation is itself a
+// sampled pass through the pipeline. Both passes must be bit-identical at
+// every depth: the per-epoch training AND validation losses, and the
+// imputations served from the restored best weights.
+TEST(TrainerTest, ShardedSampledPassesIdenticalAcrossPipelineDepths) {
+  Table clean = StructuredTable(120);
+  const CorruptedTable corrupted = InjectMcar(clean, 0.25, 7);
+  struct RunOutput {
+    std::vector<double> train_losses;
+    std::vector<double> val_losses;
+    Table imputed;
+  };
+  auto run = [&](int depth) {
+    GrimpOptions options = SampledOptions(depth);
+    options.max_epochs = 6;
+    options.graph.shard_mode = ShardMode::kSharded;
+    options.graph.num_shards = 4;
+    options.graph.max_resident_bytes = 1ll << 14;  // force eviction
+    RunOutput out;
+    options.callbacks.on_epoch_end = [&out](const EpochStats& stats) {
+      out.train_losses.push_back(stats.train_loss);
+      EXPECT_TRUE(stats.has_val);
+      out.val_losses.push_back(stats.val_loss);
+      return true;
+    };
+    GrimpEngine engine(options);
+    EXPECT_TRUE(engine.Fit(corrupted.dirty).ok());
+    auto imputed = TransformCopy(engine, corrupted.dirty);
+    EXPECT_TRUE(imputed.ok());
+    if (imputed.ok()) out.imputed = std::move(*imputed);
+    return out;
+  };
+  const RunOutput serial = run(0);
+  ASSERT_FALSE(serial.train_losses.empty());
+  const RunOutput piped = run(4);
+  ASSERT_EQ(serial.train_losses.size(), piped.train_losses.size());
+  for (size_t i = 0; i < serial.train_losses.size(); ++i) {
+    EXPECT_EQ(serial.train_losses[i], piped.train_losses[i]) << "epoch " << i;
+    EXPECT_EQ(serial.val_losses[i], piped.val_losses[i]) << "epoch " << i;
+  }
+  for (const CellRef& cell : corrupted.missing_cells) {
+    EXPECT_EQ(serial.imputed.column(cell.col).StringAt(cell.row),
+              piped.imputed.column(cell.col).StringAt(cell.row));
   }
 }
 
