@@ -135,7 +135,7 @@ RunStats RunOnce(const CorruptedTable& corrupted, GrimpOptions options,
   stats.steps = imputer.summary().steps_run;
   stats.imputed = std::move(*imputed);
 
-  // Epoch 1 absorbs warmup (pool growth, mask caches, tape sizing); the
+  // Epoch 1 absorbs warmup (pool growth, mask scratch, tape sizing); the
   // steady-state window is every epoch after it. Steps per epoch are
   // constant with validation off.
   const size_t skip = epoch_seconds.size() > 1 ? 1 : 0;

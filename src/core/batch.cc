@@ -74,9 +74,9 @@ Tape::VarId TaskHeadForward(Tape* tape, const TaskHead& head, Tape::VarId h,
 
 Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
                          const TaskHead& head, PreparedBatch* batch,
-                         int num_cols, int dim) {
+                         int num_cols, int dim, GnnScratch* gnn_scratch) {
   Tape::VarId feats = tape->Constant(std::move(batch->feats));
-  Tape::VarId h = gnn.ForwardBlocks(tape, feats, batch->sub);
+  Tape::VarId h = gnn.ForwardBlocks(tape, feats, batch->sub, gnn_scratch);
   return TaskHeadForward(tape, head, shared.Forward(tape, h),
                          &batch->local_idx, num_cols, dim);
 }

@@ -83,12 +83,13 @@ Tape::VarId TaskHeadForward(Tape* tape, const TaskHead& head, Tape::VarId h,
                             const std::vector<int32_t>* idx, int num_cols,
                             int dim);
 
-// A prepared batch's forward: ForwardBlocks over batch->sub -> shared MLP
-// -> TaskHeadForward over batch->local_idx. Moves batch->feats onto the
-// tape and borrows the rest of *batch until the tape is Reset.
+// A prepared batch's forward: ForwardBlocks over batch->sub (masks in
+// *gnn_scratch) -> shared MLP -> TaskHeadForward over batch->local_idx.
+// Moves batch->feats onto the tape and borrows the rest of *batch until the
+// tape is Reset.
 Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
                          const TaskHead& head, PreparedBatch* batch,
-                         int num_cols, int dim);
+                         int num_cols, int dim, GnnScratch* gnn_scratch);
 
 // Gathers rows `nodes` of `features` into a fresh arena-backed
 // |nodes| x features.cols() matrix, chunked on the global pool (grain 512;

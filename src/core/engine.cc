@@ -136,6 +136,30 @@ Status GrimpEngine::CheckStreamContext(const StreamContext& ctx) const {
     return Status::InvalidArgument(
         "StreamContext.node_features shape does not match the live graph");
   }
+  if (ctx.store->num_nodes() != ctx.tg->graph.num_nodes()) {
+    return Status::InvalidArgument(
+        "StreamContext.store has " + std::to_string(ctx.store->num_nodes()) +
+        " nodes, the live graph " + std::to_string(ctx.tg->graph.num_nodes()));
+  }
+  if (ctx.store->num_edge_types() != schema_.num_fields()) {
+    return Status::InvalidArgument(
+        "StreamContext.store has " +
+        std::to_string(ctx.store->num_edge_types()) + " edge types, the "
+        "model " + std::to_string(schema_.num_fields()));
+  }
+  if (!ctx.fanouts.empty() &&
+      static_cast<int>(ctx.fanouts.size()) != options_.gnn_layers) {
+    return Status::InvalidArgument(
+        "StreamContext.fanouts has " + std::to_string(ctx.fanouts.size()) +
+        " entries, the model " + std::to_string(options_.gnn_layers) +
+        " GNN layers");
+  }
+  for (const int fanout : ctx.fanouts) {
+    if (fanout <= 0) {
+      return Status::InvalidArgument("StreamContext.fanouts entries must be "
+                                     "> 0, got " + std::to_string(fanout));
+    }
+  }
   return Status::OK();
 }
 
@@ -808,8 +832,8 @@ Status GrimpEngine::TransformMany(std::span<Table* const> tables,
   }
   TransformScratch& s = reuse ? *tls_scratch : *local_scratch;
   // Reset first: dropping the previous request's tape closures releases
-  // the GNN mask buffers back to use_count()==1 so the scratch path can
-  // refill them in place.
+  // the GNN mask buffers back to use_count()==1 so the forward can refill
+  // them in place.
   s.tape.Reset();
 
   // Each request gets the graph and deterministic n-gram features a solo
@@ -945,6 +969,7 @@ Status GrimpEngine::TransformStream(Table* window,
   std::vector<int32_t> idx;
   std::vector<int64_t> rows;
   Tape tape;
+  GnnScratch gnn_scratch;
   // Deferred writes, exactly like batch mode: every live-table read happens
   // before the window is mutated.
   std::vector<CellWrite> decisions;
@@ -967,7 +992,7 @@ Status GrimpEngine::TransformStream(Table* window,
                                 static_cast<uint64_t>(t), ctx.nonce),
                         *ctx.node_features, &scratch, &batch);
     Tape::VarId out = ForwardBatch(&tape, gnn_, shared_, *task.head, &batch,
-                                   num_cols, dim);
+                                   num_cols, dim, &gnn_scratch);
     const Tensor& scores = tape.value(out);
     for (size_t i = 0; i < rows.size(); ++i) {
       CellWrite cell{0, rows[i], task.col};

@@ -144,10 +144,14 @@ class GrimpEngine {
   // Tables must not alias each other; schema mismatches fail the whole
   // call (use CheckCompatible to reject individual requests up front).
   //
-  // Thread safety: only model state is shared (tape, graphs and features
-  // are per-call), so any number of calls may run concurrently on one
-  // fitted engine, each bit-identical to a serial run. Fit/Save/Load must
-  // not run concurrently with them.
+  // Thread safety: only model state is shared (tape, graphs, features,
+  // sampler and GNN mask scratch are per-call or per-thread, and the GNN
+  // layers hold nothing but weights), so any number of calls may run
+  // concurrently on one fitted engine, each bit-identical to a serial run.
+  // That holds in both modes, including streaming calls sharing one
+  // StreamContext (StreamingEngineTest.
+  // ConcurrentStreamingTransformManyMatchesSerial). Fit/Save/Load/Resume
+  // must not run concurrently with them.
   Status TransformMany(std::span<Table* const> tables,
                        const TransformOptions& options = {}) const;
 

@@ -67,7 +67,8 @@ Tape::VarId Trainer::FullForward() {
   tape_.Reset();  // reuse node slots from the previous pass
   Tape::VarId feats = tape_.Constant(*node_features_);
   Tape::VarId h = options_.use_gnn
-                      ? gnn_->Forward(&tape_, feats, *store_->full_graph())
+                      ? gnn_->Forward(&tape_, feats, *store_->full_graph(),
+                                      &gnn_scratch_)
                       : feats;
   return shared_->Forward(&tape_, h);
 }
@@ -222,7 +223,8 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
     PreparedBatch& batch = pipeline_->Next();
     const TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
     Tape::VarId out = ForwardBatch(&tape_, *gnn_, *shared_, *task.head,
-                                   &batch, num_cols_, options_.dim);
+                                   &batch, num_cols_, options_.dim,
+                                   &gnn_scratch_);
     Tape::VarId loss = TaskLoss(&tape_, task, options_.focal_gamma, out,
                                 batch.labels, batch.targets);
     const double loss_value = tape_.value(loss).scalar();

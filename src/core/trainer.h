@@ -165,8 +165,10 @@ class Trainer {
   std::vector<Parameter*> params_;
   TrainSummary summary_;
   // Reused across every epoch / batch / validation pass (Tape::Reset keeps
-  // the node slots), so steady-state steps run without tape allocations.
+  // the node slots, and releases the GNN masks the scratch refills), so
+  // steady-state steps run without tape or mask allocations.
   Tape tape_;
+  GnnScratch gnn_scratch_;
   // Sampled-mode batch preparation (core/pipeline.h), built on the first
   // sampled pass: the pipeline owns per-producer scratch and depth+1
   // recycled batch slots, so steady-state steps still perform no heap

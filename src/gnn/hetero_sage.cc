@@ -8,11 +8,6 @@ SageSubmodule::SageSubmodule(std::string name, int64_t in_dim,
                              int64_t out_dim, Rng* rng)
     : linear_(std::move(name), 2 * in_dim, out_dim, rng) {}
 
-Tape::VarId SageSubmodule::Forward(Tape* tape, Tape::VarId h,
-                                   const CsrAdjacency& adj) const {
-  return ForwardBlock(tape, h, h, adj);
-}
-
 Tape::VarId SageSubmodule::ForwardBlock(Tape* tape, Tape::VarId h_dst,
                                         Tape::VarId h_src,
                                         const CsrAdjacency& adj) const {
@@ -39,45 +34,9 @@ HeteroSageLayer::HeteroSageLayer(std::string name, int num_edge_types,
   }
 }
 
-Tape::VarId HeteroSageLayer::Forward(Tape* tape, Tape::VarId h,
-                                     const HeteroGraph& graph,
-                                     SageScratch* scratch) const {
-  GRIMP_CHECK_EQ(static_cast<size_t>(graph.num_edge_types()),
-                 submodules_.size());
-  std::vector<const CsrAdjacency*> local_adjacency;
-  std::vector<const CsrAdjacency*>& adjacency =
-      scratch != nullptr ? scratch->adjacency : local_adjacency;
-  adjacency.clear();
-  adjacency.reserve(submodules_.size());
-  for (size_t t = 0; t < submodules_.size(); ++t) {
-    adjacency.push_back(&graph.adjacency(static_cast<int>(t)));
-  }
-  return ForwardImpl(tape, h, h, graph.num_nodes(), adjacency,
-                     scratch != nullptr ? 0 : graph.uid(), scratch);
-}
-
-Tape::VarId HeteroSageLayer::ForwardBlock(Tape* tape, Tape::VarId h,
-                                          const GraphBlock& block) const {
-  GRIMP_CHECK_EQ(block.adjacency.size(), submodules_.size());
-  GRIMP_CHECK_EQ(tape->value(h).rows(), block.num_src);
-  // Self term: the block's destinations are the first num_dst input rows,
-  // so a prefix slice replaces the explicit [0..num_dst) gather.
-  Tape::VarId h_dst = tape->SliceRows(h, block.num_dst);
-  // The pointer list lives in the block scratch (driver-thread only, like
-  // the rest of the sampled path) so steady-state batches reuse it.
-  std::vector<const CsrAdjacency*>& adjacency = block_scratch_.adjacency;
-  adjacency.clear();
-  adjacency.reserve(submodules_.size());
-  for (const CsrAdjacency& adj : block.adjacency) adjacency.push_back(&adj);
-  // cache_uid 0: block adjacencies are rebuilt every batch, and their heap
-  // addresses can be reused across batches — never cache for them.
-  return ForwardImpl(tape, h_dst, h, block.num_dst, adjacency,
-                     /*cache_uid=*/0, /*scratch=*/nullptr);
-}
-
 namespace {
 
-// Reuses *slot's buffer when this layer holds the only reference (the
+// Reuses *slot's buffer when the scratch holds the only reference (the
 // previous step's tape closures have been Reset away); reallocates
 // otherwise. Returns the vector zero-filled to size n.
 std::vector<float>& ReusableScale(std::shared_ptr<std::vector<float>>* slot,
@@ -91,80 +50,20 @@ std::vector<float>& ReusableScale(std::shared_ptr<std::vector<float>>* slot,
 
 }  // namespace
 
-Tape::VarId HeteroSageLayer::ForwardImpl(
-    Tape* tape, Tape::VarId h_dst, Tape::VarId h_src, int64_t num_dst,
-    const std::vector<const CsrAdjacency*>& adjacency,
-    uint64_t cache_uid, SageScratch* scratch) const {
+Tape::VarId HeteroSageLayer::Forward(Tape* tape, Tape::VarId h_dst,
+                                     Tape::VarId h_src, int64_t num_dst,
+                                     std::span<const CsrAdjacency> adjacency,
+                                     SageScratch* scratch) const {
+  GRIMP_CHECK_EQ(adjacency.size(), submodules_.size());
+  SageScratch local;
+  SageScratch& s = scratch != nullptr ? *scratch : local;
   // Per-type participation masks and the per-node 1/#incident-types
-  // normalizer are pure functions of the adjacency, so for full-graph
-  // forwards (cache_uid != 0) they are computed once per graph and reused
-  // across epochs.
-  if (scratch == nullptr && cache_uid != 0 && cache_slot_ != nullptr) {
-    std::shared_ptr<const MaskCache> cache;
-    {
-      std::lock_guard<std::mutex> lock(cache_slot_->mu);
-      if (cache_slot_->cached != nullptr &&
-          cache_slot_->cached->graph_uid == cache_uid) {
-        cache = cache_slot_->cached;
-        GRIMP_DCHECK(cache->num_dst == num_dst);
-      }
-    }
-    if (cache == nullptr) {
-      auto fresh = std::make_shared<MaskCache>();
-      fresh->graph_uid = cache_uid;
-      fresh->num_dst = num_dst;
-      fresh->masks.reserve(submodules_.size());
-      std::vector<int> counts(static_cast<size_t>(num_dst), 0);
-      for (size_t t = 0; t < submodules_.size(); ++t) {
-        auto mask = std::make_shared<std::vector<float>>(
-            static_cast<size_t>(num_dst), 0.0f);
-        const CsrAdjacency& adj = *adjacency[t];
-        for (int64_t v = 0; v < num_dst; ++v) {
-          if (adj.Degree(v) > 0) {
-            (*mask)[static_cast<size_t>(v)] = 1.0f;
-            ++counts[static_cast<size_t>(v)];
-          }
-        }
-        fresh->masks.push_back(std::move(mask));
-      }
-      auto inv_counts = std::make_shared<std::vector<float>>(
-          static_cast<size_t>(num_dst), 0.0f);
-      for (int64_t v = 0; v < num_dst; ++v) {
-        if (counts[static_cast<size_t>(v)] > 0) {
-          (*inv_counts)[static_cast<size_t>(v)] =
-              1.0f / static_cast<float>(counts[static_cast<size_t>(v)]);
-        }
-      }
-      fresh->inv_counts = std::move(inv_counts);
-      {
-        std::lock_guard<std::mutex> lock(cache_slot_->mu);
-        cache_slot_->cached = fresh;
-      }
-      cache = std::move(fresh);
-    }
-    Tape::VarId acc = -1;
-    for (size_t t = 0; t < submodules_.size(); ++t) {
-      Tape::VarId out =
-          submodules_[t].ForwardBlock(tape, h_dst, h_src, *adjacency[t]);
-      Tape::VarId masked = tape->RowScale(out, cache->masks[t]);
-      acc = (acc < 0) ? masked : tape->Add(acc, masked);
-    }
-    GRIMP_CHECK_GE(acc, 0);
-    return tape->RowScale(acc, cache->inv_counts);
-  }
-
-  // Scratch path (sampled blocks, or serving's per-thread scratch): masks
-  // change with every graph, so instead of a cache the buffers are
-  // refilled in place — zero steady-state allocations once they have grown
-  // to the largest batch seen (see hetero_sage.h).
-  SageScratch& s = scratch != nullptr ? *scratch : block_scratch_;
-  if (s.masks.size() != submodules_.size()) {
-    s.masks.resize(submodules_.size());
-  }
+  // normalizer: pure functions of the adjacency, refilled every call.
+  s.masks.resize(submodules_.size());
   s.counts.assign(static_cast<size_t>(num_dst), 0);
   for (size_t t = 0; t < submodules_.size(); ++t) {
     std::vector<float>& mask = ReusableScale(&s.masks[t], num_dst);
-    const CsrAdjacency& adj = *adjacency[t];
+    const CsrAdjacency& adj = adjacency[t];
     for (int64_t v = 0; v < num_dst; ++v) {
       if (adj.Degree(v) > 0) {
         mask[static_cast<size_t>(v)] = 1.0f;
@@ -182,7 +81,7 @@ Tape::VarId HeteroSageLayer::ForwardImpl(
   Tape::VarId acc = -1;
   for (size_t t = 0; t < submodules_.size(); ++t) {
     Tape::VarId out =
-        submodules_[t].ForwardBlock(tape, h_dst, h_src, *adjacency[t]);
+        submodules_[t].ForwardBlock(tape, h_dst, h_src, adjacency[t]);
     Tape::VarId masked = tape->RowScale(out, s.masks[t]);
     acc = (acc < 0) ? masked : tape->Add(acc, masked);
   }
@@ -216,26 +115,34 @@ Tape::VarId HeteroGnn::Forward(Tape* tape, Tape::VarId features,
                                const HeteroGraph& graph,
                                GnnScratch* scratch) const {
   GRIMP_TRACE_SPAN("gnn.forward");
-  if (scratch != nullptr && scratch->layers.size() != layers_.size()) {
-    scratch->layers.resize(layers_.size());
-  }
+  GnnScratch local;
+  GnnScratch& s = scratch != nullptr ? *scratch : local;
+  s.layers.resize(layers_.size());
   Tape::VarId h = features;
   for (size_t l = 0; l < layers_.size(); ++l) {
-    h = layers_[l].Forward(tape, h, graph,
-                           scratch != nullptr ? &scratch->layers[l]
-                                              : nullptr);
+    h = layers_[l].Forward(tape, h, h, graph.num_nodes(),
+                           graph.adjacencies(), &s.layers[l]);
     if (l + 1 < layers_.size()) h = tape->Relu(h);
   }
   return h;
 }
 
 Tape::VarId HeteroGnn::ForwardBlocks(Tape* tape, Tape::VarId features,
-                                     const SampledSubgraph& subgraph) const {
+                                     const SampledSubgraph& subgraph,
+                                     GnnScratch* scratch) const {
   GRIMP_TRACE_SPAN("gnn.forward");
   GRIMP_CHECK_EQ(subgraph.blocks.size(), layers_.size());
+  GnnScratch local;
+  GnnScratch& s = scratch != nullptr ? *scratch : local;
+  s.layers.resize(layers_.size());
   Tape::VarId h = features;
   for (size_t l = 0; l < layers_.size(); ++l) {
-    h = layers_[l].ForwardBlock(tape, h, subgraph.blocks[l]);
+    const GraphBlock& block = subgraph.blocks[l];
+    GRIMP_CHECK_EQ(tape->value(h).rows(), block.num_src);
+    // Self term: the block's destinations are the first num_dst input
+    // rows, so a prefix slice replaces the explicit [0..num_dst) gather.
+    h = layers_[l].Forward(tape, tape->SliceRows(h, block.num_dst), h,
+                           block.num_dst, block.adjacency, &s.layers[l]);
     if (l + 1 < layers_.size()) h = tape->Relu(h);
   }
   return h;

@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,20 +14,20 @@
 
 namespace grimp {
 
-// Caller-owned reusable mask storage for one HeteroSageLayer forward.
-// Serving keeps one per worker thread: per-request union graphs get a
-// fresh uid every time, so the layer's uid-keyed mask cache can never hit
-// for them — passing a scratch instead refills these buffers in place
-// (zero steady-state allocations) without racing other threads the way
-// the layer's internal sampled-path scratch would.
+// Caller-owned mask storage for one HeteroSageLayer forward. The masks and
+// the normalizer are refilled on every forward; once the previous tape has
+// been Reset, its RowScale closures drop their references, use_count()
+// falls back to 1 and the same vectors are refilled instead of
+// reallocated, so a caller that keeps one scratch per thread (the Trainer,
+// TransformMany's batch-mode scratch) runs allocation-free in steady
+// state. A scratch must not be shared by concurrent forwards.
 struct SageScratch {
   std::vector<std::shared_ptr<std::vector<float>>> masks;
   std::shared_ptr<std::vector<float>> inv_counts;
   std::vector<int> counts;
-  std::vector<const CsrAdjacency*> adjacency;
 };
 
-// One SageScratch per layer of a HeteroGnn (sized lazily by Forward).
+// One SageScratch per layer of a HeteroGnn (sized lazily by the forward).
 struct GnnScratch {
   std::vector<SageScratch> layers;
 };
@@ -41,13 +41,9 @@ class SageSubmodule {
   SageSubmodule() = default;
   SageSubmodule(std::string name, int64_t in_dim, int64_t out_dim, Rng* rng);
 
-  Tape::VarId Forward(Tape* tape, Tape::VarId h,
-                      const CsrAdjacency& adj) const;
-
-  // Generalized (bipartite) form used by sampled blocks: the self term
-  // `h_dst` (num_dst rows) and the neighbor source rows `h_src` (num_src
-  // rows) are separate vars; `adj` has num_dst segments indexing h_src
-  // rows. Forward(h, adj) is exactly ForwardBlock(h, h, adj).
+  // Bipartite form: the self term `h_dst` (num_dst rows) and the neighbor
+  // source rows `h_src` are separate vars; `adj` has num_dst segments
+  // indexing h_src rows. A full-graph forward passes the same var twice.
   Tape::VarId ForwardBlock(Tape* tape, Tape::VarId h_dst, Tape::VarId h_src,
                            const CsrAdjacency& adj) const;
 
@@ -67,89 +63,51 @@ class SageSubmodule {
 //
 // The layer owns only weights; the graph is passed to Forward. This keeps
 // GRIMP inductive (paper §3.4): weights trained on one table's graph can
-// run message passing over another table with the same schema.
+// run message passing over another table with the same schema. Forward is
+// a pure function of the weights, its inputs and the caller's scratch, so
+// any number of forwards may run concurrently on one layer as long as each
+// brings its own SageScratch (StreamingEngineTest.
+// ConcurrentStreamingTransformManyMatchesSerial pins this).
 class HeteroSageLayer {
  public:
   HeteroSageLayer() = default;
   HeteroSageLayer(std::string name, int num_edge_types, int64_t in_dim,
                   int64_t out_dim, Rng* rng);
 
-  // `graph.num_edge_types()` must equal the layer's submodule count.
-  // `scratch` (optional) supplies caller-owned mask storage and bypasses
-  // the uid-keyed mask cache — the right trade for throwaway per-request
-  // graphs whose uid would never hit anyway. Results are bit-identical
-  // either way.
-  Tape::VarId Forward(Tape* tape, Tape::VarId h, const HeteroGraph& graph,
+  // The one forward, for full graphs and sampled blocks alike: produces
+  // `num_dst` output rows from the self term `h_dst` and the neighbor
+  // source rows `h_src`, with one CSR of num_dst segments per edge type
+  // (`adjacency.size()` must equal the layer's submodule count). A full
+  // graph passes the same var as h_dst and h_src; a sampled block passes
+  // the dst prefix of its input rows (see GraphBlock). The participation
+  // masks and the 1/#incident-types normalizer are derived from
+  // `adjacency` on every call, into `scratch` or — when it is null — into
+  // a call-local one. A block's masks agree with the full graph's
+  // participation pattern because the sampler keeps at least one neighbor
+  // wherever the full graph has one.
+  Tape::VarId Forward(Tape* tape, Tape::VarId h_dst, Tape::VarId h_src,
+                      int64_t num_dst, std::span<const CsrAdjacency> adjacency,
                       SageScratch* scratch = nullptr) const;
-
-  // Sampled-minibatch forward: consumes the block's num_src input rows
-  // (`h`) and produces num_dst output rows. The self term is the dst
-  // prefix of `h` (see GraphBlock); masks and the 1/#incident-types
-  // normalizer come from the block's degrees, which agree with the full
-  // graph's participation pattern because the sampler keeps at least one
-  // neighbor wherever the full graph has one.
-  Tape::VarId ForwardBlock(Tape* tape, Tape::VarId h,
-                           const GraphBlock& block) const;
 
   void CollectParameters(std::vector<Parameter*>* out);
   int64_t NumParameters() const;
 
  private:
-  // Participation masks + 1/#incident-types normalizer derived from one
-  // graph's adjacency. Immutable once published; RowScale holds shared_ptr
-  // references so concurrent cache replacement can never free live data.
-  struct MaskCache {
-    uint64_t graph_uid = 0;
-    int64_t num_dst = 0;
-    std::vector<std::shared_ptr<const std::vector<float>>> masks;
-    std::shared_ptr<const std::vector<float>> inv_counts;
-  };
-  // Held behind a unique_ptr so the layer stays movable (std::mutex is
-  // not). Serving runs concurrent inference over one layer, so cache reads
-  // and swaps are mutex-guarded (same hazard PR 3 fixed in the attention
-  // head's capture cache).
-  struct CacheSlot {
-    std::mutex mu;
-    std::shared_ptr<const MaskCache> cached;
-  };
-  // Shared core of Forward/ForwardBlock: per-type convolution + masked
-  // mean over `num_dst` output rows, with one CSR per edge type (full
-  // graph or block). `cache_uid` keys the mask cache: the owning graph's
-  // uid for full-graph forwards (reused across epochs on an unchanged
-  // graph), 0 for sampled blocks (fresh adjacency every batch, so caching
-  // could only ever alias stale heap addresses). A non-null `scratch`
-  // bypasses the cache and refills the caller's buffers instead (see
-  // SageScratch); with both null/0, the layer's internal block scratch is
-  // used (driver-thread only).
-  Tape::VarId ForwardImpl(
-      Tape* tape, Tape::VarId h_dst, Tape::VarId h_src, int64_t num_dst,
-      const std::vector<const CsrAdjacency*>& adjacency,
-      uint64_t cache_uid, SageScratch* scratch) const;
-
   std::vector<SageSubmodule> submodules_;
-  mutable std::unique_ptr<CacheSlot> cache_slot_ =
-      std::make_unique<CacheSlot>();
-  // Internal scratch for sampled blocks: block masks are rebuilt every
-  // batch, but once the previous step's tape is Reset the RowScale
-  // closures drop their references and use_count() falls back to 1, so the
-  // same vectors are refilled instead of reallocated. Sampled forwards run
-  // only on the trainer's driver thread; concurrent serving passes its own
-  // per-thread SageScratch and never touches this one.
-  mutable SageScratch block_scratch_;
 };
 
 // The paper's default GNN: a 2-layer heterogeneous GraphSAGE stack with
-// ReLU after the first layer and a linear final layer.
+// ReLU after the first layer and a linear final layer. Both entry points
+// run HeteroSageLayer::Forward per layer; `scratch` (optional) supplies
+// its per-layer mask storage, sized lazily to num_layers().
 class HeteroGnn {
  public:
   HeteroGnn() = default;
   HeteroGnn(int num_edge_types, int64_t in_dim, int64_t hidden_dim,
             int64_t out_dim, int num_layers, Rng* rng);
 
-  // `features` is a Constant/Leaf var of shape num_nodes x in_dim.
-  // `scratch` (optional) forwards per-layer mask scratch to every layer —
-  // the serving path's alternative to the uid-keyed mask cache (see
-  // SageScratch); sized lazily to num_layers().
+  // Whole-graph forward. `features` is a Constant/Leaf var of shape
+  // num_nodes x in_dim; the result has one row per node.
   Tape::VarId Forward(Tape* tape, Tape::VarId features,
                       const HeteroGraph& graph,
                       GnnScratch* scratch = nullptr) const;
@@ -158,7 +116,8 @@ class HeteroGnn {
   // equal num_layers()): `features` holds the rows of
   // subgraph.input_nodes; the result has one row per output node (seed).
   Tape::VarId ForwardBlocks(Tape* tape, Tape::VarId features,
-                            const SampledSubgraph& subgraph) const;
+                            const SampledSubgraph& subgraph,
+                            GnnScratch* scratch = nullptr) const;
 
   void CollectParameters(std::vector<Parameter*>* out);
   int64_t NumParameters() const;

@@ -1,14 +1,8 @@
 #include "graph/hetero_graph.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace grimp {
-
-uint64_t HeteroGraph::NextUid() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 CsrAdjacency CsrAdjacency::FromEdges(
     int64_t num_nodes, const std::vector<std::pair<int32_t, int32_t>>& edges,

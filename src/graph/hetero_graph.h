@@ -2,6 +2,7 @@
 #define GRIMP_GRAPH_HETERO_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,38 +101,6 @@ class CsrAdjacency {
 // following GraphSAGE).
 class HeteroGraph {
  public:
-  HeteroGraph() : uid_(NextUid()) {}
-  // Copies get a fresh uid (conservative: a copy is a distinct cache key);
-  // moves keep the uid because the adjacency they identify moves along.
-  HeteroGraph(const HeteroGraph& other)
-      : uid_(NextUid()), nodes_(other.nodes_), adjacency_(other.adjacency_) {}
-  HeteroGraph& operator=(const HeteroGraph& other) {
-    if (this == &other) return *this;
-    uid_ = NextUid();
-    nodes_ = other.nodes_;
-    adjacency_ = other.adjacency_;
-    return *this;
-  }
-  HeteroGraph(HeteroGraph&& other) noexcept
-      : uid_(other.uid_), nodes_(std::move(other.nodes_)),
-        adjacency_(std::move(other.adjacency_)) {
-    other.uid_ = NextUid();
-  }
-  HeteroGraph& operator=(HeteroGraph&& other) noexcept {
-    if (this == &other) return *this;
-    uid_ = other.uid_;
-    nodes_ = std::move(other.nodes_);
-    adjacency_ = std::move(other.adjacency_);
-    other.uid_ = NextUid();
-    return *this;
-  }
-
-  // Process-unique id of this graph's current structure. Changes whenever
-  // the adjacency may have changed (SetAdjacency, copy-from), never reused
-  // by another graph — safe to key structure-derived caches on (see
-  // HeteroSageLayer's participation-mask cache).
-  uint64_t uid() const { return uid_; }
-
   int64_t num_nodes() const { return static_cast<int64_t>(nodes_.size()); }
   int num_edge_types() const { return static_cast<int>(adjacency_.size()); }
 
@@ -146,6 +115,8 @@ class HeteroGraph {
     GRIMP_CHECK(t >= 0 && t < num_edge_types());
     return adjacency_[static_cast<size_t>(t)];
   }
+  // Every edge type's adjacency, indexed by type.
+  std::span<const CsrAdjacency> adjacencies() const { return adjacency_; }
 
   int64_t TotalEdges() const {
     int64_t total = 0;
@@ -160,15 +131,13 @@ class HeteroGraph {
   }
   void SetAdjacency(std::vector<CsrAdjacency> adjacency) {
     adjacency_ = std::move(adjacency);
-    uid_ = NextUid();  // structure changed; invalidate derived caches
   }
 
   // Rewinds to an empty graph for in-place rebuilding (per-request serving
   // graphs), keeping the node vector's capacity. CSR arrays are released
   // into `recycle` and the emptied adjacency vector moved into
   // `adjacency_recycle` (both optional) so the next build can adopt the
-  // storage instead of reallocating. The graph gets a fresh uid: reusing
-  // storage must never revive a structure-derived cache entry.
+  // storage instead of reallocating.
   void Reset(CsrAdjacency::Scratch* recycle,
              std::vector<CsrAdjacency>* adjacency_recycle) {
     nodes_.clear();
@@ -186,13 +155,9 @@ class HeteroGraph {
       *adjacency_recycle = std::move(adjacency_);
       adjacency_.clear();
     }
-    uid_ = NextUid();
   }
 
  private:
-  static uint64_t NextUid();
-
-  uint64_t uid_;
   std::vector<NodeInfo> nodes_;
   std::vector<CsrAdjacency> adjacency_;
 };

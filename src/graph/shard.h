@@ -34,8 +34,8 @@ class GraphShard {
   GraphShard& operator=(const GraphShard&) = delete;
 
   // Zero-copy view of a whole graph as a single shard. `graph` must
-  // outlive the shard and keep its adjacency unchanged (track uid() if in
-  // doubt — that is the contract structure caches key on).
+  // outlive the shard and keep its adjacency unchanged: SetAdjacency
+  // replaces the CSR arrays the view points into, so re-View afterwards.
   static GraphShard View(const HeteroGraph& graph);
 
   // Owned copy of [begin, end)'s rows of every edge type.

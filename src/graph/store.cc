@@ -121,7 +121,7 @@ Status InMemoryGraphStore::Append(const GraphDelta& delta) {
                                          delta.new_num_nodes,
                                          delta.edges[static_cast<size_t>(t)]));
   }
-  mutable_graph_->SetAdjacency(std::move(merged));  // fresh uid
+  mutable_graph_->SetAdjacency(std::move(merged));
   shard_ = GraphShard::View(*mutable_graph_);
   return Status::OK();
 }

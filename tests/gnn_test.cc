@@ -1,3 +1,7 @@
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "gnn/hetero_sage.h"
@@ -18,6 +22,35 @@ Table TinyTable() {
   return t;
 }
 
+// A second schema-compatible table whose graph differs from TinyTable's in
+// size and in which nodes each edge type touches.
+Table OtherTable() {
+  Schema schema({{"a", AttrType::kCategorical},
+                 {"b", AttrType::kCategorical}});
+  Table t(schema);
+  EXPECT_TRUE(t.AppendRow({"x", "p"}).ok());
+  EXPECT_TRUE(t.AppendRow({"", "r"}).ok());
+  EXPECT_TRUE(t.AppendRow({"z", "r"}).ok());
+  EXPECT_TRUE(t.AppendRow({"y", "s"}).ok());
+  return t;
+}
+
+void ExpectBitIdentical(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        sizeof(float) * static_cast<size_t>(a.size())),
+            0);
+}
+
+// One forward over `graph` on a fresh tape; `scratch` may be null.
+Tensor ForwardValue(const HeteroGnn& gnn, const Tensor& features,
+                    const HeteroGraph& graph, GnnScratch* scratch) {
+  Tape tape;
+  return tape.value(
+      gnn.Forward(&tape, tape.Constant(features), graph, scratch));
+}
+
 TEST(SageSubmoduleTest, OutputShapeAndNeighborMixing) {
   Table t = TinyTable();
   TableGraph tg = BuildTableGraph(t);
@@ -27,7 +60,7 @@ TEST(SageSubmoduleTest, OutputShapeAndNeighborMixing) {
   Rng frng(2);
   auto h = tape.Constant(Tensor::GlorotUniform(tg.graph.num_nodes(), 4,
                                                &frng));
-  auto out = sub.Forward(&tape, h, tg.graph.adjacency(0));
+  auto out = sub.ForwardBlock(&tape, h, h, tg.graph.adjacency(0));
   EXPECT_EQ(tape.value(out).rows(), tg.graph.num_nodes());
   EXPECT_EQ(tape.value(out).cols(), 3);
 }
@@ -41,7 +74,8 @@ TEST(HeteroSageLayerTest, MasksNodesUntouchedByType) {
   Rng frng(4);
   auto h = tape.Constant(Tensor::GlorotUniform(tg.graph.num_nodes(), 4,
                                                &frng));
-  auto out = layer.Forward(&tape, h, tg.graph);
+  auto out = layer.Forward(&tape, h, h, tg.graph.num_nodes(),
+                           tg.graph.adjacencies());
   const Tensor& v = tape.value(out);
   // Row 2's "b" cell is missing, so its RID node only participates in edge
   // type 0; output must still be finite and generally nonzero.
@@ -155,6 +189,88 @@ TEST(HeteroGnnTest, TrainingReducesReconstructionLoss) {
     opt.ZeroGrad();
   }
   EXPECT_LT(last, first * 0.5f);
+}
+
+TEST(HeteroGnnTest, CallerScratchIsBitIdenticalToCallLocal) {
+  Table t = TinyTable();
+  TableGraph tg = BuildTableGraph(t);
+  Rng rng(13);
+  HeteroGnn gnn(tg.graph.num_edge_types(), 4, 4, 4, 2, &rng);
+  Rng frng(14);
+  const Tensor features =
+      Tensor::GlorotUniform(tg.graph.num_nodes(), 4, &frng);
+  const Tensor reference = ForwardValue(gnn, features, tg.graph, nullptr);
+
+  // The caller's scratch is refilled in place on a reused tape (its
+  // buffers are back at use_count()==1 after each Reset).
+  GnnScratch scratch;
+  Tape tape;
+  for (int rep = 0; rep < 3; ++rep) {
+    tape.Reset();
+    const Tensor& out = tape.value(
+        gnn.Forward(&tape, tape.Constant(features), tg.graph, &scratch));
+    ExpectBitIdentical(out, reference);
+  }
+  EXPECT_EQ(scratch.layers.size(), 2u);
+}
+
+TEST(HeteroGnnTest, ScratchReusedAcrossGraphsMatchesFreshForwards) {
+  Table t1 = TinyTable();
+  Table t2 = OtherTable();
+  TableGraph g1 = BuildTableGraph(t1);
+  TableGraph g2 = BuildTableGraph(t2);
+  ASSERT_NE(g1.graph.num_nodes(), g2.graph.num_nodes());
+  Rng rng(15);
+  HeteroGnn gnn(g1.graph.num_edge_types(), 4, 4, 4, 2, &rng);
+  Rng frng(16);
+  const Tensor f1 = Tensor::GlorotUniform(g1.graph.num_nodes(), 4, &frng);
+  const Tensor f2 = Tensor::GlorotUniform(g2.graph.num_nodes(), 4, &frng);
+  const Tensor fresh1 = ForwardValue(gnn, f1, g1.graph, nullptr);
+  const Tensor fresh2 = ForwardValue(gnn, f2, g2.graph, nullptr);
+
+  // Alternate graphs through one scratch: masks sized and filled for the
+  // previous graph must never leak into the next forward.
+  GnnScratch scratch;
+  ExpectBitIdentical(ForwardValue(gnn, f1, g1.graph, &scratch), fresh1);
+  ExpectBitIdentical(ForwardValue(gnn, f2, g2.graph, &scratch), fresh2);
+  ExpectBitIdentical(ForwardValue(gnn, f1, g1.graph, &scratch), fresh1);
+}
+
+TEST(HeteroGnnTest, InPlaceSetAdjacencyMatchesFreshlyBuiltGraph) {
+  Table t = TinyTable();
+  TableGraph tg = BuildTableGraph(t);
+  const int64_t n = tg.graph.num_nodes();
+  Rng rng(17);
+  HeteroGnn gnn(tg.graph.num_edge_types(), 4, 4, 4, 2, &rng);
+  Rng frng(18);
+  const Tensor features = Tensor::GlorotUniform(n, 4, &frng);
+
+  // Forward once (with and without a scratch), then rewire the graph in
+  // place: edge type 1 loses every edge, so every participation mask and
+  // normalizer row touched by type 1 changes.
+  HeteroGraph graph = tg.graph;
+  GnnScratch scratch;
+  const Tensor before = ForwardValue(gnn, features, graph, &scratch);
+  ExpectBitIdentical(ForwardValue(gnn, features, graph, nullptr), before);
+  const auto rewired = [&] {
+    std::vector<CsrAdjacency> adjacency;
+    adjacency.push_back(tg.graph.adjacency(0));
+    adjacency.push_back(CsrAdjacency::FromEdges(n, {}));
+    return adjacency;
+  };
+  graph.SetAdjacency(rewired());
+
+  HeteroGraph fresh;
+  for (const NodeInfo& info : tg.graph.nodes()) fresh.AddNode(info);
+  fresh.SetAdjacency(rewired());
+  const Tensor expected = ForwardValue(gnn, features, fresh, nullptr);
+
+  ExpectBitIdentical(ForwardValue(gnn, features, graph, &scratch), expected);
+  ExpectBitIdentical(ForwardValue(gnn, features, graph, nullptr), expected);
+  // The rewiring is visible, i.e. no stale masks could pass as fresh ones.
+  EXPECT_NE(std::memcmp(before.data(), expected.data(),
+                        sizeof(float) * static_cast<size_t>(before.size())),
+            0);
 }
 
 }  // namespace

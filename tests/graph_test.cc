@@ -53,28 +53,6 @@ TEST(CsrAdjacencyTest, FromPartsRoundTripsThroughReleaseParts) {
   EXPECT_EQ(rebuilt.Degree(3), 1);
 }
 
-TEST(HeteroGraphTest, UidTracksStructuralChanges) {
-  HeteroGraph g;
-  g.AddNode(NodeInfo{});
-  g.AddNode(NodeInfo{});
-  const uint64_t original = g.uid();
-
-  // SetAdjacency changes the structure: caches keyed on uid must miss.
-  std::vector<CsrAdjacency> adj;
-  adj.push_back(CsrAdjacency::FromEdges(2, {{0, 1}, {1, 0}}));
-  g.SetAdjacency(std::move(adj));
-  EXPECT_NE(g.uid(), original);
-  const uint64_t after_set = g.uid();
-
-  // A copy is a distinct cache key; a move carries the identity along and
-  // re-keys the hollowed-out source.
-  HeteroGraph copy(g);
-  EXPECT_NE(copy.uid(), after_set);
-  HeteroGraph moved(std::move(g));
-  EXPECT_EQ(moved.uid(), after_set);
-  EXPECT_NE(g.uid(), after_set);  // NOLINT(bugprone-use-after-move)
-}
-
 TEST(GraphBuilderTest, ReportsTypedErrorsInsteadOfAborting) {
   const Table empty(Schema({{"a", AttrType::kCategorical}}));
   auto no_rows = GraphBuilder().Build(empty);

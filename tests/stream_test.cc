@@ -1,12 +1,16 @@
 // Streaming-layer tests: the LiveGraph maintenance invariant (delta-applied
 // state bit-identical to a from-scratch rebuild), sharded/in-memory store
 // parity under Append, the typed IngestBatch error surface with atomic
-// rejection, streaming inference equality through TransformMany, the
-// fine-tune hot-swap protocol, and concurrent ingest/impute/serve (the
-// TSan variant in tests/CMakeLists.txt reruns this suite).
+// rejection, streaming inference equality through TransformMany, typed
+// rejection of malformed StreamContexts, the fine-tune hot-swap protocol,
+// concurrent streaming TransformMany calls on one engine, and concurrent
+// ingest/impute/serve (the TSan variant in tests/CMakeLists.txt reruns
+// this suite).
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -82,6 +86,22 @@ void ExpectTensorsBitEqual(const Tensor& a, const Tensor& b) {
                         sizeof(float) * static_cast<size_t>(a.rows()) *
                             static_cast<size_t>(a.cols())),
             0);
+}
+
+bool TablesEqual(const Table& a, const Table& b) {
+  if (a.num_rows() != b.num_rows() || a.num_cols() != b.num_cols()) {
+    return false;
+  }
+  for (int64_t r = 0; r < a.num_rows(); ++r) {
+    for (int c = 0; c < a.num_cols(); ++c) {
+      if (a.IsMissing(r, c) != b.IsMissing(r, c)) return false;
+      if (!a.IsMissing(r, c) &&
+          a.column(c).StringAt(r) != b.column(c).StringAt(r)) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 void ExpectTablesEqual(const Table& a, const Table& b) {
@@ -256,6 +276,51 @@ class StreamingEngineTest : public ::testing::Test {
     return std::move(*engine_or);
   }
 
+  // Streaming TransformMany of `window` (a copy of the context's window
+  // rows) through `engine`.
+  static Status StreamImpute(const GrimpEngine& engine,
+                             const StreamContext& ctx, Table* window) {
+    TransformOptions transform;
+    transform.stream = &ctx;
+    return engine.TransformMany(std::span<Table* const>(&window, 1),
+                                transform);
+  }
+
+  // A fitted engine and a live graph over its own seed table, for feeding
+  // deliberately broken StreamContexts: both streaming TransformMany and
+  // Resume must reject `break_ctx`'s context with InvalidArgument naming
+  // `field`, instead of aborting or reading out of bounds.
+  void ExpectContextRejected(
+      const std::function<void(const LiveGraph&, StreamContext*)>& break_ctx,
+      const std::string& field) {
+    Table seed_table = Prefix(data_.dirty, kPrefix);
+    std::unique_ptr<GrimpEngine> engine = FitEngine(seed_table, 0);
+    ASSERT_NE(engine, nullptr);
+    LiveGraphOptions live_options;
+    live_options.dim = engine->options().dim;
+    live_options.seed = engine->options().seed;
+    auto live_or = LiveGraph::Create(std::move(seed_table), live_options);
+    ASSERT_TRUE(live_or.ok()) << live_or.status().ToString();
+    const LiveGraph& live = **live_or;
+
+    StreamContext ctx = live.Context(kPrefix - 32, {3, 3}, /*nonce=*/0);
+    break_ctx(live, &ctx);
+    Table window(live.table().schema());
+    for (int64_t r = kPrefix - 32; r < kPrefix; ++r) {
+      ASSERT_TRUE(window.AppendRow(RowStrings(live.table(), r)).ok());
+    }
+    const Status transform = StreamImpute(*engine, ctx, &window);
+    EXPECT_EQ(transform.code(), StatusCode::kInvalidArgument)
+        << transform.ToString();
+    EXPECT_NE(transform.message().find(field), std::string::npos)
+        << transform.ToString();
+    const auto resumed = engine->Resume(ctx, ResumeOptions{});
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+        << resumed.status().ToString();
+    EXPECT_NE(resumed.status().message().find(field), std::string::npos)
+        << resumed.status().ToString();
+  }
+
   StreamBatch RowBatch(int64_t begin, int64_t end) {
     StreamBatch batch;
     for (int64_t r = begin; r < end; ++r) {
@@ -384,6 +449,96 @@ TEST_F(StreamingEngineTest, ImputedWindowsMatchBatchRebuild) {
                     .ok());
     ExpectTablesEqual(*window_or, window);
   }
+}
+
+TEST_F(StreamingEngineTest, RejectsFanoutCountOtherThanGnnLayers) {
+  ExpectContextRejected(
+      [](const LiveGraph&, StreamContext* ctx) { ctx->fanouts = {3, 3, 3}; },
+      "StreamContext.fanouts");
+}
+
+TEST_F(StreamingEngineTest, RejectsNonPositiveFanout) {
+  ExpectContextRejected(
+      [](const LiveGraph&, StreamContext* ctx) { ctx->fanouts = {0, 3}; },
+      "StreamContext.fanouts");
+}
+
+TEST_F(StreamingEngineTest, RejectsStoreWithOtherNodeCount) {
+  // A store over a shorter prefix has fewer nodes than the live graph the
+  // context's node ids come from.
+  auto small_or = GraphBuilder().Build(Prefix(data_.dirty, kPrefix / 2));
+  ASSERT_TRUE(small_or.ok()) << small_or.status().ToString();
+  const InMemoryGraphStore small_store(
+      static_cast<const HeteroGraph*>(&small_or->graph));
+  ExpectContextRejected(
+      [&](const LiveGraph& live, StreamContext* ctx) {
+        ASSERT_LT(small_store.num_nodes(), live.tg().graph.num_nodes());
+        ctx->store = &small_store;
+      },
+      "StreamContext.store");
+}
+
+TEST_F(StreamingEngineTest, RejectsStoreWithOtherEdgeTypeCount) {
+  // Same nodes as the live graph, one edge type short.
+  HeteroGraph truncated;
+  std::unique_ptr<InMemoryGraphStore> truncated_store;
+  ExpectContextRejected(
+      [&](const LiveGraph& live, StreamContext* ctx) {
+        truncated = live.tg().graph;
+        const std::span<const CsrAdjacency> all = truncated.adjacencies();
+        truncated.SetAdjacency(
+            std::vector<CsrAdjacency>(all.begin(), all.end() - 1));
+        truncated_store = std::make_unique<InMemoryGraphStore>(
+            static_cast<const HeteroGraph*>(&truncated));
+        ctx->store = truncated_store.get();
+      },
+      "StreamContext.store");
+}
+
+// Any number of streaming TransformMany calls may run concurrently on one
+// engine over one shared StreamContext, each bit-identical to a serial
+// call: the GNN layers hold only weights, so every call's mask scratch,
+// sampler and tape are its own.
+TEST_F(StreamingEngineTest, ConcurrentStreamingTransformManyMatchesSerial) {
+  constexpr int64_t kWindow = 64;
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 50;
+  StreamingOptions options;
+  options.window_rows = kWindow;
+  options.fanouts = {3, 3};
+  auto stream = MakeEngine(options);
+  ASSERT_NE(stream, nullptr);
+  ASSERT_TRUE(stream->IngestBatch(RowBatch(kPrefix, kPrefix + kWindow)).ok());
+
+  const LiveGraph& live = stream->live();
+  const int64_t row_begin = live.table().num_rows() - kWindow;
+  const StreamContext ctx = live.Context(row_begin, {3, 3}, /*nonce=*/7);
+  Table window(live.table().schema());
+  for (int64_t r = row_begin; r < live.table().num_rows(); ++r) {
+    ASSERT_TRUE(window.AppendRow(RowStrings(live.table(), r)).ok());
+  }
+  Table serial = window;
+  ASSERT_TRUE(StreamImpute(stream->engine(), ctx, &serial).ok());
+  ASSERT_FALSE(TablesEqual(serial, window));  // something was imputed
+
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      for (int call = 0; call < kCalls; ++call) {
+        Table imputed = window;
+        if (!StreamImpute(stream->engine(), ctx, &imputed).ok()) {
+          failures.fetch_add(1);
+        } else if (!TablesEqual(imputed, serial)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST_F(StreamingEngineTest, FineTunePublishesAndHotSwaps) {
