@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/mean_mode.h"
 #include "common/binary_io.h"
+#include "core/engine.h"
 #include "core/grimp.h"
 #include "core/names.h"
 #include "data/datasets.h"
 #include "eval/metrics.h"
 #include "eval/runner.h"
+#include "exact_cells.h"
 
 namespace grimp {
 namespace {
@@ -362,6 +367,64 @@ TEST_P(GrimpConfigTest, RunsEndToEnd) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, GrimpConfigTest, ::testing::Range(0, 11));
+
+// Inductive pins: what batch TransformMany and AttentionSummary compute
+// from one fitted engine, held like GrimpConfigTest's digests at the
+// scalar SIMD tier (ctest reruns them on one thread and with the arena
+// off). The fit runs on a contraceptive replica; the inputs are unseen
+// replicas with 25% MCAR gaps.
+std::unique_ptr<GrimpEngine> PinnedInductiveEngine() {
+  GrimpOptions options = FastOptions();
+  options.max_epochs = 10;
+  options.simd = "scalar";
+  auto engine = std::make_unique<GrimpEngine>(options);
+  auto source = GenerateDatasetByName("contraceptive", 3, 120);
+  EXPECT_TRUE(source.ok()) << source.status().ToString();
+  const Status fit = engine->Fit(InjectMcar(*source, 0.2, 4).dirty);
+  EXPECT_TRUE(fit.ok()) << fit.ToString();
+  return engine;
+}
+
+Table UnseenTable(uint64_t seed, int64_t rows) {
+  auto clean = GenerateDatasetByName("contraceptive", seed, rows);
+  EXPECT_TRUE(clean.ok()) << clean.status().ToString();
+  return InjectMcar(*clean, 0.25, seed + 10).dirty;
+}
+
+TEST(InductivePinTest, BatchTransformManyDigest) {
+  const std::unique_ptr<GrimpEngine> engine = PinnedInductiveEngine();
+  std::vector<Table> tables = {UnseenTable(5, 40), UnseenTable(6, 25),
+                               UnseenTable(7, 60)};
+  std::vector<Table*> batch;
+  for (Table& t : tables) batch.push_back(&t);
+  ASSERT_TRUE(engine->TransformMany(batch).ok());
+  std::string cells;
+  for (const Table& t : tables) {
+    EXPECT_DOUBLE_EQ(t.MissingFraction(), 0.0);
+    cells += ExactCells(t);
+  }
+  const uint64_t digest = Checksum64::Of(cells.data(), cells.size());
+  EXPECT_EQ(digest, 0x76cb1731e69afaafULL)
+      << "digest 0x" << std::hex << digest;
+}
+
+TEST(InductivePinTest, AttentionSummaryMatrix) {
+  const std::unique_ptr<GrimpEngine> engine = PinnedInductiveEngine();
+  auto summary = engine->AttentionSummary(UnseenTable(8, 60));
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  std::string matrix;
+  char hex[32];
+  for (int64_t r = 0; r < summary->rows(); ++r) {
+    for (int64_t c = 0; c < summary->cols(); ++c) {
+      std::snprintf(hex, sizeof(hex), "%a ", summary->at(r, c));
+      matrix += hex;
+    }
+    matrix += '\n';
+  }
+  const uint64_t digest = Checksum64::Of(matrix.data(), matrix.size());
+  EXPECT_EQ(digest, 0xb3926621e03f778cULL)
+      << "digest 0x" << std::hex << digest << "\n" << matrix;
+}
 
 TEST(GrimpTest, FdStrategyConsumesFds) {
   Table clean = StructuredTable(100);
