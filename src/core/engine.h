@@ -97,10 +97,10 @@ class GrimpEngine {
   // missing values).
   Status Fit(const Table& source);
 
-  // Trains on `dirty` exactly like Fit, then imputes a copy of it from
-  // one whole-graph forward over the fit-time graph (validation edges
-  // still removed) and features. Sharded graph storage is rejected with
-  // FailedPrecondition.
+  // Trains on `dirty` exactly like Fit, then imputes a copy of it through
+  // batch TransformMany's inference body, with the fit-time graph
+  // (validation edges still removed) and features as its one request.
+  // Sharded graph storage is rejected with FailedPrecondition.
   Result<Table> FitImpute(const Table& dirty);
 
   // Online fine-tuning (streaming ingestion): resumes training from the
@@ -122,13 +122,15 @@ class GrimpEngine {
   // The one inductive inference entry point: imputes every missing cell
   // of every table in place.
   //
-  // Batch mode (options.stream == nullptr): each table gets the graph and
-  // deterministic n-gram features a solo run would build, the per-table
-  // graphs are stitched into a block-diagonal disjoint union, and one
-  // tape/GNN/task forward imputes them all. Message passing never crosses
-  // table boundaries and every kernel in the inference path is
-  // row-independent, so result i is bit-identical to a solo call on
+  // Batch mode (options.stream == nullptr): each table becomes one
+  // request with the graph and deterministic n-gram features a solo run
+  // would build; the requests are stitched into a block-diagonal disjoint
+  // union, and one tape/GNN/task forward imputes them all. Message passing
+  // never crosses table boundaries and every kernel in the inference path
+  // is row-independent, so result i is bit-identical to a solo call on
   // tables[i] — micro-batching amortizes cost without changing any answer.
+  // FitImpute and AttentionSummary run the same body as one-request
+  // unions.
   // All model reads happen before any table is written; on error no table
   // is modified. With the TensorArena enabled, per-thread scratch (tape,
   // graph storage, GNN masks, gather indices) is recycled across calls,
@@ -136,7 +138,9 @@ class GrimpEngine {
   //
   // Streaming mode (options.stream != nullptr): `tables` must hold exactly
   // one table — a copy of the context's window rows — and inference runs
-  // with sampled blocks over the context's live graph (see StreamContext).
+  // with sampled blocks over the context's live graph (see StreamContext),
+  // one per task, through the same cell collector and decoder. A window
+  // outside the live table is OutOfRange.
   // Imputations are written into that window table only; the live state
   // stays untouched (writing into the live table would perturb its
   // dictionaries and therefore the graph).
@@ -172,6 +176,8 @@ class GrimpEngine {
   // t's mean attention over the columns, averaged over every tuple of
   // `table` that has a missing cell in column t (zero rows for tasks with
   // nothing to impute or linear heads). Requires a fitted attention model.
+  // `table` is a one-request batch TransformMany forward; only the heads
+  // differ.
   Result<Tensor> AttentionSummary(const Table& table) const;
 
   bool fitted() const { return fitted_; }
@@ -200,10 +206,12 @@ class GrimpEngine {
     int32_t code = -1;
     double value = 0.0;
   };
-  struct TransformScratch;  // per-thread batch inference buffers
+  // One inference call's requests, union graph, tape, per-task cells and
+  // decisions (engine.cc).
+  struct TransformScratch;
 
   // The fit body shared by Fit and FitImpute. Leaves the fit-time graph
-  // and features in the caller's locals.
+  // and features in *tg and *features (FitImpute's one request).
   Status Train(const Table& source, TableGraph* tg,
                PretrainedFeatures* features);
   // FailedPrecondition unless the engine is fitted and its options allow
@@ -230,11 +238,34 @@ class GrimpEngine {
   // `table` to its task in `tasks`.
   void AddSample(const Table& table, const TableGraph& tg, int64_t row,
                  int col, bool is_val, std::vector<TrainTask>* tasks) const;
-  // Decodes row `i` of `task`'s scores into `cell` (whose col is set):
-  // the argmax over the column's live source codes, or the denormalized
-  // regression output. False when the domain has no live code.
-  bool Decode(const TaskState& task, const Tensor& scores, int64_t i,
-              CellWrite* cell) const;
+
+  // The inference body. Every inference call runs it: batch TransformMany
+  // over one request per table, FitImpute and AttentionSummary over one
+  // request, streaming TransformMany only its collector and decoder.
+  //
+  // Builds s->requests[i] for `table`: its graph and its n-gram features
+  // with Fit's seed derivation.
+  Status BuildRequest(const Table& table, size_t i,
+                      TransformScratch* s) const;
+  // The one whole-graph inference forward: stitches requests [0, n) into a
+  // block-diagonal union, collects every missing cell of every request,
+  // runs the GNN and shared MLP and returns the shared representation.
+  Tape::VarId ForwardRequests(size_t n, TransformScratch* s) const;
+  // ForwardRequests, then each task's head over its cells and DecodeTask.
+  void ImputeRequests(size_t n, TransformScratch* s) const;
+  // Appends the missing cells of `table`'s rows [row_begin, row_begin +
+  // num_rows) to their tasks' gather indices (node ids shifted by
+  // `node_offset`) and cell lists, in (row, column) order; cell rows are
+  // relative to row_begin. Request 0 starts a new collection: it clears
+  // every task's lists and the decisions.
+  void CollectCells(const Table& table, const TableGraph& tg,
+                    int64_t row_begin, int64_t num_rows, size_t request,
+                    int64_t node_offset, TransformScratch* s) const;
+  // Decodes task t's scores (one row per collected cell) into
+  // s->decisions: the argmax over the column's live source codes, or the
+  // denormalized regression output. A cell whose domain has no live code
+  // is skipped.
+  void DecodeTask(size_t t, const Tensor& scores, TransformScratch* s) const;
   void Apply(const CellWrite& cell, Table* table) const;
 
   GrimpOptions options_;

@@ -87,23 +87,29 @@ Tape::VarId Trainer::FullTaskLoss(const TrainTask& task, Tape::VarId h_shared,
                                task.train_labels, task.train_targets);
 }
 
+double Trainer::FullValidationLoss(Tape::VarId h_shared, bool* has_val) {
+  double val_loss_sum = 0.0;
+  for (const TrainTask& task : tasks_) {
+    if (task.val_idx.empty()) continue;
+    val_loss_sum +=
+        tape_.value(FullTaskLoss(task, h_shared, /*validation=*/true))
+            .scalar();
+    *has_val = true;
+  }
+  return val_loss_sum;
+}
+
 Trainer::EpochResult Trainer::RunFullEpoch(Adam* opt, double* val_loss_sum,
                                            bool* has_val) {
   EpochResult result;
   Tape::VarId h_shared = FullForward();
   Tape::VarId total_loss = -1;
   for (const TrainTask& task : tasks_) {
-    if (!task.train_idx.empty()) {
-      Tape::VarId loss = FullTaskLoss(task, h_shared, /*validation=*/false);
-      total_loss = total_loss < 0 ? loss : tape_.Add(total_loss, loss);
-    }
-    if (!task.val_idx.empty()) {
-      *val_loss_sum +=
-          tape_.value(FullTaskLoss(task, h_shared, /*validation=*/true))
-              .scalar();
-      *has_val = true;
-    }
+    if (task.train_idx.empty()) continue;
+    Tape::VarId loss = FullTaskLoss(task, h_shared, /*validation=*/false);
+    total_loss = total_loss < 0 ? loss : tape_.Add(total_loss, loss);
   }
+  *val_loss_sum = FullValidationLoss(h_shared, has_val);
   if (total_loss < 0) return result;  // nothing to train on
   result.train_loss = tape_.value(total_loss).scalar();
   tape_.Backward(total_loss);
@@ -119,16 +125,7 @@ double Trainer::ValidationLoss(bool* has_val) {
   if (store_->full_graph() == nullptr) {
     return RunSampledPass(/*epoch=*/0, /*opt=*/nullptr, has_val);
   }
-  Tape::VarId h_shared = FullForward();
-  double val_loss_sum = 0.0;
-  for (const TrainTask& task : tasks_) {
-    if (task.val_idx.empty()) continue;
-    val_loss_sum +=
-        tape_.value(FullTaskLoss(task, h_shared, /*validation=*/true))
-            .scalar();
-    *has_val = true;
-  }
-  return val_loss_sum;
+  return FullValidationLoss(FullForward(), has_val);
 }
 
 void Trainer::PrepareBatch(const BatchPlan& plan, bool validation,

@@ -117,8 +117,8 @@ class Trainer {
   };
 
   // One full-graph training epoch (forward + backward + step). Also
-  // computes the validation loss on the same tape, matching the original
-  // loops op-for-op.
+  // computes the validation loss from the same forward, recorded after the
+  // training losses where Backward never reaches it.
   EpochResult RunFullEpoch(Adam* opt, double* val_loss_sum, bool* has_val);
   // Summed validation loss without backward (sampled epochs, warm start):
   // one full-graph forward when the store exposes a full graph, else a
@@ -126,6 +126,9 @@ class Trainer {
   double ValidationLoss(bool* has_val);
   // Resets tape_ and runs the whole-graph GNN + shared MLP forward.
   Tape::VarId FullForward();
+  // Summed per-task validation loss over the full-graph representation
+  // `h_shared`; sets *has_val when any task has validation samples.
+  double FullValidationLoss(Tape::VarId h_shared, bool* has_val);
   // One task's head forward plus loss over the full-graph representation
   // `h_shared`, on its training or validation samples.
   Tape::VarId FullTaskLoss(const TrainTask& task, Tape::VarId h_shared,
