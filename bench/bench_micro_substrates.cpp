@@ -72,7 +72,7 @@ void BM_GnnForwardBackward(benchmark::State& state) {
     Tape tape;
     auto out = gnn.Forward(&tape, tape.Constant(features), tg.graph);
     auto loss = tape.SumAll(tape.Mul(out, out));
-    tape.Backward(loss);
+    tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
     for (Parameter* p : params) p->ZeroGrad();
     benchmark::DoNotOptimize(tape.value(loss).scalar());
   }

@@ -148,7 +148,7 @@ Result<Table> AimNetImputer::Impute(const Table& dirty) {
       total = total < 0 ? loss : tape.Add(total, loss);
     }
     if (total < 0) break;
-    tape.Backward(total);
+    tape.BackwardFrom(total, Tensor::Scalar(1.0f));
     opt.ClipGradNorm(5.0f);
     opt.Step();
     opt.ZeroGrad();

@@ -127,7 +127,7 @@ Result<Table> DataWigImputer::Impute(const Table& dirty) {
       Tape::VarId loss = target_col.is_categorical()
                              ? tape.SoftmaxCrossEntropy(out, labels)
                              : tape.MseLoss(out, reg_targets);
-      tape.Backward(loss);
+      tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
       opt.ClipGradNorm(5.0f);
       opt.Step();
       opt.ZeroGrad();

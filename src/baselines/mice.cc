@@ -134,7 +134,7 @@ Result<Table> MiceImputer::Impute(const Table& dirty) {
         Tape::VarId loss = categorical
                                ? tape.SoftmaxCrossEntropy(out, labels)
                                : tape.MseLoss(out, targets);
-        tape.Backward(loss);
+        tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
         opt.Step();
         opt.ZeroGrad();
       }

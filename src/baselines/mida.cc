@@ -88,7 +88,7 @@ Result<Table> MidaImputer::Impute(const Table& dirty) {
     Tape::VarId sq = tape.Mul(diff, diff);
     Tape::VarId masked = tape.Mul(sq, tape.Constant(mask));
     Tape::VarId loss = tape.Scale(tape.SumAll(masked), inv_observed);
-    tape.Backward(loss);
+    tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
     opt.ClipGradNorm(5.0f);
     opt.Step();
     opt.ZeroGrad();

@@ -72,6 +72,39 @@ Tape::VarId TaskHeadForward(Tape* tape, const TaskHead& head, Tape::VarId h,
       tape, tape->Reshape(flat, n, static_cast<int64_t>(num_cols) * dim));
 }
 
+Tensor GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
+                      int num_cols) {
+  const int64_t dim = h.cols();
+  const auto cells = static_cast<int64_t>(idx.size());
+  Tensor out = Tensor::Uninit(cells / num_cols, num_cols * dim);
+  ParallelFor(0, cells, 512, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const int32_t r = idx[static_cast<size_t>(i)];
+      float* dst = out.data() + i * dim;
+      if (r < 0) {
+        std::fill(dst, dst + dim, 0.0f);
+      } else {
+        const float* src = h.data() + static_cast<int64_t>(r) * dim;
+        std::copy(src, src + dim, dst);
+      }
+    }
+  });
+  return out;
+}
+
+void ScatterTaskRows(const Tensor& grad, const std::vector<int32_t>& idx,
+                     Tensor* h_grad) {
+  const int64_t dim = h_grad->cols();
+  GRIMP_CHECK_EQ(grad.size(), static_cast<int64_t>(idx.size()) * dim);
+  for (size_t i = 0; i < idx.size(); ++i) {
+    const int32_t r = idx[i];
+    if (r < 0) continue;
+    const float* src = grad.data() + static_cast<int64_t>(i) * dim;
+    float* dst = h_grad->data() + static_cast<int64_t>(r) * dim;
+    for (int64_t c = 0; c < dim; ++c) dst[c] += src[c];
+  }
+}
+
 Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
                          const TaskHead& head, PreparedBatch* batch,
                          int num_cols, int dim, GnnScratch* gnn_scratch) {

@@ -83,6 +83,21 @@ Tape::VarId TaskHeadForward(Tape* tape, const TaskHead& head, Tape::VarId h,
                             const std::vector<int32_t>* idx, int num_cols,
                             int dim);
 
+// The head input TaskHeadForward builds, in one copy: row i of the result
+// is rows idx[i * num_cols .. (i + 1) * num_cols) of `h` laid side by side
+// (|idx| / num_cols x num_cols * h.cols()), a zero block for each -1. The
+// trainer's per-task head sub-tapes take it as a constant and hand its
+// gradient back through ScatterTaskRows.
+Tensor GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
+                      int num_cols);
+
+// The gradient half of GatherTaskRows: scatter-adds `grad` (shaped like
+// GatherTaskRows' result) into rows `idx` of *h_grad, skipping -1, in
+// ascending idx order — the order GatherRows' backward adds in, so a
+// serial replay of per-task scatters reproduces one shared tape's bits.
+void ScatterTaskRows(const Tensor& grad, const std::vector<int32_t>& idx,
+                     Tensor* h_grad);
+
 // A prepared batch's forward: ForwardBlocks over batch->sub (masks in
 // *gnn_scratch) -> shared MLP -> TaskHeadForward over batch->local_idx.
 // Moves batch->feats onto the tape and borrows the rest of *batch until the

@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "graph/sampler.h"
 #include "tensor/arena.h"
@@ -51,7 +52,8 @@ Trainer::Trainer(const GrimpOptions& options, const GraphStore* store,
       gnn_(gnn),
       shared_(shared),
       tasks_(std::move(tasks)),
-      num_cols_(num_cols) {
+      num_cols_(num_cols),
+      head_runs_(tasks_.size()) {
   GRIMP_CHECK(store_ != nullptr);
   GRIMP_CHECK(node_features_ != nullptr);
   GRIMP_CHECK(shared_ != nullptr);
@@ -61,6 +63,16 @@ Trainer::Trainer(const GrimpOptions& options, const GraphStore* store,
   // only an in-memory store can serve.
   GRIMP_CHECK(options_.train.mode == TrainMode::kSampled ||
               store_->full_graph() != nullptr);
+  // Full-mode heads run their backward passes concurrently, each writing
+  // its head's parameter grads, so no two tasks may share a head.
+  std::vector<const TaskHead*> heads;
+  for (const TrainTask& task : tasks_) {
+    GRIMP_CHECK(task.head != nullptr);
+    heads.push_back(task.head);
+  }
+  std::sort(heads.begin(), heads.end());
+  GRIMP_CHECK(std::adjacent_find(heads.begin(), heads.end()) == heads.end())
+      << "two TrainTasks share one TaskHead";
 }
 
 Tape::VarId Trainer::FullForward() {
@@ -73,46 +85,103 @@ Tape::VarId Trainer::FullForward() {
   return shared_->Forward(&tape_, h);
 }
 
-Tape::VarId Trainer::FullTaskLoss(const TrainTask& task, Tape::VarId h_shared,
-                                  bool validation) {
-  // Borrowing overloads throughout: the task's index/label/target vectors
-  // are Trainer members, alive well past the tape's backward pass.
-  Tape::VarId out =
-      TaskHeadForward(&tape_, *task.head, h_shared,
-                      validation ? &task.val_idx : &task.train_idx, num_cols_,
-                      options_.dim);
-  return validation ? TaskLoss(&tape_, task, options_.focal_gamma, out,
-                               task.val_labels, task.val_targets)
-                    : TaskLoss(&tape_, task, options_.focal_gamma, out,
-                               task.train_labels, task.train_targets);
+void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
+  const TrainTask& task = tasks_[t];
+  HeadRun& run = head_runs_[t];
+  Tape& tape = run.tape;
+  // Borrowing loss overloads: the task's label/target vectors are Trainer
+  // members, alive past the sub-tape's Reset.
+  if (train && !task.train_idx.empty()) {
+    run.train_in =
+        tape.Constant(GatherTaskRows(h, task.train_idx, num_cols_));
+    const Tape::VarId loss =
+        TaskLoss(&tape, task, options_.focal_gamma,
+                 task.head->Forward(&tape, run.train_in), task.train_labels,
+                 task.train_targets);
+    run.train_loss = tape.value(loss).scalar();
+    tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
+  }
+  if (!task.val_idx.empty()) {
+    const Tape::VarId in =
+        tape.Constant(GatherTaskRows(h, task.val_idx, num_cols_));
+    run.val_loss =
+        tape.value(TaskLoss(&tape, task, options_.focal_gamma,
+                            task.head->Forward(&tape, in), task.val_labels,
+                            task.val_targets))
+            .scalar();
+  }
 }
 
-double Trainer::FullValidationLoss(Tape::VarId h_shared, bool* has_val) {
-  double val_loss_sum = 0.0;
-  for (const TrainTask& task : tasks_) {
-    if (task.val_idx.empty()) continue;
-    val_loss_sum +=
-        tape_.value(FullTaskLoss(task, h_shared, /*validation=*/true))
-            .scalar();
-    *has_val = true;
+Trainer::HeadLosses Trainer::RunHeadWaves(const Tensor& h, Tensor* h_grad) {
+  const bool train = h_grad != nullptr;
+  const auto num_tasks = static_cast<int64_t>(tasks_.size());
+  const int64_t width = ThreadPool::Global().num_threads();
+  HeadLosses losses;
+  // Waves take the tasks in descending order so the serial reduce below
+  // replays the scatter order of one shared tape's backward (last-recorded
+  // task first). Inside a wave nothing is released to the arena: the
+  // sub-tapes hold every buffer until the calling thread resets them, so
+  // arena traffic is the same at any interleaving.
+  for (int64_t wave_end = num_tasks; wave_end > 0; wave_end -= width) {
+    const int64_t wave_begin = std::max<int64_t>(0, wave_end - width);
+    ParallelFor(wave_begin, wave_end, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t t = lo; t < hi; ++t) {
+        RunTaskHead(static_cast<size_t>(t), h, train);
+      }
+    });
+    const auto reduce_start = Now();
+    for (int64_t t = wave_end - 1; t >= wave_begin; --t) {
+      HeadRun& run = head_runs_[static_cast<size_t>(t)];
+      const TrainTask& task = tasks_[static_cast<size_t>(t)];
+      if (train && !task.train_idx.empty()) {
+        ScatterTaskRows(run.tape.grad(run.train_in), task.train_idx, h_grad);
+      }
+      run.tape.Reset();
+    }
+    losses.reduce_seconds += SecondsSince(reduce_start);
   }
-  return val_loss_sum;
+  // Ascending task order, as the shared tape's Add chain (float) and the
+  // validation sum (double) accumulated them.
+  for (size_t t = 0; t < tasks_.size(); ++t) {
+    const TrainTask& task = tasks_[t];
+    const HeadRun& run = head_runs_[t];
+    if (train && !task.train_idx.empty()) {
+      losses.train_loss =
+          losses.trained ? losses.train_loss + run.train_loss : run.train_loss;
+      losses.trained = true;
+    }
+    if (!task.val_idx.empty()) {
+      losses.val_loss += run.val_loss;
+      losses.has_val = true;
+    }
+  }
+  return losses;
 }
 
 Trainer::EpochResult Trainer::RunFullEpoch(Adam* opt, double* val_loss_sum,
                                            bool* has_val) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  TraceSpan forward_span("train.forward");
+  const Tape::VarId h_shared = FullForward();
+  forward_span.Stop();
+
+  const auto heads_start = Now();
+  const Tensor& h = tape_.value(h_shared);
+  Tensor h_grad = Tensor::Zeros(h.rows(), h.cols());
+  const HeadLosses losses = RunHeadWaves(h, &h_grad);
+  registry.RecordSpan("train.heads",
+                      SecondsSince(heads_start) - losses.reduce_seconds);
+  registry.RecordSpan("train.reduce", losses.reduce_seconds);
+  *val_loss_sum = losses.val_loss;
+  *has_val = losses.has_val;
+
   EpochResult result;
-  Tape::VarId h_shared = FullForward();
-  Tape::VarId total_loss = -1;
-  for (const TrainTask& task : tasks_) {
-    if (task.train_idx.empty()) continue;
-    Tape::VarId loss = FullTaskLoss(task, h_shared, /*validation=*/false);
-    total_loss = total_loss < 0 ? loss : tape_.Add(total_loss, loss);
-  }
-  *val_loss_sum = FullValidationLoss(h_shared, has_val);
-  if (total_loss < 0) return result;  // nothing to train on
-  result.train_loss = tape_.value(total_loss).scalar();
-  tape_.Backward(total_loss);
+  if (!losses.trained) return result;  // nothing to train on
+  result.train_loss = losses.train_loss;
+  TraceSpan backward_span("train.backward");
+  tape_.BackwardFrom(h_shared, std::move(h_grad));
+  backward_span.Stop();
+  TraceSpan step_span("train.step");
   opt->ClipGradNorm(options_.grad_clip);
   opt->Step();
   opt->ZeroGrad();
@@ -125,7 +194,10 @@ double Trainer::ValidationLoss(bool* has_val) {
   if (store_->full_graph() == nullptr) {
     return RunSampledPass(/*epoch=*/0, /*opt=*/nullptr, has_val);
   }
-  return FullValidationLoss(FullForward(), has_val);
+  const HeadLosses losses =
+      RunHeadWaves(tape_.value(FullForward()), /*h_grad=*/nullptr);
+  *has_val = losses.has_val;
+  return losses.val_loss;
 }
 
 void Trainer::PrepareBatch(const BatchPlan& plan, bool validation,
@@ -226,7 +298,7 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
                                 batch.labels, batch.targets);
     const double loss_value = tape_.value(loss).scalar();
     if (training) {
-      tape_.Backward(loss);
+      tape_.BackwardFrom(loss, Tensor::Scalar(1.0f));
       opt->ClipGradNorm(options_.grad_clip);
       opt->Step();
       opt->ZeroGrad();

@@ -65,8 +65,14 @@ struct TrainSummary {
 //
 // Two modes (GrimpOptions::train):
 //  - kFull (default): one whole-graph forward per epoch; every training
-//    sample reads the same node embeddings. Bit-identical to the
-//    pre-Trainer loops. Requires a store with a full graph (in-memory).
+//    sample reads the same node embeddings. Given that shared
+//    representation the tasks are independent, so each task's head, loss,
+//    head backward and validation head run on their own sub-tape, in
+//    waves of num_threads tasks on the thread pool; the calling thread
+//    scatters each task's gradient into the shared one in the order a
+//    single shared tape would have, then backpropagates it once through
+//    the GNN and shared MLP. Losses and weights are bit-identical at every
+//    thread count. Requires a store with a full graph (in-memory).
 //  - kSampled: iterates per-task minibatches of `batch_size` samples; each
 //    step samples the batch's receptive field with NeighborSampler
 //    (TrainConfig::fanouts), runs the GNN only over those blocks, and takes
@@ -116,23 +122,45 @@ class Trainer {
     bool trained = false;  // at least one optimizer step ran
   };
 
-  // One full-graph training epoch (forward + backward + step). Also
-  // computes the validation loss from the same forward, recorded after the
-  // training losses where Backward never reaches it.
+  // One full-graph training epoch: the shared forward on tape_, every
+  // task's head in RunHeadWaves, the shared backward from the reduced
+  // gradient, then the optimizer step. Also returns the validation loss
+  // the waves computed from the same representation.
   EpochResult RunFullEpoch(Adam* opt, double* val_loss_sum, bool* has_val);
   // Summed validation loss without backward (sampled epochs, warm start):
-  // one full-graph forward when the store exposes a full graph, else a
-  // sampled validation pass. Non-const: records onto the persistent tape_.
+  // one full-graph forward plus RunHeadWaves when the store exposes a full
+  // graph, else a sampled validation pass. Non-const: records onto the
+  // persistent tape_.
   double ValidationLoss(bool* has_val);
   // Resets tape_ and runs the whole-graph GNN + shared MLP forward.
   Tape::VarId FullForward();
-  // Summed per-task validation loss over the full-graph representation
-  // `h_shared`; sets *has_val when any task has validation samples.
-  double FullValidationLoss(Tape::VarId h_shared, bool* has_val);
-  // One task's head forward plus loss over the full-graph representation
-  // `h_shared`, on its training or validation samples.
-  Tape::VarId FullTaskLoss(const TrainTask& task, Tape::VarId h_shared,
-                           bool validation);
+
+  // One task's head pass, on its own sub-tape.
+  struct HeadRun {
+    Tape tape;
+    Tape::VarId train_in = -1;  // the gathered training input
+    float train_loss = 0.0f;
+    float val_loss = 0.0f;
+  };
+  struct HeadLosses {
+    float train_loss = 0.0f;  // float sum over trained tasks, ascending
+    bool trained = false;     // some task has training samples
+    double val_loss = 0.0;    // double sum over validated tasks, ascending
+    bool has_val = false;
+    double reduce_seconds = 0.0;  // serial scatter + sub-tape resets
+  };
+  // Task t's head over the full-graph representation `h` on
+  // head_runs_[t].tape: with `train`, head + loss + BackwardFrom the loss
+  // on its training samples; then head + loss on its validation samples.
+  // Runs on pool threads; touches only task t's head and sub-tape.
+  void RunTaskHead(size_t t, const Tensor& h, bool train);
+  // Every task's RunTaskHead, in waves of num_threads tasks taken in
+  // descending task order. After each wave the calling thread scatter-adds
+  // each task's input gradient into *h_grad (tasks descending, rows
+  // ascending: the order one shared tape's GatherRows backward used) and
+  // resets the wave's sub-tapes. Null `h_grad` runs validation only. Losses
+  // are bit-identical at every thread count.
+  HeadLosses RunHeadWaves(const Tensor& h, Tensor* h_grad);
   // One sampled pass over per-task minibatches, returning the summed
   // per-task mean loss; *ran is set when at least one batch ran. With `opt`
   // it trains — one optimizer step per batch, streams keyed on (seed,
@@ -165,6 +193,9 @@ class Trainer {
   Mlp* shared_;
   std::vector<TrainTask> tasks_;
   int num_cols_;
+  // Per-task head sub-tapes (RunHeadWaves), reset after every wave so
+  // their node slots are reused from epoch to epoch.
+  std::vector<HeadRun> head_runs_;
   std::vector<Parameter*> params_;
   TrainSummary summary_;
   // Reused across every epoch / batch / validation pass (Tape::Reset keeps

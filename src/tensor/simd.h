@@ -94,7 +94,7 @@ struct KernelTable {
   void (*relu_fwd)(int64_t n, const float* x, float* y);
   // xg += (y > 0 ? g : 0)   (branchless select)
   void (*relu_bwd)(int64_t n, const float* g, const float* y, float* xg);
-  // out = (y > 0 ? g : 0)
+  // out = (y > 0 ? g : 0); elementwise, so out may alias g.
   void (*relu_mask)(int64_t n, const float* g, const float* y, float* out);
   // y += alpha * x
   void (*axpy)(int64_t n, float alpha, const float* x, float* y);

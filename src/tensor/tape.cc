@@ -101,27 +101,23 @@ Tape::VarId Tape::LinearImpl(VarId x, VarId w, VarId bias, bool relu) {
   GRIMP_CHECK_EQ(bv.cols(), wv.cols());
   VarId id = PushNode(MatMulFused(xv, wv, bv, relu));
   nodes_[id].backward = [this, id, x, w, bias, relu]() {
-    const Tensor& g = nodes_[id].grad;
-    const Tensor& y = nodes_[id].value;
+    Tensor& g = nodes_[id].grad;
     const simd::KernelTable& kt = simd::Kernels();
     // With the fused ReLU, mask the upstream gradient through the stored
-    // activation once; all three gradient accumulations read the result.
-    Tensor masked;
-    const Tensor* gm = &g;
+    // activation once, in place (the mask is elementwise, so aliasing is
+    // safe and no transient buffer is taken); all three gradient
+    // accumulations read the result.
     if (relu) {
-      masked = Tensor::Uninit(g.rows(), g.cols());
-      const float* gd = g.data();
-      const float* yd = y.data();
-      float* md = masked.data();
+      float* gd = g.data();
+      const float* yd = nodes_[id].value.data();
       ParallelRange(g.size(), [=, &kt](int64_t i0, int64_t i1) {
-        kt.relu_mask(i1 - i0, gd + i0, yd + i0, md + i0);
+        kt.relu_mask(i1 - i0, gd + i0, yd + i0, gd + i0);
       });
-      gm = &masked;
     }
-    MatMulTransBAcc(*gm, nodes_[w].value, &GradRef(x));
-    MatMulTransAAcc(nodes_[x].value, *gm, &GradRef(w));
+    MatMulTransBAcc(g, nodes_[w].value, &GradRef(x));
+    MatMulTransAAcc(nodes_[x].value, g, &GradRef(w));
     Tensor& bg = GradRef(bias);
-    kt.col_sum_acc(gm->rows(), gm->cols(), gm->data(), bg.data());
+    kt.col_sum_acc(g.rows(), g.cols(), g.data(), bg.data());
   };
   return id;
 }
@@ -843,10 +839,10 @@ Tape::VarId Tape::MseLossImpl(VarId pred, const std::vector<float>* targets,
   return id;
 }
 
-void Tape::Backward(VarId root) {
+void Tape::BackwardFrom(VarId root, Tensor grad) {
   GRIMP_CHECK(root >= 0 && root < size_);
-  GRIMP_CHECK_EQ(nodes_[root].value.size(), 1);
-  GradRef(root)[0] = 1.0f;
+  GRIMP_CHECK(grad.SameShape(nodes_[root].value));
+  nodes_[root].grad = std::move(grad);
   for (VarId id = root; id >= 0; --id) {
     Node& node = nodes_[id];
     if (!node.backward) continue;

@@ -109,7 +109,7 @@ class BackwardFn {
   const Ops* ops_ = nullptr;
 };
 
-// Reverse-mode autodiff over a linear tape. Backward replays the recorded
+// Reverse-mode autodiff over a linear tape. BackwardFrom replays the recorded
 // closures in reverse order and accumulates leaf gradients into their
 // Parameters.
 //
@@ -118,11 +118,11 @@ class BackwardFn {
 // steady-state step without growing the heap — node values come from the
 // TensorArena and backward closures live inline in their slots.
 //
-// Gradients are lazy: recording a node stores no grad tensor. Backward
+// Gradients are lazy: recording a node stores no grad tensor. BackwardFrom
 // materializes (zero-filled, arena-backed) grads only for nodes it actually
 // reaches from the root, and skips the backward closure of any node whose
 // grad was never touched — such a closure could only scatter zeros. An
-// inference-only tape that never calls Backward does no gradient work at
+// inference-only tape that never calls BackwardFrom does no gradient work at
 // all. grad(id) on an unreached node still reads as zeros, exactly as if it
 // had been eagerly allocated.
 //
@@ -146,7 +146,7 @@ class Tape {
   // --- Tape inputs -------------------------------------------------------
   // A value the tape does not differentiate.
   VarId Constant(Tensor v);
-  // A trainable parameter; Backward accumulates into p->grad. `p` must
+  // A trainable parameter; BackwardFrom accumulates into p->grad. `p` must
   // outlive the tape.
   VarId Leaf(Parameter* p);
 
@@ -167,7 +167,9 @@ class Tape {
   VarId Linear(VarId x, VarId w, VarId bias);
   // Fused relu(x * w + bias). The backward masks the upstream gradient
   // through the stored activation (y > 0) before the three gradient
-  // accumulations. Equivalent to Relu(AddBias(MatMul(x, w), bias)).
+  // accumulations. Equivalent to Relu(AddBias(MatMul(x, w), bias)). The
+  // mask is applied in place, so after a backward pass this node's grad
+  // reads post-mask.
   VarId LinearRelu(VarId x, VarId w, VarId bias);
   // (N x D) + broadcast (1 x D).
   VarId AddBias(VarId x, VarId bias);
@@ -244,13 +246,17 @@ class Tape {
   VarId MseLoss(VarId pred, const std::vector<float>* targets,
                 const std::vector<float>* mask = nullptr);
 
-  // Runs reverse-mode accumulation from `root` (must be scalar).
-  void Backward(VarId root);
+  // Runs reverse-mode accumulation from `root`, seeded with `grad` as the
+  // root's gradient (same shape as its value; replaces any grad the root
+  // already holds). A scalar loss seeds with Tensor::Scalar(1.0f); a caller
+  // that computed a node's gradient elsewhere (the trainer's per-task head
+  // sub-tapes, core/trainer.cc) carries it on through the recorded ops.
+  void BackwardFrom(VarId root, Tensor grad);
 
  private:
   struct Node {
     Tensor value;
-    Tensor grad;  // empty until materialized by Backward / grad()
+    Tensor grad;  // empty until materialized by BackwardFrom / grad()
     BackwardFn backward;  // empty for constants
   };
 

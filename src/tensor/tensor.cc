@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -142,11 +143,15 @@ void GemmDispatch(const float* a, int64_t as_i, int64_t as_p, const float* b,
   if (ep.bias != nullptr || ep.relu) fused_calls.Increment();
   if (m == 0 || n == 0) return;
   const simd::KernelTable& kt = simd::Kernels();
-  // Pack B once into nr-wide zero-padded panels. The scratch comes from the
-  // arena, so steady-state training recycles one buffer per shape class.
+  // Pack B once into nr-wide zero-padded panels. The scratch is per thread,
+  // like the kernels' A pack: it only grows, and a GEMM never takes a
+  // transient buffer from the tensor arena (which would let concurrent
+  // head sub-tapes reorder arena traffic; see core/trainer.cc).
   const int64_t nr = kt.gemm_nr;
   const int64_t panels = (n + nr - 1) / nr;
-  Tensor bpack = Tensor::Uninit(1, panels * nr * k);
+  thread_local std::vector<float> bpack;
+  const auto pack_floats = static_cast<size_t>(panels * nr * k);
+  if (bpack.size() < pack_floats) bpack.resize(pack_floats);
   if (k > 0) {
     if (b_transposed) {
       kt.gemm_pack_bt(b, ldb, k, n, bpack.data());

@@ -175,7 +175,7 @@ TEST(AttentionTaskHeadTest, TrainableEndToEnd) {
     auto loss = tape.SoftmaxCrossEntropy(out, labels);
     if (step == 0) first = tape.value(loss).scalar();
     last = tape.value(loss).scalar();
-    tape.Backward(loss);
+    tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
     opt.Step();
     opt.ZeroGrad();
   }

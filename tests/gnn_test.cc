@@ -125,7 +125,7 @@ TEST(HeteroGnnTest, GradientsFlowToAllParameters) {
   Tape tape;
   auto out = gnn.Forward(&tape, tape.Constant(features), tg.graph);
   auto loss = tape.SumAll(tape.Mul(out, out));
-  tape.Backward(loss);
+  tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
   // Every weight matrix must receive some gradient (biases of masked
   // submodules can be partially zero, weights should not be all-zero).
   for (Parameter* p : params) {
@@ -149,7 +149,7 @@ TEST(HeteroGnnTest, GradCheckThroughMessagePassing) {
     Tape tape;
     auto out = gnn.Forward(&tape, tape.Constant(features), tg.graph);
     auto l = tape.SumAll(tape.Mul(out, out));
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   // Check the first layer's first weight matrix end-to-end.
@@ -184,7 +184,7 @@ TEST(HeteroGnnTest, TrainingReducesReconstructionLoss) {
     auto loss = tape.MseLoss(col, targets);
     if (step == 0) first = tape.value(loss).scalar();
     last = tape.value(loss).scalar();
-    tape.Backward(loss);
+    tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
     opt.Step();
     opt.ZeroGrad();
   }

@@ -55,7 +55,7 @@ double FitLeastSquares(Args... args) {
     auto pred = tape.MatMul(tape.Constant(x), tape.Leaf(&w));
     auto loss = tape.MseLoss(pred, targets);
     loss_value = tape.value(loss).scalar();
-    tape.Backward(loss);
+    tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
     opt.Step();
     opt.ZeroGrad();
   }

@@ -388,7 +388,7 @@ TEST(SimdFusedOpsTest, LinearGradcheckAtEveryLevel) {
           Tensor ones = Tensor::Full(5, 1, 1.0f);
           Tape::VarId pred = tape.MatMul(h, tape.Constant(std::move(ones)));
           Tape::VarId loss = tape.MseLoss(pred, &targets);
-          if (compute_grad) tape.Backward(loss);
+          if (compute_grad) tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
           (void)p;
           return tape.value(loss).scalar();
         };
@@ -424,7 +424,7 @@ TEST(SimdFusedOpsTest, LinearMatchesUnfusedChainAtEveryLevel) {
         if (relu) h = tape.Relu(h);
       }
       Tape::VarId loss = tape.SumAll(h);
-      tape.Backward(loss);
+      tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
       *dw = w.grad;
       *db = b.grad;
       return tape.value(h);
@@ -459,7 +459,7 @@ TEST(SimdFusedOpsTest, SegmentMeanGradcheckAtEveryLevel) {
       Tensor ones = Tensor::Full(9, 1, 1.0f);
       Tape::VarId pred = tape.MatMul(sm, tape.Constant(std::move(ones)));
       Tape::VarId loss = tape.MseLoss(pred, &targets);
-      if (compute_grad) tape.Backward(loss);
+      if (compute_grad) tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
       return tape.value(loss).scalar();
     };
     EXPECT_LT(testing::MaxGradError(&table, loss_fn), 2e-2f)

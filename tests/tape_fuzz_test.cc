@@ -70,7 +70,7 @@ TEST_P(TapeFuzzTest, CompositeGraphMatchesFiniteDifferences) {
     auto ctx = tape.ColBlockWeightedSum(v, alpha, fc.blocks);  // n x d
     auto logits = tape.MatMul(ctx, tape.Leaf(&head));
     auto l = tape.SoftmaxCrossEntropy(logits, labels);
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   for (Parameter* p : {&table, &w, &q, &head}) {
@@ -109,7 +109,7 @@ TEST_P(TapeFuzzRegressionTest, RegressionGraphMatchesFiniteDifferences) {
         tape.MatMul(tape.Constant(x), tape.Leaf(&w1)), tape.Leaf(&b1)));
     auto out = tape.MatMul(h, tape.Leaf(&w2));
     auto l = tape.MseLoss(out, targets, mask);
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   for (Parameter* p : {&w1, &b1, &w2}) {

@@ -91,7 +91,7 @@ TEST(TapeGradTest, MatMul) {
     auto out = tape.MatMul(w, tape.Constant(other));
     auto l = tape.MseLoss(tape.Reshape(out, 6, 1),
                           {1, 0, -1, 2, 0.5f, -0.5f});
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -106,7 +106,7 @@ TEST(TapeGradTest, AddBias) {
     auto out = tape.AddBias(tape.Constant(x), tape.Leaf(&p));
     auto sq = tape.Mul(out, out);
     auto l = tape.SumAll(sq);
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -121,7 +121,7 @@ TEST(TapeGradTest, MulAndScale) {
     auto w = tape.Leaf(&p);
     auto out = tape.Scale(tape.Mul(w, tape.Constant(other)), 1.5f);
     auto l = tape.SumAll(tape.Mul(out, out));
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -133,7 +133,7 @@ TEST(TapeGradTest, RowScale) {
     Tape tape;
     auto out = tape.RowScale(tape.Leaf(&p), {0.0f, 1.0f, 2.5f});
     auto l = tape.SumAll(tape.Mul(out, out));
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -150,7 +150,7 @@ TEST(TapeGradTest, Activations) {
       else if (which == 1) act = tape.Tanh(x);
       else act = tape.Sigmoid(x);
       auto l = tape.SumAll(tape.Mul(act, act));
-      tape.Backward(l);
+      tape.BackwardFrom(l, Tensor::Scalar(1.0f));
       return tape.value(l).scalar();
     };
     EXPECT_LT(MaxGradError(&p, loss), kTol) << "activation " << which;
@@ -168,7 +168,7 @@ TEST(TapeGradTest, ConcatColsAndReshape) {
     auto flat = tape.Reshape(cat, 16, 1);
     std::vector<float> targets(16, 0.25f);
     auto l = tape.MseLoss(flat, targets);
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -184,7 +184,7 @@ TEST(TapeGradTest, ConcatColsBackwardAcrossChunks) {
   const auto a = tape.Constant(Tensor::Zeros(rows, cols));
   const auto b = tape.Constant(Tensor::Zeros(rows, cols));
   const auto cat = tape.ConcatCols({a, b, a});
-  tape.Backward(tape.SumAll(cat));
+  tape.BackwardFrom(tape.SumAll(cat), Tensor::Scalar(1.0f));
   for (int64_t r = 0; r < rows; ++r) {
     for (int64_t c = 0; c < cols; ++c) {
       ASSERT_EQ(tape.grad(a).at(r, c), 2.0f) << r << "," << c;
@@ -201,7 +201,7 @@ TEST(TapeGradTest, GatherRowsScatterAddsGradient) {
     // Row 1 gathered twice: gradient must accumulate.
     auto g = tape.GatherRows(t, {1, -1, 1, 3});
     auto l = tape.SumAll(tape.Mul(g, g));
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -214,7 +214,7 @@ TEST(TapeGradTest, SegmentMean) {
     auto x = tape.Leaf(&p);
     auto s = tape.SegmentMean(x, {0, 2, 2, 4}, {0, 3, 1, 2});
     auto l = tape.SumAll(tape.Mul(s, s));
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -228,7 +228,7 @@ TEST(TapeGradTest, RowSoftmax) {
     Tape tape;
     auto y = tape.RowSoftmax(tape.Leaf(&p));
     auto l = tape.SumAll(tape.Mul(y, tape.Constant(weights)));
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -243,7 +243,7 @@ TEST(TapeGradTest, ColBlockDotWrtBoth) {
   auto build = [&](Tape* tape) {
     auto s = tape->ColBlockDot(tape->Leaf(&v), tape->Leaf(&a), blocks);
     auto l = tape->SumAll(tape->Mul(s, tape->Constant(weights)));
-    tape->Backward(l);
+    tape->BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape->value(l).scalar();
   };
   auto loss = [&](bool) {
@@ -263,7 +263,7 @@ TEST(TapeGradTest, ColBlockWeightedSumWrtBoth) {
     auto ctx = tape.ColBlockWeightedSum(tape.Leaf(&v), tape.Leaf(&alpha),
                                         blocks);
     auto l = tape.SumAll(tape.Mul(ctx, ctx));
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&v, loss), kTol);
@@ -276,7 +276,7 @@ TEST(TapeGradTest, SoftmaxCrossEntropy) {
   auto loss = [&](bool) {
     Tape tape;
     auto l = tape.SoftmaxCrossEntropy(tape.Leaf(&p), labels);
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -289,7 +289,7 @@ TEST(TapeGradTest, SoftmaxCrossEntropyWithClassWeights) {
   auto loss = [&](bool) {
     Tape tape;
     auto l = tape.SoftmaxCrossEntropy(tape.Leaf(&p), labels, weights);
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -301,7 +301,7 @@ TEST(TapeGradTest, FocalLoss) {
   auto loss = [&](bool) {
     Tape tape;
     auto l = tape.FocalLoss(tape.Leaf(&p), labels, 2.0f);
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -314,7 +314,7 @@ TEST(TapeGradTest, MseLossWithMask) {
   auto loss = [&](bool) {
     Tape tape;
     auto l = tape.MseLoss(tape.Leaf(&p), targets, mask);
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&p, loss), kTol);
@@ -333,7 +333,7 @@ TEST(TapeGradTest, CompositeTwoLayerNetwork) {
     auto x = tape.ConcatCols({g1, g2});
     auto h = tape.Relu(tape.MatMul(x, tape.Leaf(&w)));
     auto l = tape.SoftmaxCrossEntropy(h, labels);
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
     return tape.value(l).scalar();
   };
   EXPECT_LT(MaxGradError(&table, loss), kTol);
@@ -345,7 +345,7 @@ TEST(TapeTest, CrossEntropyIgnoresAllRowsGracefully) {
   auto x = tape.Constant(Tensor::FromVector(2, 2, {1, 2, 3, 4}));
   auto l = tape.SoftmaxCrossEntropy(x, {-1, -1});
   EXPECT_EQ(tape.value(l).scalar(), 0.0f);
-  tape.Backward(l);  // must not crash
+  tape.BackwardFrom(l, Tensor::Scalar(1.0f));  // must not crash
 }
 
 TEST(TapeTest, LeafAccumulatesIntoParameterGrad) {
@@ -353,14 +353,14 @@ TEST(TapeTest, LeafAccumulatesIntoParameterGrad) {
   {
     Tape tape;
     auto l = tape.SumAll(tape.Leaf(&p));
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
   }
   EXPECT_EQ(p.grad.at(0, 0), 1.0f);
   EXPECT_EQ(p.grad.at(0, 1), 1.0f);
   {
     Tape tape;
     auto l = tape.SumAll(tape.Leaf(&p));
-    tape.Backward(l);
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
   }
   // Accumulates across tapes until ZeroGrad.
   EXPECT_EQ(p.grad.at(0, 0), 2.0f);

@@ -1,15 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/thread_pool.h"
+#include "core/batch.h"
 #include "core/engine.h"
 #include "core/grimp.h"
+#include "core/trainer.h"
 #include "eval/metrics.h"
 #include "eval/runner.h"
+#include "graph/builder.h"
 #include "table/corruption.h"
+#include "tensor/arena.h"
+#include "tensor/optimizer.h"
 #include "transform_copy.h"
 
 namespace grimp {
@@ -280,6 +289,293 @@ TEST(TrainerTest, ShardedSampledPassesIdenticalAcrossPipelineDepths) {
     EXPECT_EQ(serial.imputed.column(cell.col).StringAt(cell.row),
               piped.imputed.column(cell.col).StringAt(cell.row));
   }
+}
+
+// A hand-built full-mode Trainer over a 14-column table's graph: 14 tasks,
+// alternating categorical linear heads and numerical attention heads,
+// random gather indices (about 1 in 8 cells masked). Task 5 has no
+// training samples (a validation-only task in its wave) and task 9 no
+// validation samples.
+struct FullModeFixture {
+  static constexpr int kCols = 14;
+  static constexpr int kDim = 8;
+
+  Table table;
+  TableGraph tg;
+  std::unique_ptr<InMemoryGraphStore> store;
+  Tensor features;
+  HeteroGnn gnn;
+  Mlp shared;
+  std::vector<std::unique_ptr<TaskHead>> heads;
+  GrimpOptions options;
+
+  FullModeFixture() : table(MakeSchema()) {
+    for (int r = 0; r < 40; ++r) {
+      std::vector<std::string> row;
+      for (int c = 0; c < kCols; ++c) {
+        row.push_back("v" + std::to_string((r * (c + 1)) % (3 + c % 4)));
+      }
+      EXPECT_TRUE(table.AppendRow(row).ok());
+    }
+    auto built = GraphBuilder().Build(table);
+    EXPECT_TRUE(built.ok());
+    tg = std::move(*built);
+    store = std::make_unique<InMemoryGraphStore>(&tg.graph);
+    Rng rng(17);
+    features = Tensor::GlorotUniform(tg.graph.num_nodes(), kDim, &rng);
+    gnn = HeteroGnn(tg.graph.num_edge_types(), kDim, kDim, kDim, 2, &rng);
+    shared = Mlp("shared", {kDim, 16, kDim}, &rng);
+    const Tensor column_features = Tensor::GlorotUniform(kCols, kDim, &rng);
+    for (int t = 0; t < kCols; ++t) {
+      const std::string name = "task" + std::to_string(t);
+      if (t % 2 == 0) {
+        heads.push_back(std::make_unique<LinearTaskHead>(name, kCols, kDim,
+                                                         16, 4, &rng));
+      } else {
+        heads.push_back(std::make_unique<AttentionTaskHead>(
+            name, column_features, std::vector<float>(kCols, 1.0f), kDim, 1,
+            &rng, 8));
+      }
+    }
+    options.dim = kDim;
+    options.max_epochs = 6;
+    options.patience = 100;
+    options.train.mode = TrainMode::kFull;
+  }
+
+  static Schema MakeSchema() {
+    std::vector<Field> fields;
+    for (int c = 0; c < kCols; ++c) {
+      fields.push_back({"c" + std::to_string(c), AttrType::kCategorical});
+    }
+    return Schema(fields);
+  }
+
+  std::vector<TrainTask> MakeTasks() const {
+    Rng rng(29);
+    const auto num_nodes = static_cast<uint64_t>(tg.graph.num_nodes());
+    std::vector<TrainTask> tasks(kCols);
+    for (int t = 0; t < kCols; ++t) {
+      TrainTask& task = tasks[static_cast<size_t>(t)];
+      task.categorical = t % 2 == 0;
+      task.head = heads[static_cast<size_t>(t)].get();
+      const auto fill = [&](int samples, std::vector<int32_t>* idx,
+                            std::vector<int32_t>* labels,
+                            std::vector<float>* targets) {
+        for (int i = 0; i < samples * kCols; ++i) {
+          idx->push_back(rng.Uniform(8) == 0
+                             ? -1
+                             : static_cast<int32_t>(rng.Uniform(num_nodes)));
+        }
+        for (int i = 0; i < samples; ++i) {
+          if (task.categorical) {
+            labels->push_back(static_cast<int32_t>(rng.Uniform(4)));
+          } else {
+            targets->push_back(rng.UniformReal(-1.0f, 1.0f));
+          }
+        }
+      };
+      fill(t == 5 ? 0 : 20 + t, &task.train_idx, &task.train_labels,
+           &task.train_targets);
+      fill(t == 9 ? 0 : 6, &task.val_idx, &task.val_labels,
+           &task.val_targets);
+    }
+    return tasks;
+  }
+
+  void CollectParameters(std::vector<Parameter*>* params) {
+    gnn.CollectParameters(params);
+    shared.CollectParameters(params);
+    for (auto& head : heads) head->CollectParameters(params);
+  }
+};
+
+// Restores the global pool size and arena toggle a test changes, also
+// when an assertion returns early.
+class ComputeSettingsGuard {
+ public:
+  ComputeSettingsGuard()
+      : threads_(ThreadPool::GlobalThreads()),
+        arena_(TensorArena::Global().enabled()) {}
+  ~ComputeSettingsGuard() {
+    ThreadPool::SetGlobalThreads(threads_);
+    TensorArena::Global().SetEnabled(arena_);
+  }
+
+ private:
+  int threads_;
+  bool arena_;
+};
+
+// The full-mode heads run in waves of num_threads tasks on the pool and
+// their gradients are reduced on the calling thread in a fixed order, so
+// the whole trajectory — per-epoch train and val losses — and the final
+// weights are bit-identical at 1, 3 (uneven waves: 3+3+3+3+2) and 4
+// threads, and with the arena off.
+TEST(TrainerTest, FullModeLossesIndependentOfThreadCount) {
+  struct RunOutput {
+    std::vector<double> train_losses;
+    std::vector<double> val_losses;
+    std::vector<Tensor> params;
+  };
+  ComputeSettingsGuard guard;
+  auto run = [](int num_threads, bool arena) {
+    ThreadPool::SetGlobalThreads(num_threads);
+    TensorArena::Global().SetEnabled(arena);
+    FullModeFixture fx;
+    RunOutput out;
+    TrainCallbacks callbacks;
+    callbacks.on_epoch_end = [&out](const EpochStats& stats) {
+      out.train_losses.push_back(stats.train_loss);
+      EXPECT_TRUE(stats.has_val);
+      out.val_losses.push_back(stats.val_loss);
+      return true;
+    };
+    Trainer trainer(fx.options, fx.store.get(), &fx.features, &fx.gnn,
+                    &fx.shared, fx.MakeTasks(), FullModeFixture::kCols);
+    auto summary = trainer.Run(callbacks);
+    EXPECT_TRUE(summary.ok());
+    std::vector<Parameter*> params;
+    fx.CollectParameters(&params);
+    for (const Parameter* p : params) out.params.push_back(p->value);
+    return out;
+  };
+  const RunOutput serial = run(1, true);
+  ASSERT_EQ(serial.train_losses.size(), 6u);
+  const struct {
+    int threads;
+    bool arena;
+  } schedules[] = {{3, true}, {4, true}, {4, false}};
+  for (const auto& schedule : schedules) {
+    SCOPED_TRACE("threads " + std::to_string(schedule.threads) + " arena " +
+                 std::to_string(schedule.arena));
+    const RunOutput other = run(schedule.threads, schedule.arena);
+    // EXPECT_EQ on doubles: exact equality, not DOUBLE_EQ's 4 ulps.
+    EXPECT_EQ(serial.train_losses, other.train_losses);
+    EXPECT_EQ(serial.val_losses, other.val_losses);
+    ASSERT_EQ(serial.params.size(), other.params.size());
+    for (size_t i = 0; i < serial.params.size(); ++i) {
+      const Tensor& a = serial.params[i];
+      const Tensor& b = other.params[i];
+      ASSERT_TRUE(a.SameShape(b)) << "param " << i;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                            static_cast<size_t>(a.size()) * sizeof(float)),
+                0)
+          << "param " << i;
+    }
+  }
+}
+
+// The waves replay one shared tape exactly: a full-mode epoch gives the
+// same loss and weight bits as the pre-wave recipe — every task's head and
+// loss recorded on the shared forward's tape, one Add chain, one backward,
+// one clipped Adam step.
+TEST(TrainerTest, FullModeEpochMatchesOneSharedTape) {
+  ComputeSettingsGuard guard;
+  ThreadPool::SetGlobalThreads(4);
+  constexpr int kCols = FullModeFixture::kCols;
+  constexpr int kDim = FullModeFixture::kDim;
+
+  FullModeFixture ref;
+  const std::vector<TrainTask> tasks = ref.MakeTasks();
+  std::vector<Parameter*> ref_params;
+  ref.CollectParameters(&ref_params);
+  Adam opt(ref_params, ref.options.learning_rate);
+  Tape tape;
+  const Tape::VarId h = ref.shared.Forward(
+      &tape, ref.gnn.Forward(&tape, tape.Constant(ref.features), ref.tg.graph));
+  Tape::VarId total = -1;
+  for (const TrainTask& task : tasks) {
+    if (task.train_idx.empty()) continue;
+    const Tape::VarId out =
+        TaskHeadForward(&tape, *task.head, h, &task.train_idx, kCols, kDim);
+    const Tape::VarId loss =
+        task.categorical ? tape.SoftmaxCrossEntropy(out, &task.train_labels)
+                         : tape.MseLoss(out, &task.train_targets);
+    total = total < 0 ? loss : tape.Add(total, loss);
+  }
+  tape.BackwardFrom(total, Tensor::Scalar(1.0f));
+  opt.ClipGradNorm(ref.options.grad_clip);
+  opt.Step();
+
+  FullModeFixture fx;
+  fx.options.max_epochs = 1;
+  double train_loss = 0.0;
+  TrainCallbacks callbacks;
+  callbacks.on_epoch_end = [&train_loss](const EpochStats& stats) {
+    train_loss = stats.train_loss;
+    return true;
+  };
+  Trainer trainer(fx.options, fx.store.get(), &fx.features, &fx.gnn,
+                  &fx.shared, fx.MakeTasks(), kCols);
+  ASSERT_TRUE(trainer.Run(callbacks).ok());
+  EXPECT_EQ(train_loss, static_cast<double>(tape.value(total).scalar()));
+  std::vector<Parameter*> params;
+  fx.CollectParameters(&params);
+  ASSERT_EQ(params.size(), ref_params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    const Tensor& a = ref_params[i]->value;
+    const Tensor& b = params[i]->value;
+    ASSERT_TRUE(a.SameShape(b)) << params[i]->name;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          static_cast<size_t>(a.size()) * sizeof(float)),
+              0)
+        << params[i]->name;
+  }
+}
+
+// A full-mode epoch is attributed by five spans, one of each per epoch:
+// the shared forward, the task-head waves, the serial gradient reduce, the
+// shared backward and the optimizer step. Together they account for
+// (nearly) all of grimp.train.
+TEST(TrainerTest, FullModeSpansCoverTheTrainSpan) {
+  const char* const kLayers[] = {"train.forward", "train.heads",
+                                 "train.reduce", "train.backward",
+                                 "train.step"};
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  std::vector<SpanStats> before;
+  for (const char* name : kLayers) {
+    before.push_back(registry.GetSpanStats(name));
+  }
+  const SpanStats train_before = registry.GetSpanStats("grimp.train");
+
+  // Enough epochs that one scheduler stall between spans cannot eat the
+  // 10% margin.
+  constexpr int kEpochs = 30;
+  FullModeFixture fx;
+  fx.options.max_epochs = kEpochs;
+  Trainer trainer(fx.options, fx.store.get(), &fx.features, &fx.gnn,
+                  &fx.shared, fx.MakeTasks(), FullModeFixture::kCols);
+  auto summary = trainer.Run(TrainCallbacks{});
+  ASSERT_TRUE(summary.ok());
+  ASSERT_EQ(summary->epochs_run, kEpochs);
+
+  const SpanStats train_after = registry.GetSpanStats("grimp.train");
+  ASSERT_EQ(train_after.count - train_before.count, 1);
+  const double train_seconds =
+      train_after.total_seconds - train_before.total_seconds;
+  double layer_seconds = 0.0;
+  for (size_t i = 0; i < std::size(kLayers); ++i) {
+    const SpanStats after = registry.GetSpanStats(kLayers[i]);
+    EXPECT_EQ(after.count - before[i].count, kEpochs) << kLayers[i];
+    layer_seconds += after.total_seconds - before[i].total_seconds;
+  }
+  EXPECT_GE(layer_seconds, 0.9 * train_seconds)
+      << "layers " << layer_seconds << " s of grimp.train " << train_seconds
+      << " s";
+  EXPECT_LE(layer_seconds, train_seconds);
+}
+
+// Full-mode head backward passes run concurrently, each writing its head's
+// parameter grads, so the Trainer refuses two tasks borrowing one head.
+TEST(TrainerDeathTest, RejectsTasksSharingAHead) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FullModeFixture fx;
+  std::vector<TrainTask> tasks = fx.MakeTasks();
+  tasks[3].head = tasks[1].head;
+  EXPECT_DEATH(Trainer(fx.options, fx.store.get(), &fx.features, &fx.gnn,
+                       &fx.shared, std::move(tasks), FullModeFixture::kCols),
+               "share one TaskHead");
 }
 
 TEST(TrainerTest, EngineFitsSampledAndServesIdenticalTransforms) {
