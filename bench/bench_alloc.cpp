@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/engine.h"
 #include "core/grimp.h"
 #include "core/names.h"
@@ -304,9 +305,10 @@ int main(int argc, char** argv) {
   sampled.train.fanouts = {fanout, fanout};
 
   std::printf("allocation benchmark: adult-replica, %lld rows, %d epochs, "
-              "%lld samples/task, alloc counting %s\n\n",
+              "%lld samples/task, up to %d threads, alloc counting %s\n\n",
               static_cast<long long>(clean.num_rows()), epochs,
               static_cast<long long>(samples),
+              grimp::bench::ResolveMaxThreads(),
               BENCH_ALLOC_COUNTING ? "on" : "off (sanitized build)");
 
   // Arena-off first so the off runs cannot benefit from buffers the on runs
@@ -395,14 +397,17 @@ int main(int argc, char** argv) {
               serve_speedup, 100.0 * serve_reduction);
   std::printf("bit-identical results: %s\n", identical ? "yes" : "NO");
 
-  char head[320];
+  char head[400];
   std::snprintf(head, sizeof(head),
                 "{\n  \"dataset\": \"adult\",\n  \"rows\": %lld,\n"
                 "  \"epochs\": %d,\n  \"max_samples_per_task\": %lld,\n"
                 "  \"batch_size\": %d,\n  \"fanout\": %d,\n"
+                "  \"max_threads\": %d,\n  \"hardware_concurrency\": %d,\n"
                 "  \"alloc_counting\": %s,\n  \"configs\": [\n",
                 static_cast<long long>(clean.num_rows()), epochs,
                 static_cast<long long>(samples), batch, fanout,
+                grimp::bench::ResolveMaxThreads(),
+                grimp::bench::HardwareConcurrency(),
                 BENCH_ALLOC_COUNTING ? "true" : "false");
   char tail[512];
   std::snprintf(tail, sizeof(tail),

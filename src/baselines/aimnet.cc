@@ -164,16 +164,8 @@ Result<Table> AimNetImputer::Impute(const Table& dirty) {
     Column& dst = imputed.mutable_column(t.col);
     for (size_t i = 0; i < t.missing.size(); ++i) {
       if (t.categorical) {
-        int32_t best = -1;
-        float best_score = 0.0f;
-        for (int32_t code = 0; code < dst.dict().size(); ++code) {
-          if (dst.dict().CountOf(code) <= 0) continue;
-          const float s = scores.at(static_cast<int64_t>(i), code);
-          if (best < 0 || s > best_score) {
-            best = code;
-            best_score = s;
-          }
-        }
+        const int32_t best = dst.dict().ArgmaxLive(
+            scores.data() + static_cast<int64_t>(i) * scores.cols());
         if (best >= 0) dst.SetFromCode(t.missing[i], best);
       } else {
         dst.SetNumerical(

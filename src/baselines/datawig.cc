@@ -140,16 +140,8 @@ Result<Table> DataWigImputer::Impute(const Table& dirty) {
     Column& dst = imputed.mutable_column(target);
     for (size_t i = 0; i < missing.size(); ++i) {
       if (target_col.is_categorical()) {
-        int32_t best = -1;
-        float best_score = 0.0f;
-        for (int32_t code = 0; code < target_col.dict().size(); ++code) {
-          if (target_col.dict().CountOf(code) <= 0) continue;
-          const float s = scores.at(static_cast<int64_t>(i), code);
-          if (best < 0 || s > best_score) {
-            best = code;
-            best_score = s;
-          }
-        }
+        const int32_t best = target_col.dict().ArgmaxLive(
+            scores.data() + static_cast<int64_t>(i) * scores.cols());
         if (best >= 0) dst.SetFromCode(missing[i], best);
       } else {
         dst.SetNumerical(

@@ -147,16 +147,8 @@ Result<Table> MiceImputer::Impute(const Table& dirty) {
       for (size_t i = 0; i < w.missing.size(); ++i) {
         const int64_t r = w.missing[i];
         if (categorical) {
-          int32_t best = -1;
-          float best_score = 0.0f;
-          for (int32_t code = 0; code < col.dict().size(); ++code) {
-            if (col.dict().CountOf(code) <= 0) continue;
-            const float s = scores.at(static_cast<int64_t>(i), code);
-            if (best < 0 || s > best_score) {
-              best = code;
-              best_score = s;
-            }
-          }
+          const int32_t best = col.dict().ArgmaxLive(
+              scores.data() + static_cast<int64_t>(i) * scores.cols());
           if (best >= 0) {
             codes[static_cast<size_t>(w.col)][static_cast<size_t>(r)] = best;
           }

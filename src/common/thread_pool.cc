@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -107,7 +108,7 @@ void ThreadPool::WorkerMain() {
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                             const std::function<void(int64_t, int64_t)>& fn) {
+                             FunctionRef<void(int64_t, int64_t)> fn) {
   grain = std::max<int64_t>(1, grain);
   const int64_t chunks = NumChunks(begin, end, grain);
   if (chunks <= 0) return;
@@ -160,20 +161,27 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
 
 double ThreadPool::ParallelReduce(
     int64_t begin, int64_t end, int64_t grain,
-    const std::function<double(int64_t, int64_t)>& fn,
-    const std::function<double(double, double)>& combine) {
+    FunctionRef<double(int64_t, int64_t)> fn,
+    FunctionRef<double(double, double)> combine) {
   grain = std::max<int64_t>(1, grain);
   const int64_t chunks = NumChunks(begin, end, grain);
   if (chunks <= 0) return 0.0;
-  std::vector<double> partials(static_cast<size_t>(chunks), 0.0);
-  ParallelFor(begin, end, grain,
-              [&](int64_t b, int64_t e) {
-                const int64_t c = (b - begin) / grain;
-                partials[static_cast<size_t>(c)] = fn(b, e);
-              });
+  // Partials live on the stack up to kStackPartials chunks, so a steady
+  // state of small reductions (gradient clipping) never touches the heap.
+  constexpr int64_t kStackPartials = 64;
+  std::array<double, kStackPartials> stack_partials;
+  std::vector<double> heap_partials;
+  double* partials = stack_partials.data();
+  if (chunks > kStackPartials) {
+    heap_partials.resize(static_cast<size_t>(chunks));
+    partials = heap_partials.data();
+  }
+  ParallelFor(begin, end, grain, [&](int64_t b, int64_t e) {
+    partials[(b - begin) / grain] = fn(b, e);
+  });
   double acc = partials[0];
   for (int64_t c = 1; c < chunks; ++c) {
-    acc = combine(acc, partials[static_cast<size_t>(c)]);
+    acc = combine(acc, partials[c]);
   }
   return acc;
 }
@@ -196,8 +204,6 @@ void ThreadPool::SetGlobalThreads(int num_threads) {
   g_global_pool.reset();  // rebuilt lazily at the requested size
 }
 
-void ThreadPool::MarkCallerInlineOnly() { g_in_parallel_region = true; }
-
 int ThreadPool::GlobalThreads() {
   std::lock_guard<std::mutex> lock(g_global_mu);
   if (g_global_pool) return g_global_pool->num_threads();
@@ -205,7 +211,7 @@ int ThreadPool::GlobalThreads() {
 }
 
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn) {
+                 FunctionRef<void(int64_t, int64_t)> fn) {
   ThreadPool::Global().ParallelFor(begin, end, grain, fn);
 }
 

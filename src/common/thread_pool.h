@@ -4,12 +4,45 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace grimp {
+
+// Non-owning reference to a callable, for synchronous calls only: it
+// stores the callable's address and a trampoline, never a copy, so binding
+// a lambda of any capture size costs no heap allocation (std::function
+// allocates beyond its small buffer). The referenced callable must outlive
+// every call through the reference; binding a temporary lambda in a call
+// argument is fine because the temporary lives until the call returns.
+template <typename Signature>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, FunctionRef>>>
+  FunctionRef(F&& fn)  // NOLINT(google-explicit-constructor)
+      : obj_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(obj_, std::forward<Args>(args)...);
+  }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
 
 // Fixed-size worker pool with a deterministic chunked parallel-for.
 //
@@ -40,14 +73,15 @@ class ThreadPool {
   // inline on the caller to avoid deadlock); concurrent calls from
   // different external threads serialize on an internal mutex.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                   const std::function<void(int64_t, int64_t)>& fn);
+                   FunctionRef<void(int64_t, int64_t)> fn);
 
   // Deterministic chunked reduction: partial = fn(chunk_begin, chunk_end)
   // per chunk, combined in ascending chunk order by `combine` on the
-  // calling thread.
+  // calling thread. With one chunk (or one thread) the same chunks run
+  // inline, so the result never depends on the pool size.
   double ParallelReduce(int64_t begin, int64_t end, int64_t grain,
-                        const std::function<double(int64_t, int64_t)>& fn,
-                        const std::function<double(double, double)>& combine);
+                        FunctionRef<double(int64_t, int64_t)> fn,
+                        FunctionRef<double(double, double)> combine);
 
   // The process-wide pool. Sized on first use from GRIMP_NUM_THREADS (env)
   // or std::thread::hardware_concurrency(). SetGlobalThreads() resizes it
@@ -58,21 +92,12 @@ class ThreadPool {
   // explicit override / hardware default), without forcing creation.
   static int GlobalThreads();
 
-  // Permanently marks the calling thread as being inside a parallel
-  // region: every ParallelFor/ParallelReduce it issues from now on runs
-  // inline on the thread instead of dispatching to the pool. Chunk
-  // boundaries are unchanged, so results stay bit-identical. Pipeline
-  // producer threads (core/pipeline) call this once at startup so their
-  // shard loads and gathers never contend with the consumer's GEMMs for
-  // pool workers.
-  static void MarkCallerInlineOnly();
-
  private:
   struct ForLoop {
     int64_t begin = 0;
     int64_t end = 0;
     int64_t grain = 1;
-    const std::function<void(int64_t, int64_t)>* fn = nullptr;
+    const FunctionRef<void(int64_t, int64_t)>* fn = nullptr;
     std::atomic<int64_t> next_chunk{0};
     int64_t num_chunks = 0;
   };
@@ -97,7 +122,7 @@ class ThreadPool {
 // Convenience wrappers over ThreadPool::Global(). Work smaller than
 // `min_size` (total indices) runs inline without touching the pool.
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn);
+                 FunctionRef<void(int64_t, int64_t)> fn);
 
 // True when [0, n) is worth parallelizing (pool has >1 thread and n is at
 // least kParallelThreshold).

@@ -109,7 +109,7 @@ Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
 // Gathers rows `nodes` of `features` into a fresh arena-backed
 // |nodes| x features.cols() matrix, chunked on the global pool (grain 512;
 // rows are disjoint, so results are bit-identical at every thread count —
-// and on pipeline producer threads the chunks run inline).
+// and on a trainer preparation lane the chunks run inline).
 Tensor GatherFeatureRows(const Tensor& features,
                          const std::vector<int32_t>& nodes);
 

@@ -342,23 +342,14 @@ void GrimpEngine::DecodeTask(size_t t, const Tensor& scores,
       s->decisions.push_back(cell);
       continue;
     }
-    // Argmax over the column's live source domain (paper: candidates come
-    // from Dom(A_i) only), read from the column's slice of the shared head
-    // when multi_task=false.
+    // Argmax over the column's live source domain, read from the column's
+    // slice of the shared head when multi_task=false.
     const Dictionary& dict = source_dicts_[static_cast<size_t>(cell.col)];
     const int32_t lo = class_offsets_.empty()
                            ? 0
                            : class_offsets_[static_cast<size_t>(cell.col)];
-    int32_t best = -1;
-    float best_score = 0.0f;
-    for (int32_t code = 0; code < dict.size(); ++code) {
-      if (dict.CountOf(code) <= 0) continue;
-      const float sc = scores.at(row, lo + code);
-      if (best < 0 || sc > best_score) {
-        best = code;
-        best_score = sc;
-      }
-    }
+    const int32_t best =
+        dict.ArgmaxLive(scores.data() + row * scores.cols() + lo);
     if (best < 0) continue;
     if (schema_.field(cell.col).type == AttrType::kCategorical) {
       cell.code = best;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -27,6 +28,31 @@ std::chrono::steady_clock::time_point Now() {
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(Now() - t0).count();
+}
+
+// Sampled batch-preparation telemetry, resolved once (registry lookup takes
+// a mutex; every registry object is thread-safe, so lanes update them
+// without extra locking). The span names are held here so recording a span
+// on a lane allocates nothing.
+struct PrepMetrics {
+  Counter& produced;  // batches prepared
+  Counter& consumed;  // batches stepped
+  Counter& stalls;    // groups the step loop waited on (depth >= 2)
+  Gauge& queue_depth;  // batches prepared but not yet stepped
+  Histogram& wait_micros;
+  const std::string prepare_span = "train.pipeline.prepare";
+  const std::string wait_span = "train.pipeline.wait";
+};
+
+PrepMetrics& Prep() {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  static PrepMetrics metrics{
+      registry.GetCounter("train.pipeline.produced"),
+      registry.GetCounter("train.pipeline.consumed"),
+      registry.GetCounter("train.pipeline.stalls"),
+      registry.GetGauge("train.pipeline.queue_depth"),
+      registry.GetHistogram("train.pipeline.wait_micros")};
+  return metrics;
 }
 
 // The task's loss on head output `out`: focal or cross-entropy for
@@ -221,22 +247,36 @@ void Trainer::PrepareBatch(const BatchPlan& plan, bool validation,
   }
 }
 
+void Trainer::PrepareGroup(int64_t begin, int64_t end, int64_t lanes,
+                           bool validation) {
+  PrepMetrics& metrics = Prep();
+  lanes = std::min(lanes, end - begin);
+  ParallelFor(0, lanes, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t l = lo; l < hi; ++l) {
+      for (int64_t b = begin + l; b < end; b += lanes) {
+        const auto start = Now();
+        PrepareBatch(plans_[static_cast<size_t>(b)], validation,
+                     &slots_[static_cast<size_t>(b - begin)],
+                     scratches_[static_cast<size_t>(l)].get());
+        MetricsRegistry::Global().RecordSpan(metrics.prepare_span,
+                                             SecondsSince(start));
+        metrics.produced.Increment();
+      }
+    }
+  });
+}
+
 double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
   const bool training = opt != nullptr;
   const int64_t batch_size = options_.train.batch_size;
-  if (pipeline_ == nullptr) {
-    pipeline_ = std::make_unique<BatchPipeline>(
-        options_.train.pipeline_depth, store_,
-        FanoutsOrDefault(options_.train.fanouts, gnn_->num_layers()));
-  }
   const auto num_samples = [training](const TrainTask& task) {
     return training ? task.NumTrain() : task.NumVal();
   };
 
   // Batch ids are assigned in (task, offset) order — a pure function of
   // the data, so each batch's sampling stream is stable across runs,
-  // thread counts and pipeline depths. The plans are fixed before the
-  // pipeline starts; producers only ever read them.
+  // thread counts and pipeline depths. The plans are fixed before any
+  // batch is prepared; lanes only ever read them.
   plans_.clear();
   uint64_t batch_id = 0;
   for (size_t t = 0; t < tasks_.size(); ++t) {
@@ -260,14 +300,23 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
   if (plans_.empty()) return 0.0;
   *ran = true;
 
+  // Batches prepared together: depths 0 and 1 are the serial path, one
+  // lane and one slot.
+  const int64_t group = std::max(options_.train.pipeline_depth, 1);
+  const int64_t lanes =
+      std::min<int64_t>(group, ThreadPool::Global().num_threads());
+  if (slots_.size() < static_cast<size_t>(group)) {
+    slots_.resize(static_cast<size_t>(group));
+  }
+  while (scratches_.size() < static_cast<size_t>(lanes)) {
+    scratches_.push_back(std::make_unique<BatchScratch>(
+        store_, FanoutsOrDefault(options_.train.fanouts, gnn_->num_layers())));
+  }
+
+  PrepMetrics& metrics = Prep();
   Series* batch_loss_series =
       training ? &MetricsRegistry::Global().GetSeries("grimp.batch.train_loss")
                : nullptr;
-  pipeline_->Begin(
-      static_cast<int64_t>(plans_.size()),
-      [this, training](int64_t b, PreparedBatch* out, BatchScratch* scratch) {
-        PrepareBatch(plans_[static_cast<size_t>(b)], !training, out, scratch);
-      });
   double loss_sum = 0.0;
   int current_task = plans_.front().task;
   double task_loss_sum = 0.0;
@@ -279,36 +328,50 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
                 static_cast<double>(
                     num_samples(tasks_[static_cast<size_t>(current_task)]));
   };
-  for (const BatchPlan& plan : plans_) {
-    if (plan.task != current_task) {
-      flush_task();
-      task_loss_sum = 0.0;
-      current_task = plan.task;
-    }
-    // Reset before taking the next batch: the previous batch's tape
-    // closures borrow the pipeline slot's adjacency/index storage, and
-    // Next() is what releases that slot for recycling.
+  const auto num_plans = static_cast<int64_t>(plans_.size());
+  for (int64_t begin = 0; begin < num_plans; begin += group) {
+    const int64_t end = std::min(num_plans, begin + group);
+    // The previous batch's tape closures borrow its slot's adjacency and
+    // index storage: drop them before the group refills the slots.
     tape_.Reset();
-    PreparedBatch& batch = pipeline_->Next();
-    const TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
-    Tape::VarId out = ForwardBatch(&tape_, *gnn_, *shared_, *task.head,
-                                   &batch, num_cols_, options_.dim,
-                                   &gnn_scratch_);
-    Tape::VarId loss = TaskLoss(&tape_, task, options_.focal_gamma, out,
-                                batch.labels, batch.targets);
-    const double loss_value = tape_.value(loss).scalar();
-    if (training) {
-      tape_.BackwardFrom(loss, Tensor::Scalar(1.0f));
-      opt->ClipGradNorm(options_.grad_clip);
-      opt->Step();
-      opt->ZeroGrad();
-      ++summary_.steps_run;
-      batch_loss_series->Append(loss_value);
+    const auto wait_start = Now();
+    PrepareGroup(begin, end, lanes, !training);
+    if (group >= 2) {  // the step loop blocked on a whole group
+      const double waited = SecondsSince(wait_start);
+      MetricsRegistry::Global().RecordSpan(metrics.wait_span, waited);
+      metrics.wait_micros.Record(waited * 1e6);
+      metrics.stalls.Increment();
     }
-    task_loss_sum += loss_value * static_cast<double>(plan.bn);
+    for (int64_t b = begin; b < end; ++b) {
+      const BatchPlan& plan = plans_[static_cast<size_t>(b)];
+      if (plan.task != current_task) {
+        flush_task();
+        task_loss_sum = 0.0;
+        current_task = plan.task;
+      }
+      tape_.Reset();
+      PreparedBatch& batch = slots_[static_cast<size_t>(b - begin)];
+      const TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
+      Tape::VarId out = ForwardBatch(&tape_, *gnn_, *shared_, *task.head,
+                                     &batch, num_cols_, options_.dim,
+                                     &gnn_scratch_);
+      Tape::VarId loss = TaskLoss(&tape_, task, options_.focal_gamma, out,
+                                  batch.labels, batch.targets);
+      const double loss_value = tape_.value(loss).scalar();
+      if (training) {
+        tape_.BackwardFrom(loss, Tensor::Scalar(1.0f));
+        opt->ClipGradNorm(options_.grad_clip);
+        opt->Step();
+        opt->ZeroGrad();
+        ++summary_.steps_run;
+        batch_loss_series->Append(loss_value);
+      }
+      task_loss_sum += loss_value * static_cast<double>(plan.bn);
+      metrics.consumed.Increment();
+      metrics.queue_depth.Set(static_cast<double>(end - b - 1));
+    }
   }
   flush_task();
-  pipeline_->End();
   return loss_sum;
 }
 

@@ -4,8 +4,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/batch.h"
 #include "core/options.h"
-#include "core/pipeline.h"
 #include "core/tasks.h"
 #include "gnn/hetero_sage.h"
 #include "graph/hetero_graph.h"
@@ -87,9 +87,11 @@ struct TrainSummary {
 //    id) — never from thread count or scheduling — so losses are identical
 //    at every GRIMP_NUM_THREADS and every pipeline depth. Batch
 //    preparation (PrepareSampledBatch: sampling, shard prefetch, feature
-//    gather) runs through a BatchPipeline at TrainConfig::pipeline_depth:
-//    depth 0 prepares inline, depth N overlaps up to N future batches
-//    with the current step's forward/backward.
+//    gather) runs in groups of TrainConfig::pipeline_depth consecutive
+//    batches: one ParallelFor over min(depth, pool threads) lanes prepares
+//    the whole group, then the step loop runs through it in plan order.
+//    Depths 0 and 1 are the serial path, one batch at a time, whose
+//    nested loops (shard loads, the feature gather) fan out on the pool.
 //
 // The Trainer reads the graph exclusively through a GraphStore: an
 // in-memory store reproduces the old behavior exactly, a ShardedGraphStore
@@ -169,10 +171,10 @@ class Trainer {
   // receptive fields and early stopping compares like with like.
   double RunSampledPass(int epoch, Adam* opt, bool* ran);
 
-  // One sampled batch's fixed recipe, laid out before the pipeline run
-  // starts so preparation is a pure function of the batch id on any
-  // producer thread: which task, which sample range, and the fully mixed
-  // RNG seed of the batch's sampling stream.
+  // One sampled batch's fixed recipe, laid out before the pass starts so
+  // preparation is a pure function of the batch id on any lane: which
+  // task, which sample range, and the fully mixed RNG seed of the batch's
+  // sampling stream.
   struct BatchPlan {
     int task = 0;
     int64_t start = 0;
@@ -181,10 +183,16 @@ class Trainer {
   };
 
   // Prepares one batch per its plan: PrepareSampledBatch over the plan's
-  // sample range, then label/target slicing. Runs on pipeline producer
-  // threads — must touch no Trainer state that mutates during an epoch.
+  // sample range, then label/target slicing. Runs on pool lanes — must
+  // touch no Trainer state that mutates during an epoch.
   void PrepareBatch(const BatchPlan& plan, bool validation,
                     PreparedBatch* out, BatchScratch* scratch) const;
+  // Prepares plans_[begin, end) into slots_[0, end - begin): one
+  // ParallelFor over `lanes` lanes, lane l taking batches begin + l,
+  // begin + l + lanes, ... with scratches_[l]. With one lane the batch
+  // runs inline, outside any parallel region.
+  void PrepareGroup(int64_t begin, int64_t end, int64_t lanes,
+                    bool validation);
 
   const GrimpOptions& options_;
   const GraphStore* store_;
@@ -203,14 +211,14 @@ class Trainer {
   // steady-state steps run without tape or mask allocations.
   Tape tape_;
   GnnScratch gnn_scratch_;
-  // Sampled-mode batch preparation (core/pipeline.h), built on the first
-  // sampled pass: the pipeline owns per-producer scratch and depth+1
-  // recycled batch slots, so steady-state steps still perform no heap
-  // allocations; plans_ is rebuilt per pass and read-only while a run is
-  // active. The tape's borrowing overloads point into the pipeline's slot
-  // storage, released batch-by-batch via Tape::Reset before each Next()
-  // (the pipeline's slot-recycling contract).
-  std::unique_ptr<BatchPipeline> pipeline_;
+  // Sampled-mode batch preparation, grown on the first sampled pass and
+  // recycled after: one slot per batch of a group and one scratch per lane,
+  // so steady-state steps perform no heap allocations. plans_ is rebuilt
+  // per pass and read-only while a group is prepared. The tape's borrowing
+  // overloads point into slot storage, so tape_ is Reset before a group
+  // refills the slots.
+  std::vector<PreparedBatch> slots_;
+  std::vector<std::unique_ptr<BatchScratch>> scratches_;
   std::vector<BatchPlan> plans_;
 };
 

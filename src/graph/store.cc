@@ -326,9 +326,9 @@ void ShardedGraphStore::Prefetch(const std::vector<int>& shards) const {
       // Feasibility before eviction: sum what eviction could actually
       // reclaim (resident, unpinned shards other than s). If the shard
       // still wouldn't fit — pinned or in-flight shards hold the budget,
-      // as when a pipeline's lookahead exceeds it — decline without
-      // touching the LRU instead of evicting shards the consumer is about
-      // to reuse. Demand loading (Acquire) still serves the shard later.
+      // as when a group of batches prepared together exceeds it — decline
+      // without touching the LRU instead of evicting shards about to be
+      // reused. Demand loading (Acquire) still serves the shard later.
       int64_t evictable_bytes = 0;
       for (size_t j = 0; j < states_.size(); ++j) {
         const ShardState& other = states_[j];

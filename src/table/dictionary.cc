@@ -46,4 +46,17 @@ int32_t Dictionary::MostFrequent() const {
   return best;
 }
 
+int32_t Dictionary::ArgmaxLive(const float* scores) const {
+  int32_t best = -1;
+  float best_score = 0.0f;
+  for (int32_t code = 0; code < size(); ++code) {
+    if (counts_[static_cast<size_t>(code)] <= 0) continue;
+    if (best < 0 || scores[code] > best_score) {
+      best = code;
+      best_score = scores[code];
+    }
+  }
+  return best;
+}
+
 }  // namespace grimp

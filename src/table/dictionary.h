@@ -30,6 +30,12 @@ class Dictionary {
   // Code with the highest occurrence count (-1 if empty).
   int32_t MostFrequent() const;
 
+  // The paper's decode rule (§3.7: candidates come from Dom(A_i) only):
+  // the live code (CountOf > 0) with the highest score, where scores[code]
+  // is the code's score and the first maximum wins. -1 when no code is
+  // live.
+  int32_t ArgmaxLive(const float* scores) const;
+
  private:
   std::unordered_map<std::string, int32_t> index_;
   std::vector<std::string> values_;

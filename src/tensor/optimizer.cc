@@ -28,18 +28,15 @@ void Optimizer::ClipGradNorm(float max_norm) {
   const simd::KernelTable& kt = simd::Kernels();
   double sq = 0.0;
   for (Parameter* p : params_) {
-    const int64_t n = p->grad.size();
     const float* gd = p->grad.data();
-    if (ShouldParallelize(n)) {
-      // Per-chunk partials combined in ascending chunk order: deterministic
-      // for any thread count (boundaries depend only on n and the grain).
-      sq += ThreadPool::Global().ParallelReduce(
-          0, n, kParallelThreshold,
-          [&](int64_t b, int64_t e) { return kt.sum_squares(e - b, gd + b); },
-          [](double a, double b) { return a + b; });
-    } else {
-      sq += kt.sum_squares(n, gd);
-    }
+    // Per-chunk partials combined in ascending chunk order at every pool
+    // size (one thread runs the same chunks inline): boundaries depend only
+    // on the size and the grain, so the norm's bits never depend on the
+    // thread count.
+    sq += ThreadPool::Global().ParallelReduce(
+        0, p->grad.size(), kParallelThreshold,
+        [&](int64_t b, int64_t e) { return kt.sum_squares(e - b, gd + b); },
+        [](double a, double b) { return a + b; });
   }
   const double norm = std::sqrt(sq);
   if (norm <= max_norm || norm == 0.0) return;

@@ -264,46 +264,6 @@ Tape::VarId Tape::Relu(VarId x) {
   return id;
 }
 
-Tape::VarId Tape::Tanh(VarId x) {
-  Tensor out = nodes_[x].value;
-  ParallelRange(out.size(), [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) out[i] = std::tanh(out[i]);
-  });
-  VarId id = PushNode(std::move(out));
-  nodes_[id].backward = [this, id, x]() {
-    const Tensor& g = nodes_[id].grad;
-    const Tensor& v = nodes_[id].value;
-    Tensor& xg = GradRef(x);
-    ParallelRange(g.size(), [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        xg[i] += g[i] * (1.0f - v[i] * v[i]);
-      }
-    });
-  };
-  return id;
-}
-
-Tape::VarId Tape::Sigmoid(VarId x) {
-  Tensor out = nodes_[x].value;
-  ParallelRange(out.size(), [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      out[i] = 1.0f / (1.0f + std::exp(-out[i]));
-    }
-  });
-  VarId id = PushNode(std::move(out));
-  nodes_[id].backward = [this, id, x]() {
-    const Tensor& g = nodes_[id].grad;
-    const Tensor& v = nodes_[id].value;
-    Tensor& xg = GradRef(x);
-    ParallelRange(g.size(), [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        xg[i] += g[i] * v[i] * (1.0f - v[i]);
-      }
-    });
-  };
-  return id;
-}
-
 Tape::VarId Tape::ConcatCols(const std::vector<VarId>& xs) {
   GRIMP_CHECK(!xs.empty());
   const int64_t n = nodes_[xs[0]].value.rows();

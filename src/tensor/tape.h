@@ -186,8 +186,6 @@ class Tape {
   VarId RowScale(VarId x, std::vector<float> s);
   VarId RowScale(VarId x, std::shared_ptr<const std::vector<float>> s);
   VarId Relu(VarId x);
-  VarId Tanh(VarId x);
-  VarId Sigmoid(VarId x);
   // Horizontal concatenation; all inputs share the row count.
   VarId ConcatCols(const std::vector<VarId>& xs);
   // Two-input fast path: no index vector on either side of the tape (the

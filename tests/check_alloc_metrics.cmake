@@ -1,7 +1,8 @@
 # CTest helper: smoke-run the allocation benchmark (full, sampled and serve
 # workloads, arena off/on) with GRIMP_METRICS_JSON set, then assert the
-# dumped registry carries the tensor.arena.* gauges and that the bench's
-# artifact records bit-identical arena-on/off results. Invoked as
+# dumped registry carries the tensor.arena.* gauges, that the bench's
+# artifact records bit-identical arena-on/off results, and that arena-on
+# training steps stay near allocation-free. Invoked as
 #   cmake -DALLOC_BIN=<exe> -DWORK_DIR=<dir> -P check_alloc_metrics.cmake
 
 if(NOT DEFINED ALLOC_BIN OR NOT DEFINED WORK_DIR)
@@ -67,5 +68,35 @@ if(NOT identical STREQUAL "ON")
   message(FATAL_ERROR "BENCH_alloc.json bit_identical is ${identical}")
 endif()
 
+# Arena-on steady-state heap allocations per training step. With pooled
+# tensors and non-owning ParallelFor callables a step allocates almost
+# nothing (about 11.5 full and 1.5 sampled at this size); an owning
+# callable per pool loop reads 412.5 and 83.0 on 4 cores. Sanitized builds
+# do not count allocations.
+string(JSON alloc_counting GET "${bench_json}" alloc_counting)
+if(alloc_counting STREQUAL "ON")
+  set(max_full 32)
+  set(max_sampled 4)
+  math(EXPR last "${num_configs} - 1")
+  foreach(i RANGE ${last})
+    string(JSON mode GET "${bench_json}" configs ${i} mode)
+    string(JSON arena GET "${bench_json}" configs ${i} arena)
+    string(JSON allocs GET "${bench_json}" configs ${i} steady_allocs_per_step)
+    if(NOT arena STREQUAL "ON" OR NOT DEFINED max_${mode})
+      continue()
+    endif()
+    if(allocs GREATER ${max_${mode}})
+      message(FATAL_ERROR
+              "arena-on ${mode} steady_allocs_per_step ${allocs} > "
+              "${max_${mode}}")
+    endif()
+    set(${mode}_allocs ${allocs})
+  endforeach()
+  if(NOT DEFINED full_allocs OR NOT DEFINED sampled_allocs)
+    message(FATAL_ERROR "BENCH_alloc.json lacks arena-on full/sampled configs")
+  endif()
+endif()
+
 message(STATUS "alloc metrics ok: pool_hits=${pool_hits}, "
-        "hit_rate=${hit_rate}, configs=${num_configs}")
+        "hit_rate=${hit_rate}, configs=${num_configs}, "
+        "arena-on allocs/step full=${full_allocs} sampled=${sampled_allocs}")

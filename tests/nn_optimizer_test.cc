@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/thread_pool.h"
 #include "tensor/nn.h"
 #include "tensor/optimizer.h"
 
@@ -92,6 +94,32 @@ TEST(OptimizerTest, ClipGradNormNoOpWhenSmall) {
   Adam opt({&p}, 0.1f);
   opt.ClipGradNorm(10.0f);
   EXPECT_FLOAT_EQ(p.grad[0], 0.1f);
+}
+
+// The norm sums squares in fixed 4096-element chunks at every pool size,
+// so clipping is bit-identical at 1 and 4 threads (DESIGN.md §5).
+TEST(OptimizerTest, ClipGradNormIndependentOfThreadCount) {
+  const int saved_threads = ThreadPool::GlobalThreads();
+  Rng rng(21);
+  const Tensor grad = Tensor::GlorotUniform(13, 1000, &rng);  // > 3 x 4096
+  auto clipped = [&](int threads) {
+    ThreadPool::SetGlobalThreads(threads);
+    Parameter p("p", Tensor::Zeros(grad.rows(), grad.cols()));
+    p.grad = grad;
+    Sgd opt({&p}, 1.0f);
+    opt.ClipGradNorm(0.5f);
+    return p.grad;
+  };
+  const Tensor one = clipped(1);
+  const Tensor four = clipped(4);
+  ThreadPool::SetGlobalThreads(saved_threads);
+  double norm_sq = 0.0;
+  for (int64_t i = 0; i < grad.size(); ++i) norm_sq += grad[i] * grad[i];
+  ASSERT_GT(std::sqrt(norm_sq), 0.5);  // the clip actually scales
+  EXPECT_NE(one[0], grad[0]);
+  EXPECT_EQ(std::memcmp(one.data(), four.data(),
+                        static_cast<size_t>(one.size()) * sizeof(float)),
+            0);
 }
 
 TEST(OptimizerTest, AdamWeightDecayShrinksWeights) {

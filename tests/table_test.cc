@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/csv.h"
 #include "table/normalizer.h"
@@ -36,6 +37,22 @@ TEST(DictionaryTest, CodesCountsAndMode) {
   d.AddOccurrence(a, -2);
   d.AddOccurrence(b, 5);
   EXPECT_EQ(d.MostFrequent(), b);
+}
+
+// The decode rule: the highest-scoring live code, first maximum wins.
+TEST(DictionaryTest, ArgmaxLiveSkipsDeadCodesAndKeepsFirstMaximum) {
+  Dictionary d;
+  for (const char* v : {"a", "b", "c", "d"}) d.GetOrAdd(v);
+  EXPECT_EQ(d.ArgmaxLive(std::vector<float>{1, 2, 3, 4}.data()), -1);
+  d.AddOccurrence(0);
+  d.AddOccurrence(2);
+  d.AddOccurrence(3);
+  // Code 1 scores highest but is dead; codes 2 and 3 tie.
+  EXPECT_EQ(d.ArgmaxLive(std::vector<float>{-5, 9, 7, 7}.data()), 2);
+  // A live code wins even with a negative score.
+  d.AddOccurrence(2, -1);
+  d.AddOccurrence(3, -1);
+  EXPECT_EQ(d.ArgmaxLive(std::vector<float>{-5, 9, 7, 7}.data()), 0);
 }
 
 TEST(ColumnTest, CategoricalAppendAndMissing) {

@@ -105,7 +105,7 @@ TEST_P(TapeFuzzRegressionTest, RegressionGraphMatchesFiniteDifferences) {
   }
   auto loss = [&](bool) {
     Tape tape;
-    auto h = tape.Tanh(tape.AddBias(
+    auto h = tape.Relu(tape.AddBias(
         tape.MatMul(tape.Constant(x), tape.Leaf(&w1)), tape.Leaf(&b1)));
     auto out = tape.MatMul(h, tape.Leaf(&w2));
     auto l = tape.MseLoss(out, targets, mask);

@@ -32,16 +32,12 @@ TEST(TapeTest, ForwardValuesBasicOps) {
   EXPECT_EQ(tape.value(tape.SumAll(b)).scalar(), 7.0f);
 }
 
-TEST(TapeTest, ReluTanhSigmoidForward) {
+TEST(TapeTest, ReluForward) {
   Tape tape;
   auto x = tape.Constant(Tensor::FromVector(1, 3, {-1.0f, 0.0f, 2.0f}));
   const Tensor& r = tape.value(tape.Relu(x));
   EXPECT_EQ(r.at(0, 0), 0.0f);
   EXPECT_EQ(r.at(0, 2), 2.0f);
-  const Tensor& s = tape.value(tape.Sigmoid(x));
-  EXPECT_NEAR(s.at(0, 1), 0.5f, 1e-6f);
-  const Tensor& t = tape.value(tape.Tanh(x));
-  EXPECT_NEAR(t.at(0, 2), std::tanh(2.0f), 1e-6f);
 }
 
 TEST(TapeTest, RowSoftmaxRowsSumToOne) {
@@ -140,21 +136,15 @@ TEST(TapeGradTest, RowScale) {
 }
 
 TEST(TapeGradTest, Activations) {
-  for (int which = 0; which < 3; ++which) {
-    Parameter p = MakeParam(2, 4, 8 + static_cast<uint64_t>(which));
-    auto loss = [&](bool) {
-      Tape tape;
-      auto x = tape.Leaf(&p);
-      Tape::VarId act;
-      if (which == 0) act = tape.Relu(x);
-      else if (which == 1) act = tape.Tanh(x);
-      else act = tape.Sigmoid(x);
-      auto l = tape.SumAll(tape.Mul(act, act));
-      tape.BackwardFrom(l, Tensor::Scalar(1.0f));
-      return tape.value(l).scalar();
-    };
-    EXPECT_LT(MaxGradError(&p, loss), kTol) << "activation " << which;
-  }
+  Parameter p = MakeParam(2, 4, 8);
+  auto loss = [&](bool) {
+    Tape tape;
+    auto act = tape.Relu(tape.Leaf(&p));
+    auto l = tape.SumAll(tape.Mul(act, act));
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
+    return tape.value(l).scalar();
+  };
+  EXPECT_LT(MaxGradError(&p, loss), kTol);
 }
 
 TEST(TapeGradTest, ConcatColsAndReshape) {

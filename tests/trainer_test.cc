@@ -246,9 +246,12 @@ TEST(TrainerTest, PipelineDepthFromConfigMatchesSerial) {
 }
 
 // Over a sharded store there is no full graph, so validation is itself a
-// sampled pass through the pipeline. Both passes must be bit-identical at
-// every depth: the per-epoch training AND validation losses, and the
-// imputations served from the restored best weights.
+// sampled pass through the same grouped preparation. Both passes must be
+// bit-identical at every depth: the per-epoch training AND validation
+// losses, and the imputations served from the restored best weights.
+// At batch 17 the passes hold 14 training and 4 validation batches, so
+// depth 3 leaves a short last group in both, and depth 16 exceeds a pass's
+// batch count, so one group covers the whole pass (the test checks both).
 TEST(TrainerTest, ShardedSampledPassesIdenticalAcrossPipelineDepths) {
   Table clean = StructuredTable(120);
   const CorruptedTable corrupted = InjectMcar(clean, 0.25, 7);
@@ -256,10 +259,13 @@ TEST(TrainerTest, ShardedSampledPassesIdenticalAcrossPipelineDepths) {
     std::vector<double> train_losses;
     std::vector<double> val_losses;
     Table imputed;
+    int64_t train_batches = 0;  // per epoch
+    int64_t val_batches = 0;    // per validation pass
   };
-  auto run = [&](int depth) {
+  auto run = [&](int depth, int batch_size) {
     GrimpOptions options = SampledOptions(depth);
     options.max_epochs = 6;
+    options.train.batch_size = batch_size;
     options.graph.shard_mode = ShardMode::kSharded;
     options.graph.num_shards = 4;
     options.graph.max_resident_bytes = 1ll << 14;  // force eviction
@@ -270,24 +276,49 @@ TEST(TrainerTest, ShardedSampledPassesIdenticalAcrossPipelineDepths) {
       out.val_losses.push_back(stats.val_loss);
       return true;
     };
+    Counter& consumed =
+        MetricsRegistry::Global().GetCounter("train.pipeline.consumed");
+    const int64_t consumed_before = consumed.value();
     GrimpEngine engine(options);
     EXPECT_TRUE(engine.Fit(corrupted.dirty).ok());
+    const TrainSummary& summary = engine.summary();
+    if (summary.epochs_run > 0) {
+      // One training and one validation pass per epoch.
+      out.train_batches = summary.steps_run / summary.epochs_run;
+      out.val_batches =
+          (consumed.value() - consumed_before) / summary.epochs_run -
+          out.train_batches;
+    }
     auto imputed = TransformCopy(engine, corrupted.dirty);
     EXPECT_TRUE(imputed.ok());
     if (imputed.ok()) out.imputed = std::move(*imputed);
     return out;
   };
-  const RunOutput serial = run(0);
+  auto expect_identical = [&](const RunOutput& serial,
+                              const RunOutput& piped) {
+    ASSERT_EQ(serial.train_losses.size(), piped.train_losses.size());
+    for (size_t i = 0; i < serial.train_losses.size(); ++i) {
+      EXPECT_EQ(serial.train_losses[i], piped.train_losses[i])
+          << "epoch " << i;
+      EXPECT_EQ(serial.val_losses[i], piped.val_losses[i]) << "epoch " << i;
+    }
+    for (const CellRef& cell : corrupted.missing_cells) {
+      EXPECT_EQ(serial.imputed.column(cell.col).StringAt(cell.row),
+                piped.imputed.column(cell.col).StringAt(cell.row));
+    }
+  };
+  const RunOutput serial = run(0, 32);
   ASSERT_FALSE(serial.train_losses.empty());
-  const RunOutput piped = run(4);
-  ASSERT_EQ(serial.train_losses.size(), piped.train_losses.size());
-  for (size_t i = 0; i < serial.train_losses.size(); ++i) {
-    EXPECT_EQ(serial.train_losses[i], piped.train_losses[i]) << "epoch " << i;
-    EXPECT_EQ(serial.val_losses[i], piped.val_losses[i]) << "epoch " << i;
-  }
-  for (const CellRef& cell : corrupted.missing_cells) {
-    EXPECT_EQ(serial.imputed.column(cell.col).StringAt(cell.row),
-              piped.imputed.column(cell.col).StringAt(cell.row));
+  expect_identical(serial, run(4, 32));
+
+  const RunOutput serial17 = run(0, 17);
+  ASSERT_FALSE(serial17.train_losses.empty());
+  EXPECT_NE(serial17.train_batches % 3, 0) << serial17.train_batches;
+  EXPECT_NE(serial17.val_batches % 3, 0) << serial17.val_batches;
+  EXPECT_LT(serial17.train_batches, 16);
+  for (const int depth : {3, 16}) {
+    SCOPED_TRACE("pipeline depth " + std::to_string(depth));
+    expect_identical(serial17, run(depth, 17));
   }
 }
 
