@@ -7,7 +7,13 @@
 // The detected/selected SIMD path is recorded in the output and the JSON;
 // GRIMP_SIMD=scalar re-measures the portable fallback.
 //
-// Each shape is also timed through the fused GEMM+bias+ReLU epilogue
+// The GNN rows are the shapes one edge type of a heterogeneous SAGE layer
+// runs (Tape::HeteroSage at dim 32 on the 1,200-row adult replica, about
+// 970 live rows per type): the forward [h || mean] * W, and the backward's
+// dW = X^T * G (k = live rows) and dX = G * W^T, each timed through the
+// kernel variant the layer calls.
+//
+// Each plain shape is also timed through the fused GEMM+bias+ReLU epilogue
 // (MatMulFused, the kernel behind Tape::LinearRelu) against the equivalent
 // unfused chain (plain GEMM + a separate bias/ReLU pass over the output).
 //
@@ -51,8 +57,24 @@ double BestSeconds(const std::string& span_name,
   return grimp::MetricsRegistry::Global().GetSpanStats(span_name).min_seconds;
 }
 
+// Which operand the kernel reads transposed: C = A * B, A^T * B or A * B^T.
+enum class Op { kPlain, kTransA, kTransB };
+
+const char* OpName(Op op) {
+  switch (op) {
+    case Op::kTransA:
+      return "trans_a";
+    case Op::kTransB:
+      return "trans_b";
+    case Op::kPlain:
+      break;
+  }
+  return "plain";
+}
+
 struct Shape {
   int64_t m, k, n;
+  Op op;
   const char* why;
 };
 
@@ -62,11 +84,14 @@ int main() {
   // Shapes: (nodes x dim) * (dim x hidden) panels from the engine forward,
   // plus ragged sizes that exercise the edge tiles.
   const std::vector<Shape> shapes = {
-      {1024, 256, 256, "acceptance shape (ISSUE 1)"},
-      {4096, 32, 64, "GNN layer: nodes x dim -> hidden"},
-      {2048, 64, 64, "shared merge layer"},
-      {512, 128, 512, "task head logits"},
-      {1000, 50, 17, "ragged edge tiles"},
+      {1024, 256, 256, Op::kPlain, "acceptance shape (ISSUE 1)"},
+      {970, 64, 32, Op::kPlain,
+       "GNN type forward: live rows x 2*dim -> dim"},
+      {64, 970, 32, Op::kTransA, "GNN type dW: X^T * G, k = live rows"},
+      {970, 32, 64, Op::kTransB, "GNN type dX: G * W^T"},
+      {2048, 64, 64, Op::kPlain, "shared merge layer"},
+      {512, 128, 512, Op::kPlain, "task head logits"},
+      {1000, 50, 17, Op::kPlain, "ragged edge tiles"},
   };
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const int max_threads =
@@ -105,6 +130,26 @@ int main() {
     const Tensor a = Tensor::RandomNormal(s.m, s.k, 1.0f, &rng);
     const Tensor b = Tensor::RandomNormal(s.k, s.n, 1.0f, &rng);
     const double flops = 2.0 * static_cast<double>(s.m) * s.k * s.n;
+    // The operands the transposed variants read: a^T (k x m), b^T (n x k).
+    Tensor at(s.k, s.m);
+    for (int64_t r = 0; r < s.m; ++r) {
+      for (int64_t c = 0; c < s.k; ++c) at.at(c, r) = a.at(r, c);
+    }
+    Tensor bt(s.n, s.k);
+    for (int64_t r = 0; r < s.k; ++r) {
+      for (int64_t c = 0; c < s.n; ++c) bt.at(c, r) = b.at(r, c);
+    }
+    const auto blocked_product = [&]() {
+      switch (s.op) {
+        case Op::kTransA:
+          return grimp::MatMulTransA(at, b);
+        case Op::kTransB:
+          return grimp::MatMulTransB(a, bt);
+        case Op::kPlain:
+          break;
+      }
+      return grimp::MatMul(a, b);
+    };
 
     Tensor ref;
     const double naive_s = BestSeconds(
@@ -118,7 +163,8 @@ int main() {
 
     json += "    {\"m\": " + std::to_string(s.m) +
             ", \"k\": " + std::to_string(s.k) +
-            ", \"n\": " + std::to_string(s.n) + ", \"why\": \"" + s.why +
+            ", \"n\": " + std::to_string(s.n) + ", \"op\": \"" +
+            OpName(s.op) + "\", \"why\": \"" + s.why +
             "\",\n     \"naive_seconds\": " + std::to_string(naive_s) +
             ", \"naive_gflops\": " + std::to_string(naive_gflops) +
             ",\n     \"blocked\": [";
@@ -129,7 +175,7 @@ int main() {
       Tensor blocked;
       const double bs = BestSeconds(
           "bench.blocked." + std::to_string(si) + ".t" + std::to_string(t),
-          [&]() { return grimp::MatMul(a, b); }, reps, &blocked);
+          blocked_product, reps, &blocked);
       const bool ok = grimp::AllClose(blocked, ref, 1e-5f, 1e-4f);
       all_ok = all_ok && ok;
       const double gf = flops / bs * 1e-9;
@@ -143,7 +189,20 @@ int main() {
               ", \"matches_naive\": " + (ok ? "true" : "false") + "}";
     }
     std::printf("\n");
+    // Also sanity-check the transpose variants on this shape at max threads.
+    if (!grimp::AllClose(grimp::MatMulTransA(at, b), ref, 1e-5f, 1e-4f) ||
+        !grimp::AllClose(grimp::MatMulTransB(a, bt), ref, 1e-5f, 1e-4f)) {
+      std::printf("  TRANSPOSE-VARIANT MISMATCH at %lldx%lldx%lld\n",
+                  static_cast<long long>(s.m), static_cast<long long>(s.k),
+                  static_cast<long long>(s.n));
+      all_ok = false;
+    }
     json += "],\n     \"fused\": [";
+    if (s.op != Op::kPlain) {  // the fused epilogue serves forward GEMMs
+      json += "]}";
+      json += (si + 1 < shapes.size()) ? ",\n" : "\n";
+      continue;
+    }
 
     // Fused GEMM+bias+ReLU epilogue (the Tape::LinearRelu kernel) against
     // the unfused equivalent: plain GEMM followed by a separate bias/ReLU
@@ -192,23 +251,6 @@ int main() {
     std::printf("\n");
     json += "]}";
     json += (si + 1 < shapes.size()) ? ",\n" : "\n";
-
-    // Also sanity-check the transpose variants on this shape at max threads.
-    Tensor at(s.k, s.m);
-    for (int64_t r = 0; r < s.m; ++r) {
-      for (int64_t c = 0; c < s.k; ++c) at.at(c, r) = a.at(r, c);
-    }
-    Tensor bt(s.n, s.k);
-    for (int64_t r = 0; r < s.k; ++r) {
-      for (int64_t c = 0; c < s.n; ++c) bt.at(c, r) = b.at(r, c);
-    }
-    if (!grimp::AllClose(grimp::MatMulTransA(at, b), ref, 1e-5f, 1e-4f) ||
-        !grimp::AllClose(grimp::MatMulTransB(a, bt), ref, 1e-5f, 1e-4f)) {
-      std::printf("  TRANSPOSE-VARIANT MISMATCH at %lldx%lldx%lld\n",
-                  static_cast<long long>(s.m), static_cast<long long>(s.k),
-                  static_cast<long long>(s.n));
-      all_ok = false;
-    }
   }
   grimp::MetricsRegistry& registry = grimp::MetricsRegistry::Global();
   const int64_t gemm_calls = registry.GetCounter("gemm.calls").value();

@@ -133,8 +133,9 @@ class GrimpEngine {
   // unions.
   // All model reads happen before any table is written; on error no table
   // is modified. With the TensorArena enabled, per-thread scratch (tape,
-  // graph storage, GNN masks, gather indices) is recycled across calls,
-  // making the steady state allocation-free outside the response itself.
+  // graph storage, GNN layer scratch, gather indices) is recycled across
+  // calls, making the steady state allocation-free outside the response
+  // itself.
   //
   // Streaming mode (options.stream != nullptr): `tables` must hold exactly
   // one table — a copy of the context's window rows — and inference runs
@@ -149,7 +150,7 @@ class GrimpEngine {
   // call (use CheckCompatible to reject individual requests up front).
   //
   // Thread safety: only model state is shared (tape, graphs, features,
-  // sampler and GNN mask scratch are per-call or per-thread, and the GNN
+  // sampler and GNN layer scratch are per-call or per-thread, and the GNN
   // layers hold nothing but weights), so any number of calls may run
   // concurrently on one fitted engine, each bit-identical to a serial run.
   // That holds in both modes, including streaming calls sharing one

@@ -207,8 +207,8 @@ class Trainer {
   std::vector<Parameter*> params_;
   TrainSummary summary_;
   // Reused across every epoch / batch / validation pass (Tape::Reset keeps
-  // the node slots, and releases the GNN masks the scratch refills), so
-  // steady-state steps run without tape or mask allocations.
+  // the node slots; the GNN scratch keeps its per-type rows and buffers),
+  // so steady-state steps run without tape or GNN allocations.
   Tape tape_;
   GnnScratch gnn_scratch_;
   // Sampled-mode batch preparation, grown on the first sampled pass and

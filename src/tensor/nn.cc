@@ -7,9 +7,13 @@ Linear::Linear(std::string name, int64_t in_dim, int64_t out_dim, Rng* rng)
       bias_(name + ".b", Tensor::Zeros(1, out_dim)) {}
 
 Tape::VarId Linear::Forward(Tape* tape, Tape::VarId x, bool fuse_relu) const {
-  Tape::VarId w = tape->Leaf(&weight_);
-  Tape::VarId b = tape->Leaf(&bias_);
+  const auto [w, b] = Leaves(tape);
   return fuse_relu ? tape->LinearRelu(x, w, b) : tape->Linear(x, w, b);
+}
+
+std::pair<Tape::VarId, Tape::VarId> Linear::Leaves(Tape* tape) const {
+  const Tape::VarId w = tape->Leaf(&weight_);
+  return {w, tape->Leaf(&bias_)};
 }
 
 void Linear::SetBias(const std::vector<float>& bias) {

@@ -2,6 +2,7 @@
 #define GRIMP_TENSOR_NN_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/tape.h"
@@ -17,6 +18,9 @@ class Linear {
   // Records one fused Linear (or LinearRelu when fuse_relu) tape node: the
   // bias add — and the activation, when fused — run in the GEMM epilogue.
   Tape::VarId Forward(Tape* tape, Tape::VarId x, bool fuse_relu = false) const;
+  // Records the weight and the bias as tape leaves, for ops that take them
+  // directly (Tape::HeteroSage).
+  std::pair<Tape::VarId, Tape::VarId> Leaves(Tape* tape) const;
 
   // Overwrites the bias (e.g. log class priors for classifier heads).
   void SetBias(const std::vector<float>& bias);

@@ -1,10 +1,13 @@
 #include "tensor/tape.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "tensor/simd.h"
 
@@ -203,32 +206,22 @@ Tape::VarId Tape::Scale(VarId x, float alpha) {
 }
 
 Tape::VarId Tape::RowScale(VarId x, std::vector<float> s) {
-  // Wrap the per-call vector so both overloads share one closure shape.
-  return RowScale(
-      x, std::make_shared<const std::vector<float>>(std::move(s)));
-}
-
-Tape::VarId Tape::RowScale(VarId x,
-                           std::shared_ptr<const std::vector<float>> s) {
   const Tensor& xv = nodes_[x].value;
-  GRIMP_CHECK(s != nullptr);
-  GRIMP_CHECK_EQ(static_cast<int64_t>(s->size()), xv.rows());
-  const std::vector<float>& sv = *s;
+  GRIMP_CHECK_EQ(static_cast<int64_t>(s.size()), xv.rows());
   Tensor out = xv;
   ParallelRows(out.rows(), out.cols(), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
-      for (int64_t c = 0; c < out.cols(); ++c) out.at(r, c) *= sv[r];
+      for (int64_t c = 0; c < out.cols(); ++c) out.at(r, c) *= s[r];
     }
   });
   VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, x, s = std::move(s)]() {
     const Tensor& g = nodes_[id].grad;
     Tensor& xg = GradRef(x);
-    const std::vector<float>& sv = *s;
     ParallelRows(g.rows(), g.cols(), [&](int64_t r0, int64_t r1) {
       for (int64_t r = r0; r < r1; ++r) {
         for (int64_t c = 0; c < g.cols(); ++c) {
-          xg.at(r, c) += g.at(r, c) * sv[r];
+          xg.at(r, c) += g.at(r, c) * s[r];
         }
       }
     });
@@ -303,36 +296,6 @@ Tape::VarId Tape::ConcatCols(const std::vector<VarId>& xs) {
           }
         }
         off += xg->cols();
-      }
-    });
-  };
-  return id;
-}
-
-Tape::VarId Tape::ConcatCols(VarId a, VarId b) {
-  const Tensor& av = nodes_[a].value;
-  const Tensor& bv = nodes_[b].value;
-  GRIMP_CHECK_EQ(av.rows(), bv.rows());
-  const int64_t n = av.rows();
-  const int64_t ac = av.cols();
-  const int64_t bc = bv.cols();
-  // Every element is written below.
-  Tensor out = Tensor::Uninit(n, ac + bc);
-  ParallelRows(n, ac + bc, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      for (int64_t c = 0; c < ac; ++c) out.at(r, c) = av.at(r, c);
-      for (int64_t c = 0; c < bc; ++c) out.at(r, ac + c) = bv.at(r, c);
-    }
-  });
-  VarId id = PushNode(std::move(out));
-  nodes_[id].backward = [this, id, a, b, ac, bc]() {
-    const Tensor& g = nodes_[id].grad;
-    Tensor& ag = GradRef(a);
-    Tensor& bg = GradRef(b);
-    ParallelRows(g.rows(), g.cols(), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        for (int64_t c = 0; c < ac; ++c) ag.at(r, c) += g.at(r, c);
-        for (int64_t c = 0; c < bc; ++c) bg.at(r, c) += g.at(r, ac + c);
       }
     });
   };
@@ -795,6 +758,171 @@ Tape::VarId Tape::MseLossImpl(VarId pred, const std::vector<float>* targets,
     const simd::KernelTable& kt = simd::Kernels();
     kt.mse_bwd(pv.rows(), g * 2.0f, pv.data(), targets->data(),
                mask == nullptr ? nullptr : mask->data(), pg.data());
+  };
+  return id;
+}
+
+namespace {
+
+// Runs fn(lane) for every lane in [0, num_lanes): one pool chunk per lane
+// when `work` elements are worth the dispatch, inline otherwise. Fanned
+// out, the kernels a lane calls nest inside its chunk and run inline on
+// that thread.
+template <typename Fn>
+void ForEachLane(size_t num_lanes, int64_t work, Fn&& fn) {
+  const auto n = static_cast<int64_t>(num_lanes);
+  if (ShouldParallelize(work)) {
+    ParallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t t = lo; t < hi; ++t) fn(static_cast<size_t>(t));
+    });
+  } else {
+    for (size_t t = 0; t < num_lanes; ++t) fn(t);
+  }
+}
+
+}  // namespace
+
+Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
+                             std::shared_ptr<const void> owned) {
+  GRIMP_CHECK(scratch != nullptr && !scratch->lanes.empty());
+  const Tensor& dv = nodes_[h_dst].value;
+  const Tensor& sv = nodes_[h_src].value;
+  const int64_t num_dst = static_cast<int64_t>(scratch->row_scale.size());
+  const int64_t in = dv.cols();
+  const int64_t out_dim = nodes_[scratch->lanes[0].weight].value.cols();
+  GRIMP_CHECK_EQ(dv.rows(), num_dst);
+  GRIMP_CHECK_EQ(sv.cols(), in);
+  // Every buffer is taken here, on the calling thread: lanes only write
+  // into storage they were handed, so arena traffic is the same at every
+  // thread count and interleaving.
+  int64_t work = 0;
+  for (SageLane& lane : scratch->lanes) {
+    GRIMP_CHECK(lane.offsets != nullptr && lane.indices != nullptr);
+    GRIMP_CHECK_EQ(static_cast<int64_t>(lane.offsets->size()), num_dst + 1);
+    const Tensor& w = nodes_[lane.weight].value;
+    GRIMP_CHECK(w.rows() == 2 * in && w.cols() == out_dim);
+    const auto n = static_cast<int64_t>(lane.rows.size());
+    GRIMP_CHECK(lane.live >= 0 && lane.live <= n);
+    lane.x.ResizeUninit(n, 2 * in);
+    lane.y.ResizeUninit(n, out_dim);
+    work += n * 2 * in;
+  }
+  Tensor out = Tensor::Uninit(num_dst, out_dim);
+  const simd::KernelTable& kt = simd::Kernels();
+  ForEachLane(scratch->lanes.size(), work, [&](size_t t) {
+    SageLane& lane = scratch->lanes[t];
+    if (lane.rows.empty()) return;
+    const int32_t* off = lane.offsets->data();
+    const int32_t* idx = lane.indices->data();
+    for (size_t i = 0; i < lane.rows.size(); ++i) {
+      const int64_t r = lane.rows[i];
+      GRIMP_DCHECK(r < num_dst);
+      float* xr = lane.x.data() + static_cast<int64_t>(i) * 2 * in;
+      std::memcpy(xr, dv.data() + r * in,
+                  static_cast<size_t>(in) * sizeof(float));
+      kt.segment_mean_fwd(off + r, idx, sv.data(), in, 0, 1, xr + in);
+    }
+    MatMulFused(lane.x, nodes_[lane.weight].value, nodes_[lane.bias].value,
+                /*relu=*/false, &lane.y);
+  });
+  // Fixed-order reduce, chunked by dst rows: each row takes its lanes in
+  // ascending order. -0 is the exact additive identity, so a row sums its
+  // lanes' outputs (and the zero-scaled rows their signed zeros) exactly as
+  // a left-to-right Add chain over masked lane outputs would.
+  const auto num_lanes = static_cast<int64_t>(scratch->lanes.size());
+  ParallelRows(num_dst, num_lanes * out_dim, [&](int64_t r0, int64_t r1) {
+    std::fill(out.data() + r0 * out_dim, out.data() + r1 * out_dim, -0.0f);
+    for (const SageLane& lane : scratch->lanes) {
+      // The live rows add y, the zero-scaled ones 0 * y; both runs ascend.
+      const auto begin = lane.rows.begin();
+      const auto live_end = begin + lane.live;
+      const auto add_run = [&](auto first, auto last, float mask) {
+        for (auto it = std::lower_bound(first, last, r0);
+             it != last && *it < r1; ++it) {
+          kt.axpy(out_dim, mask, lane.y.data() + (it - begin) * out_dim,
+                  out.data() + *it * out_dim);
+        }
+      };
+      add_run(begin, live_end, 1.0f);
+      add_run(live_end, lane.rows.end(), 0.0f);
+    }
+    for (int64_t r = r0; r < r1; ++r) {
+      kt.scale(out_dim, scratch->row_scale[static_cast<size_t>(r)],
+               out.data() + r * out_dim);
+    }
+  });
+  VarId id = PushNode(std::move(out));
+  nodes_[id].backward = [this, id, h_dst, h_src, scratch,
+                         owned = std::move(owned)]() {
+    // Pre-held so recording the span allocates nothing.
+    static const std::string kSpan = "gnn.backward";
+    const auto start = std::chrono::steady_clock::now();
+    SageScratch& s = *scratch;
+    const Tensor& g = nodes_[id].grad;
+    const int64_t out_dim = g.cols();
+    const bool dst_grad = static_cast<bool>(nodes_[h_dst].backward);
+    const bool src_grad = static_cast<bool>(nodes_[h_src].backward);
+    // Materialize every grad this pass writes before the lanes fan out.
+    int64_t work = 0;
+    for (SageLane& lane : s.lanes) {
+      if (lane.rows.empty()) continue;
+      GradRef(lane.weight);
+      GradRef(lane.bias);
+      if (dst_grad || src_grad) {
+        lane.dx.ResizeUninit(lane.x.rows(), lane.x.cols());
+      }
+      work += lane.x.size();
+    }
+    Tensor* dst_g = dst_grad ? &GradRef(h_dst) : nullptr;
+    Tensor* src_g = src_grad ? &GradRef(h_src) : nullptr;
+    const simd::KernelTable& kt = simd::Kernels();
+    ForEachLane(s.lanes.size(), work, [&](size_t t) {
+      SageLane& lane = s.lanes[t];
+      if (lane.rows.empty()) return;
+      // The lane's upstream gradient, in place of its forward output.
+      float* dy = lane.y.data();
+      for (size_t i = 0; i < lane.rows.size(); ++i) {
+        const int64_t r = lane.rows[i];
+        const float scale = s.row_scale[static_cast<size_t>(r)];
+        const float* gr = g.data() + r * out_dim;
+        float* dyr = dy + static_cast<int64_t>(i) * out_dim;
+        for (int64_t c = 0; c < out_dim; ++c) dyr[c] = gr[c] * scale;
+      }
+      MatMulTransAAcc(lane.x, lane.y, &nodes_[lane.weight].grad);
+      kt.col_sum_acc(lane.y.rows(), out_dim, dy,
+                     nodes_[lane.bias].grad.data());
+      if (dst_g != nullptr || src_g != nullptr) {
+        MatMulTransB(lane.y, nodes_[lane.weight].value, &lane.dx);
+      }
+    });
+    // The input-gradient replay, on this thread, in the chain's order.
+    for (size_t t = s.lanes.size(); t-- > 0;) {
+      const SageLane& lane = s.lanes[t];
+      const int64_t in = lane.x.cols() / 2;
+      if (dst_g != nullptr) {
+        for (int64_t i = 0; i < lane.live; ++i) {
+          kt.axpy(in, 1.0f, lane.dx.data() + i * 2 * in,
+                  dst_g->data() + lane.rows[static_cast<size_t>(i)] * in);
+        }
+      }
+      if (src_g != nullptr) {
+        const std::vector<int32_t>& off = *lane.offsets;
+        const std::vector<int32_t>& idx = *lane.indices;
+        for (int64_t i = 0; i < lane.live; ++i) {
+          const int32_t r = lane.rows[static_cast<size_t>(i)];
+          const float inv =
+              1.0f / static_cast<float>(off[r + 1] - off[r]);
+          const float* grow = lane.dx.data() + i * 2 * in + in;
+          for (int32_t e = off[r]; e < off[r + 1]; ++e) {
+            kt.axpy(in, inv, grow, src_g->data() + idx[e] * in);
+          }
+        }
+      }
+    }
+    MetricsRegistry::Global().RecordSpan(
+        kSpan, std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count());
   };
   return id;
 }

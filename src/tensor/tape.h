@@ -109,6 +109,8 @@ class BackwardFn {
   const Ops* ops_ = nullptr;
 };
 
+struct SageScratch;
+
 // Reverse-mode autodiff over a linear tape. BackwardFrom replays the recorded
 // closures in reverse order and accumulates leaf gradients into their
 // Parameters.
@@ -129,7 +131,8 @@ class BackwardFn {
 // All ops GRIMP needs are first-class tape methods (no generic broadcasting
 // engine): matrix product, bias, activations, column concat, row gather
 // (embedding lookup), segment mean (neighborhood aggregation), row softmax,
-// block attention ops, and the fused losses.
+// block attention ops, the fused losses, and a whole heterogeneous GNN
+// layer.
 class Tape {
  public:
   using VarId = int32_t;
@@ -179,18 +182,12 @@ class Tape {
   VarId Mul(VarId a, VarId b);
   // alpha * x.
   VarId Scale(VarId x, float alpha);
-  // out[r, c] = x[r, c] * s[r]; `s` is a fixed per-row scale (masking /
-  // normalization by neighbor-type counts). The shared_ptr overload lets
-  // callers reuse one scale vector across steps (see gnn/hetero_sage.cc)
-  // without copying it into the tape.
+  // out[r, c] = x[r, c] * s[r]; `s` is a fixed per-row scale (masking by
+  // which inputs are present).
   VarId RowScale(VarId x, std::vector<float> s);
-  VarId RowScale(VarId x, std::shared_ptr<const std::vector<float>> s);
   VarId Relu(VarId x);
   // Horizontal concatenation; all inputs share the row count.
   VarId ConcatCols(const std::vector<VarId>& xs);
-  // Two-input fast path: no index vector on either side of the tape (the
-  // GNN concatenates self + neighbor terms once per edge type per step).
-  VarId ConcatCols(VarId a, VarId b);
   // out.row(i) = table.row(rows[i]). Gradient scatter-adds (embedding
   // lookup). Negative index -> zero row (the missing-value sentinel).
   VarId GatherRows(VarId table, std::vector<int32_t> rows);
@@ -222,6 +219,23 @@ class Tape {
 
   // Sum of all entries (1x1).
   VarId SumAll(VarId x);
+
+  // One heterogeneous GraphSAGE layer (gnn/hetero_sage.h) as one node, with
+  // one lane per edge type. Over its rows only, lane t computes
+  //   y_t = [h_dst[rows] || segment_mean_t(h_src)[rows]] * W_t + b_t,
+  // and out[r] = row_scale[r] * (sum of y_t[r] over the lanes whose live
+  // rows hold r, in ascending lane order). Lanes run as one ParallelFor
+  // when the layer is big enough to pay for the pool. The backward takes
+  // each lane's dW, db and input gradient on the same rows, then replays
+  // the input-gradient scatter on the calling thread in the order the
+  // per-lane SegmentMean -> ConcatCols -> Linear -> RowScale -> Add chain
+  // would (descending lanes; self term, then segment scatter), so values
+  // and grads equal that chain's bit for bit. It writes no gradient into
+  // an input without a backward closure (a Constant, e.g. node features):
+  // nothing could read it. `scratch` (see SageScratch) must stay alive and
+  // untouched until the tape is Reset; `owned` rides along with the node.
+  VarId HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
+                   std::shared_ptr<const void> owned = nullptr);
 
   // --- Losses (fused; return 1x1 scalars) --------------------------------
   // Mean softmax cross entropy; labels[i] == -1 is ignored. If
@@ -287,6 +301,36 @@ class Tape {
 
   std::vector<Node> nodes_;
   VarId size_ = 0;  // live prefix of nodes_; slots beyond are reusable
+};
+
+// One edge type ("lane") of Tape::HeteroSage.
+struct SageLane {
+  // Set by the caller. The CSR has one segment per dst row and indexes
+  // h_src rows; it is borrowed until the tape is Reset.
+  const std::vector<int32_t>* offsets = nullptr;
+  const std::vector<int32_t>* indices = nullptr;
+  Tape::VarId weight = -1;  // (2 * in) x out
+  Tape::VarId bias = -1;    // 1 x out
+  // rows[0, live): the dst rows with a non-empty segment, ascending.
+  // rows[live, end): dst rows whose row_scale is 0. They add 0 * y_t, which
+  // keeps the signed zeros a masked chain leaves on nodes with no edges.
+  std::vector<int32_t> rows;
+  int64_t live = 0;
+  // Sized by the op on the calling thread, reused across steps.
+  Tensor x;   // rows x (2 * in): [h_dst row || segment mean]
+  Tensor y;   // rows x out: the lane's output, then its upstream gradient
+  Tensor dx;  // rows x (2 * in): the gradient of x
+};
+
+// Caller-owned state of one Tape::HeteroSage node. Keeping one per layer
+// per thread (the Trainer, TransformMany's batch scratch) makes a steady
+// stream of layer calls allocation-free: the vectors keep their capacity
+// and the tensors their buffers. A scratch must not be shared by
+// concurrent forwards.
+struct SageScratch {
+  std::vector<SageLane> lanes;
+  // Per dst row: 1 / #lanes whose segment is non-empty, or 0 when none.
+  std::vector<float> row_scale;
 };
 
 }  // namespace grimp

@@ -186,18 +186,24 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 
 Tensor MatMulFused(const Tensor& a, const Tensor& b, const Tensor& bias,
                    bool relu) {
+  Tensor out = Tensor::Uninit(a.rows(), b.cols());
+  MatMulFused(a, b, bias, relu, &out);
+  return out;
+}
+
+void MatMulFused(const Tensor& a, const Tensor& b, const Tensor& bias,
+                 bool relu, Tensor* out) {
   GRIMP_CHECK_EQ(a.cols(), b.rows());
   GRIMP_CHECK_EQ(bias.size(), b.cols());
   const int64_t m = a.rows();
   const int64_t k = a.cols();
   const int64_t n = b.cols();
-  Tensor out = Tensor::Uninit(m, n);
+  GRIMP_CHECK(out->rows() == m && out->cols() == n);
   simd::GemmEpilogue ep;
   ep.bias = bias.data();
   ep.relu = relu;
   GemmDispatch(a.data(), /*as_i=*/k, /*as_p=*/1, b.data(), n,
-               /*b_transposed=*/false, out.data(), n, m, k, n, ep);
-  return out;
+               /*b_transposed=*/false, out->data(), n, m, k, n, ep);
 }
 
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
@@ -225,16 +231,21 @@ void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out) {
 }
 
 Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
+  Tensor out = Tensor::Uninit(a.rows(), b.rows());
+  MatMulTransB(a, b, &out);
+  return out;
+}
+
+void MatMulTransB(const Tensor& a, const Tensor& b, Tensor* out) {
   GRIMP_CHECK_EQ(a.cols(), b.cols());
   const int64_t m = a.rows();
   const int64_t k = a.cols();
   const int64_t n = b.rows();
-  Tensor out = Tensor::Uninit(m, n);
+  GRIMP_CHECK(out->rows() == m && out->cols() == n);
   // The pack_bt kernel builds the B^T panels straight from the N x K
   // operand; O(k*n) pack vs O(m*k*n) math, no materialized transpose.
   GemmDispatch(a.data(), /*as_i=*/k, /*as_p=*/1, b.data(), k,
-               /*b_transposed=*/true, out.data(), n, m, k, n);
-  return out;
+               /*b_transposed=*/true, out->data(), n, m, k, n);
 }
 
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out) {

@@ -87,6 +87,18 @@ class Tensor {
     return t;
   }
   static Tensor Full(int64_t rows, int64_t cols, float value);
+  // Reshapes to rows x cols with unspecified contents, keeping the buffer
+  // when its capacity suffices. A scratch tensor that follows varying batch
+  // shapes stops taking arena buffers once it has seen the largest.
+  void ResizeUninit(int64_t rows, int64_t cols) {
+    GRIMP_CHECK(rows >= 0 && cols >= 0);
+    if (rows * cols > capacity_) {
+      ReleaseBuffer();
+      AcquireBuffer(rows, cols);
+    }
+    rows_ = rows;
+    cols_ = cols;
+  }
   static Tensor Scalar(float value);
   // Glorot/Xavier uniform initialization in [-limit, limit],
   // limit = sqrt(6 / (fan_in + fan_out)).
@@ -178,6 +190,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 // registers. bias must have b.cols() elements.
 Tensor MatMulFused(const Tensor& a, const Tensor& b, const Tensor& bias,
                    bool relu);
+// Out-parameter form: writes into *out, which must already be M x N, so
+// a caller fanning GEMMs out on the pool takes every buffer beforehand.
+void MatMulFused(const Tensor& a, const Tensor& b, const Tensor& bias,
+                 bool relu, Tensor* out);
 // result = a^T * b. Shapes: (K x M)^T * (K x N) -> (M x N).
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 // *out += a^T * b (accumulating epilogue; serves gradient accumulation
@@ -185,6 +201,8 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out);
 // result = a * b^T. Shapes: (M x K) * (N x K)^T -> (M x N).
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
+// *out = a * b^T into an existing M x N tensor.
+void MatMulTransB(const Tensor& a, const Tensor& b, Tensor* out);
 // *out += a * b^T.
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out);
 

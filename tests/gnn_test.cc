@@ -1,12 +1,18 @@
 #include <cstring>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
+#include "data/datasets.h"
 #include "gnn/hetero_sage.h"
 #include "gradcheck.h"
 #include "graph/builder.h"
+#include "graph/store.h"
+#include "table/corruption.h"
 #include "tensor/optimizer.h"
 
 namespace grimp {
@@ -35,6 +41,27 @@ Table OtherTable() {
   return t;
 }
 
+// Column "c" is missing everywhere (its edge type touches no node) and the
+// third row is missing everywhere (its RID node has no edge of any type).
+Table SparseTable() {
+  Schema schema({{"a", AttrType::kCategorical},
+                 {"b", AttrType::kCategorical},
+                 {"c", AttrType::kCategorical}});
+  Table t(schema);
+  EXPECT_TRUE(t.AppendRow({"x", "p", ""}).ok());
+  EXPECT_TRUE(t.AppendRow({"y", "q", ""}).ok());
+  EXPECT_TRUE(t.AppendRow({"", "", ""}).ok());
+  EXPECT_TRUE(t.AppendRow({"x", "q", ""}).ok());
+  return t;
+}
+
+// Large enough that a layer's type lanes fan out on the pool.
+Table LargerTable() {
+  auto clean = GenerateDatasetByName("contraceptive", 3, 120);
+  EXPECT_TRUE(clean.ok());
+  return InjectMcar(*clean, 0.2, 4).dirty;
+}
+
 void ExpectBitIdentical(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
@@ -49,20 +76,6 @@ Tensor ForwardValue(const HeteroGnn& gnn, const Tensor& features,
   Tape tape;
   return tape.value(
       gnn.Forward(&tape, tape.Constant(features), graph, scratch));
-}
-
-TEST(SageSubmoduleTest, OutputShapeAndNeighborMixing) {
-  Table t = TinyTable();
-  TableGraph tg = BuildTableGraph(t);
-  Rng rng(1);
-  SageSubmodule sub("s", 4, 3, &rng);
-  Tape tape;
-  Rng frng(2);
-  auto h = tape.Constant(Tensor::GlorotUniform(tg.graph.num_nodes(), 4,
-                                               &frng));
-  auto out = sub.ForwardBlock(&tape, h, h, tg.graph.adjacency(0));
-  EXPECT_EQ(tape.value(out).rows(), tg.graph.num_nodes());
-  EXPECT_EQ(tape.value(out).cols(), 3);
 }
 
 TEST(HeteroSageLayerTest, MasksNodesUntouchedByType) {
@@ -87,6 +100,164 @@ TEST(HeteroSageLayerTest, MasksNodesUntouchedByType) {
   float row_abs = 0.0f;
   for (int64_t c = 0; c < v.cols(); ++c) row_abs += std::fabs(v.at(q_node, c));
   EXPECT_GT(row_abs, 0.0f);
+}
+
+// The per-type chain HeteroSageLayer::Forward replaced, rebuilt from public
+// tape ops over the layer's own parameters: per type SegmentMean ->
+// ConcatCols -> Linear -> RowScale(participation mask), summed by Add, then
+// RowScale(1 / #incident types).
+Tape::VarId ChainForward(Tape* tape, const std::vector<Parameter*>& params,
+                         Tape::VarId h_dst, Tape::VarId h_src,
+                         int64_t num_dst,
+                         std::span<const CsrAdjacency> adjacency) {
+  std::vector<int> counts(static_cast<size_t>(num_dst), 0);
+  Tape::VarId acc = -1;
+  for (size_t t = 0; t < adjacency.size(); ++t) {
+    const CsrAdjacency& adj = adjacency[t];
+    std::vector<float> mask(static_cast<size_t>(num_dst), 0.0f);
+    for (int64_t v = 0; v < num_dst; ++v) {
+      if (adj.Degree(v) > 0) {
+        mask[static_cast<size_t>(v)] = 1.0f;
+        ++counts[static_cast<size_t>(v)];
+      }
+    }
+    const Tape::VarId mean =
+        tape->SegmentMean(h_src, &adj.offsets(), &adj.indices());
+    const Tape::VarId concat = tape->ConcatCols({h_dst, mean});
+    const Tape::VarId w = tape->Leaf(params[2 * t]);
+    const Tape::VarId b = tape->Leaf(params[2 * t + 1]);
+    const Tape::VarId masked =
+        tape->RowScale(tape->Linear(concat, w, b), std::move(mask));
+    acc = acc < 0 ? masked : tape->Add(acc, masked);
+  }
+  std::vector<float> inv(static_cast<size_t>(num_dst), 0.0f);
+  for (size_t v = 0; v < inv.size(); ++v) {
+    if (counts[v] > 0) inv[v] = 1.0f / static_cast<float>(counts[v]);
+  }
+  return tape->RowScale(acc, std::move(inv));
+}
+
+struct LayerRun {
+  Tensor out;
+  std::vector<Tensor> param_grads;
+  Tensor dst_grad;
+  Tensor src_grad;
+};
+
+// One forward + backward of the fused layer (or of the chain) seeded with
+// `upstream`. The input is a Leaf, so its grads are real; a block's self
+// term is the SliceRows prefix of it, as HeteroGnn::ForwardBlocks passes.
+LayerRun RunLayer(HeteroSageLayer* layer, bool fused, bool block,
+                  const Tensor& input, int64_t num_dst,
+                  std::span<const CsrAdjacency> adjacency,
+                  const Tensor& upstream, SageScratch* scratch) {
+  std::vector<Parameter*> params;
+  layer->CollectParameters(&params);
+  for (Parameter* p : params) p->ZeroGrad();
+  Parameter h("h", input);
+  Tape tape;
+  const Tape::VarId h_src = tape.Leaf(&h);
+  const Tape::VarId h_dst = block ? tape.SliceRows(h_src, num_dst) : h_src;
+  const Tape::VarId out =
+      fused ? layer->Forward(&tape, h_dst, h_src, num_dst, adjacency, scratch)
+            : ChainForward(&tape, params, h_dst, h_src, num_dst, adjacency);
+  tape.BackwardFrom(out, upstream);
+  LayerRun run{tape.value(out), {}, tape.grad(h_dst), tape.grad(h_src)};
+  for (Parameter* p : params) run.param_grads.push_back(p->grad);
+  return run;
+}
+
+TEST(HeteroSageLayerTest, FusedLayerMatchesPerTypeChain) {
+  struct Case {
+    std::string name;
+    Table table;
+    bool sampled;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"tiny", TinyTable(), false});
+  cases.push_back({"other", OtherTable(), false});
+  cases.push_back({"sparse", SparseTable(), false});
+  cases.push_back({"larger", LargerTable(), false});
+  cases.push_back({"larger_block", LargerTable(), true});
+  const int threads_before = ThreadPool::GlobalThreads();
+  for (const Case& c : cases) {
+    const TableGraph tg = BuildTableGraph(c.table);
+    const InMemoryGraphStore store(&tg.graph);
+    SampledSubgraph sub;
+    int64_t num_src = tg.graph.num_nodes();
+    int64_t num_dst = num_src;
+    std::span<const CsrAdjacency> adjacency = tg.graph.adjacencies();
+    if (c.sampled) {
+      std::vector<int32_t> seeds;
+      for (int32_t v = 0; v < tg.graph.num_nodes(); v += 3) seeds.push_back(v);
+      Rng srng(19);
+      NeighborSampler(&store, {3}).Sample(seeds, &srng, &sub);
+      num_src = sub.blocks[0].num_src;
+      num_dst = sub.blocks[0].num_dst;
+      adjacency = sub.blocks[0].adjacency;
+    }
+    Rng rng(20);
+    // 20 output columns: one full GEMM panel plus a masked tail, and
+    // enough columns that a wrong signed zero cannot match by chance.
+    HeteroSageLayer layer("l", tg.graph.num_edge_types(), 8, 20, &rng);
+    const Tensor input = Tensor::GlorotUniform(num_src, 8, &rng);
+    const Tensor upstream = Tensor::GlorotUniform(num_dst, 20, &rng);
+    SageScratch scratch;
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(c.name + " at " + std::to_string(threads) + " threads");
+      ThreadPool::SetGlobalThreads(threads);
+      const LayerRun chain = RunLayer(&layer, false, c.sampled, input,
+                                      num_dst, adjacency, upstream, nullptr);
+      for (SageScratch* s : {static_cast<SageScratch*>(nullptr), &scratch}) {
+        const LayerRun fused = RunLayer(&layer, true, c.sampled, input,
+                                        num_dst, adjacency, upstream, s);
+        ExpectBitIdentical(fused.out, chain.out);
+        ASSERT_EQ(fused.param_grads.size(), chain.param_grads.size());
+        for (size_t i = 0; i < chain.param_grads.size(); ++i) {
+          ExpectBitIdentical(fused.param_grads[i], chain.param_grads[i]);
+        }
+        ExpectBitIdentical(fused.dst_grad, chain.dst_grad);
+        ExpectBitIdentical(fused.src_grad, chain.src_grad);
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreads(threads_before);
+}
+
+TEST(HeteroSageLayerTest, GradCheckThroughFusedLayerInput) {
+  Table t = SparseTable();
+  TableGraph tg = BuildTableGraph(t);
+  Rng rng(21);
+  HeteroSageLayer layer("l", tg.graph.num_edge_types(), 3, 2, &rng);
+  Parameter input("h", Tensor::GlorotUniform(tg.graph.num_nodes(), 3, &rng));
+  auto loss = [&](bool) {
+    Tape tape;
+    // A derived input: the layer's gradient flows through the Scale node.
+    const Tape::VarId h = tape.Scale(tape.Leaf(&input), 1.5f);
+    auto out = layer.Forward(&tape, h, h, tg.graph.num_nodes(),
+                             tg.graph.adjacencies());
+    auto l = tape.SumAll(tape.Mul(out, out));
+    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
+    return tape.value(l).scalar();
+  };
+  EXPECT_LT(testing::MaxGradError(&input, loss, 1e-2f), 5e-2f);
+}
+
+TEST(HeteroSageLayerTest, ConstantInputReceivesNoGradient) {
+  Table t = TinyTable();
+  TableGraph tg = BuildTableGraph(t);
+  Rng rng(22);
+  HeteroSageLayer layer("l", tg.graph.num_edge_types(), 4, 4, &rng);
+  Tape tape;
+  const Tape::VarId h = tape.Constant(
+      Tensor::GlorotUniform(tg.graph.num_nodes(), 4, &rng));
+  auto out = layer.Forward(&tape, h, h, tg.graph.num_nodes(),
+                           tg.graph.adjacencies());
+  tape.BackwardFrom(out, Tensor::Full(tg.graph.num_nodes(), 4, 1.0f));
+  EXPECT_EQ(tape.grad(h).SumAbs(), 0.0f);
+  std::vector<Parameter*> params;
+  layer.CollectParameters(&params);
+  EXPECT_GT(params[0]->grad.SumAbs(), 0.0f);
 }
 
 TEST(HeteroGnnTest, StackShapesAndParameterCount) {
@@ -201,8 +372,7 @@ TEST(HeteroGnnTest, CallerScratchIsBitIdenticalToCallLocal) {
       Tensor::GlorotUniform(tg.graph.num_nodes(), 4, &frng);
   const Tensor reference = ForwardValue(gnn, features, tg.graph, nullptr);
 
-  // The caller's scratch is refilled in place on a reused tape (its
-  // buffers are back at use_count()==1 after each Reset).
+  // The caller's scratch is refilled in place on a reused tape.
   GnnScratch scratch;
   Tape tape;
   for (int rep = 0; rep < 3; ++rep) {
@@ -228,8 +398,9 @@ TEST(HeteroGnnTest, ScratchReusedAcrossGraphsMatchesFreshForwards) {
   const Tensor fresh1 = ForwardValue(gnn, f1, g1.graph, nullptr);
   const Tensor fresh2 = ForwardValue(gnn, f2, g2.graph, nullptr);
 
-  // Alternate graphs through one scratch: masks sized and filled for the
-  // previous graph must never leak into the next forward.
+  // Alternate graphs through one scratch: per-type rows and buffers sized
+  // and filled for the previous graph must never leak into the next
+  // forward.
   GnnScratch scratch;
   ExpectBitIdentical(ForwardValue(gnn, f1, g1.graph, &scratch), fresh1);
   ExpectBitIdentical(ForwardValue(gnn, f2, g2.graph, &scratch), fresh2);
@@ -246,8 +417,8 @@ TEST(HeteroGnnTest, InPlaceSetAdjacencyMatchesFreshlyBuiltGraph) {
   const Tensor features = Tensor::GlorotUniform(n, 4, &frng);
 
   // Forward once (with and without a scratch), then rewire the graph in
-  // place: edge type 1 loses every edge, so every participation mask and
-  // normalizer row touched by type 1 changes.
+  // place: edge type 1 loses every edge, so its rows and every normalizer
+  // row it touched change.
   HeteroGraph graph = tg.graph;
   GnnScratch scratch;
   const Tensor before = ForwardValue(gnn, features, graph, &scratch);
@@ -267,7 +438,7 @@ TEST(HeteroGnnTest, InPlaceSetAdjacencyMatchesFreshlyBuiltGraph) {
 
   ExpectBitIdentical(ForwardValue(gnn, features, graph, &scratch), expected);
   ExpectBitIdentical(ForwardValue(gnn, features, graph, nullptr), expected);
-  // The rewiring is visible, i.e. no stale masks could pass as fresh ones.
+  // The rewiring is visible, i.e. no stale rows could pass as fresh ones.
   EXPECT_NE(std::memcmp(before.data(), expected.data(),
                         sizeof(float) * static_cast<size_t>(before.size())),
             0);

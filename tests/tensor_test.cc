@@ -85,6 +85,39 @@ TEST(TensorTest, TransposedMatMulsAgreeWithExplicitTranspose) {
   EXPECT_TRUE(AllClose(MatMulTransB(x, y), MatMul(x, yt)));
 }
 
+TEST(TensorTest, ResizeUninitKeepsTheBufferWithinCapacity) {
+  Tensor t(8, 16);
+  const float* buffer = t.data();
+  t.ResizeUninit(5, 20);  // 100 <= 128 floats: same buffer, new shape
+  EXPECT_EQ(t.rows(), 5);
+  EXPECT_EQ(t.cols(), 20);
+  EXPECT_EQ(t.data(), buffer);
+  t.ResizeUninit(0, 20);
+  EXPECT_EQ(t.size(), 0);
+  t.ResizeUninit(64, 64);  // past the capacity: a bigger buffer
+  EXPECT_EQ(t.size(), 64 * 64);
+  t.Fill(1.0f);
+  EXPECT_EQ(t.Sum(), 64.0f * 64.0f);
+}
+
+TEST(TensorTest, OutParameterGemmsMatchTheReturningForms) {
+  Rng rng(6);
+  const Tensor a = Tensor::GlorotUniform(70, 9, &rng);
+  const Tensor b = Tensor::GlorotUniform(9, 20, &rng);
+  const Tensor bias = Tensor::GlorotUniform(1, 20, &rng);
+  const Tensor bt = Tensor::GlorotUniform(20, 9, &rng);
+  Tensor fused = Tensor::Full(70, 20, 5.0f);
+  MatMulFused(a, b, bias, /*relu=*/false, &fused);
+  const Tensor fused_ref = MatMulFused(a, b, bias, /*relu=*/false);
+  Tensor trans_b = Tensor::Full(70, 20, 5.0f);
+  MatMulTransB(a, bt, &trans_b);
+  const Tensor trans_b_ref = MatMulTransB(a, bt);
+  for (int64_t i = 0; i < fused.size(); ++i) {
+    EXPECT_EQ(fused[i], fused_ref[i]);
+    EXPECT_EQ(trans_b[i], trans_b_ref[i]);
+  }
+}
+
 TEST(TensorTest, AllCloseDetectsShapeAndValueMismatch) {
   Tensor a = Tensor::Full(2, 2, 1.0f);
   Tensor b = Tensor::Full(2, 2, 1.0f);

@@ -569,6 +569,7 @@ TEST(TrainerTest, FullModeSpansCoverTheTrainSpan) {
     before.push_back(registry.GetSpanStats(name));
   }
   const SpanStats train_before = registry.GetSpanStats("grimp.train");
+  const SpanStats gnn_before = registry.GetSpanStats("gnn.backward");
 
   // Enough epochs that one scheduler stall between spans cannot eat the
   // 10% margin.
@@ -586,11 +587,21 @@ TEST(TrainerTest, FullModeSpansCoverTheTrainSpan) {
   const double train_seconds =
       train_after.total_seconds - train_before.total_seconds;
   double layer_seconds = 0.0;
+  double backward_seconds = 0.0;
   for (size_t i = 0; i < std::size(kLayers); ++i) {
     const SpanStats after = registry.GetSpanStats(kLayers[i]);
     EXPECT_EQ(after.count - before[i].count, kEpochs) << kLayers[i];
     layer_seconds += after.total_seconds - before[i].total_seconds;
+    if (std::string(kLayers[i]) == "train.backward") {
+      backward_seconds = after.total_seconds - before[i].total_seconds;
+    }
   }
+  // The GNN's share of the shared backward: one span per layer per epoch.
+  const SpanStats gnn_after = registry.GetSpanStats("gnn.backward");
+  EXPECT_EQ(gnn_after.count - gnn_before.count,
+            kEpochs * fx.gnn.num_layers());
+  EXPECT_LE(gnn_after.total_seconds - gnn_before.total_seconds,
+            backward_seconds);
   EXPECT_GE(layer_seconds, 0.9 * train_seconds)
       << "layers " << layer_seconds << " s of grimp.train " << train_seconds
       << " s";
