@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "table/normalizer.h"
@@ -128,12 +129,18 @@ Result<Table> AimNetImputer::Impute(const Table& dirty) {
         blocks.push_back(tape->RowScale(proj, std::move(present)));
       }
     }
-    Tape::VarId v = tape->ConcatCols(blocks);           // N x (m*d)
-    Tape::VarId q = tape->Leaf(&t.query);               // 1 x d
-    Tape::VarId scores = tape->ColBlockDot(v, q, m);    // N x m
-    Tape::VarId alpha = tape->RowSoftmax(scores);
-    Tape::VarId ctx = tape->ColBlockWeightedSum(v, alpha, m);  // N x d
-    return t.head.Forward(tape, ctx);
+    // The N x (m*d) vectors as N*m rows of d, attended through an
+    // identity index.
+    const int64_t cells = static_cast<int64_t>(rows.size()) * m;
+    auto identity =
+        std::make_shared<std::vector<int32_t>>(static_cast<size_t>(cells));
+    std::iota(identity->begin(), identity->end(), 0);
+    const std::vector<int32_t>* idx = identity.get();
+    Tape::VarId v = tape->Reshape(tape->ConcatCols(blocks), cells, d);
+    Tape::VarId ctx =
+        tape->ColumnAttention(v, idx, tape->Leaf(&t.query), m,
+                              /*scratch=*/nullptr, std::move(identity));
+    return t.head.Forward(tape, ctx);  // ctx: N x d
   };
 
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {

@@ -65,11 +65,9 @@ void PrepareSampledBatch(std::span<const int32_t> idx, uint64_t rng_seed,
 
 Tape::VarId TaskHeadForward(Tape* tape, const TaskHead& head, Tape::VarId h,
                             const std::vector<int32_t>* idx, int num_cols,
-                            int dim) {
-  const int64_t n = static_cast<int64_t>(idx->size()) / num_cols;
-  Tape::VarId flat = tape->GatherRows(h, idx);
-  return head.Forward(
-      tape, tape->Reshape(flat, n, static_cast<int64_t>(num_cols) * dim));
+                            int dim, AttentionScratch* scratch) {
+  GRIMP_CHECK_EQ(tape->value(h).cols(), dim);
+  return head.ForwardRows(tape, h, idx, num_cols, scratch);
 }
 
 Tensor GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
@@ -92,26 +90,14 @@ Tensor GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
   return out;
 }
 
-void ScatterTaskRows(const Tensor& grad, const std::vector<int32_t>& idx,
-                     Tensor* h_grad) {
-  const int64_t dim = h_grad->cols();
-  GRIMP_CHECK_EQ(grad.size(), static_cast<int64_t>(idx.size()) * dim);
-  for (size_t i = 0; i < idx.size(); ++i) {
-    const int32_t r = idx[i];
-    if (r < 0) continue;
-    const float* src = grad.data() + static_cast<int64_t>(i) * dim;
-    float* dst = h_grad->data() + static_cast<int64_t>(r) * dim;
-    for (int64_t c = 0; c < dim; ++c) dst[c] += src[c];
-  }
-}
-
 Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
                          const TaskHead& head, PreparedBatch* batch,
-                         int num_cols, int dim, GnnScratch* gnn_scratch) {
+                         int num_cols, int dim, GnnScratch* gnn_scratch,
+                         AttentionScratch* head_scratch) {
   Tape::VarId feats = tape->Constant(std::move(batch->feats));
   Tape::VarId h = gnn.ForwardBlocks(tape, feats, batch->sub, gnn_scratch);
   return TaskHeadForward(tape, head, shared.Forward(tape, h),
-                         &batch->local_idx, num_cols, dim);
+                         &batch->local_idx, num_cols, dim, head_scratch);
 }
 
 Tensor GatherFeatureRows(const Tensor& features,

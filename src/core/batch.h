@@ -76,35 +76,30 @@ void PrepareSampledBatch(std::span<const int32_t> idx, uint64_t rng_seed,
                          const Tensor& node_features, BatchScratch* scratch,
                          PreparedBatch* out);
 
-// Task head over rows of `h`: GatherRows(h, idx) -> Reshape into
-// |idx| / num_cols vectors of num_cols * dim -> head. `idx` is borrowed and
-// must stay alive until the tape is Reset.
+// Task head over rows of `h` (TaskHead::ForwardRows): |idx| / num_cols
+// vectors of num_cols * dim. `idx` is borrowed and must stay alive until
+// the tape is Reset, as must `scratch` (an attention head's state; null
+// makes a tape-owned one).
 Tape::VarId TaskHeadForward(Tape* tape, const TaskHead& head, Tape::VarId h,
                             const std::vector<int32_t>* idx, int num_cols,
-                            int dim);
+                            int dim, AttentionScratch* scratch = nullptr);
 
-// The head input TaskHeadForward builds, in one copy: row i of the result
-// is rows idx[i * num_cols .. (i + 1) * num_cols) of `h` laid side by side
-// (|idx| / num_cols x num_cols * h.cols()), a zero block for each -1. The
-// trainer's per-task head sub-tapes take it as a constant and hand its
-// gradient back through ScatterTaskRows.
+// A linear head's input in full-mode training, in one copy: row i of the
+// result is rows idx[i * num_cols .. (i + 1) * num_cols) of `h` laid side
+// by side (|idx| / num_cols x num_cols * h.cols()), a zero block for each
+// -1. The trainer's per-task head sub-tapes take it as a constant and add
+// its gradient into the shared one in their indexed reduce.
 Tensor GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
                       int num_cols);
 
-// The gradient half of GatherTaskRows: scatter-adds `grad` (shaped like
-// GatherTaskRows' result) into rows `idx` of *h_grad, skipping -1, in
-// ascending idx order — the order GatherRows' backward adds in, so a
-// serial replay of per-task scatters reproduces one shared tape's bits.
-void ScatterTaskRows(const Tensor& grad, const std::vector<int32_t>& idx,
-                     Tensor* h_grad);
-
 // A prepared batch's forward: ForwardBlocks over batch->sub (masks in
-// *gnn_scratch) -> shared MLP -> TaskHeadForward over batch->local_idx.
-// Moves batch->feats onto the tape and borrows the rest of *batch until the
-// tape is Reset.
+// *gnn_scratch) -> shared MLP -> TaskHeadForward over batch->local_idx
+// with *head_scratch. Moves batch->feats onto the tape and borrows the
+// rest of *batch until the tape is Reset.
 Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
                          const TaskHead& head, PreparedBatch* batch,
-                         int num_cols, int dim, GnnScratch* gnn_scratch);
+                         int num_cols, int dim, GnnScratch* gnn_scratch,
+                         AttentionScratch* head_scratch);
 
 // Gathers rows `nodes` of `features` into a fresh arena-backed
 // |nodes| x features.cols() matrix, chunked on the global pool (grain 512;

@@ -205,6 +205,8 @@ struct GrimpEngine::TransformScratch {
   // task needs its own vector that stays alive until the next Reset.
   std::vector<std::vector<int32_t>> task_idx;
   std::vector<std::vector<CellWrite>> task_cells;
+  // Per-task attention head state (AttentionSummary reads its weights).
+  std::vector<AttentionScratch> heads;
 
   // Deferred cell writes: every model read (CodeAt/IsMissing during index
   // building) happens before any table is mutated, which leaves the
@@ -302,7 +304,7 @@ void GrimpEngine::ImputeRequests(size_t n, TransformScratch* s) const {
     DecodeTask(t,
                s->tape.value(TaskHeadForward(
                    &s->tape, *tasks_[t].head, h_shared, &s->task_idx[t],
-                   schema_.num_fields(), options_.dim)),
+                   schema_.num_fields(), options_.dim, &s->heads[t])),
                s);
   }
 }
@@ -314,6 +316,7 @@ void GrimpEngine::CollectCells(const Table& table, const TableGraph& tg,
   if (request == 0) {
     s->task_idx.resize(tasks_.size());
     s->task_cells.resize(tasks_.size());
+    s->heads.resize(tasks_.size());
     for (size_t t = 0; t < tasks_.size(); ++t) {
       s->task_idx[t].clear();
       s->task_cells[t].clear();
@@ -675,14 +678,10 @@ Result<Tensor> GrimpEngine::AttentionSummary(const Table& table) const {
   for (size_t t = 0; t < tasks_.size(); ++t) {
     auto* attention_head =
         dynamic_cast<const AttentionTaskHead*>(tasks_[t].head.get());
-    const auto n = static_cast<int64_t>(s.task_cells[t].size());
-    if (attention_head == nullptr || n == 0) continue;
-    Tape::VarId flat = s.tape.GatherRows(h_shared, &s.task_idx[t]);
-    Tensor att;
-    (void)attention_head->ForwardWithAttention(
-        &s.tape,
-        s.tape.Reshape(flat, n, static_cast<int64_t>(num_cols) * options_.dim),
-        &att);
+    if (attention_head == nullptr || s.task_cells[t].empty()) continue;
+    (void)attention_head->ForwardRows(&s.tape, h_shared, &s.task_idx[t],
+                                      num_cols, &s.heads[t]);
+    const Tensor& att = s.heads[t].alpha;
     for (int64_t r = 0; r < att.rows(); ++r) {
       for (int c = 0; c < num_cols; ++c) {
         summary.at(tasks_[t].col, c) +=
@@ -951,7 +950,7 @@ Status GrimpEngine::TransformStream(Table* window,
                s.tape.value(ForwardBatch(&s.tape, gnn_, shared_,
                                          *tasks_[t].head, &batch,
                                          schema_.num_fields(), options_.dim,
-                                         &s.gnn)),
+                                         &s.gnn, &s.heads[t])),
                &s);
   }
 

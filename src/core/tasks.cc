@@ -1,11 +1,24 @@
 #include "core/tasks.h"
 
+#include <memory>
+#include <numeric>
+
 namespace grimp {
 
 LinearTaskHead::LinearTaskHead(std::string name, int num_cols, int dim,
                                int hidden, int out_dim, Rng* rng)
     : mlp_(std::move(name),
            {static_cast<int64_t>(num_cols) * dim, hidden, out_dim}, rng) {}
+
+Tape::VarId TaskHead::ForwardRows(Tape* tape, Tape::VarId h,
+                                  const std::vector<int32_t>* idx,
+                                  int num_cols,
+                                  AttentionScratch* /*scratch*/) const {
+  const int64_t n = static_cast<int64_t>(idx->size()) / num_cols;
+  Tape::VarId flat = tape->GatherRows(h, idx);
+  return Forward(tape,
+                 tape->Reshape(flat, n, num_cols * tape->value(h).cols()));
+}
 
 Tape::VarId LinearTaskHead::Forward(Tape* tape, Tape::VarId v) const {
   return mlp_.Forward(tape, v);
@@ -58,7 +71,7 @@ AttentionTaskHead::AttentionTaskHead(std::string name,
                                      const Tensor& column_features,
                                      std::vector<float> k_diagonal, int dim,
                                      int out_dim, Rng* rng, int head_hidden)
-    : num_cols_(static_cast<int>(column_features.rows())), dim_(dim),
+    : num_cols_(static_cast<int>(column_features.rows())),
       q_(name + ".Q", column_features),
       k_(Tensor::Zeros(num_cols_, num_cols_)),
       m_(Tensor::Full(1, num_cols_, 1.0f)),
@@ -74,20 +87,40 @@ AttentionTaskHead::AttentionTaskHead(std::string name,
   }
 }
 
-Tape::VarId AttentionTaskHead::Forward(Tape* tape, Tape::VarId v) const {
-  return ForwardWithAttention(tape, v, nullptr);
+Tape::VarId AttentionTaskHead::Query(Tape* tape) const {
+  Tape::VarId q = tape->Leaf(&q_);
+  Tape::VarId kq = tape->MatMul(tape->Constant(k_), q);  // C x D
+  return tape->MatMul(tape->Constant(m_), kq);           // 1 x D
 }
 
-Tape::VarId AttentionTaskHead::ForwardWithAttention(
-    Tape* tape, Tape::VarId v, Tensor* attention_out) const {
-  Tape::VarId q = tape->Leaf(&q_);
-  Tape::VarId kq = tape->MatMul(tape->Constant(k_), q);     // C x D
-  Tape::VarId a = tape->MatMul(tape->Constant(m_), kq);     // 1 x D
-  Tape::VarId scores = tape->ColBlockDot(v, a, num_cols_);  // N x C
-  Tape::VarId alpha = tape->RowSoftmax(scores);
-  if (attention_out != nullptr) *attention_out = tape->value(alpha);
-  Tape::VarId ctx = tape->ColBlockWeightedSum(v, alpha, num_cols_);  // N x D
-  return head_.Forward(tape, ctx);
+Tape::VarId AttentionTaskHead::Forward(Tape* tape, Tape::VarId v) const {
+  const Tensor& vv = tape->value(v);
+  const int64_t blocks = vv.rows() * num_cols_;
+  auto identity = std::make_shared<std::vector<int32_t>>(
+      static_cast<size_t>(blocks));
+  std::iota(identity->begin(), identity->end(), 0);
+  const std::vector<int32_t>* idx = identity.get();
+  Tape::VarId flat = tape->Reshape(v, blocks, vv.cols() / num_cols_);
+  return head_.Forward(tape,
+                       tape->ColumnAttention(flat, idx, Query(tape),
+                                             num_cols_, nullptr,
+                                             std::move(identity)));
+}
+
+Tape::VarId AttentionTaskHead::ForwardRows(Tape* tape, Tape::VarId h,
+                                           const std::vector<int32_t>* idx,
+                                           int num_cols,
+                                           AttentionScratch* scratch) const {
+  GRIMP_CHECK_EQ(num_cols, num_cols_);
+  return head_.Forward(tape, tape->ColumnAttention(h, idx, Query(tape),
+                                                   num_cols_, scratch));
+}
+
+Tape::VarId AttentionTaskHead::ForwardDetached(
+    Tape* tape, const Tensor* h, const std::vector<int32_t>* idx,
+    AttentionScratch* scratch) const {
+  return head_.Forward(tape, tape->ColumnAttention(h, idx, Query(tape),
+                                                   num_cols_, scratch));
 }
 
 void AttentionTaskHead::CollectParameters(std::vector<Parameter*>* out) {

@@ -19,6 +19,16 @@ class TaskHead {
   virtual ~TaskHead() = default;
 
   virtual Tape::VarId Forward(Tape* tape, Tape::VarId v) const = 0;
+  // The head over vectors read from rows of `h`: vector i is rows
+  // idx[i * num_cols .. (i + 1) * num_cols) of h side by side, a zero block
+  // for each -1. `idx` is borrowed until the tape is Reset. `scratch` is an
+  // attention head's per-call state (see AttentionScratch; null makes a
+  // tape-owned one); other heads ignore it. By default GatherRows ->
+  // Reshape -> Forward.
+  virtual Tape::VarId ForwardRows(Tape* tape, Tape::VarId h,
+                                  const std::vector<int32_t>* idx,
+                                  int num_cols,
+                                  AttentionScratch* scratch) const;
   virtual void CollectParameters(std::vector<Parameter*>* out) = 0;
   virtual int64_t NumParameters() const = 0;
   // Classifier heads: initialize the output bias to log class priors so
@@ -59,6 +69,12 @@ std::vector<float> BuildKDiagonal(KStrategy strategy, int target_col,
 //   out    = Linear(ctx)
 // Q is trainable and initialized from the pre-trained column vectors; K is
 // the fixed diagonal selection matrix; m is the all-ones pooling vector.
+// s, alpha and ctx are one Tape::ColumnAttention node, which reads the
+// blocks straight from the shared representation; alpha is left in the
+// caller's AttentionScratch. A head holds no per-call state, so concurrent
+// forwards on one fitted model are race-free as long as each brings its
+// own scratch — the invariant the serving layer's batched TransformMany
+// relies on.
 class AttentionTaskHead : public TaskHead {
  public:
   // `head_hidden` is the width of the two-layer prediction head applied to
@@ -68,14 +84,19 @@ class AttentionTaskHead : public TaskHead {
                     std::vector<float> k_diagonal, int dim, int out_dim,
                     Rng* rng, int head_hidden = 64);
 
+  // Over materialized N x (C*D) vectors: ColumnAttention over their blocks
+  // (a Reshape to N*C x D) through an identity index.
   Tape::VarId Forward(Tape* tape, Tape::VarId v) const override;
-  // Forward that also copies the attention weights (N x C) into
-  // *attention_out (used by GrimpEngine::AttentionSummary and tests).
-  // Plain Forward records nothing: a head holds no per-call state, so
-  // concurrent Forward calls on one fitted model are race-free — the
-  // invariant the serving layer's batched TransformMany relies on.
-  Tape::VarId ForwardWithAttention(Tape* tape, Tape::VarId v,
-                                   Tensor* attention_out) const;
+  Tape::VarId ForwardRows(Tape* tape, Tape::VarId h,
+                          const std::vector<int32_t>* idx, int num_cols,
+                          AttentionScratch* scratch) const override;
+  // Full-mode training's form (core/trainer.cc): the detached
+  // ColumnAttention over `h`, a tensor off this tape borrowed until Reset.
+  // The backward leaves the gradient with respect to h as factors in
+  // *scratch.
+  Tape::VarId ForwardDetached(Tape* tape, const Tensor* h,
+                              const std::vector<int32_t>* idx,
+                              AttentionScratch* scratch) const;
   void CollectParameters(std::vector<Parameter*>* out) override;
   int64_t NumParameters() const override;
   void SetOutputBias(const std::vector<float>& bias) override {
@@ -83,8 +104,10 @@ class AttentionTaskHead : public TaskHead {
   }
 
  private:
+  // Records the query a = m * (K * Q) (1 x D).
+  Tape::VarId Query(Tape* tape) const;
+
   int num_cols_;
-  int dim_;
   mutable Parameter q_;  // C x D
   Tensor k_;             // C x C fixed diagonal selection matrix
   Tensor m_;             // 1 x C ones

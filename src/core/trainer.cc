@@ -14,6 +14,7 @@
 #include "graph/sampler.h"
 #include "tensor/arena.h"
 #include "tensor/optimizer.h"
+#include "tensor/simd.h"
 
 namespace grimp {
 
@@ -99,6 +100,84 @@ Trainer::Trainer(const GrimpOptions& options, const GraphStore* store,
   std::sort(heads.begin(), heads.end());
   GRIMP_CHECK(std::adjacent_find(heads.begin(), heads.end()) == heads.end())
       << "two TrainTasks share one TaskHead";
+  for (size_t t = 0; t < tasks_.size(); ++t) {
+    head_runs_[t].attention =
+        dynamic_cast<const AttentionTaskHead*>(tasks_[t].head);
+  }
+  grad_sources_.resize(tasks_.size());
+}
+
+void TaskGradReduce::Build(const std::vector<TrainTask>& tasks,
+                           int64_t num_rows, int num_cols) {
+  num_cols_ = num_cols;
+  offsets_.assign(static_cast<size_t>(num_rows) + 1, 0);
+  for (const TrainTask& task : tasks) {
+    for (const int32_t r : task.train_idx) {
+      if (r < 0) continue;
+      GRIMP_CHECK_LT(r, num_rows);
+      ++offsets_[static_cast<size_t>(r) + 1];
+    }
+  }
+  for (size_t r = 0; r < static_cast<size_t>(num_rows); ++r) {
+    offsets_[r + 1] += offsets_[r];
+  }
+  entries_.resize(static_cast<size_t>(offsets_.back()));
+  // Filling tasks descending, positions ascending leaves every row's
+  // entries in the reduce order.
+  std::vector<int32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (size_t t = tasks.size(); t-- > 0;) {
+    const std::vector<int32_t>& idx = tasks[t].train_idx;
+    for (size_t i = 0; i < idx.size(); ++i) {
+      if (idx[i] < 0) continue;
+      entries_[static_cast<size_t>(cursor[static_cast<size_t>(idx[i])]++)] =
+          Entry{static_cast<int32_t>(t), static_cast<int32_t>(i)};
+    }
+  }
+  // About 8 chunks per thread, so the hottest rows' chunks even out. A
+  // chunk ends once it holds `target` entries, or at the last row.
+  constexpr int32_t kMinChunkEntries = 1024;
+  const int32_t target = std::max(
+      kMinChunkEntries,
+      offsets_.back() / (8 * ThreadPool::Global().num_threads()));
+  chunks_.assign(1, 0);
+  for (auto r = static_cast<size_t>(1); r <= static_cast<size_t>(num_rows);
+       ++r) {
+    if (r == static_cast<size_t>(num_rows) ||
+        offsets_[r] - offsets_[static_cast<size_t>(chunks_.back())] >=
+            target) {
+      chunks_.push_back(static_cast<int32_t>(r));
+    }
+  }
+}
+
+void TaskGradReduce::Run(const std::vector<Source>& sources,
+                         Tensor* h_grad) const {
+  GRIMP_CHECK_EQ(static_cast<size_t>(h_grad->rows()) + 1, offsets_.size());
+  const simd::KernelTable& kt = simd::Kernels();
+  const int64_t d = h_grad->cols();
+  ParallelFor(0, static_cast<int64_t>(chunks_.size()) - 1, 1,
+              [&](int64_t lo, int64_t hi) {
+    for (int64_t k = lo; k < hi; ++k) {
+      const auto row_end = static_cast<size_t>(chunks_[k + 1]);
+      for (auto r = static_cast<size_t>(chunks_[k]); r < row_end; ++r) {
+        float* dst = h_grad->data() + static_cast<int64_t>(r) * d;
+        for (int32_t e = offsets_[r]; e < offsets_[r + 1]; ++e) {
+          const Entry entry = entries_[static_cast<size_t>(e)];
+          const Source& source = sources[static_cast<size_t>(entry.task)];
+          if (source.attention != nullptr) {
+            const AttentionScratch& f = *source.attention;
+            kt.attention_input_grad(
+                d, f.alpha.data()[entry.pos],
+                f.ctx_grad.data() + (entry.pos / num_cols_) * d,
+                f.score_grad.data()[entry.pos], f.query.data(), dst);
+          } else {
+            const float* src = source.dense->data() + entry.pos * d;
+            for (int64_t c = 0; c < d; ++c) dst[c] += src[c];
+          }
+        }
+      }
+    }
+  });
 }
 
 Tape::VarId Trainer::FullForward() {
@@ -115,57 +194,82 @@ void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
   const TrainTask& task = tasks_[t];
   HeadRun& run = head_runs_[t];
   Tape& tape = run.tape;
+  // The head over rows `idx` of h; a linear head's gathered input goes to
+  // *input.
+  const auto head = [&](const std::vector<int32_t>& idx,
+                        AttentionScratch* scratch, Tape::VarId* input) {
+    if (run.attention != nullptr) {
+      return run.attention->ForwardDetached(&tape, &h, &idx, scratch);
+    }
+    *input = tape.Constant(GatherTaskRows(h, idx, num_cols_));
+    return task.head->Forward(&tape, *input);
+  };
   // Borrowing loss overloads: the task's label/target vectors are Trainer
   // members, alive past the sub-tape's Reset.
   if (train && !task.train_idx.empty()) {
-    run.train_in =
-        tape.Constant(GatherTaskRows(h, task.train_idx, num_cols_));
     const Tape::VarId loss =
         TaskLoss(&tape, task, options_.focal_gamma,
-                 task.head->Forward(&tape, run.train_in), task.train_labels,
-                 task.train_targets);
+                 head(task.train_idx, &run.train_factors, &run.train_in),
+                 task.train_labels, task.train_targets);
     run.train_loss = tape.value(loss).scalar();
     tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
   }
   if (!task.val_idx.empty()) {
-    const Tape::VarId in =
-        tape.Constant(GatherTaskRows(h, task.val_idx, num_cols_));
+    Tape::VarId val_in = -1;
     run.val_loss =
         tape.value(TaskLoss(&tape, task, options_.focal_gamma,
-                            task.head->Forward(&tape, in), task.val_labels,
-                            task.val_targets))
+                            head(task.val_idx, &run.val_scratch, &val_in),
+                            task.val_labels, task.val_targets))
             .scalar();
   }
 }
 
-Trainer::HeadLosses Trainer::RunHeadWaves(const Tensor& h, Tensor* h_grad) {
+Trainer::HeadLosses Trainer::RunTaskHeads(const Tensor& h, Tensor* h_grad) {
   const bool train = h_grad != nullptr;
   const auto num_tasks = static_cast<int64_t>(tasks_.size());
-  const int64_t width = ThreadPool::Global().num_threads();
   HeadLosses losses;
-  // Waves take the tasks in descending order so the serial reduce below
-  // replays the scatter order of one shared tape's backward (last-recorded
-  // task first). Inside a wave nothing is released to the arena: the
-  // sub-tapes hold every buffer until the calling thread resets them, so
-  // arena traffic is the same at any interleaving.
-  for (int64_t wave_end = num_tasks; wave_end > 0; wave_end -= width) {
-    const int64_t wave_begin = std::max<int64_t>(0, wave_end - width);
-    ParallelFor(wave_begin, wave_end, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t t = lo; t < hi; ++t) {
-        RunTaskHead(static_cast<size_t>(t), h, train);
-      }
-    });
-    const auto reduce_start = Now();
-    for (int64_t t = wave_end - 1; t >= wave_begin; --t) {
-      HeadRun& run = head_runs_[static_cast<size_t>(t)];
-      const TrainTask& task = tasks_[static_cast<size_t>(t)];
-      if (train && !task.train_idx.empty()) {
-        ScatterTaskRows(run.tape.grad(run.train_in), task.train_idx, h_grad);
-      }
-      run.tape.Reset();
+  // Every buffer the loop writes outside its sub-tape is sized here: inside
+  // the loop the sub-tapes hold every buffer they take until the resets
+  // below, so arena traffic is the same at any interleaving.
+  const int64_t c = num_cols_;
+  for (size_t t = 0; t < tasks_.size(); ++t) {
+    const TrainTask& task = tasks_[t];
+    HeadRun& run = head_runs_[t];
+    if (run.attention == nullptr) continue;
+    if (train && !task.train_idx.empty()) {
+      const auto n = static_cast<int64_t>(task.train_idx.size()) / c;
+      run.train_factors.alpha.ResizeUninit(n, c);
+      run.train_factors.score_grad.ResizeUninit(n, c);
+      run.train_factors.ctx_grad.ResizeUninit(n, h.cols());
+      run.train_factors.query.ResizeUninit(1, h.cols());
     }
-    losses.reduce_seconds += SecondsSince(reduce_start);
+    if (!task.val_idx.empty()) {
+      run.val_scratch.alpha.ResizeUninit(
+          static_cast<int64_t>(task.val_idx.size()) / c, c);
+    }
   }
+  ParallelFor(0, num_tasks, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t t = lo; t < hi; ++t) {
+      RunTaskHead(static_cast<size_t>(t), h, train);
+    }
+  });
+  const auto reduce_start = Now();
+  if (train) {
+    for (size_t t = 0; t < tasks_.size(); ++t) {
+      HeadRun& run = head_runs_[t];
+      TaskGradReduce::Source& source = grad_sources_[t];
+      source = TaskGradReduce::Source{};
+      if (tasks_[t].train_idx.empty()) continue;
+      if (run.attention != nullptr) {
+        source.attention = &run.train_factors;
+      } else {
+        source.dense = &run.tape.grad(run.train_in);
+      }
+    }
+    grad_reduce_.Run(grad_sources_, h_grad);
+  }
+  for (HeadRun& run : head_runs_) run.tape.Reset();
+  losses.reduce_seconds = SecondsSince(reduce_start);
   // Ascending task order, as the shared tape's Add chain (float) and the
   // validation sum (double) accumulated them.
   for (size_t t = 0; t < tasks_.size(); ++t) {
@@ -194,7 +298,7 @@ Trainer::EpochResult Trainer::RunFullEpoch(Adam* opt, double* val_loss_sum,
   const auto heads_start = Now();
   const Tensor& h = tape_.value(h_shared);
   Tensor h_grad = Tensor::Zeros(h.rows(), h.cols());
-  const HeadLosses losses = RunHeadWaves(h, &h_grad);
+  const HeadLosses losses = RunTaskHeads(h, &h_grad);
   registry.RecordSpan("train.heads",
                       SecondsSince(heads_start) - losses.reduce_seconds);
   registry.RecordSpan("train.reduce", losses.reduce_seconds);
@@ -221,7 +325,7 @@ double Trainer::ValidationLoss(bool* has_val) {
     return RunSampledPass(/*epoch=*/0, /*opt=*/nullptr, has_val);
   }
   const HeadLosses losses =
-      RunHeadWaves(tape_.value(FullForward()), /*h_grad=*/nullptr);
+      RunTaskHeads(tape_.value(FullForward()), /*h_grad=*/nullptr);
   *has_val = losses.has_val;
   return losses.val_loss;
 }
@@ -354,7 +458,7 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
       const TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
       Tape::VarId out = ForwardBatch(&tape_, *gnn_, *shared_, *task.head,
                                      &batch, num_cols_, options_.dim,
-                                     &gnn_scratch_);
+                                     &gnn_scratch_, &head_scratch_);
       Tape::VarId loss = TaskLoss(&tape_, task, options_.focal_gamma, out,
                                   batch.labels, batch.targets);
       const double loss_value = tape_.value(loss).scalar();
@@ -392,6 +496,8 @@ Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks) {
     summary_.num_train_samples += task.NumTrain();
     summary_.num_val_samples += task.NumVal();
   }
+
+  if (!sampled) grad_reduce_.Build(tasks_, node_features_->rows(), num_cols_);
 
   Adam opt(params_, options_.learning_rate);
   double best_val = std::numeric_limits<double>::infinity();

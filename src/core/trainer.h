@@ -41,6 +41,45 @@ struct TrainTask {
   }
 };
 
+// Full mode's gradient reduce: adds every task's gradient with respect to
+// the shared representation h into h_grad. It is an inverted index of the
+// tasks' training gather indices by h row, built once per Run, with each
+// row's entries in (task descending, position ascending) order: the order
+// in which one shared tape's per-task GatherRows backward passes added
+// them, so every row's sum has that tape's bits. Rows are shared value
+// nodes (one value's node is read by every cell holding it), so a few rows
+// carry thousands of entries. Rows are cut into chunks of about equal entry
+// count that run as one grain-1 ParallelFor; a chunk owns its rows, and
+// the cut moves no bits.
+class TaskGradReduce {
+ public:
+  // One task's gradient source, null for a task without training samples:
+  // a linear head's dense input gradient (GatherTaskRows' shape) or an
+  // attention head's detached factors (AttentionScratch).
+  struct Source {
+    const Tensor* dense = nullptr;
+    const AttentionScratch* attention = nullptr;
+  };
+
+  // Indexes every task's train_idx over h's `num_rows` rows.
+  void Build(const std::vector<TrainTask>& tasks, int64_t num_rows,
+             int num_cols);
+  // *h_grad += every task's gradient, one Source per task. Each attention
+  // block's gradient is rebuilt in place (simd attention_input_grad).
+  void Run(const std::vector<Source>& sources, Tensor* h_grad) const;
+
+ private:
+  struct Entry {
+    int32_t task;
+    int32_t pos;  // index into the task's train_idx
+  };
+
+  int num_cols_ = 1;
+  std::vector<int32_t> offsets_;  // row r's entries: [offsets_[r], [r + 1])
+  std::vector<Entry> entries_;
+  std::vector<int32_t> chunks_;  // chunk k: rows [chunks_[k], chunks_[k + 1])
+};
+
 // Summary of one Trainer::Run. Replaces the retired TrainReport: sample
 // counts are the *actual* trained/validated counts (after
 // max_samples_per_task), train_seconds covers Run() only, and steps_run
@@ -67,12 +106,15 @@ struct TrainSummary {
 //  - kFull (default): one whole-graph forward per epoch; every training
 //    sample reads the same node embeddings. Given that shared
 //    representation the tasks are independent, so each task's head, loss,
-//    head backward and validation head run on their own sub-tape, in
-//    waves of num_threads tasks on the thread pool; the calling thread
-//    scatters each task's gradient into the shared one in the order a
-//    single shared tape would have, then backpropagates it once through
-//    the GNN and shared MLP. Losses and weights are bit-identical at every
-//    thread count. Requires a store with a full graph (in-memory).
+//    head backward and validation head run on their own sub-tape, all
+//    tasks as one grain-1 ParallelFor on the thread pool. An attention
+//    head reads its blocks straight from the representation and leaves
+//    compact factors; a linear head takes a gathered copy. TaskGradReduce
+//    then adds every task's gradient into the shared one, row-parallel in
+//    the order a single shared tape would have, and the calling thread
+//    backpropagates it once through the GNN and shared MLP. Losses and
+//    weights are bit-identical at every thread count. Requires a store
+//    with a full graph (in-memory).
 //  - kSampled: iterates per-task minibatches of `batch_size` samples; each
 //    step samples the batch's receptive field with NeighborSampler
 //    (TrainConfig::fanouts), runs the GNN only over those blocks, and takes
@@ -125,12 +167,12 @@ class Trainer {
   };
 
   // One full-graph training epoch: the shared forward on tape_, every
-  // task's head in RunHeadWaves, the shared backward from the reduced
+  // task's head in RunTaskHeads, the shared backward from the reduced
   // gradient, then the optimizer step. Also returns the validation loss
-  // the waves computed from the same representation.
+  // the heads computed from the same representation.
   EpochResult RunFullEpoch(Adam* opt, double* val_loss_sum, bool* has_val);
   // Summed validation loss without backward (sampled epochs, warm start):
-  // one full-graph forward plus RunHeadWaves when the store exposes a full
+  // one full-graph forward plus RunTaskHeads when the store exposes a full
   // graph, else a sampled validation pass. Non-const: records onto the
   // persistent tape_.
   double ValidationLoss(bool* has_val);
@@ -140,7 +182,14 @@ class Trainer {
   // One task's head pass, on its own sub-tape.
   struct HeadRun {
     Tape tape;
-    Tape::VarId train_in = -1;  // the gathered training input
+    // The head as an attention head, or null: it then takes a gathered
+    // copy of its rows.
+    const AttentionTaskHead* attention = nullptr;
+    Tape::VarId train_in = -1;  // a gathered training input
+    // An attention head's nodes: the training one's factors, which the
+    // reduce reads, and the validation one's weights.
+    AttentionScratch train_factors;
+    AttentionScratch val_scratch;
     float train_loss = 0.0f;
     float val_loss = 0.0f;
   };
@@ -149,20 +198,21 @@ class Trainer {
     bool trained = false;     // some task has training samples
     double val_loss = 0.0;    // double sum over validated tasks, ascending
     bool has_val = false;
-    double reduce_seconds = 0.0;  // serial scatter + sub-tape resets
+    double reduce_seconds = 0.0;  // TaskGradReduce + sub-tape resets
   };
   // Task t's head over the full-graph representation `h` on
   // head_runs_[t].tape: with `train`, head + loss + BackwardFrom the loss
   // on its training samples; then head + loss on its validation samples.
-  // Runs on pool threads; touches only task t's head and sub-tape.
+  // Runs on pool threads; touches only task t's head, sub-tape and
+  // scratches, and releases no arena buffer.
   void RunTaskHead(size_t t, const Tensor& h, bool train);
-  // Every task's RunTaskHead, in waves of num_threads tasks taken in
-  // descending task order. After each wave the calling thread scatter-adds
-  // each task's input gradient into *h_grad (tasks descending, rows
-  // ascending: the order one shared tape's GatherRows backward used) and
-  // resets the wave's sub-tapes. Null `h_grad` runs validation only. Losses
-  // are bit-identical at every thread count.
-  HeadLosses RunHeadWaves(const Tensor& h, Tensor* h_grad);
+  // Every task's RunTaskHead as one grain-1 ParallelFor. The calling
+  // thread first sizes every attention scratch, so nothing in the loop
+  // gives a buffer back to the arena (DESIGN.md §9). Then grad_reduce_ adds
+  // each task's input gradient into *h_grad, and the sub-tapes are reset.
+  // Null `h_grad` runs validation only. Losses are bit-identical at every
+  // thread count.
+  HeadLosses RunTaskHeads(const Tensor& h, Tensor* h_grad);
   // One sampled pass over per-task minibatches, returning the summed
   // per-task mean loss; *ran is set when at least one batch ran. With `opt`
   // it trains — one optimizer step per batch, streams keyed on (seed,
@@ -201,9 +251,12 @@ class Trainer {
   Mlp* shared_;
   std::vector<TrainTask> tasks_;
   int num_cols_;
-  // Per-task head sub-tapes (RunHeadWaves), reset after every wave so
+  // Per-task head sub-tapes (RunTaskHeads), reset after every reduce so
   // their node slots are reused from epoch to epoch.
   std::vector<HeadRun> head_runs_;
+  // Full mode: the reduce, built once per Run, and its per-task sources.
+  TaskGradReduce grad_reduce_;
+  std::vector<TaskGradReduce::Source> grad_sources_;
   std::vector<Parameter*> params_;
   TrainSummary summary_;
   // Reused across every epoch / batch / validation pass (Tape::Reset keeps
@@ -211,6 +264,7 @@ class Trainer {
   // so steady-state steps run without tape or GNN allocations.
   Tape tape_;
   GnnScratch gnn_scratch_;
+  AttentionScratch head_scratch_;  // sampled batches' attention node
   // Sampled-mode batch preparation, grown on the first sampled pass and
   // recycled after: one slot per batch of a group and one scratch per lane,
   // so steady-state steps perform no heap allocations. plans_ is rebuilt

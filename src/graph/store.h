@@ -130,9 +130,6 @@ class GraphStore {
   virtual int64_t total_bytes() const = 0;
 
   // --- Mutable extension (streaming ingestion) ---------------------------
-  // True when this store accepts incremental Append() deltas.
-  virtual bool SupportsAppend() const { return false; }
-
   // Applies a GraphDelta (see graph/delta.h): the node range grows
   // append-only to delta.new_num_nodes and each edge type's sorted delta
   // run merges into the stored adjacency, without a full rebuild. The
@@ -169,7 +166,6 @@ class InMemoryGraphStore final : public GraphStore {
   ShardScope Acquire(int s) const override;
   const HeteroGraph* full_graph() const override { return graph_; }
   int64_t total_bytes() const override { return shard_.SizeBytes(); }
-  bool SupportsAppend() const override { return mutable_graph_ != nullptr; }
   Status Append(const GraphDelta& delta) override;
 
  private:
@@ -215,7 +211,6 @@ class ShardedGraphStore final : public GraphStore {
   ShardScope Acquire(int s) const override;
   void Prefetch(const std::vector<int>& shards) const override;
   int64_t total_bytes() const override { return total_bytes_; }
-  bool SupportsAppend() const override { return true; }
   // Sharded append: the delta's new node range becomes one additional
   // spilled shard; edges landing in existing shards are retained as
   // per-shard patches and merged lazily — a patched shard is rebuilt from

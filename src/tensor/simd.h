@@ -59,11 +59,11 @@ struct GemmEpilogue {
 // functions of their inputs: accumulation order never depends on the
 // thread count (callers chunk with fixed grains), so results are
 // bit-identical at 1 and N threads for a fixed level. Across levels,
-// elementwise kernels (relu/axpy/scale/col_sum/adam/sgd/mse_bwd) perform
-// the exact scalar arithmetic lane-wise and stay bit-identical to the
-// scalar table; GEMM, segment-mean, softmax and the reduction kernels use
-// FMA / polynomial exp / lane-split sums and agree within AllClose
-// rtol ~1e-4.
+// elementwise kernels (relu/axpy/scale/col_sum/adam/sgd/mse_bwd and
+// attention_input_grad) perform the exact scalar arithmetic lane-wise and
+// stay bit-identical to the scalar table; GEMM, segment-mean, softmax, the
+// other attention kernels and the reductions use FMA / polynomial exp /
+// lane-split sums and agree within AllClose rtol ~1e-4.
 struct KernelTable {
   const char* name;
 
@@ -122,6 +122,34 @@ struct KernelTable {
   // pg[i] += coeff * (pred[i] - tgt[i]) where mask[i] != 0.
   void (*mse_bwd)(int64_t n, float coeff, const float* pred, const float* tgt,
                   const float* mask, float* pg);
+
+  // --- Column attention (Tape::ColumnAttention) ---------------------------
+  // n vectors of nb blocks of width d, read through an index: block c of
+  // vector i is row idx[i * nb + c] of h (row-major, d wide), and a
+  // negative index is a zero block, which contributes nothing.
+  // Forward: alpha[i] = softmax_c(<block c, a> * scale) (n x nb) and
+  // ctx[i] = sum_c alpha[i, c] * block c (n x d).
+  void (*attention_fwd)(int64_t n, int64_t nb, int64_t d, const float* h,
+                        const int32_t* idx, const float* a, float scale,
+                        float* alpha, float* ctx);
+  // Backward through the weighted sum and the softmax: given g = dL/dctx
+  // (n x d), writes score_grad[i, c] = scale * dL/dscore[i, c] (n x nb).
+  void (*attention_bwd)(int64_t n, int64_t nb, int64_t d, const float* h,
+                        const int32_t* idx, const float* g, const float* alpha,
+                        float scale, float* score_grad);
+  // a_grad += sum over (i, c), ascending, of score_grad[i, c] * block c.
+  // One serial pass: every vector adds into the same d entries.
+  void (*attention_query_grad)(int64_t n, int64_t nb, int64_t d,
+                               const float* h, const int32_t* idx,
+                               const float* score_grad, float* a_grad);
+  // One block's input gradient added into its h row `dst`:
+  // dst += (0 + alpha * g) + score_grad * a, the score term skipped at
+  // score_grad == 0; g is the vector's row of dL/dctx. Elementwise, so
+  // bit-identical across tables. This is the order in which the replaced
+  // op chain built a block's gradient before its GatherRows scatter;
+  // regrouping it (adding the two terms into dst one by one) moves bits.
+  void (*attention_input_grad)(int64_t d, float alpha, const float* g,
+                               float score_grad, const float* a, float* dst);
 
   // --- Optimizer kernels --------------------------------------------------
   // One Adam step over n contiguous entries; bc1/bc2 are the precomputed

@@ -449,6 +449,178 @@ void RowSoftmax(int64_t rows, int64_t cols, const float* x, float* y) {
   }
 }
 
+// The attention kernels keep the scalar table's loop structure (blocks
+// ascending per element) but fuse multiply-adds, reduce dots lane-split and
+// keep row accumulators in registers across blocks.
+
+// Up to 32 consecutive floats as four masked 8-lane accumulators, so a
+// row segment's running sum stays in registers across many rows.
+// A full strip reads and writes unmasked.
+struct Strip32 {
+  explicit Strip32(int64_t width) : full(width >= 32) {
+    for (int64_t j = 0; j < 4; ++j) {
+      mask[j] = MaskFor(std::clamp<int64_t>(width - 8 * j, 0, 8));
+      acc[j] = _mm256_setzero_ps();
+    }
+  }
+  __m256 Read(const float* p, int64_t j) const {
+    return full ? _mm256_loadu_ps(p + 8 * j)
+                : _mm256_maskload_ps(p + 8 * j, mask[j]);
+  }
+  void Load(const float* p) {
+    for (int64_t j = 0; j < 4; ++j) acc[j] = Read(p, j);
+  }
+  // acc += w * row.
+  void Fma(float w, const float* row) {
+    const __m256 vw = _mm256_set1_ps(w);
+    for (int64_t j = 0; j < 4; ++j) {
+      acc[j] = _mm256_fmadd_ps(vw, Read(row, j), acc[j]);
+    }
+  }
+  void Store(float* p) const {
+    for (int64_t j = 0; j < 4; ++j) {
+      if (full) {
+        _mm256_storeu_ps(p + 8 * j, acc[j]);
+      } else {
+        _mm256_maskstore_ps(p + 8 * j, mask[j], acc[j]);
+      }
+    }
+  }
+
+  bool full;
+  __m256i mask[4];
+  __m256 acc[4];
+};
+
+// out[c] = scale * <x, block c> for the nb blocks `rows` of h (0 for -1):
+// four blocks at a time, four independent FMA chains reduced by one hadd
+// tree.
+void BlockDots(int64_t nb, int64_t d, const float* h, const int32_t* rows,
+               const float* x, float scale, float* out) {
+  for (int64_t c = 0; c < nb; c += 4) {
+    const float* r[4];
+    __m256 acc[4];
+    for (int64_t j = 0; j < 4; ++j) {
+      // Past the end and for -1, any readable row: the result is dropped.
+      r[j] = c + j < nb && rows[c + j] >= 0
+                 ? h + static_cast<int64_t>(rows[c + j]) * d
+                 : x;
+      acc[j] = _mm256_setzero_ps();
+    }
+    int64_t k = 0;
+    for (; k + 8 <= d; k += 8) {
+      const __m256 xv = _mm256_loadu_ps(x + k);
+      for (int64_t j = 0; j < 4; ++j) {
+        acc[j] = _mm256_fmadd_ps(xv, _mm256_loadu_ps(r[j] + k), acc[j]);
+      }
+    }
+    if (k < d) {
+      const __m256i mask = MaskFor(d - k);
+      const __m256 xv = _mm256_maskload_ps(x + k, mask);
+      for (int64_t j = 0; j < 4; ++j) {
+        acc[j] = _mm256_fmadd_ps(xv, _mm256_maskload_ps(r[j] + k, mask),
+                                 acc[j]);
+      }
+    }
+    const __m256 s = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]),
+                                    _mm256_hadd_ps(acc[2], acc[3]));
+    alignas(16) float dots[4];
+    _mm_store_ps(dots, _mm_mul_ps(_mm_add_ps(_mm256_castps256_ps128(s),
+                                             _mm256_extractf128_ps(s, 1)),
+                                  _mm_set1_ps(scale)));
+    for (int64_t j = 0; j < 4 && c + j < nb; ++j) {
+      out[c + j] = rows[c + j] < 0 ? 0.0f : dots[j];
+    }
+  }
+}
+
+// In-place softmax of one row of nb scores; the ragged tail runs masked
+// through the same vector exp.
+void SoftmaxRow(int64_t nb, float* s) {
+  float mx = s[0];
+  for (int64_t c = 1; c < nb; ++c) mx = std::max(mx, s[c]);
+  const __m256 vmx = _mm256_set1_ps(mx);
+  __m256 vsum = _mm256_setzero_ps();
+  for (int64_t c = 0; c < nb; c += 8) {
+    const __m256i mask = MaskFor(std::min<int64_t>(8, nb - c));
+    const __m256 e = _mm256_and_ps(
+        Exp256(_mm256_sub_ps(_mm256_maskload_ps(s + c, mask), vmx)),
+        _mm256_castsi256_ps(mask));
+    _mm256_maskstore_ps(s + c, mask, e);
+    vsum = _mm256_add_ps(vsum, e);
+  }
+  const float inv = 1.0f / HorizontalSum(vsum);
+  for (int64_t c = 0; c < nb; ++c) s[c] *= inv;
+}
+
+void AttentionFwd(int64_t n, int64_t nb, int64_t d, const float* h,
+                  const int32_t* idx, const float* a, float scale,
+                  float* alpha, float* ctx) {
+  for (int64_t i = 0; i < n; ++i) {
+    const int32_t* rows = idx + i * nb;
+    float* al = alpha + i * nb;
+    BlockDots(nb, d, h, rows, a, scale, al);
+    SoftmaxRow(nb, al);
+    for (int64_t k = 0; k < d; k += 32) {
+      Strip32 out(d - k);
+      for (int64_t c = 0; c < nb; ++c) {
+        if (al[c] == 0.0f || rows[c] < 0) continue;
+        out.Fma(al[c], h + static_cast<int64_t>(rows[c]) * d + k);
+      }
+      out.Store(ctx + i * d + k);
+    }
+  }
+}
+
+void AttentionBwd(int64_t n, int64_t nb, int64_t d, const float* h,
+                  const int32_t* idx, const float* g, const float* alpha,
+                  float scale, float* score_grad) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float* al = alpha + i * nb;
+    float* sg = score_grad + i * nb;
+    BlockDots(nb, d, h, idx + i * nb, g + i * d, 1.0f, sg);
+    float dot = 0.0f;
+    for (int64_t c = 0; c < nb; ++c) dot = std::fmaf(sg[c], al[c], dot);
+    for (int64_t c = 0; c < nb; ++c) sg[c] = al[c] * (sg[c] - dot) * scale;
+  }
+}
+
+void AttentionQueryGrad(int64_t n, int64_t nb, int64_t d, const float* h,
+                        const int32_t* idx, const float* score_grad,
+                        float* a_grad) {
+  // Column strips outermost, so each strip stays in registers over all
+  // n * nb blocks.
+  for (int64_t k = 0; k < d; k += 32) {
+    Strip32 acc(d - k);
+    acc.Load(a_grad + k);
+    for (int64_t e = 0; e < n * nb; ++e) {
+      if (score_grad[e] == 0.0f || idx[e] < 0) continue;
+      acc.Fma(score_grad[e], h + static_cast<int64_t>(idx[e]) * d + k);
+    }
+    acc.Store(a_grad + k);
+  }
+}
+
+// Elementwise: the scalar table's mul + add sequence lane by lane.
+void AttentionInputGrad(int64_t d, float alpha, const float* g,
+                        float score_grad, const float* a, float* dst) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 va = _mm256_set1_ps(alpha);
+  const __m256 vs = _mm256_set1_ps(score_grad);
+  const bool score = score_grad != 0.0f;
+  int64_t k = 0;
+  for (; k + 8 <= d; k += 8) {
+    __m256 t = _mm256_add_ps(zero, _mm256_mul_ps(va, _mm256_loadu_ps(g + k)));
+    if (score) t = _mm256_add_ps(t, _mm256_mul_ps(vs, _mm256_loadu_ps(a + k)));
+    _mm256_storeu_ps(dst + k, _mm256_add_ps(_mm256_loadu_ps(dst + k), t));
+  }
+  for (; k < d; ++k) {
+    float t = 0.0f + alpha * g[k];
+    if (score) t = t + score_grad * a[k];
+    dst[k] += t;
+  }
+}
+
 double MseSum(int64_t n, const float* pred, const float* tgt,
               const float* mask, int64_t* n_valid) {
   __m256d acc = _mm256_setzero_pd();
@@ -579,6 +751,10 @@ const KernelTable kAvx2Table = {
     /*row_softmax=*/RowSoftmax,
     /*mse_sum=*/MseSum,
     /*mse_bwd=*/MseBwd,
+    /*attention_fwd=*/AttentionFwd,
+    /*attention_bwd=*/AttentionBwd,
+    /*attention_query_grad=*/AttentionQueryGrad,
+    /*attention_input_grad=*/AttentionInputGrad,
     /*adam_step=*/AdamStep,
     /*sgd_momentum=*/SgdMomentum,
 };

@@ -161,6 +161,86 @@ void RowSoftmax(int64_t rows, int64_t cols, const float* x, float* y) {
   }
 }
 
+// The attention kernels keep the exact per-element order of the tape op
+// chain they replaced (row gather, block dot, row softmax, block weighted
+// sum), including its `0 +` accumulator starts and its skips of zero
+// weights. A zero block contributes exactly what the chain's
+// zero rows did for finite values: a +0 score and nothing to any sum.
+void AttentionFwd(int64_t n, int64_t nb, int64_t d, const float* h,
+                  const int32_t* idx, const float* a, float scale,
+                  float* alpha, float* ctx) {
+  for (int64_t i = 0; i < n; ++i) {
+    const int32_t* rows = idx + i * nb;
+    float* al = alpha + i * nb;
+    for (int64_t c = 0; c < nb; ++c) {
+      if (rows[c] < 0) {
+        al[c] = 0.0f;
+        continue;
+      }
+      const float* v = h + static_cast<int64_t>(rows[c]) * d;
+      float acc = 0.0f;
+      for (int64_t k = 0; k < d; ++k) acc += v[k] * a[k];
+      al[c] = acc * scale;
+    }
+    RowSoftmax(1, nb, al, al);
+    float* out = ctx + i * d;
+    for (int64_t k = 0; k < d; ++k) out[k] = 0.0f;
+    for (int64_t c = 0; c < nb; ++c) {
+      const float w = al[c];
+      if (w == 0.0f || rows[c] < 0) continue;
+      const float* v = h + static_cast<int64_t>(rows[c]) * d;
+      for (int64_t k = 0; k < d; ++k) out[k] += w * v[k];
+    }
+  }
+}
+
+void AttentionBwd(int64_t n, int64_t nb, int64_t d, const float* h,
+                  const int32_t* idx, const float* g, const float* alpha,
+                  float scale, float* score_grad) {
+  for (int64_t i = 0; i < n; ++i) {
+    const int32_t* rows = idx + i * nb;
+    const float* gi = g + i * d;
+    const float* al = alpha + i * nb;
+    float* sg = score_grad + i * nb;
+    // dL/dalpha, then back through the softmax in place.
+    for (int64_t c = 0; c < nb; ++c) {
+      float dot = 0.0f;
+      if (rows[c] >= 0) {
+        const float* v = h + static_cast<int64_t>(rows[c]) * d;
+        for (int64_t k = 0; k < d; ++k) dot += gi[k] * v[k];
+      }
+      sg[c] = 0.0f + dot;
+    }
+    float dot = 0.0f;
+    for (int64_t c = 0; c < nb; ++c) dot += sg[c] * al[c];
+    for (int64_t c = 0; c < nb; ++c) {
+      sg[c] = (0.0f + al[c] * (sg[c] - dot)) * scale;
+    }
+  }
+}
+
+void AttentionQueryGrad(int64_t n, int64_t nb, int64_t d, const float* h,
+                        const int32_t* idx, const float* score_grad,
+                        float* a_grad) {
+  for (int64_t i = 0; i < n * nb; ++i) {
+    const float gb = score_grad[i];
+    if (gb == 0.0f || idx[i] < 0) continue;
+    const float* v = h + static_cast<int64_t>(idx[i]) * d;
+    for (int64_t k = 0; k < d; ++k) a_grad[k] += gb * v[k];
+  }
+}
+
+void AttentionInputGrad(int64_t d, float alpha, const float* g,
+                        float score_grad, const float* a, float* dst) {
+  if (score_grad == 0.0f) {
+    for (int64_t k = 0; k < d; ++k) dst[k] += 0.0f + alpha * g[k];
+  } else {
+    for (int64_t k = 0; k < d; ++k) {
+      dst[k] += (0.0f + alpha * g[k]) + score_grad * a[k];
+    }
+  }
+}
+
 double MseSum(int64_t n, const float* pred, const float* tgt,
               const float* mask, int64_t* n_valid) {
   double loss = 0.0;
@@ -224,6 +304,10 @@ const KernelTable kScalarTable = {
     /*row_softmax=*/RowSoftmax,
     /*mse_sum=*/MseSum,
     /*mse_bwd=*/MseBwd,
+    /*attention_fwd=*/AttentionFwd,
+    /*attention_bwd=*/AttentionBwd,
+    /*attention_query_grad=*/AttentionQueryGrad,
+    /*attention_input_grad=*/AttentionInputGrad,
     /*adam_step=*/AdamStep,
     /*sgd_momentum=*/SgdMomentum,
 };

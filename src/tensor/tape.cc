@@ -491,91 +491,105 @@ Tape::VarId Tape::RowSoftmax(VarId x) {
   return id;
 }
 
-Tape::VarId Tape::ColBlockDot(VarId v, VarId a, int64_t num_blocks) {
-  const Tensor& vv = nodes_[v].value;
-  const Tensor& av = nodes_[a].value;
-  GRIMP_CHECK_EQ(av.rows(), 1);
-  GRIMP_CHECK_EQ(vv.cols() % num_blocks, 0);
-  const int64_t d = vv.cols() / num_blocks;
-  GRIMP_CHECK_EQ(av.cols(), d);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-  const int64_t n = vv.rows();
-  // Every out entry is written below.
-  Tensor out = Tensor::Uninit(n, num_blocks);
-  ParallelRows(n, vv.cols(), [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      for (int64_t b = 0; b < num_blocks; ++b) {
-        float acc = 0.0f;
-        for (int64_t c = 0; c < d; ++c) {
-          acc += vv.at(r, b * d + c) * av.at(0, c);
-        }
-        out.at(r, b) = acc * scale;
-      }
-    }
-  });
-  VarId id = PushNode(std::move(out));
-  nodes_[id].backward = [this, id, v, a, num_blocks, d, scale]() {
-    const Tensor& g = nodes_[id].grad;
-    const Tensor& vv = nodes_[v].value;
-    const Tensor& av = nodes_[a].value;
-    Tensor& vg = GradRef(v);
-    Tensor& ag = GradRef(a);
-    for (int64_t r = 0; r < g.rows(); ++r) {
-      for (int64_t b = 0; b < num_blocks; ++b) {
-        const float gb = g.at(r, b) * scale;
-        if (gb == 0.0f) continue;
-        for (int64_t c = 0; c < d; ++c) {
-          vg.at(r, b * d + c) += gb * av.at(0, c);
-          ag.at(0, c) += gb * vv.at(r, b * d + c);
-        }
-      }
-    }
-  };
-  return id;
+Tape::VarId Tape::ColumnAttention(VarId h, const std::vector<int32_t>* idx,
+                                  VarId a, int64_t num_blocks,
+                                  AttentionScratch* scratch,
+                                  std::shared_ptr<const void> owned) {
+  return ColumnAttentionImpl(h, nullptr, idx, a, num_blocks, scratch,
+                             std::move(owned));
 }
 
-Tape::VarId Tape::ColBlockWeightedSum(VarId v, VarId alpha,
-                                      int64_t num_blocks) {
-  const Tensor& vv = nodes_[v].value;
-  const Tensor& aw = nodes_[alpha].value;
-  GRIMP_CHECK_EQ(vv.cols() % num_blocks, 0);
-  const int64_t d = vv.cols() / num_blocks;
-  GRIMP_CHECK_EQ(aw.rows(), vv.rows());
-  GRIMP_CHECK_EQ(aw.cols(), num_blocks);
-  const int64_t n = vv.rows();
-  Tensor out(n, d);
-  ParallelRows(n, vv.cols(), [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      for (int64_t b = 0; b < num_blocks; ++b) {
-        const float w = aw.at(r, b);
-        if (w == 0.0f) continue;
-        for (int64_t c = 0; c < d; ++c) {
-          out.at(r, c) += w * vv.at(r, b * d + c);
-        }
-      }
-    }
-  });
-  VarId id = PushNode(std::move(out));
-  nodes_[id].backward = [this, id, v, alpha, num_blocks, d]() {
-    const Tensor& g = nodes_[id].grad;
-    const Tensor& vv = nodes_[v].value;
-    const Tensor& aw = nodes_[alpha].value;
-    Tensor& vg = GradRef(v);
-    Tensor& ag = GradRef(alpha);
-    // Both vg and ag are indexed by r only -> row chunks stay disjoint.
-    ParallelRows(g.rows(), vv.cols(), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        for (int64_t b = 0; b < num_blocks; ++b) {
-          float dot = 0.0f;
-          const float w = aw.at(r, b);
-          for (int64_t c = 0; c < d; ++c) {
-            dot += g.at(r, c) * vv.at(r, b * d + c);
-            vg.at(r, b * d + c) += w * g.at(r, c);
-          }
-          ag.at(r, b) += dot;
-        }
-      }
+Tape::VarId Tape::ColumnAttention(const Tensor* h,
+                                  const std::vector<int32_t>* idx, VarId a,
+                                  int64_t num_blocks,
+                                  AttentionScratch* scratch) {
+  GRIMP_CHECK(h != nullptr);
+  GRIMP_CHECK(scratch != nullptr);
+  return ColumnAttentionImpl(-1, h, idx, a, num_blocks, scratch, nullptr);
+}
+
+Tape::VarId Tape::ColumnAttentionImpl(VarId h, const Tensor* h_ext,
+                                      const std::vector<int32_t>* idx,
+                                      VarId a, int64_t num_blocks,
+                                      AttentionScratch* scratch,
+                                      std::shared_ptr<const void> owned) {
+  GRIMP_CHECK(idx != nullptr);
+  GRIMP_CHECK_GT(num_blocks, 0);
+  GRIMP_CHECK_EQ(static_cast<int64_t>(idx->size()) % num_blocks, 0);
+  if (scratch == nullptr) {
+    struct Owned {
+      AttentionScratch scratch;
+      std::shared_ptr<const void> owned;
+    };
+    auto holder = std::make_shared<Owned>();
+    holder->owned = std::move(owned);
+    scratch = &holder->scratch;
+    owned = std::move(holder);
+  }
+  const Tensor& hv = h_ext != nullptr ? *h_ext : nodes_[h].value;
+  const Tensor& av = nodes_[a].value;
+  const int64_t d = hv.cols();
+  GRIMP_CHECK_EQ(av.rows(), 1);
+  GRIMP_CHECK_EQ(av.cols(), d);
+  const int64_t n = static_cast<int64_t>(idx->size()) / num_blocks;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  const simd::KernelTable& kt = simd::Kernels();
+  scratch->alpha.ResizeUninit(n, num_blocks);
+  // The kernel writes every element of both outputs.
+  Tensor out = Tensor::Uninit(n, d);
+  {
+    const float* hd = hv.data();
+    const int32_t* id = idx->data();
+    const float* ad = av.data();
+    float* alpha = scratch->alpha.data();
+    float* od = out.data();
+    ParallelRows(n, num_blocks * d, [=, &kt](int64_t r0, int64_t r1) {
+      kt.attention_fwd(r1 - r0, num_blocks, d, hd, id + r0 * num_blocks, ad,
+                       scale, alpha + r0 * num_blocks, od + r0 * d);
     });
+  }
+  VarId id = PushNode(std::move(out));
+  nodes_[id].backward = [this, id, h, h_ext, idx, a, num_blocks, scale,
+                         scratch, owned = std::move(owned)]() {
+    const simd::KernelTable& kt = simd::Kernels();
+    const Tensor& g = nodes_[id].grad;
+    const Tensor& hv = h_ext != nullptr ? *h_ext : nodes_[h].value;
+    const Tensor& av = nodes_[a].value;
+    const int64_t n = g.rows();
+    const int64_t d = g.cols();
+    const float* hd = hv.data();
+    const int32_t* ix = idx->data();
+    scratch->score_grad.ResizeUninit(n, num_blocks);
+    {
+      const float* gd = g.data();
+      const float* alpha = scratch->alpha.data();
+      float* sg = scratch->score_grad.data();
+      ParallelRows(n, num_blocks * d, [=, &kt](int64_t r0, int64_t r1) {
+        kt.attention_bwd(r1 - r0, num_blocks, d, hd, ix + r0 * num_blocks,
+                         gd + r0 * d, alpha + r0 * num_blocks, scale,
+                         sg + r0 * num_blocks);
+      });
+    }
+    kt.attention_query_grad(n, num_blocks, d, hd, ix,
+                            scratch->score_grad.data(), GradRef(a).data());
+    if (h_ext != nullptr) {
+      scratch->ctx_grad.ResizeUninit(n, d);
+      scratch->query.ResizeUninit(1, d);
+      std::copy(g.data(), g.data() + g.size(), scratch->ctx_grad.data());
+      std::copy(av.data(), av.data() + d, scratch->query.data());
+      return;
+    }
+    if (!nodes_[h].backward) return;  // a Constant: nothing reads its grad
+    // Serial: duplicate indices would race.
+    Tensor& hg = GradRef(h);
+    const float* alpha = scratch->alpha.data();
+    const float* sg = scratch->score_grad.data();
+    for (int64_t i = 0; i < n * num_blocks; ++i) {
+      if (ix[i] < 0) continue;
+      kt.attention_input_grad(d, alpha[i], g.data() + (i / num_blocks) * d,
+                              sg[i], av.data(),
+                              hg.data() + static_cast<int64_t>(ix[i]) * d);
+    }
   };
   return id;
 }

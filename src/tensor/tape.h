@@ -110,6 +110,7 @@ class BackwardFn {
 };
 
 struct SageScratch;
+struct AttentionScratch;
 
 // Reverse-mode autodiff over a linear tape. BackwardFrom replays the recorded
 // closures in reverse order and accumulates leaf gradients into their
@@ -131,8 +132,8 @@ struct SageScratch;
 // All ops GRIMP needs are first-class tape methods (no generic broadcasting
 // engine): matrix product, bias, activations, column concat, row gather
 // (embedding lookup), segment mean (neighborhood aggregation), row softmax,
-// block attention ops, the fused losses, and a whole heterogeneous GNN
-// layer.
+// the attention head's column attention, the fused losses, and a whole
+// heterogeneous GNN layer.
 class Tape {
  public:
   using VarId = int32_t;
@@ -210,12 +211,32 @@ class Tape {
   VarId Reshape(VarId x, int64_t rows, int64_t cols);
   // Row-wise softmax.
   VarId RowSoftmax(VarId x);
-  // Block ops for the attention task head. `v` is N x (C*D) (C column
-  // blocks of width D), `a` is 1 x D.
-  //   ColBlockDot:        out[n, c] = <v[n, block c], a> / sqrt(D)
-  //   ColBlockWeightedSum: out[n, :] = sum_c alpha[n, c] * v[n, block c]
-  VarId ColBlockDot(VarId v, VarId a, int64_t num_blocks);
-  VarId ColBlockWeightedSum(VarId v, VarId alpha, int64_t num_blocks);
+  // The attention task head's column attention (paper §3.6, Fig. 6) over
+  // vectors read straight from rows of `h` (N x D) through `idx`, with no
+  // gathered copy: vector i has C = num_blocks blocks, block c being row
+  // idx[i * C + c] of h, or a zero block for -1. With the query `a` (1 x D)
+  //   s[i, c]  = <block c, a> / sqrt(D)
+  //   alpha[i] = softmax_c(s[i])          (left in scratch->alpha)
+  //   out[i]   = sum_c alpha[i, c] * block c    (|idx| / C x D)
+  // on the dispatched attention kernels (simd.h). The backward adds the
+  // gradient of a and scatters each block's input gradient,
+  // (0 + alpha * g) + score_grad * a (simd attention_input_grad), into h's
+  // grad row by row in idx order, the order a GatherRows backward adds in.
+  // Like HeteroSage, it writes no gradient into an h without a backward
+  // closure (a Constant). `idx` is borrowed until the tape is Reset.
+  // `scratch` must stay alive and untouched until then; null makes a
+  // tape-owned one. `owned` rides along with the node.
+  VarId ColumnAttention(VarId h, const std::vector<int32_t>* idx, VarId a,
+                        int64_t num_blocks, AttentionScratch* scratch,
+                        std::shared_ptr<const void> owned = nullptr);
+  // The detached form, for full-mode training's per-task sub-tapes
+  // (core/trainer.cc): `h` is a tensor off this tape, borrowed until Reset,
+  // and the backward writes no input gradient. It leaves the compact
+  // factors that define it in *scratch instead (score_grad, ctx_grad,
+  // query), for the caller to rebuild each block's input gradient with
+  // simd attention_input_grad where it reduces the tasks.
+  VarId ColumnAttention(const Tensor* h, const std::vector<int32_t>* idx,
+                        VarId a, int64_t num_blocks, AttentionScratch* scratch);
 
   // Sum of all entries (1x1).
   VarId SumAll(VarId x);
@@ -289,6 +310,11 @@ class Tape {
                         std::shared_ptr<const void> owned);
   VarId GatherRowsImpl(VarId table, const std::vector<int32_t>* rows,
                        std::shared_ptr<const void> owned);
+  // `h_ext` set: the detached form, reading h_ext and leaving factors.
+  VarId ColumnAttentionImpl(VarId h, const Tensor* h_ext,
+                            const std::vector<int32_t>* idx, VarId a,
+                            int64_t num_blocks, AttentionScratch* scratch,
+                            std::shared_ptr<const void> owned);
   VarId SoftmaxCrossEntropyImpl(VarId logits,
                                 const std::vector<int32_t>* labels,
                                 const std::vector<float>* class_weights,
@@ -331,6 +357,19 @@ struct SageScratch {
   std::vector<SageLane> lanes;
   // Per dst row: 1 / #lanes whose segment is non-empty, or 0 when none.
   std::vector<float> row_scale;
+};
+
+// Caller-owned state of one Tape::ColumnAttention node over n vectors of
+// C blocks of width D. Tensors are sized by the op (Tensor::ResizeUninit),
+// so one kept per call site makes a steady stream of calls
+// allocation-free. A scratch must not be shared by concurrent forwards.
+struct AttentionScratch {
+  Tensor alpha;       // n x C attention weights, written by the forward
+  Tensor score_grad;  // n x C: dL/ds / sqrt(D), written by the backward
+  // Detached form only, copied by the backward: dL/dout (n x D) and the
+  // query a (1 x D).
+  Tensor ctx_grad;
+  Tensor query;
 };
 
 }  // namespace grimp

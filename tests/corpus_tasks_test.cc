@@ -124,9 +124,13 @@ TEST(AttentionTaskHeadTest, ForwardShapesAndAttentionNormalized) {
                          BuildKDiagonal(KStrategy::kWeakDiagonal, 1, C, {}),
                          D, 6, &rng);
   Tape tape;
-  auto v = tape.Constant(Tensor::GlorotUniform(5, C * D, &frng));
-  Tensor att;
-  auto out = head.ForwardWithAttention(&tape, v, &att);
+  // Five vectors over six rows, one block missing.
+  auto h = tape.Constant(Tensor::GlorotUniform(6, D, &frng));
+  const std::vector<int32_t> idx = {0, 1, 2, 3, 4, 5, 5, -1, 0,
+                                    1, 1, 1, 2, 0, 4};
+  AttentionScratch scratch;
+  auto out = head.ForwardRows(&tape, h, &idx, C, &scratch);
+  const Tensor& att = scratch.alpha;
   EXPECT_EQ(tape.value(out).rows(), 5);
   EXPECT_EQ(tape.value(out).cols(), 6);
   ASSERT_EQ(att.rows(), 5);

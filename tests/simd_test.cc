@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "attention_reference.h"
 #include "common/rng.h"
 #include "gradcheck.h"
 #include "tensor/nn.h"
@@ -359,6 +361,105 @@ TEST_F(SimdKernelParityTest, RowSoftmaxAgreesAndNormalizes) {
         sum += yv.at(r, c);
       }
       EXPECT_NEAR(sum, 1.0f, 1e-5f) << "cols=" << cols << " r=" << r;
+    }
+  }
+}
+
+// Column attention kernels over an index with -1 blocks, a fully-missing
+// vector and a row read twice, at the attention head's block counts (one
+// column, adult's 14, one past a lane) and widths (a lane, the default
+// dim, one past four lanes).
+struct AttentionCase {
+  int64_t n = 9;
+  int64_t rows = 11;
+  int64_t nb = 0;
+  int64_t d = 0;
+  Tensor h, a, g;
+  std::vector<int32_t> idx;
+
+  AttentionCase(int64_t blocks, int64_t width, Rng* rng)
+      : nb(blocks), d(width), h(RandomTensor(rows, width, rng)),
+        a(RandomTensor(1, width, rng)), g(RandomTensor(n, width, rng)) {
+    for (int64_t i = 0; i < n * nb; ++i) {
+      idx.push_back(rng->Uniform(5) == 0
+                        ? -1
+                        : static_cast<int32_t>(
+                              rng->Uniform(static_cast<uint64_t>(rows))));
+    }
+    for (int64_t c = 0; c < nb; ++c) idx[static_cast<size_t>(nb + c)] = -1;
+    idx[0] = 3;
+    if (nb > 1) idx[1] = 3;
+  }
+  float scale() const { return 1.0f / std::sqrt(static_cast<float>(d)); }
+};
+
+struct AttentionOutputs {
+  Tensor alpha, ctx, score_grad, a_grad;
+};
+
+AttentionOutputs RunAttentionKernels(const simd::KernelTable& kt,
+                                     const AttentionCase& c) {
+  AttentionOutputs out{Tensor::Uninit(c.n, c.nb), Tensor::Uninit(c.n, c.d),
+                       Tensor::Uninit(c.n, c.nb), Tensor::Zeros(1, c.d)};
+  kt.attention_fwd(c.n, c.nb, c.d, c.h.data(), c.idx.data(), c.a.data(),
+                   c.scale(), out.alpha.data(), out.ctx.data());
+  kt.attention_bwd(c.n, c.nb, c.d, c.h.data(), c.idx.data(), c.g.data(),
+                   out.alpha.data(), c.scale(), out.score_grad.data());
+  kt.attention_query_grad(c.n, c.nb, c.d, c.h.data(), c.idx.data(),
+                          out.score_grad.data(), out.a_grad.data());
+  return out;
+}
+
+// Every block's input gradient, each added into a zero row: the replaced
+// chain's n x (nb * d) block gradients.
+Tensor RebuildBlockGrads(const simd::KernelTable& kt, const AttentionCase& c,
+                         const AttentionOutputs& out) {
+  Tensor grads = Tensor::Zeros(c.n, c.nb * c.d);
+  for (int64_t i = 0; i < c.n * c.nb; ++i) {
+    kt.attention_input_grad(c.d, out.alpha[i], c.g.data() + i / c.nb * c.d,
+                            out.score_grad[i], c.a.data(),
+                            grads.data() + i * c.d);
+  }
+  return grads;
+}
+
+TEST(SimdAttentionKernelTest, ScalarEqualsTheReplacedChain) {
+  Rng rng(27);
+  for (int64_t nb : {1, 14, 15}) {
+    for (int64_t d : {8, 32, 33}) {
+      SCOPED_TRACE("nb=" + std::to_string(nb) + " d=" + std::to_string(d));
+      const AttentionCase c(nb, d, &rng);
+      const AttentionOutputs out =
+          RunAttentionKernels(*simd::ScalarKernels(), c);
+      testing::AttentionReference ref =
+          testing::ReferenceForward(c.h, c.idx, c.a, nb);
+      testing::ReferenceBackward(&ref, c.a, c.g);
+      EXPECT_TRUE(testing::BitEqual(out.alpha, ref.alpha));
+      EXPECT_TRUE(testing::BitEqual(out.ctx, ref.ctx));
+      EXPECT_TRUE(testing::BitEqual(out.score_grad, ref.score_grad));
+      EXPECT_TRUE(testing::BitEqual(out.a_grad, ref.a_grad));
+      const Tensor rebuilt =
+          RebuildBlockGrads(*simd::ScalarKernels(), c, out);
+      EXPECT_TRUE(testing::BitEqual(rebuilt, ref.v_grad));
+    }
+  }
+}
+
+TEST_F(SimdKernelParityTest, AttentionKernelsAgreeWithinTolerance) {
+  Rng rng(28);
+  for (int64_t nb : {1, 14, 15}) {
+    for (int64_t d : {8, 32, 33}) {
+      SCOPED_TRACE("nb=" + std::to_string(nb) + " d=" + std::to_string(d));
+      const AttentionCase c(nb, d, &rng);
+      const AttentionOutputs s = RunAttentionKernels(*sk_, c);
+      const AttentionOutputs v = RunAttentionKernels(*vk_, c);
+      EXPECT_TRUE(AllClose(s.alpha, v.alpha, 1e-5f, 1e-4f));
+      EXPECT_TRUE(AllClose(s.ctx, v.ctx, 1e-5f, 1e-4f));
+      EXPECT_TRUE(AllClose(s.score_grad, v.score_grad, 1e-5f, 1e-4f));
+      EXPECT_TRUE(AllClose(s.a_grad, v.a_grad, 1e-5f, 1e-4f));
+      // Elementwise: bit-identical from the same factors.
+      EXPECT_TRUE(testing::BitEqual(RebuildBlockGrads(*sk_, c, s),
+                                    RebuildBlockGrads(*vk_, c, s)));
     }
   }
 }

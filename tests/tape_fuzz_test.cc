@@ -20,7 +20,8 @@ struct FuzzCase {
 class TapeFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
 // Builds a GRIMP-shaped graph: embedding table -> gather -> segment mean
-// -> concat -> linear -> attention-style block ops -> cross entropy.
+// -> concat -> linear -> column attention over the gather index -> cross
+// entropy.
 TEST_P(TapeFuzzTest, CompositeGraphMatchesFiniteDifferences) {
   const FuzzCase& fc = GetParam();
   Rng rng(fc.seed);
@@ -64,10 +65,10 @@ TEST_P(TapeFuzzTest, CompositeGraphMatchesFiniteDifferences) {
     auto seg = tape.SegmentMean(t, offsets, seg_indices);     // (n*b) x d
     auto cat = tape.ConcatCols({gathered, seg});              // (n*b) x 2d
     auto h = tape.Relu(tape.MatMul(cat, tape.Leaf(&w)));      // (n*b) x d
-    auto v = tape.Reshape(h, fc.n, fc.blocks * fc.d);
-    auto scores = tape.ColBlockDot(v, tape.Leaf(&q), fc.blocks);
-    auto alpha = tape.RowSoftmax(scores);
-    auto ctx = tape.ColBlockWeightedSum(v, alpha, fc.blocks);  // n x d
+    // Vector i's blocks are rows i * blocks .. of h, through the gather
+    // index (its -1s read as zero blocks here too, duplicates twice).
+    auto ctx = tape.ColumnAttention(h, &gather_idx, tape.Leaf(&q),
+                                    fc.blocks, nullptr);  // n x d
     auto logits = tape.MatMul(ctx, tape.Leaf(&head));
     auto l = tape.SoftmaxCrossEntropy(logits, labels);
     tape.BackwardFrom(l, Tensor::Scalar(1.0f));

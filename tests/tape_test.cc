@@ -2,7 +2,10 @@
 
 #include <cmath>
 
+#include "attention_reference.h"
+#include "common/thread_pool.h"
 #include "gradcheck.h"
+#include "tensor/simd.h"
 #include "tensor/tape.h"
 
 namespace grimp {
@@ -224,40 +227,124 @@ TEST(TapeGradTest, RowSoftmax) {
   EXPECT_LT(MaxGradError(&p, loss), kTol);
 }
 
-TEST(TapeGradTest, ColBlockDotWrtBoth) {
-  const int64_t blocks = 3, d = 2, n = 4;
-  Parameter v = MakeParam(n, blocks * d, 17);
-  Parameter a = MakeParam(1, d, 18);
+// Gradchecks of ColumnAttention through an index with a -1 block, a
+// fully-missing vector and a row read twice by one vector and once by
+// another.
+const std::vector<int32_t> kAttentionIdx = {0, 2, -1,  //
+                                            3, 3, 1,   //
+                                            -1, -1, -1,  //
+                                            2, 0, 3};
+
+float AttentionLoss(Parameter* h, Parameter* a, const Tensor& weights) {
+  Tape tape;
+  auto ctx = tape.ColumnAttention(tape.Leaf(h), &kAttentionIdx, tape.Leaf(a),
+                                  /*num_blocks=*/3, nullptr);
+  auto l = tape.SumAll(tape.Mul(ctx, tape.Constant(weights)));
+  tape.BackwardFrom(l, Tensor::Scalar(1.0f));
+  return tape.value(l).scalar();
+}
+
+TEST(TapeGradTest, ColumnAttentionWrtInput) {
+  Parameter h = MakeParam(4, 2, 17);
+  Parameter a = MakeParam(1, 2, 18);
   Rng rng(19);
-  const Tensor weights = Tensor::GlorotUniform(n, blocks, &rng);
-  auto build = [&](Tape* tape) {
-    auto s = tape->ColBlockDot(tape->Leaf(&v), tape->Leaf(&a), blocks);
-    auto l = tape->SumAll(tape->Mul(s, tape->Constant(weights)));
-    tape->BackwardFrom(l, Tensor::Scalar(1.0f));
-    return tape->value(l).scalar();
-  };
-  auto loss = [&](bool) {
-    Tape tape;
-    return build(&tape);
-  };
-  EXPECT_LT(MaxGradError(&v, loss), kTol);
+  const Tensor weights = Tensor::GlorotUniform(4, 2, &rng);
+  auto loss = [&](bool) { return AttentionLoss(&h, &a, weights); };
+  EXPECT_LT(MaxGradError(&h, loss), kTol);
+}
+
+TEST(TapeGradTest, ColumnAttentionWrtQuery) {
+  Parameter h = MakeParam(4, 2, 20);
+  Parameter a = MakeParam(1, 2, 21);
+  Rng rng(22);
+  const Tensor weights = Tensor::GlorotUniform(4, 2, &rng);
+  auto loss = [&](bool) { return AttentionLoss(&h, &a, weights); };
   EXPECT_LT(MaxGradError(&a, loss), kTol);
 }
 
-TEST(TapeGradTest, ColBlockWeightedSumWrtBoth) {
-  const int64_t blocks = 3, d = 2, n = 4;
-  Parameter v = MakeParam(n, blocks * d, 20);
-  Parameter alpha = MakeParam(n, blocks, 21);
-  auto loss = [&](bool) {
-    Tape tape;
-    auto ctx = tape.ColBlockWeightedSum(tape.Leaf(&v), tape.Leaf(&alpha),
-                                        blocks);
-    auto l = tape.SumAll(tape.Mul(ctx, ctx));
-    tape.BackwardFrom(l, Tensor::Scalar(1.0f));
-    return tape.value(l).scalar();
+// ColumnAttention against the chain it replaced (attention_reference.h) at
+// the scalar tier, at 1 and 4 threads: ctx, alpha, the query's gradient
+// and the input gradient memcmp equal, on both forms of the node. The
+// detached form's factors rebuild every block's gradient in place with the
+// attention_input_grad kernel.
+TEST(ColumnAttentionTest, MatchesReplacedChainBitForBit) {
+  const SimdLevel level = ActiveSimdLevel();
+  SetSimdLevel(SimdLevel::kScalar);
+  const int threads = ThreadPool::GlobalThreads();
+  struct Case {
+    int64_t rows, blocks, d, n;
   };
-  EXPECT_LT(MaxGradError(&v, loss), kTol);
-  EXPECT_LT(MaxGradError(&alpha, loss), kTol);
+  // The first case crosses the row-parallel threshold at 4 threads.
+  for (const Case& cs : {Case{40, 14, 16, 24}, Case{9, 1, 8, 5},
+                         Case{12, 15, 33, 6}}) {
+    Rng rng(static_cast<uint64_t>(cs.rows * 131 + cs.blocks));
+    const Tensor h = Tensor::GlorotUniform(cs.rows, cs.d, &rng);
+    const Tensor a = Tensor::GlorotUniform(1, cs.d, &rng);
+    const Tensor g = Tensor::GlorotUniform(cs.n, cs.d, &rng);
+    std::vector<int32_t> idx;
+    for (int64_t i = 0; i < cs.n * cs.blocks; ++i) {
+      idx.push_back(rng.Uniform(6) == 0
+                        ? -1
+                        : static_cast<int32_t>(
+                              rng.Uniform(static_cast<uint64_t>(cs.rows))));
+    }
+    for (int64_t b = 0; b < cs.blocks; ++b) {
+      idx[static_cast<size_t>(cs.blocks + b)] = -1;  // vector 1: no blocks
+    }
+    idx[0] = 0;
+    if (cs.blocks > 2) idx[2] = 0;  // vector 0 reads row 0 twice
+    testing::AttentionReference ref =
+        testing::ReferenceForward(h, idx, a, cs.blocks);
+    testing::ReferenceBackward(&ref, a, g);
+    Tensor ref_h_grad = Tensor::Zeros(cs.rows, cs.d);
+    testing::ReferenceScatter(ref.v_grad, idx, &ref_h_grad);
+
+    for (int t : {1, 4}) {
+      SCOPED_TRACE("rows " + std::to_string(cs.rows) + " threads " +
+                   std::to_string(t));
+      ThreadPool::SetGlobalThreads(t);
+      Parameter hp("h", h);
+      Parameter ap("a", a);
+      Tape tape;
+      AttentionScratch scratch;
+      const auto h_id = tape.Leaf(&hp);
+      const auto a_id = tape.Leaf(&ap);
+      const auto ctx =
+          tape.ColumnAttention(h_id, &idx, a_id, cs.blocks, &scratch);
+      EXPECT_TRUE(testing::BitEqual(tape.value(ctx), ref.ctx));
+      EXPECT_TRUE(testing::BitEqual(scratch.alpha, ref.alpha));
+      tape.BackwardFrom(ctx, g);
+      EXPECT_TRUE(testing::BitEqual(scratch.score_grad, ref.score_grad));
+      EXPECT_TRUE(testing::BitEqual(tape.grad(a_id), ref.a_grad));
+      EXPECT_TRUE(testing::BitEqual(tape.grad(h_id), ref_h_grad));
+
+      Tape detached;
+      AttentionScratch factors;
+      const auto a2 = detached.Leaf(&ap);
+      const auto ctx2 =
+          detached.ColumnAttention(&h, &idx, a2, cs.blocks, &factors);
+      EXPECT_TRUE(testing::BitEqual(detached.value(ctx2), ref.ctx));
+      detached.BackwardFrom(ctx2, g);
+      EXPECT_TRUE(testing::BitEqual(detached.grad(a2), ref.a_grad));
+      EXPECT_TRUE(testing::BitEqual(factors.alpha, ref.alpha));
+      EXPECT_TRUE(testing::BitEqual(factors.score_grad, ref.score_grad));
+      EXPECT_TRUE(testing::BitEqual(factors.ctx_grad, g));
+      EXPECT_TRUE(testing::BitEqual(factors.query, a));
+      Tensor rebuilt = Tensor::Zeros(cs.rows, cs.d);
+      for (size_t i = 0; i < idx.size(); ++i) {
+        if (idx[i] < 0) continue;
+        simd::ScalarKernels()->attention_input_grad(
+            cs.d, factors.alpha[static_cast<int64_t>(i)],
+            factors.ctx_grad.data() +
+                static_cast<int64_t>(i) / cs.blocks * cs.d,
+            factors.score_grad[static_cast<int64_t>(i)], factors.query.data(),
+            rebuilt.data() + static_cast<int64_t>(idx[i]) * cs.d);
+      }
+      EXPECT_TRUE(testing::BitEqual(rebuilt, ref_h_grad));
+    }
+  }
+  ThreadPool::SetGlobalThreads(threads);
+  SetSimdLevel(level);
 }
 
 TEST(TapeGradTest, SoftmaxCrossEntropy) {

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "attention_reference.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "core/batch.h"
@@ -19,6 +20,7 @@
 #include "table/corruption.h"
 #include "tensor/arena.h"
 #include "tensor/optimizer.h"
+#include "tensor/simd.h"
 #include "transform_copy.h"
 
 namespace grimp {
@@ -325,7 +327,7 @@ TEST(TrainerTest, ShardedSampledPassesIdenticalAcrossPipelineDepths) {
 // A hand-built full-mode Trainer over a 14-column table's graph: 14 tasks,
 // alternating categorical linear heads and numerical attention heads,
 // random gather indices (about 1 in 8 cells masked). Task 5 has no
-// training samples (a validation-only task in its wave) and task 9 no
+// training samples (a validation-only task) and task 9 no
 // validation samples.
 struct FullModeFixture {
   static constexpr int kCols = 14;
@@ -438,11 +440,10 @@ class ComputeSettingsGuard {
   bool arena_;
 };
 
-// The full-mode heads run in waves of num_threads tasks on the pool and
-// their gradients are reduced on the calling thread in a fixed order, so
-// the whole trajectory — per-epoch train and val losses — and the final
-// weights are bit-identical at 1, 3 (uneven waves: 3+3+3+3+2) and 4
-// threads, and with the arena off.
+// The full-mode heads run as one task loop on the pool and their
+// gradients are reduced row-parallel in a fixed per-row order, so the
+// whole trajectory — per-epoch train and val losses — and the final
+// weights are bit-identical at 1, 3 and 4 threads, and with the arena off.
 TEST(TrainerTest, FullModeLossesIndependentOfThreadCount) {
   struct RunOutput {
     std::vector<double> train_losses;
@@ -497,10 +498,10 @@ TEST(TrainerTest, FullModeLossesIndependentOfThreadCount) {
   }
 }
 
-// The waves replay one shared tape exactly: a full-mode epoch gives the
-// same loss and weight bits as the pre-wave recipe — every task's head and
-// loss recorded on the shared forward's tape, one Add chain, one backward,
-// one clipped Adam step.
+// The task loop and reduce replay one shared tape exactly: a full-mode
+// epoch gives the same loss and weight bits as the single-tape recipe —
+// every task's head and loss recorded on the shared forward's tape, one
+// Add chain, one backward, one clipped Adam step.
 TEST(TrainerTest, FullModeEpochMatchesOneSharedTape) {
   ComputeSettingsGuard guard;
   ThreadPool::SetGlobalThreads(4);
@@ -555,8 +556,105 @@ TEST(TrainerTest, FullModeEpochMatchesOneSharedTape) {
   }
 }
 
+// The indexed reduce replays the per-task scatter it replaced, on the
+// fixture's mixed linear/attention task set at the scalar tier, at 1 and 4
+// threads: each task's head runs on its own sub-tape; an attention head's
+// block gradients are rebuilt by the replaced op chain
+// (attention_reference.h) from the factors its node leaves; every task's
+// dense block gradients are scattered into h_grad tasks descending, rows
+// ascending. TaskGradReduce's h_grad, and the weights after one Trainer
+// epoch against one step from the reference h_grad, memcmp equal.
+TEST(TrainerTest, FullModeMixedHeadReduceMatchesPerTaskScatter) {
+  ComputeSettingsGuard guard;
+  const SimdLevel level = ActiveSimdLevel();
+  SetSimdLevel(SimdLevel::kScalar);
+  constexpr int kCols = FullModeFixture::kCols;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool::SetGlobalThreads(threads);
+    FullModeFixture ref;
+    const std::vector<TrainTask> tasks = ref.MakeTasks();
+    std::vector<Parameter*> ref_params;
+    ref.CollectParameters(&ref_params);
+    Adam opt(ref_params, ref.options.learning_rate);
+    Tape tape;
+    const Tape::VarId h_id = ref.shared.Forward(
+        &tape,
+        ref.gnn.Forward(&tape, tape.Constant(ref.features), ref.tg.graph));
+    const Tensor& h = tape.value(h_id);
+
+    std::vector<Tape> sub(tasks.size());
+    std::vector<AttentionScratch> factors(tasks.size());
+    std::vector<Tensor> dense(tasks.size());
+    std::vector<TaskGradReduce::Source> sources(tasks.size());
+    for (size_t t = 0; t < tasks.size(); ++t) {
+      const TrainTask& task = tasks[t];
+      if (task.train_idx.empty()) continue;
+      const auto* attention =
+          dynamic_cast<const AttentionTaskHead*>(task.head);
+      Tape::VarId in = -1;
+      Tape::VarId out = -1;
+      if (attention != nullptr) {
+        out = attention->ForwardDetached(&sub[t], &h, &task.train_idx,
+                                         &factors[t]);
+      } else {
+        in = sub[t].Constant(GatherTaskRows(h, task.train_idx, kCols));
+        out = task.head->Forward(&sub[t], in);
+      }
+      const Tape::VarId loss =
+          task.categorical
+              ? sub[t].SoftmaxCrossEntropy(out, &task.train_labels)
+              : sub[t].MseLoss(out, &task.train_targets);
+      sub[t].BackwardFrom(loss, Tensor::Scalar(1.0f));
+      if (attention == nullptr) {
+        dense[t] = sub[t].grad(in);
+        sources[t].dense = &sub[t].grad(in);
+        continue;
+      }
+      sources[t].attention = &factors[t];
+      testing::AttentionReference chain = testing::ReferenceForward(
+          h, task.train_idx, factors[t].query, kCols);
+      testing::ReferenceBackward(&chain, factors[t].query,
+                                 factors[t].ctx_grad);
+      EXPECT_TRUE(testing::BitEqual(chain.alpha, factors[t].alpha)) << t;
+      EXPECT_TRUE(testing::BitEqual(chain.score_grad, factors[t].score_grad))
+          << t;
+      dense[t] = chain.v_grad;
+    }
+    Tensor ref_grad = Tensor::Zeros(h.rows(), h.cols());
+    for (size_t t = tasks.size(); t-- > 0;) {
+      if (!tasks[t].train_idx.empty()) {
+        testing::ReferenceScatter(dense[t], tasks[t].train_idx, &ref_grad);
+      }
+    }
+    TaskGradReduce reduce;
+    reduce.Build(tasks, h.rows(), kCols);
+    Tensor h_grad = Tensor::Zeros(h.rows(), h.cols());
+    reduce.Run(sources, &h_grad);
+    EXPECT_TRUE(testing::BitEqual(h_grad, ref_grad));
+
+    tape.BackwardFrom(h_id, std::move(ref_grad));
+    opt.ClipGradNorm(ref.options.grad_clip);
+    opt.Step();
+
+    FullModeFixture fx;
+    fx.options.max_epochs = 1;
+    Trainer trainer(fx.options, fx.store.get(), &fx.features, &fx.gnn,
+                    &fx.shared, fx.MakeTasks(), kCols);
+    ASSERT_TRUE(trainer.Run(TrainCallbacks{}).ok());
+    std::vector<Parameter*> params;
+    fx.CollectParameters(&params);
+    ASSERT_EQ(params.size(), ref_params.size());
+    for (size_t i = 0; i < params.size(); ++i) {
+      EXPECT_TRUE(testing::BitEqual(params[i]->value, ref_params[i]->value))
+          << params[i]->name;
+    }
+  }
+  SetSimdLevel(level);
+}
+
 // A full-mode epoch is attributed by five spans, one of each per epoch:
-// the shared forward, the task-head waves, the serial gradient reduce, the
+// the shared forward, the task heads, the indexed gradient reduce, the
 // shared backward and the optimizer step. Together they account for
 // (nearly) all of grimp.train.
 TEST(TrainerTest, FullModeSpansCoverTheTrainSpan) {
