@@ -100,6 +100,46 @@ Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
                          &batch->local_idx, num_cols, dim, head_scratch);
 }
 
+void CompactToReadRows(std::span<std::vector<int32_t>> lists,
+                       int64_t num_nodes, std::vector<int32_t>* rows,
+                       std::vector<int32_t>* slot) {
+  if (slot->size() < static_cast<size_t>(num_nodes)) {
+    slot->resize(static_cast<size_t>(num_nodes), -1);
+  }
+  std::vector<int32_t>& pos = *slot;
+  rows->clear();
+  for (const std::vector<int32_t>& list : lists) {
+    for (const int32_t v : list) {
+      if (v < 0) continue;
+      GRIMP_CHECK_LT(v, num_nodes);
+      if (pos[static_cast<size_t>(v)] >= 0) continue;
+      pos[static_cast<size_t>(v)] = 0;
+      rows->push_back(v);
+    }
+  }
+  std::sort(rows->begin(), rows->end());
+  for (size_t i = 0; i < rows->size(); ++i) {
+    pos[static_cast<size_t>((*rows)[i])] = static_cast<int32_t>(i);
+  }
+  for (std::vector<int32_t>& list : lists) {
+    for (int32_t& v : list) {
+      if (v >= 0) v = pos[static_cast<size_t>(v)];
+    }
+  }
+  for (const int32_t v : *rows) pos[static_cast<size_t>(v)] = -1;
+}
+
+Tape::VarId ForwardReadRows(Tape* tape, const HeteroGnn* gnn,
+                            const Mlp& shared, Tape::VarId features,
+                            const HeteroGraph& graph,
+                            const std::vector<int32_t>* rows,
+                            GnnScratch* gnn_scratch) {
+  const Tape::VarId h =
+      gnn != nullptr ? gnn->Forward(tape, features, graph, gnn_scratch, rows)
+                     : tape->GatherRows(features, rows);
+  return shared.Forward(tape, h);
+}
+
 Tensor GatherFeatureRows(const Tensor& features,
                          const std::vector<int32_t>& nodes) {
   const int64_t dim = features.cols();

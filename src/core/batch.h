@@ -101,6 +101,33 @@ Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
                          int num_cols, int dim, GnnScratch* gnn_scratch,
                          AttentionScratch* head_scratch);
 
+// The whole-graph read rule shared by full-graph training passes (Trainer)
+// and batch inference (GrimpEngine::ForwardRequests): a head reads only
+// the representation rows its gather indices name — cell nodes, never a
+// RID node — so the GNN's last layer and the shared MLP run over just
+// those rows.
+//
+// Sets *rows to the ascending union of the non-negative entries of every
+// list in `lists` (node ids below num_nodes) and rewrites each entry as its
+// position in *rows; -1 (a masked cell) stays -1. `slot` is a dense node ->
+// position scratch, all -1 between calls and grown on demand, so a
+// recycled one makes repeated calls allocation-free.
+void CompactToReadRows(std::span<std::vector<int32_t>> lists,
+                       int64_t num_nodes, std::vector<int32_t>* rows,
+                       std::vector<int32_t>* slot);
+
+// The whole-graph forward of the nodes `rows` (ascending ids, borrowed
+// until the tape is Reset): the GNN with its last layer pruned to them
+// (HeteroGnn::Forward's out_rows), or a GatherRows of `features` when
+// `gnn` is null, then the shared MLP. Row i of the result, and every
+// gradient the backward writes, equal node rows[i]'s in the unpruned
+// forward bit for bit.
+Tape::VarId ForwardReadRows(Tape* tape, const HeteroGnn* gnn,
+                            const Mlp& shared, Tape::VarId features,
+                            const HeteroGraph& graph,
+                            const std::vector<int32_t>* rows,
+                            GnnScratch* gnn_scratch);
+
 // Gathers rows `nodes` of `features` into a fresh arena-backed
 // |nodes| x features.cols() matrix, chunked on the global pool (grain 512;
 // rows are disjoint, so results are bit-identical at every thread count —

@@ -201,9 +201,14 @@ struct GrimpEngine::TransformScratch {
   CsrAdjacency::Scratch union_csr;      // recycled offsets/indices storage
   GnnScratch gnn;
   // Per-task gather indices and the cells they impute, in (request, row,
-  // column) order. The tape borrows the indices (see GatherRows), so each
+  // column) order. The indices are node ids, which ForwardRequests remaps
+  // onto read_rows. The tape borrows the indices (see GatherRows), so each
   // task needs its own vector that stays alive until the next Reset.
   std::vector<std::vector<int32_t>> task_idx;
+  // The union nodes some task's indices read, ascending, and the dense
+  // remap that finds them (CompactToReadRows).
+  std::vector<int32_t> read_rows;
+  std::vector<int32_t> read_slot;
   std::vector<std::vector<CellWrite>> task_cells;
   // Per-task attention head state (AttentionSummary reads its weights).
   std::vector<AttentionScratch> heads;
@@ -290,11 +295,12 @@ Tape::VarId GrimpEngine::ForwardRequests(size_t n,
     CollectCells(*request.table, request.tg, /*row_begin=*/0,
                  request.table->num_rows(), i, request.offset, s);
   }
-  Tape::VarId feats = s->tape.Constant(std::move(union_feats));
-  Tape::VarId h = options_.use_gnn
-                      ? gnn_.Forward(&s->tape, feats, s->union_graph, &s->gnn)
-                      : feats;
-  return shared_.Forward(&s->tape, h);
+  // The heads read only the cells' rows: remap their indices onto them and
+  // run the last GNN layer and the shared MLP over those rows alone.
+  CompactToReadRows(s->task_idx, total_nodes, &s->read_rows, &s->read_slot);
+  return ForwardReadRows(&s->tape, options_.use_gnn ? &gnn_ : nullptr,
+                         shared_, s->tape.Constant(std::move(union_feats)),
+                         s->union_graph, &s->read_rows, &s->gnn);
 }
 
 void GrimpEngine::ImputeRequests(size_t n, TransformScratch* s) const {

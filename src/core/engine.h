@@ -250,7 +250,9 @@ class GrimpEngine {
                       TransformScratch* s) const;
   // The one whole-graph inference forward: stitches requests [0, n) into a
   // block-diagonal union, collects every missing cell of every request,
-  // runs the GNN and shared MLP and returns the shared representation.
+  // and runs the GNN and shared MLP under the trainer's read rule
+  // (ForwardReadRows): it returns the representation of s->read_rows only,
+  // with s->task_idx remapped onto those rows.
   Tape::VarId ForwardRequests(size_t n, TransformScratch* s) const;
   // ForwardRequests, then each task's head over its cells and DecodeTask.
   void ImputeRequests(size_t n, TransformScratch* s) const;

@@ -107,12 +107,12 @@ Trainer::Trainer(const GrimpOptions& options, const GraphStore* store,
   grad_sources_.resize(tasks_.size());
 }
 
-void TaskGradReduce::Build(const std::vector<TrainTask>& tasks,
+void TaskGradReduce::Build(std::span<const std::vector<int32_t>> train_idx,
                            int64_t num_rows, int num_cols) {
   num_cols_ = num_cols;
   offsets_.assign(static_cast<size_t>(num_rows) + 1, 0);
-  for (const TrainTask& task : tasks) {
-    for (const int32_t r : task.train_idx) {
+  for (const std::vector<int32_t>& idx : train_idx) {
+    for (const int32_t r : idx) {
       if (r < 0) continue;
       GRIMP_CHECK_LT(r, num_rows);
       ++offsets_[static_cast<size_t>(r) + 1];
@@ -125,8 +125,8 @@ void TaskGradReduce::Build(const std::vector<TrainTask>& tasks,
   // Filling tasks descending, positions ascending leaves every row's
   // entries in the reduce order.
   std::vector<int32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (size_t t = tasks.size(); t-- > 0;) {
-    const std::vector<int32_t>& idx = tasks[t].train_idx;
+  for (size_t t = train_idx.size(); t-- > 0;) {
+    const std::vector<int32_t>& idx = train_idx[t];
     for (size_t i = 0; i < idx.size(); ++i) {
       if (idx[i] < 0) continue;
       entries_[static_cast<size_t>(cursor[static_cast<size_t>(idx[i])]++)] =
@@ -182,17 +182,16 @@ void TaskGradReduce::Run(const std::vector<Source>& sources,
 
 Tape::VarId Trainer::FullForward() {
   tape_.Reset();  // reuse node slots from the previous pass
-  Tape::VarId feats = tape_.Constant(*node_features_);
-  Tape::VarId h = options_.use_gnn
-                      ? gnn_->Forward(&tape_, feats, *store_->full_graph(),
-                                      &gnn_scratch_)
-                      : feats;
-  return shared_->Forward(&tape_, h);
+  return ForwardReadRows(&tape_, options_.use_gnn ? gnn_ : nullptr, *shared_,
+                         tape_.Constant(*node_features_),
+                         *store_->full_graph(), &read_rows_, &gnn_scratch_);
 }
 
 void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
   const TrainTask& task = tasks_[t];
   HeadRun& run = head_runs_[t];
+  const std::vector<int32_t>& train_idx = read_idx_[t];
+  const std::vector<int32_t>& val_idx = read_idx_[tasks_.size() + t];
   Tape& tape = run.tape;
   // The head over rows `idx` of h; a linear head's gathered input goes to
   // *input.
@@ -206,19 +205,19 @@ void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
   };
   // Borrowing loss overloads: the task's label/target vectors are Trainer
   // members, alive past the sub-tape's Reset.
-  if (train && !task.train_idx.empty()) {
+  if (train && !train_idx.empty()) {
     const Tape::VarId loss =
         TaskLoss(&tape, task, options_.focal_gamma,
-                 head(task.train_idx, &run.train_factors, &run.train_in),
+                 head(train_idx, &run.train_factors, &run.train_in),
                  task.train_labels, task.train_targets);
     run.train_loss = tape.value(loss).scalar();
     tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
   }
-  if (!task.val_idx.empty()) {
+  if (!val_idx.empty()) {
     Tape::VarId val_in = -1;
     run.val_loss =
         tape.value(TaskLoss(&tape, task, options_.focal_gamma,
-                            head(task.val_idx, &run.val_scratch, &val_in),
+                            head(val_idx, &run.val_scratch, &val_in),
                             task.val_labels, task.val_targets))
             .scalar();
   }
@@ -497,7 +496,20 @@ Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks) {
     summary_.num_val_samples += task.NumVal();
   }
 
-  if (!sampled) grad_reduce_.Build(tasks_, node_features_->rows(), num_cols_);
+  // Full-graph passes read only the rows the tasks' indices name: keep a
+  // copy of every task's indices remapped onto those rows. Sampled batches
+  // keep reading the global ids in tasks_.
+  if (store_->full_graph() != nullptr) {
+    read_idx_.clear();
+    for (const TrainTask& task : tasks_) read_idx_.push_back(task.train_idx);
+    for (const TrainTask& task : tasks_) read_idx_.push_back(task.val_idx);
+    std::vector<int32_t> slot;
+    CompactToReadRows(read_idx_, node_features_->rows(), &read_rows_, &slot);
+  }
+  if (!sampled) {
+    grad_reduce_.Build(std::span(read_idx_).first(tasks_.size()),
+                       static_cast<int64_t>(read_rows_.size()), num_cols_);
+  }
 
   Adam opt(params_, options_.learning_rate);
   double best_val = std::numeric_limits<double>::infinity();

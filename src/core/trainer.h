@@ -2,6 +2,7 @@
 #define GRIMP_CORE_TRAINER_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/batch.h"
@@ -43,7 +44,8 @@ struct TrainTask {
 
 // Full mode's gradient reduce: adds every task's gradient with respect to
 // the shared representation h into h_grad. It is an inverted index of the
-// tasks' training gather indices by h row, built once per Run, with each
+// tasks' training gather indices by h row (rows of the read set, see
+// Trainer), built once per Run, with each
 // row's entries in (task descending, position ascending) order: the order
 // in which one shared tape's per-task GatherRows backward passes added
 // them, so every row's sum has that tape's bits. Rows are shared value
@@ -61,9 +63,10 @@ class TaskGradReduce {
     const AttentionScratch* attention = nullptr;
   };
 
-  // Indexes every task's train_idx over h's `num_rows` rows.
-  void Build(const std::vector<TrainTask>& tasks, int64_t num_rows,
-             int num_cols);
+  // Indexes every task's training gather indices (one list per task) over
+  // h's `num_rows` rows.
+  void Build(std::span<const std::vector<int32_t>> train_idx,
+             int64_t num_rows, int num_cols);
   // *h_grad += every task's gradient, one Source per task. Each attention
   // block's gradient is rebuilt in place (simd attention_input_grad).
   void Run(const std::vector<Source>& sources, Tensor* h_grad) const;
@@ -104,7 +107,11 @@ struct TrainSummary {
 //
 // Two modes (GrimpOptions::train):
 //  - kFull (default): one whole-graph forward per epoch; every training
-//    sample reads the same node embeddings. Given that shared
+//    sample reads the same node embeddings. The forward computes the GNN's
+//    last layer and the shared MLP only for the read set, the nodes some
+//    task's train_idx or val_idx names (CompactToReadRows,
+//    ForwardReadRows); the heads and the reduce index that compact
+//    representation, with bit-identical results. Given that shared
 //    representation the tasks are independent, so each task's head, loss,
 //    head backward and validation head run on their own sub-tape, all
 //    tasks as one grain-1 ParallelFor on the thread pool. An attention
@@ -158,8 +165,6 @@ class Trainer {
   // on returns epochs_run == 0 without error.
   Result<TrainSummary> Run(const TrainCallbacks& callbacks);
 
-  const std::vector<TrainTask>& tasks() const { return tasks_; }
-
  private:
   struct EpochResult {
     double train_loss = 0.0;
@@ -176,7 +181,8 @@ class Trainer {
   // graph, else a sampled validation pass. Non-const: records onto the
   // persistent tape_.
   double ValidationLoss(bool* has_val);
-  // Resets tape_ and runs the whole-graph GNN + shared MLP forward.
+  // Resets tape_ and runs the whole-graph GNN + shared MLP forward over the
+  // read set (ForwardReadRows): one row per entry of read_rows_.
   Tape::VarId FullForward();
 
   // One task's head pass, on its own sub-tape.
@@ -200,7 +206,7 @@ class Trainer {
     bool has_val = false;
     double reduce_seconds = 0.0;  // TaskGradReduce + sub-tape resets
   };
-  // Task t's head over the full-graph representation `h` on
+  // Task t's head over the read-set representation `h` on
   // head_runs_[t].tape: with `train`, head + loss + BackwardFrom the loss
   // on its training samples; then head + loss on its validation samples.
   // Runs on pool threads; touches only task t's head, sub-tape and
@@ -254,6 +260,12 @@ class Trainer {
   // Per-task head sub-tapes (RunTaskHeads), reset after every reduce so
   // their node slots are reused from epoch to epoch.
   std::vector<HeadRun> head_runs_;
+  // Full-graph passes' read set, built once per Run when the store has a
+  // full graph: the ascending h rows some task's train_idx or val_idx
+  // reads, and every task's indices remapped onto them (CompactToReadRows):
+  // read_idx_[t] is task t's train_idx, read_idx_[#tasks + t] its val_idx.
+  std::vector<int32_t> read_rows_;
+  std::vector<std::vector<int32_t>> read_idx_;
   // Full mode: the reduce, built once per Run, and its per-task sources.
   TaskGradReduce grad_reduce_;
   std::vector<TaskGradReduce::Source> grad_sources_;

@@ -20,19 +20,36 @@ HeteroSageLayer::HeteroSageLayer(std::string name, int num_edge_types,
 Tape::VarId HeteroSageLayer::Forward(Tape* tape, Tape::VarId h_dst,
                                      Tape::VarId h_src, int64_t num_dst,
                                      std::span<const CsrAdjacency> adjacency,
-                                     SageScratch* scratch) const {
+                                     SageScratch* scratch,
+                                     const std::vector<int32_t>* out_rows)
+    const {
   GRIMP_CHECK_EQ(adjacency.size(), submodules_.size());
+  int64_t num_out = num_dst;
+  if (out_rows != nullptr) {
+    num_out = static_cast<int64_t>(out_rows->size());
+    int64_t prev = -1;
+    for (const int32_t v : *out_rows) {
+      GRIMP_CHECK(v > prev && v < num_dst)
+          << "out_rows must ascend within [0, " << num_dst << ")";
+      prev = v;
+    }
+  }
   std::shared_ptr<SageScratch> owned;
   if (scratch == nullptr) {
     owned = std::make_shared<SageScratch>();
     scratch = owned.get();
   }
   SageScratch& s = *scratch;
-  // The per-node 1/#incident-types normalizer: count, then invert.
-  s.row_scale.assign(static_cast<size_t>(num_dst), 0.0f);
+  s.out_rows = out_rows;
+  // Output row i's dst row.
+  const auto dst = [out_rows](int64_t i) -> int64_t {
+    return out_rows != nullptr ? (*out_rows)[static_cast<size_t>(i)] : i;
+  };
+  // The per-row 1/#incident-types normalizer: count, then invert.
+  s.row_scale.assign(static_cast<size_t>(num_out), 0.0f);
   for (const CsrAdjacency& adj : adjacency) {
-    for (int64_t v = 0; v < num_dst; ++v) {
-      if (adj.Degree(v) > 0) s.row_scale[static_cast<size_t>(v)] += 1.0f;
+    for (int64_t i = 0; i < num_out; ++i) {
+      if (adj.Degree(dst(i)) > 0) s.row_scale[static_cast<size_t>(i)] += 1.0f;
     }
   }
   for (float& scale : s.row_scale) {
@@ -47,13 +64,13 @@ Tape::VarId HeteroSageLayer::Forward(Tape* tape, Tape::VarId h_dst,
     lane.indices = &adj.indices();
     std::tie(lane.weight, lane.bias) = submodules_[t].Leaves(tape);
     lane.rows.clear();
-    for (int64_t v = 0; v < num_dst; ++v) {
-      if (adj.Degree(v) > 0) lane.rows.push_back(static_cast<int32_t>(v));
+    for (int64_t i = 0; i < num_out; ++i) {
+      if (adj.Degree(dst(i)) > 0) lane.rows.push_back(static_cast<int32_t>(i));
     }
     lane.live = static_cast<int64_t>(lane.rows.size());
-    for (int64_t v = 0; v < num_dst; ++v) {
-      if (s.row_scale[static_cast<size_t>(v)] == 0.0f) {
-        lane.rows.push_back(static_cast<int32_t>(v));
+    for (int64_t i = 0; i < num_out; ++i) {
+      if (s.row_scale[static_cast<size_t>(i)] == 0.0f) {
+        lane.rows.push_back(static_cast<int32_t>(i));
       }
     }
   }
@@ -92,15 +109,17 @@ SageScratch* LayerScratch(GnnScratch* scratch, size_t l) {
 }  // namespace
 
 Tape::VarId HeteroGnn::Forward(Tape* tape, Tape::VarId features,
-                               const HeteroGraph& graph,
-                               GnnScratch* scratch) const {
+                               const HeteroGraph& graph, GnnScratch* scratch,
+                               const std::vector<int32_t>* out_rows) const {
   GRIMP_TRACE_SPAN("gnn.forward");
   if (scratch != nullptr) scratch->layers.resize(layers_.size());
   Tape::VarId h = features;
   for (size_t l = 0; l < layers_.size(); ++l) {
+    const bool last = l + 1 == layers_.size();
     h = layers_[l].Forward(tape, h, h, graph.num_nodes(),
-                           graph.adjacencies(), LayerScratch(scratch, l));
-    if (l + 1 < layers_.size()) h = tape->Relu(h);
+                           graph.adjacencies(), LayerScratch(scratch, l),
+                           last ? out_rows : nullptr);
+    if (!last) h = tape->Relu(h);
   }
   return h;
 }

@@ -44,21 +44,27 @@ class HeteroSageLayer {
   HeteroSageLayer(std::string name, int num_edge_types, int64_t in_dim,
                   int64_t out_dim, Rng* rng);
 
-  // The one forward, for full graphs and sampled blocks alike: produces
-  // `num_dst` output rows from the self term `h_dst` and the neighbor
-  // source rows `h_src`, with one CSR of num_dst segments per edge type
-  // (`adjacency.size()` must equal the layer's edge type count). A full
-  // graph passes the same var as h_dst and h_src; a sampled block passes
-  // the dst prefix of its input rows (see GraphBlock). Which rows each type
-  // touches and the 1/#incident-types normalizer are derived from
-  // `adjacency` on every call, into `scratch` or — when it is null — into
-  // one the tape keeps alive. A block agrees with the full graph on which
-  // types touch a node because the sampler keeps at least one neighbor
-  // wherever the full graph has one. The adjacency and the scratch are
-  // borrowed until the tape is Reset.
+  // The one forward, for full graphs and sampled blocks alike, over
+  // `num_dst` dst rows: the self term `h_dst` (num_dst rows) and the
+  // neighbor source rows `h_src`, with one CSR of num_dst segments per edge
+  // type (`adjacency.size()` must equal the layer's edge type count). A
+  // full graph passes the same var as h_dst and h_src; a sampled block
+  // passes the dst prefix of its input rows (see GraphBlock). The result
+  // has one row per dst row, or — given `out_rows`, ascending dst rows —
+  // one per entry: row i is dst row (*out_rows)[i], bit-identical to that
+  // row of the whole layer, and the backward's h_dst/h_src gradients equal
+  // the whole layer's under an upstream gradient that is zero on every dst
+  // row not listed. Which rows each type touches and the 1/#incident-types
+  // normalizer are derived from `adjacency` on every call, into `scratch`
+  // or — when it is null — into one the tape keeps alive. A block agrees
+  // with the full graph on which types touch a node because the sampler
+  // keeps at least one neighbor wherever the full graph has one. The
+  // adjacency, the scratch and out_rows are borrowed until the tape is
+  // Reset.
   Tape::VarId Forward(Tape* tape, Tape::VarId h_dst, Tape::VarId h_src,
                       int64_t num_dst, std::span<const CsrAdjacency> adjacency,
-                      SageScratch* scratch = nullptr) const;
+                      SageScratch* scratch = nullptr,
+                      const std::vector<int32_t>* out_rows = nullptr) const;
 
   void CollectParameters(std::vector<Parameter*>* out);
   int64_t NumParameters() const;
@@ -78,10 +84,14 @@ class HeteroGnn {
             int64_t out_dim, int num_layers, Rng* rng);
 
   // Whole-graph forward. `features` is a Constant/Leaf var of shape
-  // num_nodes x in_dim; the result has one row per node.
+  // num_nodes x in_dim; the result has one row per node, or — given
+  // `out_rows`, ascending node ids borrowed until the tape is Reset — one
+  // per listed node (row i is node (*out_rows)[i]). Only the last layer
+  // is pruned to out_rows: it reads its nodes' neighbors, so the layers
+  // below still run over every node.
   Tape::VarId Forward(Tape* tape, Tape::VarId features,
-                      const HeteroGraph& graph,
-                      GnnScratch* scratch = nullptr) const;
+                      const HeteroGraph& graph, GnnScratch* scratch = nullptr,
+                      const std::vector<int32_t>* out_rows = nullptr) const;
 
   // Sampled-minibatch forward over a block sequence (blocks.size() must
   // equal num_layers()): `features` holds the rows of

@@ -794,6 +794,12 @@ void ForEachLane(size_t num_lanes, int64_t work, Fn&& fn) {
   }
 }
 
+// The dst row of HeteroSage output row i: dst_of[i] (SageScratch::
+// out_rows), or i itself when dst_of is null.
+int64_t DstRow(const int32_t* dst_of, int32_t i) {
+  return dst_of != nullptr ? dst_of[i] : i;
+}
+
 }  // namespace
 
 Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
@@ -801,10 +807,16 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
   GRIMP_CHECK(scratch != nullptr && !scratch->lanes.empty());
   const Tensor& dv = nodes_[h_dst].value;
   const Tensor& sv = nodes_[h_src].value;
-  const int64_t num_dst = static_cast<int64_t>(scratch->row_scale.size());
+  const int64_t num_dst = dv.rows();
+  const int64_t num_out = static_cast<int64_t>(scratch->row_scale.size());
   const int64_t in = dv.cols();
   const int64_t out_dim = nodes_[scratch->lanes[0].weight].value.cols();
-  GRIMP_CHECK_EQ(dv.rows(), num_dst);
+  const int32_t* dst_of =
+      scratch->out_rows != nullptr ? scratch->out_rows->data() : nullptr;
+  GRIMP_CHECK_EQ(scratch->out_rows != nullptr
+                     ? static_cast<int64_t>(scratch->out_rows->size())
+                     : num_dst,
+                 num_out);
   GRIMP_CHECK_EQ(sv.cols(), in);
   // Every buffer is taken here, on the calling thread: lanes only write
   // into storage they were handed, so arena traffic is the same at every
@@ -821,7 +833,7 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
     lane.y.ResizeUninit(n, out_dim);
     work += n * 2 * in;
   }
-  Tensor out = Tensor::Uninit(num_dst, out_dim);
+  Tensor out = Tensor::Uninit(num_out, out_dim);
   const simd::KernelTable& kt = simd::Kernels();
   ForEachLane(scratch->lanes.size(), work, [&](size_t t) {
     SageLane& lane = scratch->lanes[t];
@@ -829,7 +841,7 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
     const int32_t* off = lane.offsets->data();
     const int32_t* idx = lane.indices->data();
     for (size_t i = 0; i < lane.rows.size(); ++i) {
-      const int64_t r = lane.rows[i];
+      const int64_t r = DstRow(dst_of, lane.rows[i]);
       GRIMP_DCHECK(r < num_dst);
       float* xr = lane.x.data() + static_cast<int64_t>(i) * 2 * in;
       std::memcpy(xr, dv.data() + r * in,
@@ -839,12 +851,12 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
     MatMulFused(lane.x, nodes_[lane.weight].value, nodes_[lane.bias].value,
                 /*relu=*/false, &lane.y);
   });
-  // Fixed-order reduce, chunked by dst rows: each row takes its lanes in
+  // Fixed-order reduce, chunked by output rows: each row takes its lanes in
   // ascending order. -0 is the exact additive identity, so a row sums its
   // lanes' outputs (and the zero-scaled rows their signed zeros) exactly as
   // a left-to-right Add chain over masked lane outputs would.
   const auto num_lanes = static_cast<int64_t>(scratch->lanes.size());
-  ParallelRows(num_dst, num_lanes * out_dim, [&](int64_t r0, int64_t r1) {
+  ParallelRows(num_out, num_lanes * out_dim, [&](int64_t r0, int64_t r1) {
     std::fill(out.data() + r0 * out_dim, out.data() + r1 * out_dim, -0.0f);
     for (const SageLane& lane : scratch->lanes) {
       // The live rows add y, the zero-scaled ones 0 * y; both runs ascend.
@@ -874,6 +886,8 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
     SageScratch& s = *scratch;
     const Tensor& g = nodes_[id].grad;
     const int64_t out_dim = g.cols();
+    const int32_t* dst_of =
+        s.out_rows != nullptr ? s.out_rows->data() : nullptr;
     const bool dst_grad = static_cast<bool>(nodes_[h_dst].backward);
     const bool src_grad = static_cast<bool>(nodes_[h_src].backward);
     // Materialize every grad this pass writes before the lanes fan out.
@@ -909,21 +923,25 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
         MatMulTransB(lane.y, nodes_[lane.weight].value, &lane.dx);
       }
     });
-    // The input-gradient replay, on this thread, in the chain's order.
+    // The input-gradient replay, on this thread, in the chain's order. A
+    // dst row outside out_rows would only add the chain's exact zeros.
     for (size_t t = s.lanes.size(); t-- > 0;) {
       const SageLane& lane = s.lanes[t];
       const int64_t in = lane.x.cols() / 2;
       if (dst_g != nullptr) {
         for (int64_t i = 0; i < lane.live; ++i) {
+          const int64_t r =
+              DstRow(dst_of, lane.rows[static_cast<size_t>(i)]);
           kt.axpy(in, 1.0f, lane.dx.data() + i * 2 * in,
-                  dst_g->data() + lane.rows[static_cast<size_t>(i)] * in);
+                  dst_g->data() + r * in);
         }
       }
       if (src_g != nullptr) {
         const std::vector<int32_t>& off = *lane.offsets;
         const std::vector<int32_t>& idx = *lane.indices;
         for (int64_t i = 0; i < lane.live; ++i) {
-          const int32_t r = lane.rows[static_cast<size_t>(i)];
+          const int64_t r =
+              DstRow(dst_of, lane.rows[static_cast<size_t>(i)]);
           const float inv =
               1.0f / static_cast<float>(off[r + 1] - off[r]);
           const float* grow = lane.dx.data() + i * 2 * in + in;

@@ -242,18 +242,22 @@ class Tape {
   VarId SumAll(VarId x);
 
   // One heterogeneous GraphSAGE layer (gnn/hetero_sage.h) as one node, with
-  // one lane per edge type. Over its rows only, lane t computes
-  //   y_t = [h_dst[rows] || segment_mean_t(h_src)[rows]] * W_t + b_t,
-  // and out[r] = row_scale[r] * (sum of y_t[r] over the lanes whose live
-  // rows hold r, in ascending lane order). Lanes run as one ParallelFor
+  // one lane per edge type. Output row i stands for dst row d(i): the
+  // scratch's out_rows[i], or i itself when out_rows is null. Over its rows
+  // only, lane t computes
+  //   y_t = [h_dst[d(rows)] || segment_mean_t(h_src)[d(rows)]] * W_t + b_t,
+  // and out[i] = row_scale[i] * (sum of y_t[i] over the lanes whose live
+  // rows hold i, in ascending lane order). Lanes run as one ParallelFor
   // when the layer is big enough to pay for the pool. The backward takes
   // each lane's dW, db and input gradient on the same rows, then replays
-  // the input-gradient scatter on the calling thread in the order the
-  // per-lane SegmentMean -> ConcatCols -> Linear -> RowScale -> Add chain
-  // would (descending lanes; self term, then segment scatter), so values
-  // and grads equal that chain's bit for bit. It writes no gradient into
-  // an input without a backward closure (a Constant, e.g. node features):
-  // nothing could read it. `scratch` (see SageScratch) must stay alive and
+  // the input-gradient scatter into the dst rows d(i) on the calling
+  // thread in the order the per-lane SegmentMean -> ConcatCols -> Linear ->
+  // RowScale -> Add chain would (descending lanes; self term, then segment
+  // scatter), so values and grads equal that chain's bit for bit — with
+  // out_rows, equal to the chain's rows d(i) under an upstream gradient
+  // that is zero on every other row. It writes no gradient into an input
+  // without a backward closure (a Constant, e.g. node features): nothing
+  // could read it. `scratch` (see SageScratch) must stay alive and
   // untouched until the tape is Reset; `owned` rides along with the node.
   VarId HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
                    std::shared_ptr<const void> owned = nullptr);
@@ -337,8 +341,9 @@ struct SageLane {
   const std::vector<int32_t>* indices = nullptr;
   Tape::VarId weight = -1;  // (2 * in) x out
   Tape::VarId bias = -1;    // 1 x out
-  // rows[0, live): the dst rows with a non-empty segment, ascending.
-  // rows[live, end): dst rows whose row_scale is 0. They add 0 * y_t, which
+  // Output rows (SageScratch::out_rows maps them to dst rows).
+  // rows[0, live): the rows whose dst segment is non-empty, ascending.
+  // rows[live, end): rows whose row_scale is 0. They add 0 * y_t, which
   // keeps the signed zeros a masked chain leaves on nodes with no edges.
   std::vector<int32_t> rows;
   int64_t live = 0;
@@ -355,7 +360,10 @@ struct SageLane {
 // concurrent forwards.
 struct SageScratch {
   std::vector<SageLane> lanes;
-  // Per dst row: 1 / #lanes whose segment is non-empty, or 0 when none.
+  // The dst rows the node computes, ascending: output row i is dst row
+  // (*out_rows)[i]. Null computes every dst row. Borrowed until Reset.
+  const std::vector<int32_t>* out_rows = nullptr;
+  // Per output row: 1 / #lanes whose segment is non-empty, or 0 when none.
   std::vector<float> row_scale;
 };
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <string>
@@ -150,7 +151,8 @@ struct LayerRun {
 LayerRun RunLayer(HeteroSageLayer* layer, bool fused, bool block,
                   const Tensor& input, int64_t num_dst,
                   std::span<const CsrAdjacency> adjacency,
-                  const Tensor& upstream, SageScratch* scratch) {
+                  const Tensor& upstream, SageScratch* scratch,
+                  const std::vector<int32_t>* out_rows = nullptr) {
   std::vector<Parameter*> params;
   layer->CollectParameters(&params);
   for (Parameter* p : params) p->ZeroGrad();
@@ -159,7 +161,8 @@ LayerRun RunLayer(HeteroSageLayer* layer, bool fused, bool block,
   const Tape::VarId h_src = tape.Leaf(&h);
   const Tape::VarId h_dst = block ? tape.SliceRows(h_src, num_dst) : h_src;
   const Tape::VarId out =
-      fused ? layer->Forward(&tape, h_dst, h_src, num_dst, adjacency, scratch)
+      fused ? layer->Forward(&tape, h_dst, h_src, num_dst, adjacency, scratch,
+                             out_rows)
             : ChainForward(&tape, params, h_dst, h_src, num_dst, adjacency);
   tape.BackwardFrom(out, upstream);
   LayerRun run{tape.value(out), {}, tape.grad(h_dst), tape.grad(h_src)};
@@ -222,6 +225,134 @@ TEST(HeteroSageLayerTest, FusedLayerMatchesPerTypeChain) {
     }
   }
   ThreadPool::SetGlobalThreads(threads_before);
+}
+
+// A non-bipartite graph over 7 nodes: a triangle with self loops, a
+// 3-cycle through both edge types, node 5 touched by type 1 only and node
+// 6 by no type at all.
+std::vector<CsrAdjacency> ToyAdjacency() {
+  std::vector<CsrAdjacency> adjacency;
+  adjacency.push_back(CsrAdjacency::FromEdges(
+      7, {{0, 1}, {1, 2}, {2, 0}, {0, 0}, {1, 1}, {3, 4}, {4, 3}, {4, 5}}));
+  adjacency.push_back(CsrAdjacency::FromEdges(
+      7, {{1, 3}, {3, 1}, {2, 2}, {5, 0}, {5, 5}}));
+  return adjacency;
+}
+
+// Rows [0, n) with no edge of any type.
+std::vector<int32_t> IsolatedRows(std::span<const CsrAdjacency> adjacency,
+                                  int64_t n) {
+  std::vector<int32_t> rows;
+  for (int64_t v = 0; v < n; ++v) {
+    bool isolated = true;
+    for (const CsrAdjacency& adj : adjacency) isolated &= adj.Degree(v) == 0;
+    if (isolated) rows.push_back(static_cast<int32_t>(v));
+  }
+  return rows;
+}
+
+// The pruned layer (out_rows) against the whole layer: at the read rows the
+// outputs, every parameter grad and the h_dst/h_src input grads memcmp
+// equal, the whole layer's upstream gradient being the pruned one's at the
+// read rows and zero elsewhere. The read sets cover a row with no edges
+// (the row_scale == 0 path), the empty set and every row; the graphs a
+// table graph and a non-bipartite one. One scratch serves pruned and whole
+// calls alike.
+TEST(HeteroSageLayerTest, PrunedLayerMatchesWholeLayer) {
+  struct Case {
+    std::string name;
+    int64_t num_nodes;
+    std::vector<CsrAdjacency> adjacency;
+  };
+  std::vector<Case> cases;
+  const auto add_table = [&cases](std::string name, const Table& table) {
+    const TableGraph tg = BuildTableGraph(table);
+    const std::span<const CsrAdjacency> adjacency = tg.graph.adjacencies();
+    cases.push_back({std::move(name), tg.graph.num_nodes(),
+                     {adjacency.begin(), adjacency.end()}});
+  };
+  add_table("sparse", SparseTable());
+  add_table("larger", LargerTable());
+  cases.push_back({"toy", 7, ToyAdjacency()});
+  const int threads_before = ThreadPool::GlobalThreads();
+  for (const Case& c : cases) {
+    const std::vector<int32_t> isolated =
+        IsolatedRows(c.adjacency, c.num_nodes);
+    if (c.name != "larger") ASSERT_FALSE(isolated.empty()) << c.name;
+    std::vector<int32_t> sparse_rows = isolated;
+    std::vector<int32_t> all_rows;
+    for (int32_t v = 0; v < c.num_nodes; ++v) {
+      if (v % 3 == 1) sparse_rows.push_back(v);
+      all_rows.push_back(v);
+    }
+    std::sort(sparse_rows.begin(), sparse_rows.end());
+    sparse_rows.erase(std::unique(sparse_rows.begin(), sparse_rows.end()),
+                      sparse_rows.end());
+    const std::vector<int32_t> no_rows;
+    Rng rng(23);
+    HeteroSageLayer layer("l", static_cast<int>(c.adjacency.size()), 8, 20,
+                          &rng);
+    const Tensor input = Tensor::GlorotUniform(c.num_nodes, 8, &rng);
+    const Tensor upstream = Tensor::GlorotUniform(c.num_nodes, 20, &rng);
+    SageScratch scratch;
+    for (const std::vector<int32_t>* read :
+         {&std::as_const(sparse_rows), &no_rows, &std::as_const(all_rows)}) {
+      const auto n = static_cast<int64_t>(read->size());
+      Tensor pruned_up(n, 20);
+      Tensor whole_up = Tensor::Zeros(c.num_nodes, 20);
+      for (int64_t i = 0; i < n; ++i) {
+        const int32_t v = (*read)[static_cast<size_t>(i)];
+        for (int64_t col = 0; col < 20; ++col) {
+          pruned_up.at(i, col) = upstream.at(v, col);
+          whole_up.at(v, col) = upstream.at(v, col);
+        }
+      }
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(c.name + " reading " + std::to_string(n) + " rows at " +
+                     std::to_string(threads) + " threads");
+        ThreadPool::SetGlobalThreads(threads);
+        const LayerRun whole =
+            RunLayer(&layer, true, false, input, c.num_nodes, c.adjacency,
+                     whole_up, &scratch);
+        const LayerRun pruned =
+            RunLayer(&layer, true, false, input, c.num_nodes, c.adjacency,
+                     pruned_up, &scratch, read);
+        ASSERT_EQ(pruned.out.rows(), n);
+        for (int64_t i = 0; i < n; ++i) {
+          const int32_t v = (*read)[static_cast<size_t>(i)];
+          EXPECT_EQ(std::memcmp(pruned.out.data() + i * 20,
+                                whole.out.data() + v * 20,
+                                20 * sizeof(float)),
+                    0)
+              << "row " << v;
+        }
+        ASSERT_EQ(pruned.param_grads.size(), whole.param_grads.size());
+        for (size_t i = 0; i < whole.param_grads.size(); ++i) {
+          ExpectBitIdentical(pruned.param_grads[i], whole.param_grads[i]);
+        }
+        ExpectBitIdentical(pruned.dst_grad, whole.dst_grad);
+        ExpectBitIdentical(pruned.src_grad, whole.src_grad);
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreads(threads_before);
+}
+
+TEST(HeteroSageLayerDeathTest, RejectsUnsortedOrOutOfRangeOutRows) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<CsrAdjacency> adjacency = ToyAdjacency();
+  Rng rng(24);
+  HeteroSageLayer layer("l", 2, 4, 4, &rng);
+  const Tensor input = Tensor::GlorotUniform(7, 4, &rng);
+  const auto forward = [&](std::vector<int32_t> rows) {
+    Tape tape;
+    const Tape::VarId h = tape.Constant(input);
+    layer.Forward(&tape, h, h, 7, adjacency, nullptr, &rows);
+  };
+  EXPECT_DEATH(forward({1, 3, 2}), "out_rows must ascend");
+  EXPECT_DEATH(forward({2, 2}), "out_rows must ascend");
+  EXPECT_DEATH(forward({0, 7}), "out_rows must ascend");
+  EXPECT_DEATH(forward({-1, 3}), "out_rows must ascend");
 }
 
 TEST(HeteroSageLayerTest, GradCheckThroughFusedLayerInput) {
@@ -360,6 +491,35 @@ TEST(HeteroGnnTest, TrainingReducesReconstructionLoss) {
     opt.ZeroGrad();
   }
   EXPECT_LT(last, first * 0.5f);
+}
+
+// The whole-graph forward with out_rows returns exactly those rows of the
+// unpruned forward at every depth; only the last layer is pruned.
+TEST(HeteroGnnTest, OutRowsForwardMatchesWholeForwardRows) {
+  Table t = LargerTable();
+  TableGraph tg = BuildTableGraph(t);
+  std::vector<int32_t> rows;
+  for (int32_t v = 2; v < tg.graph.num_nodes(); v += 5) rows.push_back(v);
+  Rng frng(25);
+  const Tensor features =
+      Tensor::GlorotUniform(tg.graph.num_nodes(), 4, &frng);
+  for (int layers : {1, 2, 3}) {
+    SCOPED_TRACE(std::to_string(layers) + " layers");
+    Rng rng(26);
+    HeteroGnn gnn(tg.graph.num_edge_types(), 4, 6, 5, layers, &rng);
+    const Tensor whole = ForwardValue(gnn, features, tg.graph, nullptr);
+    GnnScratch scratch;
+    Tape tape;
+    const Tensor& pruned = tape.value(gnn.Forward(
+        &tape, tape.Constant(features), tg.graph, &scratch, &rows));
+    ASSERT_EQ(pruned.rows(), static_cast<int64_t>(rows.size()));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(std::memcmp(pruned.data() + static_cast<int64_t>(i) * 5,
+                            whole.data() + rows[i] * 5, 5 * sizeof(float)),
+                0)
+          << "node " << rows[i];
+    }
+  }
 }
 
 TEST(HeteroGnnTest, CallerScratchIsBitIdenticalToCallLocal) {

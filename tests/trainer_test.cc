@@ -326,7 +326,9 @@ TEST(TrainerTest, ShardedSampledPassesIdenticalAcrossPipelineDepths) {
 
 // A hand-built full-mode Trainer over a 14-column table's graph: 14 tasks,
 // alternating categorical linear heads and numerical attention heads,
-// random gather indices (about 1 in 8 cells masked). Task 5 has no
+// random gather indices over the cell nodes (about 1 in 8 cells masked;
+// like the corpus's vectors, none reads a RID node, so full-graph passes
+// compute a strict subset of the rows). Task 5 has no
 // training samples (a validation-only task) and task 9 no
 // validation samples.
 struct FullModeFixture {
@@ -342,7 +344,7 @@ struct FullModeFixture {
   std::vector<std::unique_ptr<TaskHead>> heads;
   GrimpOptions options;
 
-  FullModeFixture() : table(MakeSchema()) {
+  explicit FullModeFixture(int gnn_layers = 2) : table(MakeSchema()) {
     for (int r = 0; r < 40; ++r) {
       std::vector<std::string> row;
       for (int c = 0; c < kCols; ++c) {
@@ -356,7 +358,8 @@ struct FullModeFixture {
     store = std::make_unique<InMemoryGraphStore>(&tg.graph);
     Rng rng(17);
     features = Tensor::GlorotUniform(tg.graph.num_nodes(), kDim, &rng);
-    gnn = HeteroGnn(tg.graph.num_edge_types(), kDim, kDim, kDim, 2, &rng);
+    gnn = HeteroGnn(tg.graph.num_edge_types(), kDim, kDim, kDim, gnn_layers,
+                    &rng);
     shared = Mlp("shared", {kDim, 16, kDim}, &rng);
     const Tensor column_features = Tensor::GlorotUniform(kCols, kDim, &rng);
     for (int t = 0; t < kCols; ++t) {
@@ -371,6 +374,7 @@ struct FullModeFixture {
       }
     }
     options.dim = kDim;
+    options.gnn_layers = gnn_layers;
     options.max_epochs = 6;
     options.patience = 100;
     options.train.mode = TrainMode::kFull;
@@ -386,7 +390,12 @@ struct FullModeFixture {
 
   std::vector<TrainTask> MakeTasks() const {
     Rng rng(29);
-    const auto num_nodes = static_cast<uint64_t>(tg.graph.num_nodes());
+    std::vector<int32_t> cells;
+    for (size_t v = 0; v < tg.graph.nodes().size(); ++v) {
+      if (tg.graph.nodes()[v].kind == NodeKind::kCell) {
+        cells.push_back(static_cast<int32_t>(v));
+      }
+    }
     std::vector<TrainTask> tasks(kCols);
     for (int t = 0; t < kCols; ++t) {
       TrainTask& task = tasks[static_cast<size_t>(t)];
@@ -398,7 +407,7 @@ struct FullModeFixture {
         for (int i = 0; i < samples * kCols; ++i) {
           idx->push_back(rng.Uniform(8) == 0
                              ? -1
-                             : static_cast<int32_t>(rng.Uniform(num_nodes)));
+                             : cells[rng.Uniform(cells.size())]);
         }
         for (int i = 0; i < samples; ++i) {
           if (task.categorical) {
@@ -416,8 +425,9 @@ struct FullModeFixture {
     return tasks;
   }
 
+  // The parameters a Trainer over this fixture optimizes.
   void CollectParameters(std::vector<Parameter*>* params) {
-    gnn.CollectParameters(params);
+    if (options.use_gnn) gnn.CollectParameters(params);
     shared.CollectParameters(params);
     for (auto& head : heads) head->CollectParameters(params);
   }
@@ -498,62 +508,136 @@ TEST(TrainerTest, FullModeLossesIndependentOfThreadCount) {
   }
 }
 
+// The fixture's shared representation on one unpruned tape: every node's
+// row of the shared MLP over the whole-graph GNN (or over the features
+// themselves without the GNN).
+Tape::VarId WholeGraphForward(Tape* tape, const FullModeFixture& fx) {
+  const Tape::VarId feats = tape->Constant(fx.features);
+  return fx.shared.Forward(
+      tape, fx.options.use_gnn ? fx.gnn.Forward(tape, feats, fx.tg.graph)
+                               : feats);
+}
+
+// The fixture's full-mode configurations: the default 2-layer GNN, 1 and 3
+// layers (the pruned layer is then the only one, or above two whole-graph
+// layers), and no GNN at all.
+struct FullModeConfig {
+  std::string name;
+  int gnn_layers;
+  bool use_gnn;
+};
+const FullModeConfig kFullModeConfigs[] = {{"gnn2", 2, true},
+                                           {"gnn1", 1, true},
+                                           {"gnn3", 3, true},
+                                           {"no_gnn", 2, false}};
+
 // The task loop and reduce replay one shared tape exactly: a full-mode
 // epoch gives the same loss and weight bits as the single-tape recipe —
-// every task's head and loss recorded on the shared forward's tape, one
-// Add chain, one backward, one clipped Adam step.
+// every task's head and loss recorded on the unpruned shared forward's
+// tape, one Add chain, one backward, one clipped Adam step. So the read-set
+// forward (the last GNN layer and the shared MLP over only the rows the
+// heads read) moves no bit either.
 TEST(TrainerTest, FullModeEpochMatchesOneSharedTape) {
   ComputeSettingsGuard guard;
   ThreadPool::SetGlobalThreads(4);
   constexpr int kCols = FullModeFixture::kCols;
   constexpr int kDim = FullModeFixture::kDim;
 
-  FullModeFixture ref;
-  const std::vector<TrainTask> tasks = ref.MakeTasks();
-  std::vector<Parameter*> ref_params;
-  ref.CollectParameters(&ref_params);
-  Adam opt(ref_params, ref.options.learning_rate);
-  Tape tape;
-  const Tape::VarId h = ref.shared.Forward(
-      &tape, ref.gnn.Forward(&tape, tape.Constant(ref.features), ref.tg.graph));
-  Tape::VarId total = -1;
-  for (const TrainTask& task : tasks) {
-    if (task.train_idx.empty()) continue;
-    const Tape::VarId out =
-        TaskHeadForward(&tape, *task.head, h, &task.train_idx, kCols, kDim);
-    const Tape::VarId loss =
-        task.categorical ? tape.SoftmaxCrossEntropy(out, &task.train_labels)
-                         : tape.MseLoss(out, &task.train_targets);
-    total = total < 0 ? loss : tape.Add(total, loss);
-  }
-  tape.BackwardFrom(total, Tensor::Scalar(1.0f));
-  opt.ClipGradNorm(ref.options.grad_clip);
-  opt.Step();
+  for (const FullModeConfig& config : kFullModeConfigs) {
+    SCOPED_TRACE(config.name);
+    FullModeFixture ref(config.gnn_layers);
+    ref.options.use_gnn = config.use_gnn;
+    const std::vector<TrainTask> tasks = ref.MakeTasks();
+    std::vector<Parameter*> ref_params;
+    ref.CollectParameters(&ref_params);
+    Adam opt(ref_params, ref.options.learning_rate);
+    Tape tape;
+    const Tape::VarId h = WholeGraphForward(&tape, ref);
+    Tape::VarId total = -1;
+    for (const TrainTask& task : tasks) {
+      if (task.train_idx.empty()) continue;
+      const Tape::VarId out =
+          TaskHeadForward(&tape, *task.head, h, &task.train_idx, kCols, kDim);
+      const Tape::VarId loss =
+          task.categorical ? tape.SoftmaxCrossEntropy(out, &task.train_labels)
+                           : tape.MseLoss(out, &task.train_targets);
+      total = total < 0 ? loss : tape.Add(total, loss);
+    }
+    tape.BackwardFrom(total, Tensor::Scalar(1.0f));
+    opt.ClipGradNorm(ref.options.grad_clip);
+    opt.Step();
 
+    FullModeFixture fx(config.gnn_layers);
+    fx.options.use_gnn = config.use_gnn;
+    fx.options.max_epochs = 1;
+    double train_loss = 0.0;
+    TrainCallbacks callbacks;
+    callbacks.on_epoch_end = [&train_loss](const EpochStats& stats) {
+      train_loss = stats.train_loss;
+      return true;
+    };
+    Trainer trainer(fx.options, fx.store.get(), &fx.features,
+                    config.use_gnn ? &fx.gnn : nullptr, &fx.shared,
+                    fx.MakeTasks(), kCols);
+    ASSERT_TRUE(trainer.Run(callbacks).ok());
+    EXPECT_EQ(train_loss, static_cast<double>(tape.value(total).scalar()));
+    std::vector<Parameter*> params;
+    fx.CollectParameters(&params);
+    ASSERT_EQ(params.size(), ref_params.size());
+    for (size_t i = 0; i < params.size(); ++i) {
+      const Tensor& a = ref_params[i]->value;
+      const Tensor& b = params[i]->value;
+      ASSERT_TRUE(a.SameShape(b)) << params[i]->name;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                            static_cast<size_t>(a.size()) * sizeof(float)),
+                0)
+          << params[i]->name;
+    }
+  }
+}
+
+// A sampled Fit over an in-memory store validates on one full-graph
+// forward over the read set. Its validation loss equals the one an
+// unpruned shared tape gives from the same weights: every task's head and
+// loss on its validation samples, summed in double in task order.
+TEST(TrainerTest, SampledFullGraphValidationMatchesUnprunedTape) {
+  constexpr int kCols = FullModeFixture::kCols;
+  constexpr int kDim = FullModeFixture::kDim;
   FullModeFixture fx;
+  fx.options.train.mode = TrainMode::kSampled;
+  fx.options.train.batch_size = 16;
+  fx.options.train.fanouts = {3, 3};
   fx.options.max_epochs = 1;
-  double train_loss = 0.0;
+  double val_loss = 0.0;
   TrainCallbacks callbacks;
-  callbacks.on_epoch_end = [&train_loss](const EpochStats& stats) {
-    train_loss = stats.train_loss;
+  callbacks.on_epoch_end = [&val_loss](const EpochStats& stats) {
+    EXPECT_TRUE(stats.has_val);
+    EXPECT_TRUE(stats.improved);  // so Run keeps the epoch's weights
+    val_loss = stats.val_loss;
     return true;
   };
+  const std::vector<TrainTask> tasks = fx.MakeTasks();
   Trainer trainer(fx.options, fx.store.get(), &fx.features, &fx.gnn,
                   &fx.shared, fx.MakeTasks(), kCols);
-  ASSERT_TRUE(trainer.Run(callbacks).ok());
-  EXPECT_EQ(train_loss, static_cast<double>(tape.value(total).scalar()));
-  std::vector<Parameter*> params;
-  fx.CollectParameters(&params);
-  ASSERT_EQ(params.size(), ref_params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    const Tensor& a = ref_params[i]->value;
-    const Tensor& b = params[i]->value;
-    ASSERT_TRUE(a.SameShape(b)) << params[i]->name;
-    EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                          static_cast<size_t>(a.size()) * sizeof(float)),
-              0)
-        << params[i]->name;
+  auto summary = trainer.Run(callbacks);
+  ASSERT_TRUE(summary.ok());
+  ASSERT_EQ(summary->epochs_run, 1);
+  EXPECT_GT(summary->steps_run, 1);
+
+  Tape tape;
+  const Tape::VarId h = WholeGraphForward(&tape, fx);
+  double expected = 0.0;
+  for (const TrainTask& task : tasks) {
+    if (task.val_idx.empty()) continue;
+    const Tape::VarId out =
+        TaskHeadForward(&tape, *task.head, h, &task.val_idx, kCols, kDim);
+    expected += tape.value(task.categorical
+                               ? tape.SoftmaxCrossEntropy(out,
+                                                          &task.val_labels)
+                               : tape.MseLoss(out, &task.val_targets))
+                    .scalar();
   }
+  EXPECT_EQ(val_loss, expected);
 }
 
 // The indexed reduce replays the per-task scatter it replaced, on the
@@ -627,8 +711,10 @@ TEST(TrainerTest, FullModeMixedHeadReduceMatchesPerTaskScatter) {
         testing::ReferenceScatter(dense[t], tasks[t].train_idx, &ref_grad);
       }
     }
+    std::vector<std::vector<int32_t>> train_idx;
+    for (const TrainTask& task : tasks) train_idx.push_back(task.train_idx);
     TaskGradReduce reduce;
-    reduce.Build(tasks, h.rows(), kCols);
+    reduce.Build(train_idx, h.rows(), kCols);
     Tensor h_grad = Tensor::Zeros(h.rows(), h.cols());
     reduce.Run(sources, &h_grad);
     EXPECT_TRUE(testing::BitEqual(h_grad, ref_grad));
