@@ -50,7 +50,7 @@ struct TrainConfig {
   // — if no epoch improves, the restore hands the originals back.
   bool warm_start = false;
   // Batches prepared together, for sampled training only: each run of
-  // this many consecutive batches is sampled, shard-prefetched and
+  // this many consecutive batches is sampled (shard visits included) and
   // gathered at once on the thread pool (one lane per thread, up to this
   // many lanes), then stepped in order. 0 and 1 are the serial path, one
   // batch at a time. Any depth produces bit-identical losses and

@@ -135,7 +135,7 @@ struct TrainSummary {
 //    when training. Sampling Rng streams derive from (seed, epoch, batch
 //    id) — never from thread count or scheduling — so losses are identical
 //    at every GRIMP_NUM_THREADS and every pipeline depth. Batch
-//    preparation (PrepareSampledBatch: sampling, shard prefetch, feature
+//    preparation (PrepareSampledBatch: sampling, shard visits, feature
 //    gather) runs in groups of TrainConfig::pipeline_depth consecutive
 //    batches: one ParallelFor over min(depth, pool threads) lanes prepares
 //    the whole group, then the step loop runs through it in plan order.
@@ -145,7 +145,7 @@ struct TrainSummary {
 // The Trainer reads the graph exclusively through a GraphStore: an
 // in-memory store reproduces the old behavior exactly, a ShardedGraphStore
 // streams shard files through an LRU-bounded resident set (the sampler
-// prefetches each layer's shard frontier on the thread pool).
+// visits each layer's shard frontier on the thread pool).
 //
 // The Trainer borrows everything it is given; it owns only the optimizer
 // state for the duration of Run().

@@ -1,5 +1,6 @@
 #include "graph/sampler.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -50,22 +51,40 @@ void NeighborSampler::SampleNode(const GraphShard& shard, int layer,
       count = degree;
     } else {
       // Partial Fisher-Yates: the first `fanout` entries of a uniformly
-      // shuffled copy, i.e. a uniform sample without replacement in
-      // O(degree + fanout), drawn from this node's own stream.
-      // The stream is keyed on the per-Sample nonce and the (layer, type,
-      // node) coordinates — never on the order nodes are visited in — so
-      // regrouping the frontier by shard cannot change what gets drawn.
+      // shuffled copy, i.e. a uniform sample without replacement, drawn
+      // from this node's own stream. The stream is keyed on the per-Sample
+      // nonce and the (layer, type, node) coordinates — never on the order
+      // nodes are visited in — so regrouping the frontier by shard cannot
+      // change what gets drawn.
+      //
+      // The copy stays virtual: `moved` holds the positions a swap wrote
+      // to (at most `fanout`; position k is never read once step k drew
+      // it), every other position reads begin[j] in place. O(fanout^2) at
+      // any degree, no shared scratch, the dense shuffle's Uniform calls.
       Rng stream(MixSeed(nonce ^ static_cast<uint64_t>(layer),
                          static_cast<uint64_t>(t),
                          static_cast<uint64_t>(node)));
-      shuffle_scratch_.assign(begin, end);
+      thread_local std::vector<std::pair<int32_t, int32_t>> moved;
+      moved.clear();
+      const auto find = [&](int32_t pos) -> int32_t* {
+        for (auto& [p, v] : moved) {
+          if (p == pos) return &v;
+        }
+        return nullptr;
+      };
       for (int k = 0; k < fanout; ++k) {
-        const size_t j = static_cast<size_t>(k) +
-                         static_cast<size_t>(stream.Uniform(
-                             static_cast<uint64_t>(degree - k)));
-        std::swap(shuffle_scratch_[static_cast<size_t>(k)],
-                  shuffle_scratch_[j]);
-        draws[k] = shuffle_scratch_[static_cast<size_t>(k)];
+        const auto j = static_cast<int32_t>(
+            k + stream.Uniform(static_cast<uint64_t>(degree - k)));
+        int32_t* at_j = find(j);
+        draws[k] = at_j != nullptr ? *at_j : begin[j];
+        if (j == k) continue;
+        const int32_t* at_k = find(k);
+        const int32_t displaced = at_k != nullptr ? *at_k : begin[k];
+        if (at_j != nullptr) {
+          *at_j = displaced;
+        } else {
+          moved.emplace_back(j, displaced);
+        }
       }
       count = fanout;
     }
@@ -115,6 +134,7 @@ void NeighborSampler::Sample(const std::vector<int32_t>& seeds, Rng* rng,
   std::vector<int32_t> shard_of = TakeVec();
   std::vector<int32_t> shard_start = TakeVec();
   std::vector<int32_t> order = TakeVec();
+  std::vector<int32_t> visit = TakeVec();
 
   for (int l = num_layers - 1; l >= 0; --l) {
     const int fanout = fanouts_[static_cast<size_t>(l)];
@@ -128,58 +148,53 @@ void NeighborSampler::Sample(const std::vector<int32_t>& seeds, Rng* rng,
     draw_count_.resize(static_cast<size_t>(num_types) *
                        static_cast<size_t>(frontier));
 
-    // Pass 1: resolve every frontier node's draws, touching each shard
-    // exactly once. The single-shard store (the in-memory default) skips
-    // the grouping entirely.
-    if (num_shards == 1) {
-      ShardScope scope = store_->Acquire(0);
+    // Pass 1: resolve every frontier node's draws, visiting each shard
+    // exactly once. Counting sort of the frontier by shard: shard_start
+    // becomes the prefix table, order the member positions grouped by
+    // shard.
+    shard_of.resize(static_cast<size_t>(frontier));
+    shard_start.assign(static_cast<size_t>(num_shards) + 1, 0);
+    for (int64_t i = 0; i < frontier; ++i) {
+      const int s = store_->ShardOf(cur[static_cast<size_t>(i)]);
+      shard_of[static_cast<size_t>(i)] = s;
+      ++shard_start[static_cast<size_t>(s) + 1];
+    }
+    for (int s = 0; s < num_shards; ++s) {
+      shard_start[static_cast<size_t>(s) + 1] +=
+          shard_start[static_cast<size_t>(s)];
+    }
+    order.resize(static_cast<size_t>(frontier));
+    {
+      std::vector<int32_t> cursor = TakeVec();
+      cursor.assign(shard_start.begin(), shard_start.end() - 1);
       for (int64_t i = 0; i < frontier; ++i) {
-        SampleNode(*scope, l, frontier, i,
-                   cur[static_cast<size_t>(i)], nonce);
+        const int s = shard_of[static_cast<size_t>(i)];
+        order[static_cast<size_t>(cursor[static_cast<size_t>(s)]++)] =
+            static_cast<int32_t>(i);
       }
-    } else {
-      // Counting sort of the frontier by shard: shard_start becomes the
-      // prefix table, order the member positions grouped by shard.
-      shard_of.resize(static_cast<size_t>(frontier));
-      shard_start.assign(static_cast<size_t>(num_shards) + 1, 0);
-      for (int64_t i = 0; i < frontier; ++i) {
-        const int s = store_->ShardOf(cur[static_cast<size_t>(i)]);
-        shard_of[static_cast<size_t>(i)] = s;
-        ++shard_start[static_cast<size_t>(s) + 1];
-      }
-      for (int s = 0; s < num_shards; ++s) {
-        shard_start[static_cast<size_t>(s) + 1] +=
-            shard_start[static_cast<size_t>(s)];
-      }
-      order.resize(static_cast<size_t>(frontier));
-      {
-        std::vector<int32_t> cursor = TakeVec();
-        cursor.assign(shard_start.begin(), shard_start.end() - 1);
-        for (int64_t i = 0; i < frontier; ++i) {
-          const int s = shard_of[static_cast<size_t>(i)];
-          order[static_cast<size_t>(cursor[static_cast<size_t>(s)]++)] =
-              static_cast<int32_t>(i);
-        }
-        Recycle(std::move(cursor));
-      }
-      prefetch_scratch_.clear();
-      for (int s = 0; s < num_shards; ++s) {
-        if (shard_start[static_cast<size_t>(s) + 1] >
-            shard_start[static_cast<size_t>(s)]) {
-          prefetch_scratch_.push_back(s);
-        }
-      }
-      store_->Prefetch(prefetch_scratch_);
-      for (int s : prefetch_scratch_) {
-        ShardScope scope = store_->Acquire(s);
-        for (int32_t pos = shard_start[static_cast<size_t>(s)];
-             pos < shard_start[static_cast<size_t>(s) + 1]; ++pos) {
-          const int64_t i = order[static_cast<size_t>(pos)];
-          SampleNode(*scope, l, frontier, i,
-                     cur[static_cast<size_t>(i)], nonce);
-        }
+      Recycle(std::move(cursor));
+    }
+    // The shards with members, ascending on odd layers and descending on
+    // even ones, so each layer starts on the shards the previous one left
+    // resident. Draws write per-node slots, so the visit order and the
+    // lanes the store runs the visits on cannot change them.
+    visit.clear();
+    for (int s = 0; s < num_shards; ++s) {
+      if (shard_start[static_cast<size_t>(s) + 1] >
+          shard_start[static_cast<size_t>(s)]) {
+        visit.push_back(s);
       }
     }
+    if (l % 2 == 0) std::reverse(visit.begin(), visit.end());
+    store_->ForEachShard(visit, [&](int64_t v, const GraphShard& shard) {
+      const int s = visit[static_cast<size_t>(v)];
+      for (int32_t pos = shard_start[static_cast<size_t>(s)];
+           pos < shard_start[static_cast<size_t>(s) + 1]; ++pos) {
+        const int64_t i = order[static_cast<size_t>(pos)];
+        SampleNode(shard, l, frontier, i, cur[static_cast<size_t>(i)],
+                   nonce);
+      }
+    });
 
     // Pass 2: assemble the block in canonical (type, destination, draw)
     // order. Local ids: destinations first (in `cur` order), then drawn
@@ -228,6 +243,7 @@ void NeighborSampler::Sample(const std::vector<int32_t>& seeds, Rng* rng,
   Recycle(std::move(shard_of));
   Recycle(std::move(shard_start));
   Recycle(std::move(order));
+  Recycle(std::move(visit));
   out->input_nodes = std::move(cur);
 }
 

@@ -47,21 +47,22 @@ struct SampledSubgraph {
 // neighbor list, so hub cell nodes no longer drag their whole row set into
 // every step.
 //
-// Each layer is resolved in two passes: the frontier is grouped by shard,
-// the store prefetches the missing shards in parallel, and each shard is
-// acquired exactly once while its members' neighbor draws fill a flat
-// scratch buffer; the blocks are then assembled in canonical (type,
-// destination, draw) order. Every destination draws from its own RNG
-// stream keyed on (Sample-call nonce, layer, edge type, global node id),
-// never on traversal order — so the blocks are a pure function of the
-// graph, the seeds and the caller's Rng state, bit-identical across thread
-// counts, shard counts, and store implementations.
+// Each layer is resolved in two passes: the frontier is grouped by shard
+// and the store visits each shard exactly once (GraphStore::ForEachShard,
+// on parallel pool lanes for a sharded store) while its members' neighbor
+// draws fill per-node slots of a flat scratch buffer; the blocks are then
+// assembled in canonical (type, destination, draw) order. Every
+// destination draws from its own RNG stream keyed on (Sample-call nonce,
+// layer, edge type, global node id), never on traversal order or lane —
+// so the blocks are a pure function of the graph, the seeds and the
+// caller's Rng state, bit-identical across thread counts, shard counts,
+// and store implementations.
 //
 // The sampler keeps internal scratch (a dense node->local-id remap and a
 // pool of recycled index vectors) so that steady-state Sample calls into a
 // reused SampledSubgraph perform no heap allocations. Consequence: one
-// sampler instance must not run concurrent Sample calls (the trainer
-// samples on its driver thread, which also keeps the blocks deterministic).
+// sampler instance must not run concurrent Sample calls (the trainer gives
+// each batch-preparation lane its own sampler).
 class NeighborSampler {
  public:
   // `store` must outlive the sampler. fanouts[l] > 0 applies to GNN layer
@@ -96,13 +97,11 @@ class NeighborSampler {
   // Sample scratch (see class comment). local_id_[g] is g's local row id in
   // the layer currently being built, -1 outside Sample and between layers.
   mutable std::vector<int32_t> local_id_;
-  mutable std::vector<int32_t> shuffle_scratch_;
   // Pass-1 output: draw_scratch_[(t * frontier + i) * fanout + k] is the
   // k-th drawn global neighbor of frontier node i under type t, with
   // draw_count_[t * frontier + i] valid entries.
   mutable std::vector<int32_t> draw_scratch_;
   mutable std::vector<int32_t> draw_count_;
-  mutable std::vector<int> prefetch_scratch_;
   mutable std::vector<std::vector<int32_t>> pool_;
 };
 

@@ -29,11 +29,6 @@ Counter& HitCounter() {
   static Counter& c = MetricsRegistry::Global().GetCounter("graph.shard.hits");
   return c;
 }
-Counter& PrefetchSkippedCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().GetCounter("graph.shard.prefetch_skipped");
-  return c;
-}
 
 }  // namespace
 
@@ -77,7 +72,14 @@ void ShardScope::Release() {
   shard_ = nullptr;
 }
 
-void GraphStore::Prefetch(const std::vector<int>&) const {}
+void GraphStore::ForEachShard(
+    std::span<const int> shards,
+    FunctionRef<void(int64_t, const GraphShard&)> fn) const {
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const ShardScope scope = Acquire(shards[i]);
+    fn(static_cast<int64_t>(i), *scope);
+  }
+}
 void GraphStore::Release(int) const {}
 
 Status GraphStore::Append(const GraphDelta&) {
@@ -256,6 +258,10 @@ int ShardedGraphStore::ShardOf(int64_t node) const {
 }
 
 ShardScope ShardedGraphStore::Acquire(int s) const {
+  return ShardScope(this, s, &Pin(s, /*visit=*/false));
+}
+
+const GraphShard& ShardedGraphStore::Pin(int s, bool visit) const {
   GRIMP_CHECK(s >= 0 && s < num_shards());
   std::unique_lock<std::mutex> lock(mu_);
   ShardState& state = states_[static_cast<size_t>(s)];
@@ -264,7 +270,8 @@ ShardScope ShardedGraphStore::Acquire(int s) const {
       HitCounter().Increment();
       ++state.pins;
       state.lru_tick = ++lru_clock_;
-      return ShardScope(this, s, &state.shard);
+      if (visit) ++visit_holds_;
+      return state.shard;
     }
     if (state.state == State::kLoading) {
       load_cv_.wait(lock);
@@ -274,18 +281,52 @@ ShardScope ShardedGraphStore::Acquire(int s) const {
     // load outside the lock, publish. A lone shard larger than the budget
     // still loads — the budget bounds the steady state, not a single shard.
     EvictForLocked(state.size_bytes, s);
+    if (visit && visit_holds_ > 0 &&
+        resident_bytes_ + state.size_bytes > max_resident_bytes_) {
+      // Another visit lane will release a pin without waiting on anything:
+      // wait for it instead of overshooting the budget. This lane holds
+      // nothing, so the wait cannot close a cycle.
+      load_cv_.wait(lock);
+      continue;
+    }
     state.state = State::kLoading;
     resident_bytes_ += state.size_bytes;
     high_water_bytes_ = std::max(high_water_bytes_, resident_bytes_);
+    if (visit) ++visit_holds_;
     FetchCounter().Increment();
     PublishGauges();
     lock.unlock();
-    LoadShard(state, /*pin=*/true);
-    return ShardScope(this, s, &state.shard);
+    LoadShard(state);
+    return state.shard;
   }
 }
 
-void ShardedGraphStore::LoadShard(ShardState& state, bool pin) const {
+void ShardedGraphStore::Unpin(int s, bool visit) const {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ShardState& state = states_[static_cast<size_t>(s)];
+    GRIMP_DCHECK(state.pins > 0);
+    --state.pins;
+    if (visit) --visit_holds_;
+  }
+  load_cv_.notify_all();  // a visit lane may be waiting for the room
+}
+
+void ShardedGraphStore::ForEachShard(
+    std::span<const int> shards,
+    FunctionRef<void(int64_t, const GraphShard&)> fn) const {
+  ThreadPool::Global().ParallelFor(
+      0, static_cast<int64_t>(shards.size()), 1,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          const int s = shards[static_cast<size_t>(i)];
+          fn(i, Pin(s, /*visit=*/true));
+          Unpin(s, /*visit=*/true);
+        }
+      });
+}
+
+void ShardedGraphStore::LoadShard(ShardState& state) const {
   const auto start = std::chrono::steady_clock::now();
   Result<GraphShard> loaded = GraphShard::ReadFrom(state.path);
   GRIMP_CHECK(loaded.ok()) << "shard load failed: "
@@ -308,63 +349,11 @@ void ShardedGraphStore::LoadShard(ShardState& state, bool pin) const {
     std::lock_guard<std::mutex> lock(mu_);
     state.shard = std::move(shard);
     state.state = State::kResident;
-    if (pin) ++state.pins;
+    ++state.pins;
     state.lru_tick = ++lru_clock_;
     PublishGauges();
   }
   load_cv_.notify_all();
-}
-
-void ShardedGraphStore::Prefetch(const std::vector<int>& shards) const {
-  std::vector<int> to_load;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int s : shards) {
-      if (s < 0 || s >= num_shards()) continue;
-      ShardState& state = states_[static_cast<size_t>(s)];
-      if (state.state != State::kUnloaded) continue;
-      // Feasibility before eviction: sum what eviction could actually
-      // reclaim (resident, unpinned shards other than s). If the shard
-      // still wouldn't fit — pinned or in-flight shards hold the budget,
-      // as when a group of batches prepared together exceeds it — decline
-      // without touching the LRU instead of evicting shards about to be
-      // reused. Demand loading (Acquire) still serves the shard later.
-      int64_t evictable_bytes = 0;
-      for (size_t j = 0; j < states_.size(); ++j) {
-        const ShardState& other = states_[j];
-        if (static_cast<int>(j) == s) continue;
-        if (other.state == State::kResident && other.pins == 0) {
-          evictable_bytes += other.size_bytes;
-        }
-      }
-      if (resident_bytes_ > 0 &&
-          resident_bytes_ - evictable_bytes + state.size_bytes >
-              max_resident_bytes_) {
-        PrefetchSkippedCounter().Increment();
-        continue;
-      }
-      EvictForLocked(state.size_bytes, s);
-      if (resident_bytes_ > 0 &&
-          resident_bytes_ + state.size_bytes > max_resident_bytes_) {
-        continue;  // best-effort: budget full, demand loading will handle it
-      }
-      state.state = State::kLoading;
-      resident_bytes_ += state.size_bytes;
-      high_water_bytes_ = std::max(high_water_bytes_, resident_bytes_);
-      FetchCounter().Increment();
-      to_load.push_back(s);
-    }
-    PublishGauges();
-  }
-  if (to_load.empty()) return;
-  ThreadPool::Global().ParallelFor(
-      0, static_cast<int64_t>(to_load.size()), 1,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const int s = to_load[static_cast<size_t>(i)];
-          LoadShard(states_[static_cast<size_t>(s)], /*pin=*/false);
-        }
-      });
 }
 
 Status ShardedGraphStore::Append(const GraphDelta& delta) {
@@ -486,10 +475,7 @@ Status ShardedGraphStore::Append(const GraphDelta& delta) {
 }
 
 void ShardedGraphStore::Release(int s) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ShardState& state = states_[static_cast<size_t>(s)];
-  GRIMP_DCHECK(state.pins > 0);
-  --state.pins;
+  Unpin(s, /*visit=*/false);
 }
 
 void ShardedGraphStore::EvictForLocked(int64_t need, int except) const {

@@ -5,10 +5,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "graph/delta.h"
 #include "graph/hetero_graph.h"
 #include "graph/shard.h"
@@ -92,9 +94,9 @@ class ShardScope {
 //    from an LRU-bounded resident set — training then runs with resident
 //    graph memory bounded by the configured budget instead of the graph.
 //
-// Thread safety: Acquire/Release/Prefetch may be called from any thread
-// (the sampler prefetches layer frontiers on the shared thread pool).
-// Shards themselves are immutable once resident.
+// Thread safety: Acquire/Release/ForEachShard may be called from any
+// thread (the sampler visits each layer's shard frontier on the shared
+// thread pool). Shards themselves are immutable once resident.
 class GraphStore {
  public:
   virtual ~GraphStore() = default;
@@ -111,14 +113,14 @@ class GraphStore {
   // Logically const: resident-set churn is internal state behind mu_.
   virtual ShardScope Acquire(int s) const = 0;
 
-  // Hint that the given shards are about to be acquired. Best-effort: the
-  // sharded store loads the missing ones in parallel on the global thread
-  // pool, stopping when the resident budget is reached. A prefetch that
-  // could only fit by evicting pinned (or still-loading) shards is
-  // declined outright — counted as graph.shard.prefetch_skipped — rather
-  // than thrashing the LRU; demand loading (Acquire) still serves the
-  // shard when it is actually needed. Default no-op.
-  virtual void Prefetch(const std::vector<int>& shards) const;
+  // Calls fn(i, shard) once for each listed shard shards[i], with the
+  // shard pinned only while fn runs. Visits may run concurrently (the
+  // sharded store fans them out on the global pool), so fn must touch only
+  // state owned by its `i`, and must not acquire shards itself. Default:
+  // one serial Acquire per shard, on the calling thread.
+  virtual void ForEachShard(
+      std::span<const int> shards,
+      FunctionRef<void(int64_t, const GraphShard&)> fn) const;
 
   // The whole graph, for consumers that need a full-graph forward (full
   // mode training, validation, decode). Non-null only for the in-memory
@@ -135,7 +137,7 @@ class GraphStore {
   // run merges into the stored adjacency, without a full rebuild. The
   // merged store is bit-identical to one built from scratch over the same
   // edge set. NOT thread-safe against readers: callers (the
-  // StreamingEngine) must serialize Append against Acquire/Prefetch and
+  // StreamingEngine) must serialize Append against Acquire/ForEachShard and
   // other Appends; the sharded store additionally refuses to append while
   // any shard is pinned. Default: NotImplemented (immutable store).
   virtual Status Append(const GraphDelta& delta);
@@ -180,6 +182,12 @@ class InMemoryGraphStore final : public GraphStore {
 // (pinned shards never evict; a lone shard larger than the budget still
 // loads — the budget bounds the steady state, not a single shard).
 //
+// ForEachShard visits its shards on grain-1 pool lanes under the same
+// budget: a lane whose shard cannot fit even after LRU eviction waits for
+// another visit lane to release its pin, and loads anyway only when no
+// other visit lane holds a pin or an in-flight load (pins held outside a
+// visit, or a lone oversized shard, must not stall it).
+//
 // Metrics (registry): counters graph.shard.fetches / evictions / hits,
 // gauges graph.shard.count / resident_shards / resident_bytes /
 // resident_high_water_bytes / total_bytes, and the histogram
@@ -209,7 +217,9 @@ class ShardedGraphStore final : public GraphStore {
   }
   int ShardOf(int64_t node) const override;
   ShardScope Acquire(int s) const override;
-  void Prefetch(const std::vector<int>& shards) const override;
+  void ForEachShard(
+      std::span<const int> shards,
+      FunctionRef<void(int64_t, const GraphShard&)> fn) const override;
   int64_t total_bytes() const override { return total_bytes_; }
   // Sharded append: the delta's new node range becomes one additional
   // spilled shard; edges landing in existing shards are retained as
@@ -238,13 +248,18 @@ class ShardedGraphStore final : public GraphStore {
 
   ShardedGraphStore() = default;
   void Release(int s) const override;
+  // Pins shard `s`, loading it first if necessary. A `visit` pin (one
+  // ForEachShard lane) follows the budget rule in the class comment and
+  // counts in visit_holds_ until the matching Unpin.
+  const GraphShard& Pin(int s, bool visit) const;
+  void Unpin(int s, bool visit) const;
   // Evicts unpinned shards (LRU first) until `need` more bytes fit under
   // the budget or nothing evictable remains. Caller holds mu_.
   void EvictForLocked(int64_t need, int except) const;
   void PublishGauges() const;  // caller holds mu_
   // Loads a kLoading shard (file + patch, outside mu_), then publishes it
-  // resident, pinned once if `pin`. Aborts if the file cannot be loaded.
-  void LoadShard(ShardState& state, bool pin) const;
+  // resident and pinned once. Aborts if the file cannot be loaded.
+  void LoadShard(ShardState& state) const;
 
   int64_t num_nodes_ = 0;
   int num_edge_types_ = 0;
@@ -260,6 +275,8 @@ class ShardedGraphStore final : public GraphStore {
   mutable int64_t resident_bytes_ = 0;
   mutable int64_t high_water_bytes_ = 0;
   mutable uint64_t lru_clock_ = 0;
+  // ForEachShard lanes currently holding a pin or an in-flight load.
+  mutable int visit_holds_ = 0;
 };
 
 // Shard-mode factory used by the engine: wraps `graph` in an

@@ -219,5 +219,74 @@ TEST_F(NeighborSamplerTest, IsolatedSeedGetsEmptySegments) {
   }
 }
 
+// The dense partial Fisher-Yates the sampler's sparse shuffle replaced:
+// shuffle a full copy of the neighbor list, keep the first `fanout`.
+std::vector<int32_t> DenseDraws(std::vector<int32_t> copy, int fanout,
+                                uint64_t nonce, int layer, int type,
+                                int32_t node) {
+  const int degree = static_cast<int>(copy.size());
+  if (degree <= fanout) return copy;
+  Rng stream(MixSeed(nonce ^ static_cast<uint64_t>(layer),
+                     static_cast<uint64_t>(type),
+                     static_cast<uint64_t>(node)));
+  std::vector<int32_t> out;
+  for (int k = 0; k < fanout; ++k) {
+    const size_t j = static_cast<size_t>(k) +
+                     static_cast<size_t>(stream.Uniform(
+                         static_cast<uint64_t>(degree - k)));
+    std::swap(copy[static_cast<size_t>(k)], copy[j]);
+    out.push_back(copy[static_cast<size_t>(k)]);
+  }
+  return out;
+}
+
+// A star: node 0 linked to nodes 1..degree under one edge type.
+HeteroGraph StarGraph(int degree) {
+  HeteroGraph g;
+  for (int i = 0; i <= degree; ++i) g.AddNode(NodeInfo{});
+  std::vector<std::pair<int32_t, int32_t>> edges;
+  for (int32_t v = 1; v <= degree; ++v) {
+    edges.emplace_back(0, v);
+    edges.emplace_back(v, 0);
+  }
+  std::vector<CsrAdjacency> adj;
+  adj.push_back(CsrAdjacency::FromEdges(degree + 1, edges));
+  g.SetAdjacency(std::move(adj));
+  return g;
+}
+
+// The sparse shuffle records only the positions its swaps moved; it must
+// draw exactly the ids, in the same order, as shuffling a dense copy.
+TEST_F(NeighborSamplerTest, SparseShuffleMatchesDenseShuffle) {
+  for (int fanout : {1, 3, 10}) {
+    for (int degree : {fanout, fanout + 1, 10 * fanout, 5000}) {
+      const HeteroGraph g = StarGraph(degree);
+      const CsrAdjacency& adj = g.adjacency(0);
+      const auto [b, e] = adj.NeighborRange(0);
+      const std::vector<int32_t> neighbors(
+          adj.indices().begin() + b, adj.indices().begin() + e);
+      for (const NamedStore& s : Stores(g)) {
+        SCOPED_TRACE(s.name + " fanout " + std::to_string(fanout) +
+                     " degree " + std::to_string(degree));
+        const NeighborSampler sampler(s.store.get(), {fanout});
+        for (uint64_t seed : {3u, 41u, 977u}) {
+          Rng rng(seed);
+          Rng probe(seed);
+          const uint64_t nonce = probe.Next();
+          const SampledSubgraph sub = sampler.Sample({0}, &rng);
+          const CsrAdjacency& block = sub.blocks[0].adjacency[0];
+          std::vector<int32_t> drawn;
+          const auto [db, de] = block.NeighborRange(0);
+          for (int32_t k = db; k < de; ++k) {
+            drawn.push_back(sub.input_nodes[static_cast<size_t>(
+                block.indices()[static_cast<size_t>(k)])]);
+          }
+          EXPECT_EQ(drawn, DenseDraws(neighbors, fanout, nonce, 0, 0, 0));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace grimp

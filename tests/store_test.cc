@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -19,6 +21,7 @@
 
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/names.h"
 #include "graph/sampler.h"
 
@@ -209,6 +212,16 @@ TEST(InMemoryGraphStoreTest, SingleShardOverBorrowedGraph) {
   EXPECT_EQ(scope->begin(), 0);
   EXPECT_EQ(scope->end(), 10);
   EXPECT_EQ(ShardNeighbors(*scope, 0, 3), GraphNeighbors(g, 0, 3));
+
+  // The single shard is visited once, inline.
+  int visits = 0;
+  const std::vector<int> shards{0};
+  store.ForEachShard(shards, [&](int64_t i, const GraphShard& shard) {
+    EXPECT_EQ(i, 0);
+    EXPECT_EQ(&shard, scope.get());
+    ++visits;
+  });
+  EXPECT_EQ(visits, 1);
 }
 
 // --- ShardedGraphStore -----------------------------------------------------
@@ -314,11 +327,28 @@ TEST(ShardedGraphStoreTest, LoneOversizedShardStillLoads) {
   }
 }
 
-TEST(ShardedGraphStoreTest, PrefetchIsBestEffortAndKeepsParity) {
-  const HeteroGraph g = RingGraph(120, 2);
+// Pins the global pool at `threads` for one test and restores it after.
+class ScopedPoolThreads {
+ public:
+  explicit ScopedPoolThreads(int threads)
+      : saved_(ThreadPool::GlobalThreads()) {
+    ThreadPool::SetGlobalThreads(threads);
+  }
+  ~ScopedPoolThreads() { ThreadPool::SetGlobalThreads(saved_); }
+
+ private:
+  int saved_;
+};
+
+// ForEachShard at 4 pool threads under a ~2-shard budget: every listed
+// entry is visited exactly once, on the shard it names, and the lanes keep
+// the resident set under the budget while they run concurrently.
+TEST(ShardedGraphStoreTest, ForEachShardVisitsEachOnceUnderTheBudget) {
+  const ScopedPoolThreads threads(4);
+  const HeteroGraph g = RingGraph(240, 2);
   auto probe = ShardedGraphStore::Create(g, StoreOptions(6, 1ll << 30));
   ASSERT_TRUE(probe.ok());
-  const int64_t budget = (*probe)->total_bytes() / 2;
+  const int64_t budget = (*probe)->total_bytes() / 3;
 
   auto store = ShardedGraphStore::Create(g, StoreOptions(6, budget));
   ASSERT_TRUE(store.ok());
@@ -327,15 +357,37 @@ TEST(ShardedGraphStoreTest, PrefetchIsBestEffortAndKeepsParity) {
       registry.GetCounter("graph.shard.fetches").value();
   const int64_t loads_before =
       registry.GetHistogram("graph.shard.load_micros").count();
-  (*store)->Prefetch({0, 1, 2, 3, 4, 5});
-  EXPECT_LE((*store)->resident_bytes(), budget);
-  for (int s = 0; s < 6; ++s) {
-    const ShardScope scope = (*store)->Acquire(s);
-    for (int64_t node = scope->begin(); node < scope->end(); ++node) {
-      EXPECT_EQ(ShardNeighbors(*scope, 0, node), GraphNeighbors(g, 0, node));
+
+  // Every shard listed twice, out of order.
+  const std::vector<int> shards{3, 0, 5, 1, 4, 2, 2, 4, 1, 5, 0, 3};
+  std::vector<std::atomic<int>> visits(shards.size());
+  std::vector<int> visited_shard(shards.size(), -1);
+  std::vector<int64_t> resident_seen(shards.size(), 0);
+  std::vector<char> parity(shards.size(), 0);
+  (*store)->ForEachShard(shards, [&](int64_t i, const GraphShard& shard) {
+    const auto slot = static_cast<size_t>(i);
+    visits[slot].fetch_add(1);
+    visited_shard[slot] = (*store)->ShardOf(shard.begin());
+    bool same = true;
+    for (int64_t node = shard.begin(); node < shard.end(); ++node) {
+      same = same && ShardNeighbors(shard, 0, node) ==
+                         GraphNeighbors(g, 0, node);
     }
+    parity[slot] = same ? 1 : 0;
+    // Hold the pin a moment so the lanes overlap.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    resident_seen[slot] = (*store)->resident_bytes();
+  });
+
+  for (size_t i = 0; i < shards.size(); ++i) {
+    SCOPED_TRACE("entry " + std::to_string(i));
+    EXPECT_EQ(visits[i].load(), 1);
+    EXPECT_EQ(visited_shard[i], shards[i]);
+    EXPECT_EQ(parity[i], 1);
+    EXPECT_LE(resident_seen[i], budget);
   }
-  // Prefetched and demand loads alike record one load_micros sample each.
+  EXPECT_LE((*store)->high_water_bytes(), budget);
+  // Every visit load records one load_micros sample.
   const int64_t fetches =
       registry.GetCounter("graph.shard.fetches").value() - fetches_before;
   EXPECT_GE(fetches, 6);
@@ -344,10 +396,11 @@ TEST(ShardedGraphStoreTest, PrefetchIsBestEffortAndKeepsParity) {
             fetches);
 }
 
-// When pins hold the whole budget, Prefetch must decline (counted as
-// graph.shard.prefetch_skipped) instead of evicting pinned shards or
-// thrashing the LRU; demand loads still serve the shard later.
-TEST(ShardedGraphStoreTest, PrefetchDeclinesWhenPinsHoldTheBudget) {
+// Pins held outside a visit fill more than the budget: the visit lanes
+// must still finish (loading past the budget when no other visit lane
+// holds anything) and must leave the pinned adjacency untouched.
+TEST(ShardedGraphStoreTest, ForEachShardProgressesWhenPinsHoldTheBudget) {
+  const ScopedPoolThreads threads(4);
   const HeteroGraph g = RingGraph(240, 2);
   auto probe = ShardedGraphStore::Create(g, StoreOptions(6, 1ll << 30));
   ASSERT_TRUE(probe.ok());
@@ -361,35 +414,29 @@ TEST(ShardedGraphStoreTest, PrefetchDeclinesWhenPinsHoldTheBudget) {
   ShardScope pin1 = (*store)->Acquire(1);
   ShardScope pin2 = (*store)->Acquire(2);
   const std::set<int32_t> before = ShardNeighbors(*pin0, 0, 0);
-  const int64_t resident_before = (*store)->resident_bytes();
+  ASSERT_GT((*store)->resident_bytes(), budget);
 
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  const double skipped_before =
-      registry.GetCounter("graph.shard.prefetch_skipped").value();
-  const double evictions_before =
-      registry.GetCounter("graph.shard.evictions").value();
-  (*store)->Prefetch({3, 4, 5});
-  EXPECT_DOUBLE_EQ(
-      registry.GetCounter("graph.shard.prefetch_skipped").value(),
-      skipped_before + 3.0);
-  EXPECT_DOUBLE_EQ(registry.GetCounter("graph.shard.evictions").value(),
-                   evictions_before);
-  // Declined means declined: the resident set did not move and the pinned
-  // adjacency is untouched.
-  EXPECT_EQ((*store)->resident_bytes(), resident_before);
-  EXPECT_EQ(ShardNeighbors(*pin0, 0, 0), before);
-
-  // The skipped shards still demand-load once the pins are gone.
-  pin0.Release();
-  pin1.Release();
-  pin2.Release();
-  for (int s = 3; s < 6; ++s) {
-    const ShardScope scope = (*store)->Acquire(s);
-    ASSERT_NE(scope.get(), nullptr);
-    for (int64_t node = scope->begin(); node < scope->end(); ++node) {
-      EXPECT_EQ(ShardNeighbors(*scope, 0, node), GraphNeighbors(g, 0, node));
+  const std::vector<int> shards{3, 4, 5, 1};
+  std::vector<std::atomic<int>> visits(shards.size());
+  std::vector<char> parity(shards.size(), 0);
+  (*store)->ForEachShard(shards, [&](int64_t i, const GraphShard& shard) {
+    const auto slot = static_cast<size_t>(i);
+    visits[slot].fetch_add(1);
+    bool same = (*store)->ShardOf(shard.begin()) == shards[slot];
+    for (int64_t node = shard.begin(); node < shard.end(); ++node) {
+      same = same && ShardNeighbors(shard, 0, node) ==
+                         GraphNeighbors(g, 0, node);
     }
+    parity[slot] = same ? 1 : 0;
+  });
+  for (size_t i = 0; i < shards.size(); ++i) {
+    SCOPED_TRACE("entry " + std::to_string(i));
+    EXPECT_EQ(visits[i].load(), 1);
+    EXPECT_EQ(parity[i], 1);
   }
+  EXPECT_EQ(ShardNeighbors(*pin0, 0, 0), before);
+  EXPECT_EQ(ShardNeighbors(*pin1, 0, pin1->begin()),
+            GraphNeighbors(g, 0, pin1->begin()));
 }
 
 TEST(ShardedGraphStoreTest, AutoShardCountScalesWithBudget) {
