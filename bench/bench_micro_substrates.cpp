@@ -1,10 +1,14 @@
 // Microbenchmarks (google-benchmark) for the substrates GRIMP is built
 // on: graph construction, feature initialization, GNN forward/backward,
-// training-epoch cost, forest fitting, and the dense kernels.
+// training-epoch cost, forest fitting, the dense kernels and the thread
+// pool's dispatch.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "baselines/random_forest.h"
+#include "common/thread_pool.h"
 #include "core/grimp.h"
 #include "data/datasets.h"
 #include "embedding/feature_init.h"
@@ -132,6 +136,42 @@ void BM_SegmentMean(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * adj.num_edges() * 64);
 }
 BENCHMARK(BM_SegmentMean);
+
+void SpinFor(std::chrono::microseconds duration) {
+  const auto until = std::chrono::steady_clock::now() + duration;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// The cost of starting parallel work: one ParallelFor of 4 chunks, each
+// busy for range(0) µs, on a 4-lane pool, issued range(1) µs after the
+// previous one returned. The ideal time is the chunk work alone. A 20 µs
+// gap is typical between a sampled training step's loops; a 1 ms gap
+// outlasts the workers' spin, so they are parked when the loop arrives.
+// Only the ParallelFor call is timed; read the median of the repetitions.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const std::chrono::microseconds work(state.range(0));
+  const std::chrono::microseconds gap(state.range(1));
+  ThreadPool pool(4);
+  for (auto _ : state) {
+    SpinFor(gap);
+    const auto start = std::chrono::steady_clock::now();
+    pool.ParallelFor(0, 4, 1, [&](int64_t, int64_t) {
+      if (work.count() > 0) SpinFor(work);
+    });
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+  }
+}
+BENCHMARK(BM_ParallelForDispatch)
+    ->ArgNames({"work_us", "gap_us"})
+    ->ArgsProduct({{0, 5, 20, 200}, {20, 1000}})
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(200)
+    ->Repetitions(9)
+    ->ReportAggregatesOnly(true);
 
 }  // namespace
 }  // namespace grimp

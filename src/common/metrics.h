@@ -48,6 +48,15 @@ class Counter {
 class Gauge {
  public:
   void Set(double value) { value_.store(value, std::memory_order_relaxed); }
+  // Compare-and-raise: sets the value to `value` only if that is larger, so
+  // concurrent and later writers never lower a running maximum.
+  void RaiseTo(double value) {
+    double current = value_.load(std::memory_order_relaxed);
+    while (current < value &&
+           !value_.compare_exchange_weak(current, value,
+                                         std::memory_order_relaxed)) {
+    }
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { Set(0.0); }
 

@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "common/env.h"
 #include "common/metrics.h"
@@ -18,6 +23,7 @@ struct PoolMetrics {
   Counter& parallel_for;
   Counter& inline_for;
   Counter& chunks;
+  Counter& parks;
   Gauge& threads;
 };
 
@@ -26,6 +32,7 @@ PoolMetrics& PoolCounters() {
       MetricsRegistry::Global().GetCounter("threadpool.parallel_for"),
       MetricsRegistry::Global().GetCounter("threadpool.inline_for"),
       MetricsRegistry::Global().GetCounter("threadpool.chunks"),
+      MetricsRegistry::Global().GetCounter("threadpool.parks"),
       MetricsRegistry::Global().GetGauge("threadpool.threads")};
   return metrics;
 }
@@ -44,6 +51,40 @@ int DefaultThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   const int fallback = hw > 0 ? static_cast<int>(hw) : 1;
   return EnvOverrides::PositiveInt(kEnvNumThreads, fallback);
+}
+
+// How long a thread waiting on the pool spins before it sleeps. In sampled
+// training, 98% of the gaps between consecutive loops are under 100 µs and
+// 99.4% under 200 µs (DESIGN.md §5), so workers stay awake through a step
+// while an idle pool still sleeps.
+constexpr auto kSpinBound = std::chrono::microseconds(200);
+// Pauses between yields, so spinning threads cede an oversubscribed core.
+// A yield is a syscall worth ~17 pauses (0.44 µs against 25 ns on a 4-vCPU
+// Sapphire Rapids VM), so yielding every 64 keeps a spinner mostly paused.
+constexpr int kYieldEvery = 64;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#else
+  std::this_thread::yield();
+#endif
+}
+
+// Polls `ready` for up to kSpinBound; returns whether it became true.
+template <typename Ready>
+bool SpinUntil(Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBound;
+  for (int i = 1;; ++i) {
+    if (ready()) return true;
+    CpuRelax();
+    if (i % kYieldEvery == 0) {
+      std::this_thread::yield();
+      if (std::chrono::steady_clock::now() >= deadline) return ready();
+    }
+  }
 }
 
 int64_t NumChunks(int64_t begin, int64_t end, int64_t grain) {
@@ -65,11 +106,9 @@ ThreadPool::ThreadPool(int num_threads)
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
+  stop_.store(true);
+  epoch_.fetch_add(1);  // wakes spinners; stop_ is visible with the bump
+  epoch_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -83,28 +122,54 @@ void ThreadPool::RunChunks(ForLoop* loop) {
   }
 }
 
+uint32_t ThreadPool::AwaitEpoch(uint32_t seen) {
+  uint32_t epoch = seen;
+  if (SpinUntil([&]() {
+        epoch = epoch_.load(std::memory_order_acquire);
+        return epoch != seen;
+      })) {
+    return epoch;
+  }
+  // Registering as parked before re-reading epoch_ pairs with the
+  // submitter's bump-then-read of parked_: either this read sees the bump
+  // or the submitter sees parked_ > 0 and notifies.
+  parked_.fetch_add(1);
+  if (epoch_.load() == seen) {
+    PoolCounters().parks.Increment();
+    epoch_.wait(seen);
+  }
+  parked_.fetch_sub(1);
+  return epoch_.load();
+}
+
 void ThreadPool::WorkerMain() {
   g_in_parallel_region = true;
-  uint64_t seen_epoch = 0;
+  uint32_t seen_epoch = 0;
   for (;;) {
-    ForLoop* loop = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&]() { return stop_ || epoch_ != seen_epoch; });
-      if (stop_) return;
-      seen_epoch = epoch_;
-      loop = loop_;
-      if (loop != nullptr) ++active_workers_;
-    }
-    if (loop != nullptr) {
-      RunChunks(loop);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        --active_workers_;
-      }
-      done_cv_.notify_all();
+    seen_epoch = AwaitEpoch(seen_epoch);
+    if (stop_.load()) return;
+    // Register before reading loop_: the submitter retracts loop_ before it
+    // reads active_workers_, so it either sees this worker or this worker
+    // sees the retraction (or a later loop, which is live).
+    active_workers_.fetch_add(1);
+    if (ForLoop* loop = loop_.load()) RunChunks(loop);
+    if (active_workers_.fetch_sub(1) == 1 && joiner_blocked_.load()) {
+      active_workers_.notify_one();
     }
   }
+}
+
+void ThreadPool::AwaitWorkersDone() {
+  if (SpinUntil([&]() { return active_workers_.load() == 0; })) return;
+  // Flag-then-read pairs with the last worker's decrement-then-read of the
+  // flag, so a worker that brings the count to zero sees the flag or the
+  // count read here sees zero.
+  joiner_blocked_.store(true);
+  for (int active = active_workers_.load(); active != 0;
+       active = active_workers_.load()) {
+    active_workers_.wait(active);
+  }
+  joiner_blocked_.store(false);
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
@@ -137,26 +202,19 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
   loop.grain = grain;
   loop.fn = &fn;
   loop.num_chunks = chunks;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    loop_ = &loop;
-    ++epoch_;
-  }
-  cv_.notify_all();
-  // The caller works too — it usually finishes several chunks before the
-  // workers have even woken up, which keeps small loops cheap. Mark it as
-  // inside the region so its own chunk bodies nest inline.
+  loop_.store(&loop);
+  epoch_.fetch_add(1);
+  if (parked_.load() > 0) epoch_.notify_all();
+  // The caller works too. Mark it as inside the region so its own chunk
+  // bodies nest inline.
   g_in_parallel_region = true;
   RunChunks(&loop);
   g_in_parallel_region = false;
-  // The caller's RunChunks only returns once every chunk has been claimed,
-  // so when no worker still holds the loop pointer, every chunk body has
+  // Every chunk has been claimed once the caller's RunChunks returns; once
+  // no worker still holds the retracted pointer, every chunk body has
   // finished and `loop` (a stack object) is safe to destroy.
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&]() { return active_workers_ == 0; });
-    loop_ = nullptr;
-  }
+  loop_.store(nullptr);
+  AwaitWorkersDone();
 }
 
 double ThreadPool::ParallelReduce(

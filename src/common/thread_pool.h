@@ -2,7 +2,6 @@
 #define GRIMP_COMMON_THREAD_POOL_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -55,6 +54,20 @@ class FunctionRef<R(Args...)> {
 // Reductions use ParallelReduce, which accumulates one partial per chunk
 // and combines the partials in ascending chunk order on the calling thread,
 // so reduction results are also independent of thread count.
+//
+// Hand-off: a loop is published with one atomic epoch_ bump. Between loops
+// a worker spins on epoch_ for up to kSpinBound = 200 µs (pausing, and
+// yielding every kYieldEvery pauses so an oversubscribed host progresses),
+// then parks in epoch_.wait() and counts one "threadpool.parks". The
+// submitter calls epoch_.notify_all() only when a worker is parked. (A
+// condition variable's broadcast can block its caller until the waiters of
+// the previous broadcast have run, which costs hundreds of µs on a VM
+// whose idle vCPUs wake slowly.) After running chunks itself, the
+// submitter retracts loop_ and waits for active_workers_ to drain: a
+// bounded spin, then a block that the last worker out wakes only if the
+// submitter is blocked. A worker registers in active_workers_ before it reads loop_, and
+// the submitter clears loop_ before it reads active_workers_ (all seq_cst),
+// so no worker can enter a loop whose stack frame has returned.
 class ThreadPool {
  public:
   // Creates `num_threads` workers. num_threads <= 1 means "no workers":
@@ -104,17 +117,24 @@ class ThreadPool {
 
   void WorkerMain();
   static void RunChunks(ForLoop* loop);
+  // Spins, then parks, until epoch_ differs from `seen`; returns it.
+  uint32_t AwaitEpoch(uint32_t seen);
+  // Spins, then blocks, until no worker holds the retracted loop.
+  void AwaitWorkersDone();
 
   int num_threads_ = 1;
   std::vector<std::thread> workers_;
 
-  std::mutex mu_;                 // guards loop_ hand-off + stop_
-  std::condition_variable cv_;    // workers wait for a new loop
-  std::condition_variable done_cv_;
-  ForLoop* loop_ = nullptr;       // current loop, null when idle
-  uint64_t epoch_ = 0;            // bumped per ParallelFor so workers wake once
-  int active_workers_ = 0;        // workers currently holding loop_
-  bool stop_ = false;
+  // Written once per loop by the submitter, polled by spinning workers.
+  // 32 bits so that parked workers wait on it directly (a futex word); a
+  // worker compares it only for inequality, so wrap-around is harmless.
+  alignas(64) std::atomic<uint32_t> epoch_{0};
+  std::atomic<ForLoop*> loop_{nullptr};  // current loop, null when retracted
+  std::atomic<bool> stop_{false};  // set before the destructor's epoch bump
+  // Read-modify-written by every worker on every loop.
+  alignas(64) std::atomic<int> active_workers_{0};  // workers inside a loop
+  std::atomic<bool> joiner_blocked_{false};  // submitter blocked on drain
+  std::atomic<int> parked_{0};  // workers parked, or about to, on epoch_
 
   std::mutex submit_mu_;  // serializes external ParallelFor callers
 };
@@ -131,8 +151,9 @@ bool ShouldParallelize(int64_t n);
 // Publishes the pool's configuration and dispatch counters into the metrics
 // registry: gauge "threadpool.threads" plus counters
 // "threadpool.parallel_for" (loops fanned out to workers),
-// "threadpool.inline_for" (loops run on the calling thread) and
-// "threadpool.chunks" (total chunks executed). The counters update on every
+// "threadpool.inline_for" (loops run on the calling thread),
+// "threadpool.chunks" (total chunks executed) and "threadpool.parks"
+// (times a worker outwaited its spin and slept until the next loop). The counters update on every
 // ParallelFor; calling this just makes sure the keys exist and refreshes
 // the thread-count gauge, so metric consumers see them even when no loop
 // was big enough to dispatch.

@@ -463,9 +463,11 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
       const double loss_value = tape_.value(loss).scalar();
       if (training) {
         tape_.BackwardFrom(loss, Tensor::Scalar(1.0f));
+        TraceSpan step_span("train.step");
         opt->ClipGradNorm(options_.grad_clip);
         opt->Step();
         opt->ZeroGrad();
+        step_span.Stop();
         ++summary_.steps_run;
         batch_loss_series->Append(loss_value);
       }

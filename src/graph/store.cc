@@ -512,9 +512,13 @@ void ShardedGraphStore::PublishGauges() const {
       MetricsRegistry::Global().GetGauge("graph.shard.resident_bytes");
   static Gauge& high_water = MetricsRegistry::Global().GetGauge(
       "graph.shard.resident_high_water_bytes");
+  static Gauge& high_water_ratio = MetricsRegistry::Global().GetGauge(
+      "graph.shard.resident_high_water_ratio");
   resident_shards.Set(static_cast<double>(resident));
   resident_bytes.Set(static_cast<double>(resident_bytes_));
   high_water.Set(static_cast<double>(high_water_bytes_));
+  high_water_ratio.RaiseTo(static_cast<double>(high_water_bytes_) /
+                           static_cast<double>(max_resident_bytes_));
 }
 
 int64_t ShardedGraphStore::resident_bytes() const {

@@ -190,7 +190,10 @@ class InMemoryGraphStore final : public GraphStore {
 //
 // Metrics (registry): counters graph.shard.fetches / evictions / hits,
 // gauges graph.shard.count / resident_shards / resident_bytes /
-// resident_high_water_bytes / total_bytes, and the histogram
+// resident_high_water_bytes / total_bytes (each set by whichever store
+// published last), the gauge graph.shard.resident_high_water_ratio (the
+// largest high_water_bytes / max_resident_bytes any sharded store in the
+// process has reached; only ever raised), and the histogram
 // graph.shard.load_micros (one sample per load: read, verify, parse, patch).
 class ShardedGraphStore final : public GraphStore {
  public:

@@ -1,5 +1,6 @@
 #include "tensor/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/thread_pool.h"
@@ -7,46 +8,58 @@
 
 namespace grimp {
 
-namespace {
+Optimizer::Optimizer(std::vector<Parameter*> params)
+    : params_(std::move(params)) {
+  for (size_t k = 0; k < params_.size(); ++k) {
+    const int64_t n = params_[k]->value.size();
+    for (int64_t b = 0; b < n; b += kParallelThreshold) {
+      chunks_.push_back({k, b, std::min(n, b + kParallelThreshold)});
+    }
+    total_elements_ += n;
+  }
+  partials_.resize(chunks_.size());
+}
 
-// Runs fn(begin, end) over [0, n) as contiguous ranges, chunked onto the
-// global pool above the dispatch-worthiness threshold. Chunk boundaries
-// depend only on n, so any fn touching only its own range is deterministic
-// at every thread count.
-template <typename Fn>
-void ForEachRange(int64_t n, Fn&& fn) {
-  if (ShouldParallelize(n)) {
-    ParallelFor(0, n, kParallelThreshold, fn);
+void Optimizer::ForEachChunk(
+    FunctionRef<void(size_t, const ParamChunk&)> fn) const {
+  const auto run = [&](int64_t b, int64_t e) {
+    for (auto i = static_cast<size_t>(b); i < static_cast<size_t>(e); ++i) {
+      fn(i, chunks_[i]);
+    }
+  };
+  const auto n = static_cast<int64_t>(chunks_.size());
+  if (ShouldParallelize(total_elements_)) {
+    ParallelFor(0, n, 1, run);
   } else {
-    fn(0, n);
+    run(0, n);
   }
 }
 
-}  // namespace
-
 void Optimizer::ClipGradNorm(float max_norm) {
   const simd::KernelTable& kt = simd::Kernels();
+  ForEachChunk([&](size_t i, const ParamChunk& c) {
+    partials_[i] = kt.sum_squares(c.end - c.begin,
+                                  params_[c.param]->grad.data() + c.begin);
+  });
+  // Ascending chunk order within a parameter, then parameter order: the
+  // same additions at every pool size, so the norm's bits never depend on
+  // the thread count.
   double sq = 0.0;
-  for (Parameter* p : params_) {
-    const float* gd = p->grad.data();
-    // Per-chunk partials combined in ascending chunk order at every pool
-    // size (one thread runs the same chunks inline): boundaries depend only
-    // on the size and the grain, so the norm's bits never depend on the
-    // thread count.
-    sq += ThreadPool::Global().ParallelReduce(
-        0, p->grad.size(), kParallelThreshold,
-        [&](int64_t b, int64_t e) { return kt.sum_squares(e - b, gd + b); },
-        [](double a, double b) { return a + b; });
+  for (size_t i = 0; i < chunks_.size();) {
+    const size_t param = chunks_[i].param;
+    double param_sq = partials_[i++];
+    for (; i < chunks_.size() && chunks_[i].param == param; ++i) {
+      param_sq += partials_[i];
+    }
+    sq += param_sq;
   }
   const double norm = std::sqrt(sq);
   if (norm <= max_norm || norm == 0.0) return;
   const float scale = static_cast<float>(max_norm / norm);
-  for (Parameter* p : params_) {
-    float* gd = p->grad.data();
-    ForEachRange(p->grad.size(), [=, &kt](int64_t b, int64_t e) {
-      kt.scale(e - b, scale, gd + b);
-    });
-  }
+  ForEachChunk([&](size_t, const ParamChunk& c) {
+    kt.scale(c.end - c.begin, scale,
+             params_[c.param]->grad.data() + c.begin);
+  });
 }
 
 Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum)
@@ -61,19 +74,18 @@ Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum)
 
 void Sgd::Step() {
   const simd::KernelTable& kt = simd::Kernels();
-  for (size_t k = 0; k < params_.size(); ++k) {
-    Parameter* p = params_[k];
+  ForEachChunk([&](size_t, const ParamChunk& c) {
+    Parameter* p = params_[c.param];
+    const int64_t n = c.end - c.begin;
+    float* w = p->value.data() + c.begin;
+    const float* g = p->grad.data() + c.begin;
     if (momentum_ != 0.0f) {
-      float* vel = velocity_[k].data();
-      float* w = p->value.data();
-      const float* g = p->grad.data();
-      ForEachRange(p->value.size(), [=, &kt](int64_t b, int64_t e) {
-        kt.sgd_momentum(e - b, lr_, momentum_, g + b, vel + b, w + b);
-      });
+      kt.sgd_momentum(n, lr_, momentum_, g,
+                      velocity_[c.param].data() + c.begin, w);
     } else {
-      p->value.Axpy(-lr_, p->grad);
+      kt.axpy(n, -lr_, g, w);
     }
-  }
+  });
 }
 
 Adam::Adam(std::vector<Parameter*> params, float lr, float beta1, float beta2,
@@ -93,17 +105,13 @@ void Adam::Step() {
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
   const simd::KernelTable& kt = simd::Kernels();
-  for (size_t k = 0; k < params_.size(); ++k) {
-    Parameter* p = params_[k];
-    float* m = m_[k].data();
-    float* v = v_[k].data();
-    float* w = p->value.data();
-    const float* g = p->grad.data();
-    ForEachRange(p->value.size(), [=, &kt](int64_t b, int64_t e) {
-      kt.adam_step(e - b, lr_, beta1_, beta2_, eps_, weight_decay_, bc1, bc2,
-                   g + b, m + b, v + b, w + b);
-    });
-  }
+  ForEachChunk([&](size_t, const ParamChunk& c) {
+    Parameter* p = params_[c.param];
+    kt.adam_step(c.end - c.begin, lr_, beta1_, beta2_, eps_, weight_decay_,
+                 bc1, bc2, p->grad.data() + c.begin,
+                 m_[c.param].data() + c.begin, v_[c.param].data() + c.begin,
+                 p->value.data() + c.begin);
+  });
 }
 
 }  // namespace grimp

@@ -36,6 +36,18 @@ TEST(GaugeTest, LastWriteWins) {
   EXPECT_EQ(gauge.value(), 0.0);
 }
 
+TEST(GaugeTest, RaiseToKeepsTheMaximum) {
+  Gauge gauge;
+  gauge.RaiseTo(0.75);
+  gauge.RaiseTo(0.25);
+  EXPECT_EQ(gauge.value(), 0.75);
+  ThreadPool pool(4);
+  pool.ParallelFor(0, 1000, 1, [&](int64_t b, int64_t) {
+    gauge.RaiseTo(static_cast<double>(b) / 1000.0);
+  });
+  EXPECT_EQ(gauge.value(), 0.999);
+}
+
 TEST(HistogramTest, BucketIndexLog2Scale) {
   EXPECT_EQ(Histogram::BucketIndex(0.0), 0);
   EXPECT_EQ(Histogram::BucketIndex(0.99), 0);

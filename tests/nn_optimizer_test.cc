@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "tensor/nn.h"
@@ -120,6 +121,58 @@ TEST(OptimizerTest, ClipGradNormIndependentOfThreadCount) {
   EXPECT_EQ(std::memcmp(one.data(), four.data(),
                         static_cast<size_t>(one.size()) * sizeof(float)),
             0);
+}
+
+// Many tensors below kParallelThreshold plus one spanning five chunks: the
+// clip and every Adam step run as one pool loop over all their chunks, and
+// weights and moments must keep their bits at 1 and 4 threads.
+TEST(OptimizerTest, ClipAndAdamOverManyParametersIndependentOfThreadCount) {
+  const int saved_threads = ThreadPool::GlobalThreads();
+  struct State {
+    std::vector<Tensor> weights, first, second;
+  };
+  auto train = [](int threads) {
+    ThreadPool::SetGlobalThreads(threads);
+    Rng rng(33);
+    std::vector<Parameter> params;
+    params.reserve(41);
+    for (int i = 0; i < 40; ++i) {
+      params.emplace_back("small", Tensor::GlorotUniform(1 + i % 7, 3 + i,
+                                                          &rng));
+    }
+    params.emplace_back("large", Tensor::GlorotUniform(100, 200, &rng));
+    std::vector<Parameter*> ptrs;
+    for (Parameter& p : params) ptrs.push_back(&p);
+    Adam opt(ptrs, 0.01f, 0.9f, 0.999f, 1e-8f, /*weight_decay=*/0.01f);
+    for (int step = 0; step < 3; ++step) {
+      for (Parameter& p : params) {
+        p.grad = Tensor::GlorotUniform(p.value.rows(), p.value.cols(), &rng);
+      }
+      opt.ClipGradNorm(0.5f);  // the summed norm is far above 0.5
+      opt.Step();
+    }
+    State state;
+    for (size_t k = 0; k < params.size(); ++k) {
+      state.weights.push_back(params[k].value);
+      state.first.push_back(opt.first_moment(k));
+      state.second.push_back(opt.second_moment(k));
+    }
+    return state;
+  };
+  const State one = train(1);
+  const State four = train(4);
+  ThreadPool::SetGlobalThreads(saved_threads);
+  auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+  };
+  ASSERT_EQ(one.weights.size(), 41u);
+  for (size_t k = 0; k < one.weights.size(); ++k) {
+    EXPECT_TRUE(same_bits(one.weights[k], four.weights[k])) << "param " << k;
+    EXPECT_TRUE(same_bits(one.first[k], four.first[k])) << "param " << k;
+    EXPECT_TRUE(same_bits(one.second[k], four.second[k])) << "param " << k;
+  }
 }
 
 TEST(OptimizerTest, AdamWeightDecayShrinksWeights) {

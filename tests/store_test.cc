@@ -292,6 +292,40 @@ TEST(ShardedGraphStoreTest, BudgetBoundsTheResidentSet) {
   EXPECT_LT((*store)->high_water_bytes(), total);
 }
 
+// The bytes gauge reports whichever store published last; the ratio gauge
+// keeps the tightest store's high water against its own budget.
+TEST(ShardedGraphStoreTest, HighWaterRatioGaugeKeepsTheTightestStore) {
+  const HeteroGraph g = RingGraph(400, 2);
+  auto probe = ShardedGraphStore::Create(g, StoreOptions(8, 1ll << 30));
+  ASSERT_TRUE(probe.ok());
+  const int64_t total = (*probe)->total_bytes();
+  Gauge& ratio = MetricsRegistry::Global().GetGauge(
+      "graph.shard.resident_high_water_ratio");
+  Gauge& bytes = MetricsRegistry::Global().GetGauge(
+      "graph.shard.resident_high_water_bytes");
+  ratio.Reset();
+
+  const int64_t tight_budget = total / 4;
+  auto tight = ShardedGraphStore::Create(g, StoreOptions(8, tight_budget));
+  ASSERT_TRUE(tight.ok());
+  for (int s = 0; s < 8; ++s) (*tight)->Acquire(s);
+  const double tight_ratio =
+      static_cast<double>((*tight)->high_water_bytes()) /
+      static_cast<double>(tight_budget);
+  EXPECT_GT(tight_ratio, 0.5);
+  EXPECT_LE(tight_ratio, 1.0);
+  EXPECT_EQ(ratio.value(), tight_ratio);
+
+  auto roomy = ShardedGraphStore::Create(g, StoreOptions(8, total * 8));
+  ASSERT_TRUE(roomy.ok());
+  for (int s = 0; s < 8; ++s) (*roomy)->Acquire(s);
+  EXPECT_EQ(bytes.value(), static_cast<double>((*roomy)->high_water_bytes()));
+  EXPECT_LT(static_cast<double>((*roomy)->high_water_bytes()) /
+                static_cast<double>(total * 8),
+            tight_ratio);
+  EXPECT_EQ(ratio.value(), tight_ratio);
+}
+
 TEST(ShardedGraphStoreTest, PinnedShardSurvivesEvictionChurn) {
   const HeteroGraph g = RingGraph(240, 2);
   auto probe = ShardedGraphStore::Create(g, StoreOptions(6, 1ll << 30));
