@@ -4,14 +4,14 @@
 //     comparison): both train the same model on the same corrupted table
 //     with the same capped sample budget; only TrainConfig differs.
 //  2. pipeline depth sweep: sampled training re-runs at each depth in
-//     --depths (default 0,2,4). Depth 0 is the serial baseline; deeper
-//     configs overlap sampling, shard I/O and feature gather with the
-//     forward/backward via the async batch-prep pipeline
-//     (TrainConfig::pipeline_depth, set per config). Batch contents are a
-//     pure function of (seed, epoch, batch), so every depth must train
-//     bit-identically — the bench checks exact per-epoch loss equality
-//     (and, in-memory, cell-identical imputations) and reports it as
-//     "bit_identical".
+//     --depths (default 0,2,4; TrainConfig::pipeline_depth, set per
+//     config). Depth 0 prepares one batch at a time; depth D samples each
+//     group of D consecutive batches jointly, one shard visit per GNN
+//     layer for the whole group, then steps through the group in order.
+//     Batch contents are a pure function of (seed, epoch, batch), so every
+//     depth must train bit-identically — the bench checks exact per-epoch
+//     loss equality (and, in-memory, cell-identical imputations) and
+//     reports it as "bit_identical".
 //
 // Two dataset modes:
 //   --shards=0 (default): in-memory "adult" replica. Runs one full-graph
@@ -21,13 +21,11 @@
 //   --shards=N: out-of-core "scale" replica over a ShardedGraphStore with
 //     --budget-mb resident bytes. Sampled depth sweep only (full-graph
 //     training needs the whole graph resident); epoch prep now includes
-//     shard fetches, which is exactly what the pipeline hides. At
-//     >= 1000000 rows the run fails unless the best pipelined depth beats
-//     serial epochs by >= 1.25x — provided the machine has a second
-//     hardware thread to overlap with (on a single core, producer and
-//     consumer time-slice the same CPU, so overlap cannot pay; the sweep
-//     still runs and bit-identity is still enforced, but the speedup gate
-//     is reported as skipped).
+//     shard fetches, which a group shares across its batches. At
+//     >= 1000000 rows the run fails unless the best grouped depth beats
+//     depth 0 epochs by >= 1.25x — provided the machine has a second
+//     hardware thread (on a single core the gate is reported as skipped;
+//     the sweep still runs and bit-identity is still enforced).
 //
 // Prints a per-config table and writes machine-readable results
 // (per-epoch seconds, accuracy, speedups, pipeline counters, the

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -215,33 +214,6 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
   // finished and `loop` (a stack object) is safe to destroy.
   loop_.store(nullptr);
   AwaitWorkersDone();
-}
-
-double ThreadPool::ParallelReduce(
-    int64_t begin, int64_t end, int64_t grain,
-    FunctionRef<double(int64_t, int64_t)> fn,
-    FunctionRef<double(double, double)> combine) {
-  grain = std::max<int64_t>(1, grain);
-  const int64_t chunks = NumChunks(begin, end, grain);
-  if (chunks <= 0) return 0.0;
-  // Partials live on the stack up to kStackPartials chunks, so a steady
-  // state of small reductions (gradient clipping) never touches the heap.
-  constexpr int64_t kStackPartials = 64;
-  std::array<double, kStackPartials> stack_partials;
-  std::vector<double> heap_partials;
-  double* partials = stack_partials.data();
-  if (chunks > kStackPartials) {
-    heap_partials.resize(static_cast<size_t>(chunks));
-    partials = heap_partials.data();
-  }
-  ParallelFor(begin, end, grain, [&](int64_t b, int64_t e) {
-    partials[(b - begin) / grain] = fn(b, e);
-  });
-  double acc = partials[0];
-  for (int64_t c = 1; c < chunks; ++c) {
-    acc = combine(acc, partials[c]);
-  }
-  return acc;
 }
 
 ThreadPool& ThreadPool::Global() {

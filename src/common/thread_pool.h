@@ -50,10 +50,9 @@ class FunctionRef<R(Args...)> {
 // threads or on scheduling order. Chunks write to disjoint index ranges, so
 // any kernel whose chunk bodies touch only their own indices produces
 // bit-identical results at every thread count (1 worker and N workers run
-// the exact same chunk list, just interleaved differently in time).
-// Reductions use ParallelReduce, which accumulates one partial per chunk
-// and combines the partials in ascending chunk order on the calling thread,
-// so reduction results are also independent of thread count.
+// the exact same chunk list, just interleaved differently in time). A
+// reduction stays independent of thread count the same way: one partial
+// per chunk, combined in ascending chunk order on the calling thread.
 //
 // Hand-off: a loop is published with one atomic epoch_ bump. Between loops
 // a worker spins on epoch_ for up to kSpinBound = 200 µs (pausing, and
@@ -87,14 +86,6 @@ class ThreadPool {
   // different external threads serialize on an internal mutex.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                    FunctionRef<void(int64_t, int64_t)> fn);
-
-  // Deterministic chunked reduction: partial = fn(chunk_begin, chunk_end)
-  // per chunk, combined in ascending chunk order by `combine` on the
-  // calling thread. With one chunk (or one thread) the same chunks run
-  // inline, so the result never depends on the pool size.
-  double ParallelReduce(int64_t begin, int64_t end, int64_t grain,
-                        FunctionRef<double(int64_t, int64_t)> fn,
-                        FunctionRef<double(double, double)> combine);
 
   // The process-wide pool. Sized on first use from GRIMP_NUM_THREADS (env)
   // or std::thread::hardware_concurrency(). SetGlobalThreads() resizes it

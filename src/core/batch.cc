@@ -25,9 +25,8 @@ std::vector<int> FanoutsOrDefault(std::vector<int> fanouts, int num_layers) {
 BatchScratch::BatchScratch(const GraphStore* store, std::vector<int> fanouts)
     : sampler(store, std::move(fanouts)) {}
 
-void PrepareSampledBatch(std::span<const int32_t> idx, uint64_t rng_seed,
-                         const Tensor& node_features, BatchScratch* scratch,
-                         PreparedBatch* out) {
+void PrepareSampledBatches(std::span<const SampledBatchSpec> specs,
+                           BatchScratch* scratch, PreparedBatch* out) {
   std::vector<int32_t>& seed_local = scratch->seed_local;
   const int64_t num_nodes = scratch->sampler.store().num_nodes();
   if (static_cast<int64_t>(seed_local.size()) < num_nodes) {
@@ -35,32 +34,35 @@ void PrepareSampledBatch(std::span<const int32_t> idx, uint64_t rng_seed,
   }
 
   TraceSpan sample_span("batch.sample");
-  out->seeds.clear();
-  for (const int32_t node : idx) {
-    if (node < 0) continue;
-    int32_t& slot = seed_local[static_cast<size_t>(node)];
-    if (slot < 0) {
-      slot = static_cast<int32_t>(out->seeds.size());
-      out->seeds.push_back(node);
+  scratch->rngs.clear();
+  scratch->rngs.reserve(specs.size());  // members point into it
+  scratch->members.clear();
+  for (size_t b = 0; b < specs.size(); ++b) {
+    const std::span<const int32_t> idx = specs[b].idx;
+    PreparedBatch& batch = out[b];
+    batch.seeds.clear();
+    for (const int32_t node : idx) {
+      if (node < 0) continue;
+      int32_t& slot = seed_local[static_cast<size_t>(node)];
+      if (slot < 0) {
+        slot = static_cast<int32_t>(batch.seeds.size());
+        batch.seeds.push_back(node);
+      }
     }
+    batch.local_idx.resize(idx.size());
+    for (size_t i = 0; i < idx.size(); ++i) {
+      batch.local_idx[i] =
+          idx[i] < 0 ? -1 : seed_local[static_cast<size_t>(idx[i])];
+    }
+    // Restore the all -1 remap for the next batch.
+    for (const int32_t node : batch.seeds) {
+      seed_local[static_cast<size_t>(node)] = -1;
+    }
+    if (batch.seeds.empty()) batch.seeds.push_back(0);
+    Rng& rng = scratch->rngs.emplace_back(specs[b].rng_seed);
+    scratch->members.push_back({&batch.seeds, &rng, &batch.sub});
   }
-  if (out->seeds.empty()) out->seeds.push_back(0);
-  Rng rng(rng_seed);
-  scratch->sampler.Sample(out->seeds, &rng, &out->sub);
-  sample_span.Stop();
-
-  TraceSpan gather_span("batch.gather");
-  out->feats = GatherFeatureRows(node_features, out->sub.input_nodes);
-  out->local_idx.resize(idx.size());
-  for (size_t i = 0; i < idx.size(); ++i) {
-    out->local_idx[i] =
-        idx[i] < 0 ? -1 : seed_local[static_cast<size_t>(idx[i])];
-  }
-  // Restore the all -1 remap for the scratch's next batch. (The dummy-seed
-  // case clears node 0's slot, which was already -1: harmless.)
-  for (const int32_t node : out->seeds) {
-    seed_local[static_cast<size_t>(node)] = -1;
-  }
+  scratch->sampler.SampleGroup(scratch->members);
 }
 
 Tape::VarId TaskHeadForward(Tape* tape, const TaskHead& head, Tape::VarId h,
@@ -91,13 +93,17 @@ Tensor GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
 }
 
 Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
-                         const TaskHead& head, PreparedBatch* batch,
-                         int num_cols, int dim, GnnScratch* gnn_scratch,
+                         const TaskHead& head, const Tensor& node_features,
+                         const PreparedBatch& batch, int num_cols, int dim,
+                         GnnScratch* gnn_scratch,
                          AttentionScratch* head_scratch) {
-  Tape::VarId feats = tape->Constant(std::move(batch->feats));
-  Tape::VarId h = gnn.ForwardBlocks(tape, feats, batch->sub, gnn_scratch);
+  TraceSpan gather_span("batch.gather");
+  Tape::VarId feats =
+      tape->Constant(GatherFeatureRows(node_features, batch.sub.input_nodes));
+  gather_span.Stop();
+  Tape::VarId h = gnn.ForwardBlocks(tape, feats, batch.sub, gnn_scratch);
   return TaskHeadForward(tape, head, shared.Forward(tape, h),
-                         &batch->local_idx, num_cols, dim, head_scratch);
+                         &batch.local_idx, num_cols, dim, head_scratch);
 }
 
 void CompactToReadRows(std::span<std::vector<int32_t>> lists,

@@ -16,20 +16,21 @@
 namespace grimp {
 
 // The one sampled-batch path shared by minibatch training (Trainer) and
-// streaming window inference (GrimpEngine's stream mode): a batch of task
-// samples is reduced to its distinct cell nodes, their receptive field is
-// sampled block by block, the field's input features are gathered, and the
-// samples' gather index is remapped to block-local ids.
+// streaming window inference (GrimpEngine's stream mode): each batch of a
+// group of task-sample batches is reduced to its distinct cell nodes and
+// its gather index remapped to block-local ids, the group's receptive
+// fields are sampled together block by block, and each batch's input
+// features are gathered when its forward runs.
 
 // Per-layer fanouts with the sampled-mode default (10 per layer) filled in
 // when `fanouts` is empty.
 std::vector<int> FanoutsOrDefault(std::vector<int> fanouts, int num_layers);
 
-// One thread's batch-preparation scratch. A NeighborSampler must not run
-// concurrent Sample calls (its dense remap and vector pool are
-// per-instance state), so every preparing thread owns one. Scratch never
-// influences sampled content: draws are keyed per (nonce, layer, type,
-// node), so any scratch yields bit-identical batches.
+// Batch-preparation scratch. A NeighborSampler must not run concurrent
+// Sample calls (its remap and draw slots are per-instance state), so every
+// preparing thread owns one. Scratch never influences sampled content:
+// draws are keyed per (nonce, layer, type, node), so any scratch yields
+// bit-identical batches.
 struct BatchScratch {
   BatchScratch(const GraphStore* store, std::vector<int> fanouts);
 
@@ -37,21 +38,22 @@ struct BatchScratch {
   // Dense node -> batch-local slot remap; all -1 between batches, grown to
   // the store's node count on demand.
   std::vector<int32_t> seed_local;
+  // One sampling stream and one sampler member per batch of a group.
+  std::vector<Rng> rngs;
+  std::vector<NeighborSampler::Member> members;
 };
 
 // One fully prepared minibatch: everything a training or inference step
-// needs short of running the tape. All members are recycled storage — the
-// vectors keep their capacity and the subgraph is refilled through
-// NeighborSampler's scavenging overload, so steady-state preparation
-// performs no heap allocations once capacities have grown to the largest
-// batch seen (feats comes from the pooled tensor arena).
+// needs short of gathering its input features and running the tape. All
+// members are recycled storage — the vectors keep their capacity and the
+// subgraph's arrays are refilled in place by NeighborSampler, so
+// steady-state preparation performs no heap allocations once capacities
+// have grown to the largest batch seen.
 struct PreparedBatch {
   // The batch's distinct seed nodes in first-seen order (block local ids).
   std::vector<int32_t> seeds;
   // Sampled receptive field over the seeds.
   SampledSubgraph sub;
-  // Input features gathered for sub.input_nodes (|input_nodes| x dim).
-  Tensor feats;
   // Per-sample-cell local gather index into the block output (-1 == masked
   // cell), |batch| * num_cols entries.
   std::vector<int32_t> local_idx;
@@ -61,20 +63,28 @@ struct PreparedBatch {
   std::vector<float> targets;
 };
 
-// Prepares the batch whose samples gather `idx` (global node ids,
-// num_cols per sample, -1 == masked cell) into *out's seeds, sub, feats
-// and local_idx:
-//  - seeds: the distinct non-masked nodes of `idx` in first-seen order (the
+// One batch of a group: its samples' gather index (global node ids,
+// num_cols per sample, -1 == masked cell) and the seed of its sampling
+// stream.
+struct SampledBatchSpec {
+  std::span<const int32_t> idx;
+  uint64_t rng_seed = 0;
+};
+
+// Prepares batch b of `specs` into out[b]'s seeds, sub and local_idx, for
+// every b, with one joint NeighborSampler::SampleGroup (one shard visit
+// per layer for the whole group):
+//  - seeds: the distinct non-masked nodes of idx in first-seen order (the
 //    sampler requires distinct seeds; the order fixes the block's local
 //    ids), or the dummy seed 0 when every cell is masked, so a batch of
 //    fully-masked vectors still type-checks (its head sees zero vectors);
-//  - sub: Sample under an Rng seeded with `rng_seed`;
-//  - feats: GatherFeatureRows of sub.input_nodes;
-//  - local_idx: `idx` remapped to the seeds' block-local ids.
-// Records the "batch.sample" and "batch.gather" trace spans.
-void PrepareSampledBatch(std::span<const int32_t> idx, uint64_t rng_seed,
-                         const Tensor& node_features, BatchScratch* scratch,
-                         PreparedBatch* out);
+//  - sub: sampled under an Rng seeded with rng_seed, bit-identical to the
+//    batch's own Sample call;
+//  - local_idx: idx remapped to the seeds' block-local ids.
+// `out` holds at least specs.size() batches. Records one "batch.sample"
+// trace span for the group.
+void PrepareSampledBatches(std::span<const SampledBatchSpec> specs,
+                           BatchScratch* scratch, PreparedBatch* out);
 
 // Task head over rows of `h` (TaskHead::ForwardRows): |idx| / num_cols
 // vectors of num_cols * dim. `idx` is borrowed and must stay alive until
@@ -92,13 +102,15 @@ Tape::VarId TaskHeadForward(Tape* tape, const TaskHead& head, Tape::VarId h,
 Tensor GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
                       int num_cols);
 
-// A prepared batch's forward: ForwardBlocks over batch->sub (masks in
-// *gnn_scratch) -> shared MLP -> TaskHeadForward over batch->local_idx
-// with *head_scratch. Moves batch->feats onto the tape and borrows the
-// rest of *batch until the tape is Reset.
+// A prepared batch's forward: its input features gathered from
+// `node_features` (GatherFeatureRows of sub.input_nodes, recorded as the
+// "batch.gather" trace span) -> ForwardBlocks over batch.sub (masks in
+// *gnn_scratch) -> shared MLP -> TaskHeadForward over batch.local_idx
+// with *head_scratch. Borrows `batch` until the tape is Reset.
 Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
-                         const TaskHead& head, PreparedBatch* batch,
-                         int num_cols, int dim, GnnScratch* gnn_scratch,
+                         const TaskHead& head, const Tensor& node_features,
+                         const PreparedBatch& batch, int num_cols, int dim,
+                         GnnScratch* gnn_scratch,
                          AttentionScratch* head_scratch);
 
 // The whole-graph read rule shared by full-graph training passes (Trainer)
@@ -130,8 +142,7 @@ Tape::VarId ForwardReadRows(Tape* tape, const HeteroGnn* gnn,
 
 // Gathers rows `nodes` of `features` into a fresh arena-backed
 // |nodes| x features.cols() matrix, chunked on the global pool (grain 512;
-// rows are disjoint, so results are bit-identical at every thread count —
-// and on a trainer preparation lane the chunks run inline).
+// rows are disjoint, so results are bit-identical at every thread count).
 Tensor GatherFeatureRows(const Tensor& features,
                          const std::vector<int32_t>& nodes);
 

@@ -936,27 +936,35 @@ Status GrimpEngine::TransformStream(Table* window,
   CollectCells(live, *ctx.tg, ctx.row_begin, w, /*request=*/0,
                /*node_offset=*/0, &s);
 
-  // One sampled batch per task, prepared inline. Each task's sampling
-  // stream is keyed on (seed, task, nonce), so imputations are a pure
-  // function of the graph, the window and the nonce.
+  // One sampled batch per task, all prepared with one joint sample (one
+  // shard visit per layer for the window), then forwarded and decoded in
+  // task order. Each task's sampling stream is keyed on (seed, task,
+  // nonce), so imputations are a pure function of the graph, the window
+  // and the nonce.
   BatchScratch scratch(
       ctx.store,
       FanoutsOrDefault(ctx.fanouts.empty() ? options_.train.fanouts
                                            : ctx.fanouts,
                        gnn_.num_layers()));
-  PreparedBatch batch;
+  std::vector<SampledBatchSpec> specs;
+  std::vector<size_t> spec_task;
   for (size_t t = 0; t < tasks_.size(); ++t) {
     if (s.task_cells[t].empty()) continue;
+    specs.push_back({s.task_idx[t], MixSeed(options_.seed ^ kStreamSalt,
+                                            static_cast<uint64_t>(t),
+                                            ctx.nonce)});
+    spec_task.push_back(t);
+  }
+  std::vector<PreparedBatch> batches(specs.size());
+  PrepareSampledBatches(specs, &scratch, batches.data());
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const size_t t = spec_task[b];
     s.tape.Reset();
-    PrepareSampledBatch(s.task_idx[t],
-                        MixSeed(options_.seed ^ kStreamSalt,
-                                static_cast<uint64_t>(t), ctx.nonce),
-                        *ctx.node_features, &scratch, &batch);
     DecodeTask(t,
-               s.tape.value(ForwardBatch(&s.tape, gnn_, shared_,
-                                         *tasks_[t].head, &batch,
-                                         schema_.num_fields(), options_.dim,
-                                         &s.gnn, &s.heads[t])),
+               s.tape.value(ForwardBatch(
+                   &s.tape, gnn_, shared_, *tasks_[t].head,
+                   *ctx.node_features, batches[b], schema_.num_fields(),
+                   options_.dim, &s.gnn, &s.heads[t])),
                &s);
   }
 

@@ -50,18 +50,20 @@ struct TrainConfig {
   // — if no epoch improves, the restore hands the originals back.
   bool warm_start = false;
   // Batches prepared together, for sampled training only: each run of
-  // this many consecutive batches is sampled (shard visits included) and
-  // gathered at once on the thread pool (one lane per thread, up to this
-  // many lanes), then stepped in order. 0 and 1 are the serial path, one
-  // batch at a time. Any depth produces bit-identical losses and
-  // imputations because per-batch RNG streams are keyed on (seed, epoch,
-  // batch), not on who prepares the batch. Must lie in
-  // [0, kMaxPipelineDepth]. The default stays 0 because the extra slots
-  // cost peak memory (~11% more peak RSS at depth 4 on grimpbench
-  // train_sharded: 32.2 against 28.9 MB, 4 threads).
-  int pipeline_depth = 0;
-  // Group-size ceiling; larger groups only add slot memory, since at most
-  // one lane per pool thread prepares them.
+  // this many consecutive batches is sampled jointly, with one shard visit
+  // per GNN layer for the whole group (NeighborSampler::SampleGroup), then
+  // stepped in order; each batch's input features are gathered as its step
+  // starts. 0 and 1 prepare one batch at a time. Any depth produces
+  // bit-identical losses and imputations because per-batch RNG streams are
+  // keyed on (seed, epoch, batch), not on the group. Must lie in
+  // [0, kMaxPipelineDepth]. The default is a constant, so memory does not
+  // depend on the machine. A group slot holds only its batch's blocks and
+  // indices; with its share of the sampler's draw scratch, each extra
+  // batch of a group costs ~0.17 MB of heap on grimpbench train_sharded's
+  // Fit (steady state, depth 4 against depth 1), where depth 4 runs epochs
+  // ~1.2x faster than depth 1 and depth 8 is no faster than depth 4.
+  int pipeline_depth = 4;
+  // Group-size ceiling; past it, larger groups only add slot memory.
   static constexpr int kMaxPipelineDepth = 16;
 };
 

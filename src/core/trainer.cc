@@ -32,9 +32,8 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 }
 
 // Sampled batch-preparation telemetry, resolved once (registry lookup takes
-// a mutex; every registry object is thread-safe, so lanes update them
-// without extra locking). The span names are held here so recording a span
-// on a lane allocates nothing.
+// a mutex). The span names are held here so recording a span allocates
+// nothing.
 struct PrepMetrics {
   Counter& produced;  // batches prepared
   Counter& consumed;  // batches stepped
@@ -329,44 +328,36 @@ double Trainer::ValidationLoss(bool* has_val) {
   return losses.val_loss;
 }
 
-void Trainer::PrepareBatch(const BatchPlan& plan, bool validation,
-                           PreparedBatch* out, BatchScratch* scratch) const {
-  const TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
-  const std::span<const int32_t> idx(validation ? task.val_idx
-                                                : task.train_idx);
-  PrepareSampledBatch(idx.subspan(static_cast<size_t>(plan.start * num_cols_),
-                                  static_cast<size_t>(plan.bn * num_cols_)),
-                      plan.seed, *node_features_, scratch, out);
-  if (task.categorical) {
-    const std::vector<int32_t>& labels =
-        validation ? task.val_labels : task.train_labels;
-    out->labels.assign(labels.begin() + plan.start,
-                       labels.begin() + plan.start + plan.bn);
-  } else {
-    const std::vector<float>& targets =
-        validation ? task.val_targets : task.train_targets;
-    out->targets.assign(targets.begin() + plan.start,
-                        targets.begin() + plan.start + plan.bn);
-  }
-}
-
-void Trainer::PrepareGroup(int64_t begin, int64_t end, int64_t lanes,
-                           bool validation) {
+void Trainer::PrepareGroup(int64_t begin, int64_t end, bool validation) {
   PrepMetrics& metrics = Prep();
-  lanes = std::min(lanes, end - begin);
-  ParallelFor(0, lanes, 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t l = lo; l < hi; ++l) {
-      for (int64_t b = begin + l; b < end; b += lanes) {
-        const auto start = Now();
-        PrepareBatch(plans_[static_cast<size_t>(b)], validation,
-                     &slots_[static_cast<size_t>(b - begin)],
-                     scratches_[static_cast<size_t>(l)].get());
-        MetricsRegistry::Global().RecordSpan(metrics.prepare_span,
-                                             SecondsSince(start));
-        metrics.produced.Increment();
-      }
+  const auto start = Now();
+  specs_.clear();
+  for (int64_t b = begin; b < end; ++b) {
+    const BatchPlan& plan = plans_[static_cast<size_t>(b)];
+    const TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
+    const std::span<const int32_t> idx(validation ? task.val_idx
+                                                  : task.train_idx);
+    specs_.push_back(
+        {idx.subspan(static_cast<size_t>(plan.start * num_cols_),
+                     static_cast<size_t>(plan.bn * num_cols_)),
+         plan.seed});
+    PreparedBatch& batch = slots_[static_cast<size_t>(b - begin)];
+    if (task.categorical) {
+      const std::vector<int32_t>& labels =
+          validation ? task.val_labels : task.train_labels;
+      batch.labels.assign(labels.begin() + plan.start,
+                          labels.begin() + plan.start + plan.bn);
+    } else {
+      const std::vector<float>& targets =
+          validation ? task.val_targets : task.train_targets;
+      batch.targets.assign(targets.begin() + plan.start,
+                           targets.begin() + plan.start + plan.bn);
     }
-  });
+  }
+  PrepareSampledBatches(specs_, scratch_.get(), slots_.data());
+  MetricsRegistry::Global().RecordSpan(metrics.prepare_span,
+                                       SecondsSince(start));
+  metrics.produced.Increment(end - begin);
 }
 
 double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
@@ -379,7 +370,7 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
   // Batch ids are assigned in (task, offset) order — a pure function of
   // the data, so each batch's sampling stream is stable across runs,
   // thread counts and pipeline depths. The plans are fixed before any
-  // batch is prepared; lanes only ever read them.
+  // batch is prepared.
   plans_.clear();
   uint64_t batch_id = 0;
   for (size_t t = 0; t < tasks_.size(); ++t) {
@@ -403,17 +394,14 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
   if (plans_.empty()) return 0.0;
   *ran = true;
 
-  // Batches prepared together: depths 0 and 1 are the serial path, one
-  // lane and one slot.
+  // Batches prepared together: depths 0 and 1 prepare one at a time.
   const int64_t group = std::max(options_.train.pipeline_depth, 1);
-  const int64_t lanes =
-      std::min<int64_t>(group, ThreadPool::Global().num_threads());
   if (slots_.size() < static_cast<size_t>(group)) {
     slots_.resize(static_cast<size_t>(group));
   }
-  while (scratches_.size() < static_cast<size_t>(lanes)) {
-    scratches_.push_back(std::make_unique<BatchScratch>(
-        store_, FanoutsOrDefault(options_.train.fanouts, gnn_->num_layers())));
+  if (scratch_ == nullptr) {
+    scratch_ = std::make_unique<BatchScratch>(
+        store_, FanoutsOrDefault(options_.train.fanouts, gnn_->num_layers()));
   }
 
   PrepMetrics& metrics = Prep();
@@ -438,7 +426,7 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
     // index storage: drop them before the group refills the slots.
     tape_.Reset();
     const auto wait_start = Now();
-    PrepareGroup(begin, end, lanes, !training);
+    PrepareGroup(begin, end, !training);
     if (group >= 2) {  // the step loop blocked on a whole group
       const double waited = SecondsSince(wait_start);
       MetricsRegistry::Global().RecordSpan(metrics.wait_span, waited);
@@ -456,8 +444,9 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
       PreparedBatch& batch = slots_[static_cast<size_t>(b - begin)];
       const TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
       Tape::VarId out = ForwardBatch(&tape_, *gnn_, *shared_, *task.head,
-                                     &batch, num_cols_, options_.dim,
-                                     &gnn_scratch_, &head_scratch_);
+                                     *node_features_, batch, num_cols_,
+                                     options_.dim, &gnn_scratch_,
+                                     &head_scratch_);
       Tape::VarId loss = TaskLoss(&tape_, task, options_.focal_gamma, out,
                                   batch.labels, batch.targets);
       const double loss_value = tape_.value(loss).scalar();

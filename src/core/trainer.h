@@ -134,13 +134,12 @@ struct TrainSummary {
 //    per-task batch plans that runs backward and the optimizer step only
 //    when training. Sampling Rng streams derive from (seed, epoch, batch
 //    id) — never from thread count or scheduling — so losses are identical
-//    at every GRIMP_NUM_THREADS and every pipeline depth. Batch
-//    preparation (PrepareSampledBatch: sampling, shard visits, feature
-//    gather) runs in groups of TrainConfig::pipeline_depth consecutive
-//    batches: one ParallelFor over min(depth, pool threads) lanes prepares
-//    the whole group, then the step loop runs through it in plan order.
-//    Depths 0 and 1 are the serial path, one batch at a time, whose
-//    nested loops (shard loads, the feature gather) fan out on the pool.
+//    at every GRIMP_NUM_THREADS and every pipeline depth. Batches are
+//    prepared in groups of TrainConfig::pipeline_depth consecutive plans
+//    (PrepareGroup): one PrepareSampledBatches call samples the whole
+//    group with one shard visit per layer, then the step loop runs
+//    through it in plan order, gathering each batch's input features as
+//    its forward starts. Depths 0 and 1 prepare one batch at a time.
 //
 // The Trainer reads the graph exclusively through a GraphStore: an
 // in-memory store reproduces the old behavior exactly, a ShardedGraphStore
@@ -228,9 +227,9 @@ class Trainer {
   double RunSampledPass(int epoch, Adam* opt, bool* ran);
 
   // One sampled batch's fixed recipe, laid out before the pass starts so
-  // preparation is a pure function of the batch id on any lane: which
-  // task, which sample range, and the fully mixed RNG seed of the batch's
-  // sampling stream.
+  // preparation is a pure function of the batch id, whatever group it
+  // falls in: which task, which sample range, and the fully mixed RNG seed
+  // of the batch's sampling stream.
   struct BatchPlan {
     int task = 0;
     int64_t start = 0;
@@ -238,17 +237,10 @@ class Trainer {
     uint64_t seed = 0;
   };
 
-  // Prepares one batch per its plan: PrepareSampledBatch over the plan's
-  // sample range, then label/target slicing. Runs on pool lanes — must
-  // touch no Trainer state that mutates during an epoch.
-  void PrepareBatch(const BatchPlan& plan, bool validation,
-                    PreparedBatch* out, BatchScratch* scratch) const;
-  // Prepares plans_[begin, end) into slots_[0, end - begin): one
-  // ParallelFor over `lanes` lanes, lane l taking batches begin + l,
-  // begin + l + lanes, ... with scratches_[l]. With one lane the batch
-  // runs inline, outside any parallel region.
-  void PrepareGroup(int64_t begin, int64_t end, int64_t lanes,
-                    bool validation);
+  // Prepares plans_[begin, end) into slots_[0, end - begin): slices each
+  // batch's labels or targets, then one PrepareSampledBatches call samples
+  // the whole group jointly on scratch_.
+  void PrepareGroup(int64_t begin, int64_t end, bool validation);
 
   const GrimpOptions& options_;
   const GraphStore* store_;
@@ -278,13 +270,13 @@ class Trainer {
   GnnScratch gnn_scratch_;
   AttentionScratch head_scratch_;  // sampled batches' attention node
   // Sampled-mode batch preparation, grown on the first sampled pass and
-  // recycled after: one slot per batch of a group and one scratch per lane,
-  // so steady-state steps perform no heap allocations. plans_ is rebuilt
-  // per pass and read-only while a group is prepared. The tape's borrowing
-  // overloads point into slot storage, so tape_ is Reset before a group
-  // refills the slots.
+  // recycled after: one slot per batch of a group, one scratch and one spec
+  // list, so steady-state steps perform no heap allocations. plans_ is
+  // rebuilt per pass. The tape's borrowing overloads point into slot
+  // storage, so tape_ is Reset before a group refills the slots.
   std::vector<PreparedBatch> slots_;
-  std::vector<std::unique_ptr<BatchScratch>> scratches_;
+  std::unique_ptr<BatchScratch> scratch_;
+  std::vector<SampledBatchSpec> specs_;
   std::vector<BatchPlan> plans_;
 };
 

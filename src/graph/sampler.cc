@@ -4,8 +4,21 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 
 namespace grimp {
+
+namespace {
+
+// Grows *v's capacity to at least n with 1/8 headroom, so a recycled array
+// settles near the largest size its role has held instead of push_back's
+// or resize's up-to-2x.
+template <typename T>
+void ReserveTight(std::vector<T>* v, size_t n) {
+  if (v->capacity() < n) v->reserve(n + n / 8);
+}
+
+}  // namespace
 
 NeighborSampler::NeighborSampler(const GraphStore* store,
                                  std::vector<int> fanouts)
@@ -15,18 +28,6 @@ NeighborSampler::NeighborSampler(const GraphStore* store,
   for (int fanout : fanouts_) GRIMP_CHECK_GT(fanout, 0);
 }
 
-std::vector<int32_t> NeighborSampler::TakeVec() const {
-  if (pool_.empty()) return {};
-  std::vector<int32_t> v = std::move(pool_.back());
-  pool_.pop_back();
-  return v;
-}
-
-void NeighborSampler::Recycle(std::vector<int32_t> v) const {
-  v.clear();  // keeps capacity
-  pool_.push_back(std::move(v));
-}
-
 SampledSubgraph NeighborSampler::Sample(const std::vector<int32_t>& seeds,
                                         Rng* rng) const {
   SampledSubgraph out;
@@ -34,17 +35,23 @@ SampledSubgraph NeighborSampler::Sample(const std::vector<int32_t>& seeds,
   return out;
 }
 
+void NeighborSampler::Sample(const std::vector<int32_t>& seeds, Rng* rng,
+                             SampledSubgraph* out) const {
+  const Member member{&seeds, rng, out};
+  SampleGroup({&member, 1});
+}
+
 void NeighborSampler::SampleNode(const GraphShard& shard, int layer,
-                                 int64_t frontier_size, int64_t dst_index,
-                                 int32_t node, uint64_t nonce) const {
+                                 uint64_t nonce, int32_t node, int64_t size,
+                                 int64_t i, int32_t* draws_base,
+                                 int32_t* counts) const {
   const int fanout = fanouts_[static_cast<size_t>(layer)];
   const int num_types = shard.num_edge_types();
   for (int t = 0; t < num_types; ++t) {
     const auto [begin, end] = shard.Neighbors(t, node);
     const int degree = static_cast<int>(end - begin);
     int32_t* draws =
-        draw_scratch_.data() +
-        (static_cast<int64_t>(t) * frontier_size + dst_index) * fanout;
+        draws_base + (static_cast<int64_t>(t) * size + i) * fanout;
     int32_t count;
     if (degree <= fanout) {
       for (int k = 0; k < degree; ++k) draws[k] = begin[k];
@@ -52,7 +59,7 @@ void NeighborSampler::SampleNode(const GraphShard& shard, int layer,
     } else {
       // Partial Fisher-Yates: the first `fanout` entries of a uniformly
       // shuffled copy, i.e. a uniform sample without replacement, drawn
-      // from this node's own stream. The stream is keyed on the per-Sample
+      // from this node's own stream. The stream is keyed on the member's
       // nonce and the (layer, type, node) coordinates — never on the order
       // nodes are visited in — so regrouping the frontier by shard cannot
       // change what gets drawn.
@@ -88,13 +95,13 @@ void NeighborSampler::SampleNode(const GraphShard& shard, int layer,
       }
       count = fanout;
     }
-    draw_count_[static_cast<size_t>(t * frontier_size + dst_index)] = count;
+    counts[static_cast<int64_t>(t) * size + i] = count;
   }
 }
 
-void NeighborSampler::Sample(const std::vector<int32_t>& seeds, Rng* rng,
-                             SampledSubgraph* out) const {
-  GRIMP_CHECK(out != nullptr);
+void NeighborSampler::SampleGroup(std::span<const Member> group) const {
+  const auto members = static_cast<int64_t>(group.size());
+  if (members == 0) return;
   const int num_layers = static_cast<int>(fanouts_.size());
   const int num_types = store_->num_edge_types();
   const int num_shards = store_->num_shards();
@@ -102,149 +109,174 @@ void NeighborSampler::Sample(const std::vector<int32_t>& seeds, Rng* rng,
   if (static_cast<int64_t>(local_id_.size()) < num_nodes) {
     local_id_.assign(static_cast<size_t>(num_nodes), -1);
   }
-  // One nonce per call keeps successive Samples decorrelated while leaving
-  // every per-node stream independent of traversal order.
-  const uint64_t nonce = rng->Next();
 
-  // Scavenge the previous call's storage before overwriting anything: every
-  // index vector inside *out goes back to the pool with its capacity, and
-  // the GraphBlock slots themselves are reused in place.
-  for (GraphBlock& block : out->blocks) {
-    for (CsrAdjacency& adj : block.adjacency) {
-      std::vector<int32_t> offsets;
-      std::vector<int32_t> indices;
-      adj.ReleaseParts(&offsets, &indices);
-      Recycle(std::move(offsets));
-      Recycle(std::move(indices));
+  // One nonce per member keeps successive Samples decorrelated while
+  // leaving every per-node stream independent of traversal order. The
+  // outermost layer's destinations are the seeds; each pass's source set
+  // becomes the next (inner) pass's destination set.
+  nonces_.resize(static_cast<size_t>(members));
+  frontier_.clear();
+  start_.assign(1, 0);
+  for (int64_t m = 0; m < members; ++m) {
+    const Member& member = group[static_cast<size_t>(m)];
+    GRIMP_CHECK(member.out != nullptr);
+    nonces_[static_cast<size_t>(m)] = member.rng->Next();
+    SampledSubgraph& out = *member.out;
+    if (static_cast<int>(out.blocks.size()) != num_layers) {
+      out.blocks.resize(static_cast<size_t>(num_layers));
     }
-    block.adjacency.clear();  // keeps capacity
+    out.output_nodes = *member.seeds;  // copy-assign reuses capacity
+    frontier_.insert(frontier_.end(), member.seeds->begin(),
+                     member.seeds->end());
+    start_.push_back(static_cast<int64_t>(frontier_.size()));
   }
-  if (static_cast<int>(out->blocks.size()) != num_layers) {
-    out->blocks.resize(static_cast<size_t>(num_layers));
-  }
-  Recycle(std::move(out->input_nodes));
-  out->output_nodes = seeds;  // copy-assign reuses capacity
-
-  // Sample outermost layer first: its destinations are the seeds, and each
-  // pass's source set becomes the next (inner) pass's destination set.
-  std::vector<int32_t> cur = TakeVec();
-  cur.assign(seeds.begin(), seeds.end());
-
-  // Per-shard frontier grouping scratch (recycled across layers).
-  std::vector<int32_t> shard_of = TakeVec();
-  std::vector<int32_t> shard_start = TakeVec();
-  std::vector<int32_t> order = TakeVec();
-  std::vector<int32_t> visit = TakeVec();
 
   for (int l = num_layers - 1; l >= 0; --l) {
     const int fanout = fanouts_[static_cast<size_t>(l)];
-    const int64_t frontier = static_cast<int64_t>(cur.size());
-    GraphBlock& block = out->blocks[static_cast<size_t>(l)];
-    block.num_dst = frontier;
-    block.adjacency.reserve(static_cast<size_t>(num_types));
-    draw_scratch_.resize(static_cast<size_t>(num_types) *
-                         static_cast<size_t>(frontier) *
-                         static_cast<size_t>(fanout));
-    draw_count_.resize(static_cast<size_t>(num_types) *
-                       static_cast<size_t>(frontier));
+    const int64_t total = static_cast<int64_t>(frontier_.size());
+    // Pass 2 reads only slots pass 1 wrote, so the scratch only grows:
+    // shrinking it would zero the tail again on the next layer.
+    const size_t slots = static_cast<size_t>(num_types) *
+                         static_cast<size_t>(total);
+    const auto grow = [](std::vector<int32_t>* v, size_t n) {
+      if (v->size() >= n) return;
+      ReserveTight(v, n);
+      v->resize(n);
+    };
+    grow(&draw_scratch_, slots * static_cast<size_t>(fanout));
+    grow(&draw_count_, slots);
 
-    // Pass 1: resolve every frontier node's draws, visiting each shard
-    // exactly once. Counting sort of the frontier by shard: shard_start
-    // becomes the prefix table, order the member positions grouped by
-    // shard.
-    shard_of.resize(static_cast<size_t>(frontier));
-    shard_start.assign(static_cast<size_t>(num_shards) + 1, 0);
-    for (int64_t i = 0; i < frontier; ++i) {
-      const int s = store_->ShardOf(cur[static_cast<size_t>(i)]);
-      shard_of[static_cast<size_t>(i)] = s;
-      ++shard_start[static_cast<size_t>(s) + 1];
-    }
-    for (int s = 0; s < num_shards; ++s) {
-      shard_start[static_cast<size_t>(s) + 1] +=
-          shard_start[static_cast<size_t>(s)];
-    }
-    order.resize(static_cast<size_t>(frontier));
-    {
-      std::vector<int32_t> cursor = TakeVec();
-      cursor.assign(shard_start.begin(), shard_start.end() - 1);
-      for (int64_t i = 0; i < frontier; ++i) {
-        const int s = shard_of[static_cast<size_t>(i)];
-        order[static_cast<size_t>(cursor[static_cast<size_t>(s)]++)] =
-            static_cast<int32_t>(i);
+    // Pass 1: resolve every member's frontier draws, visiting each shard
+    // exactly once. Counting sort of the frontier entries by (shard,
+    // member): bucket_ becomes the prefix table, order_ the entries
+    // grouped by key.
+    const int64_t num_keys = static_cast<int64_t>(num_shards) * members;
+    key_.resize(static_cast<size_t>(total));
+    bucket_.assign(static_cast<size_t>(num_keys) + 1, 0);
+    for (int64_t m = 0; m < members; ++m) {
+      for (int64_t e = start_[static_cast<size_t>(m)];
+           e < start_[static_cast<size_t>(m) + 1]; ++e) {
+        const int32_t k = static_cast<int32_t>(
+            store_->ShardOf(frontier_[static_cast<size_t>(e)]) * members + m);
+        key_[static_cast<size_t>(e)] = k;
+        ++bucket_[static_cast<size_t>(k) + 1];
       }
-      Recycle(std::move(cursor));
     }
+    for (int64_t k = 0; k < num_keys; ++k) {
+      bucket_[static_cast<size_t>(k) + 1] += bucket_[static_cast<size_t>(k)];
+    }
+    // Place each entry at its bucket's cursor, which walks bucket_[k] to
+    // the next bucket's start; shifting the table up one slot restores it.
+    order_.resize(static_cast<size_t>(total));
+    for (int64_t e = 0; e < total; ++e) {
+      order_[static_cast<size_t>(
+          bucket_[static_cast<size_t>(key_[static_cast<size_t>(e)])]++)] =
+          static_cast<int32_t>(e);
+    }
+    for (int64_t k = num_keys; k > 0; --k) {
+      bucket_[static_cast<size_t>(k)] = bucket_[static_cast<size_t>(k) - 1];
+    }
+    bucket_[0] = 0;
     // The shards with members, ascending on odd layers and descending on
     // even ones, so each layer starts on the shards the previous one left
     // resident. Draws write per-node slots, so the visit order and the
     // lanes the store runs the visits on cannot change them.
-    visit.clear();
+    visit_.clear();
     for (int s = 0; s < num_shards; ++s) {
-      if (shard_start[static_cast<size_t>(s) + 1] >
-          shard_start[static_cast<size_t>(s)]) {
-        visit.push_back(s);
+      if (bucket_[static_cast<size_t>((s + 1) * members)] >
+          bucket_[static_cast<size_t>(s * members)]) {
+        visit_.push_back(s);
       }
     }
-    if (l % 2 == 0) std::reverse(visit.begin(), visit.end());
-    store_->ForEachShard(visit, [&](int64_t v, const GraphShard& shard) {
-      const int s = visit[static_cast<size_t>(v)];
-      for (int32_t pos = shard_start[static_cast<size_t>(s)];
-           pos < shard_start[static_cast<size_t>(s) + 1]; ++pos) {
-        const int64_t i = order[static_cast<size_t>(pos)];
-        SampleNode(shard, l, frontier, i, cur[static_cast<size_t>(i)],
-                   nonce);
-      }
+    if (l % 2 == 0) std::reverse(visit_.begin(), visit_.end());
+    store_->ForEachShard(visit_, [&](int64_t v, const GraphShard& shard) {
+      const int64_t first_key = visit_[static_cast<size_t>(v)] * members;
+      ParallelFor(0, members, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t m = lo; m < hi; ++m) {
+          const int64_t base = start_[static_cast<size_t>(m)];
+          const int64_t size = start_[static_cast<size_t>(m) + 1] - base;
+          int32_t* draws = draw_scratch_.data() + base * num_types * fanout;
+          int32_t* counts = draw_count_.data() + base * num_types;
+          const auto k = static_cast<size_t>(first_key + m);
+          for (int32_t pos = bucket_[k]; pos < bucket_[k + 1]; ++pos) {
+            const int64_t e = order_[static_cast<size_t>(pos)];
+            SampleNode(shard, l, nonces_[static_cast<size_t>(m)],
+                       frontier_[static_cast<size_t>(e)], size, e - base,
+                       draws, counts);
+          }
+        }
+      });
     });
 
-    // Pass 2: assemble the block in canonical (type, destination, draw)
-    // order. Local ids: destinations first (in `cur` order), then drawn
-    // neighbors in first-touch order — independent of how pass 1 grouped
-    // the work.
-    std::vector<int32_t> src = TakeVec();
-    src.assign(cur.begin(), cur.end());
-    for (size_t i = 0; i < cur.size(); ++i) {
-      int32_t& slot = local_id_[static_cast<size_t>(cur[i])];
-      GRIMP_CHECK_EQ(slot, -1);  // seeds / frontier must be distinct
-      slot = static_cast<int32_t>(i);
-    }
-    for (int t = 0; t < num_types; ++t) {
-      std::vector<int32_t> offsets = TakeVec();
-      offsets.push_back(0);
-      std::vector<int32_t> indices = TakeVec();
-      const int32_t* draws =
-          draw_scratch_.data() + static_cast<int64_t>(t) * frontier * fanout;
-      const int32_t* counts = draw_count_.data() +
-                              static_cast<int64_t>(t) * frontier;
-      for (int64_t i = 0; i < frontier; ++i) {
-        const int32_t count = counts[i];
-        for (int32_t k = 0; k < count; ++k) {
-          const int32_t global = draws[i * fanout + k];
-          int32_t& slot = local_id_[static_cast<size_t>(global)];
-          if (slot < 0) {
-            slot = static_cast<int32_t>(src.size());
-            src.push_back(global);
-          }
-          indices.push_back(slot);
-        }
-        offsets.push_back(static_cast<int32_t>(indices.size()));
+    // Pass 2, per member: assemble the block in canonical (type,
+    // destination, draw) order. Local ids: destinations first (in frontier
+    // order), then drawn neighbors in first-touch order — independent of
+    // how pass 1 grouped the work. Each (layer, type) array of the block
+    // is refilled in place.
+    next_.clear();
+    next_start_.assign(1, 0);
+    for (int64_t m = 0; m < members; ++m) {
+      const int64_t base = start_[static_cast<size_t>(m)];
+      const int64_t size = start_[static_cast<size_t>(m) + 1] - base;
+      const int32_t* cur = frontier_.data() + base;
+      const auto src_base = static_cast<int64_t>(next_.size());
+      GraphBlock& block =
+          group[static_cast<size_t>(m)].out->blocks[static_cast<size_t>(l)];
+      block.num_dst = size;
+      block.adjacency.resize(static_cast<size_t>(num_types));
+      next_.insert(next_.end(), cur, cur + size);
+      for (int64_t i = 0; i < size; ++i) {
+        int32_t& slot = local_id_[static_cast<size_t>(cur[i])];
+        GRIMP_CHECK_EQ(slot, -1);  // seeds / frontier must be distinct
+        slot = static_cast<int32_t>(i);
       }
-      block.adjacency.push_back(
-          CsrAdjacency::FromParts(std::move(offsets), std::move(indices)));
+      for (int t = 0; t < num_types; ++t) {
+        std::vector<int32_t> offsets;
+        std::vector<int32_t> indices;
+        block.adjacency[static_cast<size_t>(t)].ReleaseParts(&offsets,
+                                                             &indices);
+        const int32_t* draws = draw_scratch_.data() +
+                               (base * num_types + t * size) * fanout;
+        const int32_t* counts =
+            draw_count_.data() + base * num_types + t * size;
+        size_t drawn = 0;
+        for (int64_t i = 0; i < size; ++i) drawn += counts[i];
+        ReserveTight(&offsets, static_cast<size_t>(size) + 1);
+        ReserveTight(&indices, drawn);
+        offsets.assign(1, 0);
+        indices.clear();
+        for (int64_t i = 0; i < size; ++i) {
+          for (int32_t k = 0; k < counts[i]; ++k) {
+            const int32_t global = draws[i * fanout + k];
+            int32_t& slot = local_id_[static_cast<size_t>(global)];
+            if (slot < 0) {
+              slot = static_cast<int32_t>(
+                  static_cast<int64_t>(next_.size()) - src_base);
+              next_.push_back(global);
+            }
+            indices.push_back(slot);
+          }
+          offsets.push_back(static_cast<int32_t>(indices.size()));
+        }
+        block.adjacency[static_cast<size_t>(t)] =
+            CsrAdjacency::FromParts(std::move(offsets), std::move(indices));
+      }
+      block.num_src = static_cast<int64_t>(next_.size()) - src_base;
+      // Clear the remap for the next member or layer.
+      for (size_t j = static_cast<size_t>(src_base); j < next_.size(); ++j) {
+        local_id_[static_cast<size_t>(next_[j])] = -1;
+      }
+      next_start_.push_back(static_cast<int64_t>(next_.size()));
     }
-
-    block.num_src = static_cast<int64_t>(src.size());
-    // Clear the remap for the next layer (which re-registers the new
-    // frontier) or for the next Sample call.
-    for (int32_t g : src) local_id_[static_cast<size_t>(g)] = -1;
-    std::swap(cur, src);
-    Recycle(std::move(src));  // the previous frontier's storage
+    std::swap(frontier_, next_);
+    std::swap(start_, next_start_);
   }
 
-  Recycle(std::move(shard_of));
-  Recycle(std::move(shard_start));
-  Recycle(std::move(order));
-  Recycle(std::move(visit));
-  out->input_nodes = std::move(cur);
+  for (int64_t m = 0; m < members; ++m) {
+    group[static_cast<size_t>(m)].out->input_nodes.assign(
+        frontier_.begin() + start_[static_cast<size_t>(m)],
+        frontier_.begin() + start_[static_cast<size_t>(m) + 1]);
+  }
 }
 
 }  // namespace grimp

@@ -2,6 +2,7 @@
 #define GRIMP_GRAPH_SAMPLER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -47,62 +48,93 @@ struct SampledSubgraph {
 // neighbor list, so hub cell nodes no longer drag their whole row set into
 // every step.
 //
-// Each layer is resolved in two passes: the frontier is grouped by shard
-// and the store visits each shard exactly once (GraphStore::ForEachShard,
-// on parallel pool lanes for a sharded store) while its members' neighbor
-// draws fill per-node slots of a flat scratch buffer; the blocks are then
-// assembled in canonical (type, destination, draw) order. Every
-// destination draws from its own RNG stream keyed on (Sample-call nonce,
-// layer, edge type, global node id), never on traversal order or lane —
-// so the blocks are a pure function of the graph, the seeds and the
-// caller's Rng state, bit-identical across thread counts, shard counts,
-// and store implementations.
+// The sampler works on a group of batches at once (SampleGroup; Sample is
+// a group of one), layer by layer. Each layer is resolved in two passes:
+// the union of the members' frontiers is grouped by (shard, member) and
+// the store visits each shard exactly once (GraphStore::ForEachShard, on
+// parallel pool lanes for a sharded store), while every member's nodes in
+// that shard draw into that member's per-node slots of one flat draw
+// scratch — one ParallelFor over the members per visit, which runs on the
+// pool for the single-shard in-memory store and inline inside a sharded
+// visit lane. Pass 2 then assembles each member's block in canonical
+// (type, destination, draw) order. Every destination draws from its own
+// RNG stream keyed on (member nonce, layer, edge type, global node id),
+// never on traversal order, lane or the other members — so each member's
+// blocks are a pure function of the graph, its seeds and its Rng state,
+// bit-identical across thread counts, shard counts, store implementations
+// and group sizes (a node two members share draws once per member).
 //
-// The sampler keeps internal scratch (a dense node->local-id remap and a
-// pool of recycled index vectors) so that steady-state Sample calls into a
-// reused SampledSubgraph perform no heap allocations. Consequence: one
-// sampler instance must not run concurrent Sample calls (the trainer gives
-// each batch-preparation lane its own sampler).
+// The sampler keeps internal scratch (a dense node->local-id remap, the
+// group's frontiers and the draw slots), and pass 2 refills each output
+// block's adjacency arrays in place, so steady-state calls into reused
+// SampledSubgraphs perform no heap allocations. Consequence: one sampler
+// instance must not run concurrent Sample calls.
 class NeighborSampler {
  public:
+  // One batch of a sampled group: its seeds (distinct, valid node ids; the
+  // caller dedups while building the batch), the Rng the call advances by
+  // one draw, and the subgraph it refills.
+  struct Member {
+    const std::vector<int32_t>* seeds = nullptr;
+    Rng* rng = nullptr;
+    SampledSubgraph* out = nullptr;
+  };
+
   // `store` must outlive the sampler. fanouts[l] > 0 applies to GNN layer
   // l; fanouts.size() is the number of blocks Sample produces.
   NeighborSampler(const GraphStore* store, std::vector<int> fanouts);
 
-  // Seeds must be distinct, valid node ids (callers dedup while building
-  // the batch). Each call advances *rng deterministically.
+  // A group of one. Each call advances *rng deterministically.
   SampledSubgraph Sample(const std::vector<int32_t>& seeds, Rng* rng) const;
 
-  // Recycling overload: scavenges *out's existing storage (blocks,
-  // adjacency arrays, node lists) before refilling it, so a caller that
-  // reuses one SampledSubgraph across batches allocates nothing once
-  // capacities have grown to the largest batch seen.
+  // Recycling overload: refills *out's existing storage (blocks, adjacency
+  // arrays, node lists), so a caller that reuses one SampledSubgraph across
+  // batches allocates nothing once capacities have grown to the largest
+  // batch seen.
   void Sample(const std::vector<int32_t>& seeds, Rng* rng,
               SampledSubgraph* out) const;
+
+  // Samples every member with one shard visit per layer for the whole
+  // group. Each member's subgraph equals its own Sample call bit for bit;
+  // members may share seeds but not outputs.
+  void SampleGroup(std::span<const Member> group) const;
 
   const std::vector<int>& fanouts() const { return fanouts_; }
   const GraphStore& store() const { return *store_; }
 
  private:
-  std::vector<int32_t> TakeVec() const;
-  void Recycle(std::vector<int32_t> v) const;
   // Draws up to fanouts_[layer] neighbors of `node` per edge type out of
-  // `shard` into the per-layer flat scratch (`dst_index` = the node's
-  // position in the current frontier).
-  void SampleNode(const GraphShard& shard, int layer, int64_t frontier_size,
-                  int64_t dst_index, int32_t node, uint64_t nonce) const;
+  // `shard` into one member's slots: entry i of a frontier of `size`
+  // nodes, under type t, fills draws[(t * size + i) * fanout ..] and
+  // counts[t * size + i].
+  void SampleNode(const GraphShard& shard, int layer, uint64_t nonce,
+                  int32_t node, int64_t size, int64_t i, int32_t* draws,
+                  int32_t* counts) const;
 
   const GraphStore* store_;
   std::vector<int> fanouts_;
   // Sample scratch (see class comment). local_id_[g] is g's local row id in
-  // the layer currently being built, -1 outside Sample and between layers.
+  // the member block being assembled, -1 outside pass 2.
   mutable std::vector<int32_t> local_id_;
-  // Pass-1 output: draw_scratch_[(t * frontier + i) * fanout + k] is the
-  // k-th drawn global neighbor of frontier node i under type t, with
-  // draw_count_[t * frontier + i] valid entries.
+  // The members' frontiers of the current layer, concatenated: member m's
+  // is frontier_[start_[m], start_[m + 1]). next_ / next_start_ collect
+  // the next (inner) layer's in pass 2.
+  mutable std::vector<int32_t> frontier_;
+  mutable std::vector<int32_t> next_;
+  mutable std::vector<int64_t> start_;
+  mutable std::vector<int64_t> next_start_;
+  mutable std::vector<uint64_t> nonces_;  // one per member
+  // Pass-1 grouping: bucket_[k, k + 1) brackets the entries of frontier_
+  // keyed k = shard * members + member in order_; visit_ lists the shards
+  // with members.
+  mutable std::vector<int32_t> key_;
+  mutable std::vector<int32_t> bucket_;
+  mutable std::vector<int32_t> order_;
+  mutable std::vector<int> visit_;
+  // Pass-1 output, member m's slots starting at start_[m] * types *
+  // fanout (draws) and start_[m] * types (counts); see SampleNode.
   mutable std::vector<int32_t> draw_scratch_;
   mutable std::vector<int32_t> draw_count_;
-  mutable std::vector<std::vector<int32_t>> pool_;
 };
 
 }  // namespace grimp

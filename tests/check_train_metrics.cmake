@@ -1,9 +1,9 @@
 # CTest helper: smoke-run sampled-mode training (bench_train at smoke size
 # runs one full-graph config plus the sampled pipeline-depth sweep 0/2/4
 # back to back) with GRIMP_METRICS_JSON set, then assert the dumped
-# registry contains the train.* observability keys the minibatch pipeline
-# must touch — including the train.pipeline.* counters/gauge/histogram the
-# async batch-prep pipeline publishes — and that BENCH_train.json reports
+# registry contains the train.* observability keys sampled training must
+# touch — including the train.pipeline.* counters/gauge/histogram that
+# grouped batch preparation publishes — and that BENCH_train.json reports
 # the depth sweep bit-identical. Invoked as
 #   cmake -DTRAIN_BIN=<exe> -DWORK_DIR=<dir> -P check_train_metrics.cmake
 

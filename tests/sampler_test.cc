@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -10,7 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "graph/hetero_graph.h"
 #include "graph/store.h"
 
@@ -285,6 +288,199 @@ TEST_F(NeighborSamplerTest, SparseShuffleMatchesDenseShuffle) {
         }
       }
     }
+  }
+}
+
+// 120 nodes under two edge types: type 0 links each node to two
+// pseudo-random others and makes node 0 a hub over every third node; type 1
+// holds 150 random edges. All edges bidirectional.
+HeteroGraph MixedGraph() {
+  constexpr int32_t kNodes = 120;
+  HeteroGraph g;
+  for (int32_t i = 0; i < kNodes; ++i) g.AddNode(NodeInfo{});
+  std::vector<std::pair<int32_t, int32_t>> t0, t1;
+  const auto link = [](std::vector<std::pair<int32_t, int32_t>>* edges,
+                       int32_t a, int32_t b) {
+    if (a == b) return;
+    edges->emplace_back(a, b);
+    edges->emplace_back(b, a);
+  };
+  for (int32_t v = 0; v < kNodes; ++v) {
+    link(&t0, v, (7 * v + 1) % kNodes);
+    link(&t0, v, (13 * v + 5) % kNodes);
+    if (v % 3 == 0) link(&t0, 0, v);
+  }
+  Rng rng(5);
+  for (int e = 0; e < 150; ++e) {
+    link(&t1, static_cast<int32_t>(rng.Uniform(kNodes)),
+         static_cast<int32_t>(rng.Uniform(kNodes)));
+  }
+  std::sort(t0.begin(), t0.end());
+  t0.erase(std::unique(t0.begin(), t0.end()), t0.end());
+  std::sort(t1.begin(), t1.end());
+  t1.erase(std::unique(t1.begin(), t1.end()), t1.end());
+  std::vector<CsrAdjacency> adj;
+  adj.push_back(CsrAdjacency::FromEdges(kNodes, t0));
+  adj.push_back(CsrAdjacency::FromEdges(kNodes, t1));
+  g.SetAdjacency(std::move(adj));
+  return g;
+}
+
+// A sharded store of `g` whose budget holds its largest shard, so nearly
+// every shard a visit needs must be loaded again.
+std::unique_ptr<GraphStore> OneShardBudgetStore(const HeteroGraph& g,
+                                                int num_shards) {
+  ShardedGraphStore::Options options;
+  options.num_shards = num_shards;
+  options.max_resident_bytes = 1ll << 40;
+  auto probe = ShardedGraphStore::Create(g, options);
+  EXPECT_TRUE(probe.ok());
+  if (!probe.ok()) return nullptr;
+  int64_t largest = 0;
+  for (int s = 0; s < (*probe)->num_shards(); ++s) {
+    largest = std::max(largest, (*probe)->Acquire(s)->SizeBytes());
+  }
+  options.max_resident_bytes = largest;
+  auto store = ShardedGraphStore::Create(g, options);
+  EXPECT_TRUE(store.ok());
+  if (!store.ok()) return nullptr;
+  return std::move(store).ValueOrDie();
+}
+
+// Batch b of a group of `count`: distinct seeds that overlap the other
+// batches (node 0 and node 5 recur), except that the last batch of a group
+// of two or more is the dummy seed {0} of a fully masked batch.
+std::vector<std::vector<int32_t>> GroupSeeds(int count) {
+  std::vector<std::vector<int32_t>> seeds(static_cast<size_t>(count));
+  for (int b = 0; b < count; ++b) {
+    std::vector<int32_t>& batch = seeds[static_cast<size_t>(b)];
+    if (count > 1 && b == count - 1) {
+      batch = {0};
+      continue;
+    }
+    batch = {5};
+    if (b == 0) batch.push_back(0);
+    for (int i = 0; i < 6; ++i) {
+      const auto node = static_cast<int32_t>((19 * b + 37 * i + 11) % 120);
+      if (std::find(batch.begin(), batch.end(), node) == batch.end()) {
+        batch.push_back(node);
+      }
+    }
+  }
+  return seeds;
+}
+
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+void ExpectSameBits(const SampledSubgraph& want, const SampledSubgraph& got) {
+  EXPECT_TRUE(SameBits(want.input_nodes, got.input_nodes));
+  EXPECT_TRUE(SameBits(want.output_nodes, got.output_nodes));
+  ASSERT_EQ(want.blocks.size(), got.blocks.size());
+  for (size_t l = 0; l < want.blocks.size(); ++l) {
+    SCOPED_TRACE("block " + std::to_string(l));
+    EXPECT_EQ(want.blocks[l].num_src, got.blocks[l].num_src);
+    EXPECT_EQ(want.blocks[l].num_dst, got.blocks[l].num_dst);
+    ASSERT_EQ(want.blocks[l].adjacency.size(), got.blocks[l].adjacency.size());
+    for (size_t t = 0; t < want.blocks[l].adjacency.size(); ++t) {
+      EXPECT_TRUE(SameBits(want.blocks[l].adjacency[t].offsets(),
+                           got.blocks[l].adjacency[t].offsets()));
+      EXPECT_TRUE(SameBits(want.blocks[l].adjacency[t].indices(),
+                           got.blocks[l].adjacency[t].indices()));
+    }
+  }
+}
+
+// Restores the global pool size a test changes.
+class PoolSizeGuard {
+ public:
+  PoolSizeGuard() : threads_(ThreadPool::GlobalThreads()) {}
+  ~PoolSizeGuard() { ThreadPool::SetGlobalThreads(threads_); }
+
+ private:
+  int threads_;
+};
+
+// A group's members draw into their own slots with their own nonces, so
+// each member's subgraph is the one its own Sample call yields, bit for
+// bit — also for seeds two members share and for a dummy-seed member. The
+// group's outputs are reused from group to group, so later groups refill
+// storage that earlier, differently sized ones grew.
+TEST_F(NeighborSamplerTest, GroupMatchesOneSamplePerBatch) {
+  const HeteroGraph g = MixedGraph();
+  PoolSizeGuard guard;
+  std::vector<NamedStore> stores;
+  stores.push_back({"in_memory", std::make_unique<InMemoryGraphStore>(&g)});
+  stores.push_back({"one_shard_budget", OneShardBudgetStore(g, 5)});
+  ASSERT_NE(stores.back().store, nullptr);
+  for (const NamedStore& s : stores) {
+    for (const int threads : {1, 4}) {
+      ThreadPool::SetGlobalThreads(threads);
+      const NeighborSampler single(s.store.get(), {3, 2});
+      const NeighborSampler grouped(s.store.get(), {3, 2});
+      std::vector<SampledSubgraph> outs;
+      for (const int count : {1, 2, 3, 5}) {
+        SCOPED_TRACE(s.name + " threads " + std::to_string(threads) +
+                     " group " + std::to_string(count));
+        const std::vector<std::vector<int32_t>> seeds = GroupSeeds(count);
+        std::vector<Rng> rngs;
+        for (int b = 0; b < count; ++b) rngs.emplace_back(400 + b);
+        outs.resize(static_cast<size_t>(count));
+        std::vector<NeighborSampler::Member> members;
+        for (size_t b = 0; b < seeds.size(); ++b) {
+          members.push_back({&seeds[b], &rngs[b], &outs[b]});
+        }
+        grouped.SampleGroup(members);
+        for (int b = 0; b < count; ++b) {
+          SCOPED_TRACE("batch " + std::to_string(b));
+          Rng rng(400 + b);
+          ExpectSameBits(single.Sample(seeds[static_cast<size_t>(b)], &rng),
+                         outs[static_cast<size_t>(b)]);
+          EXPECT_EQ(rng.Next(), rngs[static_cast<size_t>(b)].Next());
+        }
+      }
+    }
+  }
+}
+
+// One visit per shard per layer for the whole group: under a one-shard
+// budget a group loads at most layers x (shards it touches) shards,
+// however many batches it holds (one Sample per batch loads about that
+// many per batch).
+TEST_F(NeighborSamplerTest, GroupFetchesAtMostLayersTimesTouchedShards) {
+  const HeteroGraph g = MixedGraph();
+  const std::unique_ptr<GraphStore> store = OneShardBudgetStore(g, 6);
+  ASSERT_NE(store, nullptr);
+  const std::vector<int> fanouts{3, 2};
+  const NeighborSampler sampler(store.get(), fanouts);
+  Counter& fetches =
+      MetricsRegistry::Global().GetCounter("graph.shard.fetches");
+  for (const int count : {1, 2, 4, 8}) {
+    SCOPED_TRACE("group " + std::to_string(count));
+    const std::vector<std::vector<int32_t>> seeds = GroupSeeds(count);
+    std::vector<Rng> rngs;
+    for (int b = 0; b < count; ++b) rngs.emplace_back(900 + b);
+    std::vector<SampledSubgraph> outs(static_cast<size_t>(count));
+    std::vector<NeighborSampler::Member> members;
+    for (size_t b = 0; b < seeds.size(); ++b) {
+      members.push_back({&seeds[b], &rngs[b], &outs[b]});
+    }
+    const int64_t before = fetches.value();
+    sampler.SampleGroup(members);
+    const int64_t loaded = fetches.value() - before;
+    // Every layer's frontier lies inside its member's input nodes.
+    std::set<int> touched;
+    for (const SampledSubgraph& sub : outs) {
+      for (const int32_t node : sub.input_nodes) {
+        touched.insert(store->ShardOf(node));
+      }
+    }
+    EXPECT_GT(loaded, 0);
+    EXPECT_LE(loaded, static_cast<int64_t>(fanouts.size() * touched.size()));
   }
 }
 

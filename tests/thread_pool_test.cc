@@ -86,26 +86,6 @@ TEST(ThreadPoolTest, RepeatedRunsAreDeterministic) {
   }
 }
 
-TEST(ThreadPoolTest, ParallelReduceIsDeterministicAndCorrect) {
-  auto sum_to = [](ThreadPool& pool, int64_t n) {
-    return pool.ParallelReduce(
-        0, n, 1000,
-        [](int64_t b, int64_t e) {
-          double acc = 0.0;
-          for (int64_t i = b; i < e; ++i) acc += static_cast<double>(i);
-          return acc;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  ThreadPool serial(1);
-  ThreadPool wide(6);
-  const int64_t n = 123457;
-  const double expected = static_cast<double>(n - 1) * n / 2.0;
-  EXPECT_EQ(sum_to(serial, n), expected);
-  EXPECT_EQ(sum_to(wide, n), expected);
-  EXPECT_EQ(sum_to(wide, n), sum_to(serial, n));
-}
-
 TEST(ThreadPoolTest, GlobalPoolHonorsOverride) {
   ThreadPool::SetGlobalThreads(3);
   EXPECT_EQ(ThreadPool::GlobalThreads(), 3);

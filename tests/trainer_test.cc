@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <memory>
@@ -499,6 +500,72 @@ TEST(TrainerTest, FullModeLossesIndependentOfThreadCount) {
     for (size_t i = 0; i < serial.params.size(); ++i) {
       const Tensor& a = serial.params[i];
       const Tensor& b = other.params[i];
+      ASSERT_TRUE(a.SameShape(b)) << "param " << i;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                            static_cast<size_t>(a.size()) * sizeof(float)),
+                0)
+          << "param " << i;
+    }
+  }
+}
+
+// Grouped preparation over a sharded store, on a hand-built sampled
+// Trainer: at batch 8 task 0's 20 training samples make 3 batches, so the
+// first group of 4 spans the task 0 / task 1 boundary, and task 0's last
+// batch has every cell masked (it samples the dummy seed). Validation is a
+// sampled pass too (no full graph). Losses and final weights at depth 4,
+// at 1 and 4 threads, must equal the one-batch-at-a-time run bit for bit.
+TEST(TrainerTest, ShardedGroupSpanningATaskBoundaryAndAMaskedBatch) {
+  struct RunOutput {
+    std::vector<double> train_losses;
+    std::vector<double> val_losses;
+    std::vector<Tensor> params;
+  };
+  ComputeSettingsGuard guard;
+  auto run = [](int depth, int num_threads) {
+    ThreadPool::SetGlobalThreads(num_threads);
+    FullModeFixture fx;
+    fx.options.train.mode = TrainMode::kSampled;
+    fx.options.train.batch_size = 8;
+    fx.options.train.fanouts = {3, 3};
+    fx.options.train.pipeline_depth = depth;
+    ShardedGraphStore::Options store_options;
+    store_options.num_shards = 4;
+    store_options.max_resident_bytes = 1ll << 12;  // force eviction
+    auto store = ShardedGraphStore::Create(fx.tg.graph, store_options);
+    EXPECT_TRUE(store.ok());
+    std::vector<TrainTask> tasks = fx.MakeTasks();
+    EXPECT_EQ(tasks[0].NumTrain(), 20);
+    std::fill(tasks[0].train_idx.begin() + 16 * FullModeFixture::kCols,
+              tasks[0].train_idx.end(), -1);
+    RunOutput out;
+    TrainCallbacks callbacks;
+    callbacks.on_epoch_end = [&out](const EpochStats& stats) {
+      out.train_losses.push_back(stats.train_loss);
+      EXPECT_TRUE(stats.has_val);
+      out.val_losses.push_back(stats.val_loss);
+      return true;
+    };
+    Trainer trainer(fx.options, store->get(), &fx.features, &fx.gnn,
+                    &fx.shared, std::move(tasks), FullModeFixture::kCols);
+    auto summary = trainer.Run(callbacks);
+    EXPECT_TRUE(summary.ok());
+    std::vector<Parameter*> params;
+    fx.CollectParameters(&params);
+    for (const Parameter* p : params) out.params.push_back(p->value);
+    return out;
+  };
+  const RunOutput serial = run(/*depth=*/1, /*num_threads=*/1);
+  ASSERT_EQ(serial.train_losses.size(), 6u);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const RunOutput grouped = run(/*depth=*/4, threads);
+    EXPECT_EQ(serial.train_losses, grouped.train_losses);
+    EXPECT_EQ(serial.val_losses, grouped.val_losses);
+    ASSERT_EQ(serial.params.size(), grouped.params.size());
+    for (size_t i = 0; i < serial.params.size(); ++i) {
+      const Tensor& a = serial.params[i];
+      const Tensor& b = grouped.params[i];
       ASSERT_TRUE(a.SameShape(b)) << "param " << i;
       EXPECT_EQ(std::memcmp(a.data(), b.data(),
                             static_cast<size_t>(a.size()) * sizeof(float)),
