@@ -75,7 +75,6 @@ struct ConfigResult {
   double rmse = 0.0;
   int64_t produced = 0;  // train.pipeline.* deltas for this config
   int64_t consumed = 0;
-  int64_t stalls = 0;
   std::vector<double> losses;  // per-epoch train loss, for bit-identity
   Table imputed;               // in-memory mode only
 };
@@ -83,7 +82,6 @@ struct ConfigResult {
 struct PipelineCounters {
   double produced = 0.0;
   double consumed = 0.0;
-  double stalls = 0.0;
 };
 
 PipelineCounters ReadPipelineCounters() {
@@ -91,7 +89,6 @@ PipelineCounters ReadPipelineCounters() {
   PipelineCounters c;
   c.produced = m.GetCounter("train.pipeline.produced").value();
   c.consumed = m.GetCounter("train.pipeline.consumed").value();
-  c.stalls = m.GetCounter("train.pipeline.stalls").value();
   return c;
 }
 
@@ -150,7 +147,6 @@ ConfigResult RunInMemory(const Table& clean, const CorruptedTable& corrupted,
   result.rmse = rr.score.Rmse();
   result.produced = static_cast<int64_t>(after.produced - before.produced);
   result.consumed = static_cast<int64_t>(after.consumed - before.consumed);
-  result.stalls = static_cast<int64_t>(after.stalls - before.stalls);
   result.imputed = std::move(imputed);
   return result;
 }
@@ -196,7 +192,6 @@ ConfigResult RunSharded(const Table& table, const GrimpOptions& base,
   result.mean_epoch_seconds = MeanEpochSeconds(epoch_seconds);
   result.produced = static_cast<int64_t>(after.produced - before.produced);
   result.consumed = static_cast<int64_t>(after.consumed - before.consumed);
-  result.stalls = static_cast<int64_t>(after.stalls - before.stalls);
   return result;
 }
 
@@ -227,11 +222,10 @@ std::string ToJson(const ConfigResult& r) {
       "    {\"config\": \"%s\", \"pipeline_depth\": %d, \"epochs\": %d, "
       "\"steps\": %lld, \"mean_epoch_seconds\": %.6f, "
       "\"train_seconds\": %.4f, \"accuracy\": %.4f, \"rmse\": %.4f, "
-      "\"produced\": %lld, \"consumed\": %lld, \"stalls\": %lld}",
+      "\"produced\": %lld, \"consumed\": %lld}",
       r.name.c_str(), r.depth, r.epochs, static_cast<long long>(r.steps),
       r.mean_epoch_seconds, r.train_seconds, r.accuracy, r.rmse,
-      static_cast<long long>(r.produced), static_cast<long long>(r.consumed),
-      static_cast<long long>(r.stalls));
+      static_cast<long long>(r.produced), static_cast<long long>(r.consumed));
   return buf;
 }
 
@@ -373,15 +367,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("%-12s %6s %7s %7s %14s %11s %9s %8s %9s\n", "config", "depth",
-              "epochs", "steps", "epoch s", "train s", "acc", "stalls",
-              "produced");
+  std::printf("%-12s %6s %7s %7s %14s %11s %9s %9s\n", "config", "depth",
+              "epochs", "steps", "epoch s", "train s", "acc", "produced");
   for (const ConfigResult& r : results) {
-    std::printf("%-12s %6d %7d %7lld %14.6f %11.4f %9.4f %8lld %9lld\n",
+    std::printf("%-12s %6d %7d %7lld %14.6f %11.4f %9.4f %9lld\n",
                 r.name.c_str(), r.depth, r.epochs,
                 static_cast<long long>(r.steps), r.mean_epoch_seconds,
                 r.train_seconds, r.accuracy,
-                static_cast<long long>(r.stalls),
                 static_cast<long long>(r.produced));
   }
   if (epoch_speedup > 0.0) {

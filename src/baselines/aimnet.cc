@@ -125,7 +125,7 @@ Result<Table> AimNetImputer::Impute(const Table& dirty) {
           }
         }
         Tape::VarId proj = num_proj[static_cast<size_t>(c)].Forward(
-            tape, tape->Constant(std::move(values)));
+            tape, tape->Constant(values));
         blocks.push_back(tape->RowScale(proj, std::move(present)));
       }
     }

@@ -102,7 +102,7 @@ Result<Table> DataWigImputer::Impute(const Table& dirty) {
             }
           }
           Tape::VarId proj = model.num_proj[static_cast<size_t>(c)].Forward(
-              tape, tape->Constant(std::move(values)));
+              tape, tape->Constant(values));
           blocks.push_back(tape->RowScale(proj, std::move(present)));
         }
       }

@@ -80,7 +80,7 @@ Result<Table> MidaImputer::Impute(const Table& dirty) {
     }
     Tape tape;
     Tape::VarId code = tape.Relu(
-        encoder.Forward(&tape, tape.Constant(std::move(corrupted))));
+        encoder.Forward(&tape, tape.Constant(corrupted)));
     Tape::VarId recon = decoder.Forward(&tape, code);
     // Masked squared reconstruction error over observed slots.
     Tape::VarId diff =

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
 namespace grimp {
@@ -28,11 +27,6 @@ std::string EnvOverrides::String(const char* name,
   const char* raw = Raw(name);
   if (raw == nullptr || raw[0] == '\0') return fallback;
   return raw;
-}
-
-bool EnvOverrides::EnabledFlag(const char* name) {
-  const char* raw = Raw(name);
-  return raw == nullptr || std::strcmp(raw, "0") != 0;
 }
 
 }  // namespace grimp

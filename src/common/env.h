@@ -12,7 +12,6 @@ namespace grimp {
 // through raw getenv, so the table and the behavior cannot drift apart.
 inline constexpr char kEnvNumThreads[] = "GRIMP_NUM_THREADS";
 inline constexpr char kEnvSimd[] = "GRIMP_SIMD";
-inline constexpr char kEnvArena[] = "GRIMP_ARENA";
 inline constexpr char kEnvMetricsJson[] = "GRIMP_METRICS_JSON";
 inline constexpr char kEnvLogLevel[] = "GRIMP_LOG_LEVEL";
 
@@ -34,10 +33,6 @@ class EnvOverrides {
 
   // Non-empty string value, else `fallback`.
   static std::string String(const char* name, const std::string& fallback);
-
-  // Opt-out flag semantics (GRIMP_ARENA): true unless the variable is set
-  // to exactly "0".
-  static bool EnabledFlag(const char* name);
 };
 
 }  // namespace grimp

@@ -72,15 +72,15 @@ Tape::VarId TaskHeadForward(Tape* tape, const TaskHead& head, Tape::VarId h,
   return head.ForwardRows(tape, h, idx, num_cols, scratch);
 }
 
-Tensor GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
-                      int num_cols) {
+void GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
+                    int num_cols, Tensor* out) {
   const int64_t dim = h.cols();
   const auto cells = static_cast<int64_t>(idx.size());
-  Tensor out = Tensor::Uninit(cells / num_cols, num_cols * dim);
+  out->ResizeUninit(cells / num_cols, num_cols * dim);
   ParallelFor(0, cells, 512, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       const int32_t r = idx[static_cast<size_t>(i)];
-      float* dst = out.data() + i * dim;
+      float* dst = out->data() + i * dim;
       if (r < 0) {
         std::fill(dst, dst + dim, 0.0f);
       } else {
@@ -89,7 +89,6 @@ Tensor GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
       }
     }
   });
-  return out;
 }
 
 Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
@@ -98,8 +97,9 @@ Tape::VarId ForwardBatch(Tape* tape, const HeteroGnn& gnn, const Mlp& shared,
                          GnnScratch* gnn_scratch,
                          AttentionScratch* head_scratch) {
   TraceSpan gather_span("batch.gather");
-  Tape::VarId feats =
-      tape->Constant(GatherFeatureRows(node_features, batch.sub.input_nodes));
+  Tape::VarId feats;
+  GatherFeatureRows(node_features, batch.sub.input_nodes,
+                    tape->ConstantInPlace(&feats));
   gather_span.Stop();
   Tape::VarId h = gnn.ForwardBlocks(tape, feats, batch.sub, gnn_scratch);
   return TaskHeadForward(tape, head, shared.Forward(tape, h),
@@ -146,10 +146,10 @@ Tape::VarId ForwardReadRows(Tape* tape, const HeteroGnn* gnn,
   return shared.Forward(tape, h);
 }
 
-Tensor GatherFeatureRows(const Tensor& features,
-                         const std::vector<int32_t>& nodes) {
+void GatherFeatureRows(const Tensor& features,
+                       const std::vector<int32_t>& nodes, Tensor* out) {
   const int64_t dim = features.cols();
-  Tensor out = Tensor::Uninit(static_cast<int64_t>(nodes.size()), dim);
+  out->ResizeUninit(static_cast<int64_t>(nodes.size()), dim);
   ParallelFor(0, static_cast<int64_t>(nodes.size()), 512,
               [&](int64_t lo, int64_t hi) {
                 for (int64_t i = lo; i < hi; ++i) {
@@ -157,10 +157,9 @@ Tensor GatherFeatureRows(const Tensor& features,
                       features.data() +
                       static_cast<int64_t>(nodes[static_cast<size_t>(i)]) *
                           dim;
-                  std::copy(src, src + dim, out.data() + i * dim);
+                  std::copy(src, src + dim, out->data() + i * dim);
                 }
               });
-  return out;
 }
 
 }  // namespace grimp

@@ -94,13 +94,14 @@ Tape::VarId TaskHeadForward(Tape* tape, const TaskHead& head, Tape::VarId h,
                             const std::vector<int32_t>* idx, int num_cols,
                             int dim, AttentionScratch* scratch = nullptr);
 
-// A linear head's input in full-mode training, in one copy: row i of the
-// result is rows idx[i * num_cols .. (i + 1) * num_cols) of `h` laid side
-// by side (|idx| / num_cols x num_cols * h.cols()), a zero block for each
-// -1. The trainer's per-task head sub-tapes take it as a constant and add
-// its gradient into the shared one in their indexed reduce.
-Tensor GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
-                      int num_cols);
+// A linear head's input in full-mode training, in one copy into *out
+// (resized, keeping its buffer): row i is rows idx[i * num_cols ..
+// (i + 1) * num_cols) of `h` laid side by side (|idx| / num_cols x
+// num_cols * h.cols()), a zero block for each -1. The trainer's per-task
+// head sub-tapes write it into a constant's slot (Tape::ConstantInPlace)
+// and add its gradient into the shared one in their indexed reduce.
+void GatherTaskRows(const Tensor& h, const std::vector<int32_t>& idx,
+                    int num_cols, Tensor* out);
 
 // A prepared batch's forward: its input features gathered from
 // `node_features` (GatherFeatureRows of sub.input_nodes, recorded as the
@@ -140,11 +141,12 @@ Tape::VarId ForwardReadRows(Tape* tape, const HeteroGnn* gnn,
                             const std::vector<int32_t>* rows,
                             GnnScratch* gnn_scratch);
 
-// Gathers rows `nodes` of `features` into a fresh arena-backed
-// |nodes| x features.cols() matrix, chunked on the global pool (grain 512;
-// rows are disjoint, so results are bit-identical at every thread count).
-Tensor GatherFeatureRows(const Tensor& features,
-                         const std::vector<int32_t>& nodes);
+// Gathers rows `nodes` of `features` into *out, resized to |nodes| x
+// features.cols() (keeping its buffer), chunked on the global pool (grain
+// 512; rows are disjoint, so results are bit-identical at every thread
+// count).
+void GatherFeatureRows(const Tensor& features,
+                       const std::vector<int32_t>& nodes, Tensor* out);
 
 }  // namespace grimp
 

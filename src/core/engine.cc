@@ -9,7 +9,6 @@
 #include "common/binary_io.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "tensor/arena.h"
 #include "tensor/simd.h"
 #include "common/trace.h"
 #include "core/corpus.h"
@@ -181,10 +180,10 @@ void GrimpEngine::Apply(const CellWrite& cell, Table* table) const {
 }
 
 // Reusable state of one inference call. Batch TransformMany keeps one per
-// thread while the TensorArena is enabled: every container is cleared,
-// never shrunk, so once a serving thread has seen its largest batch the
-// pass stops touching the allocator (the tensors recycle through the
-// arena). Every other inference call uses a call-local one.
+// thread: every container is cleared, never shrunk, and the tape keeps its
+// slots' buffers, so once a serving thread has seen its largest batch the
+// pass stops touching the allocator. Every other inference call uses a
+// call-local one.
 struct GrimpEngine::TransformScratch {
   struct Request {
     const Table* table = nullptr;
@@ -259,7 +258,10 @@ Tape::VarId GrimpEngine::ForwardRequests(size_t n,
   // and every kernel downstream is row-independent, so each request's
   // result is bit-identical to a one-request pass.
   s->union_graph.Reset(&s->union_csr, &s->union_adj);
-  Tensor union_feats(total_nodes, dim);
+  Tape::VarId features;
+  Tensor& union_feats = *s->tape.ConstantInPlace(&features);
+  union_feats.ResizeUninit(total_nodes, dim);
+  union_feats.Zero();
   for (size_t i = 0; i < n; ++i) {
     const TransformScratch::Request& request = s->requests[i];
     for (const NodeInfo& info : request.tg.graph.nodes()) {
@@ -299,8 +301,8 @@ Tape::VarId GrimpEngine::ForwardRequests(size_t n,
   // run the last GNN layer and the shared MLP over those rows alone.
   CompactToReadRows(s->task_idx, total_nodes, &s->read_rows, &s->read_slot);
   return ForwardReadRows(&s->tape, options_.use_gnn ? &gnn_ : nullptr,
-                         shared_, s->tape.Constant(std::move(union_feats)),
-                         s->union_graph, &s->read_rows, &s->gnn);
+                         shared_, features, s->union_graph, &s->read_rows,
+                         &s->gnn);
 }
 
 void GrimpEngine::ImputeRequests(size_t n, TransformScratch* s) const {
@@ -546,7 +548,6 @@ Status GrimpEngine::Train(const Table& source, TableGraph* tg,
                   std::move(train_tasks), num_cols);
   GRIMP_ASSIGN_OR_RETURN(summary_, trainer.Run(options_.callbacks));
   fitted_ = true;
-  TensorArena::Global().PublishMetrics();
   return Status::OK();
 }
 
@@ -658,7 +659,6 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
   Trainer trainer(local, ctx.store, ctx.node_features, &gnn_, &shared_,
                   std::move(train_tasks), num_cols);
   GRIMP_ASSIGN_OR_RETURN(summary_, trainer.Run(local.callbacks));
-  TensorArena::Global().PublishMetrics();
   return summary_;
 }
 
@@ -897,17 +897,11 @@ Status GrimpEngine::TransformMany(std::span<Table* const> tables,
     GRIMP_RETURN_IF_ERROR(CheckSchema(*t));
   }
   GRIMP_TRACE_SPAN("grimp.transform_batch");
-  const bool reuse = TensorArena::Global().enabled();
   thread_local std::unique_ptr<TransformScratch> tls_scratch;
-  std::unique_ptr<TransformScratch> local_scratch;
-  if (reuse) {
-    if (tls_scratch == nullptr) {
-      tls_scratch = std::make_unique<TransformScratch>();
-    }
-  } else {
-    local_scratch = std::make_unique<TransformScratch>();
+  if (tls_scratch == nullptr) {
+    tls_scratch = std::make_unique<TransformScratch>();
   }
-  TransformScratch& s = reuse ? *tls_scratch : *local_scratch;
+  TransformScratch& s = *tls_scratch;
   for (size_t i = 0; i < tables.size(); ++i) {
     GRIMP_RETURN_IF_ERROR(BuildRequest(*tables[i], i, &s));
   }
@@ -915,7 +909,6 @@ Status GrimpEngine::TransformMany(std::span<Table* const> tables,
 
   // All reads are done; apply the writes.
   for (const CellWrite& cell : s.decisions) Apply(cell, tables[cell.table]);
-  TensorArena::Global().PublishMetrics();
   return Status::OK();
 }
 
@@ -971,7 +964,6 @@ Status GrimpEngine::TransformStream(Table* window,
   // Like batch mode, every live-table read happened before the window is
   // mutated.
   for (const CellWrite& cell : s.decisions) Apply(cell, window);
-  TensorArena::Global().PublishMetrics();
   return Status::OK();
 }
 

@@ -132,7 +132,7 @@ class GrimpEngine {
   // FitImpute and AttentionSummary run the same body as one-request
   // unions.
   // All model reads happen before any table is written; on error no table
-  // is modified. With the TensorArena enabled, per-thread scratch (tape,
+  // is modified. Per-thread scratch (the tape with its slots' buffers,
   // graph storage, GNN layer scratch, gather indices) is recycled across
   // calls, making the steady state allocation-free outside the response
   // itself.

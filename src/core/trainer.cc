@@ -12,7 +12,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "graph/sampler.h"
-#include "tensor/arena.h"
 #include "tensor/optimizer.h"
 #include "tensor/simd.h"
 
@@ -32,27 +31,25 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 }
 
 // Sampled batch-preparation telemetry, resolved once (registry lookup takes
-// a mutex). The span names are held here so recording a span allocates
+// a mutex). The span name is held here so recording a span allocates
 // nothing.
 struct PrepMetrics {
   Counter& produced;  // batches prepared
   Counter& consumed;  // batches stepped
-  Counter& stalls;    // groups the step loop waited on (depth >= 2)
-  Gauge& queue_depth;  // batches prepared but not yet stepped
-  Histogram& wait_micros;
   const std::string prepare_span = "train.pipeline.prepare";
-  const std::string wait_span = "train.pipeline.wait";
 };
 
 PrepMetrics& Prep() {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  static PrepMetrics metrics{
-      registry.GetCounter("train.pipeline.produced"),
-      registry.GetCounter("train.pipeline.consumed"),
-      registry.GetCounter("train.pipeline.stalls"),
-      registry.GetGauge("train.pipeline.queue_depth"),
-      registry.GetHistogram("train.pipeline.wait_micros")};
+  static PrepMetrics metrics{registry.GetCounter("train.pipeline.produced"),
+                             registry.GetCounter("train.pipeline.consumed")};
   return metrics;
+}
+
+// The seed of a scalar loss's backward, shared read-only by every tape.
+const Tensor& One() {
+  static const Tensor one = Tensor::Scalar(1.0f);
+  return one;
 }
 
 // The task's loss on head output `out`: focal or cross-entropy for
@@ -199,7 +196,7 @@ void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
     if (run.attention != nullptr) {
       return run.attention->ForwardDetached(&tape, &h, &idx, scratch);
     }
-    *input = tape.Constant(GatherTaskRows(h, idx, num_cols_));
+    GatherTaskRows(h, idx, num_cols_, tape.ConstantInPlace(input));
     return task.head->Forward(&tape, *input);
   };
   // Borrowing loss overloads: the task's label/target vectors are Trainer
@@ -210,7 +207,7 @@ void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
                  head(train_idx, &run.train_factors, &run.train_in),
                  task.train_labels, task.train_targets);
     run.train_loss = tape.value(loss).scalar();
-    tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
+    tape.BackwardFrom(loss, One());
   }
   if (!val_idx.empty()) {
     Tape::VarId val_in = -1;
@@ -226,31 +223,24 @@ Trainer::HeadLosses Trainer::RunTaskHeads(const Tensor& h, Tensor* h_grad) {
   const bool train = h_grad != nullptr;
   const auto num_tasks = static_cast<int64_t>(tasks_.size());
   HeadLosses losses;
-  // Every buffer the loop writes outside its sub-tape is sized here: inside
-  // the loop the sub-tapes hold every buffer they take until the resets
-  // below, so arena traffic is the same at any interleaving.
-  const int64_t c = num_cols_;
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    const TrainTask& task = tasks_[t];
-    HeadRun& run = head_runs_[t];
-    if (run.attention == nullptr) continue;
-    if (train && !task.train_idx.empty()) {
-      const auto n = static_cast<int64_t>(task.train_idx.size()) / c;
-      run.train_factors.alpha.ResizeUninit(n, c);
-      run.train_factors.score_grad.ResizeUninit(n, c);
-      run.train_factors.ctx_grad.ResizeUninit(n, h.cols());
-      run.train_factors.query.ResizeUninit(1, h.cols());
-    }
-    if (!task.val_idx.empty()) {
-      run.val_scratch.alpha.ResizeUninit(
-          static_cast<int64_t>(task.val_idx.size()) / c, c);
-    }
-  }
-  ParallelFor(0, num_tasks, 1, [&](int64_t lo, int64_t hi) {
+  // The sub-tapes take their buffers on the first pass of each kind and
+  // keep them. That pass runs on this thread, so the buffers come from its
+  // malloc arena, where the next Run finds them again once these are
+  // freed; taken on pool workers, each worker's arena would keep what it
+  // freed and peak RSS would climb with every Run. Later passes allocate
+  // nothing and fan out.
+  const auto run_tasks = [&](int64_t lo, int64_t hi) {
     for (int64_t t = lo; t < hi; ++t) {
       RunTaskHead(static_cast<size_t>(t), h, train);
     }
-  });
+  };
+  bool& recorded = heads_recorded_[train ? 1 : 0];
+  if (recorded) {
+    ParallelFor(0, num_tasks, 1, run_tasks);
+  } else {
+    run_tasks(0, num_tasks);
+    recorded = true;
+  }
   const auto reduce_start = Now();
   if (train) {
     for (size_t t = 0; t < tasks_.size(); ++t) {
@@ -295,8 +285,9 @@ Trainer::EpochResult Trainer::RunFullEpoch(Adam* opt, double* val_loss_sum,
 
   const auto heads_start = Now();
   const Tensor& h = tape_.value(h_shared);
-  Tensor h_grad = Tensor::Zeros(h.rows(), h.cols());
-  const HeadLosses losses = RunTaskHeads(h, &h_grad);
+  h_grad_.ResizeUninit(h.rows(), h.cols());
+  h_grad_.Zero();
+  const HeadLosses losses = RunTaskHeads(h, &h_grad_);
   registry.RecordSpan("train.heads",
                       SecondsSince(heads_start) - losses.reduce_seconds);
   registry.RecordSpan("train.reduce", losses.reduce_seconds);
@@ -307,7 +298,7 @@ Trainer::EpochResult Trainer::RunFullEpoch(Adam* opt, double* val_loss_sum,
   if (!losses.trained) return result;  // nothing to train on
   result.train_loss = losses.train_loss;
   TraceSpan backward_span("train.backward");
-  tape_.BackwardFrom(h_shared, std::move(h_grad));
+  tape_.BackwardFrom(h_shared, h_grad_);
   backward_span.Stop();
   TraceSpan step_span("train.step");
   opt->ClipGradNorm(options_.grad_clip);
@@ -425,14 +416,7 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
     // The previous batch's tape closures borrow its slot's adjacency and
     // index storage: drop them before the group refills the slots.
     tape_.Reset();
-    const auto wait_start = Now();
     PrepareGroup(begin, end, !training);
-    if (group >= 2) {  // the step loop blocked on a whole group
-      const double waited = SecondsSince(wait_start);
-      MetricsRegistry::Global().RecordSpan(metrics.wait_span, waited);
-      metrics.wait_micros.Record(waited * 1e6);
-      metrics.stalls.Increment();
-    }
     for (int64_t b = begin; b < end; ++b) {
       const BatchPlan& plan = plans_[static_cast<size_t>(b)];
       if (plan.task != current_task) {
@@ -451,7 +435,7 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
                                   batch.labels, batch.targets);
       const double loss_value = tape_.value(loss).scalar();
       if (training) {
-        tape_.BackwardFrom(loss, Tensor::Scalar(1.0f));
+        tape_.BackwardFrom(loss, One());
         TraceSpan step_span("train.step");
         opt->ClipGradNorm(options_.grad_clip);
         opt->Step();
@@ -462,7 +446,6 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
       }
       task_loss_sum += loss_value * static_cast<double>(plan.bn);
       metrics.consumed.Increment();
-      metrics.queue_depth.Set(static_cast<double>(end - b - 1));
     }
   }
   flush_task();
@@ -594,7 +577,6 @@ Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks) {
     summary_.best_val_loss = best_val;
   }
   summary_.train_seconds = SecondsSince(t0);
-  TensorArena::Global().PublishMetrics();
   return summary_;
 }
 

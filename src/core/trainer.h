@@ -209,14 +209,13 @@ class Trainer {
   // head_runs_[t].tape: with `train`, head + loss + BackwardFrom the loss
   // on its training samples; then head + loss on its validation samples.
   // Runs on pool threads; touches only task t's head, sub-tape and
-  // scratches, and releases no arena buffer.
+  // scratches, which its own ops size.
   void RunTaskHead(size_t t, const Tensor& h, bool train);
-  // Every task's RunTaskHead as one grain-1 ParallelFor. The calling
-  // thread first sizes every attention scratch, so nothing in the loop
-  // gives a buffer back to the arena (DESIGN.md §9). Then grad_reduce_ adds
-  // each task's input gradient into *h_grad, and the sub-tapes are reset.
-  // Null `h_grad` runs validation only. Losses are bit-identical at every
-  // thread count.
+  // Every task's RunTaskHead as one grain-1 ParallelFor (on this thread
+  // for the first training and the first validation-only pass, which size
+  // the sub-tapes). Then grad_reduce_ adds each task's input gradient into
+  // *h_grad, and the sub-tapes are reset. Null `h_grad` runs validation
+  // only. Losses are bit-identical at every thread count.
   HeadLosses RunTaskHeads(const Tensor& h, Tensor* h_grad);
   // One sampled pass over per-task minibatches, returning the summed
   // per-task mean loss; *ran is set when at least one batch ran. With `opt`
@@ -250,17 +249,21 @@ class Trainer {
   std::vector<TrainTask> tasks_;
   int num_cols_;
   // Per-task head sub-tapes (RunTaskHeads), reset after every reduce so
-  // their node slots are reused from epoch to epoch.
+  // their node slots are reused from epoch to epoch, and whether a
+  // validation-only ([0]) and a training ([1]) pass has sized them.
   std::vector<HeadRun> head_runs_;
+  bool heads_recorded_[2] = {false, false};
   // Full-graph passes' read set, built once per Run when the store has a
   // full graph: the ascending h rows some task's train_idx or val_idx
   // reads, and every task's indices remapped onto them (CompactToReadRows):
   // read_idx_[t] is task t's train_idx, read_idx_[#tasks + t] its val_idx.
   std::vector<int32_t> read_rows_;
   std::vector<std::vector<int32_t>> read_idx_;
-  // Full mode: the reduce, built once per Run, and its per-task sources.
+  // Full mode: the reduce, built once per Run, its per-task sources, and
+  // the shared representation's gradient it reduces into.
   TaskGradReduce grad_reduce_;
   std::vector<TaskGradReduce::Source> grad_sources_;
+  Tensor h_grad_;
   std::vector<Parameter*> params_;
   TrainSummary summary_;
   // Reused across every epoch / batch / validation pass (Tape::Reset keeps

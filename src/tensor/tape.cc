@@ -44,29 +44,37 @@ void ParallelRows(int64_t rows, int64_t width, Fn&& fn) {
 
 }  // namespace
 
-Tape::VarId Tape::PushNode(Tensor value) {
+Tape::VarId Tape::PushNode(int64_t rows, int64_t cols) {
   if (static_cast<size_t>(size_) == nodes_.size()) nodes_.emplace_back();
-  Node& node = nodes_[size_];
-  node.value = std::move(value);
+  nodes_[size_].value.ResizeUninit(rows, cols);
   return size_++;
+}
+
+Tape::VarId Tape::PushCopy(const Tensor& v) {
+  const VarId id = PushNode(0, 0);
+  nodes_[id].value = v;
+  return id;
 }
 
 void Tape::Reset() {
   for (VarId id = 0; id < size_; ++id) {
     Node& node = nodes_[id];
-    node.value = Tensor();
-    node.grad = Tensor();
+    node.reached = false;
     node.backward = nullptr;
   }
   size_ = 0;
 }
 
-Tape::VarId Tape::Constant(Tensor v) { return PushNode(std::move(v)); }
+Tape::VarId Tape::Constant(const Tensor& v) { return PushCopy(v); }
+
+Tensor* Tape::ConstantInPlace(VarId* id) {
+  *id = PushNode(0, 0);
+  return &nodes_[*id].value;
+}
 
 Tape::VarId Tape::Leaf(Parameter* p) {
   GRIMP_CHECK(p != nullptr);
-  Tensor copy = p->value;
-  VarId id = PushNode(std::move(copy));
+  VarId id = PushCopy(p->value);
   nodes_[id].backward = [this, id, p]() {
     p->grad.Axpy(1.0f, nodes_[id].grad);
   };
@@ -76,8 +84,8 @@ Tape::VarId Tape::Leaf(Parameter* p) {
 Tape::VarId Tape::MatMul(VarId a, VarId b) {
   const Tensor& av = nodes_[a].value;
   const Tensor& bv = nodes_[b].value;
-  Tensor out = grimp::MatMul(av, bv);
-  VarId id = PushNode(std::move(out));
+  VarId id = PushNode(av.rows(), bv.cols());
+  grimp::MatMul(av, bv, &nodes_[id].value);
   nodes_[id].backward = [this, id, a, b]() {
     const Tensor& g = nodes_[id].grad;
     // dA += g * B^T ; dB += A^T * g, accumulated in the GEMM epilogue (no
@@ -102,7 +110,8 @@ Tape::VarId Tape::LinearImpl(VarId x, VarId w, VarId bias, bool relu) {
   const Tensor& bv = nodes_[bias].value;
   GRIMP_CHECK_EQ(bv.rows(), 1);
   GRIMP_CHECK_EQ(bv.cols(), wv.cols());
-  VarId id = PushNode(MatMulFused(xv, wv, bv, relu));
+  VarId id = PushNode(xv.rows(), wv.cols());
+  MatMulFused(xv, wv, bv, relu, &nodes_[id].value);
   nodes_[id].backward = [this, id, x, w, bias, relu]() {
     Tensor& g = nodes_[id].grad;
     const simd::KernelTable& kt = simd::Kernels();
@@ -130,7 +139,8 @@ Tape::VarId Tape::AddBias(VarId x, VarId bias) {
   const Tensor& bv = nodes_[bias].value;
   GRIMP_CHECK_EQ(bv.rows(), 1);
   GRIMP_CHECK_EQ(bv.cols(), xv.cols());
-  Tensor out = xv;
+  VarId id = PushCopy(xv);
+  Tensor& out = nodes_[id].value;
   const int64_t n = xv.rows();
   const int64_t d = xv.cols();
   ParallelRows(n, d, [&](int64_t r0, int64_t r1) {
@@ -138,7 +148,6 @@ Tape::VarId Tape::AddBias(VarId x, VarId bias) {
       for (int64_t c = 0; c < d; ++c) out.at(r, c) += bv.at(0, c);
     }
   });
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, x, bias]() {
     const Tensor& g = nodes_[id].grad;
     GradRef(x).Axpy(1.0f, g);
@@ -158,9 +167,8 @@ Tape::VarId Tape::Add(VarId a, VarId b) {
   const Tensor& av = nodes_[a].value;
   const Tensor& bv = nodes_[b].value;
   GRIMP_CHECK(av.SameShape(bv));
-  Tensor out = av;
-  out.Axpy(1.0f, bv);
-  VarId id = PushNode(std::move(out));
+  VarId id = PushCopy(av);
+  nodes_[id].value.Axpy(1.0f, bv);
   nodes_[id].backward = [this, id, a, b]() {
     GradRef(a).Axpy(1.0f, nodes_[id].grad);
     GradRef(b).Axpy(1.0f, nodes_[id].grad);
@@ -172,11 +180,11 @@ Tape::VarId Tape::Mul(VarId a, VarId b) {
   const Tensor& av = nodes_[a].value;
   const Tensor& bv = nodes_[b].value;
   GRIMP_CHECK(av.SameShape(bv));
-  Tensor out = av;
+  VarId id = PushCopy(av);
+  Tensor& out = nodes_[id].value;
   ParallelRange(out.size(), [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) out[i] *= bv[i];
   });
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, a, b]() {
     const Tensor& g = nodes_[id].grad;
     Tensor& ag = GradRef(a);
@@ -194,11 +202,11 @@ Tape::VarId Tape::Mul(VarId a, VarId b) {
 }
 
 Tape::VarId Tape::Scale(VarId x, float alpha) {
-  Tensor out = nodes_[x].value;
+  VarId id = PushCopy(nodes_[x].value);
+  Tensor& out = nodes_[id].value;
   ParallelRange(out.size(), [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) out[i] *= alpha;
   });
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, x, alpha]() {
     GradRef(x).Axpy(alpha, nodes_[id].grad);
   };
@@ -208,13 +216,13 @@ Tape::VarId Tape::Scale(VarId x, float alpha) {
 Tape::VarId Tape::RowScale(VarId x, std::vector<float> s) {
   const Tensor& xv = nodes_[x].value;
   GRIMP_CHECK_EQ(static_cast<int64_t>(s.size()), xv.rows());
-  Tensor out = xv;
+  VarId id = PushCopy(xv);
+  Tensor& out = nodes_[id].value;
   ParallelRows(out.rows(), out.cols(), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       for (int64_t c = 0; c < out.cols(); ++c) out.at(r, c) *= s[r];
     }
   });
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, x, s = std::move(s)]() {
     const Tensor& g = nodes_[id].grad;
     Tensor& xg = GradRef(x);
@@ -231,16 +239,15 @@ Tape::VarId Tape::RowScale(VarId x, std::vector<float> s) {
 
 Tape::VarId Tape::Relu(VarId x) {
   const Tensor& xv = nodes_[x].value;
-  Tensor out = Tensor::Uninit(xv.rows(), xv.cols());
+  VarId id = PushNode(xv.rows(), xv.cols());
   {
     const simd::KernelTable& kt = simd::Kernels();
     const float* xd = xv.data();
-    float* od = out.data();
-    ParallelRange(out.size(), [=, &kt](int64_t i0, int64_t i1) {
+    float* od = nodes_[id].value.data();
+    ParallelRange(xv.size(), [=, &kt](int64_t i0, int64_t i1) {
       kt.relu_fwd(i1 - i0, xd + i0, od + i0);
     });
   }
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, x]() {
     const Tensor& g = nodes_[id].grad;
     const Tensor& v = nodes_[id].value;
@@ -266,7 +273,8 @@ Tape::VarId Tape::ConcatCols(const std::vector<VarId>& xs) {
     total_cols += nodes_[x].value.cols();
   }
   // Every element is written below.
-  Tensor out = Tensor::Uninit(n, total_cols);
+  VarId id = PushNode(n, total_cols);
+  Tensor& out = nodes_[id].value;
   ParallelRows(n, total_cols, [&](int64_t r0, int64_t r1) {
     int64_t col_off = 0;
     for (VarId x : xs) {
@@ -279,7 +287,6 @@ Tape::VarId Tape::ConcatCols(const std::vector<VarId>& xs) {
       col_off += v.cols();
     }
   });
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, xs]() {
     const Tensor& g = nodes_[id].grad;
     // Materialize every input grad before fanning out: GradRef allocates
@@ -320,19 +327,22 @@ Tape::VarId Tape::GatherRowsImpl(VarId table,
   GRIMP_CHECK(rows != nullptr);
   const Tensor& tv = nodes_[table].value;
   const int64_t d = tv.cols();
-  Tensor out(static_cast<int64_t>(rows->size()), d);
+  VarId id = PushNode(static_cast<int64_t>(rows->size()), d);
+  Tensor& out = nodes_[id].value;
   // Forward gather is row-disjoint; the backward scatter-add stays serial
   // because duplicate indices in `rows` would race.
   ParallelRows(static_cast<int64_t>(rows->size()), d,
                [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       int32_t r = (*rows)[static_cast<size_t>(i)];
-      if (r < 0) continue;  // missing-value sentinel -> zero row
+      if (r < 0) {  // missing-value sentinel -> zero row
+        for (int64_t c = 0; c < d; ++c) out.at(i, c) = 0.0f;
+        continue;
+      }
       GRIMP_DCHECK(r < tv.rows());
       for (int64_t c = 0; c < d; ++c) out.at(i, c) = tv.at(r, c);
     }
   });
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, table, rows,
                          owned = std::move(owned)]() {
     const Tensor& g = nodes_[id].grad;
@@ -352,12 +362,11 @@ Tape::VarId Tape::SliceRows(VarId x, int64_t n) {
   const Tensor& xv = nodes_[x].value;
   GRIMP_CHECK(n >= 0 && n <= xv.rows());
   const int64_t d = xv.cols();
-  Tensor out = Tensor::Uninit(n, d);
+  VarId id = PushNode(n, d);
   if (n * d > 0) {
-    std::memcpy(out.data(), xv.data(),
+    std::memcpy(nodes_[id].value.data(), xv.data(),
                 static_cast<size_t>(n * d) * sizeof(float));
   }
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, x]() {
     const Tensor& g = nodes_[id].grad;
     Tensor& xg = GradRef(x);
@@ -402,18 +411,17 @@ Tape::VarId Tape::SegmentMeanImpl(VarId x,
   // segments), so the zero-fill is skipped. Segments own disjoint output
   // rows; the backward scatter-add stays serial because segments share
   // input rows.
-  Tensor out = Tensor::Uninit(num_segments, d);
+  VarId id = PushNode(num_segments, d);
   {
     const simd::KernelTable& kt = simd::Kernels();
     const int32_t* off = offsets->data();
     const int32_t* idx = indices->data();
     const float* xd = xv.data();
-    float* od = out.data();
+    float* od = nodes_[id].value.data();
     ParallelRows(num_segments, d, [=, &kt](int64_t s0, int64_t s1) {
       kt.segment_mean_fwd(off, idx, xd, d, s0, s1, od);
     });
   }
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, x, offsets, indices,
                          owned = std::move(owned)]() {
     const Tensor& g = nodes_[id].grad;
@@ -439,12 +447,11 @@ Tape::VarId Tape::SegmentMeanImpl(VarId x,
 Tape::VarId Tape::Reshape(VarId x, int64_t rows, int64_t cols) {
   const Tensor& xv = nodes_[x].value;
   GRIMP_CHECK_EQ(xv.size(), rows * cols);
-  Tensor out = Tensor::Uninit(rows, cols);
+  VarId id = PushNode(rows, cols);
   if (xv.size() > 0) {
-    std::memcpy(out.data(), xv.data(),
+    std::memcpy(nodes_[id].value.data(), xv.data(),
                 static_cast<size_t>(xv.size()) * sizeof(float));
   }
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, x]() {
     const Tensor& g = nodes_[id].grad;
     Tensor& xg = GradRef(x);
@@ -468,12 +475,18 @@ void RowSoftmaxInto(const Tensor& in, Tensor* out) {
 }
 }  // namespace
 
+Tape::VarId Tape::PushProbs(VarId logits) {
+  const Tensor& lv = nodes_[logits].value;
+  VarId id = PushNode(lv.rows(), lv.cols());
+  RowSoftmaxInto(lv, &nodes_[id].value);
+  return id;
+}
+
 Tape::VarId Tape::RowSoftmax(VarId x) {
   const Tensor& xv = nodes_[x].value;
   // RowSoftmaxInto writes every element.
-  Tensor out = Tensor::Uninit(xv.rows(), xv.cols());
-  RowSoftmaxInto(xv, &out);
-  VarId id = PushNode(std::move(out));
+  VarId id = PushNode(xv.rows(), xv.cols());
+  RowSoftmaxInto(xv, &nodes_[id].value);
   nodes_[id].backward = [this, id, x]() {
     const Tensor& g = nodes_[id].grad;
     const Tensor& y = nodes_[id].value;
@@ -536,19 +549,18 @@ Tape::VarId Tape::ColumnAttentionImpl(VarId h, const Tensor* h_ext,
   const simd::KernelTable& kt = simd::Kernels();
   scratch->alpha.ResizeUninit(n, num_blocks);
   // The kernel writes every element of both outputs.
-  Tensor out = Tensor::Uninit(n, d);
+  VarId id = PushNode(n, d);
   {
     const float* hd = hv.data();
-    const int32_t* id = idx->data();
+    const int32_t* ix = idx->data();
     const float* ad = av.data();
     float* alpha = scratch->alpha.data();
-    float* od = out.data();
+    float* od = nodes_[id].value.data();
     ParallelRows(n, num_blocks * d, [=, &kt](int64_t r0, int64_t r1) {
-      kt.attention_fwd(r1 - r0, num_blocks, d, hd, id + r0 * num_blocks, ad,
+      kt.attention_fwd(r1 - r0, num_blocks, d, hd, ix + r0 * num_blocks, ad,
                        scale, alpha + r0 * num_blocks, od + r0 * d);
     });
   }
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, h, h_ext, idx, a, num_blocks, scale,
                          scratch, owned = std::move(owned)]() {
     const simd::KernelTable& kt = simd::Kernels();
@@ -595,7 +607,8 @@ Tape::VarId Tape::ColumnAttentionImpl(VarId h, const Tensor* h_ext,
 }
 
 Tape::VarId Tape::SumAll(VarId x) {
-  VarId id = PushNode(Tensor::Scalar(nodes_[x].value.Sum()));
+  VarId id = PushNode(1, 1);
+  nodes_[id].value[0] = nodes_[x].value.Sum();
   nodes_[id].backward = [this, id, x]() {
     const float g = nodes_[id].grad.scalar();
     Tensor& xg = GradRef(x);
@@ -633,8 +646,8 @@ Tape::VarId Tape::SoftmaxCrossEntropyImpl(
   GRIMP_CHECK(labels != nullptr);
   const Tensor& lv = nodes_[logits].value;
   GRIMP_CHECK_EQ(lv.rows(), static_cast<int64_t>(labels->size()));
-  Tensor probs = Tensor::Uninit(lv.rows(), lv.cols());
-  RowSoftmaxInto(lv, &probs);
+  const VarId probs_id = PushProbs(logits);
+  const Tensor& probs = nodes_[probs_id].value;
   int64_t n_valid = 0;
   double loss = 0.0;
   for (int64_t r = 0; r < lv.rows(); ++r) {
@@ -648,11 +661,12 @@ Tape::VarId Tape::SoftmaxCrossEntropyImpl(
     ++n_valid;
   }
   const float inv_n = n_valid > 0 ? 1.0f / static_cast<float>(n_valid) : 0.0f;
-  VarId id = PushNode(Tensor::Scalar(static_cast<float>(loss) * inv_n));
+  const VarId id = PushNode(1, 1);
+  nodes_[id].value[0] = static_cast<float>(loss) * inv_n;
   nodes_[id].backward = [this, id, logits, labels, class_weights,
-                         owned = std::move(owned), probs = std::move(probs),
-                         inv_n]() {
+                         owned = std::move(owned), probs_id, inv_n]() {
     const float g = nodes_[id].grad.scalar() * inv_n;
+    const Tensor& probs = nodes_[probs_id].value;
     Tensor& lg = GradRef(logits);
     const simd::KernelTable& kt = simd::Kernels();
     const int64_t d = lg.cols();
@@ -693,8 +707,8 @@ Tape::VarId Tape::FocalLossImpl(VarId logits,
   GRIMP_CHECK(labels != nullptr);
   const Tensor& lv = nodes_[logits].value;
   GRIMP_CHECK_EQ(lv.rows(), static_cast<int64_t>(labels->size()));
-  Tensor probs = Tensor::Uninit(lv.rows(), lv.cols());
-  RowSoftmaxInto(lv, &probs);
+  const VarId probs_id = PushProbs(logits);
+  const Tensor& probs = nodes_[probs_id].value;
   int64_t n_valid = 0;
   double loss = 0.0;
   for (int64_t r = 0; r < lv.rows(); ++r) {
@@ -705,11 +719,12 @@ Tape::VarId Tape::FocalLossImpl(VarId logits,
     ++n_valid;
   }
   const float inv_n = n_valid > 0 ? 1.0f / static_cast<float>(n_valid) : 0.0f;
-  VarId id = PushNode(Tensor::Scalar(static_cast<float>(loss) * inv_n));
+  const VarId id = PushNode(1, 1);
+  nodes_[id].value[0] = static_cast<float>(loss) * inv_n;
   nodes_[id].backward = [this, id, logits, labels, gamma,
-                         owned = std::move(owned), probs = std::move(probs),
-                         inv_n]() {
+                         owned = std::move(owned), probs_id, inv_n]() {
     const float g = nodes_[id].grad.scalar() * inv_n;
+    const Tensor& probs = nodes_[probs_id].value;
     Tensor& lg = GradRef(logits);
     const simd::KernelTable& kt = simd::Kernels();
     const int64_t d = lg.cols();
@@ -763,7 +778,8 @@ Tape::VarId Tape::MseLossImpl(VarId pred, const std::vector<float>* targets,
                                  mask == nullptr ? nullptr : mask->data(),
                                  &n_valid);
   const float inv_n = n_valid > 0 ? 1.0f / static_cast<float>(n_valid) : 0.0f;
-  VarId id = PushNode(Tensor::Scalar(static_cast<float>(loss) * inv_n));
+  VarId id = PushNode(1, 1);
+  nodes_[id].value[0] = static_cast<float>(loss) * inv_n;
   nodes_[id].backward = [this, id, pred, targets, mask,
                          owned = std::move(owned), inv_n]() {
     const float g = nodes_[id].grad.scalar() * inv_n;
@@ -818,9 +834,8 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
                      : num_dst,
                  num_out);
   GRIMP_CHECK_EQ(sv.cols(), in);
-  // Every buffer is taken here, on the calling thread: lanes only write
-  // into storage they were handed, so arena traffic is the same at every
-  // thread count and interleaving.
+  // Every buffer is sized here, on the calling thread: lanes only write
+  // into storage they were handed.
   int64_t work = 0;
   for (SageLane& lane : scratch->lanes) {
     GRIMP_CHECK(lane.offsets != nullptr && lane.indices != nullptr);
@@ -833,7 +848,8 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
     lane.y.ResizeUninit(n, out_dim);
     work += n * 2 * in;
   }
-  Tensor out = Tensor::Uninit(num_out, out_dim);
+  VarId id = PushNode(num_out, out_dim);
+  Tensor& out = nodes_[id].value;
   const simd::KernelTable& kt = simd::Kernels();
   ForEachLane(scratch->lanes.size(), work, [&](size_t t) {
     SageLane& lane = scratch->lanes[t];
@@ -877,7 +893,6 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
                out.data() + r * out_dim);
     }
   });
-  VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, h_dst, h_src, scratch,
                          owned = std::move(owned)]() {
     // Pre-held so recording the span allocates nothing.
@@ -959,19 +974,18 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
   return id;
 }
 
-void Tape::BackwardFrom(VarId root, Tensor grad) {
+void Tape::BackwardFrom(VarId root, const Tensor& grad) {
   GRIMP_CHECK(root >= 0 && root < size_);
-  GRIMP_CHECK(grad.SameShape(nodes_[root].value));
-  nodes_[root].grad = std::move(grad);
+  Node& top = nodes_[root];
+  GRIMP_CHECK(grad.SameShape(top.value));
+  top.grad = grad;
+  top.reached = true;
   for (VarId id = root; id >= 0; --id) {
     Node& node = nodes_[id];
-    if (!node.backward) continue;
-    // Lazy grads double as a reachability map: a node whose grad was never
-    // materialized received no contribution from any consumer, so its
-    // backward could only propagate zeros — skip it (and thereby its whole
-    // unreached subgraph).
-    if (!node.grad.SameShape(node.value)) continue;
-    node.backward();
+    // A node no consumer reached received no contribution, so its backward
+    // could only propagate zeros: skip it (and thereby its whole unreached
+    // subgraph).
+    if (node.backward && node.reached) node.backward();
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <new>
 #include <string>
@@ -32,11 +33,10 @@ struct Parameter {
 // Move-only callable holding a backward closure entirely in inline storage.
 // Tape ops record one closure per node per step; with std::function the
 // captures (this + a few ids, sometimes vectors) exceed its small-buffer
-// size and every op would heap-allocate its closure, defeating the arena's
-// zero-allocation steady state. kInlineBytes is sized for the largest
-// closure in tape.cc (the fused losses capture two vectors and a Tensor);
-// the constructor static_asserts so growth is a compile error, not a
-// silent regression.
+// size and every op would heap-allocate its closure, defeating the tape's
+// allocation-free steady state. kInlineBytes is sized for the largest
+// closure in tape.cc; the constructor static_asserts so growth is a compile
+// error, not a silent regression.
 class BackwardFn {
  public:
   static constexpr size_t kInlineBytes = 136;
@@ -116,18 +116,23 @@ struct AttentionScratch;
 // closures in reverse order and accumulates leaf gradients into their
 // Parameters.
 //
-// A Tape is reusable: Reset() rewinds it for the next step while keeping the
-// node slot storage, so a persistent tape (see core/trainer.cc) records every
-// steady-state step without growing the heap — node values come from the
-// TensorArena and backward closures live inline in their slots.
+// A Tape owns the buffers of what it records: node i's value and grad live
+// in slot i, and Reset() rewinds the tape without freeing them. An op
+// records into its slot's tensors in place (Tensor::ResizeUninit), so once a
+// persistent tape (see core/trainer.cc) has recorded its largest step,
+// recording the same computation again allocates nothing: values and grads
+// reuse their slots' buffers, and backward closures live inline in the
+// slots too. This is the one place tensor buffers are recycled across
+// steps; everything else a step reuses lives in caller scratch.
 //
-// Gradients are lazy: recording a node stores no grad tensor. BackwardFrom
-// materializes (zero-filled, arena-backed) grads only for nodes it actually
-// reaches from the root, and skips the backward closure of any node whose
-// grad was never touched — such a closure could only scatter zeros. An
-// inference-only tape that never calls BackwardFrom does no gradient work at
-// all. grad(id) on an unreached node still reads as zeros, exactly as if it
-// had been eagerly allocated.
+// Gradients are lazy: recording a node touches no grad. BackwardFrom
+// zero-fills a node's grad (in its slot's buffer) only when a consumer
+// reaches it from the root, and skips the backward closure of any node no
+// consumer reached — such a closure could only scatter zeros. Whether a
+// node was reached is per-slot state that Reset clears, never the grad's
+// shape: a slot still holds the grad of the step before. An inference-only
+// tape that never calls BackwardFrom does no gradient work at all.
+// grad(id) on an unreached node reads zeros.
 //
 // All ops GRIMP needs are first-class tape methods (no generic broadcasting
 // engine): matrix product, bias, activations, column concat, row gather
@@ -142,14 +147,20 @@ class Tape {
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
-  // Rewinds the tape for a new forward pass: releases node values, grads and
-  // closures (returning tensor buffers to the arena) but keeps the slot
-  // vector, so recording the same computation again allocates nothing.
+  // Rewinds the tape for a new forward pass: drops the closures (and what
+  // they own) and marks every node unreached, but keeps every slot with its
+  // value and grad buffers, so recording the same computation again
+  // allocates nothing.
   void Reset();
 
   // --- Tape inputs -------------------------------------------------------
-  // A value the tape does not differentiate.
-  VarId Constant(Tensor v);
+  // A value the tape does not differentiate, copied into the node's slot.
+  VarId Constant(const Tensor& v);
+  // A constant the caller writes in place: returns the new node's value
+  // tensor (the slot's retained buffer: any shape, contents unspecified;
+  // size it with ResizeUninit) and stores the node's id in *id. Fill it
+  // before recording an op that reads it.
+  Tensor* ConstantInPlace(VarId* id);
   // A trainable parameter; BackwardFrom accumulates into p->grad. `p` must
   // outlive the tape.
   VarId Leaf(Parameter* p);
@@ -283,27 +294,37 @@ class Tape {
   VarId MseLoss(VarId pred, const std::vector<float>* targets,
                 const std::vector<float>* mask = nullptr);
 
-  // Runs reverse-mode accumulation from `root`, seeded with `grad` as the
-  // root's gradient (same shape as its value; replaces any grad the root
-  // already holds). A scalar loss seeds with Tensor::Scalar(1.0f); a caller
-  // that computed a node's gradient elsewhere (the trainer's per-task head
-  // sub-tapes, core/trainer.cc) carries it on through the recorded ops.
-  void BackwardFrom(VarId root, Tensor grad);
+  // Runs reverse-mode accumulation from `root`, seeded with a copy of
+  // `grad` as the root's gradient (same shape as its value; replaces any
+  // grad the root already holds). A scalar loss seeds with a 1x1 one; a
+  // caller that computed a node's gradient elsewhere (the trainer's per-task
+  // head sub-tapes, core/trainer.cc) carries it on through the recorded ops.
+  void BackwardFrom(VarId root, const Tensor& grad);
 
  private:
   struct Node {
     Tensor value;
-    Tensor grad;  // empty until materialized by BackwardFrom / grad()
+    Tensor grad;  // this pass's gradient iff `reached`; else stale or empty
+    bool reached = false;
     BackwardFn backward;  // empty for constants
   };
 
-  VarId PushNode(Tensor value);
-  // Returns the node's grad tensor, materializing it (zero-filled, same
-  // shape as the value) on first touch.
+  // Appends a node whose value is rows x cols with unspecified contents,
+  // in the next slot's buffer.
+  VarId PushNode(int64_t rows, int64_t cols);
+  // Appends a node whose value is a copy of `v`.
+  VarId PushCopy(const Tensor& v);
+  // Appends the row-wise softmax of `logits` as an internal constant: the
+  // fused losses keep their probabilities there for the backward.
+  VarId PushProbs(VarId logits);
+  // Returns the node's grad tensor, zero-filling it (same shape as the
+  // value) and marking the node reached on first touch in this pass.
   Tensor& GradRef(VarId id) {
     Node& node = nodes_[id];
-    if (!node.grad.SameShape(node.value)) {
-      node.grad = Tensor::Zeros(node.value.rows(), node.value.cols());
+    if (!node.reached) {
+      node.grad.ResizeUninit(node.value.rows(), node.value.cols());
+      node.grad.Zero();
+      node.reached = true;
     }
     return node.grad;
   }
@@ -329,7 +350,9 @@ class Tape {
                     const std::vector<float>* mask,
                     std::shared_ptr<const void> owned);
 
-  std::vector<Node> nodes_;
+  // A deque, so a reference to a node's tensors stays valid while an op
+  // appends its own node.
+  std::deque<Node> nodes_;
   VarId size_ = 0;  // live prefix of nodes_; slots beyond are reusable
 };
 

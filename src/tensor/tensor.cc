@@ -144,9 +144,8 @@ void GemmDispatch(const float* a, int64_t as_i, int64_t as_p, const float* b,
   if (m == 0 || n == 0) return;
   const simd::KernelTable& kt = simd::Kernels();
   // Pack B once into nr-wide zero-padded panels. The scratch is per thread,
-  // like the kernels' A pack: it only grows, and a GEMM never takes a
-  // transient buffer from the tensor arena (which would let concurrent
-  // head sub-tapes reorder arena traffic; see core/trainer.cc).
+  // like the kernels' A pack: it only grows, so a steady stream of GEMMs
+  // takes no transient buffer from the heap.
   const int64_t nr = kt.gemm_nr;
   const int64_t panels = (n + nr - 1) / nr;
   thread_local std::vector<float> bpack;
@@ -173,15 +172,20 @@ void GemmDispatch(const float* a, int64_t as_i, int64_t as_p, const float* b,
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
+  // The panel kernel writes every element of C, so the zero-fill is skipped.
+  Tensor out = Tensor::Uninit(a.rows(), b.cols());
+  MatMul(a, b, &out);
+  return out;
+}
+
+void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
   GRIMP_CHECK_EQ(a.cols(), b.rows());
   const int64_t m = a.rows();
   const int64_t k = a.cols();
   const int64_t n = b.cols();
-  // The panel kernel writes every element of C, so the zero-fill is skipped.
-  Tensor out = Tensor::Uninit(m, n);
+  GRIMP_CHECK(out->rows() == m && out->cols() == n);
   GemmDispatch(a.data(), /*as_i=*/k, /*as_p=*/1, b.data(), n,
-               /*b_transposed=*/false, out.data(), n, m, k, n);
-  return out;
+               /*b_transposed=*/false, out->data(), n, m, k, n);
 }
 
 Tensor MatMulFused(const Tensor& a, const Tensor& b, const Tensor& bias,

@@ -9,7 +9,6 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "tensor/arena.h"
 
 namespace grimp {
 
@@ -17,11 +16,10 @@ namespace grimp {
 // Nx1). Rank 2 covers everything GRIMP needs: batched training vectors are
 // laid out as N x (C*D) with explicit block ops (see tape.h).
 //
-// Storage comes from the process-wide TensorArena: construction acquires a
-// pooled buffer, destruction returns it. In steady-state training — where
-// every step allocates the same shapes — this makes tensor churn free of
-// heap traffic. GRIMP_ARENA=0 routes every buffer through the heap instead
-// (see arena.h); values are bit-identical either way.
+// Storage is an exact-size heap buffer the tensor owns. ResizeUninit and
+// copy-assignment keep it whenever its capacity suffices, so a tensor that
+// is refilled step after step — a tape node slot (tape.h) or a caller's
+// scratch — stops touching the heap once it has seen its largest shape.
 class Tensor {
  public:
   Tensor() = default;
@@ -40,16 +38,11 @@ class Tensor {
                                           sizeof(float));
     }
   }
+  // Keeps this tensor's buffer when it is large enough (see ResizeUninit).
   Tensor& operator=(const Tensor& other) {
     if (this == &other) return *this;
-    if (size() != other.size()) {
-      ReleaseBuffer();
-      AcquireBuffer(other.rows_, other.cols_);
-    } else {
-      rows_ = other.rows_;
-      cols_ = other.cols_;
-    }
-    if (data_ != nullptr) {
+    ResizeUninit(other.rows_, other.cols_);
+    if (!other.empty()) {
       std::memcpy(data_, other.data_, static_cast<size_t>(size()) *
                                           sizeof(float));
     }
@@ -89,7 +82,7 @@ class Tensor {
   static Tensor Full(int64_t rows, int64_t cols, float value);
   // Reshapes to rows x cols with unspecified contents, keeping the buffer
   // when its capacity suffices. A scratch tensor that follows varying batch
-  // shapes stops taking arena buffers once it has seen the largest.
+  // shapes stops allocating once it has seen the largest.
   void ResizeUninit(int64_t rows, int64_t cols) {
     GRIMP_CHECK(rows >= 0 && cols >= 0);
     if (rows * cols > capacity_) {
@@ -163,11 +156,14 @@ class Tensor {
     rows_ = rows;
     cols_ = cols;
     const int64_t n = rows * cols;
-    if (n > 0) data_ = TensorArena::Global().Acquire(n, &capacity_);
+    if (n > 0) {
+      data_ = new float[static_cast<size_t>(n)];
+      capacity_ = n;
+    }
   }
   void ReleaseBuffer() {
     if (data_ != nullptr) {
-      TensorArena::Global().Release(data_, capacity_);
+      delete[] data_;
       data_ = nullptr;
       capacity_ = 0;
     }
@@ -185,6 +181,8 @@ class Tensor {
 // accumulation order over K is fixed, so results are identical at every
 // thread count.
 Tensor MatMul(const Tensor& a, const Tensor& b);
+// *out = a * b into an existing M x N tensor.
+void MatMul(const Tensor& a, const Tensor& b, Tensor* out);
 // result = relu?(a * b + bias), with the bias row-broadcast add (and the
 // optional ReLU) fused into the GEMM epilogue while the C tile is still in
 // registers. bias must have b.cols() elements.

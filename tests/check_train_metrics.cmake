@@ -2,9 +2,9 @@
 # runs one full-graph config plus the sampled pipeline-depth sweep 0/2/4
 # back to back) with GRIMP_METRICS_JSON set, then assert the dumped
 # registry contains the train.* observability keys sampled training must
-# touch — including the train.pipeline.* counters/gauge/histogram that
-# grouped batch preparation publishes — and that BENCH_train.json reports
-# the depth sweep bit-identical. Invoked as
+# touch — including the train.pipeline.* counters and span that grouped
+# batch preparation publishes — and that BENCH_train.json reports the depth
+# sweep bit-identical. Invoked as
 #   cmake -DTRAIN_BIN=<exe> -DWORK_DIR=<dir> -P check_train_metrics.cmake
 
 if(NOT DEFINED TRAIN_BIN OR NOT DEFINED WORK_DIR)
@@ -53,10 +53,8 @@ if(NOT train_runs EQUAL 4)
   message(FATAL_ERROR "expected 4 grimp.train spans, got ${train_runs}")
 endif()
 
-# The async batch-prep pipeline must have produced and consumed batches
-# (the serial depth-0 config counts its inline batches too), published its
-# lookahead gauge, and recorded consumer wait times for the pipelined
-# configs.
+# Grouped batch preparation must have produced every batch the step loop
+# consumed (the serial depth-0 config counts its inline batches too).
 string(JSON produced GET "${metrics_json}" counters train.pipeline.produced)
 string(JSON consumed GET "${metrics_json}" counters train.pipeline.consumed)
 if(produced LESS 1 OR consumed LESS 1)
@@ -66,21 +64,6 @@ endif()
 if(NOT produced EQUAL ${consumed})
   message(FATAL_ERROR
           "train.pipeline.produced ${produced} != consumed ${consumed}")
-endif()
-# Stalls are timing-dependent; the key must exist even if the count is 0.
-string(JSON stalls GET "${metrics_json}" counters train.pipeline.stalls)
-if(stalls LESS 0)
-  message(FATAL_ERROR "train.pipeline.stalls is ${stalls}")
-endif()
-string(JSON queue_depth GET "${metrics_json}" gauges
-       train.pipeline.queue_depth)
-if(queue_depth LESS 0)
-  message(FATAL_ERROR "train.pipeline.queue_depth gauge is ${queue_depth}")
-endif()
-string(JSON waits GET "${metrics_json}" histograms train.pipeline.wait_micros
-       count)
-if(waits LESS 1)
-  message(FATAL_ERROR "train.pipeline.wait_micros count is ${waits}")
 endif()
 
 # 3 epochs x 4 configs land in the shared epoch-loss series; only sampled
@@ -137,5 +120,5 @@ if(NOT bit_identical STREQUAL "ON")
 endif()
 
 message(STATUS "train metrics ok: grimp.train runs=${train_runs}, "
-        "pipeline produced=${produced}, stalls=${stalls}, "
+        "pipeline produced=${produced}, "
         "smoke speedup=${bench_speedup}, bit_identical=${bit_identical}")

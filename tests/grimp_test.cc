@@ -370,9 +370,9 @@ INSTANTIATE_TEST_SUITE_P(Configs, GrimpConfigTest, ::testing::Range(0, 11));
 
 // Inductive pins: what batch TransformMany and AttentionSummary compute
 // from one fitted engine, held like GrimpConfigTest's digests at the
-// scalar SIMD tier (ctest reruns them on one thread and with the arena
-// off). The fit runs on a contraceptive replica; the inputs are unseen
-// replicas with 25% MCAR gaps.
+// scalar SIMD tier (ctest reruns them on one thread). The fit runs on a
+// contraceptive replica; the inputs are unseen replicas with 25% MCAR
+// gaps.
 std::unique_ptr<GrimpEngine> PinnedInductiveEngine() {
   GrimpOptions options = FastOptions();
   options.max_epochs = 10;

@@ -1,9 +1,9 @@
 # Runs the scheduling-sensitive training tests 50 times each and fails on
-# the first failing repetition. Invoked by the trainer_arena_repeat ctest:
-#   cmake -DARENA_BIN=<arena_test> -DTRAINER_BIN=<trainer_test>
+# the first failing repetition. Invoked by the trainer_repeat ctest:
+#   cmake -DTAPE_BIN=<tape_test> -DTRAINER_BIN=<trainer_test>
 #         -P run_repeat.cmake
 foreach(run
-    "${ARENA_BIN};ArenaTest.SteadyStateTrainingDoesNotGrowArena"
+    "${TAPE_BIN};TapeRetentionTest.SameShapesReuseEveryBuffer"
     "${TRAINER_BIN};TrainerTest.FullModeLossesIndependentOfThreadCount")
   list(GET run 0 bin)
   list(GET run 1 filter)

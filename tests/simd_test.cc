@@ -487,7 +487,7 @@ TEST(SimdFusedOpsTest, LinearGradcheckAtEveryLevel) {
               relu ? tape.LinearRelu(xv, wv, bv) : tape.Linear(xv, wv, bv);
           // Reduce to N x 1 via a second plain matmul so MseLoss applies.
           Tensor ones = Tensor::Full(5, 1, 1.0f);
-          Tape::VarId pred = tape.MatMul(h, tape.Constant(std::move(ones)));
+          Tape::VarId pred = tape.MatMul(h, tape.Constant(ones));
           Tape::VarId loss = tape.MseLoss(pred, &targets);
           if (compute_grad) tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
           (void)p;
@@ -558,7 +558,7 @@ TEST(SimdFusedOpsTest, SegmentMeanGradcheckAtEveryLevel) {
       Tape::VarId t = tape.Leaf(&table);
       Tape::VarId sm = tape.SegmentMean(t, &offsets, &indices);
       Tensor ones = Tensor::Full(9, 1, 1.0f);
-      Tape::VarId pred = tape.MatMul(sm, tape.Constant(std::move(ones)));
+      Tape::VarId pred = tape.MatMul(sm, tape.Constant(ones));
       Tape::VarId loss = tape.MseLoss(pred, &targets);
       if (compute_grad) tape.BackwardFrom(loss, Tensor::Scalar(1.0f));
       return tape.value(loss).scalar();

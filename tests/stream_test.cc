@@ -572,7 +572,7 @@ TEST_F(StreamingEngineTest, ConcurrentStreamingTransformManyMatchesSerial) {
 // Pins what streaming TransformMany computes (ImputedWindowsMatchBatchRebuild
 // only shows it agrees with a rebuild): two successive 64-row ImputeWindow
 // windows, fanouts {3,3}, each held by a Checksum64 digest at the scalar
-// SIMD tier (ctest reruns it on one thread and with the arena off).
+// SIMD tier (ctest reruns it on one thread).
 TEST_F(StreamingEngineTest, PinnedImputeWindowDigests) {
   simd_ = "scalar";
   StreamingOptions options;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "attention_reference.h"
 #include "common/thread_pool.h"
@@ -443,6 +445,167 @@ TEST(TapeTest, LeafAccumulatesIntoParameterGrad) {
   EXPECT_EQ(p.grad.at(0, 0), 2.0f);
   p.ZeroGrad();
   EXPECT_EQ(p.grad.at(0, 0), 0.0f);
+}
+
+// --- Slot retention --------------------------------------------------------
+
+// One training step of a small network on `tape`: n gathered rows (every
+// third one the missing-value sentinel) plus a constant written in place,
+// a fused linear + ReLU, and cross entropy plus a scaled sum of squares.
+// `extra` appends a further branch of nodes to the loss.
+struct RetentionNet {
+  Parameter table = MakeParam(7, 4, 41);
+  Parameter w = MakeParam(4, 5, 42);
+  Parameter b = MakeParam(1, 5, 43);
+
+  void ZeroGrads() {
+    table.ZeroGrad();
+    w.ZeroGrad();
+    b.ZeroGrad();
+  }
+
+  Tape::VarId Record(Tape* tape, int64_t n, bool extra, float shift) {
+    std::vector<int32_t> rows;
+    std::vector<int32_t> labels;
+    for (int64_t i = 0; i < n; ++i) {
+      rows.push_back(i % 3 == 2 ? -1 : static_cast<int32_t>(i % 7));
+      labels.push_back(i % 4 == 3 ? -1 : static_cast<int32_t>(i % 5));
+    }
+    const Tape::VarId gathered = tape->GatherRows(tape->Leaf(&table), rows);
+    Tape::VarId c;
+    Tensor* cv = tape->ConstantInPlace(&c);
+    cv->ResizeUninit(n, 4);
+    for (int64_t i = 0; i < cv->size(); ++i) {
+      (*cv)[i] = shift + 0.01f * static_cast<float>(i);
+    }
+    const Tape::VarId h = tape->LinearRelu(tape->Add(gathered, c),
+                                           tape->Leaf(&w), tape->Leaf(&b));
+    Tape::VarId loss = tape->Add(
+        tape->SoftmaxCrossEntropy(h, labels),
+        tape->Scale(tape->SumAll(tape->Mul(h, h)), 0.01f));
+    if (extra) {
+      const Tape::VarId cat = tape->ConcatCols({h, tape->RowSoftmax(h)});
+      const Tape::VarId flat = tape->Reshape(cat, 1, n * 10);
+      loss = tape->Add(loss, tape->SumAll(tape->Relu(flat)));
+    }
+    tape->BackwardFrom(loss, Tensor::Scalar(1.0f));
+    return loss;
+  }
+};
+
+// Every node's value and grad buffer, read after a backward (grad() zero-
+// fills a node no consumer reached, in its slot).
+std::vector<const float*> Buffers(const Tape& tape) {
+  std::vector<const float*> out;
+  for (Tape::VarId id = 0; id < tape.num_nodes(); ++id) {
+    out.push_back(tape.value(id).data());
+    out.push_back(tape.grad(id).data());
+  }
+  return out;
+}
+
+// After Reset, a step of the same shapes records into the buffers of the
+// step before: every value and grad keeps its data() pointer, step after
+// step, so steady-state training stops allocating tensors. Between steps
+// the test takes decoy tensors of every recorded shape: a tape that freed
+// its buffers on Reset would hand them to the decoys and get other ones.
+TEST(TapeRetentionTest, SameShapesReuseEveryBuffer) {
+  RetentionNet net;
+  Tape tape;
+  net.Record(&tape, 9, /*extra=*/true, 0.5f);
+  const std::vector<const float*> first = Buffers(tape);
+  const Tape::VarId nodes = tape.num_nodes();
+  for (int step = 1; step < 4; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<std::pair<int64_t, int64_t>> shapes;
+    for (Tape::VarId id = 0; id < nodes; ++id) {
+      shapes.emplace_back(tape.value(id).rows(), tape.value(id).cols());
+    }
+    tape.Reset();
+    std::vector<Tensor> decoys;
+    for (const auto& [rows, cols] : shapes) {
+      decoys.push_back(Tensor::Uninit(rows, cols));
+      decoys.push_back(Tensor::Uninit(rows, cols));
+    }
+    net.ZeroGrads();
+    net.Record(&tape, 9, /*extra=*/true, 0.5f + 0.1f * step);
+    ASSERT_EQ(tape.num_nodes(), nodes);
+    const std::vector<const float*> again = Buffers(tape);
+    for (size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ(again[i], first[i])
+          << (i % 2 == 0 ? "value" : "grad") << " of node " << i / 2;
+    }
+  }
+}
+
+// A node reached in one step and not in the next: its slot still holds the
+// old grad, but grad() reads zeros and its backward does not run, so a
+// Leaf adds nothing stale into its Parameter.
+TEST(TapeRetentionTest, UnreachedNodeReadsZerosAndRunsNoBackward) {
+  Parameter p("p", Tensor::FromVector(1, 3, {1.0f, -2.0f, 3.0f}));
+  Tape tape;
+  Tape::VarId leaf = tape.Leaf(&p);
+  Tape::VarId scaled = tape.Scale(leaf, 2.0f);
+  tape.BackwardFrom(tape.SumAll(scaled), Tensor::Scalar(1.0f));
+  ASSERT_EQ(p.grad.at(0, 0), 2.0f);
+  ASSERT_EQ(tape.grad(scaled).at(0, 0), 1.0f);
+
+  tape.Reset();
+  p.ZeroGrad();
+  // The same slots, then a loss that does not read them.
+  leaf = tape.Leaf(&p);
+  scaled = tape.Scale(leaf, 2.0f);
+  const Tape::VarId other =
+      tape.Constant(Tensor::FromVector(1, 3, {4.0f, 5.0f, 6.0f}));
+  tape.BackwardFrom(tape.SumAll(other), Tensor::Scalar(1.0f));
+  for (int64_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(p.grad.at(0, c), 0.0f) << "stale Leaf contribution, col " << c;
+    EXPECT_EQ(tape.grad(scaled).at(0, c), 0.0f) << "col " << c;
+    EXPECT_EQ(tape.grad(leaf).at(0, c), 0.0f) << "col " << c;
+    EXPECT_EQ(tape.grad(other).at(0, c), 1.0f) << "col " << c;
+  }
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// Recording past the slot count, into slots smaller than the new shapes,
+// and then smaller shapes into slots holding stale values all give the
+// values and grads a fresh tape computes.
+TEST(TapeRetentionTest, GrowingAndShrinkingStepsMatchAFreshTape) {
+  RetentionNet net;
+  Tape reused;
+  const struct {
+    int64_t n;
+    bool extra;
+  } steps[] = {{4, false}, {11, true}, {5, true}, {3, false}};
+  for (size_t k = 0; k < std::size(steps); ++k) {
+    SCOPED_TRACE("step " + std::to_string(k));
+    const float shift = 0.25f * static_cast<float>(k + 1);
+    reused.Reset();
+    net.ZeroGrads();
+    net.Record(&reused, steps[k].n, steps[k].extra, shift);
+    const Tensor table_grad = net.table.grad;
+    const Tensor w_grad = net.w.grad;
+    const Tensor b_grad = net.b.grad;
+
+    Tape fresh;
+    net.ZeroGrads();
+    net.Record(&fresh, steps[k].n, steps[k].extra, shift);
+    ASSERT_EQ(reused.num_nodes(), fresh.num_nodes());
+    for (Tape::VarId id = 0; id < fresh.num_nodes(); ++id) {
+      EXPECT_TRUE(SameBits(reused.value(id), fresh.value(id)))
+          << "value of node " << id;
+      EXPECT_TRUE(SameBits(reused.grad(id), fresh.grad(id)))
+          << "grad of node " << id;
+    }
+    EXPECT_TRUE(SameBits(table_grad, net.table.grad));
+    EXPECT_TRUE(SameBits(w_grad, net.w.grad));
+    EXPECT_TRUE(SameBits(b_grad, net.b.grad));
+  }
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "eval/runner.h"
 #include "graph/builder.h"
 #include "table/corruption.h"
-#include "tensor/arena.h"
 #include "tensor/optimizer.h"
 #include "tensor/simd.h"
 #include "transform_copy.h"
@@ -434,27 +433,21 @@ struct FullModeFixture {
   }
 };
 
-// Restores the global pool size and arena toggle a test changes, also
-// when an assertion returns early.
+// Restores the global pool size a test changes, also when an assertion
+// returns early.
 class ComputeSettingsGuard {
  public:
-  ComputeSettingsGuard()
-      : threads_(ThreadPool::GlobalThreads()),
-        arena_(TensorArena::Global().enabled()) {}
-  ~ComputeSettingsGuard() {
-    ThreadPool::SetGlobalThreads(threads_);
-    TensorArena::Global().SetEnabled(arena_);
-  }
+  ComputeSettingsGuard() : threads_(ThreadPool::GlobalThreads()) {}
+  ~ComputeSettingsGuard() { ThreadPool::SetGlobalThreads(threads_); }
 
  private:
   int threads_;
-  bool arena_;
 };
 
 // The full-mode heads run as one task loop on the pool and their
 // gradients are reduced row-parallel in a fixed per-row order, so the
 // whole trajectory — per-epoch train and val losses — and the final
-// weights are bit-identical at 1, 3 and 4 threads, and with the arena off.
+// weights are bit-identical at 1, 3 and 4 threads.
 TEST(TrainerTest, FullModeLossesIndependentOfThreadCount) {
   struct RunOutput {
     std::vector<double> train_losses;
@@ -462,9 +455,8 @@ TEST(TrainerTest, FullModeLossesIndependentOfThreadCount) {
     std::vector<Tensor> params;
   };
   ComputeSettingsGuard guard;
-  auto run = [](int num_threads, bool arena) {
+  auto run = [](int num_threads) {
     ThreadPool::SetGlobalThreads(num_threads);
-    TensorArena::Global().SetEnabled(arena);
     FullModeFixture fx;
     RunOutput out;
     TrainCallbacks callbacks;
@@ -483,16 +475,11 @@ TEST(TrainerTest, FullModeLossesIndependentOfThreadCount) {
     for (const Parameter* p : params) out.params.push_back(p->value);
     return out;
   };
-  const RunOutput serial = run(1, true);
+  const RunOutput serial = run(1);
   ASSERT_EQ(serial.train_losses.size(), 6u);
-  const struct {
-    int threads;
-    bool arena;
-  } schedules[] = {{3, true}, {4, true}, {4, false}};
-  for (const auto& schedule : schedules) {
-    SCOPED_TRACE("threads " + std::to_string(schedule.threads) + " arena " +
-                 std::to_string(schedule.arena));
-    const RunOutput other = run(schedule.threads, schedule.arena);
+  for (const int threads : {3, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const RunOutput other = run(threads);
     // EXPECT_EQ on doubles: exact equality, not DOUBLE_EQ's 4 ulps.
     EXPECT_EQ(serial.train_losses, other.train_losses);
     EXPECT_EQ(serial.val_losses, other.val_losses);
@@ -749,7 +736,8 @@ TEST(TrainerTest, FullModeMixedHeadReduceMatchesPerTaskScatter) {
         out = attention->ForwardDetached(&sub[t], &h, &task.train_idx,
                                          &factors[t]);
       } else {
-        in = sub[t].Constant(GatherTaskRows(h, task.train_idx, kCols));
+        GatherTaskRows(h, task.train_idx, kCols,
+                       sub[t].ConstantInPlace(&in));
         out = task.head->Forward(&sub[t], in);
       }
       const Tape::VarId loss =
@@ -786,7 +774,7 @@ TEST(TrainerTest, FullModeMixedHeadReduceMatchesPerTaskScatter) {
     reduce.Run(sources, &h_grad);
     EXPECT_TRUE(testing::BitEqual(h_grad, ref_grad));
 
-    tape.BackwardFrom(h_id, std::move(ref_grad));
+    tape.BackwardFrom(h_id, ref_grad);
     opt.ClipGradNorm(ref.options.grad_clip);
     opt.Step();
 
