@@ -13,6 +13,10 @@
 // dW = X^T * G (k = live rows) and dX = G * W^T, each timed through the
 // kernel variant the layer calls.
 //
+// The task head rows are the six GEMMs of one attention head's MLP
+// (paper §3.7; dim 32, hidden 64) over about 770 training vectors, the
+// second layer at |dom| = 1 (a numerical head), 7 and 20.
+//
 // Each plain shape is also timed through the fused GEMM+bias+ReLU epilogue
 // (MatMulFused, the kernel behind Tape::LinearRelu) against the equivalent
 // unfused chain (plain GEMM + a separate bias/ReLU pass over the output).
@@ -90,7 +94,18 @@ int main() {
       {64, 970, 32, Op::kTransA, "GNN type dW: X^T * G, k = live rows"},
       {970, 32, 64, Op::kTransB, "GNN type dX: G * W^T"},
       {2048, 64, 64, Op::kPlain, "shared merge layer"},
-      {512, 128, 512, Op::kPlain, "task head logits"},
+      {770, 32, 64, Op::kPlain, "task head L1 forward: ctx * W1"},
+      {32, 770, 64, Op::kTransA, "task head dW1: ctx^T * G1"},
+      {770, 64, 32, Op::kTransB, "task head dctx: G1 * W1^T"},
+      {64, 770, 1, Op::kTransA, "task head dW2, |dom| = 1: H1^T * G2"},
+      {64, 770, 7, Op::kTransA, "task head dW2, |dom| = 7"},
+      {64, 770, 20, Op::kTransA, "task head dW2, |dom| = 20"},
+      {770, 64, 1, Op::kPlain, "task head L2 forward, |dom| = 1: H1 * W2"},
+      {770, 64, 7, Op::kPlain, "task head L2 forward, |dom| = 7"},
+      {770, 64, 20, Op::kPlain, "task head L2 forward, |dom| = 20"},
+      {770, 1, 64, Op::kTransB, "task head dH1, |dom| = 1: G2 * W2^T"},
+      {770, 7, 64, Op::kTransB, "task head dH1, |dom| = 7"},
+      {770, 20, 64, Op::kTransB, "task head dH1, |dom| = 20"},
       {1000, 50, 17, Op::kPlain, "ragged edge tiles"},
   };
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());

@@ -153,23 +153,32 @@ void TaskGradReduce::Run(const std::vector<Source>& sources,
   const int64_t d = h_grad->cols();
   ParallelFor(0, static_cast<int64_t>(chunks_.size()) - 1, 1,
               [&](int64_t lo, int64_t hi) {
+    // A row's terms go to the kernel in batches, which holds the row in
+    // registers across each batch.
+    constexpr int32_t kBatch = 64;
+    simd::InputGradTerm terms[kBatch];
     for (int64_t k = lo; k < hi; ++k) {
       const auto row_end = static_cast<size_t>(chunks_[k + 1]);
       for (auto r = static_cast<size_t>(chunks_[k]); r < row_end; ++r) {
         float* dst = h_grad->data() + static_cast<int64_t>(r) * d;
-        for (int32_t e = offsets_[r]; e < offsets_[r + 1]; ++e) {
-          const Entry entry = entries_[static_cast<size_t>(e)];
-          const Source& source = sources[static_cast<size_t>(entry.task)];
-          if (source.attention != nullptr) {
-            const AttentionScratch& f = *source.attention;
-            kt.attention_input_grad(
-                d, f.alpha.data()[entry.pos],
-                f.ctx_grad.data() + (entry.pos / num_cols_) * d,
-                f.score_grad.data()[entry.pos], f.query.data(), dst);
-          } else {
-            const float* src = source.dense->data() + entry.pos * d;
-            for (int64_t c = 0; c < d; ++c) dst[c] += src[c];
+        for (int32_t e0 = offsets_[r]; e0 < offsets_[r + 1]; e0 += kBatch) {
+          const int32_t count = std::min(kBatch, offsets_[r + 1] - e0);
+          for (int32_t e = 0; e < count; ++e) {
+            const Entry entry = entries_[static_cast<size_t>(e0 + e)];
+            const Source& source = sources[static_cast<size_t>(entry.task)];
+            simd::InputGradTerm& term = terms[e];
+            if (source.attention != nullptr) {
+              const AttentionScratch& f = *source.attention;
+              term.g = f.ctx_grad.data() + (entry.pos / num_cols_) * d;
+              term.a = f.query.data();
+              term.alpha = f.alpha.data()[entry.pos];
+              term.score_grad = f.score_grad.data()[entry.pos];
+            } else {
+              term.g = source.dense->data() + entry.pos * d;
+              term.a = nullptr;
+            }
           }
+          kt.attention_input_grad(d, count, terms, dst);
         }
       }
     }
@@ -179,7 +188,7 @@ void TaskGradReduce::Run(const std::vector<Source>& sources,
 Tape::VarId Trainer::FullForward() {
   tape_.Reset();  // reuse node slots from the previous pass
   return ForwardReadRows(&tape_, options_.use_gnn ? gnn_ : nullptr, *shared_,
-                         tape_.Constant(*node_features_),
+                         tape_.Constant(node_features_),
                          *store_->full_graph(), &read_rows_, &gnn_scratch_);
 }
 

@@ -67,8 +67,10 @@ class TaskGradReduce {
   // h's `num_rows` rows.
   void Build(std::span<const std::vector<int32_t>> train_idx,
              int64_t num_rows, int num_cols);
-  // *h_grad += every task's gradient, one Source per task. Each attention
-  // block's gradient is rebuilt in place (simd attention_input_grad).
+  // *h_grad += every task's gradient, one Source per task: one
+  // simd attention_input_grad call per row (per 64 entries) over all of
+  // that row's entries, which rebuilds each attention block's gradient in
+  // place and adds dense rows as they are.
   void Run(const std::vector<Source>& sources, Tensor* h_grad) const;
 
  private:

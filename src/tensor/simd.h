@@ -55,6 +55,14 @@ struct GemmEpilogue {
   bool accumulate = false;      // C += result instead of C = result
 };
 
+// One term of KernelTable::attention_input_grad.
+struct InputGradTerm {
+  const float* g = nullptr;  // the vector's dL/dctx row, or a dense row
+  const float* a = nullptr;  // the query; null for a dense row
+  float alpha = 0.0f;
+  float score_grad = 0.0f;
+};
+
 // One dispatchable kernel set. All kernels are deterministic pure
 // functions of their inputs: accumulation order never depends on the
 // thread count (callers chunk with fixed grains), so results are
@@ -63,7 +71,8 @@ struct GemmEpilogue {
 // attention_input_grad) perform the exact scalar arithmetic lane-wise and
 // stay bit-identical to the scalar table; GEMM, segment-mean, softmax, the
 // other attention kernels and the reductions use FMA / polynomial exp /
-// lane-split sums and agree within AllClose rtol ~1e-4.
+// lane-split sums and agree within AllClose rtol ~1e-4. Within one table,
+// gemm and gemm_rows compute the same bits for every C element.
 struct KernelTable {
   const char* name;
 
@@ -88,6 +97,17 @@ struct KernelTable {
   void (*gemm)(const float* a, int64_t as_i, int64_t as_p, const float* bp,
                float* c, int64_t ldc, int64_t i_begin, int64_t i_end,
                int64_t k, int64_t n, const GemmEpilogue& ep);
+  // The same C rows as gemm, element for element (each C element's chain
+  // from 0 over p ascending, then accumulate, bias and ReLU), vectorized
+  // over C's rows instead of an nr-wide column panel: for the shapes the
+  // panel wastes, n < 16 and the transposed-A walk. B is read in place as
+  // b[p * bs_p + j * bs_j], with no pack. With as_i == 1 (the transposed
+  // walk) A's rows for each p are read in place too; otherwise (the plain
+  // walk) they are first transposed into a per-thread scratch.
+  void (*gemm_rows)(const float* a, int64_t as_i, int64_t as_p,
+                    const float* b, int64_t bs_p, int64_t bs_j, float* c,
+                    int64_t ldc, int64_t i_begin, int64_t i_end, int64_t k,
+                    int64_t n, const GemmEpilogue& ep);
 
   // --- Elementwise / epilogue kernels ------------------------------------
   // y = max(x, 0)
@@ -127,10 +147,14 @@ struct KernelTable {
   // n vectors of nb blocks of width d, read through an index: block c of
   // vector i is row idx[i * nb + c] of h (row-major, d wide), and a
   // negative index is a zero block, which contributes nothing.
-  // Forward: alpha[i] = softmax_c(<block c, a> * scale) (n x nb) and
-  // ctx[i] = sum_c alpha[i, c] * block c (n x d).
+  // Scores: scores[r] = scale * <h row r, a> for rows [0, rows), each the
+  // same dot whichever vector reads the row.
+  void (*attention_scores)(int64_t rows, int64_t d, const float* h,
+                           const float* a, float scale, float* scores);
+  // Forward: alpha[i] = softmax_c(scores[idx[i * nb + c]]), 0 for a zero
+  // block (n x nb), and ctx[i] = sum_c alpha[i, c] * block c (n x d).
   void (*attention_fwd)(int64_t n, int64_t nb, int64_t d, const float* h,
-                        const int32_t* idx, const float* a, float scale,
+                        const int32_t* idx, const float* scores,
                         float* alpha, float* ctx);
   // Backward through the weighted sum and the softmax: given g = dL/dctx
   // (n x d), writes score_grad[i, c] = scale * dL/dscore[i, c] (n x nb).
@@ -142,14 +166,16 @@ struct KernelTable {
   void (*attention_query_grad)(int64_t n, int64_t nb, int64_t d,
                                const float* h, const int32_t* idx,
                                const float* score_grad, float* a_grad);
-  // One block's input gradient added into its h row `dst`:
-  // dst += (0 + alpha * g) + score_grad * a, the score term skipped at
-  // score_grad == 0; g is the vector's row of dL/dctx. Elementwise, so
+  // Adds `count` input-gradient terms into one h row `dst`, in order, with
+  // the row held in registers across them. An attention term adds its
+  // block's gradient, dst += (0 + alpha * g) + score_grad * a, the score
+  // term skipped at score_grad == 0 (g is the vector's row of dL/dctx); a
+  // dense term (a == null) adds its row, dst += g. Elementwise, so
   // bit-identical across tables. This is the order in which the replaced
   // op chain built a block's gradient before its GatherRows scatter;
   // regrouping it (adding the two terms into dst one by one) moves bits.
-  void (*attention_input_grad)(int64_t d, float alpha, const float* g,
-                               float score_grad, const float* a, float* dst);
+  void (*attention_input_grad)(int64_t d, int64_t count,
+                               const InputGradTerm* terms, float* dst);
 
   // --- Optimizer kernels --------------------------------------------------
   // One Adam step over n contiguous entries; bc1/bc2 are the precomputed

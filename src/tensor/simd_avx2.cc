@@ -4,8 +4,9 @@
 // rest of the binary stays runnable on baseline x86-64.
 //
 // Tail discipline: C tiles use masked loads/stores, packed operands are
-// zero-padded to the panel width, and elementwise kernels finish ragged
-// lanes with scalar loops — no kernel reads or writes past its operands
+// zero-padded to the panel width, A rows past a tile are never read, and
+// elementwise kernels finish ragged lanes with scalar loops (or masks) — no
+// kernel reads or writes past its operands
 // (verified under ASan+UBSan, see tests/CMakeLists.txt).
 
 #include "tensor/simd.h"
@@ -79,22 +80,14 @@ void PackBT(const float* b, int64_t ldb, int64_t k, int64_t n, float* bp) {
 void Gemm(const float* a, int64_t as_i, int64_t as_p, const float* bp,
           float* c, int64_t ldc, int64_t i_begin, int64_t i_end, int64_t k,
           int64_t n, const GemmEpilogue& ep) {
-  // Per-thread A panel: kMR rows interleaved per-p (zero-padded below mr),
-  // so the kernel's broadcasts read contiguous memory for both the plain
-  // and the transposed A walk.
-  thread_local std::vector<float> apack;
-  if (static_cast<int64_t>(apack.size()) < kMR * k) {
-    apack.resize(static_cast<size_t>(kMR * k));
-  }
-  float* ap = apack.data();
   const __m256 zero = _mm256_setzero_ps();
   for (int64_t i0 = i_begin; i0 < i_end; i0 += kMR) {
     const int64_t mr = std::min(kMR, i_end - i0);
-    for (int64_t p = 0; p < k; ++p) {
-      for (int64_t ii = 0; ii < mr; ++ii) {
-        ap[p * kMR + ii] = a[(i0 + ii) * as_i + p * as_p];
-      }
-      for (int64_t ii = mr; ii < kMR; ++ii) ap[p * kMR + ii] = 0.0f;
+    // The kernel broadcasts A straight from its kMR rows; the rows past mr
+    // re-read the last one and their results are dropped.
+    const float* arows[kMR];
+    for (int64_t ii = 0; ii < kMR; ++ii) {
+      arows[ii] = a + (i0 + std::min(ii, mr - 1)) * as_i;
     }
     for (int64_t j0 = 0; j0 < n; j0 += kNR) {
       const int64_t nr = std::min(kNR, n - j0);
@@ -107,10 +100,9 @@ void Gemm(const float* a, int64_t as_i, int64_t as_p, const float* bp,
       for (int64_t p = 0; p < k; ++p) {
         const __m256 b0 = _mm256_loadu_ps(panel + p * kNR);
         const __m256 b1 = _mm256_loadu_ps(panel + p * kNR + 8);
-        const float* arow = ap + p * kMR;
 #pragma GCC unroll 6
         for (int64_t ii = 0; ii < kMR; ++ii) {
-          const __m256 av = _mm256_broadcast_ss(arow + ii);
+          const __m256 av = _mm256_broadcast_ss(arows[ii] + p * as_p);
           acc[ii][0] = _mm256_fmadd_ps(av, b0, acc[ii][0]);
           acc[ii][1] = _mm256_fmadd_ps(av, b1, acc[ii][1]);
         }
@@ -121,7 +113,10 @@ void Gemm(const float* a, int64_t as_i, int64_t as_p, const float* bp,
           bias0 = _mm256_loadu_ps(ep.bias + j0);
           bias1 = _mm256_loadu_ps(ep.bias + j0 + 8);
         }
-        for (int64_t ii = 0; ii < mr; ++ii) {
+        // Unrolled with constant indices, so acc never leaves registers.
+#pragma GCC unroll 6
+        for (int64_t ii = 0; ii < kMR; ++ii) {
+          if (ii >= mr) break;
           float* crow = c + (i0 + ii) * ldc + j0;
           __m256 v0 = acc[ii][0];
           __m256 v1 = acc[ii][1];
@@ -150,7 +145,9 @@ void Gemm(const float* a, int64_t as_i, int64_t as_p, const float* bp,
           bias0 = _mm256_maskload_ps(ep.bias + j0, m0);
           bias1 = _mm256_maskload_ps(ep.bias + j0 + 8, m1);
         }
-        for (int64_t ii = 0; ii < mr; ++ii) {
+#pragma GCC unroll 6
+        for (int64_t ii = 0; ii < kMR; ++ii) {
+          if (ii >= mr) break;
           float* crow = c + (i0 + ii) * ldc + j0;
           __m256 v0 = acc[ii][0];
           __m256 v1 = acc[ii][1];
@@ -169,6 +166,200 @@ void Gemm(const float* a, int64_t as_i, int64_t as_p, const float* bp,
           _mm256_maskstore_ps(crow, m0, v0);
           if (w1 > 0) _mm256_maskstore_ps(crow + 8, m1, v1);
         }
+      }
+    }
+  }
+}
+
+// --- Row-lane GEMM (gemm_rows) ---------------------------------------------
+// C's rows run in the lanes: a tile is V vectors of 8 rows by NC columns,
+// and each p adds A's column segment times one broadcast B element per
+// column. Every C element is still one FMA chain from 0 over p ascending,
+// and the epilogue adds in gemm's order, so the bits equal gemm's.
+
+// Rows per block of a plain-walk A transposed into the pack.
+constexpr int64_t kRowBlock = 64;
+
+// Tile heights in 8-row vectors by tile width (8 to 12 accumulators); each
+// height divides kRowBlock.
+constexpr int kRowVectors[7] = {0, 8, 4, 4, 2, 2, 2};
+constexpr int64_t kRowTileCols = 6;
+
+// Transposes rows [0, rows) x columns [0, k) of A (a[i * as_i + p * as_p])
+// into at[p * kRowBlock + i], 8 x 8 blocks in registers where A's rows are
+// contiguous.
+void PackRowsTransposed(const float* a, int64_t as_i, int64_t as_p,
+                        int64_t rows, int64_t k, float* at) {
+  int64_t i0 = 0;
+  if (as_p == 1) {
+    for (; i0 + 8 <= rows; i0 += 8) {
+      int64_t p0 = 0;
+      for (; p0 + 8 <= k; p0 += 8) {
+        __m256 r[8];
+        for (int64_t q = 0; q < 8; ++q) {
+          r[q] = _mm256_loadu_ps(a + (i0 + q) * as_i + p0);
+        }
+        const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        const __m256 u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+        const __m256 u1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+        const __m256 u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+        const __m256 u3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+        const __m256 u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+        const __m256 u5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+        const __m256 u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+        const __m256 u7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+        float* dst = at + p0 * kRowBlock + i0;
+        _mm256_storeu_ps(dst + 0 * kRowBlock,
+                         _mm256_permute2f128_ps(u0, u4, 0x20));
+        _mm256_storeu_ps(dst + 1 * kRowBlock,
+                         _mm256_permute2f128_ps(u1, u5, 0x20));
+        _mm256_storeu_ps(dst + 2 * kRowBlock,
+                         _mm256_permute2f128_ps(u2, u6, 0x20));
+        _mm256_storeu_ps(dst + 3 * kRowBlock,
+                         _mm256_permute2f128_ps(u3, u7, 0x20));
+        _mm256_storeu_ps(dst + 4 * kRowBlock,
+                         _mm256_permute2f128_ps(u0, u4, 0x31));
+        _mm256_storeu_ps(dst + 5 * kRowBlock,
+                         _mm256_permute2f128_ps(u1, u5, 0x31));
+        _mm256_storeu_ps(dst + 6 * kRowBlock,
+                         _mm256_permute2f128_ps(u2, u6, 0x31));
+        _mm256_storeu_ps(dst + 7 * kRowBlock,
+                         _mm256_permute2f128_ps(u3, u7, 0x31));
+      }
+      for (; p0 < k; ++p0) {
+        for (int64_t q = 0; q < 8; ++q) {
+          at[p0 * kRowBlock + i0 + q] = a[(i0 + q) * as_i + p0];
+        }
+      }
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    for (int64_t i = i0; i < rows; ++i) {
+      at[p * kRowBlock + i] = a[i * as_i + p * as_p];
+    }
+  }
+}
+
+// One V*8 x NC tile of C at rows [0, rows) of the tile: A's column segment
+// for p at a + p * as_p (lanes past `rows` masked off when kTail), B's
+// element (p, j) at b + p * bs_p + j * bs_j.
+template <int V, int NC, bool kTail>
+void RowTile(const float* a, int64_t as_p, const float* b, int64_t bs_p,
+             int64_t bs_j, int64_t k, int64_t rows, float* c, int64_t ldc,
+             const float* bias, const GemmEpilogue& ep) {
+  __m256 acc[V][NC];
+  __m256i mask[V];
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) {
+#pragma GCC unroll 6
+    for (int j = 0; j < NC; ++j) acc[v][j] = _mm256_setzero_ps();
+    mask[v] = MaskFor(std::clamp<int64_t>(rows - 8 * v, 0, 8));
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const float* acol = a + p * as_p;
+    const float* brow = b + p * bs_p;
+    __m256 av[V];
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      av[v] = kTail ? _mm256_maskload_ps(acol + 8 * v, mask[v])
+                    : _mm256_loadu_ps(acol + 8 * v);
+    }
+#pragma GCC unroll 6
+    for (int j = 0; j < NC; ++j) {
+      const __m256 bv = _mm256_broadcast_ss(brow + j * bs_j);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        acc[v][j] = _mm256_fmadd_ps(av[v], bv, acc[v][j]);
+      }
+    }
+  }
+  // Through a stack tile with constant indices, so acc never leaves
+  // registers inside the p loop.
+  alignas(32) float t[NC][V * 8];
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) {
+#pragma GCC unroll 6
+    for (int j = 0; j < NC; ++j) _mm256_store_ps(t[j] + 8 * v, acc[v][j]);
+  }
+  for (int64_t i = 0; i < rows; ++i) {
+    float* crow = c + i * ldc;
+    for (int j = 0; j < NC; ++j) {
+      float x = t[j][i];
+      if (ep.accumulate) x += crow[j];
+      if (bias != nullptr) x += bias[j];
+      if (ep.relu) x = x > 0.0f ? x : 0.0f;
+      crow[j] = x;
+    }
+  }
+}
+
+// Rows [0, rows) of C for columns [j0, j0 + NC), V*8-row tiles.
+template <int NC>
+void RowTiles(const float* a, int64_t as_p, const float* b, int64_t bs_p,
+              int64_t bs_j, int64_t k, int64_t rows, float* c, int64_t ldc,
+              int64_t j0, const GemmEpilogue& ep) {
+  constexpr int V = kRowVectors[NC];
+  constexpr int64_t kRows = 8 * V;
+  const float* bj = b + j0 * bs_j;
+  const float* bias = ep.bias != nullptr ? ep.bias + j0 : nullptr;
+  int64_t i0 = 0;
+  for (; i0 + kRows <= rows; i0 += kRows) {
+    RowTile<V, NC, false>(a + i0, as_p, bj, bs_p, bs_j, k, kRows,
+                          c + i0 * ldc + j0, ldc, bias, ep);
+  }
+  if (i0 < rows) {
+    RowTile<V, NC, true>(a + i0, as_p, bj, bs_p, bs_j, k, rows - i0,
+                         c + i0 * ldc + j0, ldc, bias, ep);
+  }
+}
+
+void GemmRows(const float* a, int64_t as_i, int64_t as_p, const float* b,
+              int64_t bs_p, int64_t bs_j, float* c, int64_t ldc,
+              int64_t i_begin, int64_t i_end, int64_t k, int64_t n,
+              const GemmEpilogue& ep) {
+  // The plain walk's row blocks, transposed; retained per thread like
+  // gemm's B pack.
+  thread_local std::vector<float> apack;
+  if (as_i != 1 && static_cast<int64_t>(apack.size()) < kRowBlock * k) {
+    apack.resize(static_cast<size_t>(kRowBlock * k));
+  }
+  for (int64_t r0 = i_begin; r0 < i_end; r0 += kRowBlock) {
+    const int64_t rows = std::min(kRowBlock, i_end - r0);
+    const float* at = a + r0;
+    int64_t at_p = as_p;
+    if (as_i != 1) {
+      PackRowsTransposed(a + r0 * as_i, as_i, as_p, rows, k, apack.data());
+      at = apack.data();
+      at_p = kRowBlock;
+    }
+    float* cb = c + r0 * ldc;
+    for (int64_t j0 = 0; j0 < n; j0 += kRowTileCols) {
+      switch (std::min(kRowTileCols, n - j0)) {
+        case 1:
+          RowTiles<1>(at, at_p, b, bs_p, bs_j, k, rows, cb, ldc, j0, ep);
+          break;
+        case 2:
+          RowTiles<2>(at, at_p, b, bs_p, bs_j, k, rows, cb, ldc, j0, ep);
+          break;
+        case 3:
+          RowTiles<3>(at, at_p, b, bs_p, bs_j, k, rows, cb, ldc, j0, ep);
+          break;
+        case 4:
+          RowTiles<4>(at, at_p, b, bs_p, bs_j, k, rows, cb, ldc, j0, ep);
+          break;
+        case 5:
+          RowTiles<5>(at, at_p, b, bs_p, bs_j, k, rows, cb, ldc, j0, ep);
+          break;
+        default:
+          RowTiles<6>(at, at_p, b, bs_p, bs_j, k, rows, cb, ldc, j0, ep);
+          break;
       }
     }
   }
@@ -492,45 +683,67 @@ struct Strip32 {
   __m256 acc[4];
 };
 
-// out[c] = scale * <x, block c> for the nb blocks `rows` of h (0 for -1):
-// four blocks at a time, four independent FMA chains reduced by one hadd
-// tree.
+// dots[j] = scale * <x, r[j]> for four rows of width d: four independent
+// FMA chains reduced by one hadd tree. Each dot's bits depend only on its
+// own row, not on which of the four slots it takes.
+[[gnu::always_inline]] inline void Dots4(const float* const r[4], int64_t d,
+                                         const float* x, float scale,
+                                         float dots[4]) {
+  __m256 acc[4];
+  for (int64_t j = 0; j < 4; ++j) acc[j] = _mm256_setzero_ps();
+  int64_t k = 0;
+  for (; k + 8 <= d; k += 8) {
+    const __m256 xv = _mm256_loadu_ps(x + k);
+    for (int64_t j = 0; j < 4; ++j) {
+      acc[j] = _mm256_fmadd_ps(xv, _mm256_loadu_ps(r[j] + k), acc[j]);
+    }
+  }
+  if (k < d) {
+    const __m256i mask = MaskFor(d - k);
+    const __m256 xv = _mm256_maskload_ps(x + k, mask);
+    for (int64_t j = 0; j < 4; ++j) {
+      acc[j] = _mm256_fmadd_ps(xv, _mm256_maskload_ps(r[j] + k, mask),
+                               acc[j]);
+    }
+  }
+  const __m256 s = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]),
+                                  _mm256_hadd_ps(acc[2], acc[3]));
+  _mm_storeu_ps(dots, _mm_mul_ps(_mm_add_ps(_mm256_castps256_ps128(s),
+                                            _mm256_extractf128_ps(s, 1)),
+                                 _mm_set1_ps(scale)));
+}
+
+// out[c] = scale * <x, block c> for the nb blocks `rows` of h (0 for -1),
+// four blocks at a time.
 void BlockDots(int64_t nb, int64_t d, const float* h, const int32_t* rows,
                const float* x, float scale, float* out) {
   for (int64_t c = 0; c < nb; c += 4) {
     const float* r[4];
-    __m256 acc[4];
     for (int64_t j = 0; j < 4; ++j) {
       // Past the end and for -1, any readable row: the result is dropped.
       r[j] = c + j < nb && rows[c + j] >= 0
                  ? h + static_cast<int64_t>(rows[c + j]) * d
                  : x;
-      acc[j] = _mm256_setzero_ps();
     }
-    int64_t k = 0;
-    for (; k + 8 <= d; k += 8) {
-      const __m256 xv = _mm256_loadu_ps(x + k);
-      for (int64_t j = 0; j < 4; ++j) {
-        acc[j] = _mm256_fmadd_ps(xv, _mm256_loadu_ps(r[j] + k), acc[j]);
-      }
-    }
-    if (k < d) {
-      const __m256i mask = MaskFor(d - k);
-      const __m256 xv = _mm256_maskload_ps(x + k, mask);
-      for (int64_t j = 0; j < 4; ++j) {
-        acc[j] = _mm256_fmadd_ps(xv, _mm256_maskload_ps(r[j] + k, mask),
-                                 acc[j]);
-      }
-    }
-    const __m256 s = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]),
-                                    _mm256_hadd_ps(acc[2], acc[3]));
-    alignas(16) float dots[4];
-    _mm_store_ps(dots, _mm_mul_ps(_mm_add_ps(_mm256_castps256_ps128(s),
-                                             _mm256_extractf128_ps(s, 1)),
-                                  _mm_set1_ps(scale)));
+    float dots[4];
+    Dots4(r, d, x, scale, dots);
     for (int64_t j = 0; j < 4 && c + j < nb; ++j) {
       out[c + j] = rows[c + j] < 0 ? 0.0f : dots[j];
     }
+  }
+}
+
+// BlockDots' dot of every row of h with a, once per row.
+void AttentionScores(int64_t rows, int64_t d, const float* h, const float* a,
+                     float scale, float* scores) {
+  for (int64_t r0 = 0; r0 < rows; r0 += 4) {
+    const float* r[4];
+    for (int64_t j = 0; j < 4; ++j) {
+      r[j] = r0 + j < rows ? h + (r0 + j) * d : a;
+    }
+    float dots[4];
+    Dots4(r, d, a, scale, dots);
+    for (int64_t j = 0; j < 4 && r0 + j < rows; ++j) scores[r0 + j] = dots[j];
   }
 }
 
@@ -554,12 +767,14 @@ void SoftmaxRow(int64_t nb, float* s) {
 }
 
 void AttentionFwd(int64_t n, int64_t nb, int64_t d, const float* h,
-                  const int32_t* idx, const float* a, float scale,
-                  float* alpha, float* ctx) {
+                  const int32_t* idx, const float* scores, float* alpha,
+                  float* ctx) {
   for (int64_t i = 0; i < n; ++i) {
     const int32_t* rows = idx + i * nb;
     float* al = alpha + i * nb;
-    BlockDots(nb, d, h, rows, a, scale, al);
+    for (int64_t c = 0; c < nb; ++c) {
+      al[c] = rows[c] < 0 ? 0.0f : scores[rows[c]];
+    }
     SoftmaxRow(nb, al);
     for (int64_t k = 0; k < d; k += 32) {
       Strip32 out(d - k);
@@ -601,23 +816,40 @@ void AttentionQueryGrad(int64_t n, int64_t nb, int64_t d, const float* h,
   }
 }
 
-// Elementwise: the scalar table's mul + add sequence lane by lane.
-void AttentionInputGrad(int64_t d, float alpha, const float* g,
-                        float score_grad, const float* a, float* dst) {
+// Elementwise: the scalar table's mul + add sequence lane by lane, with
+// each 32-float strip of dst in registers across all terms.
+void AttentionInputGrad(int64_t d, int64_t count, const InputGradTerm* terms,
+                        float* dst) {
   const __m256 zero = _mm256_setzero_ps();
-  const __m256 va = _mm256_set1_ps(alpha);
-  const __m256 vs = _mm256_set1_ps(score_grad);
-  const bool score = score_grad != 0.0f;
-  int64_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    __m256 t = _mm256_add_ps(zero, _mm256_mul_ps(va, _mm256_loadu_ps(g + k)));
-    if (score) t = _mm256_add_ps(t, _mm256_mul_ps(vs, _mm256_loadu_ps(a + k)));
-    _mm256_storeu_ps(dst + k, _mm256_add_ps(_mm256_loadu_ps(dst + k), t));
-  }
-  for (; k < d; ++k) {
-    float t = 0.0f + alpha * g[k];
-    if (score) t = t + score_grad * a[k];
-    dst[k] += t;
+  for (int64_t k = 0; k < d; k += 32) {
+    Strip32 acc(d - k);
+    acc.Load(dst + k);
+    for (int64_t t = 0; t < count; ++t) {
+      const InputGradTerm& term = terms[t];
+      const float* g = term.g + k;
+      if (term.a == nullptr) {
+        for (int64_t j = 0; j < 4; ++j) {
+          acc.acc[j] = _mm256_add_ps(acc.acc[j], acc.Read(g, j));
+        }
+        continue;
+      }
+      const __m256 va = _mm256_set1_ps(term.alpha);
+      __m256 x[4];
+      for (int64_t j = 0; j < 4; ++j) {
+        x[j] = _mm256_add_ps(zero, _mm256_mul_ps(va, acc.Read(g, j)));
+      }
+      if (term.score_grad != 0.0f) {
+        const __m256 vs = _mm256_set1_ps(term.score_grad);
+        const float* a = term.a + k;
+        for (int64_t j = 0; j < 4; ++j) {
+          x[j] = _mm256_add_ps(x[j], _mm256_mul_ps(vs, acc.Read(a, j)));
+        }
+      }
+      for (int64_t j = 0; j < 4; ++j) {
+        acc.acc[j] = _mm256_add_ps(acc.acc[j], x[j]);
+      }
+    }
+    acc.Store(dst + k);
   }
 }
 
@@ -740,6 +972,7 @@ const KernelTable kAvx2Table = {
     /*gemm_pack_b=*/PackB,
     /*gemm_pack_bt=*/PackBT,
     /*gemm=*/Gemm,
+    /*gemm_rows=*/GemmRows,
     /*relu_fwd=*/ReluFwd,
     /*relu_bwd=*/ReluBwd,
     /*relu_mask=*/ReluMask,
@@ -751,6 +984,7 @@ const KernelTable kAvx2Table = {
     /*row_softmax=*/RowSoftmax,
     /*mse_sum=*/MseSum,
     /*mse_bwd=*/MseBwd,
+    /*attention_scores=*/AttentionScores,
     /*attention_fwd=*/AttentionFwd,
     /*attention_bwd=*/AttentionBwd,
     /*attention_query_grad=*/AttentionQueryGrad,

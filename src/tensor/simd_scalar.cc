@@ -91,6 +91,33 @@ void Gemm(const float* a, int64_t as_i, int64_t as_p, const float* bp,
   }
 }
 
+void GemmRows(const float* a, int64_t as_i, int64_t as_p, const float* b,
+              int64_t bs_p, int64_t bs_j, float* c, int64_t ldc,
+              int64_t i_begin, int64_t i_end, int64_t k, int64_t n,
+              const GemmEpilogue& ep) {
+  // Gemm's per-element arithmetic, one C row at a time in kNR-wide column
+  // strips, reading A and B in place.
+  for (int64_t i = i_begin; i < i_end; ++i) {
+    for (int64_t j0 = 0; j0 < n; j0 += kNR) {
+      const int64_t nr = std::min(kNR, n - j0);
+      float acc[kNR] = {};
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = a[i * as_i + p * as_p];
+        const float* brow = b + p * bs_p + j0 * bs_j;
+        for (int64_t jj = 0; jj < nr; ++jj) acc[jj] += av * brow[jj * bs_j];
+      }
+      float* crow = c + i * ldc + j0;
+      for (int64_t jj = 0; jj < nr; ++jj) {
+        float v = acc[jj];
+        if (ep.accumulate) v += crow[jj];
+        if (ep.bias != nullptr) v += ep.bias[j0 + jj];
+        if (ep.relu) v = v > 0.0f ? v : 0.0f;
+        crow[jj] = v;
+      }
+    }
+  }
+}
+
 void ReluFwd(int64_t n, const float* x, float* y) {
   for (int64_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
@@ -166,21 +193,24 @@ void RowSoftmax(int64_t rows, int64_t cols, const float* x, float* y) {
 // sum), including its `0 +` accumulator starts and its skips of zero
 // weights. A zero block contributes exactly what the chain's
 // zero rows did for finite values: a +0 score and nothing to any sum.
+void AttentionScores(int64_t rows, int64_t d, const float* h, const float* a,
+                     float scale, float* scores) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* v = h + r * d;
+    float acc = 0.0f;
+    for (int64_t k = 0; k < d; ++k) acc += v[k] * a[k];
+    scores[r] = acc * scale;
+  }
+}
+
 void AttentionFwd(int64_t n, int64_t nb, int64_t d, const float* h,
-                  const int32_t* idx, const float* a, float scale,
-                  float* alpha, float* ctx) {
+                  const int32_t* idx, const float* scores, float* alpha,
+                  float* ctx) {
   for (int64_t i = 0; i < n; ++i) {
     const int32_t* rows = idx + i * nb;
     float* al = alpha + i * nb;
     for (int64_t c = 0; c < nb; ++c) {
-      if (rows[c] < 0) {
-        al[c] = 0.0f;
-        continue;
-      }
-      const float* v = h + static_cast<int64_t>(rows[c]) * d;
-      float acc = 0.0f;
-      for (int64_t k = 0; k < d; ++k) acc += v[k] * a[k];
-      al[c] = acc * scale;
+      al[c] = rows[c] < 0 ? 0.0f : scores[rows[c]];
     }
     RowSoftmax(1, nb, al, al);
     float* out = ctx + i * d;
@@ -230,13 +260,19 @@ void AttentionQueryGrad(int64_t n, int64_t nb, int64_t d, const float* h,
   }
 }
 
-void AttentionInputGrad(int64_t d, float alpha, const float* g,
-                        float score_grad, const float* a, float* dst) {
-  if (score_grad == 0.0f) {
-    for (int64_t k = 0; k < d; ++k) dst[k] += 0.0f + alpha * g[k];
-  } else {
-    for (int64_t k = 0; k < d; ++k) {
-      dst[k] += (0.0f + alpha * g[k]) + score_grad * a[k];
+void AttentionInputGrad(int64_t d, int64_t count, const InputGradTerm* terms,
+                        float* dst) {
+  for (int64_t t = 0; t < count; ++t) {
+    const InputGradTerm& term = terms[t];
+    const float* g = term.g;
+    if (term.a == nullptr) {
+      for (int64_t k = 0; k < d; ++k) dst[k] += g[k];
+    } else if (term.score_grad == 0.0f) {
+      for (int64_t k = 0; k < d; ++k) dst[k] += 0.0f + term.alpha * g[k];
+    } else {
+      for (int64_t k = 0; k < d; ++k) {
+        dst[k] += (0.0f + term.alpha * g[k]) + term.score_grad * term.a[k];
+      }
     }
   }
 }
@@ -293,6 +329,7 @@ const KernelTable kScalarTable = {
     /*gemm_pack_b=*/PackB,
     /*gemm_pack_bt=*/PackBT,
     /*gemm=*/Gemm,
+    /*gemm_rows=*/GemmRows,
     /*relu_fwd=*/ReluFwd,
     /*relu_bwd=*/ReluBwd,
     /*relu_mask=*/ReluMask,
@@ -304,6 +341,7 @@ const KernelTable kScalarTable = {
     /*row_softmax=*/RowSoftmax,
     /*mse_sum=*/MseSum,
     /*mse_bwd=*/MseBwd,
+    /*attention_scores=*/AttentionScores,
     /*attention_fwd=*/AttentionFwd,
     /*attention_bwd=*/AttentionBwd,
     /*attention_query_grad=*/AttentionQueryGrad,

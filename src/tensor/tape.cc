@@ -67,6 +67,13 @@ void Tape::Reset() {
 
 Tape::VarId Tape::Constant(const Tensor& v) { return PushCopy(v); }
 
+Tape::VarId Tape::Constant(const Tensor* v) {
+  GRIMP_CHECK(v != nullptr);
+  const VarId id = PushNode(0, 0);
+  nodes_[id].value = Tensor::View(*v);
+  return id;
+}
+
 Tensor* Tape::ConstantInPlace(VarId* id) {
   *id = PushNode(0, 0);
   return &nodes_[*id].value;
@@ -547,18 +554,23 @@ Tape::VarId Tape::ColumnAttentionImpl(VarId h, const Tensor* h_ext,
   const int64_t n = static_cast<int64_t>(idx->size()) / num_blocks;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   const simd::KernelTable& kt = simd::Kernels();
+  scratch->scores.ResizeUninit(hv.rows(), 1);
   scratch->alpha.ResizeUninit(n, num_blocks);
-  // The kernel writes every element of both outputs.
+  // The kernels write every element of all three outputs.
   VarId id = PushNode(n, d);
   {
     const float* hd = hv.data();
     const int32_t* ix = idx->data();
     const float* ad = av.data();
+    float* scores = scratch->scores.data();
     float* alpha = scratch->alpha.data();
     float* od = nodes_[id].value.data();
+    ParallelRows(hv.rows(), d, [=, &kt](int64_t r0, int64_t r1) {
+      kt.attention_scores(r1 - r0, d, hd + r0 * d, ad, scale, scores + r0);
+    });
     ParallelRows(n, num_blocks * d, [=, &kt](int64_t r0, int64_t r1) {
-      kt.attention_fwd(r1 - r0, num_blocks, d, hd, ix + r0 * num_blocks, ad,
-                       scale, alpha + r0 * num_blocks, od + r0 * d);
+      kt.attention_fwd(r1 - r0, num_blocks, d, hd, ix + r0 * num_blocks,
+                       scores, alpha + r0 * num_blocks, od + r0 * d);
     });
   }
   nodes_[id].backward = [this, id, h, h_ext, idx, a, num_blocks, scale,
@@ -598,8 +610,9 @@ Tape::VarId Tape::ColumnAttentionImpl(VarId h, const Tensor* h_ext,
     const float* sg = scratch->score_grad.data();
     for (int64_t i = 0; i < n * num_blocks; ++i) {
       if (ix[i] < 0) continue;
-      kt.attention_input_grad(d, alpha[i], g.data() + (i / num_blocks) * d,
-                              sg[i], av.data(),
+      const simd::InputGradTerm term{g.data() + (i / num_blocks) * d,
+                                     av.data(), alpha[i], sg[i]};
+      kt.attention_input_grad(d, 1, &term,
                               hg.data() + static_cast<int64_t>(ix[i]) * d);
     }
   };

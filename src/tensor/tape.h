@@ -156,6 +156,10 @@ class Tape {
   // --- Tape inputs -------------------------------------------------------
   // A value the tape does not differentiate, copied into the node's slot.
   VarId Constant(const Tensor& v);
+  // Borrowing overload: the node reads `v` in place (Tensor::View), with no
+  // copy. `v` must stay alive and unchanged until the tape is Reset or
+  // destroyed.
+  VarId Constant(const Tensor* v);
   // A constant the caller writes in place: returns the new node's value
   // tensor (the slot's retained buffer: any shape, contents unspecified;
   // size it with ResizeUninit) and stores the node's id in *id. Fill it
@@ -229,7 +233,10 @@ class Tape {
   //   s[i, c]  = <block c, a> / sqrt(D)
   //   alpha[i] = softmax_c(s[i])          (left in scratch->alpha)
   //   out[i]   = sum_c alpha[i, c] * block c    (|idx| / C x D)
-  // on the dispatched attention kernels (simd.h). The backward adds the
+  // on the dispatched attention kernels (simd.h). A row's score is one dot
+  // however many blocks read it: the forward scores every row of h once
+  // (scratch->scores) and gathers, so h should hold the rows the vectors
+  // read (full mode's read rows, a batch's seeds). The backward adds the
   // gradient of a and scatters each block's input gradient,
   // (0 + alpha * g) + score_grad * a (simd attention_input_grad), into h's
   // grad row by row in idx order, the order a GatherRows backward adds in.
@@ -395,6 +402,7 @@ struct SageScratch {
 // so one kept per call site makes a steady stream of calls
 // allocation-free. A scratch must not be shared by concurrent forwards.
 struct AttentionScratch {
+  Tensor scores;      // rows(h) x 1: <h row, a> / sqrt(D), by the forward
   Tensor alpha;       // n x C attention weights, written by the forward
   Tensor score_grad;  // n x C: dL/ds / sqrt(D), written by the backward
   // Detached form only, copied by the backward: dL/dout (n x D) and the

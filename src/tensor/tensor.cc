@@ -115,19 +115,23 @@ namespace {
 constexpr int64_t kGemmRowGrain = 64;
 // Below this many multiply-adds, pool dispatch costs more than it saves.
 constexpr int64_t kGemmParallelFlops = 1 << 16;
+// Narrower outputs take the row-lane kernel: the 16-wide column panel
+// would compute mostly padding.
+constexpr int64_t kGemmNarrowCols = 16;
 
-// Packs B into the active kernel table's panel layout and dispatches the
-// micro-kernel over row panels, in parallel when the problem is big enough
-// to amortize the pool. B is row-major K x N (leading dimension ldb) when
-// b_transposed is false, row-major N x K when true (packed as B^T without
-// materializing the transpose). A is addressed generically as
-// a[i * as_i + p * as_p] — (as_i = lda, as_p = 1) walks A's rows,
-// (as_i = 1, as_p = lda) walks A's columns (i.e. multiplies by A^T).
-// Each C element accumulates over p in ascending order whatever the tiling,
-// so the result is bitwise independent of the thread count.
-void GemmDispatch(const float* a, int64_t as_i, int64_t as_p, const float* b,
-                  int64_t ldb, bool b_transposed, float* c, int64_t ldc,
-                  int64_t m, int64_t k, int64_t n,
+// Dispatches C = A * B (+ epilogue) over row ranges, in parallel when the
+// problem is big enough to amortize the pool. A is row-major M x K
+// (leading dimension lda) when a_transposed is false, row-major K x M when
+// true (multiplies by A^T, walking A's columns); B likewise is K x N or,
+// when b_transposed, N x K (ldb). The shape picks the kernel: the
+// transposed-A walk and outputs narrower than kGemmNarrowCols go to
+// gemm_rows, which reads B in place; the rest to gemm over B packed into
+// nr-wide panels. Each C element accumulates over p in ascending order
+// whatever the kernel and tiling, so the result is bitwise independent of
+// both and of the thread count.
+void GemmDispatch(const float* a, int64_t lda, bool a_transposed,
+                  const float* b, int64_t ldb, bool b_transposed, float* c,
+                  int64_t ldc, int64_t m, int64_t k, int64_t n,
                   const simd::GemmEpilogue& ep = {}) {
   static Counter& calls =
       MetricsRegistry::Global().GetCounter("gemm.calls");
@@ -143,9 +147,29 @@ void GemmDispatch(const float* a, int64_t as_i, int64_t as_p, const float* b,
   if (ep.bias != nullptr || ep.relu) fused_calls.Increment();
   if (m == 0 || n == 0) return;
   const simd::KernelTable& kt = simd::Kernels();
-  // Pack B once into nr-wide zero-padded panels. The scratch is per thread,
-  // like the kernels' A pack: it only grows, so a steady stream of GEMMs
-  // takes no transient buffer from the heap.
+  // A as a[i * as_i + p * as_p].
+  const int64_t as_i = a_transposed ? 1 : lda;
+  const int64_t as_p = a_transposed ? lda : 1;
+  const auto run = [&](const auto& rows) {
+    if (flops < kGemmParallelFlops || ThreadPool::GlobalThreads() <= 1) {
+      rows(0, m);
+      return;
+    }
+    parallel_calls.Increment();
+    ParallelFor(0, m, kGemmRowGrain, rows);
+  };
+  if (a_transposed || n < kGemmNarrowCols) {
+    const int64_t bs_p = b_transposed ? 1 : ldb;
+    const int64_t bs_j = b_transposed ? ldb : 1;
+    run([&](int64_t row_begin, int64_t row_end) {
+      kt.gemm_rows(a, as_i, as_p, b, bs_p, bs_j, c, ldc, row_begin, row_end,
+                   k, n, ep);
+    });
+    return;
+  }
+  // Pack B once into nr-wide zero-padded panels. The scratch is per thread:
+  // it only grows, so a steady stream of GEMMs takes no transient buffer
+  // from the heap.
   const int64_t nr = kt.gemm_nr;
   const int64_t panels = (n + nr - 1) / nr;
   thread_local std::vector<float> bpack;
@@ -159,12 +183,7 @@ void GemmDispatch(const float* a, int64_t as_i, int64_t as_p, const float* b,
     }
   }
   const float* bp = bpack.data();
-  if (flops < kGemmParallelFlops || ThreadPool::GlobalThreads() <= 1) {
-    kt.gemm(a, as_i, as_p, bp, c, ldc, 0, m, k, n, ep);
-    return;
-  }
-  parallel_calls.Increment();
-  ParallelFor(0, m, kGemmRowGrain, [&](int64_t row_begin, int64_t row_end) {
+  run([&](int64_t row_begin, int64_t row_end) {
     kt.gemm(a, as_i, as_p, bp, c, ldc, row_begin, row_end, k, n, ep);
   });
 }
@@ -184,7 +203,7 @@ void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
   const int64_t k = a.cols();
   const int64_t n = b.cols();
   GRIMP_CHECK(out->rows() == m && out->cols() == n);
-  GemmDispatch(a.data(), /*as_i=*/k, /*as_p=*/1, b.data(), n,
+  GemmDispatch(a.data(), k, /*a_transposed=*/false, b.data(), n,
                /*b_transposed=*/false, out->data(), n, m, k, n);
 }
 
@@ -206,7 +225,7 @@ void MatMulFused(const Tensor& a, const Tensor& b, const Tensor& bias,
   simd::GemmEpilogue ep;
   ep.bias = bias.data();
   ep.relu = relu;
-  GemmDispatch(a.data(), /*as_i=*/k, /*as_p=*/1, b.data(), n,
+  GemmDispatch(a.data(), k, /*a_transposed=*/false, b.data(), n,
                /*b_transposed=*/false, out->data(), n, m, k, n, ep);
 }
 
@@ -216,8 +235,7 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   const int64_t m = a.cols();
   const int64_t n = b.cols();
   Tensor out = Tensor::Uninit(m, n);
-  // Walk A's columns: out rows index A columns (stride 1), p strides a row.
-  GemmDispatch(a.data(), /*as_i=*/1, /*as_p=*/m, b.data(), n,
+  GemmDispatch(a.data(), m, /*a_transposed=*/true, b.data(), n,
                /*b_transposed=*/false, out.data(), n, m, k, n);
   return out;
 }
@@ -230,7 +248,7 @@ void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out) {
   GRIMP_CHECK(out->rows() == m && out->cols() == n);
   simd::GemmEpilogue ep;
   ep.accumulate = true;
-  GemmDispatch(a.data(), /*as_i=*/1, /*as_p=*/m, b.data(), n,
+  GemmDispatch(a.data(), m, /*a_transposed=*/true, b.data(), n,
                /*b_transposed=*/false, out->data(), n, m, k, n, ep);
 }
 
@@ -248,7 +266,7 @@ void MatMulTransB(const Tensor& a, const Tensor& b, Tensor* out) {
   GRIMP_CHECK(out->rows() == m && out->cols() == n);
   // The pack_bt kernel builds the B^T panels straight from the N x K
   // operand; O(k*n) pack vs O(m*k*n) math, no materialized transpose.
-  GemmDispatch(a.data(), /*as_i=*/k, /*as_p=*/1, b.data(), k,
+  GemmDispatch(a.data(), k, /*a_transposed=*/false, b.data(), k,
                /*b_transposed=*/true, out->data(), n, m, k, n);
 }
 
@@ -260,7 +278,7 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out) {
   GRIMP_CHECK(out->rows() == m && out->cols() == n);
   simd::GemmEpilogue ep;
   ep.accumulate = true;
-  GemmDispatch(a.data(), /*as_i=*/k, /*as_p=*/1, b.data(), k,
+  GemmDispatch(a.data(), k, /*a_transposed=*/false, b.data(), k,
                /*b_transposed=*/true, out->data(), n, m, k, n, ep);
 }
 

@@ -80,6 +80,17 @@ class Tensor {
     return t;
   }
   static Tensor Full(int64_t rows, int64_t cols, float value);
+  // A read-only view of `other`'s buffer: no copy and no ownership. `other`
+  // must outlive the view and not change while it is read, and nothing may
+  // write through the view. ResizeUninit to a nonzero size and assignment
+  // give the tensor a buffer of its own again.
+  static Tensor View(const Tensor& other) {
+    Tensor t;
+    t.rows_ = other.rows_;
+    t.cols_ = other.cols_;
+    t.data_ = const_cast<float*>(other.data_);
+    return t;
+  }
   // Reshapes to rows x cols with unspecified contents, keeping the buffer
   // when its capacity suffices. A scratch tensor that follows varying batch
   // shapes stops allocating once it has seen the largest.
@@ -162,24 +173,23 @@ class Tensor {
     }
   }
   void ReleaseBuffer() {
-    if (data_ != nullptr) {
-      delete[] data_;
-      data_ = nullptr;
-      capacity_ = 0;
-    }
+    if (capacity_ > 0) delete[] data_;
+    data_ = nullptr;
+    capacity_ = 0;
   }
 
   int64_t rows_ = 0;
   int64_t cols_ = 0;
   float* data_ = nullptr;
-  int64_t capacity_ = 0;
+  int64_t capacity_ = 0;  // 0 with a non-null data_: a View
 };
 
 // result = a * b (matrix product). Shapes: (M x K) * (K x N) -> (M x N).
-// Runs on the dispatched SIMD kernel table (see tensor/simd.h): packed-B
-// panel micro-kernel, multi-threaded over row ranges (common/thread_pool.h);
-// accumulation order over K is fixed, so results are identical at every
-// thread count.
+// Runs on the dispatched SIMD kernel table (see tensor/simd.h): the
+// packed-B panel micro-kernel, or the row-lane one for outputs under 16
+// columns and for A^T, multi-threaded over row ranges
+// (common/thread_pool.h); accumulation order over K is fixed, so results
+// are identical at every thread count and either kernel.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 // *out = a * b into an existing M x N tensor.
 void MatMul(const Tensor& a, const Tensor& b, Tensor* out);

@@ -137,6 +137,21 @@ inline void ReferenceScatter(const Tensor& v_grad,
   }
 }
 
+// One block dot as the AVX2 table's BlockDots computes it, in scalar
+// code: eight lane chains of fused multiply-adds over the row's 8-float
+// chunks (a ragged tail only feeds its live lanes), summed by its hadd
+// tree ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), then scaled.
+inline float BlockDotTree(const float* row, const float* x, int64_t d,
+                          float scale) {
+  float lane[8] = {};
+  for (int64_t k = 0; k < d; ++k) {
+    lane[k % 8] = std::fma(x[k], row[k], lane[k % 8]);
+  }
+  return (((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+          ((lane[4] + lane[5]) + (lane[6] + lane[7]))) *
+         scale;
+}
+
 // memcmp equality of two same-shaped tensors.
 inline bool BitEqual(const Tensor& x, const Tensor& y) {
   return x.SameShape(y) &&

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -188,6 +189,84 @@ TEST(SimdGemmTest, AccumulatingVariantsAddIntoOutput) {
       EXPECT_TRUE(AllClose(wacc, wexpected, 1e-5f, 1e-4f))
           << SimdLevelName(level) << " transAAcc " << s.m << "x" << s.k << "x"
           << s.n;
+    }
+  }
+}
+
+// The row-lane GEMM (the narrow-N and transposed-A paths) against the
+// generic panel kernel on the same inputs, through the kernel table: every
+// C element must carry the same bits, for each op's A walk and B layout,
+// row counts off the 6-row tile and the 64-row block, every epilogue, and
+// a row range cut at an odd row.
+TEST(SimdGemmTest, RowLaneKernelMatchesPanelKernelBitForBit) {
+  enum class Op { kPlain, kTransA, kTransB };
+  struct Epilogue {
+    bool bias, relu, accumulate;
+  };
+  const Epilogue kEpilogues[] = {
+      {false, false, false}, {true, false, false}, {false, true, false},
+      {true, true, false},   {false, false, true}, {true, true, true}};
+  std::vector<int64_t> widths;
+  for (int64_t n = 1; n <= 17; ++n) widths.push_back(n);
+  for (int64_t n : {20, 31, 33}) widths.push_back(n);
+  Rng rng(15);
+  for (SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel guard(level);
+    const simd::KernelTable& kt = simd::Kernels();
+    for (int64_t m : {13, 70}) {
+      for (int64_t k : {1, 7, 770}) {
+        const Tensor x = RandomTensor(m, k, &rng);  // A, row-major
+        const Tensor xt = RandomTensor(k, m, &rng);  // A^T operand
+        for (int64_t n : widths) {
+          const Tensor b = RandomTensor(k, n, &rng);
+          const Tensor bt = RandomTensor(n, k, &rng);
+          const Tensor bias = RandomTensor(1, n, &rng);
+          const Tensor c0 = RandomTensor(m, n, &rng);
+          const int64_t panels = (n + kt.gemm_nr - 1) / kt.gemm_nr;
+          std::vector<float> bp(static_cast<size_t>(panels * kt.gemm_nr * k));
+          for (Op op : {Op::kPlain, Op::kTransA, Op::kTransB}) {
+            const bool trans_a = op == Op::kTransA;
+            const bool trans_b = op == Op::kTransB;
+            const float* a = trans_a ? xt.data() : x.data();
+            const int64_t as_i = trans_a ? 1 : k;
+            const int64_t as_p = trans_a ? m : 1;
+            const float* bd = trans_b ? bt.data() : b.data();
+            if (trans_b) {
+              kt.gemm_pack_bt(bd, k, k, n, bp.data());
+            } else {
+              kt.gemm_pack_b(bd, n, k, n, bp.data());
+            }
+            const int64_t bs_p = trans_b ? 1 : n;
+            const int64_t bs_j = trans_b ? k : 1;
+            for (const Epilogue& e : kEpilogues) {
+              SCOPED_TRACE(std::string(SimdLevelName(level)) + " m=" +
+                           std::to_string(m) + " k=" + std::to_string(k) +
+                           " n=" + std::to_string(n) + " op=" +
+                           std::to_string(static_cast<int>(op)) + " bias=" +
+                           std::to_string(e.bias) + " relu=" +
+                           std::to_string(e.relu) + " acc=" +
+                           std::to_string(e.accumulate));
+              simd::GemmEpilogue ep;
+              ep.bias = e.bias ? bias.data() : nullptr;
+              ep.relu = e.relu;
+              ep.accumulate = e.accumulate;
+              Tensor panel = c0;
+              kt.gemm(a, as_i, as_p, bp.data(), panel.data(), n, 0, m, k, n,
+                      ep);
+              Tensor rows = c0;
+              kt.gemm_rows(a, as_i, as_p, bd, bs_p, bs_j, rows.data(), n, 0,
+                           m, k, n, ep);
+              EXPECT_TRUE(testing::BitEqual(rows, panel));
+              Tensor cut = c0;
+              kt.gemm_rows(a, as_i, as_p, bd, bs_p, bs_j, cut.data(), n, 0, 5,
+                           k, n, ep);
+              kt.gemm_rows(a, as_i, as_p, bd, bs_p, bs_j, cut.data(), n, 5, m,
+                           k, n, ep);
+              EXPECT_TRUE(testing::BitEqual(cut, panel));
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -401,8 +480,11 @@ AttentionOutputs RunAttentionKernels(const simd::KernelTable& kt,
                                      const AttentionCase& c) {
   AttentionOutputs out{Tensor::Uninit(c.n, c.nb), Tensor::Uninit(c.n, c.d),
                        Tensor::Uninit(c.n, c.nb), Tensor::Zeros(1, c.d)};
-  kt.attention_fwd(c.n, c.nb, c.d, c.h.data(), c.idx.data(), c.a.data(),
-                   c.scale(), out.alpha.data(), out.ctx.data());
+  Tensor scores = Tensor::Uninit(c.rows, 1);
+  kt.attention_scores(c.rows, c.d, c.h.data(), c.a.data(), c.scale(),
+                      scores.data());
+  kt.attention_fwd(c.n, c.nb, c.d, c.h.data(), c.idx.data(), scores.data(),
+                   out.alpha.data(), out.ctx.data());
   kt.attention_bwd(c.n, c.nb, c.d, c.h.data(), c.idx.data(), c.g.data(),
                    out.alpha.data(), c.scale(), out.score_grad.data());
   kt.attention_query_grad(c.n, c.nb, c.d, c.h.data(), c.idx.data(),
@@ -416,9 +498,9 @@ Tensor RebuildBlockGrads(const simd::KernelTable& kt, const AttentionCase& c,
                          const AttentionOutputs& out) {
   Tensor grads = Tensor::Zeros(c.n, c.nb * c.d);
   for (int64_t i = 0; i < c.n * c.nb; ++i) {
-    kt.attention_input_grad(c.d, out.alpha[i], c.g.data() + i / c.nb * c.d,
-                            out.score_grad[i], c.a.data(),
-                            grads.data() + i * c.d);
+    const simd::InputGradTerm term{c.g.data() + i / c.nb * c.d, c.a.data(),
+                                   out.alpha[i], out.score_grad[i]};
+    kt.attention_input_grad(c.d, 1, &term, grads.data() + i * c.d);
   }
   return grads;
 }
@@ -460,6 +542,105 @@ TEST_F(SimdKernelParityTest, AttentionKernelsAgreeWithinTolerance) {
       // Elementwise: bit-identical from the same factors.
       EXPECT_TRUE(testing::BitEqual(RebuildBlockGrads(*sk_, c, s),
                                     RebuildBlockGrads(*vk_, c, s)));
+    }
+  }
+}
+
+// The forward's score table against per-entry dots at every level. Each
+// row's score must be the per-block dot it replaces: the scalar chain's
+// loop at the scalar level, BlockDots' lane chains and hadd tree
+// (BlockDotTree) at AVX2. And the same vectors read through a gathered
+// copy (one row per block, so every dot is its own) and an identity index
+// must give the same alpha and ctx bits as the table over h, which a
+// repeated row and -1 blocks share.
+TEST(SimdAttentionKernelTest, ScoreTableMatchesPerEntryDotsAtEveryLevel) {
+  Rng rng(29);
+  for (SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel guard(level);
+    const simd::KernelTable& kt = simd::Kernels();
+    for (int64_t nb : {1, 14, 15}) {
+      for (int64_t d : {8, 32, 33}) {
+        SCOPED_TRACE(std::string(SimdLevelName(level)) + " nb=" +
+                     std::to_string(nb) + " d=" + std::to_string(d));
+        const AttentionCase c(nb, d, &rng);
+        Tensor row_scores = Tensor::Uninit(c.rows, 1);
+        kt.attention_scores(c.rows, d, c.h.data(), c.a.data(), c.scale(),
+                            row_scores.data());
+        Tensor per_block = Tensor::Uninit(c.rows, 1);
+        for (int64_t r = 0; r < c.rows; ++r) {
+          const float* row = c.h.data() + r * d;
+          if (level == SimdLevel::kAvx2) {
+            per_block[r] =
+                testing::BlockDotTree(row, c.a.data(), d, c.scale());
+          } else {
+            float acc = 0.0f;
+            for (int64_t k = 0; k < d; ++k) acc += row[k] * c.a[k];
+            per_block[r] = acc * c.scale();
+          }
+        }
+        EXPECT_TRUE(testing::BitEqual(row_scores, per_block));
+        const AttentionOutputs table = RunAttentionKernels(kt, c);
+        const int64_t entries = c.n * nb;
+        Tensor gathered = Tensor::Zeros(entries, d);
+        std::vector<int32_t> identity(static_cast<size_t>(entries), -1);
+        for (int64_t e = 0; e < entries; ++e) {
+          const int32_t r = c.idx[static_cast<size_t>(e)];
+          if (r < 0) continue;
+          identity[static_cast<size_t>(e)] = static_cast<int32_t>(e);
+          std::copy(c.h.data() + r * d, c.h.data() + (r + 1) * d,
+                    gathered.data() + e * d);
+        }
+        Tensor scores = Tensor::Uninit(entries, 1);
+        kt.attention_scores(entries, d, gathered.data(), c.a.data(),
+                            c.scale(), scores.data());
+        Tensor alpha = Tensor::Uninit(c.n, nb);
+        Tensor ctx = Tensor::Uninit(c.n, d);
+        kt.attention_fwd(c.n, nb, d, gathered.data(), identity.data(),
+                         scores.data(), alpha.data(), ctx.data());
+        EXPECT_TRUE(testing::BitEqual(table.alpha, alpha));
+        EXPECT_TRUE(testing::BitEqual(table.ctx, ctx));
+      }
+    }
+  }
+}
+
+// The row-resident input gradient (one call over a row's terms, the row
+// held in registers) against one call per term, mixing attention terms,
+// attention terms with a zero score gradient and dense rows, at every
+// level; elementwise, so also bit-identical to the scalar table.
+TEST(SimdAttentionKernelTest, RowResidentInputGradMatchesPerTermCalls) {
+  Rng rng(30);
+  for (SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel guard(level);
+    const simd::KernelTable& kt = simd::Kernels();
+    for (int64_t d : {1, 8, 32, 33, 70}) {
+      SCOPED_TRACE(std::string(SimdLevelName(level)) + " d=" +
+                   std::to_string(d));
+      constexpr int64_t kTerms = 40;
+      const Tensor g = RandomTensor(kTerms, d, &rng);
+      const Tensor queries = RandomTensor(3, d, &rng);
+      std::vector<simd::InputGradTerm> terms(kTerms);
+      for (int64_t t = 0; t < kTerms; ++t) {
+        simd::InputGradTerm& term = terms[static_cast<size_t>(t)];
+        term.g = g.data() + t * d;
+        const uint64_t kind = rng.Uniform(4);
+        if (kind == 0) continue;  // dense
+        term.a = queries.data() + static_cast<int64_t>(rng.Uniform(3)) * d;
+        term.alpha = rng.UniformReal(0.0f, 1.0f);
+        term.score_grad = kind == 1 ? 0.0f : rng.UniformReal(-1.0f, 1.0f);
+      }
+      const Tensor start = RandomTensor(1, d, &rng);
+      Tensor row = start;
+      kt.attention_input_grad(d, kTerms, terms.data(), row.data());
+      Tensor per_term = start;
+      Tensor scalar = start;
+      for (const simd::InputGradTerm& term : terms) {
+        kt.attention_input_grad(d, 1, &term, per_term.data());
+        simd::ScalarKernels()->attention_input_grad(d, 1, &term,
+                                                    scalar.data());
+      }
+      EXPECT_TRUE(testing::BitEqual(row, per_term));
+      EXPECT_TRUE(testing::BitEqual(row, scalar));
     }
   }
 }

@@ -335,11 +335,13 @@ TEST(ColumnAttentionTest, MatchesReplacedChainBitForBit) {
       Tensor rebuilt = Tensor::Zeros(cs.rows, cs.d);
       for (size_t i = 0; i < idx.size(); ++i) {
         if (idx[i] < 0) continue;
-        simd::ScalarKernels()->attention_input_grad(
-            cs.d, factors.alpha[static_cast<int64_t>(i)],
+        const simd::InputGradTerm term{
             factors.ctx_grad.data() +
                 static_cast<int64_t>(i) / cs.blocks * cs.d,
-            factors.score_grad[static_cast<int64_t>(i)], factors.query.data(),
+            factors.query.data(), factors.alpha[static_cast<int64_t>(i)],
+            factors.score_grad[static_cast<int64_t>(i)]};
+        simd::ScalarKernels()->attention_input_grad(
+            cs.d, 1, &term,
             rebuilt.data() + static_cast<int64_t>(idx[i]) * cs.d);
       }
       EXPECT_TRUE(testing::BitEqual(rebuilt, ref_h_grad));
@@ -564,6 +566,32 @@ TEST(TapeRetentionTest, UnreachedNodeReadsZerosAndRunsNoBackward) {
     EXPECT_EQ(tape.grad(leaf).at(0, c), 0.0f) << "col " << c;
     EXPECT_EQ(tape.grad(other).at(0, c), 1.0f) << "col " << c;
   }
+}
+
+// The borrowing constant reads the caller's tensor in place, and its slot
+// takes a buffer of its own again when a later pass records another value
+// there, so nothing is ever written into the borrowed tensor.
+TEST(TapeRetentionTest, BorrowedConstantReadsInPlaceAndNeverWritesIt) {
+  const Tensor features =
+      Tensor::FromVector(2, 3, {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f});
+  const Tensor original = features;
+  Parameter w("w", Tensor::FromVector(3, 1, {0.5f, -1.0f, 2.0f}));
+  Tape tape;
+  const Tape::VarId x = tape.Constant(&features);
+  EXPECT_EQ(tape.value(x).data(), features.data());
+  const Tape::VarId y = tape.MatMul(x, tape.Leaf(&w));
+  EXPECT_EQ(tape.value(y).at(0, 0), 4.5f);
+  EXPECT_EQ(tape.value(y).at(1, 0), 9.0f);
+  tape.BackwardFrom(tape.SumAll(y), Tensor::Scalar(1.0f));
+  EXPECT_EQ(w.grad.at(2, 0), 9.0f);
+
+  tape.Reset();
+  const Tape::VarId copy = tape.Constant(Tensor::Full(2, 3, 7.0f));
+  EXPECT_NE(tape.value(copy).data(), features.data());
+  EXPECT_EQ(tape.value(copy).at(1, 2), 7.0f);
+  EXPECT_EQ(std::memcmp(features.data(), original.data(),
+                        static_cast<size_t>(features.size()) * sizeof(float)),
+            0);
 }
 
 bool SameBits(const Tensor& a, const Tensor& b) {
