@@ -221,6 +221,8 @@ int main(int argc, char** argv) {
       ",\n  \"max_samples_per_task\": " + std::to_string(samples) +
       ",\n  \"budget_mb\": " + std::to_string(budget_mb) +
       ",\n  \"max_threads\": " + std::to_string(max_threads) +
+      ",\n  \"hardware_concurrency\": " +
+      std::to_string(grimp::bench::HardwareConcurrency()) +
       ",\n  \"configs\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     json += ToJson(results[i]);

@@ -21,11 +21,18 @@
 //   --shards=N: out-of-core "scale" replica over a ShardedGraphStore with
 //     --budget-mb resident bytes. Sampled depth sweep only (full-graph
 //     training needs the whole graph resident); epoch prep now includes
-//     shard fetches, which a group shares across its batches. At
+//     shard fetches, which a group shares across its batches. Each config
+//     Fits the corrupted table through GrimpEngine and imputes its first
+//     4096 rows with TransformMany; accuracy and rmse score that slice's
+//     injected cells. At
 //     >= 1000000 rows the run fails unless the best grouped depth beats
 //     depth 0 epochs by >= 1.25x — provided the machine has a second
 //     hardware thread (on a single core the gate is reported as skipped;
 //     the sweep still runs and bit-identity is still enforced).
+//
+// Both modes train on the same MCAR-corrupted table (20% of cells blanked)
+// and score against the clean one; the per-column mode (categorical) and
+// mean (numerical) imputation of the same cells is recorded beside them.
 //
 // Prints a per-config table and writes machine-readable results
 // (per-epoch seconds, accuracy, speedups, pipeline counters, the
@@ -35,24 +42,34 @@
 //               [--batch=N] [--fanout=N] [--depths=0,2,4] [--shards=N]
 //               [--budget-mb=N]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "baselines/mean_mode.h"
 #include "bench_common.h"
 #include "common/metrics.h"
 #include "core/engine.h"
 #include "core/grimp.h"
 #include "data/datasets.h"
+#include "data/temporal.h"
 #include "eval/metrics.h"
 #include "eval/runner.h"
 #include "table/corruption.h"
 
 namespace {
 
+// Rows a sharded config imputes with TransformMany and scores: a slice
+// large enough for a few thousand injected cells, small enough that
+// building its request graph stays out of the way of the depth sweep.
+constexpr int64_t kShardedScoreRows = 4096;
+
+using grimp::CellRef;
 using grimp::CorruptedTable;
 using grimp::GrimpEngine;
 using grimp::GrimpImputer;
@@ -71,12 +88,12 @@ struct ConfigResult {
   int64_t steps = 0;
   double mean_epoch_seconds = 0.0;
   double train_seconds = 0.0;
-  double accuracy = 0.0;  // 0 in sharded mode (Fit only, no scoring pass)
+  double accuracy = 0.0;
   double rmse = 0.0;
   int64_t produced = 0;  // train.pipeline.* deltas for this config
   int64_t consumed = 0;
   std::vector<double> losses;  // per-epoch train loss, for bit-identity
-  Table imputed;               // in-memory mode only
+  Table imputed;               // the scored table (sharded: the slice)
 };
 
 struct PipelineCounters {
@@ -151,10 +168,35 @@ ConfigResult RunInMemory(const Table& clean, const CorruptedTable& corrupted,
   return result;
 }
 
-// One sharded config (scale replica): GrimpEngine::Fit over an out-of-core
-// ShardedGraphStore, so per-batch prep includes shard fetches. No scoring
-// pass — the sweep compares epoch time and loss trajectories.
-ConfigResult RunSharded(const Table& table, const GrimpOptions& base,
+// The cells `corrupted` blanked in rows [0, rows): what a TransformMany of
+// that slice is scored on.
+CorruptedTable SliceCells(const CorruptedTable& corrupted, int64_t rows) {
+  CorruptedTable slice;
+  for (const CellRef& cell : corrupted.missing_cells) {
+    if (cell.row < rows) slice.missing_cells.push_back(cell);
+  }
+  return slice;
+}
+
+// Rows [0, rows) of `table` as a new table (missing cells stay missing).
+Table CopyLeadingRows(const Table& table, int64_t rows) {
+  Table out(table.schema());
+  for (int64_t r = 0; r < rows; ++r) {
+    if (!out.AppendRow(grimp::RowStrings(table, r)).ok()) {
+      std::fprintf(stderr, "bench_train: could not copy row %lld\n",
+                   static_cast<long long>(r));
+      std::exit(1);
+    }
+  }
+  return out;
+}
+
+// One sharded config (scale replica): GrimpEngine::Fit of the corrupted
+// table over an out-of-core ShardedGraphStore, so per-batch prep includes
+// shard fetches; then TransformMany imputes the slice's missing cells.
+ConfigResult RunSharded(const Table& clean, const CorruptedTable& corrupted,
+                        const CorruptedTable& slice_cells,
+                        int64_t score_rows, const GrimpOptions& base,
                         int depth, int batch, int fanout, int shards,
                         int64_t budget_bytes) {
   GrimpOptions options = base;
@@ -179,19 +221,34 @@ ConfigResult RunSharded(const Table& table, const GrimpOptions& base,
 
   const PipelineCounters before = ReadPipelineCounters();
   GrimpEngine engine(options);
-  if (const auto status = engine.Fit(table); !status.ok()) {
+  if (const auto status = engine.Fit(corrupted.dirty); !status.ok()) {
     std::fprintf(stderr, "bench_train: config %s fit failed: %s\n",
                  result.name.c_str(), status.ToString().c_str());
     std::exit(1);
   }
   const PipelineCounters after = ReadPipelineCounters();
 
+  Table slice = CopyLeadingRows(corrupted.dirty, score_rows);
+  Table* request = &slice;
+  if (const auto status =
+          engine.TransformMany(std::span<Table* const>(&request, 1));
+      !status.ok()) {
+    std::fprintf(stderr, "bench_train: config %s TransformMany failed: %s\n",
+                 result.name.c_str(), status.ToString().c_str());
+    std::exit(1);
+  }
+  const grimp::ImputationScore score =
+      grimp::ScoreImputation(slice, slice_cells, clean);
+
   result.epochs = static_cast<int>(epoch_seconds.size());
   result.steps = engine.summary().steps_run;
   result.train_seconds = engine.summary().train_seconds;
   result.mean_epoch_seconds = MeanEpochSeconds(epoch_seconds);
+  result.accuracy = score.Accuracy();
+  result.rmse = score.Rmse();
   result.produced = static_cast<int64_t>(after.produced - before.produced);
   result.consumed = static_cast<int64_t>(after.consumed - before.consumed);
+  result.imputed = std::move(slice);
   return result;
 }
 
@@ -316,14 +373,34 @@ int main(int argc, char** argv) {
               static_cast<long long>(samples), max_threads,
               sharded ? " (sharded)" : "");
 
+  const CorruptedTable corrupted = grimp::InjectMcar(clean, 0.2, 13);
+  // Sharded configs score a leading slice; in-memory ones every cell.
+  const int64_t score_rows =
+      sharded ? std::min<int64_t>(kShardedScoreRows, clean.num_rows())
+              : clean.num_rows();
+  const CorruptedTable slice_cells = SliceCells(corrupted, score_rows);
+
+  // Baseline: the per-column mode / mean of the corrupted table.
+  grimp::ImputationScore baseline;
+  {
+    grimp::MeanModeImputer mean_mode;
+    auto imputed = mean_mode.Impute(corrupted.dirty);
+    if (!imputed.ok()) {
+      std::fprintf(stderr, "bench_train: baseline failed: %s\n",
+                   imputed.status().ToString().c_str());
+      return 1;
+    }
+    baseline = grimp::ScoreImputation(*imputed, slice_cells, clean);
+  }
+
   std::vector<ConfigResult> results;
   if (sharded) {
     for (const int depth : depths) {
-      results.push_back(RunSharded(clean, options, depth, batch, fanout,
-                                   shards, budget_mb << 20));
+      results.push_back(RunSharded(clean, corrupted, slice_cells, score_rows,
+                                   options, depth, batch, fanout, shards,
+                                   budget_mb << 20));
     }
   } else {
-    const CorruptedTable corrupted = grimp::InjectMcar(clean, 0.2, 13);
     results.push_back(
         RunInMemory(clean, corrupted, options, /*depth=*/-1, batch, fanout));
     for (const int depth : depths) {
@@ -334,7 +411,7 @@ int main(int argc, char** argv) {
 
   // Bit-identity across the depth sweep: every pipelined config must match
   // the serial (depth 0) config exactly — whole loss trajectory, and in
-  // in-memory mode every imputed cell.
+  // every imputed cell (in sharded mode, the scored slice).
   const ConfigResult* serial = nullptr;
   for (const ConfigResult& r : results) {
     if (r.depth == 0) serial = &r;
@@ -343,7 +420,7 @@ int main(int argc, char** argv) {
   for (const ConfigResult& r : results) {
     if (r.depth <= 0) continue;
     if (!SameLosses(serial->losses, r.losses)) bit_identical = false;
-    if (!sharded && !SameCells(serial->imputed, r.imputed)) {
+    if (!SameCells(serial->imputed, r.imputed)) {
       bit_identical = false;
     }
   }
@@ -367,15 +444,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("%-12s %6s %7s %7s %14s %11s %9s %9s\n", "config", "depth",
-              "epochs", "steps", "epoch s", "train s", "acc", "produced");
+  std::printf("%-12s %6s %7s %7s %14s %11s %9s %9s %9s\n", "config",
+              "depth", "epochs", "steps", "epoch s", "train s", "acc", "rmse",
+              "produced");
   for (const ConfigResult& r : results) {
-    std::printf("%-12s %6d %7d %7lld %14.6f %11.4f %9.4f %9lld\n",
+    std::printf("%-12s %6d %7d %7lld %14.6f %11.4f %9.4f %9.4f %9lld\n",
                 r.name.c_str(), r.depth, r.epochs,
                 static_cast<long long>(r.steps), r.mean_epoch_seconds,
-                r.train_seconds, r.accuracy,
+                r.train_seconds, r.accuracy, r.rmse,
                 static_cast<long long>(r.produced));
   }
+  std::printf("%-12s %6s %7s %7s %14s %11s %9.4f %9.4f\n", "mode/mean", "",
+              "", "", "", "", baseline.Accuracy(), baseline.Rmse());
+  std::printf("scored: %lld categorical + %lld numerical injected cells in "
+              "the first %lld rows\n",
+              static_cast<long long>(baseline.categorical_cells),
+              static_cast<long long>(baseline.numerical_cells),
+              static_cast<long long>(score_rows));
   if (epoch_speedup > 0.0) {
     std::printf("\nper-epoch speedup (full / sampled d0): %.2fx\n",
                 epoch_speedup);
@@ -400,13 +485,17 @@ int main(int argc, char** argv) {
                 sharded ? "true" : "false", shards,
                 static_cast<long long>(sharded ? budget_mb : 0), max_threads,
                 grimp::bench::HardwareConcurrency());
-  char tail[224];
+  char tail[512];
   std::snprintf(tail, sizeof(tail),
-                "\n  ],\n  \"epoch_speedup\": %.4f,\n"
+                "\n  ],\n  \"score_rows\": %lld,\n"
+                "  \"baseline_mode_accuracy\": %.4f,\n"
+                "  \"baseline_mean_rmse\": %.4f,\n"
+                "  \"epoch_speedup\": %.4f,\n"
                 "  \"pipeline_speedup\": %.4f,\n"
                 "  \"pipeline_best_depth\": %d,\n"
                 "  \"bit_identical\": %s\n}\n",
-                epoch_speedup, pipeline_speedup, best_depth,
+                static_cast<long long>(score_rows), baseline.Accuracy(),
+                baseline.Rmse(), epoch_speedup, pipeline_speedup, best_depth,
                 bit_identical ? "true" : "false");
   std::string json = head;
   for (size_t i = 0; i < results.size(); ++i) {

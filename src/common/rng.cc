@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -80,20 +81,36 @@ double Rng::NextGaussian() {
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
-size_t Rng::Categorical(const std::vector<double>& weights) {
+Rng Rng::Fork() { return Rng(Next()); }
+
+CategoricalTable::CategoricalTable(const std::vector<double>& weights)
+    : acc_(weights.size()) {
   GRIMP_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) total += w;
-  if (total <= 0.0) return weights.size() - 1;
-  double r = NextDouble() * total;
   double acc = 0.0;
   for (size_t i = 0; i < weights.size(); ++i) {
     acc += weights[i];
-    if (r < acc) return i;
+    acc_[i] = acc;
   }
-  return weights.size() - 1;
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
+size_t CategoricalTable::Draw(Rng* rng) const {
+  if (total() <= 0.0) return acc_.size() - 1;
+  return Find(rng->NextDouble() * total());
+}
+
+size_t CategoricalTable::Find(double r) const {
+  // Branchless upper bound: `first` stays at or before the answer while
+  // `len` halves. The step is masked rather than selected: written as a
+  // select, GCC emits a branch that a random r mispredicts half the time.
+  const double* first = acc_.data();
+  size_t len = acc_.size();
+  while (len > 1) {
+    const size_t half = len / 2;
+    first += half & (0 - static_cast<size_t>(first[half - 1] <= r));
+    len -= half;
+  }
+  const size_t i = static_cast<size_t>(first - acc_.data()) + (*first <= r);
+  return std::min(i, acc_.size() - 1);
+}
 
 }  // namespace grimp

@@ -43,10 +43,6 @@ class Rng {
   // true with probability p.
   bool Bernoulli(double p);
 
-  // Samples an index from an (unnormalized, non-negative) weight vector.
-  // Returns weights.size() - 1 on degenerate input (all zero).
-  size_t Categorical(const std::vector<double>& weights);
-
   // Fisher-Yates shuffle of [first, first + n).
   template <typename T>
   void Shuffle(T* first, size_t n) {
@@ -68,6 +64,29 @@ class Rng {
   uint64_t s_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
+};
+
+// Samples indices from a fixed unnormalized, non-negative weight vector.
+// The running sums acc[i] = w[0] + ... + w[i] are built once, left to
+// right, so a draw is one NextDouble and a binary search instead of a
+// pass over every weight. A draw takes r = NextDouble() * total and
+// returns the first i with r < acc[i], size() - 1 if there is none: the
+// index a linear scan accumulating the weights in order would return. An
+// all-zero vector draws nothing and always gives size() - 1.
+class CategoricalTable {
+ public:
+  // `weights` must be non-empty.
+  explicit CategoricalTable(const std::vector<double>& weights);
+
+  size_t Draw(Rng* rng) const;
+  // The index a draw of `r` gives: the first i with r < acc[i], clamped
+  // to size() - 1.
+  size_t Find(double r) const;
+
+  double total() const { return acc_.back(); }
+
+ private:
+  std::vector<double> acc_;
 };
 
 }  // namespace grimp

@@ -42,21 +42,60 @@ std::string RandomName(Rng* rng) {
   return name;
 }
 
-// First index whose cumulative weight exceeds u * total (u in [0, 1)).
-size_t SearchCdf(const std::vector<double>& cdf, double u) {
-  const double target = u * cdf.back();
-  size_t lo = 0;
-  size_t hi = cdf.size() - 1;
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (cdf[mid] <= target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+// Appends a numerical column's cells as AppendRow does with the string
+// FormatDouble(value, decimals): the cell holds that string parsed back,
+// and its code is the canonical form of the parsed value. Both are pure
+// functions of the printed string, which is fixed by the sign of `value`
+// and q = round(value * 10^decimals) whenever value * 10^decimals is
+// clearly away from a .5 tie (the sign matters only at q == 0, printed
+// "0.00" or "-0.00"). Those cells come from a cache keyed on (q, sign);
+// every other cell is formatted and parsed.
+class NumericCellInterner {
+ public:
+  NumericCellInterner(Column* column, int decimals)
+      : column_(column), decimals_(decimals) {
+    for (int d = 0; d < decimals; ++d) scale_ *= 10.0;  // exact to 10^22
   }
-  return lo;
-}
+
+  void Append(double value) {
+    const double scaled = value * scale_;
+    // |scaled| < 1e9 keeps the product's rounding error under 1.2e-7, so
+    // a margin of 1e-6 from the tie fixes which side the exact decimal
+    // rounding falls on.
+    if (decimals_ >= 0 && decimals_ <= 15 && std::fabs(scaled) < 1e9) {
+      const double whole = std::floor(scaled);
+      const double frac = scaled - whole;
+      if (std::fabs(frac - 0.5) > 1e-6) {
+        const int64_t q = static_cast<int64_t>(whole) + (frac > 0.5 ? 1 : 0);
+        const int64_t key = 2 * q + (std::signbit(value) ? 1 : 0);
+        auto [it, inserted] = by_key_.try_emplace(key);
+        if (inserted) it->second = Intern(value);
+        column_->AppendCode(it->second.code, it->second.value);
+        return;
+      }
+    }
+    const Cell cell = Intern(value);
+    column_->AppendCode(cell.code, cell.value);
+  }
+
+ private:
+  struct Cell {
+    int32_t code = -1;
+    double value = 0.0;
+  };
+
+  Cell Intern(double value) {
+    Cell cell;
+    GRIMP_CHECK(ParseDouble(FormatDouble(value, decimals_), &cell.value));
+    cell.code = column_->InternValue(Column::CanonicalNumeric(cell.value));
+    return cell;
+  }
+
+  Column* column_;
+  int decimals_;
+  double scale_ = 1.0;
+  std::unordered_map<int64_t, Cell> by_key_;
+};
 
 }  // namespace
 
@@ -77,6 +116,18 @@ Result<Table> GenerateDataset(const DatasetSpec& spec, uint64_t seed,
   if (spec.num_clusters <= 0) {
     return Status::InvalidArgument("num_clusters must be positive");
   }
+  for (size_t j = 0; j < spec.categorical.size(); ++j) {
+    const auto& cat = spec.categorical[j];
+    if (!cat.high_cardinality_text && cat.cardinality <= 0) {
+      return Status::InvalidArgument("non-positive cardinality: " + cat.name);
+    }
+    // FD children read their parent's codes, drawn earlier in the column
+    // loop below.
+    if (cat.fd_parent >= 0 && static_cast<size_t>(cat.fd_parent) >= j) {
+      return Status::InvalidArgument(
+          "FD parent must precede child column: " + cat.name);
+    }
+  }
   Rng rng(seed ^ Fnv1a(spec.name));
 
   // Schema: categorical columns first, then numerical (matching the
@@ -89,13 +140,16 @@ Result<Table> GenerateDataset(const DatasetSpec& spec, uint64_t seed,
     fields.push_back(Field{num.name, AttrType::kNumerical});
   }
   Table table{Schema(std::move(fields))};
+  for (int c = 0; c < table.num_cols(); ++c) {
+    table.mutable_column(c).Reserve(rows);
+  }
 
   // Cluster assignment per row, mildly skewed.
-  const std::vector<double> cluster_w = ZipfWeights(spec.num_clusters, 0.7);
+  const CategoricalTable cluster_table(ZipfWeights(spec.num_clusters, 0.7));
   std::vector<int> cluster(static_cast<size_t>(rows));
   for (int64_t r = 0; r < rows; ++r) {
     cluster[static_cast<size_t>(r)] =
-        static_cast<int>(rng.Categorical(cluster_w));
+        static_cast<int>(cluster_table.Draw(&rng));
   }
 
   // Per-cluster Gaussian means for numerical columns.
@@ -119,233 +173,105 @@ Result<Table> GenerateDataset(const DatasetSpec& spec, uint64_t seed,
     }
   }
 
-  // Draw categorical codes column-by-column (FD children resolved after
-  // their parent within the same row loop because parents precede children
-  // in the spec by construction; enforced below).
-  for (size_t j = 0; j < spec.categorical.size(); ++j) {
-    const auto& cat = spec.categorical[j];
-    if (cat.fd_parent >= 0 &&
-        static_cast<size_t>(cat.fd_parent) >= j) {
-      return Status::InvalidArgument(
-          "FD parent must precede child column: " + cat.name);
+  // Categorical columns, one at a time: draw each row's value id and
+  // append it. FD children read their parent's ids, so parents keep them.
+  std::vector<std::vector<int>> parent_ids(spec.categorical.size());
+  for (const auto& cat : spec.categorical) {
+    if (cat.fd_parent >= 0) {
+      parent_ids[static_cast<size_t>(cat.fd_parent)].resize(
+          static_cast<size_t>(rows));
     }
   }
-  std::vector<std::vector<int>> cat_codes(
-      spec.categorical.size(), std::vector<int>(static_cast<size_t>(rows)));
   for (size_t j = 0; j < spec.categorical.size(); ++j) {
     const auto& cat = spec.categorical[j];
+    // Distinct pseudo-word value names per (column, id). Real categorical
+    // values ("France", "Germany") are lexically distinct; near-identical
+    // names like "col_v0"/"col_v1" would make every string featurizer
+    // (n-gram hashing, DataWig) artificially blind.
+    std::vector<std::string> value_names;
+    if (!cat.high_cardinality_text) {
+      Rng name_rng(Fnv1a(cat.name, seed) ^ 0xabcdef1234567ULL);
+      value_names.reserve(static_cast<size_t>(cat.cardinality));
+      for (int v = 0; v < cat.cardinality; ++v) {
+        value_names.push_back(RandomName(&name_rng) + "_" +
+                              std::to_string(v));
+      }
+    }
+    const std::vector<std::string>& names =
+        cat.high_cardinality_text ? text_pools[j] : value_names;
+    Column& col = table.mutable_column(static_cast<int>(j));
+    // An id's name is interned the first time a row uses it, so dictionary
+    // codes come in first-occurrence order, as appending the names row by
+    // row would give.
+    std::vector<int32_t> dict_code(names.size(), -1);
+    std::vector<int>& ids = parent_ids[j];
+    auto append = [&](int64_t r, int id) {
+      if (!ids.empty()) ids[static_cast<size_t>(r)] = id;
+      int32_t& code = dict_code[static_cast<size_t>(id)];
+      if (code < 0) code = col.InternValue(names[static_cast<size_t>(id)]);
+      col.AppendCode(code);
+    };
     if (cat.high_cardinality_text) {
-      const auto& pool = text_pools[j];
+      const uint64_t pool = text_pools[j].size();
       for (int64_t r = 0; r < rows; ++r) {
-        cat_codes[j][static_cast<size_t>(r)] =
-            static_cast<int>(rng.Uniform(pool.size()));
+        append(r, static_cast<int>(rng.Uniform(pool)));
       }
       continue;
     }
     if (cat.fd_parent >= 0) {
       // Deterministic map of the parent value: child = parent % |child|.
-      const auto& parent = cat_codes[static_cast<size_t>(cat.fd_parent)];
+      const auto& parent = parent_ids[static_cast<size_t>(cat.fd_parent)];
       for (int64_t r = 0; r < rows; ++r) {
-        cat_codes[j][static_cast<size_t>(r)] =
-            parent[static_cast<size_t>(r)] % cat.cardinality;
+        append(r, parent[static_cast<size_t>(r)] % cat.cardinality);
       }
       continue;
     }
     const std::vector<double> marginal = ZipfWeights(cat.cardinality,
                                                      cat.zipf_s);
-    double marg_total = 0.0;
-    for (double w : marginal) marg_total += w;
+    const CategoricalTable marginal_table(marginal);
+    const double marg_total = marginal_table.total();
     // Per-cluster distributions: a delta mixture. Each cluster prefers one
     // value (drawn from the column's Zipf marginal, so the marginal skew
     // is preserved) with probability `concentration`; the remaining mass
     // follows the marginal. This is what makes attributes mutually
     // predictive: knowing any column's value tilts the cluster posterior,
     // which tilts every other column.
-    std::vector<std::vector<double>> cluster_dists(
-        static_cast<size_t>(spec.num_clusters));
+    std::vector<CategoricalTable> cluster_tables;
+    cluster_tables.reserve(static_cast<size_t>(spec.num_clusters));
     const uint64_t col_seed = Fnv1a(cat.name, seed);
+    std::vector<double> dist(static_cast<size_t>(cat.cardinality));
     for (int k = 0; k < spec.num_clusters; ++k) {
       Rng pref_rng(col_seed * 0x9e3779b97f4a7c15ULL +
                    static_cast<uint64_t>(k) + 1);
-      const size_t preferred = pref_rng.Categorical(marginal);
-      std::vector<double> dist(static_cast<size_t>(cat.cardinality));
+      const size_t preferred = marginal_table.Draw(&pref_rng);
       for (int v = 0; v < cat.cardinality; ++v) {
         dist[static_cast<size_t>(v)] = (1.0 - cat.concentration) *
                                        marginal[static_cast<size_t>(v)] /
                                        marg_total;
       }
       dist[preferred] += cat.concentration;
-      cluster_dists[static_cast<size_t>(k)] = std::move(dist);
+      cluster_tables.emplace_back(dist);
     }
     for (int64_t r = 0; r < rows; ++r) {
-      const auto& dist =
-          cluster_dists[static_cast<size_t>(cluster[static_cast<size_t>(r)])];
-      cat_codes[j][static_cast<size_t>(r)] =
-          static_cast<int>(rng.Categorical(dist));
+      const CategoricalTable& cluster_dist =
+          cluster_tables[static_cast<size_t>(cluster[static_cast<size_t>(r)])];
+      append(r, static_cast<int>(cluster_dist.Draw(&rng)));
     }
   }
 
-  // Distinct pseudo-word value names per (column, code). Real categorical
-  // values ("France", "Germany") are lexically distinct; near-identical
-  // names like "col_v0"/"col_v1" would make every string featurizer
-  // (n-gram hashing, DataWig) artificially blind.
-  std::vector<std::vector<std::string>> value_names(spec.categorical.size());
-  for (size_t j = 0; j < spec.categorical.size(); ++j) {
-    const auto& cat = spec.categorical[j];
-    if (cat.high_cardinality_text) continue;
-    Rng name_rng(Fnv1a(cat.name, seed) ^ 0xabcdef1234567ULL);
-    auto& names = value_names[j];
-    names.reserve(static_cast<size_t>(cat.cardinality));
-    for (int v = 0; v < cat.cardinality; ++v) {
-      names.push_back(RandomName(&name_rng) + "_" + std::to_string(v));
-    }
-  }
-
-  // Materialize rows.
-  std::vector<std::string> row(spec.categorical.size() +
-                               spec.numerical.size());
-  for (int64_t r = 0; r < rows; ++r) {
-    for (size_t j = 0; j < spec.categorical.size(); ++j) {
-      const auto& cat = spec.categorical[j];
-      const int code = cat_codes[j][static_cast<size_t>(r)];
-      row[j] = cat.high_cardinality_text
-                   ? text_pools[j][static_cast<size_t>(code)]
-                   : value_names[j][static_cast<size_t>(code)];
-    }
-    for (size_t j = 0; j < spec.numerical.size(); ++j) {
-      const auto& num = spec.numerical[j];
-      const double mean =
-          num_means[j][static_cast<size_t>(cluster[static_cast<size_t>(r)])];
-      const double value = mean + rng.NextGaussian() * num.noise;
-      row[spec.categorical.size() + j] = FormatDouble(value, num.decimals);
-    }
-    GRIMP_RETURN_IF_ERROR(table.AppendRow(row));
-  }
-  return table;
-}
-
-Result<Table> GenerateLargeDataset(const DatasetSpec& spec, uint64_t seed,
-                                   int64_t rows_override) {
-  const int64_t rows = rows_override > 0 ? rows_override : spec.rows;
-  if (rows <= 0) return Status::InvalidArgument("rows must be positive");
-  if (spec.num_clusters <= 0) {
-    return Status::InvalidArgument("num_clusters must be positive");
-  }
-  for (size_t j = 0; j < spec.categorical.size(); ++j) {
-    const auto& cat = spec.categorical[j];
-    if (cat.high_cardinality_text) {
-      return Status::InvalidArgument(
-          "GenerateLargeDataset cannot pre-intern high-cardinality text "
-          "column: " +
-          cat.name);
-    }
-    if (cat.cardinality <= 0) {
-      return Status::InvalidArgument("non-positive cardinality: " + cat.name);
-    }
-    if (cat.fd_parent >= 0 && static_cast<size_t>(cat.fd_parent) >= j) {
-      return Status::InvalidArgument(
-          "FD parent must precede child column: " + cat.name);
-    }
-  }
-  Rng rng(seed ^ Fnv1a(spec.name));
-
-  std::vector<Field> fields;
-  for (const auto& cat : spec.categorical) {
-    fields.push_back(Field{cat.name, AttrType::kCategorical});
-  }
-  for (const auto& num : spec.numerical) {
-    fields.push_back(Field{num.name, AttrType::kNumerical});
-  }
-  Table table{Schema(std::move(fields))};
-  for (int c = 0; c < table.num_cols(); ++c) {
-    table.mutable_column(c).Reserve(rows);
-  }
-
-  // Cluster assignment per row, mildly skewed (as in GenerateDataset).
-  const std::vector<double> cluster_w = ZipfWeights(spec.num_clusters, 0.7);
-  std::vector<int32_t> cluster(static_cast<size_t>(rows));
-  for (int64_t r = 0; r < rows; ++r) {
-    cluster[static_cast<size_t>(r)] =
-        static_cast<int32_t>(rng.Categorical(cluster_w));
-  }
-
-  for (size_t j = 0; j < spec.categorical.size(); ++j) {
-    const auto& cat = spec.categorical[j];
-    Column& col = table.mutable_column(static_cast<int>(j));
-    // Intern the domain up front, in code order: generator codes and
-    // dictionary codes then coincide, so FD children can read their
-    // parent's codes straight back out of the table.
-    Rng name_rng(Fnv1a(cat.name, seed) ^ 0xabcdef1234567ULL);
-    for (int v = 0; v < cat.cardinality; ++v) {
-      const int32_t code =
-          col.InternValue(RandomName(&name_rng) + "_" + std::to_string(v));
-      GRIMP_CHECK_EQ(code, v);
-    }
-    if (cat.fd_parent >= 0) {
-      const Column& parent = table.column(cat.fd_parent);
-      for (int64_t r = 0; r < rows; ++r) {
-        col.AppendCode(parent.CodeAt(r) % cat.cardinality);
-      }
-      continue;
-    }
-    const std::vector<double> marginal =
-        ZipfWeights(cat.cardinality, cat.zipf_s);
-    std::vector<double> cdf(marginal.size());
-    double acc = 0.0;
-    for (size_t v = 0; v < marginal.size(); ++v) {
-      acc += marginal[v];
-      cdf[v] = acc;
-    }
-    // Per-cluster preferred values, seeded exactly like GenerateDataset.
-    const uint64_t col_seed = Fnv1a(cat.name, seed);
-    std::vector<int32_t> preferred(static_cast<size_t>(spec.num_clusters));
-    for (int k = 0; k < spec.num_clusters; ++k) {
-      Rng pref_rng(col_seed * 0x9e3779b97f4a7c15ULL +
-                   static_cast<uint64_t>(k) + 1);
-      preferred[static_cast<size_t>(k)] =
-          static_cast<int32_t>(pref_rng.Categorical(marginal));
-    }
-    const double conc = cat.concentration;
-    for (int64_t r = 0; r < rows; ++r) {
-      // One uniform draw decides both the mixture branch and, rescaled,
-      // the marginal value — the delta mixture of GenerateDataset without
-      // materializing a per-cluster distribution.
-      const double u = rng.NextDouble();
-      int32_t code;
-      if (u < conc || conc >= 1.0) {
-        code = preferred[static_cast<size_t>(
-            cluster[static_cast<size_t>(r)])];
-      } else {
-        code = static_cast<int32_t>(
-            SearchCdf(cdf, (u - conc) / (1.0 - conc)));
-      }
-      col.AppendCode(code);
-    }
-  }
-
+  // Numerical cells, drawn row by row.
+  std::vector<NumericCellInterner> num_cells;
+  num_cells.reserve(spec.numerical.size());
   for (size_t j = 0; j < spec.numerical.size(); ++j) {
-    const auto& num = spec.numerical[j];
-    Column& col =
-        table.mutable_column(static_cast<int>(spec.categorical.size() + j));
-    std::vector<double> means(static_cast<size_t>(spec.num_clusters));
-    for (int k = 0; k < spec.num_clusters; ++k) {
-      means[static_cast<size_t>(k)] = rng.NextGaussian() * num.cluster_spread;
-    }
-    const double scale = std::pow(10.0, num.decimals);
-    // Rounding bounds the distinct values, so the canonical string is
-    // formatted once per distinct quantized value, not once per cell.
-    std::unordered_map<int64_t, int32_t> code_of;
-    for (int64_t r = 0; r < rows; ++r) {
-      const double value =
-          means[static_cast<size_t>(cluster[static_cast<size_t>(r)])] +
-          rng.NextGaussian() * num.noise;
-      const int64_t q = std::llround(value * scale);
-      const double rounded = static_cast<double>(q) / scale;
-      auto [it, inserted] = code_of.try_emplace(q, 0);
-      if (inserted) {
-        it->second = col.InternValue(Column::CanonicalNumeric(rounded));
-      }
-      col.AppendCode(it->second, rounded);
+    num_cells.emplace_back(
+        &table.mutable_column(static_cast<int>(spec.categorical.size() + j)),
+        spec.numerical[j].decimals);
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    const size_t k = static_cast<size_t>(cluster[static_cast<size_t>(r)]);
+    for (size_t j = 0; j < spec.numerical.size(); ++j) {
+      num_cells[j].Append(num_means[j][k] +
+                          rng.NextGaussian() * spec.numerical[j].noise);
     }
   }
   GRIMP_RETURN_IF_ERROR(table.CommitBulkRows());
@@ -355,16 +281,6 @@ Result<Table> GenerateLargeDataset(const DatasetSpec& spec, uint64_t seed,
 Result<Table> GenerateDatasetByName(const std::string& name, uint64_t seed,
                                     int64_t rows_override) {
   GRIMP_ASSIGN_OR_RETURN(auto spec, GetDatasetSpec(name));
-  const int64_t rows = rows_override > 0 ? rows_override : spec.rows;
-  bool has_text = false;
-  for (const auto& cat : spec.categorical) {
-    has_text |= cat.high_cardinality_text;
-  }
-  // The row-wise generator hashes every cell's string; past a quarter
-  // million rows the columnar path wins by more than an order of magnitude.
-  if (rows >= (1 << 18) && !has_text) {
-    return GenerateLargeDataset(spec, seed, rows_override);
-  }
   return GenerateDataset(spec, seed, rows_override);
 }
 
@@ -559,8 +475,9 @@ Result<DatasetSpec> GetDatasetSpec(const std::string& name) {
     // 5M rows, 6 categorical + 2 numerical. Domains stay in the low
     // thousands so the graph is RID-dominated — ~5M RID nodes and ~80M
     // directed edges across 8 edge types, roughly half a gigabyte of CSR.
-    // That is the regime the sharded GraphStore exists for; generate it
-    // with GenerateLargeDataset (GenerateDatasetByName does).
+    // That is the regime the sharded GraphStore exists for. Benches and
+    // tests take a row override (30,000 rows in grimpbench train_sharded,
+    // 1M in the sharded benches).
     s.abbreviation = "SC";
     s.rows = 5000000;
     s.num_clusters = 16;

@@ -66,22 +66,16 @@ Result<DatasetSpec> GetDatasetSpec(const std::string& name);
 
 // Generates a clean (no missing values) instance. `rows_override` > 0
 // scales the dataset down/up from the paper's size (bench binaries default
-// to reduced rows; --full restores the published sizes).
+// to reduced rows; --full restores the published sizes). The table is a
+// pure function of (spec, seed, rows): one generator serves every size,
+// from the 470-row thoracic replica to millions of scale rows. Value ids
+// are drawn column by column from precomputed cumulative tables and each
+// distinct value is interned once, at its first occurrence, so dictionary
+// codes come in row order and no cell string is hashed per row.
 Result<Table> GenerateDataset(const DatasetSpec& spec, uint64_t seed,
                               int64_t rows_override = -1);
 Result<Table> GenerateDatasetByName(const std::string& name, uint64_t seed,
                                     int64_t rows_override = -1);
-
-// Fast columnar generator for multi-million-row specs: same generative
-// model as GenerateDataset, but each column's value domain is interned
-// into its dictionary once and cells are appended as dense codes
-// (Column::AppendCode), skipping the per-cell string materialization that
-// dominates AppendRow at scale. High-cardinality text columns are
-// rejected (their domain is proportional to the row count, so there is
-// nothing to pre-intern). GenerateDatasetByName dispatches here
-// automatically for large eligible instances.
-Result<Table> GenerateLargeDataset(const DatasetSpec& spec, uint64_t seed,
-                                   int64_t rows_override = -1);
 
 // Resolves a spec's fd_specs against a generated table's schema.
 Result<std::vector<FunctionalDependency>> ResolveFds(const DatasetSpec& spec,

@@ -63,16 +63,19 @@ Result<Table> Table::FromCsvFile(const std::string& path) {
 }
 
 Status Table::AppendRow(const std::vector<std::string>& cells) {
-  GRIMP_RETURN_IF_ERROR(CheckRow(cells));
+  // Parse every numeric cell before writing anything, so the append is
+  // all-or-nothing, and append the parsed values without parsing again.
+  std::vector<double> parsed(cells.size());
+  GRIMP_RETURN_IF_ERROR(ParseRow(cells, parsed.data()));
   for (int c = 0; c < num_cols(); ++c) {
     Column& col = mutable_column(c);
     const std::string& cell = cells[static_cast<size_t>(c)];
     if (cell.empty()) {
       col.AppendMissing();
+    } else if (col.is_categorical()) {
+      col.AppendCategorical(cell);
     } else {
-      // CheckRow parsed every numeric cell already, so this cannot fail
-      // and the append is all-or-nothing.
-      GRIMP_RETURN_IF_ERROR(col.AppendFromString(cell));
+      col.AppendNumerical(parsed[static_cast<size_t>(c)]);
     }
   }
   ++num_rows_;
@@ -80,6 +83,11 @@ Status Table::AppendRow(const std::vector<std::string>& cells) {
 }
 
 Status Table::CheckRow(const std::vector<std::string>& cells) const {
+  return ParseRow(cells, nullptr);
+}
+
+Status Table::ParseRow(const std::vector<std::string>& cells,
+                       double* numeric) const {
   if (static_cast<int>(cells.size()) != num_cols()) {
     return Status::InvalidArgument(
         "row has " + std::to_string(cells.size()) + " cells, schema has " +
@@ -94,6 +102,7 @@ Status Table::CheckRow(const std::vector<std::string>& cells) const {
       return Status::InvalidArgument("unparseable numeric cell '" + cell +
                                      "' in column " + col.name());
     }
+    if (numeric != nullptr) numeric[c] = v;
   }
   return Status::OK();
 }

@@ -73,6 +73,11 @@ class Table {
   CsvData ToCsv() const;
 
  private:
+  // CheckRow's work; also stores each numeric cell's parsed value at
+  // numeric[col] when `numeric` is non-null.
+  Status ParseRow(const std::vector<std::string>& cells,
+                  double* numeric) const;
+
   Schema schema_;
   std::vector<Column> columns_;
   int64_t num_rows_ = 0;

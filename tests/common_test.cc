@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <set>
 
@@ -187,16 +188,111 @@ TEST(RngTest, GaussianMoments) {
 
 TEST(RngTest, CategoricalRespectsWeights) {
   Rng rng(13);
-  std::vector<double> w{1.0, 3.0};
+  const CategoricalTable table({1.0, 3.0});
   int ones = 0;
-  for (int i = 0; i < 4000; ++i) ones += rng.Categorical(w) == 1;
+  for (int i = 0; i < 4000; ++i) ones += table.Draw(&rng) == 1;
   EXPECT_NEAR(ones / 4000.0, 0.75, 0.03);
 }
 
 TEST(RngTest, CategoricalDegenerateInput) {
   Rng rng(13);
-  std::vector<double> zeros{0.0, 0.0, 0.0};
-  EXPECT_EQ(rng.Categorical(zeros), 2u);
+  const CategoricalTable zeros({0.0, 0.0, 0.0});
+  EXPECT_EQ(zeros.Draw(&rng), 2u);
+}
+
+// The linear scan the cumulative table replaces: accumulate the weights
+// left to right and stop at the first running sum above r.
+size_t LinearScan(const std::vector<double>& weights, double r) {
+  double acc = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    acc += weights[i];
+    if (r < acc) return i;
+  }
+  return weights.size() - 1;
+}
+
+size_t LinearScanDraw(const std::vector<double>& weights, Rng* rng) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  if (total <= 0.0) return weights.size() - 1;
+  return LinearScan(weights, rng->NextDouble() * total);
+}
+
+std::vector<double> RunningSums(const std::vector<double>& weights) {
+  std::vector<double> acc(weights.size());
+  double sum = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    sum += weights[i];
+    acc[i] = sum;
+  }
+  return acc;
+}
+
+// Random weights of `size` entries; about a third are zero, and the
+// first and last entries are zeroed on alternate trials.
+std::vector<double> RandomWeights(size_t size, int trial, Rng* rng) {
+  std::vector<double> w(size);
+  for (double& x : w) {
+    x = rng->Uniform(3) == 0 ? 0.0 : rng->NextDouble() * 10.0;
+  }
+  if (trial % 2 == 1) w.front() = 0.0;
+  if (trial % 4 >= 2) w.back() = 0.0;
+  return w;
+}
+
+TEST(CategoricalTableTest, DrawsMatchLinearScanOnRandomWeights) {
+  Rng gen(41);
+  for (size_t size : {1u, 2u, 3u, 17u, 2000u}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::vector<double> w = RandomWeights(size, trial, &gen);
+      const CategoricalTable table(w);
+      Rng a(1000 + static_cast<uint64_t>(trial));
+      Rng b(1000 + static_cast<uint64_t>(trial));
+      for (int d = 0; d < 500; ++d) {
+        ASSERT_EQ(table.Draw(&a), LinearScanDraw(w, &b))
+            << "size " << size << " trial " << trial << " draw " << d;
+      }
+      // Both consumed the same stream.
+      EXPECT_EQ(a.Next(), b.Next());
+    }
+  }
+}
+
+TEST(CategoricalTableTest, ForcedValuesAtAndJustUnderEachSumMatchLinearScan) {
+  Rng gen(43);
+  std::vector<std::vector<double>> cases = {
+      {0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 0.0},  // zeros at both ends and inside
+      {5.0},
+      {0.0},
+      {1.0, 0.0},
+      {0.0, 1.0},
+      {0.1, 0.2, 0.3},
+  };
+  for (int trial = 0; trial < 8; ++trial) {
+    cases.push_back(RandomWeights(2000, trial, &gen));
+  }
+  for (const std::vector<double>& w : cases) {
+    const CategoricalTable table(w);
+    const std::vector<double> acc = RunningSums(w);
+    EXPECT_EQ(table.total(), acc.back());
+    for (double sum : acc) {
+      for (double r : {sum, std::nextafter(sum, 0.0),
+                       std::nextafter(sum, 1e300), 0.0}) {
+        ASSERT_EQ(table.Find(r), LinearScan(w, r))
+            << "size " << w.size() << " r " << r;
+      }
+    }
+  }
+}
+
+TEST(CategoricalTableTest, AllZeroWeightsDrawNothingAndGiveTheLastIndex) {
+  for (size_t size : {1u, 2u, 2000u}) {
+    const CategoricalTable table(std::vector<double>(size, 0.0));
+    Rng rng(7);
+    for (int d = 0; d < 3; ++d) EXPECT_EQ(table.Draw(&rng), size - 1);
+    // No draw consumed the stream.
+    EXPECT_EQ(rng.Next(), Rng(7).Next());
+  }
 }
 
 TEST(RngTest, ShuffleIsPermutation) {

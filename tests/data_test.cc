@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+
+#include "common/binary_io.h"
 #include "data/datasets.h"
 #include "table/stats.h"
 
@@ -165,7 +169,7 @@ TEST(DatasetGenTest, RejectsBadInputs) {
   EXPECT_FALSE(GenerateDataset(bad_clusters, 1, 10).ok());
 }
 
-// --- The "scale" spec and the large-dataset fast path ----------------------
+// --- The "scale" spec -------------------------------------------------------
 
 TEST(ScaleDatasetTest, SpecResolvesButStaysOutOfTheSweepList) {
   auto spec = GetDatasetSpec("scale");
@@ -178,10 +182,10 @@ TEST(ScaleDatasetTest, SpecResolvesButStaysOutOfTheSweepList) {
   }
 }
 
-TEST(ScaleDatasetTest, LargeGeneratorMatchesSpecShape) {
+TEST(ScaleDatasetTest, MatchesSpecShape) {
   auto spec = GetDatasetSpec("scale");
   ASSERT_TRUE(spec.ok());
-  auto table = GenerateLargeDataset(*spec, 11, /*rows_override=*/5000);
+  auto table = GenerateDatasetByName("scale", 11, /*rows_override=*/5000);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ(table->num_rows(), 5000);
   EXPECT_EQ(table->num_cols(),
@@ -194,7 +198,7 @@ TEST(ScaleDatasetTest, LargeGeneratorMatchesSpecShape) {
     ASSERT_TRUE(col.is_categorical());
     EXPECT_LE(col.dict().size(), spec->categorical[c].cardinality);
   }
-  // Declared FDs hold exactly, same contract as the row-wise generator.
+  // Declared FDs hold exactly.
   auto fds = ResolveFds(*spec, table->schema());
   ASSERT_TRUE(fds.ok());
   for (const FunctionalDependency& fd : *fds) {
@@ -203,11 +207,9 @@ TEST(ScaleDatasetTest, LargeGeneratorMatchesSpecShape) {
   }
 }
 
-TEST(ScaleDatasetTest, LargeGeneratorIsDeterministicForSeed) {
-  auto spec = GetDatasetSpec("scale");
-  ASSERT_TRUE(spec.ok());
-  auto a = GenerateLargeDataset(*spec, 9, 2000);
-  auto b = GenerateLargeDataset(*spec, 9, 2000);
+TEST(ScaleDatasetTest, DeterministicForSeed) {
+  auto a = GenerateDatasetByName("scale", 9, 5000);
+  auto b = GenerateDatasetByName("scale", 9, 5000);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (int c = 0; c < a->num_cols(); ++c) {
@@ -218,15 +220,126 @@ TEST(ScaleDatasetTest, LargeGeneratorIsDeterministicForSeed) {
   }
 }
 
-TEST(ScaleDatasetTest, LargeGeneratorRejectsTextColumns) {
-  auto spec = GetDatasetSpec("scale");
-  ASSERT_TRUE(spec.ok());
-  DatasetSpec with_text = *spec;
-  CategoricalColumnSpec text;
-  text.name = "title";
-  text.high_cardinality_text = true;
-  with_text.categorical.push_back(text);
-  EXPECT_FALSE(GenerateLargeDataset(with_text, 1, 100).ok());
+// --- Table digests ------------------------------------------------------------
+
+// Checksum64 over everything a generated table holds: per column its name,
+// type, dictionary values and occurrence counts in code order, every cell
+// code and, for numerical columns, every cell value's bits.
+uint64_t TableDigest(const Table& table) {
+  Checksum64 sum;
+  const int64_t rows = table.num_rows();
+  sum.Update(&rows, sizeof(rows));
+  for (int c = 0; c < table.num_cols(); ++c) {
+    const Column& col = table.column(c);
+    const uint64_t name_len = col.name().size();
+    sum.Update(&name_len, sizeof(name_len));
+    sum.Update(col.name().data(), name_len);
+    const uint8_t categorical = col.is_categorical() ? 1 : 0;
+    sum.Update(&categorical, sizeof(categorical));
+    const Dictionary& dict = col.dict();
+    const int32_t size = dict.size();
+    sum.Update(&size, sizeof(size));
+    for (int32_t code = 0; code < size; ++code) {
+      const std::string& value = dict.ValueOf(code);
+      const uint64_t len = value.size();
+      sum.Update(&len, sizeof(len));
+      sum.Update(value.data(), len);
+      const int64_t count = dict.CountOf(code);
+      sum.Update(&count, sizeof(count));
+    }
+    for (int64_t r = 0; r < rows; ++r) {
+      const int32_t code = col.CodeAt(r);
+      sum.Update(&code, sizeof(code));
+      if (!col.is_categorical()) {
+        const double value = col.NumAt(r);
+        sum.Update(&value, sizeof(value));
+      }
+    }
+  }
+  return sum.Digest();
+}
+
+// Pins every replica bit for bit: the ten evaluation datasets at their
+// Table 1 sizes and the 30,000-row scale table, at two seeds each, plus
+// adult at 1,200 rows. A faster generator must reproduce these exactly.
+TEST(DatasetDigestTest, GeneratedTablesArePinned) {
+  struct Pin {
+    const char* name;
+    int64_t rows;  // -1: the spec's row count
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"adult", -1, 1, 0x9a68d503caad7aa3ULL},
+      {"adult", -1, 7, 0xf70bc9578297a23dULL},
+      {"australian", -1, 1, 0x6f45f02d4f1011cfULL},
+      {"australian", -1, 7, 0xb69f33b6c1fb1f8fULL},
+      {"contraceptive", -1, 1, 0x7ee38ed53122de27ULL},
+      {"contraceptive", -1, 7, 0x0fadcc11777f7933ULL},
+      {"credit", -1, 1, 0x94cb2440e813f528ULL},
+      {"credit", -1, 7, 0x2cd796755364d3f0ULL},
+      {"flare", -1, 1, 0x77c35bf3df9999f2ULL},
+      {"flare", -1, 7, 0x6023b7b95aa763bfULL},
+      {"imdb", -1, 1, 0x54d48fbf90492638ULL},
+      {"imdb", -1, 7, 0x0e170d6d564f063cULL},
+      {"mammogram", -1, 1, 0x9ce3675b5b5ea13cULL},
+      {"mammogram", -1, 7, 0x7b323d193f9cf715ULL},
+      {"tax", -1, 1, 0x465ea30ea4b7d3fcULL},
+      {"tax", -1, 7, 0xe2a463e12f4841e8ULL},
+      {"thoracic", -1, 1, 0x6d9d1033e8723e9dULL},
+      {"thoracic", -1, 7, 0xdc51cf0b8ff01052ULL},
+      {"tictactoe", -1, 1, 0x4cf9a707c5053dd7ULL},
+      {"tictactoe", -1, 7, 0xa900500af0209d40ULL},
+      {"scale", 30000, 1, 0x13bfdc14c5e56f15ULL},
+      {"scale", 30000, 7, 0xce995fbd7cb7bac9ULL},
+      {"adult", 1200, 1, 0x41f4f3a8933a4922ULL},
+  };
+  for (const Pin& pin : pins) {
+    auto table = GenerateDatasetByName(pin.name, pin.seed, pin.rows);
+    ASSERT_TRUE(table.ok()) << pin.name;
+    char actual[32];
+    std::snprintf(actual, sizeof(actual), "0x%016" PRIx64 "ULL",
+                  TableDigest(*table));
+    EXPECT_EQ(TableDigest(*table), pin.digest)
+        << pin.name << " rows " << pin.rows << " seed " << pin.seed
+        << ": actual " << actual;
+  }
+}
+
+// A spec built to reach the generator's rare paths: a text column, an FD
+// chain, one-value and all-or-nothing-concentration columns, and numerical
+// columns whose cells are all signed zeros, too large or too finely
+// rounded for the numeric cell cache, or printed at the default precision
+// (negative decimals).
+TEST(DatasetDigestTest, EdgeSpecIsPinned) {
+  DatasetSpec spec;
+  spec.name = "edge";
+  spec.rows = 3000;
+  spec.num_clusters = 3;
+  spec.categorical = {
+      {"text", 0, 0.0, 0.0, -1, true},
+      {"root", 9, 0.0, 1.0, -1, false},
+      {"mid", 4, 0.0, 0.0, 1, false},
+      {"leaf", 3, 0.0, 0.0, 2, false},
+      {"single", 1, 1.0, 0.5, -1, false},
+      {"flat", 5, 1.0, 0.0, -1, false},
+  };
+  spec.numerical = {
+      {"zeros", 0.0, 0.0, 0},   {"huge", 1e8, 1e7, 2},
+      {"fine", 2.0, 1.0, 9},    {"finer", 2.0, 1.0, 16},
+      {"default", 2.0, 1.0, -1}, {"tenths", 0.3, 0.2, 1},
+  };
+  for (uint64_t seed : {1u, 7u}) {
+    auto table = GenerateDataset(spec, seed);
+    ASSERT_TRUE(table.ok());
+    char actual[32];
+    std::snprintf(actual, sizeof(actual), "0x%016" PRIx64 "ULL",
+                  TableDigest(*table));
+    const uint64_t expected =
+        seed == 1 ? 0x0124abb05ef77d50ULL : 0x872fcdf8e34bb68bULL;
+    EXPECT_EQ(TableDigest(*table), expected)
+        << "seed " << seed << ": actual " << actual;
+  }
 }
 
 }  // namespace

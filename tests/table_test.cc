@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/csv.h"
@@ -127,6 +128,51 @@ TEST(TableTest, AppendAndBasicStats) {
 TEST(TableTest, AppendRowRejectsWrongArity) {
   Table t = MakeMixedTable();
   EXPECT_FALSE(t.AppendRow({"only-one"}).ok());
+}
+
+TEST(TableTest, AppendRowParsesNumericCellsOnceAsTheCellPathDoes) {
+  Schema schema({{"city", AttrType::kCategorical},
+                 {"x", AttrType::kNumerical}});
+  Table t(schema);
+  // Reference: the per-cell string append, which parses on its own.
+  Column ref(Field{"x", AttrType::kNumerical});
+  const std::vector<std::string> cells = {"-0", " 1e3 ", "0.10", " 1e3 "};
+  for (size_t i = 0; i < cells.size(); ++i) {
+    ASSERT_TRUE(t.AppendRow({i % 2 == 0 ? "a" : "b", cells[i]}).ok());
+    ASSERT_TRUE(ref.AppendFromString(cells[i]).ok());
+  }
+  const Column& x = t.column(1);
+  ASSERT_EQ(x.num_rows(), ref.num_rows());
+  for (int64_t r = 0; r < x.num_rows(); ++r) {
+    EXPECT_EQ(x.CodeAt(r), ref.CodeAt(r)) << r;
+    const double got = x.NumAt(r);
+    const double want = ref.NumAt(r);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0) << r;
+  }
+  EXPECT_EQ(x.dict().values(), ref.dict().values());
+  EXPECT_EQ(x.dict().counts(), ref.dict().counts());
+  EXPECT_TRUE(std::signbit(x.NumAt(0)));
+  EXPECT_EQ(x.StringAt(0), "-0.00000000");
+  EXPECT_EQ(x.NumAt(1), 1000.0);
+  EXPECT_EQ(x.StringAt(1), "1000.00000000");
+  EXPECT_EQ(x.NumAt(2), 0.1);
+  EXPECT_EQ(x.StringAt(2), "0.10000000");
+  EXPECT_EQ(x.CodeAt(3), x.CodeAt(1));
+
+  // An unparseable numeric cell rejects the whole row: nothing is
+  // appended or interned, in either column.
+  const std::vector<std::string> city_values = t.column(0).dict().values();
+  const std::vector<int64_t> city_counts = t.column(0).dict().counts();
+  const std::vector<int64_t> x_counts = x.dict().counts();
+  const Status st = t.AppendRow({"c", "x"});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.num_rows(), 4);
+  EXPECT_EQ(t.column(0).num_rows(), 4);
+  EXPECT_EQ(x.num_rows(), 4);
+  EXPECT_EQ(t.column(0).dict().values(), city_values);
+  EXPECT_EQ(t.column(0).dict().counts(), city_counts);
+  EXPECT_EQ(x.dict().counts(), x_counts);
+  EXPECT_EQ(x.dict().size(), 3);
 }
 
 TEST(TableTest, FromCsvInfersTypes) {
