@@ -70,12 +70,18 @@ class NumericCellInterner {
         const int64_t key = 2 * q + (std::signbit(value) ? 1 : 0);
         auto [it, inserted] = by_key_.try_emplace(key);
         if (inserted) it->second = Intern(value);
-        column_->AppendCode(it->second.code, it->second.value);
+        Push(it->second);
         return;
       }
     }
-    const Cell cell = Intern(value);
-    column_->AppendCode(cell.code, cell.value);
+    Push(Intern(value));
+  }
+
+  // Appends the buffered cells (Column::AppendCodes).
+  void Flush() {
+    column_->AppendCodes(codes_, values_);
+    codes_.clear();
+    values_.clear();
   }
 
  private:
@@ -83,6 +89,15 @@ class NumericCellInterner {
     int32_t code = -1;
     double value = 0.0;
   };
+
+  // Cells go to the column in runs of this many.
+  static constexpr size_t kRun = 4096;
+
+  void Push(const Cell& cell) {
+    codes_.push_back(cell.code);
+    values_.push_back(cell.value);
+    if (codes_.size() == kRun) Flush();
+  }
 
   Cell Intern(double value) {
     Cell cell;
@@ -95,6 +110,8 @@ class NumericCellInterner {
   int decimals_;
   double scale_ = 1.0;
   std::unordered_map<int64_t, Cell> by_key_;
+  std::vector<int32_t> codes_;
+  std::vector<double> values_;
 };
 
 }  // namespace
@@ -205,17 +222,20 @@ Result<Table> GenerateDataset(const DatasetSpec& spec, uint64_t seed,
     // row would give.
     std::vector<int32_t> dict_code(names.size(), -1);
     std::vector<int>& ids = parent_ids[j];
+    // The column's codes, appended in one run once drawn.
+    std::vector<int32_t> codes(static_cast<size_t>(rows));
     auto append = [&](int64_t r, int id) {
       if (!ids.empty()) ids[static_cast<size_t>(r)] = id;
       int32_t& code = dict_code[static_cast<size_t>(id)];
       if (code < 0) code = col.InternValue(names[static_cast<size_t>(id)]);
-      col.AppendCode(code);
+      codes[static_cast<size_t>(r)] = code;
     };
     if (cat.high_cardinality_text) {
       const uint64_t pool = text_pools[j].size();
       for (int64_t r = 0; r < rows; ++r) {
         append(r, static_cast<int>(rng.Uniform(pool)));
       }
+      col.AppendCodes(codes);
       continue;
     }
     if (cat.fd_parent >= 0) {
@@ -224,6 +244,7 @@ Result<Table> GenerateDataset(const DatasetSpec& spec, uint64_t seed,
       for (int64_t r = 0; r < rows; ++r) {
         append(r, parent[static_cast<size_t>(r)] % cat.cardinality);
       }
+      col.AppendCodes(codes);
       continue;
     }
     const std::vector<double> marginal = ZipfWeights(cat.cardinality,
@@ -257,6 +278,7 @@ Result<Table> GenerateDataset(const DatasetSpec& spec, uint64_t seed,
           cluster_tables[static_cast<size_t>(cluster[static_cast<size_t>(r)])];
       append(r, static_cast<int>(cluster_dist.Draw(&rng)));
     }
+    col.AppendCodes(codes);
   }
 
   // Numerical cells, drawn row by row.
@@ -274,6 +296,7 @@ Result<Table> GenerateDataset(const DatasetSpec& spec, uint64_t seed,
                           rng.NextGaussian() * spec.numerical[j].noise);
     }
   }
+  for (NumericCellInterner& cells : num_cells) cells.Flush();
   GRIMP_RETURN_IF_ERROR(table.CommitBulkRows());
   return table;
 }

@@ -1,8 +1,10 @@
 #include "embedding/ngram_init.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "embedding/random_init.h"
 
@@ -84,37 +86,50 @@ Result<PretrainedFeatures> NgramFeatureInit::Init(const Table& table,
   GRIMP_TRACE_SPAN("feature_init");
   PretrainedFeatures out;
   out.node_features = Tensor::Zeros(tg.graph.num_nodes(), dim);
-  // Cell nodes: embed the value string straight into the node's feature
-  // row (one shared padded-string scratch; no per-value heap traffic).
-  std::string padded_scratch;
-  for (int c = 0; c < table.num_cols(); ++c) {
-    const Dictionary& dict = table.column(c).dict();
-    for (int32_t code = 0; code < dict.size(); ++code) {
+  Tensor& features = out.node_features;
+  const int m = table.num_cols();
+  // Cell nodes: embed each value string straight into its node's feature
+  // row, the (column, code) pairs laid end to end and run on the pool.
+  std::vector<int64_t> code_starts(static_cast<size_t>(m) + 1, 0);
+  for (int c = 0; c < m; ++c) {
+    code_starts[static_cast<size_t>(c) + 1] =
+        code_starts[static_cast<size_t>(c)] + table.column(c).dict().size();
+  }
+  ParallelFor(0, code_starts.back(), 64, [&](int64_t lo, int64_t hi) {
+    // One padded-string scratch per chunk; no per-value heap traffic.
+    std::string padded;
+    int c = static_cast<int>(
+        std::upper_bound(code_starts.begin(), code_starts.end(), lo) -
+        code_starts.begin() - 1);
+    for (int64_t i = lo; i < hi; ++i) {
+      while (code_starts[static_cast<size_t>(c) + 1] <= i) ++c;
+      const auto code =
+          static_cast<int32_t>(i - code_starts[static_cast<size_t>(c)]);
       const int64_t node = tg.CellNode(c, code);
       if (node < 0) continue;
-      EmbedInto(dict.ValueOf(code), dim, seed,
-                &out.node_features.at(node, 0), &padded_scratch);
+      EmbedInto(table.column(c).dict().ValueOf(code), dim, seed,
+                &features.at(node, 0), &padded);
     }
-  }
-  // RID nodes: mean of the tuple's present cell vectors.
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    const int64_t rid = tg.rid_nodes[static_cast<size_t>(r)];
-    int present = 0;
-    for (int c = 0; c < table.num_cols(); ++c) {
-      const int32_t code = table.column(c).CodeAt(r);
-      if (code < 0) continue;
-      const int64_t cell = tg.CellNode(c, code);
-      if (cell < 0) continue;
-      for (int d = 0; d < dim; ++d) {
-        out.node_features.at(rid, d) += out.node_features.at(cell, d);
+  });
+  // RID nodes: mean of the tuple's present cell vectors, added in column
+  // order; rows run on the pool.
+  ParallelFor(0, table.num_rows(), 256, [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) {
+      float* rid = &features.at(tg.rid_nodes[static_cast<size_t>(r)], 0);
+      int present = 0;
+      for (int c = 0; c < m; ++c) {
+        const int64_t cell = tg.CellNode(c, table.column(c).CodeAt(r));
+        if (cell < 0) continue;
+        const float* value = &features.at(cell, 0);
+        for (int d = 0; d < dim; ++d) rid[d] += value[d];
+        ++present;
       }
-      ++present;
+      if (present > 0) {
+        const float inv = 1.0f / static_cast<float>(present);
+        for (int d = 0; d < dim; ++d) rid[d] *= inv;
+      }
     }
-    if (present > 0) {
-      const float inv = 1.0f / static_cast<float>(present);
-      for (int d = 0; d < dim; ++d) out.node_features.at(rid, d) *= inv;
-    }
-  }
+  });
   out.column_features = Tensor::Zeros(table.num_cols(), dim);
   FillColumnFeaturesFromCells(table, tg, out.node_features,
                               &out.column_features);

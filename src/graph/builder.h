@@ -68,11 +68,14 @@ struct GraphBuildOptions {
 class GraphBuilder {
  public:
   // Reusable storage for repeated builds (the serving hot path rebuilds a
-  // small graph per request): edge list, CSR arrays and the adjacency
-  // vector are recycled across BuildInto calls instead of reallocated.
+  // small graph per request): CSR arrays, the per-type array slots and the
+  // adjacency vector are recycled across BuildInto calls instead of
+  // reallocated.
   struct Scratch {
-    std::vector<std::pair<int32_t, int32_t>> edges;
     CsrAdjacency::Scratch csr;
+    // Edge type t's arrays while it is built: [2t] offsets, [2t + 1]
+    // indices.
+    std::vector<std::vector<int32_t>> parts;
     std::vector<CsrAdjacency> adjacency;
   };
 

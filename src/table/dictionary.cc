@@ -29,6 +29,14 @@ void Dictionary::AddOccurrence(int32_t code, int64_t delta) {
   counts_[static_cast<size_t>(code)] += delta;
 }
 
+void Dictionary::AddOccurrences(std::span<const int32_t> codes) {
+  const int32_t n = size();
+  for (const int32_t code : codes) {
+    GRIMP_CHECK(code >= -1 && code < n);
+    if (code >= 0) ++counts_[static_cast<size_t>(code)];
+  }
+}
+
 int64_t Dictionary::CountOf(int32_t code) const {
   GRIMP_CHECK(code >= 0 && code < size());
   return counts_[static_cast<size_t>(code)];

@@ -2,6 +2,7 @@
 #define GRIMP_TABLE_DICTIONARY_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,6 +22,9 @@ class Dictionary {
   const std::string& ValueOf(int32_t code) const;
 
   void AddOccurrence(int32_t code, int64_t delta = 1);
+  // One occurrence per non-negative entry of `codes` (-1 is a missing cell
+  // and counts nothing); every entry is range-checked.
+  void AddOccurrences(std::span<const int32_t> codes);
   int64_t CountOf(int32_t code) const;
 
   int32_t size() const { return static_cast<int32_t>(values_.size()); }

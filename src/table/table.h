@@ -56,7 +56,7 @@ class Table {
   Status UpdateCell(int64_t row, int col, const std::string& value);
 
   // Bulk construction: after cells have been written straight into the
-  // columns (Column::AppendCode), commits the new row count. Fails if the
+  // columns (Column::AppendCodes), commits the new row count. Fails if the
   // columns disagree on how many rows they now hold.
   Status CommitBulkRows();
 
