@@ -37,10 +37,11 @@ file(READ "${metrics}" metrics_json)
 
 # The sampled epochs must have traced per-batch sampling, feature gathering
 # (the batch.* spans of the shared sampled-batch path) and pipeline slot
-# preparation, and every config traces the umbrella training span plus the
-# GNN forward (full-graph in full mode, per-block in sampled mode).
+# preparation, and every config traces the umbrella training span, the
+# trainer's preparation before epoch 0 plus the GNN forward (full-graph in
+# full mode, per-block in sampled mode).
 foreach(span batch.sample batch.gather train.pipeline.prepare gnn.forward
-        grimp.train)
+        grimp.train train.prepare)
   string(JSON span_count GET "${metrics_json}" spans "${span}" count)
   if(span_count LESS 1)
     message(FATAL_ERROR "span ${span} has count ${span_count}")
