@@ -859,6 +859,18 @@ TEST(TrainerDeathTest, RejectsTasksSharingAHead) {
                "share one TaskHead");
 }
 
+// Full mode moves the tasks' lists into the read set, so a second Run
+// would train from empty lists; the Trainer refuses it.
+TEST(TrainerDeathTest, RunIsSingleShot) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FullModeFixture fx;
+  fx.options.max_epochs = 1;
+  Trainer trainer(fx.options, fx.store.get(), &fx.features, &fx.gnn,
+                  &fx.shared, fx.MakeTasks(), FullModeFixture::kCols);
+  ASSERT_TRUE(trainer.Run(TrainCallbacks{}).ok());
+  EXPECT_DEATH((void)trainer.Run(TrainCallbacks{}), "single-shot");
+}
+
 TEST(TrainerTest, EngineFitsSampledAndServesIdenticalTransforms) {
   Table clean = StructuredTable(90);
   const CorruptedTable corrupted = InjectMcar(clean, 0.25, 6);
