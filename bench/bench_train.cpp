@@ -24,7 +24,11 @@
 //     shard fetches, which a group shares across its batches. Each config
 //     Fits the corrupted table through GrimpEngine and imputes its first
 //     4096 rows with TransformMany; accuracy and rmse score that slice's
-//     injected cells. At
+//     injected cells. An in-memory twin (config "memory_d0": depth 0, the
+//     same options over the in-memory store) runs after the sweep; the
+//     store must not change what a Fit computes, so the run fails unless
+//     its per-epoch losses and scored-slice imputations equal sharded
+//     depth 0's ("store_identical"). At
 //     >= 1000000 rows the run fails unless the best grouped depth beats
 //     depth 0 epochs by >= 1.25x — provided the machine has a second
 //     hardware thread (on a single core the gate is reported as skipped;
@@ -36,7 +40,7 @@
 //
 // Prints a per-config table and writes machine-readable results
 // (per-epoch seconds, accuracy, speedups, pipeline counters, the
-// bit-identity flag) to BENCH_train.json (cwd).
+// bit-identity and store-identity flags) to BENCH_train.json (cwd).
 //
 //   bench_train [--rows=N] [--epochs=N] [--seed=N] [--samples=N]
 //               [--batch=N] [--fanout=N] [--depths=0,2,4] [--shards=N]
@@ -194,6 +198,7 @@ Table CopyLeadingRows(const Table& table, int64_t rows) {
 // One sharded config (scale replica): GrimpEngine::Fit of the corrupted
 // table over an out-of-core ShardedGraphStore, so per-batch prep includes
 // shard fetches; then TransformMany imputes the slice's missing cells.
+// `shards` == 0 runs the same Fit over the in-memory store.
 ConfigResult RunSharded(const Table& clean, const CorruptedTable& corrupted,
                         const CorruptedTable& slice_cells,
                         int64_t score_rows, const GrimpOptions& base,
@@ -203,13 +208,16 @@ ConfigResult RunSharded(const Table& clean, const CorruptedTable& corrupted,
   options.train.mode = TrainMode::kSampled;
   options.train.batch_size = batch;
   options.train.fanouts = {fanout, fanout};
-  options.graph.shard_mode = ShardMode::kSharded;
-  options.graph.num_shards = shards;
-  options.graph.max_resident_bytes = budget_bytes;
+  if (shards > 0) {
+    options.graph.shard_mode = ShardMode::kSharded;
+    options.graph.num_shards = shards;
+    options.graph.max_resident_bytes = budget_bytes;
+  }
   options.train.pipeline_depth = depth;
 
   ConfigResult result;
-  result.name = "sharded_d" + std::to_string(depth);
+  result.name =
+      (shards > 0 ? "sharded_d" : "memory_d") + std::to_string(depth);
   result.depth = depth;
   std::vector<double> epoch_seconds;
   options.callbacks.on_epoch_end =
@@ -400,6 +408,9 @@ int main(int argc, char** argv) {
                                    options, depth, batch, fanout, shards,
                                    budget_mb << 20));
     }
+    results.push_back(RunSharded(clean, corrupted, slice_cells, score_rows,
+                                 options, /*depth=*/0, batch, fanout,
+                                 /*shards=*/0, /*budget_bytes=*/0));
   } else {
     results.push_back(
         RunInMemory(clean, corrupted, options, /*depth=*/-1, batch, fanout));
@@ -414,7 +425,10 @@ int main(int argc, char** argv) {
   // every imputed cell (in sharded mode, the scored slice).
   const ConfigResult* serial = nullptr;
   for (const ConfigResult& r : results) {
-    if (r.depth == 0) serial = &r;
+    if (r.depth == 0) {
+      serial = &r;
+      break;
+    }
   }
   bool bit_identical = true;
   for (const ConfigResult& r : results) {
@@ -424,6 +438,12 @@ int main(int argc, char** argv) {
       bit_identical = false;
     }
   }
+  // Store invariance (sharded mode): the in-memory twin, last in the list,
+  // against sharded depth 0.
+  const ConfigResult& twin = results.back();
+  const bool store_identical =
+      sharded && SameLosses(serial->losses, twin.losses) &&
+      SameCells(serial->imputed, twin.imputed);
 
   // epoch_speedup: full-graph vs serial sampled (in-memory mode only).
   // pipeline_speedup: serial sampled vs the best pipelined depth.
@@ -471,6 +491,10 @@ int main(int argc, char** argv) {
   }
   std::printf("bit-identical across depths: %s\n",
               bit_identical ? "yes" : "NO");
+  if (sharded) {
+    std::printf("in-memory twin identical to sharded d0: %s\n",
+                store_identical ? "yes" : "NO");
+  }
 
   char head[512];
   std::snprintf(head, sizeof(head),
@@ -493,10 +517,12 @@ int main(int argc, char** argv) {
                 "  \"epoch_speedup\": %.4f,\n"
                 "  \"pipeline_speedup\": %.4f,\n"
                 "  \"pipeline_best_depth\": %d,\n"
-                "  \"bit_identical\": %s\n}\n",
+                "  \"bit_identical\": %s,\n"
+                "  \"store_identical\": %s\n}\n",
                 static_cast<long long>(score_rows), baseline.Accuracy(),
                 baseline.Rmse(), epoch_speedup, pipeline_speedup, best_depth,
-                bit_identical ? "true" : "false");
+                bit_identical ? "true" : "false",
+                sharded ? (store_identical ? "true" : "false") : "null");
   std::string json = head;
   for (size_t i = 0; i < results.size(); ++i) {
     json += ToJson(results[i]);
@@ -516,6 +542,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: pipelined configs diverged from the serial "
                  "baseline\n");
+    return 1;
+  }
+  if (sharded && !store_identical) {
+    std::fprintf(stderr,
+                 "FAIL: the in-memory twin diverged from sharded depth 0\n");
     return 1;
   }
   if (!sharded && rows >= 10000 && epoch_speedup <= 1.0) {

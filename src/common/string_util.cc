@@ -2,8 +2,12 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
+#include <memory>
+
+#include "common/logging.h"
 
 namespace grimp {
 
@@ -68,9 +72,22 @@ uint64_t Fnv1a(std::string_view s, uint64_t seed) {
 }
 
 std::string FormatDouble(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
+  if (precision < 0) precision = 6;  // printf's rule for "%.*f"
+  // Sign, the 309 integer digits of DBL_MAX, the point and the fraction.
+  const size_t longest =
+      static_cast<size_t>(std::numeric_limits<double>::max_exponent10 + 3) +
+      static_cast<size_t>(precision);
+  char stack[384];
+  std::unique_ptr<char[]> heap;
+  char* buf = stack;
+  if (longest > sizeof(stack)) {
+    heap = std::make_unique<char[]>(longest);
+    buf = heap.get();
+  }
+  const auto [end, ec] = std::to_chars(buf, buf + longest, v,
+                                       std::chars_format::fixed, precision);
+  GRIMP_CHECK(ec == std::errc{});
+  return std::string(buf, end);
 }
 
 }  // namespace grimp

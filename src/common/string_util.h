@@ -27,7 +27,8 @@ bool ParseDouble(std::string_view s, double* out);
 uint64_t Fnv1a(std::string_view s);
 uint64_t Fnv1a(std::string_view s, uint64_t seed);
 
-// Formats a double with `precision` decimal places (fixed notation).
+// Formats a double with `precision` decimal places (fixed notation), byte
+// for byte what printf's "%.*f" prints, at every magnitude.
 std::string FormatDouble(double v, int precision);
 
 }  // namespace grimp

@@ -40,21 +40,17 @@ struct TrainingCorpus {
   }
 };
 
-// Generates one sample per (tuple, present attribute) and splits them
-// uniformly at random into train / validation.
+// The one rule for what a fit trains on; the store plays no part in it.
+// With `max_samples_per_col` == 0: one sample per (tuple, present
+// attribute), shuffled and split uniformly at random into train /
+// validation. With a cap > 0 (paper §7 training-data reduction): at most
+// that many samples per column — a uniform reservoir over the column's
+// present cells, so corpus memory is O(num_cols * cap) at any table size —
+// each column's sample split by `validation_fraction`. Deterministic for a
+// given *rng state.
 TrainingCorpus BuildTrainingCorpus(const Table& dirty,
-                                   double validation_fraction, Rng* rng);
-
-// Bounded variant for tables too large to enumerate every present cell
-// (sharded out-of-core training): keeps at most `max_samples_per_col`
-// samples per column — a uniform reservoir over that column's present
-// cells — then splits each column's sample by `validation_fraction`.
-// Corpus memory is O(num_cols * max_samples_per_col) regardless of table
-// size. Deterministic for a given *rng state.
-TrainingCorpus BuildCappedTrainingCorpus(const Table& dirty,
-                                         double validation_fraction,
-                                         int64_t max_samples_per_col,
-                                         Rng* rng);
+                                   double validation_fraction,
+                                   int64_t max_samples_per_col, Rng* rng);
 
 }  // namespace grimp
 

@@ -28,12 +28,6 @@ constexpr uint64_t kStreamSalt = 0x73747265616dULL;  // "stream"
 // Salt for Resume's sample selection / fine-tune streams.
 constexpr uint64_t kResumeSalt = 0x726573756d65ULL;  // "resume"
 
-// Sharded training must not enumerate every present cell up front (the
-// corpus alone would rival the graph in size), so when the caller has not
-// capped max_samples_per_task the engine imposes this per-column reservoir
-// bound itself.
-constexpr int64_t kDefaultShardedSamplesPerCol = 20000;
-
 // Log class priors for a categorical column's classifier head: rare values
 // start correctly downweighted, which matters most when noise fragments
 // the domain into many singletons (§4.2 noise experiment).
@@ -439,16 +433,9 @@ Status GrimpEngine::Train(const Table& source, TableGraph* tg,
   normalizer_ = Normalizer::Fit(source);
 
   Rng corpus_rng = rng.Fork();
-  const bool sharded = options_.graph.shard_mode == ShardMode::kSharded;
   const TrainingCorpus corpus =
-      sharded ? BuildCappedTrainingCorpus(
-                    source, options_.validation_fraction,
-                    options_.max_samples_per_task > 0
-                        ? options_.max_samples_per_task
-                        : kDefaultShardedSamplesPerCol,
-                    &corpus_rng)
-              : BuildTrainingCorpus(source, options_.validation_fraction,
-                                    &corpus_rng);
+      BuildTrainingCorpus(source, options_.validation_fraction,
+                          options_.max_samples_per_task, &corpus_rng);
   GraphBuildOptions graph_options;
   graph_options.max_neighbors_per_node = options_.graph.neighbor_cap;
   graph_options.seed = options_.seed;
@@ -465,7 +452,9 @@ Status GrimpEngine::Train(const Table& source, TableGraph* tg,
   // dropped — from here on the full adjacency never lives in memory again.
   GRIMP_ASSIGN_OR_RETURN(std::unique_ptr<GraphStore> store,
                          MakeGraphStore(tg->graph, options_.graph));
-  if (sharded) tg->graph.SetAdjacency({});
+  if (options_.graph.shard_mode == ShardMode::kSharded) {
+    tg->graph.SetAdjacency({});
+  }
 
   // 2. Model construction.
   Rng model_rng = rng.Fork();
@@ -478,11 +467,9 @@ Status GrimpEngine::Train(const Table& source, TableGraph* tg,
   // 3. Gather indices / labels / targets per task.
   std::vector<TrainTask> train_tasks = MakeTrainTasks();
   {
-    // Training-data reduction (§7): corpus order is random, so the cap
-    // keeps a uniform subsample per task.
     GRIMP_TRACE_SPAN("grimp.task_build");
     BuildTrainTasks(source, *tg, corpus.train, corpus.validation, Labeling(),
-                    options_.max_samples_per_task, &train_tasks);
+                    &train_tasks);
   }
 
   // 4. Training (paper Alg. 1) via the shared Trainer (see trainer.h).
@@ -598,7 +585,7 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
   std::vector<TrainTask> train_tasks = MakeTrainTasks();
   const std::span<const TrainingSample> samples(selected);
   BuildTrainTasks(live, *ctx.tg, samples.first(split), samples.subspan(split),
-                  Labeling(), /*max_samples_per_task=*/0, &train_tasks);
+                  Labeling(), &train_tasks);
 
   Trainer trainer(local, ctx.store, ctx.node_features, &gnn_, &shared_,
                   std::move(train_tasks), num_cols);

@@ -127,10 +127,13 @@ struct GrimpOptions {
   bool use_gnn = true;
   bool multi_task = true;
 
-  // Efficiency knob (paper §7 future work): `max_samples_per_task` caps
-  // the self-supervised training samples each task keeps (0 == keep all;
-  // the corpus is shuffled, so the cap keeps a random subset). The static
-  // graph-pruning knob lives in `graph.neighbor_cap` below.
+  // Training-data reduction (paper §7 future work): `max_samples_per_task`
+  // caps each column's self-supervised samples, train plus validation, by
+  // a uniform reservoir over its present cells, on any store
+  // (BuildTrainingCorpus). 0 keeps every present cell; a sharded Fit with
+  // 0 then holds the whole corpus in memory. With multi_task=false the cap
+  // is still per column. The static graph-pruning knob lives in
+  // `graph.neighbor_cap` below.
   int64_t max_samples_per_task = 0;
 
   // Graph storage & pruning (see graph/store.h GraphConfig): shard mode

@@ -25,7 +25,6 @@ void BuildTrainTasks(const Table& table, const TableGraph& tg,
                      std::span<const TrainingSample> train,
                      std::span<const TrainingSample> validation,
                      const TaskLabeling& labeling,
-                     int64_t max_samples_per_task,
                      std::vector<TrainTask>* tasks) {
   const int m = table.num_cols();
   const size_t num_train = train.size();
@@ -35,8 +34,7 @@ void BuildTrainTasks(const Table& table, const TableGraph& tg,
     return i < num_train ? train[i] : validation[i - num_train];
   };
 
-  // Each sample's position in its task's list (-1: over the cap), and
-  // every list's length.
+  // Each sample's position in its task's list, and every list's length.
   std::vector<int32_t> pos(num_samples);
   std::vector<int64_t> num_kept(tasks->size() * 2, 0);
   int64_t row_lo = std::numeric_limits<int64_t>::max();
@@ -44,21 +42,17 @@ void BuildTrainTasks(const Table& table, const TableGraph& tg,
   for (size_t i = 0; i < num_samples; ++i) {
     const TrainingSample& s = sample(i);
     const bool val = i >= num_train;
-    int64_t& n = num_kept[labeling.TaskOf(s.target_col) * 2 + (val ? 1 : 0)];
-    if (!val && max_samples_per_task > 0 && n >= max_samples_per_task) {
-      pos[i] = -1;
-      continue;
-    }
-    pos[i] = static_cast<int32_t>(n++);
+    pos[i] = static_cast<int32_t>(
+        num_kept[labeling.TaskOf(s.target_col) * 2 + (val ? 1 : 0)]++);
     row_lo = std::min(row_lo, s.row);
     row_hi = std::max(row_hi, s.row);
   }
 
-  // One row of node ids per row some kept sample names, in row order:
-  // row_slot maps a row of [row_lo, row_hi] to its place in `nodes`.
+  // One row of node ids per row some sample names, in row order: row_slot
+  // maps a row of [row_lo, row_hi] to its place in `nodes`.
   std::vector<int32_t> row_slot(static_cast<size_t>(row_hi - row_lo + 1), -1);
   for (size_t i = 0; i < num_samples; ++i) {
-    if (pos[i] >= 0) row_slot[static_cast<size_t>(sample(i).row - row_lo)] = 0;
+    row_slot[static_cast<size_t>(sample(i).row - row_lo)] = 0;
   }
   std::vector<int64_t> rows;
   for (size_t r = 0; r < row_slot.size(); ++r) {
@@ -94,7 +88,6 @@ void BuildTrainTasks(const Table& table, const TableGraph& tg,
   ParallelFor(0, static_cast<int64_t>(num_samples), 1024,
               [&](int64_t lo, int64_t hi) {
     for (auto i = static_cast<size_t>(lo); i < static_cast<size_t>(hi); ++i) {
-      if (pos[i] < 0) continue;
       const TrainingSample& s = sample(i);
       const bool val = i >= num_train;
       const int col = s.target_col;

@@ -34,15 +34,12 @@ struct TaskLabeling {
 
 // Fills every task's training and validation gather indices, labels and
 // targets from the samples of `train` and `validation` over `table` and
-// its graph. A task's samples keep their order in the spans; with
-// `max_samples_per_task` > 0 a task keeps only its first that many
-// training samples. `tasks` holds one entry per task with `categorical`
-// set and empty lists.
+// its graph. A task's samples keep their order in the spans. `tasks` holds
+// one entry per task with `categorical` set and empty lists.
 void BuildTrainTasks(const Table& table, const TableGraph& tg,
                      std::span<const TrainingSample> train,
                      std::span<const TrainingSample> validation,
                      const TaskLabeling& labeling,
-                     int64_t max_samples_per_task,
                      std::vector<TrainTask>* tasks);
 
 // One missing cell an inference pass imputes: table `request` of the

@@ -103,11 +103,10 @@ void BuildReadSet(std::span<TrainTask> tasks, int64_t num_nodes,
                   std::vector<std::vector<int32_t>>* read_idx,
                   bool keep_lists);
 
-// Summary of one Trainer::Run. Replaces the retired TrainReport: sample
-// counts are the *actual* trained/validated counts (after
-// max_samples_per_task), train_seconds covers Run() only, and steps_run
-// counts optimizer steps (== epochs_run in full mode, #batches * epochs in
-// sampled mode).
+// Summary of one Trainer::Run: sample counts are the trained/validated
+// counts of the tasks' lists (the corpus, after any max_samples_per_task
+// cap), train_seconds covers Run() only, and steps_run counts optimizer
+// steps (== epochs_run in full mode, #batches * epochs in sampled mode).
 struct TrainSummary {
   TrainMode mode = TrainMode::kFull;
   int epochs_run = 0;
@@ -151,7 +150,10 @@ struct TrainSummary {
 //    the two modes stay comparable; over a sharded store (no full graph)
 //    validation is itself minibatched through the sampler on fixed,
 //    epoch-independent streams, keeping per-step memory bounded by the
-//    shard budget. Training and sampled validation are one pass over
+//    shard budget. Both stores train on the same corpus and draw the same
+//    blocks, so their training steps are bit-identical; with validation,
+//    the two validation losses differ, and with them early stopping and
+//    the restored weights. Training and sampled validation are one pass over
 //    per-task batch plans that runs backward and the optimizer step only
 //    when training. Sampling Rng streams derive from (seed, epoch, batch
 //    id) — never from thread count or scheduling — so losses are identical

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/env.h"
@@ -10,6 +15,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "table/column.h"
 
 namespace grimp {
 namespace {
@@ -122,6 +128,66 @@ TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(1.23456, 2), "1.23");
   EXPECT_EQ(FormatDouble(-0.5, 0), "-0");  // fixed notation rounding
   EXPECT_EQ(FormatDouble(2.0, 3), "2.000");
+}
+
+// printf's "%.*f" into a buffer long enough for any double.
+std::string PrintfFixed(double v, int precision) {
+  std::vector<char> buf(512 + static_cast<size_t>(std::max(precision, 6)));
+  std::snprintf(buf.data(), buf.size(), "%.*f", precision, v);
+  return buf.data();
+}
+
+TEST(StringUtilTest, FormatDoubleMatchesPrintfAtEveryMagnitude) {
+  Rng rng(17);
+  const int precisions[] = {-1, 0, 1, 2, 5, 8, 16, 40};
+  for (int i = 0; i < 20000; ++i) {
+    // Half raw bit patterns (every exponent, subnormals, NaN payloads),
+    // half decimal-looking values at table scales, where ties occur.
+    double v = 0.0;
+    if (i % 2 == 0) {
+      const uint64_t bits = rng.Next();
+      std::memcpy(&v, &bits, sizeof(v));
+    } else {
+      v = static_cast<double>(static_cast<int64_t>(rng.Uniform(2000001)) -
+                              1000000) /
+          static_cast<double>(uint64_t{1} << rng.Uniform(12));
+    }
+    for (const int precision : precisions) {
+      ASSERT_EQ(FormatDouble(v, precision), PrintfFixed(v, precision))
+          << std::hexfloat << v << " at precision " << precision;
+    }
+  }
+}
+
+TEST(StringUtilTest, FormatDoubleSpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(FormatDouble(0.0, 8), "0.00000000");
+  EXPECT_EQ(FormatDouble(-0.0, 8), "-0.00000000");
+  EXPECT_EQ(FormatDouble(inf, 8), "inf");
+  EXPECT_EQ(FormatDouble(-inf, 8), "-inf");
+  EXPECT_EQ(FormatDouble(nan, 8), PrintfFixed(nan, 8));
+  EXPECT_EQ(FormatDouble(-nan, 8), PrintfFixed(-nan, 8));
+  EXPECT_EQ(FormatDouble(std::numeric_limits<double>::denorm_min(), 8),
+            "0.00000000");
+  const double max = std::numeric_limits<double>::max();
+  EXPECT_EQ(FormatDouble(-max, 8).size(), 1u + 309u + 1u + 8u);
+  EXPECT_EQ(FormatDouble(-max, 8), PrintfFixed(-max, 8));
+}
+
+// A numeric cell's code is keyed by its canonical string, so the string
+// must parse back to the value at any magnitude (it was cut at 63
+// characters, which read 1e300 back as 1e62).
+TEST(StringUtilTest, HugeNumericCellRoundTripsThroughColumn) {
+  Column column(Field{"x", AttrType::kNumerical});
+  column.AppendNumerical(1.0);
+  column.AppendNumerical(1e300);
+  double parsed = 0.0;
+  ASSERT_TRUE(ParseDouble(column.StringAt(1), &parsed));
+  EXPECT_EQ(parsed, 1e300);
+  column.SetFromCode(0, column.CodeAt(1));
+  EXPECT_EQ(column.NumAt(0), 1e300);
+  EXPECT_EQ(column.StringAt(0), column.StringAt(1));
 }
 
 // --- RNG ---------------------------------------------------------------------

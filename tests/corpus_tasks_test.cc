@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "core/corpus.h"
 #include "core/tasks.h"
 #include "tensor/optimizer.h"
@@ -23,7 +27,7 @@ Table CorpusTable() {
 TEST(CorpusTest, OneSamplePerPresentCell) {
   Table t = CorpusTable();
   Rng rng(1);
-  TrainingCorpus corpus = BuildTrainingCorpus(t, 0.0, &rng);
+  TrainingCorpus corpus = BuildTrainingCorpus(t, 0.0, 0, &rng);
   EXPECT_EQ(corpus.TotalSamples(), 5);  // paper Fig. 4: K per tuple
   EXPECT_TRUE(corpus.validation.empty());
   // No sample may target a missing cell.
@@ -39,7 +43,7 @@ TEST(CorpusTest, ValidationSplitFraction) {
     ASSERT_TRUE(t.AppendRow({"v" + std::to_string(i % 5)}).ok());
   }
   Rng rng(2);
-  TrainingCorpus corpus = BuildTrainingCorpus(t, 0.2, &rng);
+  TrainingCorpus corpus = BuildTrainingCorpus(t, 0.2, 0, &rng);
   EXPECT_EQ(corpus.validation.size(), 20u);
   EXPECT_EQ(corpus.train.size(), 80u);
   const auto cells = corpus.ValidationCells();
@@ -50,13 +54,114 @@ TEST(CorpusTest, ValidationSplitFraction) {
 TEST(CorpusTest, SplitIsDeterministicGivenRngState) {
   Table t = CorpusTable();
   Rng rng_a(3), rng_b(3);
-  TrainingCorpus a = BuildTrainingCorpus(t, 0.4, &rng_a);
-  TrainingCorpus b = BuildTrainingCorpus(t, 0.4, &rng_b);
+  TrainingCorpus a = BuildTrainingCorpus(t, 0.4, 0, &rng_a);
+  TrainingCorpus b = BuildTrainingCorpus(t, 0.4, 0, &rng_b);
   ASSERT_EQ(a.train.size(), b.train.size());
   for (size_t i = 0; i < a.train.size(); ++i) {
     EXPECT_EQ(a.train[i].row, b.train[i].row);
     EXPECT_EQ(a.train[i].target_col, b.train[i].target_col);
   }
+}
+
+// Column a: all 100 rows present; b: 30 present; c: none present.
+Table CappedTable() {
+  Schema schema({{"a", AttrType::kCategorical},
+                 {"b", AttrType::kCategorical},
+                 {"c", AttrType::kCategorical}});
+  Table t(schema);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(t.AppendRow({"a" + std::to_string(i % 7),
+                             i % 10 < 3 ? "b" + std::to_string(i % 3) : "",
+                             ""})
+                    .ok());
+  }
+  return t;
+}
+
+// Per column: {train, validation} sample counts.
+std::vector<std::pair<int, int>> PerColumnCounts(const TrainingCorpus& corpus,
+                                                 int num_cols) {
+  std::vector<std::pair<int, int>> counts(static_cast<size_t>(num_cols));
+  for (const TrainingSample& s : corpus.train) {
+    ++counts[static_cast<size_t>(s.target_col)].first;
+  }
+  for (const TrainingSample& s : corpus.validation) {
+    ++counts[static_cast<size_t>(s.target_col)].second;
+  }
+  return counts;
+}
+
+TEST(CappedCorpusTest, KeepsMinOfCapAndPresentCellsPerColumn) {
+  const Table t = CappedTable();
+  Rng rng(4);
+  const TrainingCorpus corpus = BuildTrainingCorpus(t, 0.0, 40, &rng);
+  EXPECT_TRUE(corpus.validation.empty());
+  const auto counts = PerColumnCounts(corpus, t.num_cols());
+  EXPECT_EQ(counts[0].first, 40);
+  EXPECT_EQ(counts[1].first, 30);
+  EXPECT_EQ(counts[2].first, 0);
+}
+
+TEST(CappedCorpusTest, SplitsEachColumnByValidationFraction) {
+  const Table t = CappedTable();
+  Rng rng(5);
+  const TrainingCorpus corpus = BuildTrainingCorpus(t, 0.25, 40, &rng);
+  const auto counts = PerColumnCounts(corpus, t.num_cols());
+  // 40 -> 10 validation; 30 -> floor(7.5) = 7 validation.
+  EXPECT_EQ(counts[0], std::make_pair(30, 10));
+  EXPECT_EQ(counts[1], std::make_pair(23, 7));
+  EXPECT_EQ(counts[2], std::make_pair(0, 0));
+}
+
+TEST(CappedCorpusTest, SamplesDistinctPresentCells) {
+  const Table t = CappedTable();
+  Rng rng(6);
+  const TrainingCorpus corpus = BuildTrainingCorpus(t, 0.2, 25, &rng);
+  std::set<std::pair<int64_t, int>> seen;
+  for (const auto* part : {&corpus.train, &corpus.validation}) {
+    for (const TrainingSample& s : *part) {
+      EXPECT_FALSE(t.IsMissing(s.row, s.target_col))
+          << s.row << "," << s.target_col;
+      EXPECT_TRUE(seen.insert({s.row, s.target_col}).second)
+          << "duplicate " << s.row << "," << s.target_col;
+    }
+  }
+  EXPECT_EQ(seen.size(), 50u);
+}
+
+TEST(CappedCorpusTest, CapAbovePresentCountKeepsEveryPresentCell) {
+  const Table t = CappedTable();
+  Rng capped_rng(7), full_rng(7);
+  const TrainingCorpus capped = BuildTrainingCorpus(t, 0.0, 1000, &capped_rng);
+  const TrainingCorpus full = BuildTrainingCorpus(t, 0.0, 0, &full_rng);
+  auto cells = [](const TrainingCorpus& c) {
+    std::set<std::pair<int64_t, int>> out;
+    for (const TrainingSample& s : c.train) out.insert({s.row, s.target_col});
+    return out;
+  };
+  EXPECT_EQ(cells(capped).size(), 130u);
+  EXPECT_EQ(cells(capped), cells(full));
+}
+
+TEST(CappedCorpusTest, DeterministicGivenRngState) {
+  const Table t = CappedTable();
+  Rng rng_a(8), rng_b(8);
+  const TrainingCorpus a = BuildTrainingCorpus(t, 0.3, 20, &rng_a);
+  const TrainingCorpus b = BuildTrainingCorpus(t, 0.3, 20, &rng_b);
+  auto same = [](const std::vector<TrainingSample>& x,
+                 const std::vector<TrainingSample>& y) {
+    if (x.size() != y.size()) return false;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (x[i].row != y[i].row || x[i].target_col != y[i].target_col) {
+        return false;
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(same(a.train, b.train));
+  EXPECT_TRUE(same(a.validation, b.validation));
+  // Both calls drew the same numbers, so the streams stay in step.
+  EXPECT_EQ(rng_a.Next(), rng_b.Next());
 }
 
 // --- K-matrix strategies (paper Fig. 7) -----------------------------------

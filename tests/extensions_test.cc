@@ -9,7 +9,6 @@
 #include "baselines/featurize.h"
 #include "baselines/mice.h"
 #include "baselines/mida.h"
-#include "common/metrics.h"
 #include "core/engine.h"
 #include "core/tuner.h"
 #include "data/datasets.h"
@@ -366,48 +365,6 @@ TEST(EngineTest, FitRejectsOutOfRangeFdColumns) {
 }
 
 // --- Out-of-core sharded training -----------------------------------------
-
-TEST(EngineTest, ShardedFitMatchesInMemoryAccuracy) {
-  Table source = StructuredTable(240);
-  const CorruptedTable corrupted = InjectMcar(source, 0.2, 23);
-
-  GrimpOptions base;
-  base.dim = 16;
-  base.max_epochs = 60;
-  base.seed = 5;
-  base.train.mode = TrainMode::kSampled;
-  base.train.batch_size = 32;
-  base.train.fanouts = {4, 4};
-
-  GrimpOptions sharded_options = base;
-  sharded_options.graph.shard_mode = ShardMode::kSharded;
-  sharded_options.graph.num_shards = 4;
-  sharded_options.graph.max_resident_bytes = 1ll << 14;  // force eviction
-
-  const Counter& fetches =
-      MetricsRegistry::Global().GetCounter("graph.shard.fetches");
-  const int64_t fetches_before = fetches.value();
-
-  GrimpEngine in_memory(base);
-  ASSERT_TRUE(in_memory.Fit(corrupted.dirty).ok());
-  GrimpEngine sharded(sharded_options);
-  ASSERT_TRUE(sharded.Fit(corrupted.dirty).ok());
-  // The sharded fit really went through the out-of-core path.
-  EXPECT_GT(fetches.value(), fetches_before);
-
-  auto imputed_memory = TransformCopy(in_memory, corrupted.dirty);
-  auto imputed_sharded = TransformCopy(sharded, corrupted.dirty);
-  ASSERT_TRUE(imputed_memory.ok());
-  ASSERT_TRUE(imputed_sharded.ok());
-  const double acc_memory =
-      ScoreImputation(*imputed_memory, corrupted, source).Accuracy();
-  const double acc_sharded =
-      ScoreImputation(*imputed_sharded, corrupted, source).Accuracy();
-  // Same model, same sampled objective; the stores differ only in where
-  // the adjacency lives, so quality must match up to training noise.
-  EXPECT_GT(acc_sharded, 0.7);
-  EXPECT_NEAR(acc_sharded, acc_memory, 0.15);
-}
 
 TEST(EngineTest, ShardedFitRequiresSampledTraining) {
   GrimpOptions options;

@@ -35,10 +35,6 @@
 namespace grimp {
 namespace {
 
-// The engine's per-column reservoir bound for sharded fits without a
-// max_samples_per_task cap (engine.cc kDefaultShardedSamplesPerCol).
-constexpr int64_t kShardedSamplesPerCol = 20000;
-
 class Digest {
  public:
   template <typename T>
@@ -140,14 +136,8 @@ Parts FitState(const Table& source, const Table& second,
   Rng rng(options.seed);
   Rng corpus_rng = rng.Fork();
   const TrainingCorpus corpus =
-      sharded ? BuildCappedTrainingCorpus(
-                    source, options.validation_fraction,
-                    options.max_samples_per_task > 0
-                        ? options.max_samples_per_task
-                        : kShardedSamplesPerCol,
-                    &corpus_rng)
-              : BuildTrainingCorpus(source, options.validation_fraction,
-                                    &corpus_rng);
+      BuildTrainingCorpus(source, options.validation_fraction,
+                          options.max_samples_per_task, &corpus_rng);
   GraphBuildOptions graph_options;
   graph_options.max_neighbors_per_node = options.graph.neighbor_cap;
   graph_options.seed = options.seed;
@@ -185,7 +175,7 @@ Parts FitState(const Table& source, const Table& second,
   }
   const TaskLabeling labeling{class_offsets, &normalizer};
   BuildTrainTasks(source, *tg, corpus.train, corpus.validation, labeling,
-                  options.max_samples_per_task, &tasks);
+                  &tasks);
   Digest task_state;
   for (const TrainTask& task : tasks) {
     task_state.Scalar(task.categorical);
@@ -320,7 +310,7 @@ INSTANTIATE_TEST_SUITE_P(
                 0x01593c46d14665d6ULL},
         FitCase{"capped_samples",
                 [](GrimpOptions* o) { o->max_samples_per_task = 100; }, false,
-                0x1d0111eebb074fb5ULL},
+                0x8b18b2feaa23f181ULL},
         FitCase{"no_validation",
                 [](GrimpOptions* o) { o->validation_fraction = 0.0; }, false,
                 0xf63aa7f6fc8dae3fULL},
@@ -334,7 +324,7 @@ INSTANTIATE_TEST_SUITE_P(
                   o->graph.shard_mode = ShardMode::kSharded;
                   o->graph.max_resident_bytes = 64 << 10;
                 },
-                false, 0x2464e83ea94a05c9ULL},
+                false, 0x311af226367bebbcULL},
         FitCase{"hand_table", [](GrimpOptions*) {}, true,
                 0x9b035b14bf8db2d8ULL}),
     [](const ::testing::TestParamInfo<FitCase>& info) {

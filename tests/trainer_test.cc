@@ -17,6 +17,7 @@
 #include "core/trainer.h"
 #include "eval/metrics.h"
 #include "eval/runner.h"
+#include "exact_cells.h"
 #include "graph/builder.h"
 #include "table/corruption.h"
 #include "tensor/optimizer.h"
@@ -869,6 +870,100 @@ TEST(TrainerDeathTest, RunIsSingleShot) {
                   &fx.shared, fx.MakeTasks(), FullModeFixture::kCols);
   ASSERT_TRUE(trainer.Run(TrainCallbacks{}).ok());
   EXPECT_DEATH((void)trainer.Run(TrainCallbacks{}), "single-shot");
+}
+
+// The store decides where the adjacency lives, never what a Fit computes.
+// At identical options the sample cap alone picks the corpus
+// (BuildTrainingCorpus) and the sampler draws the same blocks from every
+// store, so an in-memory Fit, one spilled shard and four shards under an
+// evicting budget train bit-identically, with and without a cap. Without
+// validation the whole run matches: every epoch's loss and every imputed
+// cell. With validation only the training losses are compared: sampled
+// validation is a full-graph forward on the in-memory store and
+// minibatched over a sharded one (trainer.h), so the validation losses,
+// early stopping and the restored weights may differ.
+TEST(TrainerTest, FitIsBitIdenticalAcrossStores) {
+  const Table clean = StructuredTable(240);
+  const CorruptedTable corrupted = InjectMcar(clean, 0.2, 23);
+  struct Store {
+    const char* name;
+    ShardMode mode;
+    int num_shards;
+    int64_t budget;
+  };
+  const GraphConfig defaults;
+  const Store stores[] = {
+      {"in-memory", ShardMode::kInMemory, 0, defaults.max_resident_bytes},
+      {"1 shard", ShardMode::kSharded, 1, defaults.max_resident_bytes},
+      {"4 shards", ShardMode::kSharded, 4, 1ll << 14},  // forces eviction
+  };
+  struct RunOutput {
+    std::vector<double> train_losses;
+    std::string cells;
+    double accuracy = 0.0;
+  };
+  const Counter& fetches =
+      MetricsRegistry::Global().GetCounter("graph.shard.fetches");
+  auto run = [&](const Store& store, int64_t cap, double validation_fraction,
+                 int epochs) {
+    GrimpOptions options;
+    options.dim = 16;
+    options.seed = 5;
+    options.max_epochs = epochs;
+    options.patience = epochs;  // every store runs every epoch
+    options.validation_fraction = validation_fraction;
+    options.max_samples_per_task = cap;
+    options.train.mode = TrainMode::kSampled;
+    options.train.batch_size = 32;
+    options.train.fanouts = {4, 4};
+    options.graph.shard_mode = store.mode;
+    options.graph.num_shards = store.num_shards;
+    options.graph.max_resident_bytes = store.budget;
+    RunOutput out;
+    options.callbacks.on_epoch_end = [&out](const EpochStats& stats) {
+      out.train_losses.push_back(stats.train_loss);
+      return true;
+    };
+    const int64_t fetches_before = fetches.value();
+    GrimpEngine engine(options);
+    EXPECT_TRUE(engine.Fit(corrupted.dirty).ok());
+    if (store.mode == ShardMode::kSharded) {
+      // The sharded Fit really went through the out-of-core path.
+      EXPECT_GT(fetches.value(), fetches_before);
+    }
+    auto imputed = TransformCopy(engine, corrupted.dirty);
+    EXPECT_TRUE(imputed.ok());
+    if (imputed.ok()) {
+      out.cells = ExactCells(*imputed);
+      out.accuracy = ScoreImputation(*imputed, corrupted, clean).Accuracy();
+    }
+    return out;
+  };
+  for (const int64_t cap : {int64_t{0}, int64_t{40}}) {
+    for (const double validation_fraction : {0.0, 0.2}) {
+      SCOPED_TRACE("cap " + std::to_string(cap) + ", validation " +
+                   std::to_string(validation_fraction));
+      const bool validates = validation_fraction > 0.0;
+      const int epochs = validates ? 8 : 60;
+      const RunOutput memory = run(stores[0], cap, validation_fraction, epochs);
+      ASSERT_EQ(memory.train_losses.size(), static_cast<size_t>(epochs));
+      if (!validates) {
+        EXPECT_GT(memory.accuracy, 0.7);
+      }
+      for (const Store& store : {stores[1], stores[2]}) {
+        SCOPED_TRACE(store.name);
+        const RunOutput other = run(store, cap, validation_fraction, epochs);
+        ASSERT_EQ(other.train_losses.size(), memory.train_losses.size());
+        for (size_t e = 0; e < memory.train_losses.size(); ++e) {
+          EXPECT_EQ(other.train_losses[e], memory.train_losses[e])
+              << "epoch " << e;
+        }
+        if (!validates) {
+          EXPECT_EQ(other.cells, memory.cells);
+        }
+      }
+    }
+  }
 }
 
 TEST(TrainerTest, EngineFitsSampledAndServesIdenticalTransforms) {
