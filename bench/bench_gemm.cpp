@@ -17,6 +17,11 @@
 // (paper §3.7; dim 32, hidden 64) over about 770 training vectors, the
 // second layer at |dom| = 1 (a numerical head), 7 and 20.
 //
+// The sampled rows are the shapes of one grimpbench train_sharded step (a
+// 128-row batch, dim 16, head hidden 64): the 1,000-class merchant head's
+// second layer forward, dW2 and dH1, which split their columns across the
+// pool, and a first-layer edge type's dW over its ~400 live rows.
+//
 // Each plain shape is also timed through the fused GEMM+bias+ReLU epilogue
 // (MatMulFused, the kernel behind Tape::LinearRelu) against the equivalent
 // unfused chain (plain GEMM + a separate bias/ReLU pass over the output).
@@ -106,6 +111,12 @@ int main() {
       {770, 1, 64, Op::kTransB, "task head dH1, |dom| = 1: G2 * W2^T"},
       {770, 7, 64, Op::kTransB, "task head dH1, |dom| = 7"},
       {770, 20, 64, Op::kTransB, "task head dH1, |dom| = 20"},
+      {128, 64, 1000, Op::kPlain,
+       "sampled head L2 forward, |dom| = 1000: H1 * W2"},
+      {64, 128, 1000, Op::kTransA, "sampled head dW2, |dom| = 1000"},
+      {128, 1000, 64, Op::kTransB, "sampled head dH1, |dom| = 1000"},
+      {32, 400, 16, Op::kTransA,
+       "sampled GNN layer-0 type dW: X^T * G, ~400 live rows"},
       {1000, 50, 17, Op::kPlain, "ragged edge tiles"},
   };
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());

@@ -245,6 +245,8 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   ThreadPool::Global().ParallelFor(begin, end, grain, fn);
 }
 
+bool InParallelRegion() { return g_in_parallel_region; }
+
 bool ShouldParallelize(int64_t n) {
   return n >= kParallelThreshold && ThreadPool::GlobalThreads() > 1;
 }

@@ -135,6 +135,10 @@ class ThreadPool {
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  FunctionRef<void(int64_t, int64_t)> fn);
 
+// True on a thread running ParallelFor chunk bodies (a pool worker, or a
+// submitter inside its own loop), where a nested ParallelFor runs inline.
+bool InParallelRegion();
+
 // True when [0, n) is worth parallelizing (pool has >1 thread and n is at
 // least kParallelThreshold).
 bool ShouldParallelize(int64_t n);

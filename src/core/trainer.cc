@@ -246,13 +246,15 @@ void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
   const std::vector<int32_t>& val_idx = read_idx_[tasks_.size() + t];
   Tape& tape = run.tape;
   // The head over rows `idx` of h; a linear head's gathered input goes to
-  // *input.
+  // *input, which carries a gradient when the pass trains (the reduce
+  // reads it).
   const auto head = [&](const std::vector<int32_t>& idx,
-                        AttentionScratch* scratch, Tape::VarId* input) {
+                        AttentionScratch* scratch, Tape::VarId* input,
+                        bool wants_grad) {
     if (run.attention != nullptr) {
       return run.attention->ForwardDetached(&tape, &h, &idx, scratch);
     }
-    GatherTaskRows(h, idx, num_cols_, tape.ConstantInPlace(input));
+    GatherTaskRows(h, idx, num_cols_, tape.ConstantInPlace(input, wants_grad));
     return task.head->Forward(&tape, *input);
   };
   // Borrowing loss overloads: the task's label/target vectors are Trainer
@@ -260,7 +262,7 @@ void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
   if (train && !train_idx.empty()) {
     const Tape::VarId loss =
         TaskLoss(&tape, task, options_.focal_gamma,
-                 head(train_idx, &run.train_factors, &run.train_in),
+                 head(train_idx, &run.train_factors, &run.train_in, true),
                  task.train_labels, task.train_targets);
     run.train_loss = tape.value(loss).scalar();
     tape.BackwardFrom(loss, One());
@@ -269,7 +271,7 @@ void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
     Tape::VarId val_in = -1;
     run.val_loss =
         tape.value(TaskLoss(&tape, task, options_.focal_gamma,
-                            head(val_idx, &run.val_scratch, &val_in),
+                            head(val_idx, &run.val_scratch, &val_in, false),
                             task.val_labels, task.val_targets))
             .scalar();
   }

@@ -41,21 +41,10 @@ Tape::VarId HeteroSageLayer::Forward(Tape* tape, Tape::VarId h_dst,
   }
   SageScratch& s = *scratch;
   s.out_rows = out_rows;
-  // Output row i's dst row.
-  const auto dst = [out_rows](int64_t i) -> int64_t {
-    return out_rows != nullptr ? (*out_rows)[static_cast<size_t>(i)] : i;
-  };
-  // The per-row 1/#incident-types normalizer: count, then invert.
+  // One pass per type over its raw offsets: the rows it touches become the
+  // lane's live rows (ascending), and each counts the type into its
+  // 1/#incident-types normalizer, types ascending.
   s.row_scale.assign(static_cast<size_t>(num_out), 0.0f);
-  for (const CsrAdjacency& adj : adjacency) {
-    for (int64_t i = 0; i < num_out; ++i) {
-      if (adj.Degree(dst(i)) > 0) s.row_scale[static_cast<size_t>(i)] += 1.0f;
-    }
-  }
-  for (float& scale : s.row_scale) {
-    if (scale > 0.0f) scale = 1.0f / scale;
-  }
-  // Each type's rows: the nodes it touches, then the nodes no type touches.
   s.lanes.resize(submodules_.size());
   for (size_t t = 0; t < submodules_.size(); ++t) {
     SageLane& lane = s.lanes[t];
@@ -64,14 +53,31 @@ Tape::VarId HeteroSageLayer::Forward(Tape* tape, Tape::VarId h_dst,
     lane.indices = &adj.indices();
     std::tie(lane.weight, lane.bias) = submodules_[t].Leaves(tape);
     lane.rows.clear();
+    const int32_t* off = adj.offsets().data();
     for (int64_t i = 0; i < num_out; ++i) {
-      if (adj.Degree(dst(i)) > 0) lane.rows.push_back(static_cast<int32_t>(i));
-    }
-    lane.live = static_cast<int64_t>(lane.rows.size());
-    for (int64_t i = 0; i < num_out; ++i) {
-      if (s.row_scale[static_cast<size_t>(i)] == 0.0f) {
+      const int64_t d =
+          out_rows != nullptr ? (*out_rows)[static_cast<size_t>(i)] : i;
+      if (off[d + 1] > off[d]) {
+        s.row_scale[static_cast<size_t>(i)] += 1.0f;
         lane.rows.push_back(static_cast<int32_t>(i));
       }
+    }
+    lane.live = static_cast<int64_t>(lane.rows.size());
+  }
+  // Then invert, and append the rows no type touches to every lane.
+  std::vector<int32_t>& untouched = s.untouched;
+  untouched.clear();
+  for (int64_t i = 0; i < num_out; ++i) {
+    float& scale = s.row_scale[static_cast<size_t>(i)];
+    if (scale > 0.0f) {
+      scale = 1.0f / scale;
+    } else {
+      untouched.push_back(static_cast<int32_t>(i));
+    }
+  }
+  if (!untouched.empty()) {
+    for (SageLane& lane : s.lanes) {
+      lane.rows.insert(lane.rows.end(), untouched.begin(), untouched.end());
     }
   }
   return tape->HeteroSage(h_dst, h_src, scratch, std::move(owned));

@@ -1,8 +1,10 @@
 #include "graph/shard.h"
 
+#include <chrono>
 #include <cstring>
 
 #include "common/binary_io.h"
+#include "common/metrics.h"
 
 namespace grimp {
 
@@ -20,6 +22,13 @@ T LoadAt(const FileImage& file, size_t pos) {
   T v;
   std::memcpy(&v, file.bytes() + pos, sizeof(v));
   return v;
+}
+
+// Records the microseconds since *since into `hist`, and restarts *since.
+void RecordLap(Histogram& hist, std::chrono::steady_clock::time_point* since) {
+  const auto now = std::chrono::steady_clock::now();
+  hist.Record(std::chrono::duration<double, std::micro>(now - *since).count());
+  *since = now;
 }
 }  // namespace
 
@@ -185,7 +194,15 @@ Status GraphShard::WriteTo(const std::string& path) const {
 }
 
 Result<GraphShard> GraphShard::ReadFrom(const std::string& path) {
+  static Histogram& read_micros =
+      MetricsRegistry::Global().GetHistogram("graph.shard.read_micros");
+  static Histogram& verify_micros =
+      MetricsRegistry::Global().GetHistogram("graph.shard.verify_micros");
+  static Histogram& parse_micros =
+      MetricsRegistry::Global().GetHistogram("graph.shard.parse_micros");
+  auto lap = std::chrono::steady_clock::now();
   GRIMP_ASSIGN_OR_RETURN(FileImage file, ReadFileImage(path));
+  RecordLap(read_micros, &lap);
   if (file.size < kShardHeaderBytes + sizeof(uint64_t)) {
     return Status::IoError("truncated shard file: " + path);
   }
@@ -199,6 +216,7 @@ Result<GraphShard> GraphShard::ReadFrom(const std::string& path) {
         std::to_string(kShardVersion) + ", found " + std::to_string(version));
   }
   GRIMP_RETURN_IF_ERROR(VerifyChecksumFooter(file, path));
+  RecordLap(verify_micros, &lap);
 
   GraphShard shard;
   shard.begin_ = LoadAt<int64_t>(file, 12);
@@ -245,6 +263,7 @@ Result<GraphShard> GraphShard::ReadFrom(const std::string& path) {
     return Status::InvalidArgument("trailing bytes in shard file " + path);
   }
   shard.file_ = std::move(file.words);
+  RecordLap(parse_micros, &lap);
   return shard;
 }
 

@@ -336,11 +336,17 @@ void ShardedGraphStore::LoadShard(ShardState& state) const {
   // them on every load. (Reading state.patch unlocked is safe: Append is
   // serialized against loads by the streaming engine, and refuses to run
   // while any shard is kLoading.)
-  if (!state.patch.empty()) {
-    shard = GraphShard::Patched(shard, state.patch);
-  }
+  static Histogram& patch_micros =
+      MetricsRegistry::Global().GetHistogram("graph.shard.patch_micros");
   static Histogram& load_micros =
       MetricsRegistry::Global().GetHistogram("graph.shard.load_micros");
+  const auto read = std::chrono::steady_clock::now();
+  if (!state.patch.empty()) {
+    shard = GraphShard::Patched(shard, state.patch);
+    patch_micros.Record(std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - read)
+                            .count());
+  }
   load_micros.Record(
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - start)

@@ -194,7 +194,10 @@ class InMemoryGraphStore final : public GraphStore {
 // published last), the gauge graph.shard.resident_high_water_ratio (the
 // largest high_water_bytes / max_resident_bytes any sharded store in the
 // process has reached; only ever raised), and the histogram
-// graph.shard.load_micros (one sample per load: read, verify, parse, patch).
+// graph.shard.load_micros (one sample per load: read, verify, parse, patch)
+// with its parts: graph.shard.read_micros, verify_micros and parse_micros
+// (one sample each per GraphShard::ReadFrom that gets that far) and
+// patch_micros (one per load that merges appended edges).
 class ShardedGraphStore final : public GraphStore {
  public:
   struct Options {

@@ -18,17 +18,33 @@ Optimizer::Optimizer(std::vector<Parameter*> params)
     total_elements_ += n;
   }
   partials_.resize(chunks_.size());
+  written_chunks_.reserve(chunks_.size());
 }
 
-void Optimizer::ForEachChunk(
-    FunctionRef<void(size_t, const ParamChunk&)> fn) const {
+void Optimizer::ForEachChunk(FunctionRef<void(size_t, const ParamChunk&)> fn,
+                             bool written_only) {
+  const size_t* list = nullptr;  // null: every chunk
+  auto n = static_cast<int64_t>(chunks_.size());
+  int64_t elements = total_elements_;
+  if (written_only) {
+    written_chunks_.clear();
+    elements = 0;
+    for (size_t i = 0; i < chunks_.size(); ++i) {
+      const ParamChunk& c = chunks_[i];
+      if (!params_[c.param]->grad_written) continue;
+      written_chunks_.push_back(i);
+      elements += c.end - c.begin;
+    }
+    list = written_chunks_.data();
+    n = static_cast<int64_t>(written_chunks_.size());
+  }
   const auto run = [&](int64_t b, int64_t e) {
-    for (auto i = static_cast<size_t>(b); i < static_cast<size_t>(e); ++i) {
+    for (int64_t j = b; j < e; ++j) {
+      const size_t i = list != nullptr ? list[j] : static_cast<size_t>(j);
       fn(i, chunks_[i]);
     }
   };
-  const auto n = static_cast<int64_t>(chunks_.size());
-  if (ShouldParallelize(total_elements_)) {
+  if (ShouldParallelize(elements)) {
     ParallelFor(0, n, 1, run);
   } else {
     run(0, n);
@@ -37,29 +53,34 @@ void Optimizer::ForEachChunk(
 
 void Optimizer::ClipGradNorm(float max_norm) {
   const simd::KernelTable& kt = simd::Kernels();
-  ForEachChunk([&](size_t i, const ParamChunk& c) {
-    partials_[i] = kt.sum_squares(c.end - c.begin,
-                                  params_[c.param]->grad.data() + c.begin);
-  });
+  ForEachChunk(
+      [&](size_t i, const ParamChunk& c) {
+        partials_[i] = kt.sum_squares(
+            c.end - c.begin, params_[c.param]->grad.data() + c.begin);
+      },
+      /*written_only=*/true);
   // Ascending chunk order within a parameter, then parameter order: the
   // same additions at every pool size, so the norm's bits never depend on
-  // the thread count.
+  // the thread count. An unwritten parameter would add +0.
   double sq = 0.0;
   for (size_t i = 0; i < chunks_.size();) {
     const size_t param = chunks_[i].param;
+    const bool written = params_[param]->grad_written;
     double param_sq = partials_[i++];
     for (; i < chunks_.size() && chunks_[i].param == param; ++i) {
       param_sq += partials_[i];
     }
-    sq += param_sq;
+    if (written) sq += param_sq;
   }
   const double norm = std::sqrt(sq);
   if (norm <= max_norm || norm == 0.0) return;
   const float scale = static_cast<float>(max_norm / norm);
-  ForEachChunk([&](size_t, const ParamChunk& c) {
-    kt.scale(c.end - c.begin, scale,
-             params_[c.param]->grad.data() + c.begin);
-  });
+  ForEachChunk(
+      [&](size_t, const ParamChunk& c) {
+        kt.scale(c.end - c.begin, scale,
+                 params_[c.param]->grad.data() + c.begin);
+      },
+      /*written_only=*/true);
 }
 
 Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum)

@@ -17,6 +17,12 @@ namespace grimp {
 // loop over the flattened (parameter, chunk) list, so a model of many small
 // tensors still fans out. Chunk boundaries depend only on the parameter
 // shapes, which must not change after construction.
+//
+// ZeroGrad and the clip visit only the parameters whose grad was written
+// since the last ZeroGrad (Parameter::grad_written). An unwritten grad is
+// all +0: its squares add exactly +0 to the norm and scaling leaves it +0,
+// so skipping it keeps every bit. Step still visits every parameter, since
+// Adam's moments decay whether or not a gradient arrived.
 class Optimizer {
  public:
   explicit Optimizer(std::vector<Parameter*> params);
@@ -45,16 +51,19 @@ class Optimizer {
     int64_t end;
   };
 
-  // Runs fn(index, chunk) over every chunk: one pool loop when the
-  // parameters hold at least kParallelThreshold elements in total, inline
-  // otherwise.
-  void ForEachChunk(FunctionRef<void(size_t, const ParamChunk&)> fn) const;
+  // Runs fn(index, chunk) over every chunk, or with `written_only` over
+  // the chunks of parameters whose grad was written: one pool loop when
+  // those chunks hold at least kParallelThreshold elements in total,
+  // inline otherwise.
+  void ForEachChunk(FunctionRef<void(size_t, const ParamChunk&)> fn,
+                    bool written_only = false);
 
   std::vector<Parameter*> params_;
 
  private:
   std::vector<ParamChunk> chunks_;  // parameter order, then chunk order
   int64_t total_elements_ = 0;
+  std::vector<size_t> written_chunks_;  // ForEachChunk's written_only list
   std::vector<double> partials_;  // ClipGradNorm's per-chunk sums
 };
 

@@ -47,6 +47,7 @@ void ParallelRows(int64_t rows, int64_t width, Fn&& fn) {
 Tape::VarId Tape::PushNode(int64_t rows, int64_t cols) {
   if (static_cast<size_t>(size_) == nodes_.size()) nodes_.emplace_back();
   nodes_[size_].value.ResizeUninit(rows, cols);
+  nodes_[size_].carries_grad = false;
   return size_++;
 }
 
@@ -74,16 +75,19 @@ Tape::VarId Tape::Constant(const Tensor* v) {
   return id;
 }
 
-Tensor* Tape::ConstantInPlace(VarId* id) {
+Tensor* Tape::ConstantInPlace(VarId* id, bool wants_grad) {
   *id = PushNode(0, 0);
+  nodes_[*id].carries_grad = wants_grad;
   return &nodes_[*id].value;
 }
 
 Tape::VarId Tape::Leaf(Parameter* p) {
   GRIMP_CHECK(p != nullptr);
   VarId id = PushCopy(p->value);
+  nodes_[id].carries_grad = true;
   nodes_[id].backward = [this, id, p]() {
     p->grad.Axpy(1.0f, nodes_[id].grad);
+    p->grad_written = true;
   };
   return id;
 }
@@ -93,12 +97,13 @@ Tape::VarId Tape::MatMul(VarId a, VarId b) {
   const Tensor& bv = nodes_[b].value;
   VarId id = PushNode(av.rows(), bv.cols());
   grimp::MatMul(av, bv, &nodes_[id].value);
+  if (!TrackGrad(id, {a, b})) return id;
   nodes_[id].backward = [this, id, a, b]() {
     const Tensor& g = nodes_[id].grad;
     // dA += g * B^T ; dB += A^T * g, accumulated in the GEMM epilogue (no
     // temporary + Axpy round-trip).
-    MatMulTransBAcc(g, nodes_[b].value, &GradRef(a));
-    MatMulTransAAcc(nodes_[a].value, g, &GradRef(b));
+    if (carries_grad(a)) MatMulTransBAcc(g, nodes_[b].value, &GradRef(a));
+    if (carries_grad(b)) MatMulTransAAcc(nodes_[a].value, g, &GradRef(b));
   };
   return id;
 }
@@ -119,6 +124,7 @@ Tape::VarId Tape::LinearImpl(VarId x, VarId w, VarId bias, bool relu) {
   GRIMP_CHECK_EQ(bv.cols(), wv.cols());
   VarId id = PushNode(xv.rows(), wv.cols());
   MatMulFused(xv, wv, bv, relu, &nodes_[id].value);
+  if (!TrackGrad(id, {x, w, bias})) return id;
   nodes_[id].backward = [this, id, x, w, bias, relu]() {
     Tensor& g = nodes_[id].grad;
     const simd::KernelTable& kt = simd::Kernels();
@@ -133,10 +139,11 @@ Tape::VarId Tape::LinearImpl(VarId x, VarId w, VarId bias, bool relu) {
         kt.relu_mask(i1 - i0, gd + i0, yd + i0, gd + i0);
       });
     }
-    MatMulTransBAcc(g, nodes_[w].value, &GradRef(x));
-    MatMulTransAAcc(nodes_[x].value, g, &GradRef(w));
-    Tensor& bg = GradRef(bias);
-    kt.col_sum_acc(g.rows(), g.cols(), g.data(), bg.data());
+    if (carries_grad(x)) MatMulTransBAcc(g, nodes_[w].value, &GradRef(x));
+    if (carries_grad(w)) MatMulTransAAcc(nodes_[x].value, g, &GradRef(w));
+    if (carries_grad(bias)) {
+      kt.col_sum_acc(g.rows(), g.cols(), g.data(), GradRef(bias).data());
+    }
   };
   return id;
 }
@@ -155,9 +162,11 @@ Tape::VarId Tape::AddBias(VarId x, VarId bias) {
       for (int64_t c = 0; c < d; ++c) out.at(r, c) += bv.at(0, c);
     }
   });
+  if (!TrackGrad(id, {x, bias})) return id;
   nodes_[id].backward = [this, id, x, bias]() {
     const Tensor& g = nodes_[id].grad;
-    GradRef(x).Axpy(1.0f, g);
+    if (carries_grad(x)) GradRef(x).Axpy(1.0f, g);
+    if (!carries_grad(bias)) return;
     Tensor& bg = GradRef(bias);
     // Column-chunked so chunks write disjoint bias entries; each column
     // still sums rows in ascending order (deterministic).
@@ -176,9 +185,10 @@ Tape::VarId Tape::Add(VarId a, VarId b) {
   GRIMP_CHECK(av.SameShape(bv));
   VarId id = PushCopy(av);
   nodes_[id].value.Axpy(1.0f, bv);
+  if (!TrackGrad(id, {a, b})) return id;
   nodes_[id].backward = [this, id, a, b]() {
-    GradRef(a).Axpy(1.0f, nodes_[id].grad);
-    GradRef(b).Axpy(1.0f, nodes_[id].grad);
+    if (carries_grad(a)) GradRef(a).Axpy(1.0f, nodes_[id].grad);
+    if (carries_grad(b)) GradRef(b).Axpy(1.0f, nodes_[id].grad);
   };
   return id;
 }
@@ -192,18 +202,18 @@ Tape::VarId Tape::Mul(VarId a, VarId b) {
   ParallelRange(out.size(), [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) out[i] *= bv[i];
   });
+  if (!TrackGrad(id, {a, b})) return id;
   nodes_[id].backward = [this, id, a, b]() {
     const Tensor& g = nodes_[id].grad;
-    Tensor& ag = GradRef(a);
-    Tensor& bg = GradRef(b);
-    const Tensor& av = nodes_[a].value;
-    const Tensor& bv = nodes_[b].value;
-    ParallelRange(g.size(), [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        ag[i] += g[i] * bv[i];
-        bg[i] += g[i] * av[i];
-      }
-    });
+    // dA += g * B and dB += g * A, each only if its input carries one.
+    for (const auto& [in, other] : {std::pair{a, b}, std::pair{b, a}}) {
+      if (!carries_grad(in)) continue;
+      Tensor& ig = GradRef(in);
+      const Tensor& ov = nodes_[other].value;
+      ParallelRange(g.size(), [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i) ig[i] += g[i] * ov[i];
+      });
+    }
   };
   return id;
 }
@@ -214,6 +224,7 @@ Tape::VarId Tape::Scale(VarId x, float alpha) {
   ParallelRange(out.size(), [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) out[i] *= alpha;
   });
+  if (!TrackGrad(id, {x})) return id;
   nodes_[id].backward = [this, id, x, alpha]() {
     GradRef(x).Axpy(alpha, nodes_[id].grad);
   };
@@ -230,6 +241,7 @@ Tape::VarId Tape::RowScale(VarId x, std::vector<float> s) {
       for (int64_t c = 0; c < out.cols(); ++c) out.at(r, c) *= s[r];
     }
   });
+  if (!TrackGrad(id, {x})) return id;
   nodes_[id].backward = [this, id, x, s = std::move(s)]() {
     const Tensor& g = nodes_[id].grad;
     Tensor& xg = GradRef(x);
@@ -255,6 +267,7 @@ Tape::VarId Tape::Relu(VarId x) {
       kt.relu_fwd(i1 - i0, xd + i0, od + i0);
     });
   }
+  if (!TrackGrad(id, {x})) return id;
   nodes_[id].backward = [this, id, x]() {
     const Tensor& g = nodes_[id].grad;
     const Tensor& v = nodes_[id].value;
@@ -294,22 +307,31 @@ Tape::VarId Tape::ConcatCols(const std::vector<VarId>& xs) {
       col_off += v.cols();
     }
   });
+  if (!TrackGrad(id, xs)) return id;
   nodes_[id].backward = [this, id, xs]() {
     const Tensor& g = nodes_[id].grad;
     // Materialize every input grad before fanning out: GradRef allocates
-    // on first touch, and chunks calling it concurrently would race.
+    // on first touch, and chunks calling it concurrently would race. An
+    // input that carries no gradient keeps a null and only moves the
+    // column offset.
     std::vector<Tensor*> grads;
     grads.reserve(xs.size());
-    for (VarId x : xs) grads.push_back(&GradRef(x));
+    for (VarId x : xs) {
+      grads.push_back(carries_grad(x) ? &GradRef(x) : nullptr);
+    }
     ParallelRows(g.rows(), g.cols(), [&](int64_t r0, int64_t r1) {
       int64_t off = 0;
-      for (Tensor* xg : grads) {
-        for (int64_t r = r0; r < r1; ++r) {
-          for (int64_t c = 0; c < xg->cols(); ++c) {
-            xg->at(r, c) += g.at(r, off + c);
+      for (size_t i = 0; i < xs.size(); ++i) {
+        Tensor* xg = grads[i];
+        const int64_t cols = nodes_[xs[i]].value.cols();
+        if (xg != nullptr) {
+          for (int64_t r = r0; r < r1; ++r) {
+            for (int64_t c = 0; c < cols; ++c) {
+              xg->at(r, c) += g.at(r, off + c);
+            }
           }
         }
-        off += xg->cols();
+        off += cols;
       }
     });
   };
@@ -350,6 +372,7 @@ Tape::VarId Tape::GatherRowsImpl(VarId table,
       for (int64_t c = 0; c < d; ++c) out.at(i, c) = tv.at(r, c);
     }
   });
+  if (!TrackGrad(id, {table})) return id;
   nodes_[id].backward = [this, id, table, rows,
                          owned = std::move(owned)]() {
     const Tensor& g = nodes_[id].grad;
@@ -374,6 +397,7 @@ Tape::VarId Tape::SliceRows(VarId x, int64_t n) {
     std::memcpy(nodes_[id].value.data(), xv.data(),
                 static_cast<size_t>(n * d) * sizeof(float));
   }
+  if (!TrackGrad(id, {x})) return id;
   nodes_[id].backward = [this, id, x]() {
     const Tensor& g = nodes_[id].grad;
     Tensor& xg = GradRef(x);
@@ -429,6 +453,7 @@ Tape::VarId Tape::SegmentMeanImpl(VarId x,
       kt.segment_mean_fwd(off, idx, xd, d, s0, s1, od);
     });
   }
+  if (!TrackGrad(id, {x})) return id;
   nodes_[id].backward = [this, id, x, offsets, indices,
                          owned = std::move(owned)]() {
     const Tensor& g = nodes_[id].grad;
@@ -459,6 +484,7 @@ Tape::VarId Tape::Reshape(VarId x, int64_t rows, int64_t cols) {
     std::memcpy(nodes_[id].value.data(), xv.data(),
                 static_cast<size_t>(xv.size()) * sizeof(float));
   }
+  if (!TrackGrad(id, {x})) return id;
   nodes_[id].backward = [this, id, x]() {
     const Tensor& g = nodes_[id].grad;
     Tensor& xg = GradRef(x);
@@ -494,6 +520,7 @@ Tape::VarId Tape::RowSoftmax(VarId x) {
   // RowSoftmaxInto writes every element.
   VarId id = PushNode(xv.rows(), xv.cols());
   RowSoftmaxInto(xv, &nodes_[id].value);
+  if (!TrackGrad(id, {x})) return id;
   nodes_[id].backward = [this, id, x]() {
     const Tensor& g = nodes_[id].grad;
     const Tensor& y = nodes_[id].value;
@@ -573,6 +600,13 @@ Tape::VarId Tape::ColumnAttentionImpl(VarId h, const Tensor* h_ext,
                        scores, alpha + r0 * num_blocks, od + r0 * d);
     });
   }
+  // The detached form always records: its backward leaves the factors the
+  // caller reduces.
+  if (h_ext != nullptr) {
+    nodes_[id].carries_grad = true;
+  } else if (!TrackGrad(id, {h, a})) {
+    return id;
+  }
   nodes_[id].backward = [this, id, h, h_ext, idx, a, num_blocks, scale,
                          scratch, owned = std::move(owned)]() {
     const simd::KernelTable& kt = simd::Kernels();
@@ -594,8 +628,10 @@ Tape::VarId Tape::ColumnAttentionImpl(VarId h, const Tensor* h_ext,
                          sg + r0 * num_blocks);
       });
     }
-    kt.attention_query_grad(n, num_blocks, d, hd, ix,
-                            scratch->score_grad.data(), GradRef(a).data());
+    if (carries_grad(a)) {
+      kt.attention_query_grad(n, num_blocks, d, hd, ix,
+                              scratch->score_grad.data(), GradRef(a).data());
+    }
     if (h_ext != nullptr) {
       scratch->ctx_grad.ResizeUninit(n, d);
       scratch->query.ResizeUninit(1, d);
@@ -603,7 +639,7 @@ Tape::VarId Tape::ColumnAttentionImpl(VarId h, const Tensor* h_ext,
       std::copy(av.data(), av.data() + d, scratch->query.data());
       return;
     }
-    if (!nodes_[h].backward) return;  // a Constant: nothing reads its grad
+    if (!carries_grad(h)) return;  // nothing reads its grad
     // Serial: duplicate indices would race.
     Tensor& hg = GradRef(h);
     const float* alpha = scratch->alpha.data();
@@ -622,6 +658,7 @@ Tape::VarId Tape::ColumnAttentionImpl(VarId h, const Tensor* h_ext,
 Tape::VarId Tape::SumAll(VarId x) {
   VarId id = PushNode(1, 1);
   nodes_[id].value[0] = nodes_[x].value.Sum();
+  if (!TrackGrad(id, {x})) return id;
   nodes_[id].backward = [this, id, x]() {
     const float g = nodes_[id].grad.scalar();
     Tensor& xg = GradRef(x);
@@ -676,6 +713,7 @@ Tape::VarId Tape::SoftmaxCrossEntropyImpl(
   const float inv_n = n_valid > 0 ? 1.0f / static_cast<float>(n_valid) : 0.0f;
   const VarId id = PushNode(1, 1);
   nodes_[id].value[0] = static_cast<float>(loss) * inv_n;
+  if (!TrackGrad(id, {logits})) return id;
   nodes_[id].backward = [this, id, logits, labels, class_weights,
                          owned = std::move(owned), probs_id, inv_n]() {
     const float g = nodes_[id].grad.scalar() * inv_n;
@@ -734,6 +772,7 @@ Tape::VarId Tape::FocalLossImpl(VarId logits,
   const float inv_n = n_valid > 0 ? 1.0f / static_cast<float>(n_valid) : 0.0f;
   const VarId id = PushNode(1, 1);
   nodes_[id].value[0] = static_cast<float>(loss) * inv_n;
+  if (!TrackGrad(id, {logits})) return id;
   nodes_[id].backward = [this, id, logits, labels, gamma,
                          owned = std::move(owned), probs_id, inv_n]() {
     const float g = nodes_[id].grad.scalar() * inv_n;
@@ -793,6 +832,7 @@ Tape::VarId Tape::MseLossImpl(VarId pred, const std::vector<float>* targets,
   const float inv_n = n_valid > 0 ? 1.0f / static_cast<float>(n_valid) : 0.0f;
   VarId id = PushNode(1, 1);
   nodes_[id].value[0] = static_cast<float>(loss) * inv_n;
+  if (!TrackGrad(id, {pred})) return id;
   nodes_[id].backward = [this, id, pred, targets, mask,
                          owned = std::move(owned), inv_n]() {
     const float g = nodes_[id].grad.scalar() * inv_n;
@@ -906,6 +946,11 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
                out.data() + r * out_dim);
     }
   });
+  TrackGrad(id, {h_dst, h_src});
+  for (const SageLane& lane : scratch->lanes) {
+    TrackGrad(id, {lane.weight, lane.bias});
+  }
+  if (!carries_grad(id)) return id;
   nodes_[id].backward = [this, id, h_dst, h_src, scratch,
                          owned = std::move(owned)]() {
     // Pre-held so recording the span allocates nothing.
@@ -916,14 +961,14 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
     const int64_t out_dim = g.cols();
     const int32_t* dst_of =
         s.out_rows != nullptr ? s.out_rows->data() : nullptr;
-    const bool dst_grad = static_cast<bool>(nodes_[h_dst].backward);
-    const bool src_grad = static_cast<bool>(nodes_[h_src].backward);
+    const bool dst_grad = carries_grad(h_dst);
+    const bool src_grad = carries_grad(h_src);
     // Materialize every grad this pass writes before the lanes fan out.
     int64_t work = 0;
     for (SageLane& lane : s.lanes) {
       if (lane.rows.empty()) continue;
-      GradRef(lane.weight);
-      GradRef(lane.bias);
+      if (carries_grad(lane.weight)) GradRef(lane.weight);
+      if (carries_grad(lane.bias)) GradRef(lane.bias);
       if (dst_grad || src_grad) {
         lane.dx.ResizeUninit(lane.x.rows(), lane.x.cols());
       }
@@ -944,9 +989,13 @@ Tape::VarId Tape::HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
         float* dyr = dy + static_cast<int64_t>(i) * out_dim;
         for (int64_t c = 0; c < out_dim; ++c) dyr[c] = gr[c] * scale;
       }
-      MatMulTransAAcc(lane.x, lane.y, &nodes_[lane.weight].grad);
-      kt.col_sum_acc(lane.y.rows(), out_dim, dy,
-                     nodes_[lane.bias].grad.data());
+      if (carries_grad(lane.weight)) {
+        MatMulTransAAcc(lane.x, lane.y, &nodes_[lane.weight].grad);
+      }
+      if (carries_grad(lane.bias)) {
+        kt.col_sum_acc(lane.y.rows(), out_dim, dy,
+                       nodes_[lane.bias].grad.data());
+      }
       if (dst_g != nullptr || src_g != nullptr) {
         MatMulTransB(lane.y, nodes_[lane.weight].value, &lane.dx);
       }

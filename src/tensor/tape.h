@@ -4,8 +4,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -17,17 +19,30 @@ namespace grimp {
 
 // A trainable tensor. Lives outside the Tape so gradients persist across
 // steps; optimizers consume `grad` and the trainer zeroes it each step.
+//
+// `grad_written` is false only while `grad` is known to be all +0: ZeroGrad
+// clears it, and a tape's Leaf sets it when its backward adds into `grad`.
+// The optimizer's ZeroGrad and clip skip a parameter whose flag is false,
+// which on a sampled step is every head but the one trained. A new
+// Parameter counts as written. Code that writes `grad` by hand after a
+// ZeroGrad must set the flag too (or the write is neither clipped nor
+// zeroed).
 struct Parameter {
   std::string name;
   Tensor value;
   Tensor grad;
+  bool grad_written = true;
 
   Parameter() = default;
   Parameter(std::string n, Tensor v)
       : name(std::move(n)), value(std::move(v)),
         grad(Tensor::Zeros(value.rows(), value.cols())) {}
 
-  void ZeroGrad() { grad.Zero(); }
+  // Zeroes `grad` unless it is known to be zero already.
+  void ZeroGrad() {
+    if (grad_written) grad.Zero();
+    grad_written = false;
+  }
 };
 
 // Move-only callable holding a backward closure entirely in inline storage.
@@ -134,6 +149,16 @@ struct AttentionScratch;
 // tape that never calls BackwardFrom does no gradient work at all.
 // grad(id) on an unreached node reads zeros.
 //
+// Gradients are also live only where something can read them. A node
+// carries a gradient when it is a Leaf, a ConstantInPlace whose creator
+// asked for one (`wants_grad`), or an op over at least one such input. An
+// op over inputs that carry none records no backward, and a backward
+// computes, zero-fills and adds into only the inputs that carry one. So
+// the node features, a slice of them or a product of constants never get
+// a gradient: a sampled step's first GNN layer skips its input-gradient
+// GEMMs and replay. Every Parameter's gradient keeps its bits: a skipped
+// term could only have reached a node nothing reads.
+//
 // All ops GRIMP needs are first-class tape methods (no generic broadcasting
 // engine): matrix product, bias, activations, column concat, row gather
 // (embedding lookup), segment mean (neighborhood aggregation), row softmax,
@@ -155,6 +180,7 @@ class Tape {
 
   // --- Tape inputs -------------------------------------------------------
   // A value the tape does not differentiate, copied into the node's slot.
+  // It carries no gradient: no op computes one for it.
   VarId Constant(const Tensor& v);
   // Borrowing overload: the node reads `v` in place (Tensor::View), with no
   // copy. `v` must stay alive and unchanged until the tape is Reset or
@@ -163,13 +189,17 @@ class Tape {
   // A constant the caller writes in place: returns the new node's value
   // tensor (the slot's retained buffer: any shape, contents unspecified;
   // size it with ResizeUninit) and stores the node's id in *id. Fill it
-  // before recording an op that reads it.
-  Tensor* ConstantInPlace(VarId* id);
+  // before recording an op that reads it. With `wants_grad` the node
+  // carries a gradient, which BackwardFrom leaves in grad(*id) for the
+  // caller (the full-mode linear heads read their input's).
+  Tensor* ConstantInPlace(VarId* id, bool wants_grad = false);
   // A trainable parameter; BackwardFrom accumulates into p->grad. `p` must
   // outlive the tape.
   VarId Leaf(Parameter* p);
 
   const Tensor& value(VarId id) const { return nodes_[id].value; }
+  // Whether the node carries a gradient (see the class comment).
+  bool carries_grad(VarId id) const { return nodes_[id].carries_grad; }
   // Materializes (zeros) on first access of an unreached node's grad.
   const Tensor& grad(VarId id) const {
     return const_cast<Tape*>(this)->GradRef(id);
@@ -240,8 +270,8 @@ class Tape {
   // gradient of a and scatters each block's input gradient,
   // (0 + alpha * g) + score_grad * a (simd attention_input_grad), into h's
   // grad row by row in idx order, the order a GatherRows backward adds in.
-  // Like HeteroSage, it writes no gradient into an h without a backward
-  // closure (a Constant). `idx` is borrowed until the tape is Reset.
+  // Like every op, it writes no gradient into an h that carries none (a
+  // Constant). `idx` is borrowed until the tape is Reset.
   // `scratch` must stay alive and untouched until then; null makes a
   // tape-owned one. `owned` rides along with the node.
   VarId ColumnAttention(VarId h, const std::vector<int32_t>* idx, VarId a,
@@ -273,10 +303,11 @@ class Tape {
   // RowScale -> Add chain would (descending lanes; self term, then segment
   // scatter), so values and grads equal that chain's bit for bit — with
   // out_rows, equal to the chain's rows d(i) under an upstream gradient
-  // that is zero on every other row. It writes no gradient into an input
-  // without a backward closure (a Constant, e.g. node features): nothing
-  // could read it. `scratch` (see SageScratch) must stay alive and
-  // untouched until the tape is Reset; `owned` rides along with the node.
+  // that is zero on every other row. It computes no input gradient (no
+  // lane dx, no replay) for an input that carries none, such as the node
+  // features or a SliceRows of them. `scratch` (see SageScratch) must stay
+  // alive and untouched until the tape is Reset; `owned` rides along with
+  // the node.
   VarId HeteroSage(VarId h_dst, VarId h_src, SageScratch* scratch,
                    std::shared_ptr<const void> owned = nullptr);
 
@@ -313,7 +344,8 @@ class Tape {
     Tensor value;
     Tensor grad;  // this pass's gradient iff `reached`; else stale or empty
     bool reached = false;
-    BackwardFn backward;  // empty for constants
+    bool carries_grad = false;
+    BackwardFn backward;  // empty unless an input carries a gradient
   };
 
   // Appends a node whose value is rows x cols with unspecified contents,
@@ -324,6 +356,18 @@ class Tape {
   // Appends the row-wise softmax of `logits` as an internal constant: the
   // fused losses keep their probabilities there for the backward.
   VarId PushProbs(VarId logits);
+  // Marks node `id` (which starts without) as carrying a gradient when any
+  // of `inputs` does, and returns whether it now does: an op records its
+  // backward only then. An op with more inputs than one list holds calls
+  // it once per list.
+  bool TrackGrad(VarId id, std::span<const VarId> inputs) {
+    bool& carries = nodes_[id].carries_grad;
+    for (const VarId in : inputs) carries = carries || nodes_[in].carries_grad;
+    return carries;
+  }
+  bool TrackGrad(VarId id, std::initializer_list<VarId> inputs) {
+    return TrackGrad(id, std::span<const VarId>(inputs.begin(), inputs.size()));
+  }
   // Returns the node's grad tensor, zero-filling it (same shape as the
   // value) and marking the node reached on first touch in this pass.
   Tensor& GradRef(VarId id) {
@@ -395,6 +439,9 @@ struct SageScratch {
   const std::vector<int32_t>* out_rows = nullptr;
   // Per output row: 1 / #lanes whose segment is non-empty, or 0 when none.
   std::vector<float> row_scale;
+  // The output rows no lane's segment touches (HeteroSageLayer::Forward's
+  // list, kept for its capacity).
+  std::vector<int32_t> untouched;
 };
 
 // Caller-owned state of one Tape::ColumnAttention node over n vectors of

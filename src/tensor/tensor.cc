@@ -110,8 +110,7 @@ std::string Tensor::ToString(int max_rows, int max_cols) const {
 
 namespace {
 
-// Rows per parallel work chunk. Independent of thread count, so chunk
-// boundaries (and therefore results) never depend on the pool size.
+// Rows per parallel work unit.
 constexpr int64_t kGemmRowGrain = 64;
 // Below this many multiply-adds, pool dispatch costs more than it saves.
 constexpr int64_t kGemmParallelFlops = 1 << 16;
@@ -119,16 +118,24 @@ constexpr int64_t kGemmParallelFlops = 1 << 16;
 // would compute mostly padding.
 constexpr int64_t kGemmNarrowCols = 16;
 
-// Dispatches C = A * B (+ epilogue) over row ranges, in parallel when the
-// problem is big enough to amortize the pool. A is row-major M x K
-// (leading dimension lda) when a_transposed is false, row-major K x M when
-// true (multiplies by A^T, walking A's columns); B likewise is K x N or,
-// when b_transposed, N x K (ldb). The shape picks the kernel: the
-// transposed-A walk and outputs narrower than kGemmNarrowCols go to
-// gemm_rows, which reads B in place; the rest to gemm over B packed into
-// nr-wide panels. Each C element accumulates over p in ascending order
-// whatever the kernel and tiling, so the result is bitwise independent of
-// both and of the thread count.
+// Dispatches C = A * B (+ epilogue) over (row chunk x column block) units,
+// in parallel when the problem is big enough to amortize the pool. A is
+// row-major M x K (leading dimension lda) when a_transposed is false,
+// row-major K x M when true (multiplies by A^T, walking A's columns); B
+// likewise is K x N or, when b_transposed, N x K (ldb). The shape picks
+// the kernel: the transposed-A walk and outputs narrower than
+// kGemmNarrowCols go to gemm_rows, which reads B in place; the rest to
+// gemm over B packed into nr-wide panels.
+//
+// Rows split into kGemmRowGrain chunks. A GEMM with fewer than two row
+// chunks per pool thread (a short, wide one: a 128-row batch against a
+// 1000-class output layer, or a TransA weight gradient with 64 output
+// rows) also splits its columns, into blocks of whole nr-wide panels, so
+// it still fans out (not inside a pool lane, where the units would run
+// inline). A unit runs the kernel on its rows with B, C and the bias
+// offset to its first column. Each C element accumulates over p in
+// ascending order whatever the kernel and the unit it falls in, so the
+// result is bitwise independent of the tiling and of the thread count.
 void GemmDispatch(const float* a, int64_t lda, bool a_transposed,
                   const float* b, int64_t ldb, bool b_transposed, float* c,
                   int64_t ldc, int64_t m, int64_t k, int64_t n,
@@ -147,30 +154,56 @@ void GemmDispatch(const float* a, int64_t lda, bool a_transposed,
   if (ep.bias != nullptr || ep.relu) fused_calls.Increment();
   if (m == 0 || n == 0) return;
   const simd::KernelTable& kt = simd::Kernels();
+  const int64_t nr = kt.gemm_nr;
   // A as a[i * as_i + p * as_p].
   const int64_t as_i = a_transposed ? 1 : lda;
   const int64_t as_p = a_transposed ? lda : 1;
-  const auto run = [&](const auto& rows) {
-    if (flops < kGemmParallelFlops || ThreadPool::GlobalThreads() <= 1) {
-      rows(0, m);
+  // fn(row_begin, row_end, col_begin, col_end) over the units.
+  const auto run = [&](const auto& fn) {
+    const int threads = ThreadPool::GlobalThreads();
+    if (flops < kGemmParallelFlops || threads <= 1) {
+      fn(0, m, 0, n);
       return;
     }
     parallel_calls.Increment();
-    ParallelFor(0, m, kGemmRowGrain, rows);
+    const int64_t row_chunks = (m + kGemmRowGrain - 1) / kGemmRowGrain;
+    const int64_t panels = (n + nr - 1) / nr;
+    // Two units per thread, so the share of a worker that wakes late is
+    // taken up by the others. Inside a pool lane the units run inline, so
+    // the columns stay whole: each block would re-read the row chunk of A.
+    const int64_t col_blocks =
+        InParallelRegion()
+            ? 1
+            : std::min(panels, (2 * threads + row_chunks - 1) / row_chunks);
+    const int64_t block_cols = (panels + col_blocks - 1) / col_blocks * nr;
+    const int64_t blocks = (n + block_cols - 1) / block_cols;
+    ParallelFor(0, row_chunks * blocks, 1, [&](int64_t u0, int64_t u1) {
+      for (int64_t u = u0; u < u1; ++u) {
+        const int64_t r0 = u / blocks * kGemmRowGrain;
+        const int64_t j0 = u % blocks * block_cols;
+        fn(r0, std::min(m, r0 + kGemmRowGrain), j0,
+           std::min(n, j0 + block_cols));
+      }
+    });
+  };
+  // The epilogue of the columns from j0 on.
+  const auto ep_from = [&ep](int64_t j0) {
+    simd::GemmEpilogue e = ep;
+    if (e.bias != nullptr) e.bias += j0;
+    return e;
   };
   if (a_transposed || n < kGemmNarrowCols) {
     const int64_t bs_p = b_transposed ? 1 : ldb;
     const int64_t bs_j = b_transposed ? ldb : 1;
-    run([&](int64_t row_begin, int64_t row_end) {
-      kt.gemm_rows(a, as_i, as_p, b, bs_p, bs_j, c, ldc, row_begin, row_end,
-                   k, n, ep);
+    run([&](int64_t r0, int64_t r1, int64_t j0, int64_t j1) {
+      kt.gemm_rows(a, as_i, as_p, b + j0 * bs_j, bs_p, bs_j, c + j0, ldc, r0,
+                   r1, k, j1 - j0, ep_from(j0));
     });
     return;
   }
   // Pack B once into nr-wide zero-padded panels. The scratch is per thread:
   // it only grows, so a steady stream of GEMMs takes no transient buffer
   // from the heap.
-  const int64_t nr = kt.gemm_nr;
   const int64_t panels = (n + nr - 1) / nr;
   thread_local std::vector<float> bpack;
   const auto pack_floats = static_cast<size_t>(panels * nr * k);
@@ -183,8 +216,11 @@ void GemmDispatch(const float* a, int64_t lda, bool a_transposed,
     }
   }
   const float* bp = bpack.data();
-  run([&](int64_t row_begin, int64_t row_end) {
-    kt.gemm(a, as_i, as_p, bp, c, ldc, row_begin, row_end, k, n, ep);
+  // Column block j0 starts at a panel boundary: its panels follow at
+  // bp + (j0 / nr) * k * nr.
+  run([&](int64_t r0, int64_t r1, int64_t j0, int64_t j1) {
+    kt.gemm(a, as_i, as_p, bp + j0 / nr * k * nr, c + j0, ldc, r0, r1, k,
+            j1 - j0, ep_from(j0));
   });
 }
 

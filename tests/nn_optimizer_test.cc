@@ -175,6 +175,82 @@ TEST(OptimizerTest, ClipAndAdamOverManyParametersIndependentOfThreadCount) {
   }
 }
 
+// Steps over a mix of parameters: some written through a tape, some no
+// tape reaches (their grads stay +0 since ZeroGrad, as the heads a sampled
+// step does not train), and some written by hand (one fresh, one after a
+// ZeroGrad with grad_written set). The liveness-skipping clip, Adam and
+// ZeroGrad must leave weights, moments and grads bit-identical to the
+// dense path, where every parameter counts as written.
+TEST(OptimizerTest, SkippingUnwrittenGradsMatchesTheDensePath) {
+  struct State {
+    std::vector<Tensor> weights, grads, first, second;
+  };
+  const auto train = [](bool dense) {
+    Rng rng(71);
+    std::vector<Parameter> params;
+    params.reserve(6);
+    for (int i = 0; i < 6; ++i) {
+      // Parameter 5 spans several optimizer chunks.
+      params.emplace_back("p", i == 5 ? Tensor::GlorotUniform(90, 100, &rng)
+                                      : Tensor::GlorotUniform(3, 4 + i, &rng));
+    }
+    std::vector<Parameter*> ptrs;
+    for (Parameter& p : params) ptrs.push_back(&p);
+    Adam opt(ptrs, 0.01f, 0.9f, 0.999f, 1e-8f, /*weight_decay=*/0.01f);
+    // Fresh parameter 4: a hand-written grad before any ZeroGrad.
+    params[4].grad = Tensor::GlorotUniform(3, 8, &rng);
+    const Tensor x = Tensor::GlorotUniform(7, 3, &rng);
+    State state;
+    for (int step = 0; step < 4; ++step) {
+      // The tape trains parameter step % 2 and, every other step, the
+      // large one; the rest get no gradient this step.
+      Tape tape;
+      const Tape::VarId out =
+          tape.MatMul(tape.Constant(x), tape.Leaf(&params[step % 2]));
+      tape.BackwardFrom(tape.SumAll(tape.Mul(out, out)), Tensor::Scalar(1.0f));
+      if (step % 2 == 1) {
+        Tape big;
+        const Tape::VarId w = big.Leaf(&params[5]);
+        big.BackwardFrom(big.SumAll(big.Mul(w, w)), Tensor::Scalar(1.0f));
+      }
+      if (step == 2) {  // a hand write after a ZeroGrad
+        params[3].grad = Tensor::GlorotUniform(3, 7, &rng);
+        params[3].grad_written = true;
+      }
+      if (dense) {
+        for (Parameter& p : params) p.grad_written = true;
+      }
+      opt.ClipGradNorm(0.5f);
+      opt.Step();
+      for (Parameter& p : params) state.grads.push_back(p.grad);
+      opt.ZeroGrad();
+    }
+    for (size_t k = 0; k < params.size(); ++k) {
+      state.weights.push_back(params[k].value);
+      state.grads.push_back(params[k].grad);
+      state.first.push_back(opt.first_moment(k));
+      state.second.push_back(opt.second_moment(k));
+    }
+    return state;
+  };
+  const State skipping = train(/*dense=*/false);
+  const State dense = train(/*dense=*/true);
+  const auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.SameShape(b) &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+  };
+  ASSERT_EQ(skipping.grads.size(), dense.grads.size());
+  for (size_t i = 0; i < dense.grads.size(); ++i) {
+    EXPECT_TRUE(same_bits(skipping.grads[i], dense.grads[i])) << "grad " << i;
+  }
+  for (size_t k = 0; k < dense.weights.size(); ++k) {
+    EXPECT_TRUE(same_bits(skipping.weights[k], dense.weights[k])) << k;
+    EXPECT_TRUE(same_bits(skipping.first[k], dense.first[k])) << k;
+    EXPECT_TRUE(same_bits(skipping.second[k], dense.second[k])) << k;
+  }
+}
+
 TEST(OptimizerTest, AdamWeightDecayShrinksWeights) {
   Parameter p("p", Tensor::Full(1, 1, 10.0f));
   Adam opt({&p}, 0.1f, 0.9f, 0.999f, 1e-8f, /*weight_decay=*/1.0f);

@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/names.h"
+#include "graph/delta.h"
 #include "graph/sampler.h"
 
 namespace grimp {
@@ -290,6 +291,44 @@ TEST(ShardedGraphStoreTest, BudgetBoundsTheResidentSet) {
   }
   EXPECT_LE((*store)->high_water_bytes(), budget);
   EXPECT_LT((*store)->high_water_bytes(), total);
+}
+
+// Every load times its read, checksum verify and parse into their own
+// histograms beside the whole load's, and a load that merges appended edges
+// times the merge too.
+TEST(ShardedGraphStoreTest, LoadTimingSplitsIntoPhases) {
+  const HeteroGraph g = RingGraph(80, 2);
+  auto store = ShardedGraphStore::Create(g, StoreOptions(4, 1));
+  ASSERT_TRUE(store.ok());
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const auto count = [&](const char* name) {
+    return registry.GetHistogram(name).count();
+  };
+  const int64_t loads = count("graph.shard.load_micros");
+  const int64_t reads = count("graph.shard.read_micros");
+  const int64_t verifies = count("graph.shard.verify_micros");
+  const int64_t parses = count("graph.shard.parse_micros");
+  const int64_t patches = count("graph.shard.patch_micros");
+  // A 1-byte budget keeps one shard resident, so each acquire loads.
+  for (int s = 0; s < 4; ++s) (*store)->Acquire(s);
+  EXPECT_EQ(count("graph.shard.load_micros") - loads, 4);
+  EXPECT_EQ(count("graph.shard.read_micros") - reads, 4);
+  EXPECT_EQ(count("graph.shard.verify_micros") - verifies, 4);
+  EXPECT_EQ(count("graph.shard.parse_micros") - parses, 4);
+  EXPECT_EQ(count("graph.shard.patch_micros") - patches, 0);
+
+  // One new edge 0 <-> 40 under type 0: the shards of both ends gain a
+  // patch, which each of their loads merges.
+  GraphDelta delta;
+  delta.new_num_nodes = 80;
+  delta.edges.resize(2);
+  delta.edges[0] = {{0, 40}, {40, 0}};
+  ASSERT_TRUE((*store)->Append(delta).ok());
+  const std::set<int> patched{(*store)->ShardOf(0), (*store)->ShardOf(40)};
+  for (int s = 0; s < 4; ++s) (*store)->Acquire(s);
+  EXPECT_EQ(count("graph.shard.load_micros") - loads, 8);
+  EXPECT_EQ(count("graph.shard.patch_micros") - patches,
+            static_cast<int64_t>(patched.size()));
 }
 
 // The bytes gauge reports whichever store published last; the ratio gauge

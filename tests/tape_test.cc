@@ -27,6 +27,14 @@ Parameter MakeParam(int64_t rows, int64_t cols, uint64_t seed) {
   return Parameter("p", std::move(t));
 }
 
+// A constant that carries a gradient (ConstantInPlace's wants_grad form)
+// holding a copy of `v`.
+Tape::VarId WantedConstant(Tape* tape, const Tensor& v) {
+  Tape::VarId id;
+  *tape->ConstantInPlace(&id, /*wants_grad=*/true) = v;
+  return id;
+}
+
 TEST(TapeTest, ForwardValuesBasicOps) {
   Tape tape;
   auto a = tape.Constant(Tensor::FromVector(1, 2, {1, 2}));
@@ -176,8 +184,8 @@ TEST(TapeGradTest, ConcatColsBackwardAcrossChunks) {
   const int64_t rows = 512;
   const int64_t cols = 32;
   Tape tape;
-  const auto a = tape.Constant(Tensor::Zeros(rows, cols));
-  const auto b = tape.Constant(Tensor::Zeros(rows, cols));
+  const auto a = WantedConstant(&tape, Tensor::Zeros(rows, cols));
+  const auto b = WantedConstant(&tape, Tensor::Zeros(rows, cols));
   const auto cat = tape.ConcatCols({a, b, a});
   tape.BackwardFrom(tape.SumAll(cat), Tensor::Scalar(1.0f));
   for (int64_t r = 0; r < rows; ++r) {
@@ -449,6 +457,150 @@ TEST(TapeTest, LeafAccumulatesIntoParameterGrad) {
   EXPECT_EQ(p.grad.at(0, 0), 0.0f);
 }
 
+// --- Gradient liveness -----------------------------------------------------
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// Ops over inputs that carry no gradient record no backward, and a
+// backward skips the inputs that carry none: the constant's grad is never
+// materialized while the parameter's keeps its bits. A constant made with
+// wants_grad (ConstantInPlace) gets its gradient as before.
+TEST(TapeLivenessTest, OpsOverConstantsRecordNoBackward) {
+  Rng rng(51);
+  const Tensor x = Tensor::GlorotUniform(5, 3, &rng);
+  const Tensor y = Tensor::GlorotUniform(3, 2, &rng);
+  const auto run = [&](bool wants_grad, Parameter* w, Tensor* x_grad) {
+    w->ZeroGrad();
+    Tape tape;
+    const Tape::VarId xc =
+        wants_grad ? WantedConstant(&tape, x) : tape.Constant(x);
+    const Tape::VarId slice = tape.SliceRows(xc, 2);
+    const Tape::VarId product = tape.MatMul(xc, tape.Constant(y));
+    EXPECT_EQ(tape.carries_grad(slice), wants_grad);
+    EXPECT_EQ(tape.carries_grad(product), wants_grad);
+    const Tape::VarId lw = tape.Leaf(w);
+    const Tape::VarId out =
+        tape.Add(tape.MatMul(xc, lw), tape.MatMul(tape.SliceRows(
+                                          tape.Constant(x), 5), lw));
+    EXPECT_TRUE(tape.carries_grad(out));
+    tape.BackwardFrom(tape.SumAll(tape.Mul(out, out)), Tensor::Scalar(1.0f));
+    *x_grad = tape.grad(xc);
+  };
+  Parameter w_dead = MakeParam(3, 2, 52);
+  Parameter w_live = MakeParam(3, 2, 52);
+  Tensor dead_grad, live_grad;
+  run(false, &w_dead, &dead_grad);
+  run(true, &w_live, &live_grad);
+  EXPECT_EQ(dead_grad.SumAbs(), 0.0f);
+  EXPECT_GT(live_grad.SumAbs(), 0.0f);
+  EXPECT_TRUE(w_dead.grad_written);
+  EXPECT_TRUE(SameBits(w_dead.grad, w_live.grad));
+}
+
+// A HeteroSage node whose h_dst is a slice of a constant, as the first
+// layer of a sampled step reads the gathered features: the backward takes
+// the weight gradients and materializes no input gradient (no lane dx, no
+// replay). With a gradient-wanted constant the input gradient equals a
+// Leaf's, and the weight gradients match in every case.
+TEST(TapeLivenessTest, HeteroSageOnConstantSliceTakesNoInputGradient) {
+  constexpr int64_t kDst = 4;
+  constexpr int64_t kSrc = 6;
+  constexpr int64_t kIn = 3;
+  constexpr int64_t kOut = 2;
+  // Row 2 has no edge of either type; rows 0 and 3 have both.
+  const std::vector<int32_t> off0{0, 2, 3, 3, 5}, idx0{1, 4, 0, 2, 5};
+  const std::vector<int32_t> off1{0, 1, 1, 1, 3}, idx1{5, 3, 4};
+  Rng rng(53);
+  const Tensor features = Tensor::GlorotUniform(kSrc, kIn, &rng);
+  const Tensor upstream = Tensor::GlorotUniform(kDst, kOut, &rng);
+  struct Run {
+    Tensor input_grad;
+    std::vector<Tensor> weight_grads;
+    bool any_dx = false;
+  };
+  enum class Input { kConstant, kWantedConstant, kLeaf };
+  const auto run = [&](Input input) {
+    std::vector<Parameter> params;
+    for (int t = 0; t < 2; ++t) {
+      params.push_back(MakeParam(2 * kIn, kOut, 60 + t));
+      params.push_back(MakeParam(1, kOut, 70 + t));
+    }
+    Parameter h("h", features);
+    Tape tape;
+    SageScratch scratch;
+    scratch.lanes.resize(2);
+    scratch.lanes[0].offsets = &off0;
+    scratch.lanes[0].indices = &idx0;
+    scratch.lanes[0].rows = {0, 1, 3, 2};
+    scratch.lanes[0].live = 3;
+    scratch.lanes[1].offsets = &off1;
+    scratch.lanes[1].indices = &idx1;
+    scratch.lanes[1].rows = {0, 3, 2};
+    scratch.lanes[1].live = 2;
+    scratch.row_scale = {0.5f, 1.0f, 0.0f, 0.5f};
+    for (int t = 0; t < 2; ++t) {
+      scratch.lanes[t].weight = tape.Leaf(&params[2 * t]);
+      scratch.lanes[t].bias = tape.Leaf(&params[2 * t + 1]);
+    }
+    const Tape::VarId src =
+        input == Input::kLeaf             ? tape.Leaf(&h)
+        : input == Input::kWantedConstant ? WantedConstant(&tape, features)
+                                          : tape.Constant(&features);
+    const Tape::VarId dst = tape.SliceRows(src, kDst);
+    tape.BackwardFrom(tape.HeteroSage(dst, src, &scratch), upstream);
+    Run out;
+    out.input_grad = input == Input::kLeaf ? h.grad : tape.grad(src);
+    for (const Parameter& p : params) out.weight_grads.push_back(p.grad);
+    for (const SageLane& lane : scratch.lanes) {
+      out.any_dx = out.any_dx || lane.dx.size() > 0;
+    }
+    return out;
+  };
+  const Run dead = run(Input::kConstant);
+  const Run wanted = run(Input::kWantedConstant);
+  const Run leaf = run(Input::kLeaf);
+  EXPECT_FALSE(dead.any_dx);
+  EXPECT_EQ(dead.input_grad.SumAbs(), 0.0f);
+  EXPECT_TRUE(wanted.any_dx);
+  EXPECT_TRUE(SameBits(wanted.input_grad, leaf.input_grad));
+  // The input gradient by hand: each live row's dx = (g * row_scale) W^T
+  // sends its self half to its own row (dst row i is src row i) and its
+  // mean half to its neighbors.
+  Tensor ref = Tensor::Zeros(kSrc, kIn);
+  const float row_scale[kDst] = {0.5f, 1.0f, 0.0f, 0.5f};
+  for (int t = 0; t < 2; ++t) {
+    const std::vector<int32_t>& off = t == 0 ? off0 : off1;
+    const std::vector<int32_t>& idx = t == 0 ? idx0 : idx1;
+    const Tensor w = MakeParam(2 * kIn, kOut, 60 + t).value;
+    for (int64_t i = 0; i < kDst; ++i) {
+      const int32_t deg = off[i + 1] - off[i];
+      if (deg == 0) continue;
+      for (int64_t c = 0; c < 2 * kIn; ++c) {
+        float dx = 0.0f;
+        for (int64_t o = 0; o < kOut; ++o) {
+          dx += upstream.at(i, o) * row_scale[i] * w.at(c, o);
+        }
+        if (c < kIn) {
+          ref.at(i, c) += dx;
+        } else {
+          for (int32_t e = off[i]; e < off[i + 1]; ++e) {
+            ref.at(idx[e], c - kIn) += dx / static_cast<float>(deg);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(AllClose(leaf.input_grad, ref, 1e-5f, 1e-4f));
+  for (size_t i = 0; i < leaf.weight_grads.size(); ++i) {
+    EXPECT_TRUE(SameBits(dead.weight_grads[i], leaf.weight_grads[i])) << i;
+    EXPECT_TRUE(SameBits(wanted.weight_grads[i], leaf.weight_grads[i])) << i;
+  }
+}
+
 // --- Slot retention --------------------------------------------------------
 
 // One training step of a small network on `tape`: n gathered rows (every
@@ -558,7 +710,7 @@ TEST(TapeRetentionTest, UnreachedNodeReadsZerosAndRunsNoBackward) {
   leaf = tape.Leaf(&p);
   scaled = tape.Scale(leaf, 2.0f);
   const Tape::VarId other =
-      tape.Constant(Tensor::FromVector(1, 3, {4.0f, 5.0f, 6.0f}));
+      WantedConstant(&tape, Tensor::FromVector(1, 3, {4.0f, 5.0f, 6.0f}));
   tape.BackwardFrom(tape.SumAll(other), Tensor::Scalar(1.0f));
   for (int64_t c = 0; c < 3; ++c) {
     EXPECT_EQ(p.grad.at(0, c), 0.0f) << "stale Leaf contribution, col " << c;
@@ -592,12 +744,6 @@ TEST(TapeRetentionTest, BorrowedConstantReadsInPlaceAndNeverWritesIt) {
   EXPECT_EQ(std::memcmp(features.data(), original.data(),
                         static_cast<size_t>(features.size()) * sizeof(float)),
             0);
-}
-
-bool SameBits(const Tensor& a, const Tensor& b) {
-  return a.SameShape(b) &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
 }
 
 // Recording past the slot count, into slots smaller than the new shapes,

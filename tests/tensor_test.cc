@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -191,6 +195,100 @@ TEST(TensorTest, BlockedGemmIsBitIdenticalAcrossThreadCounts) {
     }
   }
   ThreadPool::SetGlobalThreads(1);
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// Short, wide and ragged GEMMs split their columns into panel-aligned
+// blocks when they have fewer 64-row chunks than the pool has threads (the
+// sampled head's 1000-class output layer, its dX and its TransA dW). Every
+// form and epilogue must keep its bits at every thread count, including an
+// odd pool that splits the columns unevenly; n is never a multiple of 16.
+TEST(TensorTest, ColumnSplitGemmsAreBitIdenticalAcrossThreadCounts) {
+  const struct { int64_t m, k, n; } shapes[] = {
+      {128, 64, 1000}, {64, 128, 1000}, {128, 1000, 64},
+      {32, 400, 40},   {100, 37, 333},  {200, 70, 21},
+  };
+  // Each form computes into a copy of `init` (read by the accumulating
+  // ones).
+  struct Form {
+    std::string name;
+    std::function<void(const Tensor& a, const Tensor& b, const Tensor& bias,
+                       Tensor* out)>
+        run;
+  };
+  const std::vector<Form> forms = {
+      {"plain", [](const Tensor& a, const Tensor& b, const Tensor&,
+                   Tensor* out) { MatMul(a, b, out); }},
+      {"bias", [](const Tensor& a, const Tensor& b, const Tensor& bias,
+                  Tensor* out) { MatMulFused(a, b, bias, false, out); }},
+      {"bias_relu", [](const Tensor& a, const Tensor& b, const Tensor& bias,
+                       Tensor* out) { MatMulFused(a, b, bias, true, out); }},
+      // A zero bias: the ReLU alone decides the result's signs.
+      {"relu", [](const Tensor& a, const Tensor& b, const Tensor& bias,
+                  Tensor* out) {
+         MatMulFused(a, b, Tensor::Zeros(1, bias.cols()), true, out);
+       }},
+      {"trans_a", [](const Tensor& a, const Tensor& b, const Tensor&,
+                     Tensor* out) { *out = MatMulTransA(a, b); }},
+      {"trans_a_acc", [](const Tensor& a, const Tensor& b, const Tensor&,
+                         Tensor* out) { MatMulTransAAcc(a, b, out); }},
+      {"trans_b", [](const Tensor& a, const Tensor& b, const Tensor&,
+                     Tensor* out) { MatMulTransB(a, b, out); }},
+      {"trans_b_acc", [](const Tensor& a, const Tensor& b, const Tensor&,
+                         Tensor* out) { MatMulTransBAcc(a, b, out); }},
+  };
+  const int saved_threads = ThreadPool::GlobalThreads();
+  Rng rng(19);
+  for (const auto& s : shapes) {
+    // Operands in each form's layout: A is m x k (k x m for TransA), B is
+    // k x n (n x k for TransB).
+    const Tensor a = Tensor::RandomNormal(s.m, s.k, 1.0f, &rng);
+    const Tensor at = Tensor::RandomNormal(s.k, s.m, 1.0f, &rng);
+    const Tensor b = Tensor::RandomNormal(s.k, s.n, 1.0f, &rng);
+    const Tensor bt = Tensor::RandomNormal(s.n, s.k, 1.0f, &rng);
+    const Tensor bias = Tensor::RandomNormal(1, s.n, 1.0f, &rng);
+    const Tensor init = Tensor::RandomNormal(s.m, s.n, 1.0f, &rng);
+    for (const Form& form : forms) {
+      const bool trans_a = form.name.rfind("trans_a", 0) == 0;
+      const bool trans_b = form.name.rfind("trans_b", 0) == 0;
+      const auto compute = [&](int threads) {
+        ThreadPool::SetGlobalThreads(threads);
+        Tensor out = init;
+        form.run(trans_a ? at : a, trans_b ? bt : b, bias, &out);
+        return out;
+      };
+      const Tensor one = compute(1);
+      // The single-thread result is one kernel call over the whole output;
+      // check it is the product before holding the split ones to it.
+      Tensor ref = trans_a ? MatMulTransANaive(at, b)
+                           : trans_b ? MatMulTransBNaive(a, bt)
+                                     : MatMulNaive(a, b);
+      if (form.name == "bias" || form.name == "bias_relu") {
+        for (int64_t r = 0; r < ref.rows(); ++r) {
+          for (int64_t c = 0; c < ref.cols(); ++c) ref.at(r, c) += bias[c];
+        }
+      }
+      if (form.name == "bias_relu" || form.name == "relu") {
+        for (int64_t i = 0; i < ref.size(); ++i) {
+          ref[i] = std::max(ref[i], 0.0f);
+        }
+      }
+      if (form.name.find("_acc") != std::string::npos) ref.Axpy(1.0f, init);
+      EXPECT_TRUE(AllClose(one, ref, 1e-4f, 1e-4f))
+          << form.name << " " << s.m << "x" << s.k << "x" << s.n;
+      for (int threads : {2, 3, 4, 8}) {
+        EXPECT_TRUE(SameBits(compute(threads), one))
+            << form.name << " " << s.m << "x" << s.k << "x" << s.n
+            << " threads=" << threads;
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreads(saved_threads);
 }
 
 TEST(TensorTest, ParallelAxpyMatchesSerial) {

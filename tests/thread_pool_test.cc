@@ -64,6 +64,19 @@ TEST(ThreadPoolTest, NestedSubmitRunsInlineWithoutDeadlock) {
   EXPECT_EQ(total.load(), 64 * 10);
 }
 
+// Every chunk body of a fanned-out loop, on a worker or on the submitter,
+// sees InParallelRegion(); the submitter's flag clears after the loop.
+TEST(ThreadPoolTest, InParallelRegionHoldsInEveryChunkBody) {
+  ThreadPool pool(4);
+  EXPECT_FALSE(InParallelRegion());
+  std::atomic<int> outside{0};
+  pool.ParallelFor(0, 64, 1, [&](int64_t, int64_t) {
+    if (!InParallelRegion()) outside.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(outside.load(), 0);
+  EXPECT_FALSE(InParallelRegion());
+}
+
 TEST(ThreadPoolTest, RepeatedRunsAreDeterministic) {
   // A chunk-local (non-commutative-order-sensitive) computation: record the
   // chunk boundary pattern and a per-index value derived from it. Both must

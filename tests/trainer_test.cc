@@ -738,7 +738,7 @@ TEST(TrainerTest, FullModeMixedHeadReduceMatchesPerTaskScatter) {
                                          &factors[t]);
       } else {
         GatherTaskRows(h, task.train_idx, kCols,
-                       sub[t].ConstantInPlace(&in));
+                       sub[t].ConstantInPlace(&in, /*wants_grad=*/true));
         out = task.head->Forward(&sub[t], in);
       }
       const Tape::VarId loss =
