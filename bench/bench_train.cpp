@@ -445,13 +445,19 @@ int main(int argc, char** argv) {
       sharded && SameLosses(serial->losses, twin.losses) &&
       SameCells(serial->imputed, twin.imputed);
 
-  // epoch_speedup: full-graph vs serial sampled (in-memory mode only).
+  // epoch_speedup: full-graph vs serial sampled (in-memory mode only; a
+  // sharded run has no full-graph config, so its JSON field is null).
   // pipeline_speedup: serial sampled vs the best pipelined depth.
   double epoch_speedup = 0.0;
   for (const ConfigResult& r : results) {
     if (r.depth < 0) {
       epoch_speedup = r.mean_epoch_seconds / serial->mean_epoch_seconds;
     }
+  }
+  char epoch_speedup_json[32] = "null";
+  if (!sharded) {
+    std::snprintf(epoch_speedup_json, sizeof(epoch_speedup_json), "%.4f",
+                  epoch_speedup);
   }
   double pipeline_speedup = 0.0;
   int best_depth = 0;
@@ -514,14 +520,14 @@ int main(int argc, char** argv) {
                 "\n  ],\n  \"score_rows\": %lld,\n"
                 "  \"baseline_mode_accuracy\": %.4f,\n"
                 "  \"baseline_mean_rmse\": %.4f,\n"
-                "  \"epoch_speedup\": %.4f,\n"
+                "  \"epoch_speedup\": %s,\n"
                 "  \"pipeline_speedup\": %.4f,\n"
                 "  \"pipeline_best_depth\": %d,\n"
                 "  \"bit_identical\": %s,\n"
                 "  \"store_identical\": %s\n}\n",
                 static_cast<long long>(score_rows), baseline.Accuracy(),
-                baseline.Rmse(), epoch_speedup, pipeline_speedup, best_depth,
-                bit_identical ? "true" : "false",
+                baseline.Rmse(), epoch_speedup_json, pipeline_speedup,
+                best_depth, bit_identical ? "true" : "false",
                 sharded ? (store_identical ? "true" : "false") : "null");
   std::string json = head;
   for (size_t i = 0; i < results.size(); ++i) {

@@ -533,7 +533,6 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
 
   GrimpOptions local = options_;
   local.train.mode = TrainMode::kSampled;
-  local.train.warm_start = true;
   if (!ctx.fanouts.empty()) local.train.fanouts = ctx.fanouts;
   if (resume.max_epochs > 0) local.max_epochs = resume.max_epochs;
   if (resume.learning_rate > 0.0f) {
@@ -589,7 +588,8 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
 
   Trainer trainer(local, ctx.store, ctx.node_features, &gnn_, &shared_,
                   std::move(train_tasks), num_cols);
-  GRIMP_ASSIGN_OR_RETURN(summary_, trainer.Run(local.callbacks));
+  GRIMP_ASSIGN_OR_RETURN(summary_,
+                         trainer.Run(local.callbacks, /*warm_start=*/true));
   return summary_;
 }
 

@@ -107,14 +107,15 @@ class GrimpEngine {
   // Online fine-tuning (streaming ingestion): resumes training from the
   // current weights over a recency-weighted window of the live table,
   // reading the graph through the context's store with sampled minibatches
-  // (train.mode is forced to kSampled, warm_start to true — by
-  // construction the run can only improve the validation loss, never
-  // regress it). Cells whose value was not in the fitted source domain are
-  // skipped (the task heads have no class for them). Unlike Fit, the
-  // window's validation cells keep their edges in the live graph (the
-  // graph is shared, maintained state — rebuilding it per round would
-  // defeat streaming), so the validation loss is comparative, not a clean
-  // holdout. Returns the fine-tune run's summary (also stored in
+  // (train.mode is forced to kSampled). The Trainer warm-starts: the
+  // current weights are scored with the sampled validation pass and kept
+  // like an epoch's, so by construction the run can only improve the
+  // validation loss, never regress it. Cells whose value was not in the
+  // fitted source domain are skipped (the task heads have no class for
+  // them). Unlike Fit, the window's validation cells keep their edges in
+  // the live graph (the graph is shared, maintained state — rebuilding it
+  // per round would defeat streaming), so the validation loss is
+  // comparative, not a clean holdout. Returns the fine-tune run's summary (also stored in
   // summary()); a window with nothing to train on returns epochs_run == 0.
   // Not thread-safe against TransformMany/Save (like Fit).
   Result<TrainSummary> Resume(const StreamContext& ctx,

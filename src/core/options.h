@@ -34,6 +34,10 @@ enum class TrainMode { kFull, kSampled };
 
 // Minibatch / neighbor-sampling configuration for the Trainer. Ignored in
 // full mode (the default, which reproduces the paper's training exactly).
+// Each mode validates on its own path and keeps the weights it scored:
+// full mode scores the epoch's forward before its optimizer step; sampled
+// mode scores the weights after the epoch's steps with minibatches over
+// fixed (seed, task, batch) streams, the same on every store.
 struct TrainConfig {
   TrainMode mode = TrainMode::kFull;
   // Task samples per optimizer step in sampled mode (must be > 0 there).
@@ -43,12 +47,6 @@ struct TrainConfig {
   // size must equal gnn_layers and every entry must be > 0 (a fanout of 0
   // would silence message passing and is rejected by Validate()).
   std::vector<int> fanouts;
-  // Warm start (online fine-tuning): before the first epoch, score the
-  // current weights on the validation set and seed the early-stopping
-  // best-weights snapshot with them. A fine-tuning run can then never end
-  // with weights worse (by validation loss) than the ones it started from
-  // — if no epoch improves, the restore hands the originals back.
-  bool warm_start = false;
   // Batches prepared together, for sampled training only: each run of
   // this many consecutive batches is sampled jointly, with one shard visit
   // per GNN layer for the whole group (NeighborSampler::SampleGroup), then

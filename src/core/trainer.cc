@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -82,8 +81,8 @@ Trainer::Trainer(const GrimpOptions& options, const GraphStore* store,
   GRIMP_CHECK(shared_ != nullptr);
   GRIMP_CHECK(!options_.use_gnn || gnn_ != nullptr);
   GRIMP_CHECK_GT(num_cols_, 0);
-  // Full mode (and full-graph validation) runs whole-graph forwards, which
-  // only an in-memory store can serve.
+  // Full mode runs whole-graph forwards, which only an in-memory store can
+  // serve.
   GRIMP_CHECK(options_.train.mode == TrainMode::kSampled ||
               store_->full_graph() != nullptr);
   // Full-mode heads run their backward passes concurrently, each writing
@@ -105,8 +104,7 @@ Trainer::Trainer(const GrimpOptions& options, const GraphStore* store,
 
 void BuildReadSet(std::span<TrainTask> tasks, int64_t num_nodes,
                   std::vector<int32_t>* read_rows,
-                  std::vector<std::vector<int32_t>>* read_idx,
-                  bool keep_lists) {
+                  std::vector<std::vector<int32_t>>* read_idx) {
   const size_t n = tasks.size();
   read_idx->resize(2 * n);
   std::vector<const std::vector<int32_t>*> lists(2 * n);
@@ -114,13 +112,9 @@ void BuildReadSet(std::span<TrainTask> tasks, int64_t num_nodes,
     std::vector<int32_t>* own[2] = {&tasks[t].train_idx, &tasks[t].val_idx};
     for (size_t k = 0; k < 2; ++k) {
       const size_t l = k * n + t;
-      if (keep_lists) {
-        lists[l] = own[k];
-      } else {
-        (*read_idx)[l] = std::move(*own[k]);
-        own[k]->clear();
-        lists[l] = &(*read_idx)[l];
-      }
+      (*read_idx)[l] = std::move(*own[k]);
+      own[k]->clear();
+      lists[l] = &(*read_idx)[l];
     }
   }
   ReadRowScratch scratch;
@@ -232,21 +226,14 @@ void TaskGradReduce::Run(const std::vector<Source>& sources,
   });
 }
 
-Tape::VarId Trainer::FullForward() {
-  tape_.Reset();  // reuse node slots from the previous pass
-  return ForwardReadRows(&tape_, options_.use_gnn ? gnn_ : nullptr, *shared_,
-                         tape_.Constant(node_features_),
-                         *store_->full_graph(), &read_rows_, &gnn_scratch_);
-}
-
-void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
+void Trainer::RunTaskHead(size_t t, const Tensor& h) {
   const TrainTask& task = tasks_[t];
   HeadRun& run = head_runs_[t];
   const std::vector<int32_t>& train_idx = read_idx_[t];
   const std::vector<int32_t>& val_idx = read_idx_[tasks_.size() + t];
   Tape& tape = run.tape;
   // The head over rows `idx` of h; a linear head's gathered input goes to
-  // *input, which carries a gradient when the pass trains (the reduce
+  // *input, which carries a gradient for the training samples (the reduce
   // reads it).
   const auto head = [&](const std::vector<int32_t>& idx,
                         AttentionScratch* scratch, Tape::VarId* input,
@@ -259,7 +246,7 @@ void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
   };
   // Borrowing loss overloads: the task's label/target vectors are Trainer
   // members, alive past the sub-tape's Reset.
-  if (train && !train_idx.empty()) {
+  if (!train_idx.empty()) {
     const Tape::VarId loss =
         TaskLoss(&tape, task, options_.focal_gamma,
                  head(train_idx, &run.train_factors, &run.train_in, true),
@@ -278,42 +265,35 @@ void Trainer::RunTaskHead(size_t t, const Tensor& h, bool train) {
 }
 
 Trainer::HeadLosses Trainer::RunTaskHeads(const Tensor& h, Tensor* h_grad) {
-  const bool train = h_grad != nullptr;
   const auto num_tasks = static_cast<int64_t>(tasks_.size());
   HeadLosses losses;
-  // The sub-tapes take their buffers on the first pass of each kind and
-  // keep them. That pass runs on this thread, so the buffers come from its
-  // malloc arena, where the next Run finds them again once these are
-  // freed; taken on pool workers, each worker's arena would keep what it
-  // freed and peak RSS would climb with every Run. Later passes allocate
-  // nothing and fan out.
+  // The sub-tapes take their buffers on the first pass and keep them. That
+  // pass runs on this thread, so the buffers come from its malloc arena,
+  // where the next Run finds them again once these are freed; taken on
+  // pool workers, each worker's arena would keep what it freed and peak RSS
+  // would climb with every Run. Later passes allocate nothing and fan out.
   const auto run_tasks = [&](int64_t lo, int64_t hi) {
-    for (int64_t t = lo; t < hi; ++t) {
-      RunTaskHead(static_cast<size_t>(t), h, train);
-    }
+    for (int64_t t = lo; t < hi; ++t) RunTaskHead(static_cast<size_t>(t), h);
   };
-  bool& recorded = heads_recorded_[train ? 1 : 0];
-  if (recorded) {
+  if (heads_sized_) {
     ParallelFor(0, num_tasks, 1, run_tasks);
   } else {
     run_tasks(0, num_tasks);
-    recorded = true;
+    heads_sized_ = true;
   }
   const auto reduce_start = Now();
-  if (train) {
-    for (size_t t = 0; t < tasks_.size(); ++t) {
-      HeadRun& run = head_runs_[t];
-      TaskGradReduce::Source& source = grad_sources_[t];
-      source = TaskGradReduce::Source{};
-      if (tasks_[t].NumTrain() == 0) continue;
-      if (run.attention != nullptr) {
-        source.attention = &run.train_factors;
-      } else {
-        source.dense = &run.tape.grad(run.train_in);
-      }
+  for (size_t t = 0; t < tasks_.size(); ++t) {
+    HeadRun& run = head_runs_[t];
+    TaskGradReduce::Source& source = grad_sources_[t];
+    source = TaskGradReduce::Source{};
+    if (tasks_[t].NumTrain() == 0) continue;
+    if (run.attention != nullptr) {
+      source.attention = &run.train_factors;
+    } else {
+      source.dense = &run.tape.grad(run.train_in);
     }
-    grad_reduce_.Run(grad_sources_, h_grad);
   }
+  grad_reduce_.Run(grad_sources_, h_grad);
   for (HeadRun& run : head_runs_) run.tape.Reset();
   losses.reduce_seconds = SecondsSince(reduce_start);
   // Ascending task order, as the shared tape's Add chain (float) and the
@@ -321,7 +301,7 @@ Trainer::HeadLosses Trainer::RunTaskHeads(const Tensor& h, Tensor* h_grad) {
   for (size_t t = 0; t < tasks_.size(); ++t) {
     const TrainTask& task = tasks_[t];
     const HeadRun& run = head_runs_[t];
-    if (train && task.NumTrain() > 0) {
+    if (task.NumTrain() > 0) {
       losses.train_loss =
           losses.trained ? losses.train_loss + run.train_loss : run.train_loss;
       losses.trained = true;
@@ -334,11 +314,25 @@ Trainer::HeadLosses Trainer::RunTaskHeads(const Tensor& h, Tensor* h_grad) {
   return losses;
 }
 
-Trainer::EpochResult Trainer::RunFullEpoch(Adam* opt, double* val_loss_sum,
-                                           bool* has_val) {
+bool Trainer::KeepIfBest(double val_loss) {
+  if (!(val_loss < best_val_ - 1e-6)) return false;
+  best_val_ = val_loss;
+  // The first kept weights size the buffers; later ones copy into them.
+  best_params_.resize(params_.size());
+  for (size_t i = 0; i < params_.size(); ++i) {
+    best_params_[i] = params_[i]->value;
+  }
+  return true;
+}
+
+Trainer::EpochResult Trainer::RunFullEpoch(Adam* opt) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   TraceSpan forward_span("train.forward");
-  const Tape::VarId h_shared = FullForward();
+  tape_.Reset();  // reuse node slots from the previous epoch
+  const Tape::VarId h_shared = ForwardReadRows(
+      &tape_, options_.use_gnn ? gnn_ : nullptr, *shared_,
+      tape_.Constant(node_features_), *store_->full_graph(), &read_rows_,
+      &gnn_scratch_);
   forward_span.Stop();
 
   const auto heads_start = Now();
@@ -349,12 +343,15 @@ Trainer::EpochResult Trainer::RunFullEpoch(Adam* opt, double* val_loss_sum,
   registry.RecordSpan("train.heads",
                       SecondsSince(heads_start) - losses.reduce_seconds);
   registry.RecordSpan("train.reduce", losses.reduce_seconds);
-  *val_loss_sum = losses.val_loss;
-  *has_val = losses.has_val;
 
   EpochResult result;
   if (!losses.trained) return result;  // nothing to train on
   result.train_loss = losses.train_loss;
+  result.val_loss = losses.val_loss;
+  result.has_val = losses.has_val;
+  // The heads scored the weights the step below moves: those are the ones
+  // an improvement keeps.
+  result.improved = result.has_val && KeepIfBest(result.val_loss);
   TraceSpan backward_span("train.backward");
   tape_.BackwardFrom(h_shared, h_grad_);
   backward_span.Stop();
@@ -365,16 +362,6 @@ Trainer::EpochResult Trainer::RunFullEpoch(Adam* opt, double* val_loss_sum,
   ++summary_.steps_run;
   result.trained = true;
   return result;
-}
-
-double Trainer::ValidationLoss(bool* has_val) {
-  if (store_->full_graph() == nullptr) {
-    return RunSampledPass(/*epoch=*/0, /*opt=*/nullptr, has_val);
-  }
-  const HeadLosses losses =
-      RunTaskHeads(tape_.value(FullForward()), /*h_grad=*/nullptr);
-  *has_val = losses.has_val;
-  return losses.val_loss;
 }
 
 void Trainer::PrepareGroup(int64_t begin, int64_t end, bool validation) {
@@ -510,12 +497,16 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
   return loss_sum;
 }
 
-Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks) {
+Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks,
+                                  bool warm_start) {
   GRIMP_CHECK(!ran_) << "Trainer::Run is single-shot";
   ran_ = true;
   const auto t0 = Now();
   TraceSpan prepare_span("train.prepare");
   const bool sampled = options_.train.mode == TrainMode::kSampled;
+  // A warm start scores the incoming weights with the sampled validation
+  // pass; full mode validates only inside a training epoch.
+  GRIMP_CHECK(!warm_start || sampled) << "warm start needs sampled mode";
   summary_ = TrainSummary{};
   summary_.mode = options_.train.mode;
 
@@ -531,43 +522,26 @@ Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks) {
     summary_.num_val_samples += task.NumVal();
   }
 
-  // Full-graph passes read only the rows the tasks' indices name, through
-  // every task's indices remapped onto those rows: the tasks' own lists in
-  // full mode, copies in sampled mode, whose batches keep reading the
-  // global ids in tasks_.
-  if (store_->full_graph() != nullptr) {
-    BuildReadSet(tasks_, node_features_->rows(), &read_rows_, &read_idx_,
-                 /*keep_lists=*/sampled);
-  }
+  // Full-mode passes read only the rows the tasks' indices name, through
+  // the tasks' own lists moved here and remapped onto those rows.
   if (!sampled) {
+    BuildReadSet(tasks_, node_features_->rows(), &read_rows_, &read_idx_);
     grad_reduce_.Build(std::span(read_idx_).first(tasks_.size()),
                        static_cast<int64_t>(read_rows_.size()), num_cols_);
   }
 
   Adam opt(params_, options_.learning_rate);
-  double best_val = std::numeric_limits<double>::infinity();
-  // The best weights so far, empty until the first snapshot; later
-  // snapshots copy into the same buffers.
-  std::vector<Tensor> best_params;
-  const auto snapshot = [&] {
-    best_params.resize(params_.size());
-    for (size_t i = 0; i < params_.size(); ++i) {
-      best_params[i] = params_[i]->value;
-    }
-  };
   int epochs_since_best = 0;
   prepare_span.Stop();
 
   // Warm start: the incoming weights compete in the early-stopping
   // comparison like an epoch-0 result, so fine-tuning can only improve the
   // published model (by validation loss), never regress it.
-  if (options_.train.warm_start && summary_.num_val_samples > 0) {
+  if (warm_start) {
     bool has_val = false;
-    const double initial = ValidationLoss(&has_val);
-    if (has_val) {
-      best_val = initial;
-      snapshot();
-    }
+    const double initial = RunSampledPass(/*epoch=*/0, /*opt=*/nullptr,
+                                          &has_val);
+    if (has_val) KeepIfBest(initial);
   }
 
   MetricsRegistry& registry = MetricsRegistry::Global();
@@ -580,20 +554,17 @@ Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks) {
   TraceSpan train_span("grimp.train");
   for (int epoch = 0; epoch < options_.max_epochs; ++epoch) {
     const auto epoch_start = Now();
-    double val_loss_sum = 0.0;
-    bool has_val = false;
     EpochResult er;
     if (sampled) {
       er.train_loss = RunSampledPass(epoch, &opt, &er.trained);
-      if (er.trained && summary_.num_val_samples > 0) {
-        // Whole-graph validation when the store can serve it (matches full
-        // mode exactly); minibatched sampled validation otherwise (sharded
-        // stores have no full graph by design). Skipped outright with no
-        // validation samples — the whole-graph forward is not free.
-        val_loss_sum = ValidationLoss(&has_val);
+      // Validation scores the weights after the epoch's last step (a run
+      // without validation samples has no batch to score).
+      if (er.trained) {
+        er.val_loss = RunSampledPass(epoch, /*opt=*/nullptr, &er.has_val);
+        er.improved = er.has_val && KeepIfBest(er.val_loss);
       }
     } else {
-      er = RunFullEpoch(&opt, &val_loss_sum, &has_val);
+      er = RunFullEpoch(&opt);
     }
     if (!er.trained) break;  // nothing to train on
     summary_.final_train_loss = er.train_loss;
@@ -602,31 +573,25 @@ Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks) {
     if (options_.verbose && epoch % 10 == 0) {
       GRIMP_LOG(Info) << "train epoch " << epoch << " train_loss "
                       << summary_.final_train_loss << " val_loss "
-                      << val_loss_sum;
+                      << er.val_loss;
     }
     // Early stopping on the summed validation loss.
-    bool improved = false;
     bool stop_early = false;
-    if (has_val) {
-      if (val_loss_sum < best_val - 1e-6) {
-        improved = true;
-        best_val = val_loss_sum;
-        epochs_since_best = 0;
-        snapshot();
-      } else if (++epochs_since_best >= options_.patience) {
-        stop_early = true;
-      }
+    if (er.improved) {
+      epochs_since_best = 0;
+    } else if (er.has_val && ++epochs_since_best >= options_.patience) {
+      stop_early = true;
     }
 
     EpochStats stats;
     stats.epoch = epoch;
     stats.train_loss = summary_.final_train_loss;
-    stats.val_loss = val_loss_sum;
-    stats.has_val = has_val;
-    stats.improved = improved;
+    stats.val_loss = er.val_loss;
+    stats.has_val = er.has_val;
+    stats.improved = er.improved;
     stats.seconds = SecondsSince(epoch_start);
     train_loss_series.Append(stats.train_loss);
-    if (has_val) val_loss_series.Append(stats.val_loss);
+    if (stats.has_val) val_loss_series.Append(stats.val_loss);
     epoch_seconds_series.Append(stats.seconds);
     bool keep_going = true;
     if (callbacks.on_epoch_end) {
@@ -635,11 +600,11 @@ Result<TrainSummary> Trainer::Run(const TrainCallbacks& callbacks) {
     if (stop_early || !keep_going) break;
   }
   train_span.Stop();
-  if (!best_params.empty()) {
+  if (!best_params_.empty()) {
     for (size_t i = 0; i < params_.size(); ++i) {
-      params_[i]->value = best_params[i];
+      params_[i]->value = best_params_[i];
     }
-    summary_.best_val_loss = best_val;
+    summary_.best_val_loss = best_val_;
   }
   summary_.train_seconds = SecondsSince(t0);
   return summary_;

@@ -1,6 +1,7 @@
 #ifndef GRIMP_CORE_TRAINER_H_
 #define GRIMP_CORE_TRAINER_H_
 
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -91,17 +92,15 @@ class TaskGradReduce {
   std::vector<int32_t> chunks_;  // chunk k: rows [chunks_[k], chunks_[k + 1])
 };
 
-// The read set of full-graph passes: sets *read_rows to the ascending
-// nodes (below num_nodes) some task's train_idx or val_idx names, and
-// *read_idx to every task's indices as positions in it (CompactToReadRows'
-// rule): (*read_idx)[t] is task t's train_idx, (*read_idx)[#tasks + t]
-// its val_idx. The tasks' lists move into *read_idx and are remapped
-// there, leaving them empty, unless `keep_lists` (sampled passes still
-// read the node ids), which remaps copies.
+// The read set of full-mode passes: sets *read_rows to the ascending nodes
+// (below num_nodes) some task's train_idx or val_idx names, and *read_idx
+// to every task's indices as positions in it (CompactToReadRows' rule):
+// (*read_idx)[t] is task t's train_idx, (*read_idx)[#tasks + t] its
+// val_idx. The tasks' lists move into *read_idx and are remapped there,
+// leaving them empty.
 void BuildReadSet(std::span<TrainTask> tasks, int64_t num_nodes,
                   std::vector<int32_t>* read_rows,
-                  std::vector<std::vector<int32_t>>* read_idx,
-                  bool keep_lists);
+                  std::vector<std::vector<int32_t>>* read_idx);
 
 // Summary of one Trainer::Run: sample counts are the trained/validated
 // counts of the tasks' lists (the corpus, after any max_samples_per_task
@@ -124,6 +123,12 @@ struct TrainSummary {
 // losses, early stopping on the summed validation loss, best-weights
 // restore, per-epoch metrics series and callbacks.
 //
+// One validation rule: each mode keeps the weights it scored. An epoch
+// whose summed validation loss improves on the best so far (by more than
+// 1e-6) copies the weights that loss was computed from, and Run restores
+// the last copy, so scoring the restored weights with the mode's own
+// validation pass gives exactly TrainSummary::best_val_loss.
+//
 // Two modes (GrimpOptions::train):
 //  - kFull (default): one whole-graph forward per epoch; every training
 //    sample reads the same node embeddings. The forward computes the GNN's
@@ -134,35 +139,36 @@ struct TrainSummary {
 //    representation, with bit-identical results. Given that shared
 //    representation the tasks are independent, so each task's head, loss,
 //    head backward and validation head run on their own sub-tape, all
-//    tasks as one grain-1 ParallelFor on the thread pool. An attention
-//    head reads its blocks straight from the representation and leaves
-//    compact factors; a linear head takes a gathered copy. TaskGradReduce
-//    then adds every task's gradient into the shared one, row-parallel in
-//    the order a single shared tape would have, and the calling thread
+//    tasks as one grain-1 ParallelFor on the thread pool. The validation
+//    heads score the weights before the epoch's optimizer step, so an
+//    improving epoch copies them before that step. An attention head reads
+//    its blocks straight from the representation and leaves compact
+//    factors; a linear head takes a gathered copy. TaskGradReduce then adds
+//    every task's gradient into the shared one, row-parallel in the order
+//    a single shared tape would have, and the calling thread
 //    backpropagates it once through the GNN and shared MLP. Losses and
 //    weights are bit-identical at every thread count. Requires a store
 //    with a full graph (in-memory).
 //  - kSampled: iterates per-task minibatches of `batch_size` samples; each
 //    step samples the batch's receptive field with NeighborSampler
 //    (TrainConfig::fanouts), runs the GNN only over those blocks, and takes
-//    one optimizer step. When the store exposes a full graph, validation
-//    (and early stopping) still runs one full-graph forward per epoch, so
-//    the two modes stay comparable; over a sharded store (no full graph)
-//    validation is itself minibatched through the sampler on fixed,
-//    epoch-independent streams, keeping per-step memory bounded by the
-//    shard budget. Both stores train on the same corpus and draw the same
-//    blocks, so their training steps are bit-identical; with validation,
-//    the two validation losses differ, and with them early stopping and
-//    the restored weights. Training and sampled validation are one pass over
-//    per-task batch plans that runs backward and the optimizer step only
-//    when training. Sampling Rng streams derive from (seed, epoch, batch
-//    id) — never from thread count or scheduling — so losses are identical
-//    at every GRIMP_NUM_THREADS and every pipeline depth. Batches are
-//    prepared in groups of TrainConfig::pipeline_depth consecutive plans
-//    (PrepareGroup): one PrepareSampledBatches call samples the whole
-//    group with one shard visit per layer, then the step loop runs
-//    through it in plan order, gathering each batch's input features as
-//    its forward starts. Depths 0 and 1 prepare one batch at a time.
+//    one optimizer step. After the epoch's steps, validation is itself
+//    minibatched through the sampler, on every store, over fixed
+//    (seed, task, batch) streams that do not depend on the epoch, so
+//    per-step memory stays bounded by the batch (and the shard budget).
+//    Every store trains on the same corpus and draws the same blocks, so
+//    training losses, validation losses, early stopping and the restored
+//    weights are bit-identical across stores. Training and validation are
+//    one pass over per-task batch plans that runs backward and the
+//    optimizer step only when training. Training Rng streams derive from
+//    (seed, epoch, batch id) — never from thread count or scheduling — so
+//    losses are identical at every GRIMP_NUM_THREADS and every pipeline
+//    depth. Batches are prepared in groups of TrainConfig::pipeline_depth
+//    consecutive plans (PrepareGroup): one PrepareSampledBatches call
+//    samples the whole group with one shard visit per layer, then the step
+//    loop runs through it in plan order, gathering each batch's input
+//    features as its forward starts. Depths 0 and 1 prepare one batch at a
+//    time.
 //
 // The Trainer reads the graph exclusively through a GraphStore: an
 // in-memory store reproduces the old behavior exactly, a ShardedGraphStore
@@ -187,27 +193,34 @@ class Trainer {
   // on returns epochs_run == 0 without error. Single-shot: full mode
   // moves the tasks' lists into the read set, so a second Run on the
   // same Trainer is a checked error.
-  Result<TrainSummary> Run(const TrainCallbacks& callbacks);
+  //
+  // `warm_start` (online fine-tuning, sampled mode only): before the first
+  // epoch, the incoming weights are scored with the validation pass and
+  // kept like an epoch's, so the run can never end with weights worse (by
+  // validation loss) than the ones it started from.
+  Result<TrainSummary> Run(const TrainCallbacks& callbacks,
+                           bool warm_start = false);
 
  private:
   struct EpochResult {
     double train_loss = 0.0;
     bool trained = false;  // at least one optimizer step ran
+    double val_loss = 0.0;  // summed validation loss, when has_val
+    bool has_val = false;
+    bool improved = false;  // val_loss was kept as the best (KeepIfBest)
   };
 
-  // One full-graph training epoch: the shared forward on tape_, every
+  // When `val_loss` improves on the best so far by more than 1e-6, copies
+  // the current weights into best_params_, records the loss and returns
+  // true.
+  bool KeepIfBest(double val_loss);
+  // One full-graph training epoch: the shared forward on tape_ over the
+  // read set (ForwardReadRows, one row per entry of read_rows_), every
   // task's head in RunTaskHeads, the shared backward from the reduced
-  // gradient, then the optimizer step. Also returns the validation loss
-  // the heads computed from the same representation.
-  EpochResult RunFullEpoch(Adam* opt, double* val_loss_sum, bool* has_val);
-  // Summed validation loss without backward (sampled epochs, warm start):
-  // one full-graph forward plus RunTaskHeads when the store exposes a full
-  // graph, else a sampled validation pass. Non-const: records onto the
-  // persistent tape_.
-  double ValidationLoss(bool* has_val);
-  // Resets tape_ and runs the whole-graph GNN + shared MLP forward over the
-  // read set (ForwardReadRows): one row per entry of read_rows_.
-  Tape::VarId FullForward();
+  // gradient, then the optimizer step. The validation loss the heads
+  // computed from the same representation scores the pre-step weights,
+  // which KeepIfBest copies before the step.
+  EpochResult RunFullEpoch(Adam* opt);
 
   // One task's head pass, on its own sub-tape.
   struct HeadRun {
@@ -231,23 +244,23 @@ class Trainer {
     double reduce_seconds = 0.0;  // TaskGradReduce + sub-tape resets
   };
   // Task t's head over the read-set representation `h` on
-  // head_runs_[t].tape: with `train`, head + loss + BackwardFrom the loss
-  // on its training samples; then head + loss on its validation samples.
-  // Runs on pool threads; touches only task t's head, sub-tape and
-  // scratches, which its own ops size.
-  void RunTaskHead(size_t t, const Tensor& h, bool train);
+  // head_runs_[t].tape: head + loss + BackwardFrom the loss on its training
+  // samples, then head + loss on its validation samples. Runs on pool
+  // threads; touches only task t's head, sub-tape and scratches, which its
+  // own ops size.
+  void RunTaskHead(size_t t, const Tensor& h);
   // Every task's RunTaskHead as one grain-1 ParallelFor (on this thread
-  // for the first training and the first validation-only pass, which size
-  // the sub-tapes). Then grad_reduce_ adds each task's input gradient into
-  // *h_grad, and the sub-tapes are reset. Null `h_grad` runs validation
-  // only. Losses are bit-identical at every thread count.
+  // for the first pass, which sizes the sub-tapes). Then grad_reduce_ adds
+  // each task's input gradient into *h_grad, and the sub-tapes are reset.
+  // Losses are bit-identical at every thread count.
   HeadLosses RunTaskHeads(const Tensor& h, Tensor* h_grad);
   // One sampled pass over per-task minibatches, returning the summed
   // per-task mean loss; *ran is set when at least one batch ran. With `opt`
   // it trains — one optimizer step per batch, streams keyed on (seed,
   // epoch, batch id). Without, it validates: streams are fixed per (task,
   // batch) — never per epoch — so successive epochs score the same sampled
-  // receptive fields and early stopping compares like with like.
+  // receptive fields and early stopping compares like with like; `epoch`
+  // is then unused.
   double RunSampledPass(int epoch, Adam* opt, bool* ran);
 
   // One sampled batch's fixed recipe, laid out before the pass starts so
@@ -274,17 +287,15 @@ class Trainer {
   std::vector<TrainTask> tasks_;
   int num_cols_;
   // Per-task head sub-tapes (RunTaskHeads), reset after every reduce so
-  // their node slots are reused from epoch to epoch, and whether a
-  // validation-only ([0]) and a training ([1]) pass has sized them.
+  // their node slots are reused from epoch to epoch, and whether a pass
+  // has sized them.
   std::vector<HeadRun> head_runs_;
-  bool heads_recorded_[2] = {false, false};
+  bool heads_sized_ = false;
   bool ran_ = false;  // Run is single-shot
-  // Full-graph passes' read set, built by Run when the store has a full
-  // graph: the ascending h rows some task's train_idx or val_idx reads,
-  // and every task's indices remapped onto them (CompactToReadRows):
-  // read_idx_[t] is task t's train_idx, read_idx_[#tasks + t] its val_idx.
-  // Full mode moves the tasks' own lists here (sampled mode remaps
-  // copies, its batches still reading tasks_' node ids).
+  // Full mode's read set, built by Run: the ascending h rows some task's
+  // train_idx or val_idx reads, and the tasks' own lists moved here and
+  // remapped onto them (CompactToReadRows): read_idx_[t] is task t's
+  // train_idx, read_idx_[#tasks + t] its val_idx.
   std::vector<int32_t> read_rows_;
   std::vector<std::vector<int32_t>> read_idx_;
   // Full mode: the reduce, built by Run, its per-task sources, and
@@ -293,6 +304,10 @@ class Trainer {
   std::vector<TaskGradReduce::Source> grad_sources_;
   Tensor h_grad_;
   std::vector<Parameter*> params_;
+  // The best summed validation loss so far and the weights it scored
+  // (KeepIfBest), empty until the first improvement.
+  double best_val_ = std::numeric_limits<double>::infinity();
+  std::vector<Tensor> best_params_;
   TrainSummary summary_;
   // Reused across every epoch / batch / validation pass (Tape::Reset keeps
   // the node slots; the GNN scratch keeps its per-type rows and buffers),

@@ -2,8 +2,9 @@
 # smoke size runs the sampled pipeline-depth sweep 0/2/4 over a
 # ShardedGraphStore, then the same depth-0 Fit over the in-memory store)
 # with GRIMP_METRICS_JSON set, then assert the configs really read shard
-# files and that BENCH_train.json reports the depth sweep bit-identical and
-# the in-memory twin identical to sharded depth 0. Invoked as
+# files, that BENCH_train.json reports the depth sweep bit-identical and
+# the in-memory twin identical to sharded depth 0, and that its
+# epoch_speedup is null. Invoked as
 #   cmake -DTRAIN_BIN=<exe> -DWORK_DIR=<dir> -P check_train_shard_metrics.cmake
 
 if(NOT DEFINED TRAIN_BIN OR NOT DEFINED WORK_DIR)
@@ -64,6 +65,15 @@ if(NOT bit_identical STREQUAL "ON")
   message(FATAL_ERROR
           "pipelined sharded configs diverged from serial "
           "(bit_identical=${bit_identical}):\n${train_output}")
+endif()
+# A sharded run has no full-graph config to compare with, so its
+# epoch_speedup is undefined and must be written as null, not as a number.
+string(JSON speedup_type TYPE "${bench_json}" epoch_speedup)
+if(NOT speedup_type STREQUAL "NULL")
+  string(JSON speedup GET "${bench_json}" epoch_speedup)
+  message(FATAL_ERROR
+          "BENCH_train.json epoch_speedup is ${speedup} in a sharded run; "
+          "expected null")
 endif()
 string(JSON store_identical GET "${bench_json}" store_identical)
 if(NOT store_identical STREQUAL "ON")

@@ -591,7 +591,8 @@ const FullModeConfig kFullModeConfigs[] = {{"gnn2", 2, true},
 // every task's head and loss recorded on the unpruned shared forward's
 // tape, one Add chain, one backward, one clipped Adam step. So the read-set
 // forward (the last GNN layer and the shared MLP over only the rows the
-// heads read) moves no bit either.
+// heads read) moves no bit either. The weights are read at the epoch's end:
+// Run then restores the pre-step weights its validation scored.
 TEST(TrainerTest, FullModeEpochMatchesOneSharedTape) {
   ComputeSettingsGuard guard;
   ThreadPool::SetGlobalThreads(4);
@@ -625,10 +626,14 @@ TEST(TrainerTest, FullModeEpochMatchesOneSharedTape) {
     FullModeFixture fx(config.gnn_layers);
     fx.options.use_gnn = config.use_gnn;
     fx.options.max_epochs = 1;
+    std::vector<Parameter*> params;
+    fx.CollectParameters(&params);
     double train_loss = 0.0;
+    std::vector<Tensor> stepped;  // the weights after the epoch's step
     TrainCallbacks callbacks;
-    callbacks.on_epoch_end = [&train_loss](const EpochStats& stats) {
+    callbacks.on_epoch_end = [&](const EpochStats& stats) {
       train_loss = stats.train_loss;
+      for (const Parameter* p : params) stepped.push_back(p->value);
       return true;
     };
     Trainer trainer(fx.options, fx.store.get(), &fx.features,
@@ -636,12 +641,10 @@ TEST(TrainerTest, FullModeEpochMatchesOneSharedTape) {
                     fx.MakeTasks(), kCols);
     ASSERT_TRUE(trainer.Run(callbacks).ok());
     EXPECT_EQ(train_loss, static_cast<double>(tape.value(total).scalar()));
-    std::vector<Parameter*> params;
-    fx.CollectParameters(&params);
-    ASSERT_EQ(params.size(), ref_params.size());
-    for (size_t i = 0; i < params.size(); ++i) {
+    ASSERT_EQ(stepped.size(), ref_params.size());
+    for (size_t i = 0; i < stepped.size(); ++i) {
       const Tensor& a = ref_params[i]->value;
-      const Tensor& b = params[i]->value;
+      const Tensor& b = stepped[i];
       ASSERT_TRUE(a.SameShape(b)) << params[i]->name;
       EXPECT_EQ(std::memcmp(a.data(), b.data(),
                             static_cast<size_t>(a.size()) * sizeof(float)),
@@ -651,34 +654,48 @@ TEST(TrainerTest, FullModeEpochMatchesOneSharedTape) {
   }
 }
 
-// A sampled Fit over an in-memory store validates on one full-graph
-// forward over the read set. Its validation loss equals the one an
-// unpruned shared tape gives from the same weights: every task's head and
-// loss on its validation samples, summed in double in task order.
-TEST(TrainerTest, SampledFullGraphValidationMatchesUnprunedTape) {
+// The fixture's tasks, each with training samples validating on them, so
+// the validation loss falls with the training loss for some epochs and the
+// best epoch is not the first. Task 5 keeps its own validation samples,
+// task 9 has none.
+std::vector<TrainTask> SelfValidatingTasks(const FullModeFixture& fx) {
+  std::vector<TrainTask> tasks = fx.MakeTasks();
+  for (TrainTask& task : tasks) {
+    if (task.NumTrain() == 0 || task.NumVal() == 0) continue;
+    task.val_idx = task.train_idx;
+    task.val_labels = task.train_labels;
+    task.val_targets = task.train_targets;
+  }
+  return tasks;
+}
+
+// The one validation rule (trainer.h): each mode keeps the weights its
+// validation scored, so scoring the restored weights with the mode's own
+// validation pass gives exactly best_val_loss. In full mode that pass is
+// the validation heads of an epoch, which score the weights before its
+// step: a fresh one-epoch Trainer over the restored weights reports it.
+// It also equals an unpruned shared tape's validation loss from those
+// weights: every task's head and loss on its validation samples, summed in
+// double in task order.
+TEST(TrainerTest, FullModeRestoredWeightsScoreTheBestValidationLoss) {
   constexpr int kCols = FullModeFixture::kCols;
   constexpr int kDim = FullModeFixture::kDim;
   FullModeFixture fx;
-  fx.options.train.mode = TrainMode::kSampled;
-  fx.options.train.batch_size = 16;
-  fx.options.train.fanouts = {3, 3};
-  fx.options.max_epochs = 1;
-  double val_loss = 0.0;
+  int improved = 0;
   TrainCallbacks callbacks;
-  callbacks.on_epoch_end = [&val_loss](const EpochStats& stats) {
+  callbacks.on_epoch_end = [&improved](const EpochStats& stats) {
     EXPECT_TRUE(stats.has_val);
-    EXPECT_TRUE(stats.improved);  // so Run keeps the epoch's weights
-    val_loss = stats.val_loss;
+    improved += stats.improved ? 1 : 0;
     return true;
   };
-  const std::vector<TrainTask> tasks = fx.MakeTasks();
   Trainer trainer(fx.options, fx.store.get(), &fx.features, &fx.gnn,
-                  &fx.shared, fx.MakeTasks(), kCols);
+                  &fx.shared, SelfValidatingTasks(fx), kCols);
   auto summary = trainer.Run(callbacks);
   ASSERT_TRUE(summary.ok());
-  ASSERT_EQ(summary->epochs_run, 1);
-  EXPECT_GT(summary->steps_run, 1);
+  ASSERT_EQ(summary->epochs_run, fx.options.max_epochs);
+  EXPECT_GT(improved, 1);
 
+  const std::vector<TrainTask> tasks = SelfValidatingTasks(fx);
   Tape tape;
   const Tape::VarId h = WholeGraphForward(&tape, fx);
   double expected = 0.0;
@@ -692,7 +709,74 @@ TEST(TrainerTest, SampledFullGraphValidationMatchesUnprunedTape) {
                                : tape.MseLoss(out, &task.val_targets))
                     .scalar();
   }
-  EXPECT_EQ(val_loss, expected);
+  EXPECT_EQ(expected, summary->best_val_loss);
+
+  GrimpOptions one_epoch = fx.options;
+  one_epoch.max_epochs = 1;
+  double rescored = 0.0;
+  TrainCallbacks rescore;
+  rescore.on_epoch_end = [&rescored](const EpochStats& stats) {
+    EXPECT_TRUE(stats.has_val);
+    rescored = stats.val_loss;
+    return true;
+  };
+  Trainer again(one_epoch, fx.store.get(), &fx.features, &fx.gnn, &fx.shared,
+                SelfValidatingTasks(fx), kCols);
+  ASSERT_TRUE(again.Run(rescore).ok());
+  EXPECT_EQ(rescored, summary->best_val_loss);
+}
+
+// Sampled mode's validation pass is the minibatched one over fixed
+// (seed, task, batch) streams, on every store. A warm-started Trainer that
+// runs no epoch scores the restored weights with exactly that pass, and
+// gets best_val_loss; the in-memory and the evicting 4-shard store agree
+// on it bit for bit.
+TEST(TrainerTest, SampledRestoredWeightsScoreTheBestValidationLoss) {
+  constexpr int kCols = FullModeFixture::kCols;
+  std::vector<double> best;
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "4 shards" : "in-memory");
+    FullModeFixture fx;
+    fx.options.train.mode = TrainMode::kSampled;
+    fx.options.train.batch_size = 16;
+    fx.options.train.fanouts = {3, 3};
+    std::unique_ptr<GraphStore> store;
+    if (sharded) {
+      ShardedGraphStore::Options store_options;
+      store_options.num_shards = 4;
+      store_options.max_resident_bytes = 1ll << 12;  // force eviction
+      auto created = ShardedGraphStore::Create(fx.tg.graph, store_options);
+      ASSERT_TRUE(created.ok());
+      store = std::move(*created);
+    } else {
+      store = std::make_unique<InMemoryGraphStore>(&fx.tg.graph);
+    }
+    int improved = 0;
+    TrainCallbacks callbacks;
+    callbacks.on_epoch_end = [&improved](const EpochStats& stats) {
+      EXPECT_TRUE(stats.has_val);
+      improved += stats.improved ? 1 : 0;
+      return true;
+    };
+    Trainer trainer(fx.options, store.get(), &fx.features, &fx.gnn,
+                    &fx.shared, SelfValidatingTasks(fx), kCols);
+    auto summary = trainer.Run(callbacks);
+    ASSERT_TRUE(summary.ok());
+    ASSERT_EQ(summary->epochs_run, fx.options.max_epochs);
+    EXPECT_GT(improved, 1);
+    best.push_back(summary->best_val_loss);
+
+    GrimpOptions no_epochs = fx.options;
+    no_epochs.max_epochs = 0;
+    Trainer again(no_epochs, store.get(), &fx.features, &fx.gnn, &fx.shared,
+                  SelfValidatingTasks(fx), kCols);
+    auto rescored = again.Run(TrainCallbacks{}, /*warm_start=*/true);
+    ASSERT_TRUE(rescored.ok());
+    EXPECT_EQ(rescored->epochs_run, 0);
+    EXPECT_EQ(rescored->best_val_loss, summary->best_val_loss);
+  }
+  ASSERT_EQ(best.size(), 2u);
+  EXPECT_EQ(best[0], best[1]);
 }
 
 // The indexed reduce replays the per-task scatter it replaced, on the
@@ -701,8 +785,8 @@ TEST(TrainerTest, SampledFullGraphValidationMatchesUnprunedTape) {
 // block gradients are rebuilt by the replaced op chain
 // (attention_reference.h) from the factors its node leaves; every task's
 // dense block gradients are scattered into h_grad tasks descending, rows
-// ascending. TaskGradReduce's h_grad, and the weights after one Trainer
-// epoch against one step from the reference h_grad, memcmp equal.
+// ascending. TaskGradReduce's h_grad, and the weights at the end of one
+// Trainer epoch against one step from the reference h_grad, memcmp equal.
 TEST(TrainerTest, FullModeMixedHeadReduceMatchesPerTaskScatter) {
   ComputeSettingsGuard guard;
   const SimdLevel level = ActiveSimdLevel();
@@ -781,14 +865,20 @@ TEST(TrainerTest, FullModeMixedHeadReduceMatchesPerTaskScatter) {
 
     FullModeFixture fx;
     fx.options.max_epochs = 1;
-    Trainer trainer(fx.options, fx.store.get(), &fx.features, &fx.gnn,
-                    &fx.shared, fx.MakeTasks(), kCols);
-    ASSERT_TRUE(trainer.Run(TrainCallbacks{}).ok());
     std::vector<Parameter*> params;
     fx.CollectParameters(&params);
-    ASSERT_EQ(params.size(), ref_params.size());
-    for (size_t i = 0; i < params.size(); ++i) {
-      EXPECT_TRUE(testing::BitEqual(params[i]->value, ref_params[i]->value))
+    std::vector<Tensor> stepped;  // the weights after the epoch's step
+    TrainCallbacks callbacks;
+    callbacks.on_epoch_end = [&](const EpochStats&) {
+      for (const Parameter* p : params) stepped.push_back(p->value);
+      return true;
+    };
+    Trainer trainer(fx.options, fx.store.get(), &fx.features, &fx.gnn,
+                    &fx.shared, fx.MakeTasks(), kCols);
+    ASSERT_TRUE(trainer.Run(callbacks).ok());
+    ASSERT_EQ(stepped.size(), ref_params.size());
+    for (size_t i = 0; i < stepped.size(); ++i) {
+      EXPECT_TRUE(testing::BitEqual(stepped[i], ref_params[i]->value))
           << params[i]->name;
     }
   }
@@ -874,14 +964,13 @@ TEST(TrainerDeathTest, RunIsSingleShot) {
 
 // The store decides where the adjacency lives, never what a Fit computes.
 // At identical options the sample cap alone picks the corpus
-// (BuildTrainingCorpus) and the sampler draws the same blocks from every
-// store, so an in-memory Fit, one spilled shard and four shards under an
-// evicting budget train bit-identically, with and without a cap. Without
-// validation the whole run matches: every epoch's loss and every imputed
-// cell. With validation only the training losses are compared: sampled
-// validation is a full-graph forward on the in-memory store and
-// minibatched over a sharded one (trainer.h), so the validation losses,
-// early stopping and the restored weights may differ.
+// (BuildTrainingCorpus), the sampler draws the same blocks from every
+// store, and sampled validation is the same minibatched pass on every
+// store (trainer.h). So an in-memory Fit, one spilled shard and four
+// shards under an evicting budget run bit-identically, with and without a
+// cap and with and without validation: every epoch's training and
+// validation loss, the epoch early stopping ends on, and every imputed
+// cell (from the restored weights).
 TEST(TrainerTest, FitIsBitIdenticalAcrossStores) {
   const Table clean = StructuredTable(240);
   const CorruptedTable corrupted = InjectMcar(clean, 0.2, 23);
@@ -899,6 +988,8 @@ TEST(TrainerTest, FitIsBitIdenticalAcrossStores) {
   };
   struct RunOutput {
     std::vector<double> train_losses;
+    std::vector<double> val_losses;
+    int epochs_run = 0;
     std::string cells;
     double accuracy = 0.0;
   };
@@ -910,7 +1001,8 @@ TEST(TrainerTest, FitIsBitIdenticalAcrossStores) {
     options.dim = 16;
     options.seed = 5;
     options.max_epochs = epochs;
-    options.patience = epochs;  // every store runs every epoch
+    // With validation, early stopping picks the last epoch.
+    options.patience = validation_fraction > 0.0 ? 2 : epochs;
     options.validation_fraction = validation_fraction;
     options.max_samples_per_task = cap;
     options.train.mode = TrainMode::kSampled;
@@ -922,11 +1014,13 @@ TEST(TrainerTest, FitIsBitIdenticalAcrossStores) {
     RunOutput out;
     options.callbacks.on_epoch_end = [&out](const EpochStats& stats) {
       out.train_losses.push_back(stats.train_loss);
+      out.val_losses.push_back(stats.val_loss);
       return true;
     };
     const int64_t fetches_before = fetches.value();
     GrimpEngine engine(options);
     EXPECT_TRUE(engine.Fit(corrupted.dirty).ok());
+    out.epochs_run = engine.summary().epochs_run;
     if (store.mode == ShardMode::kSharded) {
       // The sharded Fit really went through the out-of-core path.
       EXPECT_GT(fetches.value(), fetches_before);
@@ -944,23 +1038,29 @@ TEST(TrainerTest, FitIsBitIdenticalAcrossStores) {
       SCOPED_TRACE("cap " + std::to_string(cap) + ", validation " +
                    std::to_string(validation_fraction));
       const bool validates = validation_fraction > 0.0;
-      const int epochs = validates ? 8 : 60;
+      const int epochs = validates ? 20 : 60;
       const RunOutput memory = run(stores[0], cap, validation_fraction, epochs);
-      ASSERT_EQ(memory.train_losses.size(), static_cast<size_t>(epochs));
-      if (!validates) {
+      if (validates) {
+        // Early stopping ends the run, on the same epoch for every store.
+        EXPECT_LT(memory.epochs_run, epochs);
+      } else {
+        EXPECT_EQ(memory.epochs_run, epochs);
         EXPECT_GT(memory.accuracy, 0.7);
       }
+      ASSERT_EQ(memory.train_losses.size(),
+                static_cast<size_t>(memory.epochs_run));
       for (const Store& store : {stores[1], stores[2]}) {
         SCOPED_TRACE(store.name);
         const RunOutput other = run(store, cap, validation_fraction, epochs);
+        EXPECT_EQ(other.epochs_run, memory.epochs_run);
         ASSERT_EQ(other.train_losses.size(), memory.train_losses.size());
         for (size_t e = 0; e < memory.train_losses.size(); ++e) {
           EXPECT_EQ(other.train_losses[e], memory.train_losses[e])
               << "epoch " << e;
+          EXPECT_EQ(other.val_losses[e], memory.val_losses[e])
+              << "epoch " << e;
         }
-        if (!validates) {
-          EXPECT_EQ(other.cells, memory.cells);
-        }
+        EXPECT_EQ(other.cells, memory.cells);
       }
     }
   }
